@@ -24,7 +24,6 @@ use ppc_telemetry::cost::{CycleCostMeter, ManagementCostModel};
 use ppc_telemetry::AggregationTree;
 use ppc_telemetry::{Collector, NodeSample};
 use ppc_workload::JobId;
-use std::sync::Arc;
 
 struct FlatView;
 impl LevelView for FlatView {
@@ -84,7 +83,6 @@ fn measure_cycle_cost(n: usize, cycles: u64) -> f64 {
             .collect();
         // Always-yellow power keeps the selection policy on the hot path.
         let power_w = 26_000.0;
-        let m = Arc::clone(&model);
         meter.measure(|| {
             // Batch ingest: one management node's own CPU cost (the
             // quantity Figure 5 plots).
@@ -93,7 +91,7 @@ fn measure_cycle_cost(n: usize, cycles: u64) -> f64 {
                 &collector,
                 jobs.iter().map(|(id, ns)| (*id, ns.as_slice())),
                 &candidates,
-                &|_| Arc::clone(&m),
+                &|_| &*model,
             );
             manager.control_cycle(power_w, &obs, &FlatView)
         });

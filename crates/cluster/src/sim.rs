@@ -41,7 +41,7 @@
 use crate::columns::NodeColumns;
 use crate::spec::ClusterSpec;
 use ppc_core::capping::LevelView;
-use ppc_core::observe::{observe_job_into, observe_jobs_cached, JobObservation};
+use ppc_core::observe::JobObservation;
 use ppc_core::{
     BudgetNodeView, CycleOutcome, HierarchicalManager, ManagerStats, PowerManager, PowerState,
     ProportionalBudgetController,
@@ -66,8 +66,11 @@ use ppc_workload::{
     AdmissionPolicy, Class, JobGenerator, JobId, JobPriority, JobQueue, JobRecord, NpbApp,
     Scheduler, TraceSource,
 };
+use rack_obs::{Observer, RackObs};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
+
+mod rack_obs;
 
 /// How the tick loop evaluates node state and power (see the module docs;
 /// both modes are bit-identical by construction).
@@ -273,15 +276,14 @@ pub struct ClusterSim {
     hierarchy: Option<HierarchicalManager>,
     /// Hierarchy instruments (`Some` only for multi-rack hierarchies).
     hier_i: Option<HierInstruments>,
-    /// Per-rack job-observation slices, re-split from `cached_obs`
-    /// whenever it is rebuilt (multi-rack hierarchy only).
-    rack_obs: Vec<Vec<JobObservation>>,
+    /// Per-rack job observations, kept in place across ticks (one rack
+    /// for the flat manager and the single-rack hierarchy).
+    rack_obs: RackObs,
     /// Per-rack true power snapshot taken at the top of the control
     /// cycle (multi-rack hierarchy only).
     scratch_rack_true: Vec<f64>,
-    /// Per-rack collector coverage surfaced from the multi-rack fan-out
-    /// for the health rollup (multi-rack hierarchy only).
-    scratch_rack_cov: Vec<f64>,
+    /// Reused buffers of the multi-rack fan-out.
+    fanout: FanoutScratch,
     /// Per-rack Green/Yellow/Red states mapped into rollup zones
     /// (multi-rack hierarchy only).
     scratch_rack_zone: Vec<ZoneState>,
@@ -358,11 +360,6 @@ pub struct ClusterSim {
     resample_next: Vec<u32>,
     /// Memoized per-node saving predictions for observation building.
     obs_cache: ppc_core::NodeObsCache,
-    /// Cached job observations for the lazy (fault-free) control path.
-    cached_obs: Vec<JobObservation>,
-    /// Forces an observation rebuild regardless of the dirty set (job
-    /// finished, candidate set changed).
-    obs_stale: bool,
     /// Whether the previous tick's dirty set was non-empty (the
     /// collector's prev-power needs one extra cycle to stabilize).
     dirty_prev: bool,
@@ -377,20 +374,6 @@ pub struct ClusterSim {
     scratch_events: Vec<WheelEvent>,
     scratch_sampled: Vec<u32>,
     scratch_settle: Vec<u32>,
-    /// Node → index into `cached_obs` of the observation containing it
-    /// (`u32::MAX` = none); valid between full observation rebuilds.
-    obs_slot: Vec<u32>,
-    /// Node → run-queue index of its job at the last full observation
-    /// rebuild (`u32::MAX` = idle). A touched node mapped here but absent
-    /// from `obs_slot` means its job was dropped from the observation list
-    /// and may now re-enter: only a full rebuild can re-insert it in order.
-    node_runq: Vec<u32>,
-    /// `cached_obs` index → run-queue index at the last full rebuild (the
-    /// run queue only changes shape on job start/finish, which forces a
-    /// full rebuild, so the mapping stays valid in between).
-    obs_runq: Vec<u32>,
-    /// Per-tick scratch: observation slots to refresh this cycle.
-    scratch_slots: Vec<u32>,
 }
 
 impl ClusterSim {
@@ -465,9 +448,9 @@ impl ClusterSim {
             budget_controller: None,
             hierarchy: None,
             hier_i: None,
-            rack_obs: Vec::new(),
+            rack_obs: RackObs::new(n_total.max(1) as u32, 1),
             scratch_rack_true: Vec::new(),
-            scratch_rack_cov: Vec::new(),
+            fanout: FanoutScratch::default(),
             scratch_rack_zone: Vec::new(),
             health: HealthPlane::new(ZoneMap::single_rack()),
             true_power: TimeSeries::new(),
@@ -498,8 +481,6 @@ impl ClusterSim {
             resample_now: Vec::new(),
             resample_next: Vec::new(),
             obs_cache: ppc_core::NodeObsCache::new(),
-            cached_obs: Vec::new(),
-            obs_stale: true,
             dirty_prev: false,
             scratch_loads: Vec::new(),
             scratch_samples: Vec::new(),
@@ -510,10 +491,6 @@ impl ClusterSim {
             scratch_events: Vec::new(),
             scratch_sampled: Vec::new(),
             scratch_settle: Vec::new(),
-            obs_slot: vec![u32::MAX; n_total],
-            node_runq: vec![u32::MAX; n_total],
-            obs_runq: Vec::new(),
-            scratch_slots: Vec::new(),
             spec,
         }
     }
@@ -679,7 +656,7 @@ impl ClusterSim {
             let map = ZoneMap::new((0..racks).map(|r| topo.row_of_rack(r) as u32).collect());
             self.health = HealthPlane::new(map);
         }
-        self.rack_obs = vec![Vec::new(); racks];
+        self.rack_obs = RackObs::new(hierarchy.topology().nodes_per_rack(), racks);
         self.hierarchy = Some(hierarchy);
         self
     }
@@ -984,7 +961,7 @@ impl ClusterSim {
                 self.columns.dirty.mark_next(m);
             }
             self.phase_sigs.remove(&job.id());
-            self.obs_stale = true;
+            self.rack_obs.note_departure(job.nodes());
             let id = job.id();
             job.requeue();
             let attempt = job.requeues();
@@ -1076,7 +1053,7 @@ impl ClusterSim {
                             self.columns.dirty.mark(m);
                         }
                         self.phase_sigs.remove(&job.id());
-                        self.obs_stale = true;
+                        self.rack_obs.note_departure(job.nodes());
                         let id = job.id();
                         if job.requeues() >= fs.requeue_cap {
                             fs.jobs_failed += 1;
@@ -1192,6 +1169,11 @@ impl ClusterSim {
 
     /// Advances the simulation by one tick.
     pub fn step(&mut self) {
+        // Wall-clock stages, back to back: `faults` (tick boundary and
+        // fault edges), `schedule`, `materialize`, `advance` (job progress
+        // through the meter reading), then the control cycle's own
+        // `sample`/`control`/`actuate`/`health`.
+        let stage = self.obs.profile.start();
         let dt = self.clock.dt_secs();
         let now0 = self.clock.now();
         let tick = self.tick_index + 1;
@@ -1234,6 +1216,7 @@ impl ClusterSim {
         // 0. Fault edges strike before anything else this tick, so a node
         //    that dies now neither hosts a new job nor contributes power.
         self.fault_tick(now0, dt, tick, incremental);
+        let stage = self.obs.profile.lap("faults", stage);
 
         // 1. Job arrival and placement. With a replay trace, jobs arrive
         //    at their recorded times; otherwise an empty queue is refilled
@@ -1292,7 +1275,7 @@ impl ClusterSim {
                 for &n in job.nodes() {
                     self.columns.dirty.mark(n);
                 }
-                self.obs_stale = true;
+                self.rack_obs.note_start();
                 // SLA protection: a critical job's nodes join
                 // A_uncontrollable for its lifetime (the paper's dynamic
                 // candidate set).
@@ -1340,6 +1323,8 @@ impl ClusterSim {
             }
         }
 
+        let stage = self.obs.profile.lap("schedule", stage);
+
         // 2. Node operating states for this tick, derived from the phase
         //    each node's job is in.
         if incremental {
@@ -1382,6 +1367,8 @@ impl ClusterSim {
             });
         }
 
+        let stage = self.obs.profile.lap("materialize", stage);
+
         // 3. Jobs progress at the min rate over their members' speeds.
         //    The speed column is maintained at every level mutation, so no
         //    per-tick rebuild is needed.
@@ -1415,15 +1402,13 @@ impl ClusterSim {
         }
         // Finished jobs free their members starting next tick (this
         // tick's load was computed before the advance); phase tracking
-        // ends, and cached observations must drop the job now.
+        // ends, and the observation store must drop the job now.
         for r in &records {
             self.phase_sigs.remove(&r.id);
             for &n in &r.nodes {
                 self.columns.dirty.mark_next(n);
             }
-        }
-        if !records.is_empty() {
-            self.obs_stale = true;
+            self.rack_obs.note_departure(&r.nodes);
         }
         for r in &records {
             self.journal.record_with(now1, Severity::Info, "job", || {
@@ -1505,6 +1490,7 @@ impl ClusterSim {
             }
             MeterReading::Fresh(_) => {}
         }
+        self.obs.profile.stop("advance", stage);
 
         // 5/6. Profiling, collection, control, actuation. A meter gap
         // carries no information: acting on it (the old code fed the
@@ -1705,6 +1691,7 @@ impl ClusterSim {
         // Fleet health plane: the budget architecture has no racks or
         // provision figure, so the single zone tracks the metered power
         // against the controller's own high watermark.
+        let health_t = self.obs.profile.start();
         let tick = self.tick_index + 1;
         if self.health.wants_node_sample(tick) {
             self.health.observe_node_power(self.columns.power_w());
@@ -1736,6 +1723,7 @@ impl ClusterSim {
         };
         let base = self.health.observe_cycle(now, &obs, &work);
         self.publish_health_edges(now, base);
+        self.obs.profile.stop("health", health_t);
     }
 
     /// Runs the sampling agents and the manager's control cycle, applying
@@ -1809,24 +1797,22 @@ impl ClusterSim {
                 }
             }
         }
+        // The lazy regime (incremental, fault-free, no meter dropout): when
+        // nothing changed since the last cycle, every candidate's sample
+        // would be bit-identical to its previous one and the resulting job
+        // observations identical too — so the cycle keeps the stored
+        // observations and skips sampling entirely. The manager itself
+        // still runs every cycle: the metered reading moves even when the
+        // nodes do not.
+        let lazy = incremental && self.lazy_control_ok();
         let mut ctrl = match (self.manager.as_mut(), self.hierarchy.as_mut()) {
             (Some(m), _) => Ctrl::Flat(m),
             (None, Some(h)) => Ctrl::Hier(h),
             // ppc-lint: allow(panic-path): step() dispatches here only when a controller is attached
             (None, None) => unreachable!("checked by caller"),
         };
-
-        // The lazy regime (incremental, fault-free, no meter dropout): when
-        // nothing changed since the last cycle, every candidate's sample
-        // would be bit-identical to its previous one and the resulting job
-        // observations identical too — so the cycle reuses the cached
-        // observations and skips sampling entirely. The manager itself
-        // still runs every cycle: the metered reading moves even when the
-        // nodes do not.
-        let lazy =
-            incremental && self.faults.is_none() && self.spec.meter_noise.dropout_prob == 0.0;
-        let rebuild = !lazy
-            || self.obs_stale
+        let sampling = !lazy
+            || self.rack_obs.is_stale()
             || self.dirty_prev
             || !self.columns.dirty.is_empty()
             || !self.settle_pending.is_empty()
@@ -1840,7 +1826,7 @@ impl ClusterSim {
         self.obs.spans.open("sample", now);
         self.scratch_samples.clear();
         self.scratch_settle.clear();
-        if rebuild && lazy {
+        if sampling && lazy {
             // Work-list sampling: only nodes whose sample value can differ
             // from the collector's current view are touched. A clean,
             // settled candidate's dense sample would be bit-identical to
@@ -1907,7 +1893,7 @@ impl ClusterSim {
             let mut spent = resample;
             spent.clear();
             self.resample_now = std::mem::replace(&mut self.resample_next, spent);
-        } else if rebuild {
+        } else if sampling {
             for &id in ctrl.sets().candidates() {
                 if let Some(fs) = self.faults.as_ref() {
                     if fs.engine.is_down(id) || fs.engine.is_silent(id) {
@@ -1965,17 +1951,12 @@ impl ClusterSim {
         let scheduler = &self.scheduler;
         let samples = &self.scratch_samples;
         let settle = &self.scratch_settle;
-        let cached_obs = &mut self.cached_obs;
+        let store = &mut self.rack_obs;
         let obs_cache = &mut self.obs_cache;
-        let obs_slot = &mut self.obs_slot;
-        let node_runq = &mut self.node_runq;
-        let obs_runq = &mut self.obs_runq;
-        let scratch_slots = &mut self.scratch_slots;
         let faults = self.faults.as_mut();
         let spans = &mut self.obs.spans;
-        let rack_obs = &mut self.rack_obs;
         let rack_true = &self.scratch_rack_true;
-        let rack_cov = &mut self.scratch_rack_cov;
+        let fanout = &mut self.fanout;
         // Fleet node-power sketch sampling (every NODE_SKETCH_PERIOD
         // ticks; the cadence keys off the deterministic tick index). In
         // the multi-rack fan-out each rack slot sketches its own
@@ -1991,11 +1972,6 @@ impl ClusterSim {
             Some(p) => p,
             None => WorkerPool::global(),
         };
-        // Full observation rebuild only when the job list itself changed
-        // shape (start/finish/protection edges) or outside the lazy
-        // regime; otherwise only the jobs whose members were sampled or
-        // settled this cycle are refreshed in place.
-        let full_rebuild = rebuild && (!lazy || self.obs_stale);
         let outcome = self.cost_meter.measure(|| {
             spans.open("ingest", now);
             spans.attr("samples", AttrValue::U64(logical_samples));
@@ -2004,192 +1980,98 @@ impl ClusterSim {
             }
             collector.ingest_batch(samples);
             spans.close(now);
-            let model_of = |n: NodeId| Arc::clone(&models[n.0 as usize]);
-            let jobs = || scheduler.running_jobs().iter().map(|j| (j.id(), j.nodes()));
-            match faults {
-                Some(fs) => {
-                    fs.fresh.clear();
-                    let candidates = ctrl.sets().candidates();
-                    for &id in candidates {
-                        if collector.is_fresh(id, now, fs.staleness_limit) {
-                            fs.fresh.insert(id);
-                        }
-                    }
-                    let coverage = if candidates.is_empty() {
-                        1.0
-                    } else {
-                        fs.fresh.len() as f64 / candidates.len() as f64
-                    };
-                    spans.open("observe", now);
-                    *cached_obs =
-                        observe_jobs_cached(collector, jobs(), &fs.fresh, &model_of, obs_cache);
-                    spans.attr("jobs", AttrValue::U64(cached_obs.len() as u64));
-                    spans.attr("coverage", AttrValue::F64(coverage));
-                    spans.close(now);
-                    match &mut ctrl {
-                        Ctrl::Flat(m) => m.control_cycle_traced(
-                            metered_w,
-                            cached_obs.as_slice(),
-                            &NodesView(nodes),
-                            coverage,
-                            now,
-                            spans,
-                        ),
-                        Ctrl::Hier(h) if h.is_single_rack() => h.subs_mut()[0]
-                            .control_cycle_traced(
-                                metered_w,
-                                cached_obs.as_slice(),
-                                &NodesView(nodes),
-                                coverage,
-                                now,
-                                spans,
-                            ),
-                        Ctrl::Hier(h) => hier_multi_control(
-                            h,
-                            metered_w,
-                            cached_obs.as_slice(),
-                            nodes,
-                            Some(&fs.fresh),
-                            rack_true,
-                            fleet_true_w,
-                            true,
-                            rack_obs,
-                            node_power,
-                            &mut shard_sketch,
-                            rack_cov,
-                            pool,
-                            now,
-                            spans,
-                        ),
+            let collector = &*collector;
+            let sets = ctrl.sets();
+            let mut coverage = 1.0;
+            let fresh = faults.map(|fs| {
+                fs.fresh.clear();
+                for &id in sets.candidates() {
+                    if collector.is_fresh(id, now, fs.staleness_limit) {
+                        fs.fresh.insert(id);
                     }
                 }
+                if !sets.candidates().is_empty() {
+                    coverage = fs.fresh.len() as f64 / sets.candidates().len() as f64;
+                }
+                &fs.fresh
+            });
+            // The lazy regime brings the per-rack observations up to date
+            // from what changed (run-queue edits, sampled and settled
+            // nodes); the dense and faulted regimes rebuild every rack,
+            // the latter admitting only candidates with fresh telemetry.
+            spans.open("observe", now);
+            let running = scheduler.running_jobs();
+            match fresh {
+                Some(fresh) => store.rebuild(
+                    running,
+                    &mut Observer {
+                        collector,
+                        filter: fresh,
+                        models,
+                        cache: obs_cache,
+                    },
+                ),
                 None => {
-                    spans.open("observe", now);
-                    let mut full = full_rebuild;
-                    if !full && lazy {
-                        // Per-job refresh: collect the observation slots
-                        // holding a sampled or settled member. A touched
-                        // node whose job was dropped from the list (all
-                        // members idle or excluded) may bring it back —
-                        // only a full rebuild can re-insert it in order.
-                        scratch_slots.clear();
-                        for raw in samples
-                            .iter()
-                            .map(|s| s.node.0)
-                            .chain(settle.iter().copied())
-                        {
-                            let slot = obs_slot[raw as usize];
-                            if slot != u32::MAX {
-                                scratch_slots.push(slot);
-                            } else if node_runq[raw as usize] != u32::MAX {
-                                full = true;
-                            }
-                        }
-                        if !full && !scratch_slots.is_empty() {
-                            scratch_slots.sort_unstable();
-                            scratch_slots.dedup();
-                            let sets = ctrl.sets();
-                            let running = scheduler.running_jobs();
-                            for &slot in scratch_slots.iter() {
-                                let job = &running[obs_runq[slot as usize] as usize];
-                                if !observe_job_into(
-                                    collector,
-                                    job.id(),
-                                    job.nodes(),
-                                    sets,
-                                    &model_of,
-                                    obs_cache,
-                                    &mut cached_obs[slot as usize],
-                                ) {
-                                    // The refreshed job dropped out of the
-                                    // list: positions shift, rebuild fully.
-                                    full = true;
-                                    break;
-                                }
-                            }
-                        }
-                    }
-                    if full {
-                        let sets = ctrl.sets();
-                        let running = scheduler.running_jobs();
-                        obs_slot.fill(u32::MAX);
-                        node_runq.fill(u32::MAX);
-                        obs_runq.clear();
-                        let mut w = 0usize;
-                        for (qi, job) in running.iter().enumerate() {
-                            for &n in job.nodes() {
-                                node_runq[n.0 as usize] = qi as u32;
-                            }
-                            if w == cached_obs.len() {
-                                cached_obs.push(JobObservation {
-                                    id: job.id(),
-                                    nodes: Vec::new(),
-                                    prev_power_w: None,
-                                });
-                            }
-                            if observe_job_into(
-                                collector,
-                                job.id(),
-                                job.nodes(),
-                                sets,
-                                &model_of,
-                                obs_cache,
-                                &mut cached_obs[w],
-                            ) {
-                                for &n in job.nodes() {
-                                    obs_slot[n.0 as usize] = w as u32;
-                                }
-                                obs_runq.push(qi as u32);
-                                w += 1;
-                            }
-                        }
-                        cached_obs.truncate(w);
-                    }
-                    spans.attr("jobs", AttrValue::U64(cached_obs.len() as u64));
-                    spans.close(now);
-                    match &mut ctrl {
-                        Ctrl::Flat(m) => m.control_cycle_traced(
-                            metered_w,
-                            cached_obs.as_slice(),
-                            &NodesView(nodes),
-                            1.0,
-                            now,
-                            spans,
-                        ),
-                        Ctrl::Hier(h) if h.is_single_rack() => h.subs_mut()[0]
-                            .control_cycle_traced(
-                                metered_w,
-                                cached_obs.as_slice(),
-                                &NodesView(nodes),
-                                1.0,
-                                now,
-                                spans,
-                            ),
-                        Ctrl::Hier(h) => hier_multi_control(
-                            h,
-                            metered_w,
-                            cached_obs.as_slice(),
-                            nodes,
-                            None,
-                            rack_true,
-                            fleet_true_w,
-                            rebuild,
-                            rack_obs,
-                            node_power,
-                            &mut shard_sketch,
-                            rack_cov,
-                            pool,
-                            now,
-                            spans,
-                        ),
+                    let mut observer = Observer {
+                        collector,
+                        filter: sets,
+                        models,
+                        cache: obs_cache,
+                    };
+                    if lazy {
+                        store.update(
+                            running,
+                            samples.iter().map(|s| s.node),
+                            settle.iter().map(|&raw| NodeId(raw)),
+                            |n| scheduler.slot_of_node(n),
+                            &mut observer,
+                        );
+                    } else {
+                        store.rebuild(running, &mut observer);
                     }
                 }
             }
+            spans.attr("jobs", AttrValue::U64(store.jobs() as u64));
+            if fresh.is_some() {
+                spans.attr("coverage", AttrValue::F64(coverage));
+            }
+            spans.close(now);
+            let racks = store.racks();
+            match &mut ctrl {
+                Ctrl::Flat(m) => m.control_cycle_traced(
+                    metered_w,
+                    &racks[0],
+                    &NodesView(nodes),
+                    coverage,
+                    now,
+                    spans,
+                ),
+                Ctrl::Hier(h) if h.is_single_rack() => h.subs_mut()[0].control_cycle_traced(
+                    metered_w,
+                    &racks[0],
+                    &NodesView(nodes),
+                    coverage,
+                    now,
+                    spans,
+                ),
+                Ctrl::Hier(h) => hier_multi_control(
+                    h,
+                    metered_w,
+                    racks,
+                    nodes,
+                    fresh,
+                    rack_true,
+                    fleet_true_w,
+                    node_power,
+                    &mut shard_sketch,
+                    fanout,
+                    pool,
+                    now,
+                    spans,
+                ),
+            }
         });
         self.obs.profile.stop("control", control_t);
-        if rebuild {
-            self.obs_stale = false;
-        }
         self.state_log.push((now, outcome.state));
         let red_entered =
             outcome.state == PowerState::Red && self.last_state != Some(PowerState::Red);
@@ -2288,6 +2170,7 @@ impl ClusterSim {
         // Fleet health plane: fold the cycle into the rollup tree, stage
         // sketches and SLO rules, after the root span closed so an
         // alert-triggered flight snapshot captures the complete cycle.
+        let health_t = self.obs.profile.start();
         if want_node_sample {
             if hier_multi {
                 self.health.merge_node_shard(&shard_sketch);
@@ -2338,7 +2221,7 @@ impl ClusterSim {
                 rack_state: &self.scratch_rack_zone,
                 rack_power_w: &self.scratch_rack_true,
                 rack_budget_w: h.rack_budget_w(),
-                rack_coverage: &self.scratch_rack_cov,
+                rack_coverage: &self.fanout.coverage,
                 facility_state,
                 facility_power_w: metered_w,
                 facility_budget_w,
@@ -2366,6 +2249,7 @@ impl ClusterSim {
             self.health.observe_cycle(now, &obs, &work)
         };
         self.publish_health_edges(now, base);
+        self.obs.profile.stop("health", health_t);
     }
 
     /// Journals every new SLO alert edge, bumps the alert instruments,
@@ -2472,7 +2356,10 @@ impl ClusterSim {
                 continue;
             }
             let r = fs.retries[i];
-            if fs.engine.is_down(r.node) {
+            // A node that died, or that a critical job's SLA protection
+            // took out of the candidate set while the command waited,
+            // must not be commanded.
+            if fs.engine.is_down(r.node) || self.nodes[r.node.0 as usize].is_privileged() {
                 fs.retries.remove(i);
                 continue;
             }
@@ -2556,6 +2443,38 @@ struct RackSlot<'a> {
     out: Option<CycleOutcome>,
 }
 
+/// Buffers of the multi-rack fan-out, reused across ticks.
+#[derive(Default)]
+struct FanoutScratch {
+    /// Per-rack metered share.
+    metered: Vec<f64>,
+    /// Per-rack collector coverage, also read by the health rollup.
+    coverage: Vec<f64>,
+    /// The slot array's allocation; empty between cycles.
+    slots: Vec<RackSlot<'static>>,
+    /// Rack outcomes in rack order, drained by the rollup.
+    outcomes: Vec<CycleOutcome>,
+}
+
+impl Clone for FanoutScratch {
+    fn clone(&self) -> Self {
+        FanoutScratch {
+            metered: self.metered.clone(),
+            coverage: self.coverage.clone(),
+            slots: Vec::new(),
+            outcomes: Vec::new(),
+        }
+    }
+}
+
+/// Empties a slot array and hands its allocation back for slots of other
+/// borrows: collecting an emptied same-layout vector reuses its buffer.
+// `filter` cannot re-type the element lifetime; `filter_map` can.
+#[allow(clippy::unnecessary_filter_map)]
+fn recycle_slots<'b>(slots: Vec<RackSlot<'_>>) -> Vec<RackSlot<'b>> {
+    slots.into_iter().filter_map(|_| None).collect()
+}
+
 /// Projects the controller's Green/Yellow/Red classification into the
 /// health rollup's zone states.
 fn zone_state_of(s: PowerState) -> ZoneState {
@@ -2566,11 +2485,11 @@ fn zone_state_of(s: PowerState) -> ZoneState {
     }
 }
 
-/// Runs the multi-rack hierarchical control cycle: split the global job
-/// observations by owning rack, apportion the metered reading by each
-/// rack's share of true fleet power, restrict coverage to each rack's own
-/// candidates, fan the rack sub-managers out over the worker pool, and
-/// roll the outcomes back up serially in rack order.
+/// Runs the multi-rack hierarchical control cycle: apportion the metered
+/// reading by each rack's share of true fleet power, restrict coverage to
+/// each rack's own candidates, fan the rack sub-managers out over the
+/// worker pool on their rack's job observations, and roll the outcomes
+/// back up serially in rack order.
 ///
 /// Width-invariance argument: each rack's cycle reads only its own slot
 /// (its sub-manager, its observation slice, scalars) and records no spans
@@ -2582,89 +2501,64 @@ fn zone_state_of(s: PowerState) -> ZoneState {
 fn hier_multi_control(
     hier: &mut HierarchicalManager,
     metered_w: f64,
-    cached_obs: &[JobObservation],
+    rack_obs: &[Vec<JobObservation>],
     nodes: &[Node],
     fresh: Option<&BTreeSet<NodeId>>,
     rack_true_w: &[f64],
     fleet_true_w: f64,
-    resplit: bool,
-    rack_obs: &mut Vec<Vec<JobObservation>>,
     node_power: Option<&[f64]>,
     node_sketch: &mut QuantileSketch,
-    coverage_out: &mut Vec<f64>,
+    scratch: &mut FanoutScratch,
     pool: &WorkerPool,
     now: SimTime,
     spans: &mut SpanRecorder,
 ) -> CycleOutcome {
     let topology = *hier.topology();
     let racks = topology.racks();
-    rack_obs.resize_with(racks, Vec::new);
-    if resplit {
-        // Re-partition each job observation by owning rack: a job spanning
-        // racks appears once per rack it touches, carrying only that
-        // rack's member observations. Its job-global previous power passes
-        // through unchanged — the per-node savings estimates are what the
-        // node-scoped policies actually consume.
-        for ro in rack_obs.iter_mut() {
-            ro.clear();
-        }
-        for obs in cached_obs {
-            for nob in &obs.nodes {
-                let bucket = &mut rack_obs[topology.rack_of(nob.node)];
-                if bucket.last().map(|o| o.id) != Some(obs.id) {
-                    bucket.push(JobObservation {
-                        id: obs.id,
-                        nodes: Vec::new(),
-                        prev_power_w: obs.prev_power_w,
-                    });
-                }
-                // ppc-lint: allow(panic-path): an entry was pushed just above
-                let slot = bucket.last_mut().expect("bucket entry just pushed");
-                slot.nodes.push(*nob);
-            }
-        }
-    }
     // Per-rack inputs. The metered apportionment keys off *true* power so
     // the split is exact under meter noise; coverage restricts the fresh
     // set to the rack's node-id range against the rack's own candidates.
-    let mut metered_rack = vec![0.0f64; racks];
-    let mut coverage_rack = vec![1.0f64; racks];
-    for r in 0..racks {
-        if fleet_true_w > 0.0 {
-            metered_rack[r] = metered_w * rack_true_w[r] / fleet_true_w;
-        }
+    scratch.metered.clear();
+    scratch.coverage.clear();
+    for (r, &rack_w) in rack_true_w[..racks].iter().enumerate() {
+        scratch.metered.push(if fleet_true_w > 0.0 {
+            metered_w * rack_w / fleet_true_w
+        } else {
+            0.0
+        });
+        let mut coverage = 1.0;
         if let Some(fresh) = fresh {
             let range = topology.rack_nodes(r);
             let candidates = hier.subs()[r].sets().candidate_count();
             if candidates > 0 {
                 let fresh_here = fresh.range(NodeId(range.start)..NodeId(range.end)).count();
-                coverage_rack[r] = fresh_here as f64 / candidates as f64;
+                coverage = fresh_here as f64 / candidates as f64;
             }
         }
+        scratch.coverage.push(coverage);
     }
-    coverage_out.clear();
-    coverage_out.extend_from_slice(&coverage_rack);
-    let mut slots: Vec<RackSlot> = hier
-        .subs_mut()
-        .iter_mut()
-        .zip(rack_obs.iter())
-        .zip(metered_rack.iter().zip(&coverage_rack))
-        .enumerate()
-        .map(|(r, ((mgr, obs), (&metered_w, &coverage)))| RackSlot {
-            mgr,
-            obs,
-            metered_w,
-            coverage,
-            power: node_power
-                .map(|p| {
-                    let range = topology.rack_nodes(r);
-                    &p[range.start as usize..range.end as usize]
-                })
-                .unwrap_or(&[]),
-            sketch: QuantileSketch::new(),
-            out: None,
-        })
-        .collect();
+    let mut slots = recycle_slots(std::mem::take(&mut scratch.slots));
+    slots.extend(
+        hier.subs_mut()
+            .iter_mut()
+            .zip(rack_obs)
+            .zip(scratch.metered.iter().zip(&scratch.coverage))
+            .enumerate()
+            .map(|(r, ((mgr, obs), (&metered_w, &coverage)))| RackSlot {
+                mgr,
+                obs,
+                metered_w,
+                coverage,
+                power: node_power
+                    .map(|p| {
+                        let range = topology.rack_nodes(r);
+                        &p[range.start as usize..range.end as usize]
+                    })
+                    .unwrap_or(&[]),
+                sketch: QuantileSketch::new(),
+                out: None,
+            }),
+    );
     pool.for_each_mut(&mut slots, |_, slot| {
         slot.out = Some(slot.mgr.control_cycle_with_coverage(
             slot.metered_w,
@@ -2684,7 +2578,6 @@ fn hier_multi_control(
     // function of sim state, so the taxonomy stays deterministic and the
     // recorder is not swamped at 100k-node scale.
     spans.open("shards", now);
-    let mut outcomes = Vec::with_capacity(racks);
     let mut yellow = 0u64;
     let mut red = 0u64;
     let mut total_commands = 0u64;
@@ -2704,7 +2597,7 @@ fn hier_multi_control(
             spans.attr("commands", AttrValue::U64(out.commands.len() as u64));
             spans.close(now);
         }
-        outcomes.push(out);
+        scratch.outcomes.push(out);
     }
     spans.attr("racks", AttrValue::U64(racks as u64));
     spans.attr("commands", AttrValue::U64(total_commands));
@@ -2719,8 +2612,8 @@ fn hier_multi_control(
             node_sketch.merge(&slot.sketch);
         }
     }
-    drop(slots);
-    hier.rollup(outcomes)
+    scratch.slots = recycle_slots(slots);
+    hier.rollup(scratch.outcomes.drain(..))
 }
 
 #[cfg(test)]
@@ -3132,6 +3025,73 @@ mod tests {
         assert!(
             levels[1..].iter().any(|&l| l < Level::new(9)),
             "other nodes were throttled"
+        );
+    }
+
+    fn managed_hier(nodes: u32, nodes_per_rack: u32) -> ClusterSim {
+        let mut spec = ClusterSpec::mini(nodes);
+        spec.provision_fraction = 0.6;
+        let config = ManagerConfig {
+            training_cycles: 0,
+            ..ManagerConfig::paper_defaults(spec.provision_w(), PolicyKind::Mpc)
+        };
+        let topology = ppc_core::Topology::new(nodes, nodes_per_rack, 2).unwrap();
+        let h = HierarchicalManager::new(config, topology, &BTreeSet::new(), spec.node_weights_w())
+            .unwrap();
+        ClusterSim::new(spec).with_hierarchy(h)
+    }
+
+    #[test]
+    fn every_step_stage_is_charged_once_per_managed_tick() {
+        const TICKS: u64 = 40;
+        for mut sim in [managed_mini(16, PolicyKind::Mpc, 0.6), managed_hier(16, 4)] {
+            sim.run_for(SimDuration::from_secs(TICKS));
+            let report = sim.obs().profile.report();
+            let stages = [
+                "faults",
+                "schedule",
+                "materialize",
+                "advance",
+                "sample",
+                "control",
+                "actuate",
+                "health",
+            ];
+            for stage in stages {
+                let count = report.iter().find(|c| c.stage == stage).map(|c| c.count);
+                assert_eq!(count, Some(TICKS), "stage {stage}");
+            }
+            assert_eq!(report.len(), stages.len(), "no other stage is charged");
+        }
+    }
+
+    #[test]
+    fn rack_fanout_reuses_its_buffers() {
+        let mut sim = managed_hier(16, 4);
+        sim.run_for(SimDuration::from_secs(5));
+        let slots = (
+            sim.fanout.slots.as_ptr() as usize,
+            sim.fanout.slots.capacity(),
+        );
+        let outcomes = (
+            sim.fanout.outcomes.as_ptr() as usize,
+            sim.fanout.outcomes.capacity(),
+        );
+        assert!(slots.1 >= 4 && outcomes.1 >= 4);
+        sim.run_for(SimDuration::from_secs(20));
+        assert_eq!(
+            (
+                sim.fanout.slots.as_ptr() as usize,
+                sim.fanout.slots.capacity()
+            ),
+            slots
+        );
+        assert_eq!(
+            (
+                sim.fanout.outcomes.as_ptr() as usize,
+                sim.fanout.outcomes.capacity()
+            ),
+            outcomes
         );
     }
 }

@@ -398,12 +398,13 @@ impl HierarchicalManager {
     /// facility thresholds stand in for the per-rack pairs. Updates the
     /// facility statistics. Serial, called after the sharded fan-out
     /// joins — the rollup never sees scheduling order.
-    pub fn rollup(&mut self, outcomes: Vec<CycleOutcome>) -> CycleOutcome {
-        debug_assert_eq!(outcomes.len(), self.subs.len());
+    pub fn rollup(&mut self, outcomes: impl IntoIterator<Item = CycleOutcome>) -> CycleOutcome {
         let mut state = PowerState::Green;
         let mut commands = Vec::new();
         let mut adjusted = false;
+        let mut racks = 0;
         for (outcome, last) in outcomes.into_iter().zip(&mut self.last_rack_states) {
+            racks += 1;
             if severity(outcome.state) > severity(state) {
                 state = outcome.state;
             }
@@ -411,6 +412,7 @@ impl HierarchicalManager {
             *last = outcome.state;
             commands.extend(outcome.commands);
         }
+        debug_assert_eq!(racks, self.subs.len(), "one outcome per rack");
         self.stats.cycles += 1;
         match state {
             PowerState::Green => self.stats.green_cycles += 1,

@@ -12,7 +12,6 @@ use ppc_telemetry::Collector;
 use ppc_workload::JobId;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
-use std::sync::Arc;
 
 /// One candidate node of a job, as seen this cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -71,6 +70,21 @@ impl JobObservation {
         self.nodes.iter().any(NodeObservation::is_degradable)
     }
 
+    /// Writes into `piece` this job's part on the nodes `keep` admits (a
+    /// rack's share of a job spanning racks): those member observations
+    /// in order, under the job-global previous power `P^{t−1}(J)`.
+    /// Reuses `piece`'s node-vector allocation; returns false, leaving
+    /// `piece` empty, when no member qualifies.
+    pub fn write_piece(&self, keep: impl Fn(NodeId) -> bool, piece: &mut JobObservation) -> bool {
+        piece.id = self.id;
+        piece.prev_power_w = self.prev_power_w;
+        piece.nodes.clear();
+        piece
+            .nodes
+            .extend(self.nodes.iter().filter(|n| keep(n.node)).copied());
+        !piece.nodes.is_empty()
+    }
+
     /// Rate of increase `ΔP^t(J) = (P^t(J) − P^{t−1}(J)) / P^{t−1}(J)`,
     /// or `None` without previous data.
     pub fn power_rate(&self) -> Option<f64> {
@@ -124,13 +138,13 @@ impl NodeObsCache {
     }
 
     /// The saving prediction for `node`'s current sample, memoized.
-    fn saving_w(
+    fn saving_w<'m>(
         &mut self,
         node: NodeId,
         level: Level,
         state: &ppc_node::OperatingState,
         power_w: f64,
-        model_of: &dyn Fn(NodeId) -> Arc<PowerModel>,
+        model_of: &dyn Fn(NodeId) -> &'m PowerModel,
     ) -> f64 {
         let i = node.0 as usize;
         if i >= self.entries.len() {
@@ -173,11 +187,11 @@ impl CandidateFilter for BTreeSet<NodeId> {
 /// Convenience wrapper over [`observe_jobs_cached`] with a throwaway cache
 /// (every saving is computed fresh) — fine for tests and one-shot callers;
 /// the simulation hot path keeps a long-lived [`NodeObsCache`] instead.
-pub fn observe_jobs<'a>(
+pub fn observe_jobs<'a, 'm>(
     collector: &Collector,
     jobs: impl IntoIterator<Item = (JobId, &'a [NodeId])>,
     candidates: &BTreeSet<NodeId>,
-    model_of: &dyn Fn(NodeId) -> Arc<PowerModel>,
+    model_of: &dyn Fn(NodeId) -> &'m PowerModel,
 ) -> Vec<JobObservation> {
     observe_jobs_cached(
         collector,
@@ -194,56 +208,30 @@ pub fn observe_jobs<'a>(
 /// `jobs` yields each running job with its full member-node slice —
 /// borrowed, so callers iterate their scheduler state directly instead of
 /// cloning node lists per cycle; `model_of` resolves a node's power model
-/// (heterogeneous clusters return per-model Arcs; homogeneous ones return
-/// clones of a shared Arc). Idle nodes and nodes outside `candidates` are
-/// excluded per the paper's definition of `Nodes(J)`; jobs left with no
-/// observable nodes are dropped entirely.
-pub fn observe_jobs_cached<'a, C: CandidateFilter + ?Sized>(
+/// (heterogeneous clusters return per-group models). Idle nodes and nodes
+/// outside `candidates` are excluded per the paper's definition of
+/// `Nodes(J)`; jobs left with no observable nodes are dropped entirely.
+pub fn observe_jobs_cached<'a, 'm, C: CandidateFilter + ?Sized>(
     collector: &Collector,
     jobs: impl IntoIterator<Item = (JobId, &'a [NodeId])>,
     candidates: &C,
-    model_of: &dyn Fn(NodeId) -> Arc<PowerModel>,
+    model_of: &dyn Fn(NodeId) -> &'m PowerModel,
     cache: &mut NodeObsCache,
 ) -> Vec<JobObservation> {
-    let jobs = jobs.into_iter();
-    let mut out = Vec::with_capacity(jobs.size_hint().0);
-    observe_jobs_into(collector, jobs, candidates, model_of, cache, &mut out);
-    out
-}
-
-/// [`observe_jobs_cached`] writing into a reused buffer: the output list
-/// and every per-job node vector keep their allocations across cycles.
-/// The result is element-for-element identical to a fresh build.
-pub fn observe_jobs_into<'a, C: CandidateFilter + ?Sized>(
-    collector: &Collector,
-    jobs: impl IntoIterator<Item = (JobId, &'a [NodeId])>,
-    candidates: &C,
-    model_of: &dyn Fn(NodeId) -> Arc<PowerModel>,
-    cache: &mut NodeObsCache,
-    out: &mut Vec<JobObservation>,
-) {
-    let mut w = 0;
+    let mut out = Vec::new();
     for (id, members) in jobs {
-        if w == out.len() {
-            out.push(JobObservation {
-                id,
-                nodes: Vec::new(),
-                prev_power_w: None,
-            });
-        }
-        if observe_job_into(
-            collector,
+        let mut job = JobObservation {
             id,
-            members,
-            candidates,
-            model_of,
-            cache,
-            &mut out[w],
+            nodes: Vec::new(),
+            prev_power_w: None,
+        };
+        if observe_job_into(
+            collector, id, members, candidates, model_of, cache, &mut job,
         ) {
-            w += 1;
+            out.push(job);
         }
     }
-    out.truncate(w);
+    out
 }
 
 /// Rebuilds the observation of a single job in place, reusing `out`'s
@@ -253,29 +241,22 @@ pub fn observe_jobs_into<'a, C: CandidateFilter + ?Sized>(
 /// the incremental evaluator can refresh only the jobs whose members
 /// changed this cycle.
 #[allow(clippy::too_many_arguments)]
-pub fn observe_job_into<C: CandidateFilter + ?Sized>(
+pub fn observe_job_into<'m, C: CandidateFilter + ?Sized>(
     collector: &Collector,
     id: JobId,
     members: &[NodeId],
     candidates: &C,
-    model_of: &dyn Fn(NodeId) -> Arc<PowerModel>,
+    model_of: &dyn Fn(NodeId) -> &'m PowerModel,
     cache: &mut NodeObsCache,
     out: &mut JobObservation,
 ) -> bool {
     out.id = id;
     out.nodes.clear();
-    let mut prev_sum = 0.0;
-    let mut prev_complete = true;
+    let mut prev = PrevSum::default();
     for &n in members {
-        if !candidates.admits(n) {
-            continue;
-        }
-        let Some(sample) = collector.latest(n) else {
+        let Some(sample) = observable(collector, candidates, n) else {
             continue;
         };
-        if sample.is_idle() {
-            continue;
-        }
         let saving_w = cache.saving_w(n, sample.level, &sample.state, sample.power_w, model_of);
         out.nodes.push(NodeObservation {
             node: n,
@@ -283,16 +264,66 @@ pub fn observe_job_into<C: CandidateFilter + ?Sized>(
             power_w: sample.power_w,
             saving_w,
         });
-        match collector.prev_power_of(n) {
-            Some(p) => prev_sum += p,
-            None => prev_complete = false,
-        }
+        prev.add(collector, n);
     }
     if out.nodes.is_empty() {
         return false;
     }
-    out.prev_power_w = (prev_complete && prev_sum > 0.0).then_some(prev_sum);
+    out.prev_power_w = prev.value();
     true
+}
+
+/// The job-global `P^{t−1}(J)` exactly as [`observe_job_into`] computes
+/// it, without building the node observations. For a job whose members'
+/// latest samples are unchanged since its last observation and only their
+/// previous power moved (a settled sample), its observation differs in
+/// this field alone.
+pub fn observe_prev_power_w<C: CandidateFilter + ?Sized>(
+    collector: &Collector,
+    members: &[NodeId],
+    candidates: &C,
+) -> Option<f64> {
+    let mut prev = PrevSum::default();
+    for &n in members {
+        if observable(collector, candidates, n).is_some() {
+            prev.add(collector, n);
+        }
+    }
+    prev.value()
+}
+
+/// The sample a member contributes to `Nodes(J)`: an admitted candidate
+/// with a non-idle latest sample.
+fn observable<C: CandidateFilter + ?Sized>(
+    collector: &Collector,
+    candidates: &C,
+    n: NodeId,
+) -> Option<ppc_telemetry::NodeSample> {
+    if !candidates.admits(n) {
+        return None;
+    }
+    collector.latest(n).filter(|s| !s.is_idle())
+}
+
+/// Member-order running sum of previous powers; `None` unless every
+/// member contributed one and the sum is positive (so also for no member).
+#[derive(Default)]
+struct PrevSum {
+    sum: f64,
+    incomplete: bool,
+}
+
+impl PrevSum {
+    fn add(&mut self, collector: &Collector, n: NodeId) {
+        match collector.prev_power_of(n) {
+            Some(p) => self.sum += p,
+            None => self.incomplete = true,
+        }
+    }
+
+    fn value(&self) -> Option<f64> {
+        (!self.incomplete && self.sum > 0.0).then_some(self.sum)
+    }
 }
 
 #[cfg(test)]
@@ -421,13 +452,9 @@ mod tests {
         collector.ingest(mk(1, 1)); // node 1: first sample only
         let candidates: BTreeSet<NodeId> = [NodeId(0), NodeId(1)].into_iter().collect();
         let members = [NodeId(0), NodeId(1)];
-        let m = model.clone();
-        let obs = observe_jobs(
-            &collector,
-            [(JobId(3), &members[..])],
-            &candidates,
-            &move |_| m.clone(),
-        );
+        let obs = observe_jobs(&collector, [(JobId(3), &members[..])], &candidates, &|_| {
+            &*model
+        });
         assert_eq!(obs.len(), 1);
         assert_eq!(obs[0].nodes.len(), 2);
         assert_eq!(obs[0].prev_power_w, None);
@@ -461,12 +488,11 @@ mod tests {
             (JobId(1), vec![NodeId(0), NodeId(1), NodeId(2)]),
             (JobId(2), vec![NodeId(2)]), // no observable nodes → dropped
         ];
-        let model2 = model.clone();
         let obs = observe_jobs(
             &collector,
             jobs.iter().map(|(id, ns)| (*id, ns.as_slice())),
             &candidates,
-            &move |_| model2.clone(),
+            &|_| &*model,
         );
         assert_eq!(obs.len(), 1);
         assert_eq!(obs[0].id, JobId(1));
@@ -475,6 +501,54 @@ mod tests {
         assert!(obs[0].nodes[0].saving_w > 0.0);
         // Node 0 has two samples → prev power known.
         assert!(obs[0].prev_power_w.is_some());
+    }
+
+    #[test]
+    fn prev_power_alone_matches_the_full_observation() {
+        let model = NodeSpec::tianhe_1a().power_model(1.0);
+        let mut collector = Collector::new();
+        let busy = OperatingState {
+            cpu_util: 0.8,
+            mem_used_bytes: 1 << 29,
+            nic_bytes: 500,
+        };
+        let mk = |node: u32, at: u64, state: OperatingState, power_w: f64| NodeSample {
+            node: NodeId(node),
+            at: SimTime::from_secs(at),
+            state,
+            level: Level::new(7),
+            power_w,
+        };
+        // Nodes 0, 1: busy with history; 2: idle; 3: busy, no history;
+        // 4: busy with history but not a candidate.
+        for (n, p) in [(0, 210.0), (1, 190.5), (4, 205.0)] {
+            collector.ingest(mk(n, 0, busy, p - 3.0));
+            collector.ingest(mk(n, 1, busy, p));
+        }
+        collector.ingest(mk(2, 1, OperatingState::IDLE, 150.0));
+        collector.ingest(mk(3, 1, busy, 220.0));
+        let candidates: BTreeSet<NodeId> = (0..4).map(NodeId).collect();
+        let member_sets: [&[u32]; 6] = [&[0, 1], &[1, 0, 2], &[0, 3], &[2], &[4], &[1, 4, 0]];
+        for members in member_sets {
+            let members: Vec<NodeId> = members.iter().map(|&n| NodeId(n)).collect();
+            let mut full = JobObservation {
+                id: JobId(1),
+                nodes: Vec::new(),
+                prev_power_w: None,
+            };
+            let observed = observe_job_into(
+                &collector,
+                JobId(1),
+                &members,
+                &candidates,
+                &|_| &*model,
+                &mut NodeObsCache::new(),
+                &mut full,
+            );
+            let want = if observed { full.prev_power_w } else { None };
+            let got = observe_prev_power_w(&collector, &members, &candidates);
+            assert_eq!(got.map(f64::to_bits), want.map(f64::to_bits), "{members:?}");
+        }
     }
 
     #[test]
@@ -495,14 +569,10 @@ mod tests {
             power_w: 250.0,
         });
         let candidates: BTreeSet<NodeId> = [NodeId(0)].into_iter().collect();
-        let m = model.clone();
         let members = [NodeId(0)];
-        let obs = observe_jobs(
-            &collector,
-            [(JobId(7), &members[..])],
-            &candidates,
-            &move |_| m.clone(),
-        );
+        let obs = observe_jobs(&collector, [(JobId(7), &members[..])], &candidates, &|_| {
+            &*model
+        });
         assert_eq!(obs.len(), 1);
         assert_eq!(obs[0].prev_power_w, None);
     }

@@ -11,13 +11,14 @@
 //! allows wall-clock reads in this file alone within the `obs` crate.
 
 use ppc_simkit::RunningStats;
-use std::collections::BTreeMap;
 use std::time::Instant;
 
 /// Accumulates wall-clock cost per named stage.
 #[derive(Debug, Clone, Default)]
 pub struct StageProfiler {
-    stages: BTreeMap<&'static str, RunningStats>,
+    /// A handful of stages charged several times per tick: a linear scan
+    /// that compares the interned name pointer first beats a tree lookup.
+    stages: Vec<(&'static str, RunningStats)>,
 }
 
 /// An in-flight stage measurement (see [`StageProfiler::start`]).
@@ -45,10 +46,7 @@ impl StageProfiler {
     pub fn time<T>(&mut self, stage: &'static str, f: impl FnOnce() -> T) -> T {
         let start = Instant::now();
         let out = f();
-        self.stages
-            .entry(stage)
-            .or_default()
-            .push(start.elapsed().as_secs_f64());
+        self.charge(stage, start.elapsed().as_secs_f64());
         out
     }
 
@@ -62,22 +60,43 @@ impl StageProfiler {
 
     /// Charges a measurement started with [`StageProfiler::start`].
     pub fn stop(&mut self, stage: &'static str, timer: StageTimer) {
-        self.stages
-            .entry(stage)
-            .or_default()
-            .push(timer.0.elapsed().as_secs_f64());
+        self.charge(stage, timer.0.elapsed().as_secs_f64());
+    }
+
+    /// Charges a measurement to `stage` and starts the next one at the
+    /// same instant, so back-to-back stages read the clock once per
+    /// boundary and leave no gap between them.
+    pub fn lap(&mut self, stage: &'static str, timer: StageTimer) -> StageTimer {
+        let now = Instant::now();
+        self.charge(stage, now.duration_since(timer.0).as_secs_f64());
+        StageTimer(now)
+    }
+
+    fn charge(&mut self, stage: &'static str, secs: f64) {
+        let found = self
+            .stages
+            .iter()
+            .position(|(s, _)| std::ptr::eq(*s, stage) || *s == stage);
+        let i = found.unwrap_or_else(|| {
+            self.stages.push((stage, RunningStats::default()));
+            self.stages.len() - 1
+        });
+        self.stages[i].1.push(secs);
     }
 
     /// Per-stage costs in stage-name order.
     pub fn report(&self) -> Vec<StageCost> {
-        self.stages
+        let mut out: Vec<StageCost> = self
+            .stages
             .iter()
-            .map(|(stage, stats)| StageCost {
+            .map(|&(stage, ref stats)| StageCost {
                 stage,
                 mean_secs: stats.mean(),
                 count: stats.count(),
             })
-            .collect()
+            .collect();
+        out.sort_by(|a, b| a.stage.cmp(b.stage));
+        out
     }
 
     /// True if nothing was timed.
@@ -116,5 +135,18 @@ mod tests {
         assert_eq!(report.len(), 1);
         assert_eq!(report[0].stage, "actuate");
         assert_eq!(report[0].count, 1);
+    }
+
+    #[test]
+    fn lap_charges_one_stage_and_starts_the_next() {
+        let mut p = StageProfiler::new();
+        let t = p.start();
+        let t = p.lap("schedule", t);
+        let t = p.lap("advance", t);
+        p.stop("schedule", t);
+        let report = p.report();
+        assert_eq!(report.len(), 2);
+        assert_eq!((report[0].stage, report[0].count), ("advance", 1));
+        assert_eq!((report[1].stage, report[1].count), ("schedule", 2));
     }
 }

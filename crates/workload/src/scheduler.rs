@@ -113,6 +113,12 @@ impl Scheduler {
         Some(self.running[idx].id())
     }
 
+    /// The run-queue index (into [`Scheduler::running_jobs`]) of the job
+    /// occupying `node`, if any.
+    pub fn slot_of_node(&self, node: NodeId) -> Option<usize> {
+        *self.node_owner.get(node.0 as usize)?
+    }
+
     /// Maximum NPROCS this cluster can host (whole machine).
     pub fn max_nprocs(&self) -> u32 {
         self.total_nodes as u32 * self.cores_per_node
