@@ -226,9 +226,10 @@ fn main() -> ExitCode {
             Some(_) => {}
         }
     }
-    // Hierarchical legs. A single-rack hierarchy *is* the flat
-    // architecture — pure delegation passthrough — so its digests must
-    // match the flat baseline bit for bit at both widths. A 3-level
+    // Hierarchical legs. The flat baseline attaches its manager through
+    // the adopting constructor (`HierarchicalManager::from_racks`); a
+    // one-rack tree built by `HierarchicalManager::new` must match it bit
+    // for bit at both widths. A 3-level
     // topology (2 rows × 2 racks of 2 nodes) exercises real delegation,
     // sharded sub-manager evaluation and rollup; it forms its own digest
     // family, pinned across widths 1 and 8 plus a same-width repeat.
@@ -280,7 +281,7 @@ fn main() -> ExitCode {
             if baseline.as_ref() != Some(&digest) {
                 eprintln!(
                     "determinism gate: {label} diverged from the flat manager — \
-                     single-rack hierarchy is not a passthrough"
+                     `new` and the adopting constructor disagree on one rack"
                 );
                 failed = true;
             }

@@ -44,7 +44,7 @@ use ppc_core::capping::LevelView;
 use ppc_core::observe::JobObservation;
 use ppc_core::{
     BudgetNodeView, CycleOutcome, HierarchicalManager, ManagerStats, PowerManager, PowerState,
-    ProportionalBudgetController,
+    ProportionalBudgetController, Topology,
 };
 use ppc_faults::{FaultEngine, FaultInjection, FaultTransition};
 use ppc_metrics::{AvailabilityInputs, AvailabilityReport};
@@ -184,9 +184,9 @@ impl ObsInstruments {
 
 /// Handles to the hierarchy-specific instruments, registered only when a
 /// *multi-rack* hierarchical manager is attached. A single-rack hierarchy
-/// is the flat architecture and must keep the flat registry: the metrics
-/// fingerprint walks instrument names, and flat-vs-single-rack-hierarchy
-/// bit-equality is a pinned determinism property.
+/// is the flat architecture and keeps the flat registry: the metrics
+/// fingerprint walks instrument names, and the flat fingerprints are
+/// pinned golden values.
 #[derive(Clone)]
 struct HierInstruments {
     /// Rack budgets moved by delegation passes, cumulative.
@@ -267,17 +267,16 @@ pub struct ClusterSim {
     agents: Vec<ProfilingAgent>,
     meter: SystemPowerMeter,
     collector: Collector,
-    manager: Option<PowerManager>,
     /// Alternative control architecture: the related-work proportional
-    /// budget controller (mutually exclusive with `manager`).
+    /// budget controller (mutually exclusive with `hierarchy`).
     budget_controller: Option<ProportionalBudgetController>,
-    /// The hierarchical control plane: per-rack sub-managers under
-    /// delegated budgets (mutually exclusive with both of the above).
+    /// The paper's control plane: per-rack sub-managers under delegated
+    /// budgets. The flat manager is its one-rack case.
     hierarchy: Option<HierarchicalManager>,
     /// Hierarchy instruments (`Some` only for multi-rack hierarchies).
     hier_i: Option<HierInstruments>,
     /// Per-rack job observations, kept in place across ticks (one rack
-    /// for the flat manager and the single-rack hierarchy).
+    /// under the single-rack hierarchy).
     rack_obs: RackObs,
     /// Per-rack true power snapshot taken at the top of the control
     /// cycle (multi-rack hierarchy only).
@@ -444,7 +443,6 @@ impl ClusterSim {
             agents,
             meter,
             collector: Collector::new(),
-            manager: None,
             budget_controller: None,
             hierarchy: None,
             hier_i: None,
@@ -584,18 +582,28 @@ impl ClusterSim {
         self
     }
 
-    /// Attaches a power manager (built by the caller from a
-    /// [`ppc_core::ManagerConfig`] and node classification).
+    /// Attaches the paper's flat power manager (built by the caller from
+    /// a [`ppc_core::ManagerConfig`] and node classification). The manager
+    /// is adopted unchanged as the one rack of a single-rack hierarchy
+    /// ([`HierarchicalManager::from_racks`]) and attached through
+    /// [`ClusterSim::with_hierarchy`]; [`ClusterSim::manager`] reads it back.
     ///
     /// # Panics
-    /// Panics if a budget controller is already attached.
-    pub fn with_manager(mut self, manager: PowerManager) -> Self {
-        assert!(
-            self.budget_controller.is_none() && self.hierarchy.is_none(),
-            "manager, hierarchy and budget controller are mutually exclusive"
-        );
-        self.manager = Some(manager);
-        self
+    /// Panics if another controller is attached or the manager's node
+    /// sets do not cover the cluster exactly.
+    pub fn with_manager(self, manager: PowerManager) -> Self {
+        let one_rack = Topology::single_rack(self.spec.total_nodes())
+            .and_then(|topology| {
+                HierarchicalManager::from_racks(
+                    *manager.config(),
+                    topology,
+                    vec![manager],
+                    self.spec.node_weights_w(),
+                )
+            })
+            // ppc-lint: allow(panic-path): documented builder contract, like with_hierarchy's asserts
+            .unwrap_or_else(|e| panic!("the manager must cover the cluster: {e}"));
+        self.with_hierarchy(one_rack)
     }
 
     /// Attaches the related-work proportional-budget controller instead of
@@ -606,8 +614,8 @@ impl ClusterSim {
     /// Panics if a power manager is already attached.
     pub fn with_budget_controller(mut self, controller: ProportionalBudgetController) -> Self {
         assert!(
-            self.manager.is_none() && self.hierarchy.is_none(),
-            "manager, hierarchy and budget controller are mutually exclusive"
+            self.hierarchy.is_none(),
+            "power manager and budget controller are mutually exclusive"
         );
         self.budget_controller = Some(controller);
         self
@@ -631,8 +639,8 @@ impl ClusterSim {
     /// cover the cluster exactly.
     pub fn with_hierarchy(mut self, hierarchy: HierarchicalManager) -> Self {
         assert!(
-            self.manager.is_none() && self.budget_controller.is_none(),
-            "manager, hierarchy and budget controller are mutually exclusive"
+            self.hierarchy.is_none() && self.budget_controller.is_none(),
+            "power manager and budget controller are mutually exclusive"
         );
         assert_eq!(
             hierarchy.topology().node_count() as usize,
@@ -650,8 +658,8 @@ impl ClusterSim {
         if !hierarchy.is_single_rack() {
             self.hier_i = Some(HierInstruments::register(&mut self.obs.metrics, racks));
             // The health rollup mirrors the delegation topology. A
-            // single-rack hierarchy keeps the flat single-zone map so its
-            // health fingerprints stay bit-equal to the flat manager's.
+            // single-rack hierarchy (the flat architecture) keeps the
+            // single-zone map.
             let topo = hierarchy.topology();
             let map = ZoneMap::new((0..racks).map(|r| topo.row_of_rack(r) as u32).collect());
             self.health = HealthPlane::new(map);
@@ -671,22 +679,16 @@ impl ClusterSim {
         self.hierarchy.as_mut()
     }
 
-    /// Control statistics of whichever control plane is attached — flat
-    /// manager or hierarchy (`None` for unmanaged and budget runs).
+    /// Control statistics of the attached power manager (`None` for
+    /// unmanaged and budget runs).
     pub fn control_stats(&self) -> Option<ManagerStats> {
-        self.manager
-            .as_ref()
-            .map(|m| m.stats())
-            .or_else(|| self.hierarchy.as_ref().map(|h| h.stats()))
+        self.hierarchy.as_ref().map(|h| h.stats())
     }
 
-    /// The provision capability currently in force in the attached
-    /// control plane (`None` for unmanaged and budget runs).
+    /// The provision capability currently in force in the attached power
+    /// manager (`None` for unmanaged and budget runs).
     pub fn provision_in_force_w(&self) -> Option<f64> {
-        self.manager
-            .as_ref()
-            .map(|m| m.config().p_provision_w)
-            .or_else(|| self.hierarchy.as_ref().map(|h| h.config().p_provision_w))
+        self.hierarchy.as_ref().map(|h| h.config().p_provision_w)
     }
 
     /// The fleet health plane (rollups, sketches, SLO alert journal).
@@ -731,14 +733,14 @@ impl ClusterSim {
         &self.finished
     }
 
-    /// The attached manager, if any.
+    /// The flat power manager: the one rack's sub-manager under a
+    /// single-rack hierarchy (`None` for unmanaged, budget and multi-rack
+    /// runs).
     pub fn manager(&self) -> Option<&PowerManager> {
-        self.manager.as_ref()
-    }
-
-    /// Mutable access to the manager (runtime candidate-set changes).
-    pub fn manager_mut(&mut self) -> Option<&mut PowerManager> {
-        self.manager.as_mut()
+        self.hierarchy
+            .as_ref()
+            .filter(|h| h.is_single_rack())
+            .map(|h| &h.subs()[0])
     }
 
     /// Measured mean management cost per control cycle, seconds.
@@ -935,25 +937,13 @@ impl ClusterSim {
         }
         if let Some(mut job) = self.scheduler.evict_job_on(n) {
             // Release dynamic SLA protection, mirroring the completion
-            // path: the job is no longer running.
+            // path: the job is no longer running. A released node rejoins
+            // the candidate set between ticks: the lazy regime must take a
+            // real sample next cycle (its delta spans the whole protection
+            // window).
             if job.priority() == JobPriority::Critical {
-                for &m in job.nodes() {
-                    if self.spec.privileged.contains(&m) {
-                        continue;
-                    }
-                    self.nodes[m.0 as usize].set_privileged(false);
-                    if let Some(mgr) = self.manager.as_mut() {
-                        mgr.sets_mut().set_privileged(m, false);
-                    } else if let Some(h) = self.hierarchy.as_mut() {
-                        h.set_privileged(m, false);
-                    }
-                    // The node rejoins the candidate set between ticks: the
-                    // lazy regime must take a real sample next cycle (its
-                    // delta spans the whole protection window).
-                    if incremental && m != n && self.lazy_control_ok() {
-                        self.resample_now.push(m.0);
-                    }
-                }
+                let lazy = incremental && self.lazy_control_ok();
+                self.release_sla(job.nodes(), |m| lazy && m != n);
             }
             // Co-members lose their load starting next tick; phase
             // tracking ends here.
@@ -987,9 +977,7 @@ impl ClusterSim {
         self.columns.set_down(n);
         self.columns.dirty.mark_next(n);
         self.collector.forget(n);
-        if let Some(mgr) = self.manager.as_mut() {
-            mgr.note_node_down(n);
-        } else if let Some(h) = self.hierarchy.as_mut() {
+        if let Some(h) = self.hierarchy.as_mut() {
             h.note_node_down(n);
         }
         // The fault schedule predates the decommission: mask its pending
@@ -999,6 +987,25 @@ impl ClusterSim {
             format!("node {} decommissioned", n.0)
         });
         true
+    }
+
+    /// Ends a critical job's dynamic SLA protection: every member that is
+    /// not statically privileged in the cluster spec is un-privileged and
+    /// handed back to the control plane; `resample(m)` says whether the
+    /// lazy regime must take a real sample of released node `m`.
+    fn release_sla(&mut self, members: &[NodeId], resample: impl Fn(NodeId) -> bool) {
+        for &m in members {
+            if self.spec.privileged.contains(&m) {
+                continue;
+            }
+            self.nodes[m.0 as usize].set_privileged(false);
+            if let Some(h) = self.hierarchy.as_mut() {
+                h.set_privileged(m, false);
+            }
+            if resample(m) {
+                self.resample_now.push(m.0);
+            }
+        }
     }
 
     /// Replays the fault schedule up to `now` and reacts to every edge:
@@ -1034,17 +1041,7 @@ impl ClusterSim {
                         // Release dynamic SLA protection, mirroring the
                         // completion path: the job is no longer running.
                         if job.priority() == JobPriority::Critical {
-                            for &m in job.nodes() {
-                                if self.spec.privileged.contains(&m) {
-                                    continue;
-                                }
-                                self.nodes[m.0 as usize].set_privileged(false);
-                                if let Some(mgr) = self.manager.as_mut() {
-                                    mgr.sets_mut().set_privileged(m, false);
-                                } else if let Some(h) = self.hierarchy.as_mut() {
-                                    h.set_privileged(m, false);
-                                }
-                            }
+                            self.release_sla(job.nodes(), |_| false);
                         }
                         // The dead node's co-members lose their load this
                         // very tick; the job's phase tracking ends here
@@ -1092,9 +1089,7 @@ impl ClusterSim {
                     self.columns.set_down(n);
                     self.columns.dirty.mark(n);
                     self.collector.forget(n);
-                    if let Some(mgr) = self.manager.as_mut() {
-                        mgr.note_node_down(n);
-                    } else if let Some(h) = self.hierarchy.as_mut() {
+                    if let Some(h) = self.hierarchy.as_mut() {
                         h.note_node_down(n);
                     }
                     self.journal.record_with(now, Severity::Warn, "fault", || {
@@ -1121,9 +1116,7 @@ impl ClusterSim {
                     }
                     let speed = node.relative_speed();
                     self.columns.set_speed(n, speed);
-                    if let Some(mgr) = self.manager.as_mut() {
-                        mgr.note_node_rejoined(n);
-                    } else if let Some(h) = self.hierarchy.as_mut() {
+                    if let Some(h) = self.hierarchy.as_mut() {
                         h.note_node_rejoined(n);
                     }
                     self.journal.record_with(now, Severity::Info, "fault", || {
@@ -1178,9 +1171,7 @@ impl ClusterSim {
         let now0 = self.clock.now();
         let tick = self.tick_index + 1;
         let incremental = self.incremental_active();
-        let lazy_step = incremental
-            && (self.manager.is_some() || self.hierarchy.is_some())
-            && self.lazy_control_ok();
+        let lazy_step = incremental && self.hierarchy.is_some() && self.lazy_control_ok();
 
         // Tick boundary: promote dirty marks staged during tick−1 (phase
         // boundaries, level commands), remembering whether tick−1 itself
@@ -1313,9 +1304,7 @@ impl ClusterSim {
                         node.set_privileged(true);
                         let speed = self.nodes[n.0 as usize].relative_speed();
                         self.columns.set_speed(n, speed);
-                        if let Some(m) = self.manager.as_mut() {
-                            m.sets_mut().set_privileged(n, true);
-                        } else if let Some(h) = self.hierarchy.as_mut() {
+                        if let Some(h) = self.hierarchy.as_mut() {
                             h.set_privileged(n, true);
                         }
                     }
@@ -1376,28 +1365,13 @@ impl ClusterSim {
         let columns = &self.columns;
         let speed_of = |n: NodeId| columns.speed_of(n);
         let mut records = self.scheduler.advance(dt, now1, &speed_of);
-        // Release SLA protection when critical jobs complete — unless the
-        // node is statically privileged in the cluster spec.
+        // Release SLA protection when critical jobs complete. A released
+        // node rejoins the candidate set mid-tick: the dense path samples
+        // it this very cycle, so the lazy path must take a real sample too
+        // (its delta spans the whole protection window).
         for r in &records {
             if r.priority == JobPriority::Critical {
-                for &n in &r.nodes {
-                    if self.spec.privileged.contains(&n) {
-                        continue;
-                    }
-                    self.nodes[n.0 as usize].set_privileged(false);
-                    if let Some(m) = self.manager.as_mut() {
-                        m.sets_mut().set_privileged(n, false);
-                    } else if let Some(h) = self.hierarchy.as_mut() {
-                        h.set_privileged(n, false);
-                    }
-                    // The node rejoins the candidate set mid-tick: the
-                    // dense path samples it this very cycle, so the lazy
-                    // path must take a real sample too (its delta spans
-                    // the whole protection window).
-                    if lazy_step {
-                        self.resample_now.push(n.0);
-                    }
-                }
+                self.release_sla(&r.nodes, |_| lazy_step);
             }
         }
         // Finished jobs free their members starting next tick (this
@@ -1497,10 +1471,10 @@ impl ClusterSim {
         // controller 0.0 W) would read as maximal headroom and promote
         // every degraded node, so the cycle is skipped instead.
         if let Some(metered_w) = reading.value() {
-            if self.manager.is_some() || self.hierarchy.is_some() {
+            if self.hierarchy.is_some() {
                 self.control_cycle(now1, metered_w, dt, tick, incremental);
             } else if self.budget_controller.is_some() {
-                self.budget_cycle(now1, metered_w);
+                self.budget_cycle(now1, metered_w, tick);
             }
         }
 
@@ -1522,14 +1496,11 @@ impl ClusterSim {
         self.scratch_dirty.clear();
         self.scratch_dirty
             .extend_from_slice(self.columns.dirty.indices());
-        let lazy_candidates = if self.lazy_control_ok() {
-            self.manager
-                .as_ref()
-                .map(|m| m.sets())
-                .or_else(|| self.hierarchy.as_ref().map(|h| h.sets()))
-        } else {
-            None
-        };
+        let lazy_candidates = self
+            .hierarchy
+            .as_ref()
+            .filter(|_| self.lazy_control_ok())
+            .map(|h| h.sets());
         for k in 0..self.scratch_dirty.len() {
             let id = NodeId(self.scratch_dirty[k]);
             let i = id.0 as usize;
@@ -1578,12 +1549,14 @@ impl ClusterSim {
         }
     }
 
-    /// Runs the proportional-budget baseline's cycle: sample **all**
-    /// controllable nodes (this architecture has no candidate subset),
-    /// split the budget, and apply the resulting absolute levels.
-    fn budget_cycle(&mut self, now: SimTime, metered_w: f64) {
-        // ppc-lint: allow(panic-path): step() dispatches here only when a budget controller is attached
-        let controller = self.budget_controller.as_mut().expect("checked by caller");
+    /// Runs the proportional-budget baseline's decision: sample **all**
+    /// controllable nodes (this architecture has no candidate subset) and
+    /// split the budget into absolute levels. The shared epilogue applies
+    /// them.
+    fn budget_cycle(&mut self, now: SimTime, metered_w: f64, tick: u64) {
+        let Some(controller) = self.budget_controller.as_mut() else {
+            return;
+        };
         self.obs.spans.open("cycle", now);
         let sample_t = self.obs.profile.start();
         self.obs.spans.open("sample", now);
@@ -1635,99 +1608,28 @@ impl ClusterSim {
             .attr("commands", AttrValue::U64(commands.len() as u64));
         self.obs.spans.close(now);
         self.obs.profile.stop("control", control_t);
-        self.state_log.push((now, state));
-        let red_entered = state == PowerState::Red && self.last_state != Some(PowerState::Red);
-        if self.last_state != Some(state) {
-            self.journal.record_with(
-                now,
-                if state == PowerState::Red {
-                    Severity::Warn
-                } else {
-                    Severity::Info
-                },
-                "state",
-                || {
-                    format!(
-                        "budget controller: state -> {state} at {:.2} kW",
-                        metered_w / 1e3
-                    )
-                },
-            );
-            self.last_state = Some(state);
-        }
-        let actuate_t = self.obs.profile.start();
-        self.obs.spans.open("actuate", now);
-        self.obs
-            .spans
-            .attr("commands", AttrValue::U64(commands.len() as u64));
-        self.process_retries(now);
-        for cmd in &commands {
-            self.apply_command(cmd.node, cmd.level, now);
-        }
-        self.obs.spans.close(now);
-        self.obs.profile.stop("actuate", actuate_t);
-        self.obs.metrics.inc(self.obs_i.cycles, 1);
-        self.obs.metrics.set(self.obs_i.metered_power_w, metered_w);
-        self.obs
-            .metrics
-            .observe(self.obs_i.selection_size, commands.len() as f64);
-        if state == PowerState::Red {
-            self.obs.metrics.inc(self.obs_i.red_dwell_cycles, 1);
-        }
-        if red_entered {
-            self.obs.metrics.inc(self.obs_i.red_entries, 1);
-        }
-        self.obs
-            .metrics
-            .set(self.obs_i.journal_dropped, self.journal.dropped() as f64);
-        self.obs.spans.attr("state", AttrValue::Str(state.name()));
-        self.obs.spans.close(now);
-        if red_entered {
-            self.obs
-                .flight
-                .trigger(now, "red-entry", &self.obs.spans, &self.obs.metrics);
-        }
-
-        // Fleet health plane: the budget architecture has no racks or
-        // provision figure, so the single zone tracks the metered power
-        // against the controller's own high watermark.
-        let health_t = self.obs.profile.start();
-        let tick = self.tick_index + 1;
-        if self.health.wants_node_sample(tick) {
-            self.health.observe_node_power(self.columns.power_w());
-        }
-        let facility_budget_w = self
-            .budget_controller
-            .as_ref()
-            .map(|c| c.thresholds().p_high_w())
-            .unwrap_or(0.0);
-        let facility_state = zone_state_of(state);
-        let work = StageWork {
-            samples: self.scratch_views.len() as u64,
-            commands: commands.len() as u64,
-            racks: 1,
+        let thresholds = controller.thresholds();
+        let outcome = CycleOutcome {
+            state,
+            commands,
+            thresholds,
+            thresholds_adjusted: false,
         };
-        let state1 = [facility_state];
-        let power1 = [metered_w];
-        let budget1 = [facility_budget_w];
-        let cov1 = [1.0];
-        let obs = CycleObservation {
-            rack_state: &state1,
-            rack_power_w: &power1,
-            rack_budget_w: &budget1,
-            rack_coverage: &cov1,
-            facility_state,
-            facility_power_w: metered_w,
-            facility_budget_w,
+        // The budget architecture has no racks or provision figure: its
+        // health zone tracks the metered power against the controller's
+        // own high watermark.
+        let decision = Decision {
+            subject: "budget controller: state",
+            actuate: true,
+            samples: self.scratch_views.len() as u64,
+            facility_budget_w: thresholds.p_high_w(),
             facility_coverage: 1.0,
         };
-        let base = self.health.observe_cycle(now, &obs, &work);
-        self.publish_health_edges(now, base);
-        self.obs.profile.stop("health", health_t);
+        self.cycle_epilogue(now, tick, metered_w, &outcome, decision);
     }
 
-    /// Runs the sampling agents and the manager's control cycle, applying
-    /// the resulting commands.
+    /// Runs the sampling agents and the power manager's control cycle,
+    /// then the shared epilogue.
     fn control_cycle(
         &mut self,
         now: SimTime,
@@ -1736,28 +1638,30 @@ impl ClusterSim {
         tick: u64,
         incremental: bool,
     ) {
+        // Held out of `self` for the decision; put back before the
+        // epilogue, which reads it.
+        let Some(mut hier) = self.hierarchy.take() else {
+            return;
+        };
         self.obs.spans.open("cycle", now);
 
         // Hierarchical delegation pass (multi-rack only): re-cut the
         // facility budget across rows and racks from each rack's *true*
         // power demand before the rack control cycles run. Serial — the
         // budget trajectory must be worker-width-invariant — and absent on
-        // single-rack topologies, whose span stream must stay bit-equal to
-        // the flat manager's.
-        let hier_multi = self.hierarchy.as_ref().is_some_and(|h| !h.is_single_rack());
+        // single-rack topologies (the flat architecture).
+        let multi = !hier.is_single_rack();
         let mut fleet_true_w = 0.0;
-        if hier_multi {
+        if multi {
             fleet_true_w = self.columns.fleet_power_w();
             let shard_w = self.columns.shard_power_w();
             self.scratch_rack_true.clear();
             self.scratch_rack_true.extend_from_slice(shard_w);
-            // ppc-lint: allow(panic-path): hier_multi implies a hierarchy is attached
-            let h = self.hierarchy.as_mut().expect("checked just above");
             self.obs.spans.open("delegate", now);
-            let outcome = h.delegate(&self.scratch_rack_true);
+            let outcome = hier.delegate(&self.scratch_rack_true);
             self.obs
                 .spans
-                .attr("racks", AttrValue::U64(h.topology().racks() as u64));
+                .attr("racks", AttrValue::U64(hier.topology().racks() as u64));
             self.obs
                 .spans
                 .attr("redelegated", AttrValue::U64(u64::from(outcome.changed)));
@@ -1777,26 +1681,12 @@ impl ClusterSim {
                 self.obs
                     .metrics
                     .inc(hi.budget_drains, outcome.drained.len() as u64);
-                for (&g, &b) in hi.rack_budget.iter().zip(h.rack_budget_w()) {
+                for (&g, &b) in hi.rack_budget.iter().zip(hier.rack_budget_w()) {
                     self.obs.metrics.set(g, b);
                 }
             }
         }
 
-        // Whichever control plane is attached drives the rest of the
-        // cycle; both expose the same global candidate view.
-        enum Ctrl<'a> {
-            Flat(&'a mut PowerManager),
-            Hier(&'a mut HierarchicalManager),
-        }
-        impl Ctrl<'_> {
-            fn sets(&self) -> &ppc_core::NodeSets {
-                match self {
-                    Ctrl::Flat(m) => m.sets(),
-                    Ctrl::Hier(h) => h.sets(),
-                }
-            }
-        }
         // The lazy regime (incremental, fault-free, no meter dropout): when
         // nothing changed since the last cycle, every candidate's sample
         // would be bit-identical to its previous one and the resulting job
@@ -1805,12 +1695,6 @@ impl ClusterSim {
         // still runs every cycle: the metered reading moves even when the
         // nodes do not.
         let lazy = incremental && self.lazy_control_ok();
-        let mut ctrl = match (self.manager.as_mut(), self.hierarchy.as_mut()) {
-            (Some(m), _) => Ctrl::Flat(m),
-            (None, Some(h)) => Ctrl::Hier(h),
-            // ppc-lint: allow(panic-path): step() dispatches here only when a controller is attached
-            (None, None) => unreachable!("checked by caller"),
-        };
         let sampling = !lazy
             || self.rack_obs.is_stale()
             || self.dirty_prev
@@ -1833,7 +1717,7 @@ impl ClusterSim {
             // its collector entry, so skipping it changes nothing the
             // policies (or the fingerprints) can see.
             let resample = std::mem::take(&mut self.resample_now);
-            let sets = ctrl.sets();
+            let sets = hier.sets();
             // Nodes sampled last cycle settle their prev-power view; a
             // node being re-sampled now settles via the ingest itself, and
             // one that just left the candidate set (SLA protection) keeps
@@ -1894,7 +1778,7 @@ impl ClusterSim {
             spent.clear();
             self.resample_now = std::mem::replace(&mut self.resample_next, spent);
         } else if sampling {
-            for &id in ctrl.sets().candidates() {
+            for &id in hier.sets().candidates() {
                 if let Some(fs) = self.faults.as_ref() {
                     if fs.engine.is_down(id) || fs.engine.is_silent(id) {
                         continue;
@@ -1928,7 +1812,7 @@ impl ClusterSim {
         // path would have taken (one per candidate; the lazy regime
         // excludes faults and agent noise, so none are dropped).
         let logical_samples = if lazy {
-            ctrl.sets().candidates().len() as u64
+            hier.sets().candidates().len() as u64
         } else {
             self.scratch_samples.len() as u64
         };
@@ -1963,16 +1847,16 @@ impl ClusterSim {
         // contiguous power-column slice in parallel and the shards merge
         // serially post-join — sketch merge is exactly associative, so
         // the result is bit-identical to serial observation at any pool
-        // width. The flat path observes the dense column serially below.
+        // width. A single rack observes the dense column serially in the
+        // epilogue.
         let want_node_sample = self.health.wants_node_sample(tick);
         let node_power: Option<&[f64]> =
-            (want_node_sample && hier_multi).then(|| self.columns.power_w());
-        let mut shard_sketch = QuantileSketch::new();
+            (want_node_sample && multi).then(|| self.columns.power_w());
         let pool: &WorkerPool = match self.pool.as_deref() {
             Some(p) => p,
             None => WorkerPool::global(),
         };
-        let outcome = self.cost_meter.measure(|| {
+        let (outcome, coverage) = self.cost_meter.measure(|| {
             spans.open("ingest", now);
             spans.attr("samples", AttrValue::U64(logical_samples));
             for &raw in settle {
@@ -1981,7 +1865,7 @@ impl ClusterSim {
             collector.ingest_batch(samples);
             spans.close(now);
             let collector = &*collector;
-            let sets = ctrl.sets();
+            let sets = hier.sets();
             let mut coverage = 1.0;
             let fresh = faults.map(|fs| {
                 fs.fresh.clear();
@@ -2037,25 +1921,9 @@ impl ClusterSim {
             }
             spans.close(now);
             let racks = store.racks();
-            match &mut ctrl {
-                Ctrl::Flat(m) => m.control_cycle_traced(
-                    metered_w,
-                    &racks[0],
-                    &NodesView(nodes),
-                    coverage,
-                    now,
-                    spans,
-                ),
-                Ctrl::Hier(h) if h.is_single_rack() => h.subs_mut()[0].control_cycle_traced(
-                    metered_w,
-                    &racks[0],
-                    &NodesView(nodes),
-                    coverage,
-                    now,
-                    spans,
-                ),
-                Ctrl::Hier(h) => hier_multi_control(
-                    h,
+            let outcome = if multi {
+                hier_multi_control(
+                    &mut hier,
                     metered_w,
                     racks,
                     nodes,
@@ -2063,31 +1931,66 @@ impl ClusterSim {
                     rack_true,
                     fleet_true_w,
                     node_power,
-                    &mut shard_sketch,
                     fanout,
                     pool,
                     now,
                     spans,
-                ),
-            }
+                )
+            } else {
+                hier.single_rack_cycle(
+                    metered_w,
+                    &racks[0],
+                    &NodesView(nodes),
+                    coverage,
+                    now,
+                    spans,
+                )
+            };
+            (outcome, coverage)
         });
         self.obs.profile.stop("control", control_t);
-        self.state_log.push((now, outcome.state));
-        let red_entered =
-            outcome.state == PowerState::Red && self.last_state != Some(PowerState::Red);
-        if self.last_state != Some(outcome.state) {
-            let severity = match outcome.state {
+        // The facility coverage is what the controller itself consumed:
+        // fresh candidates over all candidates under faults, 1.0
+        // otherwise. Training period: observe only, never throttle.
+        let decision = Decision {
+            subject: "power state",
+            actuate: !hier.in_training(),
+            samples: logical_samples,
+            facility_budget_w: hier.config().p_provision_w,
+            facility_coverage: coverage,
+        };
+        self.hierarchy = Some(hier);
+        self.cycle_epilogue(now, tick, metered_w, &outcome, decision);
+    }
+
+    /// Everything after a control plane's decision, shared by the power
+    /// manager and the budget baseline: the state log and state-edge
+    /// journal entry, actuation, the per-cycle instruments, the root span,
+    /// the red-entry flight trigger, and the health fold.
+    fn cycle_epilogue(
+        &mut self,
+        now: SimTime,
+        tick: u64,
+        metered_w: f64,
+        outcome: &CycleOutcome,
+        decision: Decision,
+    ) {
+        let state = outcome.state;
+        self.state_log.push((now, state));
+        let red_entered = state == PowerState::Red && self.last_state != Some(PowerState::Red);
+        if self.last_state != Some(state) {
+            let severity = match state {
                 PowerState::Red => Severity::Warn,
                 _ => Severity::Info,
             };
             self.journal.record_with(now, severity, "state", || {
                 format!(
-                    "power state -> {} at {:.2} kW",
-                    outcome.state,
+                    "{} -> {state} at {:.2} kW",
+                    decision.subject,
                     metered_w / 1e3
                 )
             });
-            self.last_state = Some(outcome.state);
+            self.last_state = Some(state);
         }
         if outcome.thresholds_adjusted {
             self.journal
@@ -2100,15 +2003,7 @@ impl ClusterSim {
                 });
         }
 
-        // Training period: observe only, never throttle.
-        let in_training = self
-            .manager
-            .as_ref()
-            .map(|m| m.learner().in_training())
-            .or_else(|| self.hierarchy.as_ref().map(|h| h.in_training()))
-            // ppc-lint: allow(panic-path): control_cycle() runs only with a controller attached (see step())
-            .expect("checked by caller");
-        if !in_training {
+        if decision.actuate {
             let actuate_t = self.obs.profile.start();
             self.obs.spans.open("actuate", now);
             self.obs
@@ -2118,7 +2013,8 @@ impl ClusterSim {
             for cmd in &outcome.commands {
                 self.apply_command(cmd.node, cmd.level, now);
             }
-            if let Some(fs) = self.faults.as_ref() {
+            // The power manager's actuate span reports the retry backlog.
+            if let (Some(fs), Some(_)) = (self.faults.as_ref(), self.hierarchy.as_ref()) {
                 self.obs
                     .spans
                     .attr("retries_pending", AttrValue::U64(fs.retries.len() as u64));
@@ -2135,7 +2031,7 @@ impl ClusterSim {
         self.obs
             .metrics
             .observe(self.obs_i.selection_size, outcome.commands.len() as f64);
-        if outcome.state == PowerState::Red {
+        if state == PowerState::Red {
             self.obs.metrics.inc(self.obs_i.red_dwell_cycles, 1);
         }
         if red_entered {
@@ -2157,9 +2053,7 @@ impl ClusterSim {
             self.obs.metrics.set(hi.racks_yellow, yellow as f64);
             self.obs.metrics.set(hi.racks_red, red as f64);
         }
-        self.obs
-            .spans
-            .attr("state", AttrValue::Str(outcome.state.name()));
+        self.obs.spans.attr("state", AttrValue::Str(state.name()));
         self.obs.spans.close(now);
         if red_entered {
             self.obs
@@ -2171,82 +2065,51 @@ impl ClusterSim {
         // sketches and SLO rules, after the root span closed so an
         // alert-triggered flight snapshot captures the complete cycle.
         let health_t = self.obs.profile.start();
-        if want_node_sample {
-            if hier_multi {
-                self.health.merge_node_shard(&shard_sketch);
-            } else {
-                self.health.observe_node_power(self.columns.power_w());
+        let tree = self.hierarchy.as_ref().filter(|h| !h.is_single_rack());
+        if self.health.wants_node_sample(tick) {
+            match tree {
+                Some(_) => self.health.merge_node_shard(&self.fanout.sketch),
+                None => self.health.observe_node_power(self.columns.power_w()),
             }
         }
-        // The facility-level coverage mirrors what the controller itself
-        // consumed: fresh candidates over all candidates under faults,
-        // 1.0 otherwise (`fs.fresh` was rebuilt this cycle above).
-        let facility_coverage = match self.faults.as_ref() {
-            Some(fs) => {
-                let candidates = self
-                    .manager
-                    .as_ref()
-                    .map(|m| m.sets())
-                    .or_else(|| self.hierarchy.as_ref().map(|h| h.sets()))
-                    // ppc-lint: allow(panic-path): control_cycle() runs only with a controller attached (see step())
-                    .expect("checked by caller")
-                    .candidates();
-                if candidates.is_empty() {
-                    1.0
-                } else {
-                    fs.fresh.len() as f64 / candidates.len() as f64
-                }
-            }
-            None => 1.0,
-        };
-        let facility_budget_w = self.provision_in_force_w().unwrap_or(0.0);
-        let facility_state = zone_state_of(outcome.state);
+        let facility_state = zone_state_of(state);
         let work = StageWork {
-            samples: logical_samples,
+            samples: decision.samples,
             commands: outcome.commands.len() as u64,
-            racks: if hier_multi {
-                self.scratch_rack_true.len() as u64
-            } else {
-                1
-            },
+            racks: tree.map_or(1, |h| h.topology().racks() as u64),
         };
-        let base = if hier_multi {
-            self.scratch_rack_zone.clear();
-            // ppc-lint: allow(panic-path): hier_multi implies a hierarchy is attached
-            let h = self.hierarchy.as_ref().expect("checked above");
-            for &s in h.last_rack_states() {
-                self.scratch_rack_zone.push(zone_state_of(s));
+        let base = match tree {
+            Some(h) => {
+                self.scratch_rack_zone.clear();
+                self.scratch_rack_zone
+                    .extend(h.last_rack_states().iter().map(|&s| zone_state_of(s)));
+                let obs = CycleObservation {
+                    rack_state: &self.scratch_rack_zone,
+                    rack_power_w: &self.scratch_rack_true,
+                    rack_budget_w: h.rack_budget_w(),
+                    rack_coverage: &self.fanout.coverage,
+                    facility_state,
+                    facility_power_w: metered_w,
+                    facility_budget_w: decision.facility_budget_w,
+                    facility_coverage: decision.facility_coverage,
+                };
+                self.health.observe_cycle(now, &obs, &work)
             }
-            let obs = CycleObservation {
-                rack_state: &self.scratch_rack_zone,
-                rack_power_w: &self.scratch_rack_true,
-                rack_budget_w: h.rack_budget_w(),
-                rack_coverage: &self.fanout.coverage,
-                facility_state,
-                facility_power_w: metered_w,
-                facility_budget_w,
-                facility_coverage,
-            };
-            self.health.observe_cycle(now, &obs, &work)
-        } else {
-            // The flat manager and the single-rack hierarchy feed one
-            // zone from the facility values only, so both architectures
-            // produce bit-identical health fingerprints.
-            let state1 = [facility_state];
-            let power1 = [metered_w];
-            let budget1 = [facility_budget_w];
-            let cov1 = [facility_coverage];
-            let obs = CycleObservation {
-                rack_state: &state1,
-                rack_power_w: &power1,
-                rack_budget_w: &budget1,
-                rack_coverage: &cov1,
-                facility_state,
-                facility_power_w: metered_w,
-                facility_budget_w,
-                facility_coverage,
-            };
-            self.health.observe_cycle(now, &obs, &work)
+            None => {
+                // One zone fed from the facility values only, whatever the
+                // control plane.
+                let obs = CycleObservation {
+                    rack_state: &[facility_state],
+                    rack_power_w: &[metered_w],
+                    rack_budget_w: &[decision.facility_budget_w],
+                    rack_coverage: &[decision.facility_coverage],
+                    facility_state,
+                    facility_power_w: metered_w,
+                    facility_budget_w: decision.facility_budget_w,
+                    facility_coverage: decision.facility_coverage,
+                };
+                self.health.observe_cycle(now, &obs, &work)
+            }
         };
         self.publish_health_edges(now, base);
         self.obs.profile.stop("health", health_t);
@@ -2443,6 +2306,21 @@ struct RackSlot<'a> {
     out: Option<CycleOutcome>,
 }
 
+/// What a control plane's decision hands the shared cycle epilogue
+/// besides its outcome.
+struct Decision {
+    /// Subject of the state-edge journal entry.
+    subject: &'static str,
+    /// False while the power manager trains: observe only, never throttle.
+    actuate: bool,
+    /// Samples the cycle took (the health plane's stage work).
+    samples: u64,
+    /// The facility zone's budget for the health fold, watts.
+    facility_budget_w: f64,
+    /// The facility zone's telemetry coverage for the health fold.
+    facility_coverage: f64,
+}
+
 /// Buffers of the multi-rack fan-out, reused across ticks.
 #[derive(Default)]
 struct FanoutScratch {
@@ -2454,6 +2332,8 @@ struct FanoutScratch {
     slots: Vec<RackSlot<'static>>,
     /// Rack outcomes in rack order, drained by the rollup.
     outcomes: Vec<CycleOutcome>,
+    /// The racks' node-power sketches merged, on node-sample ticks.
+    sketch: QuantileSketch,
 }
 
 impl Clone for FanoutScratch {
@@ -2463,6 +2343,7 @@ impl Clone for FanoutScratch {
             coverage: self.coverage.clone(),
             slots: Vec::new(),
             outcomes: Vec::new(),
+            sketch: QuantileSketch::new(),
         }
     }
 }
@@ -2507,7 +2388,6 @@ fn hier_multi_control(
     rack_true_w: &[f64],
     fleet_true_w: f64,
     node_power: Option<&[f64]>,
-    node_sketch: &mut QuantileSketch,
     scratch: &mut FanoutScratch,
     pool: &WorkerPool,
     now: SimTime,
@@ -2608,8 +2488,9 @@ fn hier_multi_control(
         // Serial post-join merge in rack order (any order would do —
         // sketch merge is commutative — but rack order keeps the
         // discipline uniform with the rest of the rollup).
+        scratch.sketch = QuantileSketch::new();
         for slot in &slots {
-            node_sketch.merge(&slot.sketch);
+            scratch.sketch.merge(&slot.sketch);
         }
     }
     scratch.slots = recycle_slots(slots);
@@ -2676,6 +2557,27 @@ mod tests {
         // Some node must have been degraded at some point; after red
         // cycles at least the state log shows non-green.
         assert!(sim.state_log().iter().any(|(_, s)| *s != PowerState::Green));
+    }
+
+    /// `with_manager` attaches the flat manager as the one rack of a
+    /// single-rack hierarchy, whose rack state tracks every cycle.
+    #[test]
+    fn flat_manager_is_a_one_rack_hierarchy() {
+        let mut sim = managed_mini(32, PolicyKind::Mpc, 0.5);
+        let h = sim
+            .hierarchy()
+            .expect("flat manager attaches as a hierarchy");
+        assert!(h.is_single_rack());
+        assert!(std::ptr::eq(sim.manager().unwrap(), &h.subs()[0]));
+        let mut red = 0;
+        for _ in 0..600 {
+            sim.step();
+            let state = sim.state_log().last().unwrap().1;
+            red += usize::from(state == PowerState::Red);
+            assert_eq!(sim.hierarchy().unwrap().last_rack_states(), &[state]);
+        }
+        assert!(red > 0, "the tight provision must drive Red cycles");
+        assert_eq!(sim.control_stats(), Some(sim.manager().unwrap().stats()));
     }
 
     #[test]

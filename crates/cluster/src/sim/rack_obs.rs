@@ -1,7 +1,7 @@
 //! The observe stage's per-rack job-observation store.
 //!
-//! Each rack sub-manager reads a list of job-observation *pieces*, and the
-//! flat manager or a single-rack hierarchy reads the store's one rack. A
+//! Each rack sub-manager reads a list of job-observation *pieces* (the
+//! flat manager, a single-rack hierarchy, reads the store's one rack). A
 //! piece is one running job's observed members inside that rack, in member
 //! order, carrying the job-global previous power `P^{t−1}(J)`. A rack's
 //! pieces are in run-queue order. That is exactly what building one global
@@ -126,8 +126,7 @@ const QUEUED_FULL: u8 = 2;
 
 impl RackObs {
     /// An empty store over `racks` racks of `nodes_per_rack` contiguous
-    /// node ids each (the topology's shape; one rack for the flat
-    /// manager).
+    /// node ids each (the topology's shape).
     pub(super) fn new(nodes_per_rack: u32, racks: usize) -> Self {
         RackObs {
             nodes_per_rack,
@@ -472,17 +471,14 @@ mod tests {
             .iter()
             .map(|j| (j.id(), j.nodes()));
         let mut cache = NodeObsCache::new();
-        let global = match (&sim.faults, &sim.manager, &sim.hierarchy) {
-            (Some(fs), _, _) => {
+        let global = match (&sim.faults, &sim.hierarchy) {
+            (Some(fs), _) => {
                 observe_jobs_cached(&sim.collector, jobs, &fs.fresh, &model_of, &mut cache)
             }
-            (None, Some(m), _) => {
-                observe_jobs_cached(&sim.collector, jobs, m.sets(), &model_of, &mut cache)
-            }
-            (None, None, Some(h)) => {
+            (None, Some(h)) => {
                 observe_jobs_cached(&sim.collector, jobs, h.sets(), &model_of, &mut cache)
             }
-            (None, None, None) => unreachable!("managed scenarios only"),
+            (None, None) => unreachable!("managed scenarios only"),
         };
         let mut split = vec![Vec::<JobObservation>::new(); racks];
         for obs in &global {
@@ -569,7 +565,7 @@ mod tests {
     }
 
     /// Every tick, in both eval modes, with faults off and on, under the
-    /// flat manager and a 4-rack hierarchy, each rack's pieces equal the
+    /// flat (one-rack) manager and a 4-rack hierarchy, each rack's pieces equal the
     /// split of a fresh global build element for element — through job
     /// starts and finishes, critical-job protect and release edges, and
     /// nodes decommissioned mid-run.

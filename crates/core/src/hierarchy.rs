@@ -20,23 +20,32 @@
 //! weight is exactly zero, so its budget drains back to the row and its
 //! siblings absorb the headroom).
 //!
-//! **Flat equivalence.** On a [`Topology::single_rack`] the hierarchy is
-//! a pure passthrough: the lone rack's budget is the facility budget bit
-//! for bit (single-child split is exact), [`HierarchicalManager::delegate`]
-//! never moves it, and every query (`stats`, `thresholds`, `in_training`)
-//! forwards to the one sub-manager. A single-rack hierarchical run is
-//! therefore *bit-identical* to the flat manager on all four determinism
-//! fingerprints — the property `determinism_gate` pins in CI.
+//! **Flat equivalence.** The flat architecture *is* the one-rack tree:
+//! [`HierarchicalManager::from_racks`] adopts a ready-built flat
+//! [`PowerManager`] unchanged as the lone rack of a
+//! [`Topology::single_rack`], and [`HierarchicalManager::new`] assembles
+//! every tree through the same constructor. On one rack the hierarchy is
+//! a pure passthrough: the rack's budget is the facility budget bit for
+//! bit (single-child split is exact), [`HierarchicalManager::delegate`]
+//! never moves it, the cycle runs the rack directly
+//! ([`HierarchicalManager::single_rack_cycle`]), and every query
+//! (`sets`, `stats`, `thresholds`, `in_training`) is the sub-manager's
+//! own. `determinism_gate` pins an adopted flat manager bit-identical to
+//! a one-rack tree built by `new` on every determinism fingerprint.
 
 use crate::budget::{conserves_budget, delegate_with_headroom, is_positive, split_proportional};
+use crate::capping::LevelView;
 use crate::config::ManagerConfig;
 use crate::error::CoreError;
 use crate::manager::{CycleOutcome, ManagerStats, PowerManager};
+use crate::observe::JobObservation;
 use crate::policy::PolicyKind;
 use crate::sets::NodeSets;
 use crate::state::{PowerState, Thresholds};
 use crate::topology::Topology;
 use ppc_node::NodeId;
+use ppc_obs::SpanRecorder;
+use ppc_simkit::SimTime;
 use std::collections::BTreeSet;
 
 /// Fraction of a sibling's surplus headroom offered to the lending pool
@@ -94,57 +103,68 @@ impl HierarchicalManager {
         privileged: &BTreeSet<NodeId>,
         node_weight_w: Vec<f64>,
     ) -> Result<Self, CoreError> {
-        config.validate()?;
-        if node_weight_w.len() != topology.node_count() as usize {
+        let (_, _, rack_budget_w) = construction_cut(&config, &topology, &node_weight_w)?;
+        if let Some(n) = privileged.iter().find(|n| n.0 >= topology.node_count()) {
             return Err(CoreError::InvalidConfig(format!(
-                "{} node weights for a {}-node topology",
-                node_weight_w.len(),
-                topology.node_count()
+                "privileged node {n} is outside the topology"
             )));
         }
-        if let Some(&w) = node_weight_w.iter().find(|&&w| !is_positive(w)) {
-            return Err(CoreError::InvalidConfig(format!(
-                "node weights must be positive and finite, got {w}"
-            )));
-        }
-        let racks = topology.racks();
-        let mut rack_weight_w = vec![0.0f64; racks];
-        let mut rack_online_count = vec![0u32; racks];
-        for (r, w) in rack_weight_w.iter_mut().enumerate() {
-            let range = topology.rack_nodes(r);
-            rack_online_count[r] = range.len() as u32;
-            // Dense index-order fold over the rack's contiguous id range.
-            *w = node_weight_w[range.start as usize..range.end as usize]
-                .iter()
-                .sum();
-        }
-        let (row_budget_w, rack_budget_w) =
-            split_two_stage(config.p_provision_w, &topology, &rack_weight_w);
-        if let Some(r) = rack_budget_w.iter().position(|&b| !is_positive(b)) {
-            return Err(CoreError::InvalidConfig(format!(
-                "rack {r} starts with no delegated budget"
-            )));
-        }
+        let subs = rack_budget_w
+            .iter()
+            .enumerate()
+            .map(|(r, &budget)| {
+                let range = topology.rack_nodes(r);
+                let rack_privileged = privileged.iter().copied().filter(|n| range.contains(&n.0));
+                let sets = NodeSets::new(range.clone().map(NodeId), rack_privileged);
+                PowerManager::new(
+                    ManagerConfig {
+                        p_provision_w: budget,
+                        ..config
+                    },
+                    sets,
+                )
+            })
+            .collect::<Result<_, _>>()?;
+        Self::from_racks(config, topology, subs, node_weight_w)
+    }
 
-        let global_sets = NodeSets::new(
-            (0..topology.node_count()).map(NodeId),
-            privileged.iter().copied(),
-        );
-        let mut subs = Vec::with_capacity(racks);
-        for (r, &budget) in rack_budget_w.iter().enumerate() {
-            let range = topology.rack_nodes(r);
-            let rack_privileged: Vec<NodeId> = privileged
-                .iter()
-                .copied()
-                .filter(|n| range.contains(&n.0))
-                .collect();
-            let sets = NodeSets::new(range.map(NodeId), rack_privileged);
-            let sub_config = ManagerConfig {
-                p_provision_w: budget,
-                ..config
-            };
-            subs.push(PowerManager::new(sub_config, sets)?);
+    /// Assembles the tree around ready-built rack sub-managers, adopted
+    /// unchanged (learner state, node sets, candidate cap): `subs[r]` must
+    /// cover exactly rack `r`'s nodes and hold exactly its construction
+    /// cut. On a [`Topology::single_rack`] that cut is the facility
+    /// budget, so a flat manager adopts with `config = *manager.config()`.
+    pub fn from_racks(
+        config: ManagerConfig,
+        topology: Topology,
+        subs: Vec<PowerManager>,
+        node_weight_w: Vec<f64>,
+    ) -> Result<Self, CoreError> {
+        let (rack_weight_w, row_budget_w, rack_budget_w) =
+            construction_cut(&config, &topology, &node_weight_w)?;
+        let fits = |(r, sub): (usize, &PowerManager)| {
+            sub.config().p_provision_w.to_bits() == rack_budget_w[r].to_bits()
+                && sub
+                    .sets()
+                    .total()
+                    .iter()
+                    .map(|n| n.0)
+                    .eq(topology.rack_nodes(r))
+        };
+        if subs.len() != topology.racks() || !subs.iter().enumerate().all(fits) {
+            return Err(CoreError::InvalidConfig(
+                "each rack needs one sub-manager over its nodes holding its budget cut".into(),
+            ));
         }
+        // The facility mirror: the lone rack's own sets, else the union.
+        let global_sets = match subs.as_slice() {
+            [only] => only.sets().clone(),
+            _ => NodeSets::new(
+                (0..topology.node_count()).map(NodeId),
+                subs.iter()
+                    .flat_map(|s| s.sets().privileged().iter().copied()),
+            ),
+        };
+        let racks = topology.racks();
         let facility_thresholds =
             Thresholds::from_peak(config.p_provision_w, config.low_margin, config.high_margin)?;
         Ok(HierarchicalManager {
@@ -156,7 +176,9 @@ impl HierarchicalManager {
             rack_budget_w,
             row_budget_w,
             rack_online_weight_w: rack_weight_w,
-            rack_online_count,
+            rack_online_count: (0..racks)
+                .map(|r| topology.rack_nodes(r).len() as u32)
+                .collect(),
             stats: ManagerStats::default(),
             last_conservative_total: 0,
             last_rack_states: vec![PowerState::Green; racks],
@@ -290,22 +312,20 @@ impl HierarchicalManager {
     /// down the tree and changed racks are reprovisioned; the next
     /// delegation pass resumes demand-aware headroom movement.
     pub fn reprovision(&mut self, p_provision_w: f64) -> Result<(), CoreError> {
-        if self.is_single_rack() {
-            self.subs[0].reprovision(p_provision_w)?;
-            self.config.p_provision_w = p_provision_w;
-            self.facility_thresholds = Thresholds::from_peak(
-                p_provision_w,
-                self.config.low_margin,
-                self.config.high_margin,
-            )?;
-            return Ok(());
-        }
         self.facility_thresholds = Thresholds::from_peak(
             p_provision_w,
             self.config.low_margin,
             self.config.high_margin,
         )?;
         self.config.p_provision_w = p_provision_w;
+        if self.is_single_rack() {
+            // The lone row and rack own the facility budget. The rack's
+            // learner re-derives its pair even when the value is
+            // unchanged, so it is reprovisioned unconditionally.
+            self.row_budget_w[0] = p_provision_w;
+            self.rack_budget_w[0] = p_provision_w;
+            return self.subs[0].reprovision(p_provision_w);
+        }
         let (row_budget_w, rack_budget_w) =
             split_two_stage(p_provision_w, &self.topology, &self.rack_online_weight_w);
         self.adopt_budgets(row_budget_w, rack_budget_w);
@@ -393,6 +413,25 @@ impl HierarchicalManager {
         outcome
     }
 
+    /// Runs the lone rack's control cycle on a single-rack topology (the
+    /// flat passthrough: no delegation, no rollup; the facility stats are
+    /// the rack's own) and records its state in
+    /// [`HierarchicalManager::last_rack_states`].
+    pub fn single_rack_cycle(
+        &mut self,
+        power_w: f64,
+        jobs: &[JobObservation],
+        view: &dyn LevelView,
+        coverage: f64,
+        at: SimTime,
+        spans: &mut SpanRecorder,
+    ) -> CycleOutcome {
+        debug_assert!(self.is_single_rack(), "multi-rack cycles roll up");
+        let outcome = self.subs[0].control_cycle_traced(power_w, jobs, view, coverage, at, spans);
+        self.last_rack_states[0] = outcome.state;
+        outcome
+    }
+
     /// Rolls per-rack cycle outcomes (rack order) up into the facility
     /// view: worst rack state wins, commands concatenate in rack order,
     /// facility thresholds stand in for the per-rack pairs. Updates the
@@ -457,6 +496,49 @@ fn severity(state: PowerState) -> u8 {
         PowerState::Yellow => 1,
         PowerState::Red => 2,
     }
+}
+
+/// Per-rack node weights, row budgets and rack budgets, watts.
+type Cut = (Vec<f64>, Vec<f64>, Vec<f64>);
+
+/// Validates a construction's config and node weights, then cuts the
+/// facility budget weight-only over rows then racks; every rack must come
+/// up funded.
+fn construction_cut(
+    config: &ManagerConfig,
+    topology: &Topology,
+    node_weight_w: &[f64],
+) -> Result<Cut, CoreError> {
+    config.validate()?;
+    if node_weight_w.len() != topology.node_count() as usize {
+        return Err(CoreError::InvalidConfig(format!(
+            "{} node weights for a {}-node topology",
+            node_weight_w.len(),
+            topology.node_count()
+        )));
+    }
+    if let Some(&w) = node_weight_w.iter().find(|&&w| !is_positive(w)) {
+        return Err(CoreError::InvalidConfig(format!(
+            "node weights must be positive and finite, got {w}"
+        )));
+    }
+    // Dense index-order fold over each rack's contiguous id range.
+    let rack_weight_w: Vec<f64> = (0..topology.racks())
+        .map(|r| {
+            let range = topology.rack_nodes(r);
+            node_weight_w[range.start as usize..range.end as usize]
+                .iter()
+                .sum()
+        })
+        .collect();
+    let (row_budget_w, rack_budget_w) =
+        split_two_stage(config.p_provision_w, topology, &rack_weight_w);
+    if let Some(r) = rack_budget_w.iter().position(|&b| !is_positive(b)) {
+        return Err(CoreError::InvalidConfig(format!(
+            "rack {r} starts with no delegated budget"
+        )));
+    }
+    Ok((rack_weight_w, row_budget_w, rack_budget_w))
 }
 
 /// Weight-only two-stage cut: facility → rows → racks. Used at
@@ -601,15 +683,53 @@ mod tests {
 
     #[test]
     fn reprovision_resplits_the_tree() {
-        let mut h = hier(16, 4, 2, 4_000.0);
-        h.reprovision(2_000.0).unwrap();
-        assert!(conserves_budget(2_000.0, h.row_budget_w()));
-        let total: f64 = h.rack_budget_w().iter().sum();
-        assert!((total - 2_000.0).abs() < 1e-9);
-        for (r, sub) in h.subs().iter().enumerate() {
-            assert_eq!(sub.config().p_provision_w, h.rack_budget_w()[r]);
+        // A real tree and the one-rack passthrough.
+        for mut h in [hier(16, 4, 2, 4_000.0), hier(8, 8, 1, 4_000.0)] {
+            h.reprovision(2_000.0).unwrap();
+            assert_eq!(h.config().p_provision_w, 2_000.0);
+            assert!(conserves_budget(2_000.0, h.row_budget_w()));
+            let total: f64 = h.rack_budget_w().iter().sum();
+            assert!((total - 2_000.0).abs() < 1e-9);
+            for (r, sub) in h.subs().iter().enumerate() {
+                assert_eq!(sub.config().p_provision_w, h.rack_budget_w()[r]);
+            }
+            assert!(h.reprovision(-5.0).is_err());
         }
-        assert!(h.reprovision(-5.0).is_err());
+    }
+
+    #[test]
+    fn from_racks_adopts_a_flat_manager_unchanged() {
+        let config = ManagerConfig {
+            training_cycles: 0,
+            ..ManagerConfig::paper_defaults(1_000.0, PolicyKind::Mpc)
+        };
+        let sets = NodeSets::new((0..4).map(NodeId), [NodeId(1)]).with_candidate_cap(Some(2));
+        let mut flat = PowerManager::new(config, sets).unwrap();
+        let view = FlatView(Level::new(9), Level::new(9));
+        let _ = flat.control_cycle(3_000.0, &[], &view);
+        let topology = Topology::single_rack(4).unwrap();
+        let h =
+            HierarchicalManager::from_racks(config, topology, vec![flat.clone()], vec![250.0; 4])
+                .unwrap();
+        assert_eq!(h.stats(), flat.stats());
+        assert_eq!(h.sets().candidates(), flat.sets().candidates());
+        assert_eq!(h.sets().privileged(), flat.sets().privileged());
+        assert_eq!(h.rack_budget_w()[0].to_bits(), 1_000.0f64.to_bits());
+        assert_eq!(h.row_budget_w()[0].to_bits(), 1_000.0f64.to_bits());
+
+        // A manager over the wrong nodes or budget is refused.
+        let narrow = PowerManager::new(config, NodeSets::new((0..3).map(NodeId), [])).unwrap();
+        assert!(
+            HierarchicalManager::from_racks(config, topology, vec![narrow], vec![250.0; 4])
+                .is_err()
+        );
+        let other = ManagerConfig {
+            p_provision_w: 900.0,
+            ..config
+        };
+        assert!(
+            HierarchicalManager::from_racks(other, topology, vec![flat], vec![250.0; 4]).is_err()
+        );
     }
 
     #[test]
@@ -631,6 +751,9 @@ mod tests {
         assert!(
             HierarchicalManager::new(config, topology, &BTreeSet::new(), vec![250.0; 3]).is_err()
         );
+        // Privileged node outside the topology.
+        let outside = BTreeSet::from([NodeId(4)]);
+        assert!(HierarchicalManager::new(config, topology, &outside, vec![250.0; 4]).is_err());
         // Nonpositive weight.
         assert!(HierarchicalManager::new(
             config,

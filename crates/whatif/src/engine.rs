@@ -231,18 +231,11 @@ fn apply(
             }
             Ok(())
         }
-        WhatIfQuery::SetCap { provision_w } => {
-            if let Some(mgr) = sim.manager_mut() {
-                return mgr
-                    .reprovision(*provision_w)
-                    .map_err(|e| format!("reprovision rejected: {e}"));
-            }
-            let h = sim
-                .hierarchy_mut()
-                .ok_or_else(|| "no power manager attached".to_string())?;
-            h.reprovision(*provision_w)
-                .map_err(|e| format!("reprovision rejected: {e}"))
-        }
+        WhatIfQuery::SetCap { provision_w } => sim
+            .hierarchy_mut()
+            .ok_or_else(|| "no power manager attached".to_string())?
+            .reprovision(*provision_w)
+            .map_err(|e| format!("reprovision rejected: {e}")),
         WhatIfQuery::DropNodes { count, rack } => {
             let victims = drop_victims(sim, *count, *rack)?;
             if victims.len() < *count as usize {
@@ -257,14 +250,9 @@ fn apply(
             Ok(())
         }
         WhatIfQuery::SwapPolicy { policy } => {
-            if let Some(mgr) = sim.manager_mut() {
-                mgr.set_policy(*policy);
-                return Ok(());
-            }
-            let h = sim
-                .hierarchy_mut()
-                .ok_or_else(|| "no power manager attached".to_string())?;
-            h.set_policy(*policy);
+            sim.hierarchy_mut()
+                .ok_or_else(|| "no power manager attached".to_string())?
+                .set_policy(*policy);
             Ok(())
         }
         WhatIfQuery::Compound { steps } => {

@@ -6,6 +6,9 @@ cd "$(dirname "$0")/.."
 cargo fmt --check
 cargo build --release
 cargo test -q
+# The repository benchmark's own tests: perfbench reads the control plane
+# (`sim.manager()`, `sim.hierarchy()`) and checks its invariants.
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
 cargo clippy --workspace --all-targets -- -D warnings
 
 # Static pass: determinism/safety lint over every crate (see DESIGN §11

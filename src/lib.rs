@@ -20,10 +20,12 @@
 //!     ..ManagerConfig::paper_defaults(spec.provision_w(), PolicyKind::Mpc)
 //! };
 //! let manager = PowerManager::new(config, sets).expect("valid config");
+//! // The flat manager attaches as the one rack of a single-rack hierarchy.
 //! let mut sim = ClusterSim::new(spec).with_manager(manager);
 //! sim.run_for(SimDuration::from_mins(3));
 //!
 //! assert!(sim.true_power().max().unwrap() > 0.0);
+//! assert!(sim.hierarchy().unwrap().is_single_rack());
 //! let t = sim.manager().unwrap().thresholds();
 //! assert!(t.p_low_w() <= t.p_high_w());
 //! ```

@@ -13,7 +13,10 @@
 //! regeneration is a behaviour change and must be justified.
 
 use ppc::cluster::{ClusterSim, ClusterSpec};
-use ppc::core::{HierarchicalManager, ManagerConfig, NodeSets, PolicyKind, PowerManager, Topology};
+use ppc::core::{
+    HierarchicalManager, ManagerConfig, NodeSets, PolicyKind, PowerManager,
+    ProportionalBudgetController, Thresholds, Topology,
+};
 use ppc::faults::{FaultInjection, FaultRates, FaultSchedule};
 use ppc::simkit::{RngFactory, SimDuration, SimTime};
 use ppc::workload::{JobGenerator, JobPriority, TraceEntry};
@@ -126,6 +129,16 @@ fn hier4_faulted() -> ClusterSim {
         .with_faults(FaultInjection::new(schedule))
 }
 
+/// The related-work proportional-budget baseline on 128 nodes, at the
+/// thresholds `tests/budget_baseline.rs` caps with (P_L = 55 %, P_H = 64 %
+/// of the theoretical maximum).
+fn budget128() -> ClusterSim {
+    let spec = ClusterSpec::mini(128);
+    let thy = spec.theoretical_max_w();
+    let thresholds = Thresholds::new(0.55 * thy, 0.64 * thy).expect("valid thresholds");
+    ClusterSim::new(spec).with_budget_controller(ProportionalBudgetController::new(thresholds))
+}
+
 /// Health on with alerts firing: a 16-node 2×2×4 tree at a provision
 /// tight enough to breach the dwell and overshoot objectives, under
 /// faults that dent coverage.
@@ -165,12 +178,13 @@ type Scenario = (&'static str, fn() -> ClusterSim);
 #[test]
 fn fingerprints_match_golden_fixture() {
     let mut rendered = String::new();
-    let scenarios: [Scenario; 5] = [
+    let scenarios: [Scenario; 6] = [
         ("flat128", flat128),
         ("hier_1rack", hier_1rack),
         ("hier4_busy", hier4_busy),
         ("hier4_faulted", hier4_faulted),
         ("health_alerts", health_alerts),
+        ("budget128", budget128),
     ];
     for (name, build) in scenarios {
         write!(rendered, "{}", line(name, build())).expect("write to string");
@@ -195,7 +209,7 @@ fn fingerprints_match_golden_fixture() {
 }
 
 /// The scenarios exercise what they claim: capping, a busy fleet with
-/// critical jobs, faults, and alert edges.
+/// critical jobs, faults, alert edges, and an active budget baseline.
 #[test]
 fn fingerprint_scenarios_are_not_vacuous() {
     let mut busy = hier4_busy();
@@ -222,4 +236,10 @@ fn fingerprint_scenarios_are_not_vacuous() {
     let mut health = health_alerts();
     health.run_for(SimDuration::from_secs(RUN_SECS));
     assert!(!health.health().alerts().is_empty());
+
+    let mut budget = budget128();
+    budget.run_for(SimDuration::from_secs(RUN_SECS));
+    let stats = budget.budget_controller().expect("attached").stats();
+    assert!(stats.active_cycles > 0, "the budget must bind");
+    assert!(budget.commands_applied() > 0);
 }
