@@ -111,18 +111,18 @@ pub struct NodeColumns {
     stamp: Vec<u64>,
     /// The dirty set driving incremental evaluation.
     pub dirty: DirtySet,
-    /// Cached fleet power sum and its validity.
+    /// Cached fleet power sum.
     fleet_sum_w: f64,
-    sum_valid: bool,
     /// Shard-contiguous layout: half-open `[lo, hi)` node-id ranges, one
     /// per shard (rack), covering the column in index order. Empty until
     /// [`set_shards`](Self::set_shards) — per-shard sums are a
     /// hierarchical-manager feature.
     shards: Vec<(u32, u32)>,
-    /// Cached per-shard power sums and their validity (invalidated by
-    /// exactly the same edges as the fleet sum).
+    /// Cached per-shard power sums.
     shard_sum_w: Vec<f64>,
-    shards_valid: bool,
+    /// Whether the cached fleet and shard sums are current: any
+    /// materialization or down/up edge invalidates both at once.
+    sums_valid: bool,
 }
 
 impl NodeColumns {
@@ -136,10 +136,9 @@ impl NodeColumns {
             stamp: vec![0; n],
             dirty: DirtySet::with_len(n),
             fleet_sum_w: 0.0,
-            sum_valid: false,
             shards: Vec::new(),
             shard_sum_w: Vec::new(),
-            shards_valid: false,
+            sums_valid: false,
         }
     }
 
@@ -158,14 +157,9 @@ impl NodeColumns {
         &self.power_w
     }
 
-    /// The relative-speed column.
+    /// The relative-speed column (what job progress reads).
     pub fn speed(&self) -> &[f64] {
         &self.speed
-    }
-
-    /// Relative speed of one node (used by the scheduler's speed lookup).
-    pub fn speed_of(&self, node: NodeId) -> f64 {
-        self.speed[node.0 as usize]
     }
 
     /// True if `node` is marked down in the columns.
@@ -184,8 +178,7 @@ impl NodeColumns {
         self.power_w[i] = power_w;
         self.speed[i] = speed;
         self.stamp[i] = tick;
-        self.sum_valid = false;
-        self.shards_valid = false;
+        self.sums_valid = false;
     }
 
     /// Updates only the speed column (a level change between evaluations).
@@ -205,8 +198,7 @@ impl NodeColumns {
     /// `Full` evaluation mode overwrites every entry each tick). The
     /// cached sum is invalidated.
     pub fn power_fill_mut(&mut self) -> &mut [f64] {
-        self.sum_valid = false;
-        self.shards_valid = false;
+        self.sums_valid = false;
         &mut self.power_w
     }
 
@@ -216,8 +208,7 @@ impl NodeColumns {
         let i = node.0 as usize;
         self.down[i] = true;
         self.power_w[i] = 0.0;
-        self.sum_valid = false;
-        self.shards_valid = false;
+        self.sums_valid = false;
     }
 
     /// Brings a node back up at `tick`; its next materialization starts
@@ -226,8 +217,7 @@ impl NodeColumns {
         let i = node.0 as usize;
         self.down[i] = false;
         self.stamp[i] = tick;
-        self.sum_valid = false;
-        self.shards_valid = false;
+        self.sums_valid = false;
     }
 
     /// Fleet power sum: a serial index-order fold over the dense power
@@ -236,11 +226,36 @@ impl NodeColumns {
     /// Cached between ticks; any materialization or down/up edge
     /// invalidates the cache.
     pub fn fleet_power_w(&mut self) -> f64 {
-        if !self.sum_valid {
-            self.fleet_sum_w = self.power_w.iter().sum();
-            self.sum_valid = true;
-        }
+        self.refresh_sums();
         self.fleet_sum_w
+    }
+
+    /// Recomputes the fleet and shard sums in one index-order pass when
+    /// stale. The fleet sum is the same sequence of additions as
+    /// `power_w.iter().sum()` whether or not shards are installed: the
+    /// shard loop only adds a second accumulator per range.
+    fn refresh_sums(&mut self) {
+        if self.sums_valid {
+            return;
+        }
+        if self.shards.is_empty() {
+            self.fleet_sum_w = self.power_w.iter().sum();
+        } else {
+            // Start where `Sum` starts, so both folds stay bit-identical
+            // to `iter().sum()` (even for an all-`-0.0` or empty range).
+            let zero: f64 = std::iter::empty::<f64>().sum();
+            let mut fleet = zero;
+            for (s, &(lo, hi)) in self.shard_sum_w.iter_mut().zip(&self.shards) {
+                let mut shard = zero;
+                for &p in &self.power_w[lo as usize..hi as usize] {
+                    fleet += p;
+                    shard += p;
+                }
+                *s = shard;
+            }
+            self.fleet_sum_w = fleet;
+        }
+        self.sums_valid = true;
     }
 
     /// Installs the shard-contiguous layout: half-open `[lo, hi)` node-id
@@ -262,7 +277,7 @@ impl NodeColumns {
         );
         self.shard_sum_w = vec![0.0; shards.len()];
         self.shards = shards;
-        self.shards_valid = false;
+        self.sums_valid = false;
     }
 
     /// The installed shard ranges (empty without a hierarchical manager).
@@ -274,16 +289,11 @@ impl NodeColumns {
     /// its shard's contiguous sub-slice of the dense power column, so a
     /// rack's fleet sum is exactly the flat fold restricted to its range —
     /// deterministic at any worker-pool width, same as the fleet sum.
-    /// Cached; invalidated by the same edges as the fleet sum. The fleet
-    /// sum stays a single whole-column fold (float addition is not
+    /// Computed in the fleet sum's pass and cached with it. The fleet sum
+    /// stays a single whole-column fold (float addition is not
     /// associative: summing shard sums would change its bits).
     pub fn shard_power_w(&mut self) -> &[f64] {
-        if !self.shards_valid {
-            for (s, &(lo, hi)) in self.shard_sum_w.iter_mut().zip(&self.shards) {
-                *s = self.power_w[lo as usize..hi as usize].iter().sum();
-            }
-            self.shards_valid = true;
-        }
+        self.refresh_sums();
         &self.shard_sum_w
     }
 }
@@ -345,6 +355,50 @@ mod tests {
     }
 
     #[test]
+    fn fleet_sum_is_bitwise_the_column_fold_with_and_without_shards() {
+        // Magnitudes spread over many octaves, so any change to the order
+        // of additions (summing the shard sums, say) would move the bits.
+        let value = |i: u32, round: u32| {
+            let x = (i.wrapping_mul(2_654_435_761) ^ round.wrapping_mul(40_503)) % 1_000;
+            f64::from(x) * 10f64.powi((i % 7) as i32 - 3) + 0.1
+        };
+        let plain = NodeColumns::new(37);
+        let mut sharded = NodeColumns::new(37);
+        sharded.set_shards(vec![(0, 5), (5, 5), (5, 20), (20, 36), (36, 37)]);
+        let mut shards_bits_differ = false;
+        for mut c in [plain, sharded] {
+            for round in 0..20u32 {
+                // Re-materialize a changing subset, then read the sums.
+                for i in (round % 3..37).step_by(1 + (round % 4) as usize) {
+                    c.materialize(NodeId(i), value(i, round), 1.0, u64::from(round));
+                }
+                if round % 5 == 4 {
+                    c.set_down(NodeId(round % 37));
+                }
+                let expect: f64 = c.power_w().iter().sum();
+                assert_eq!(
+                    c.fleet_power_w().to_bits(),
+                    expect.to_bits(),
+                    "round {round}"
+                );
+                if !c.shards().is_empty() {
+                    let shards = c.shards().to_vec();
+                    let sums = c.shard_power_w().to_vec();
+                    for (&(lo, hi), s) in shards.iter().zip(&sums) {
+                        let want: f64 = c.power_w()[lo as usize..hi as usize].iter().sum();
+                        assert_eq!(s.to_bits(), want.to_bits(), "shard {lo}..{hi}");
+                    }
+                    let resummed: f64 = sums.iter().sum();
+                    shards_bits_differ |= resummed.to_bits() != expect.to_bits();
+                }
+                // A cached read repeats the same bits.
+                assert_eq!(c.fleet_power_w().to_bits(), expect.to_bits());
+            }
+        }
+        assert!(shards_bits_differ, "the data must tell the two folds apart");
+    }
+
+    #[test]
     #[should_panic(expected = "tile")]
     fn shards_must_tile() {
         let mut c = NodeColumns::new(4);
@@ -366,6 +420,6 @@ mod tests {
         assert_eq!(c.stamp_of(NodeId(2)), 7);
         c.materialize(NodeId(2), 250.0, 0.8, 8);
         assert_eq!(c.fleet_power_w(), 950.0);
-        assert_eq!(c.speed_of(NodeId(2)), 0.8);
+        assert_eq!(c.speed()[2], 0.8);
     }
 }

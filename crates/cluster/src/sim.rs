@@ -67,7 +67,7 @@ use ppc_workload::{
     Scheduler, TraceSource,
 };
 use rack_obs::{Observer, RackObs};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 mod rack_obs;
@@ -333,8 +333,6 @@ pub struct ClusterSim {
     /// Whether the think-time gate is open (wheel-driven mirror of
     /// `next_submit_at`).
     arrival_gate_open: bool,
-    /// Last seen phase index per running job (phase-boundary detection).
-    phase_sigs: BTreeMap<JobId, usize>,
     /// Last tick each node's agent produced (or had its baseline advanced
     /// to) a sample; 0 = never.
     last_sampled_tick: Vec<u64>,
@@ -370,6 +368,7 @@ pub struct ClusterSim {
     scratch_transitions: Vec<FaultTransition>,
     scratch_down: Vec<bool>,
     scratch_dirty: Vec<u32>,
+    scratch_edges: Vec<NodeId>,
     scratch_events: Vec<WheelEvent>,
     scratch_sampled: Vec<u32>,
     scratch_settle: Vec<u32>,
@@ -472,7 +471,6 @@ impl ClusterSim {
             wheel,
             tick_index: 0,
             arrival_gate_open: true,
-            phase_sigs: BTreeMap::new(),
             last_sampled_tick: vec![0; n_total],
             state_epoch: vec![0; n_total],
             settle_pending: Vec::new(),
@@ -486,6 +484,7 @@ impl ClusterSim {
             scratch_transitions: Vec::new(),
             scratch_down: Vec::new(),
             scratch_dirty: Vec::new(),
+            scratch_edges: Vec::new(),
             scratch_events: Vec::new(),
             scratch_sampled: Vec::new(),
             scratch_settle: Vec::new(),
@@ -945,12 +944,10 @@ impl ClusterSim {
                 let lazy = incremental && self.lazy_control_ok();
                 self.release_sla(job.nodes(), |m| lazy && m != n);
             }
-            // Co-members lose their load starting next tick; phase
-            // tracking ends here.
+            // Co-members lose their load starting next tick.
             for &m in job.nodes() {
                 self.columns.dirty.mark_next(m);
             }
-            self.phase_sigs.remove(&job.id());
             self.rack_obs.note_departure(job.nodes());
             let id = job.id();
             job.requeue();
@@ -1044,12 +1041,10 @@ impl ClusterSim {
                             self.release_sla(job.nodes(), |_| false);
                         }
                         // The dead node's co-members lose their load this
-                        // very tick; the job's phase tracking ends here
-                        // (a later restart re-registers it at phase 0).
+                        // very tick.
                         for &m in job.nodes() {
                             self.columns.dirty.mark(m);
                         }
-                        self.phase_sigs.remove(&job.id());
                         self.rack_obs.note_departure(job.nodes());
                         let id = job.id();
                         if job.requeues() >= fs.requeue_cap {
@@ -1260,9 +1255,7 @@ impl ClusterSim {
                         job.priority()
                     )
                 });
-                // Member loads change this very tick; phase tracking
-                // starts at the job's current phase index.
-                self.phase_sigs.insert(job.id(), job.phase_index());
+                // Member loads change this very tick.
                 for &n in job.nodes() {
                     self.columns.dirty.mark(n);
                 }
@@ -1360,11 +1353,18 @@ impl ClusterSim {
 
         // 3. Jobs progress at the min rate over their members' speeds.
         //    The speed column is maintained at every level mutation, so no
-        //    per-tick rebuild is needed.
+        //    per-tick rebuild is needed. Phase boundaries crossed during
+        //    this advance change member loads starting next tick: the
+        //    scheduler reports those members, which are staged dirty.
+        //    (Phase boundaries are not wheel-predicted — their timing
+        //    depends on member speeds, which throttling changes mid-flight.)
         let now1 = self.clock.advance();
-        let columns = &self.columns;
-        let speed_of = |n: NodeId| columns.speed_of(n);
-        let mut records = self.scheduler.advance(dt, now1, &speed_of);
+        let mut records =
+            self.scheduler
+                .advance(dt, now1, self.columns.speed(), &mut self.scratch_edges);
+        for n in self.scratch_edges.drain(..) {
+            self.columns.dirty.mark_next(n);
+        }
         // Release SLA protection when critical jobs complete. A released
         // node rejoins the candidate set mid-tick: the dense path samples
         // it this very cycle, so the lazy path must take a real sample too
@@ -1375,10 +1375,9 @@ impl ClusterSim {
             }
         }
         // Finished jobs free their members starting next tick (this
-        // tick's load was computed before the advance); phase tracking
-        // ends, and the observation store must drop the job now.
+        // tick's load was computed before the advance), and the
+        // observation store must drop the job now.
         for r in &records {
-            self.phase_sigs.remove(&r.id);
             for &n in &r.nodes {
                 self.columns.dirty.mark_next(n);
             }
@@ -1393,21 +1392,6 @@ impl ClusterSim {
             });
         }
         self.finished.append(&mut records);
-        // Phase boundaries crossed during this advance change member
-        // loads starting next tick: stage those members dirty. (Phase
-        // boundaries are not wheel-predicted — their timing depends on
-        // member speeds, which throttling changes mid-flight.)
-        for job in self.scheduler.running_jobs() {
-            if let Some(sig) = self.phase_sigs.get_mut(&job.id()) {
-                let cur = job.phase_index();
-                if *sig != cur {
-                    *sig = cur;
-                    for &n in job.nodes() {
-                        self.columns.dirty.mark_next(n);
-                    }
-                }
-            }
-        }
 
         // 3b. Thermal accounting (extension; the incremental path is only
         //     active without thermal models, where this loop is a no-op).
@@ -1649,10 +1633,12 @@ impl ClusterSim {
         // facility budget across rows and racks from each rack's *true*
         // power demand before the rack control cycles run. Serial — the
         // budget trajectory must be worker-width-invariant — and absent on
-        // single-rack topologies (the flat architecture).
+        // single-rack topologies (the flat architecture). Its wall-clock
+        // cost is the `delegate` stage.
         let multi = !hier.is_single_rack();
         let mut fleet_true_w = 0.0;
         if multi {
+            let delegate_t = self.obs.profile.start();
             fleet_true_w = self.columns.fleet_power_w();
             let shard_w = self.columns.shard_power_w();
             self.scratch_rack_true.clear();
@@ -1685,6 +1671,7 @@ impl ClusterSim {
                     self.obs.metrics.set(g, b);
                 }
             }
+            self.obs.profile.stop("delegate", delegate_t);
         }
 
         // The lazy regime (incremental, fault-free, no meter dropout): when
@@ -2501,6 +2488,8 @@ fn hier_multi_control(
 mod tests {
     use super::*;
     use ppc_core::{ManagerConfig, NodeSets, PolicyKind};
+    use ppc_simkit::RngFactory;
+    use ppc_workload::TraceEntry;
 
     fn managed_mini(nodes: u32, policy: PolicyKind, provision_fraction: f64) -> ClusterSim {
         let mut spec = ClusterSpec::mini(nodes);
@@ -2856,13 +2845,113 @@ mod tests {
         assert_eq!(run(EvalMode::Full), run(EvalMode::Incremental));
     }
 
+    /// A busy trace-fed 128-node fleet: Poisson arrivals over
+    /// `horizon_secs` (a tenth of them critical) keep jobs starting and
+    /// finishing nearly every tick.
+    pub(super) fn busy_spec(horizon_secs: u64) -> ClusterSpec {
+        let mut spec = ClusterSpec::mini(128);
+        spec.provision_fraction = 0.65;
+        spec.critical_job_fraction = 0.1;
+        let factory = RngFactory::new(spec.seed);
+        let mut gaps = factory.stream("test.arrivals", 0);
+        let mut draws = JobGenerator::new(factory, spec.class, spec.max_nprocs().min(256))
+            .with_critical_fraction(spec.critical_job_fraction);
+        let mut trace = Vec::new();
+        let mut t = gaps.exponential(1.0 / 1.5);
+        while t < horizon_secs as f64 {
+            let at = SimTime::ZERO + SimDuration::from_secs_f64(t);
+            let job = draws.next_job(at);
+            trace.push(TraceEntry {
+                at,
+                app: job.app(),
+                class: job.class(),
+                nprocs: job.nprocs(),
+                priority: job.priority(),
+            });
+            t += gaps.exponential(1.0 / 1.5);
+        }
+        spec.job_trace = Some(trace);
+        spec
+    }
+
+    /// What [`assert_dirty_covers_power_changes`] saw the incremental run
+    /// do.
+    #[derive(Debug, Default)]
+    struct DirtyCoverage {
+        /// Ticks on which at least one job started and one finished.
+        churn_ticks: u64,
+        /// Phase edges on jobs that a `swap_remove` moved down the run
+        /// queue in the same advance.
+        moved_edges: u64,
+    }
+
+    /// Steps a dense and an incremental sim in lockstep for `ticks`:
+    /// whenever any node's true power changes between consecutive ticks in
+    /// the dense run, that node must be in the incremental run's dirty set
+    /// for the tick — and the whole power column must stay bit-equal. The
+    /// members of a job whose phase moved after a `swap_remove` moved it
+    /// must be dirty the next tick.
+    fn assert_dirty_covers_power_changes(
+        mut full: ClusterSim,
+        mut inc: ClusterSim,
+        ticks: u64,
+    ) -> DirtyCoverage {
+        let mut seen = DirtyCoverage::default();
+        let mut prev = full.columns().power_w().to_vec();
+        let mut pending: Vec<NodeId> = Vec::new();
+        for tick in 0..ticks {
+            let before: Vec<(JobId, usize)> = inc
+                .scheduler
+                .running_jobs()
+                .iter()
+                .map(|j| (j.id(), j.phase_index()))
+                .collect();
+            let finished = inc.finished().len();
+            full.step();
+            inc.step();
+            let cur = full.columns().power_w();
+            assert_eq!(
+                cur,
+                inc.columns().power_w(),
+                "power columns diverged at tick {tick}"
+            );
+            for (i, (&p, &q)) in prev.iter().zip(cur.iter()).enumerate() {
+                if p.to_bits() != q.to_bits() {
+                    assert!(
+                        inc.columns().dirty.contains(NodeId(i as u32)),
+                        "node {i} power changed at tick {tick} but was not dirty"
+                    );
+                }
+            }
+            for &n in &pending {
+                assert!(
+                    inc.columns().dirty.contains(n),
+                    "moved job's phase edge on {n} not dirty at tick {tick}"
+                );
+            }
+            pending.clear();
+            let done = inc.finished().len() - finished;
+            let running = inc.scheduler.running_jobs();
+            if done > 0 && running.len() + done > before.len() {
+                seen.churn_ticks += 1;
+            }
+            for (slot, job) in running.iter().enumerate() {
+                let was = before.iter().position(|&(id, _)| id == job.id());
+                if let Some(old) = was.filter(|&old| old != slot) {
+                    if before[old].1 != job.phase_index() {
+                        seen.moved_edges += 1;
+                        pending.extend_from_slice(job.nodes());
+                    }
+                }
+            }
+            prev = cur.to_vec();
+        }
+        seen
+    }
+
     #[test]
     fn dirty_set_covers_every_power_change() {
         use ppc_faults::{FaultEvent, FaultInjection, FaultKind, FaultSchedule};
-        // Step a dense and an incremental sim in lockstep: whenever any
-        // node's true power changes between consecutive ticks in the
-        // dense run, that node must be in the incremental run's dirty set
-        // for the tick — and the whole power column must stay bit-equal.
         let make = |mode: EvalMode| {
             let schedule = FaultSchedule::new(vec![
                 FaultEvent {
@@ -2884,28 +2973,31 @@ mod tests {
                 .with_eval_mode(mode)
                 .with_faults(FaultInjection::new(schedule))
         };
-        let mut full = make(EvalMode::Full);
-        let mut inc = make(EvalMode::Incremental);
-        let mut prev = full.columns().power_w().to_vec();
-        for tick in 0..300u64 {
-            full.step();
-            inc.step();
-            let cur = full.columns().power_w();
-            assert_eq!(
-                cur,
-                inc.columns().power_w(),
-                "power columns diverged at tick {tick}"
-            );
-            for (i, (&p, &q)) in prev.iter().zip(cur.iter()).enumerate() {
-                if p.to_bits() != q.to_bits() {
-                    assert!(
-                        inc.columns().dirty.contains(NodeId(i as u32)),
-                        "node {i} power changed at tick {tick} but was not dirty"
-                    );
-                }
-            }
-            prev = cur.to_vec();
-        }
+        assert_dirty_covers_power_changes(make(EvalMode::Full), make(EvalMode::Incremental), 300);
+
+        // A busy 4-rack hierarchy: jobs start and finish on most ticks, so
+        // completions `swap_remove` tail jobs into earlier run-queue slots
+        // on the same advance that moves their phase.
+        const TICKS: u64 = 400;
+        let make = |mode: EvalMode| {
+            let spec = busy_spec(TICKS);
+            let config = ManagerConfig {
+                training_cycles: 0,
+                ..ManagerConfig::paper_defaults(spec.provision_w(), PolicyKind::Mpc)
+            };
+            let topology = ppc_core::Topology::new(128, 32, 2).unwrap();
+            let h =
+                HierarchicalManager::new(config, topology, &BTreeSet::new(), spec.node_weights_w())
+                    .unwrap();
+            ClusterSim::new(spec).with_hierarchy(h).with_eval_mode(mode)
+        };
+        let seen = assert_dirty_covers_power_changes(
+            make(EvalMode::Full),
+            make(EvalMode::Incremental),
+            TICKS,
+        );
+        assert!(seen.churn_ticks > TICKS / 4, "{seen:?}");
+        assert!(seen.moved_edges > 0, "{seen:?}");
     }
 
     #[test]
@@ -2946,10 +3038,14 @@ mod tests {
     #[test]
     fn every_step_stage_is_charged_once_per_managed_tick() {
         const TICKS: u64 = 40;
-        for mut sim in [managed_mini(16, PolicyKind::Mpc, 0.6), managed_hier(16, 4)] {
+        // Only a multi-rack tick runs (and charges) the delegation pass.
+        for (mut sim, delegates) in [
+            (managed_mini(16, PolicyKind::Mpc, 0.6), false),
+            (managed_hier(16, 4), true),
+        ] {
             sim.run_for(SimDuration::from_secs(TICKS));
             let report = sim.obs().profile.report();
-            let stages = [
+            let mut stages = vec![
                 "faults",
                 "schedule",
                 "materialize",
@@ -2959,7 +3055,10 @@ mod tests {
                 "actuate",
                 "health",
             ];
-            for stage in stages {
+            if delegates {
+                stages.push("delegate");
+            }
+            for &stage in &stages {
                 let count = report.iter().find(|c| c.stage == stage).map(|c| c.count);
                 assert_eq!(count, Some(TICKS), "stage {stage}");
             }

@@ -447,15 +447,15 @@ fn recycle_tail(rack: &mut Vec<JobObservation>, len: usize, spare: &mut Vec<Vec<
 
 #[cfg(test)]
 mod tests {
+    use super::super::tests::busy_spec;
     use super::super::{ClusterSim, EvalMode};
     use super::*;
-    use crate::spec::ClusterSpec;
     use ppc_core::observe::observe_jobs_cached;
     use ppc_core::Topology;
     use ppc_core::{HierarchicalManager, ManagerConfig, NodeSets, PolicyKind, PowerManager};
     use ppc_faults::{FaultInjection, FaultRates, FaultSchedule};
-    use ppc_simkit::{RngFactory, SimDuration, SimTime};
-    use ppc_workload::{JobGenerator, JobPriority, TraceEntry};
+    use ppc_simkit::{RngFactory, SimDuration};
+    use ppc_workload::JobPriority;
     use std::collections::BTreeSet;
 
     const TICKS: u64 = 500;
@@ -498,36 +498,8 @@ mod tests {
         split
     }
 
-    /// The busy trace-fed 4-rack fleet: Poisson arrivals (a tenth of them
-    /// critical) keep jobs starting and finishing nearly every tick.
-    fn busy_spec() -> ClusterSpec {
-        let mut spec = ClusterSpec::mini(128);
-        spec.provision_fraction = 0.65;
-        spec.critical_job_fraction = 0.1;
-        let factory = RngFactory::new(spec.seed);
-        let mut gaps = factory.stream("test.arrivals", 0);
-        let mut draws = JobGenerator::new(factory, spec.class, spec.max_nprocs().min(256))
-            .with_critical_fraction(spec.critical_job_fraction);
-        let mut trace = Vec::new();
-        let mut t = gaps.exponential(1.0 / 1.5);
-        while t < TICKS as f64 {
-            let at = SimTime::ZERO + SimDuration::from_secs_f64(t);
-            let job = draws.next_job(at);
-            trace.push(TraceEntry {
-                at,
-                app: job.app(),
-                class: job.class(),
-                nprocs: job.nprocs(),
-                priority: job.priority(),
-            });
-            t += gaps.exponential(1.0 / 1.5);
-        }
-        spec.job_trace = Some(trace);
-        spec
-    }
-
     fn sim(mode: EvalMode, faulted: bool, racks: u32) -> ClusterSim {
-        let spec = busy_spec();
+        let spec = busy_spec(TICKS);
         let config = ManagerConfig {
             training_cycles: 0,
             ..ManagerConfig::paper_defaults(spec.provision_w(), PolicyKind::Mpc)

@@ -230,21 +230,25 @@ impl Job {
         self.status = JobStatus::Running;
     }
 
-    /// Advances execution by `dt_secs` of wall time. `speed_of` returns the
-    /// relative speed (`f/f_max ∈ (0,1]`) of each member node; the job
-    /// progresses at the *minimum* member rate. Crossing phase boundaries
-    /// within one step is handled exactly.
+    /// Advances execution by `dt_secs` of wall time. `speed` is the
+    /// relative-speed column (`f/f_max ∈ (0,1]`) indexed by node id; the
+    /// job progresses at the *minimum* member rate. Crossing phase
+    /// boundaries within one step is handled exactly.
     ///
     /// Returns `Some(unused_secs)` if the job finished during this step,
     /// where `unused_secs` is the part of `dt_secs` left over after the
     /// final phase completed — the caller subtracts it from the step-end
     /// time to record an exact finish timestamp.
-    pub fn advance(&mut self, dt_secs: f64, speed_of: &dyn Fn(NodeId) -> f64) -> Option<f64> {
+    ///
+    /// # Panics
+    /// Panics if the job is not running or a member's id is outside
+    /// `speed`.
+    pub fn advance(&mut self, dt_secs: f64, speed: &[f64]) -> Option<f64> {
         assert_eq!(self.status, JobStatus::Running, "only running jobs advance");
         let min_speed = self
             .nodes
             .iter()
-            .map(|&n| speed_of(n))
+            .map(|n| speed[n.0 as usize])
             .fold(f64::INFINITY, f64::min);
         debug_assert!(min_speed > 0.0 && min_speed <= 1.0 + 1e-12);
         if min_speed < 1.0 - 1e-12 {
@@ -354,9 +358,8 @@ mod tests {
         let mut j = two_phase_job();
         assert_eq!(j.baseline_secs(), 20.0);
         j.start(vec![NodeId(0)], SimTime::ZERO);
-        let full = |_: NodeId| 1.0;
         let mut elapsed = 0.0;
-        while j.advance(1.0, &full).is_none() {
+        while j.advance(1.0, &[1.0]).is_none() {
             elapsed += 1.0;
             assert!(elapsed < 30.0, "runaway");
         }
@@ -372,7 +375,7 @@ mod tests {
         let mut j = two_phase_job();
         j.start(vec![NodeId(0), NodeId(1), NodeId(2)], SimTime::ZERO);
         // One throttled node at half speed, the rest at full.
-        let speeds = |n: NodeId| if n == NodeId(1) { 0.5 } else { 1.0 };
+        let speeds = [1.0, 0.5, 1.0];
         // Phase 1 is α=1: rate = 0.5 → takes 20 s instead of 10.
         let finished = j.advance(20.0, &speeds);
         assert!(finished.is_none());
@@ -392,18 +395,18 @@ mod tests {
     fn phase_boundary_crossed_mid_step() {
         let mut j = two_phase_job();
         j.start(vec![NodeId(0)], SimTime::ZERO);
-        let full = |_: NodeId| 1.0;
         // 15 s at full speed: 10 s phase 1 + 5 s into phase 2.
-        assert!(j.advance(15.0, &full).is_none());
+        assert!(j.advance(15.0, &[1.0]).is_none());
+        assert_eq!(j.phase_index(), 1);
         assert!((j.progress() - 0.75).abs() < 1e-9);
-        assert!(j.advance(5.0, &full).is_some());
+        assert!(j.advance(5.0, &[1.0]).is_some());
     }
 
     #[test]
     fn whole_job_finishes_within_single_large_step() {
         let mut j = two_phase_job();
         j.start(vec![NodeId(0)], SimTime::ZERO);
-        let unused = j.advance(100.0, &|_| 1.0).expect("finished");
+        let unused = j.advance(100.0, &[1.0]).expect("finished");
         assert!((unused - 80.0).abs() < 1e-9, "unused={unused}");
         assert!((j.progress() - 1.0).abs() < 1e-12);
     }
@@ -426,7 +429,7 @@ mod tests {
         j.start(vec![NodeId(0)], SimTime::ZERO);
         let mut last = 0.0;
         for _ in 0..25 {
-            j.advance(1.0, &|_| 0.8);
+            j.advance(1.0, &[0.8]);
             let p = j.progress();
             assert!(p >= last);
             last = p;
@@ -437,7 +440,7 @@ mod tests {
     fn requeue_resets_execution_state_and_counts() {
         let mut j = two_phase_job();
         j.start(vec![NodeId(0), NodeId(1)], SimTime::from_secs(5));
-        j.advance(12.0, &|_| 1.0);
+        j.advance(12.0, &[1.0; 2]);
         assert!(j.progress() > 0.5);
         j.requeue();
         assert_eq!(j.status(), JobStatus::Queued);
@@ -447,7 +450,7 @@ mod tests {
         assert_eq!(j.requeues(), 1);
         // The job can start again and run to completion.
         j.start(vec![NodeId(2)], SimTime::from_secs(40));
-        assert!(j.advance(25.0, &|_| 1.0).is_some());
+        assert!(j.advance(25.0, &[1.0; 3]).is_some());
     }
 
     #[test]

@@ -182,19 +182,30 @@ impl Scheduler {
         id
     }
 
-    /// Advances all running jobs by `dt_secs`; jobs that complete are
-    /// finished at their exact sub-step completion instant (`now` minus
-    /// the unused step time), their nodes freed, and records returned.
+    /// Advances all running jobs by `dt_secs` at the minimum member speed
+    /// read from `speed` (the relative-speed column, indexed by node id).
+    /// Jobs that complete are finished at their exact sub-step completion
+    /// instant (`now` minus the unused step time), their nodes freed, and
+    /// records returned.
+    ///
+    /// Phase edges are reported in the same pass: the members of every
+    /// still-running job whose phase index moved during this advance are
+    /// appended to `edges` (once per job, however many boundaries it
+    /// crossed). Member loads are constant between such edges, which is
+    /// what the simulator's dirty-set tracking keys on.
     pub fn advance(
         &mut self,
         dt_secs: f64,
         now: SimTime,
-        speed_of: &dyn Fn(NodeId) -> f64,
+        speed: &[f64],
+        edges: &mut Vec<NodeId>,
     ) -> Vec<JobRecord> {
         let mut records = Vec::new();
         let mut i = 0;
         while i < self.running.len() {
-            let done = self.running[i].advance(dt_secs, speed_of);
+            let job = &mut self.running[i];
+            let phase_before = job.phase_index();
+            let done = job.advance(dt_secs, speed);
             if let Some(unused_secs) = done {
                 let mut job = self.running.swap_remove(i);
                 let finish_at = now - SimDuration::from_secs_f64(unused_secs.min(dt_secs));
@@ -204,7 +215,7 @@ impl Scheduler {
                     self.node_owner[n.0 as usize] = None;
                 }
                 // The job swapped down from the tail (if any) now lives at
-                // slot `i` — repoint its nodes.
+                // slot `i` and is advanced next — repoint its nodes.
                 if let Some(moved) = self.running.get(i) {
                     for &n in moved.nodes() {
                         self.node_owner[n.0 as usize] = Some(i);
@@ -212,6 +223,9 @@ impl Scheduler {
                 }
                 records.push(JobRecord::from_job(&job));
             } else {
+                if job.phase_index() != phase_before {
+                    edges.extend_from_slice(job.nodes());
+                }
                 i += 1;
             }
         }
@@ -340,6 +354,56 @@ mod tests {
         Scheduler::new((0..n).map(NodeId), 12)
     }
 
+    /// A job of `nprocs` ranks whose phases take `works` seconds each at
+    /// full speed.
+    fn phased_job(id: u64, nprocs: u32, works: &[f64]) -> Job {
+        let phases = works
+            .iter()
+            .map(|&work_secs| Phase {
+                kind: PhaseKind::Compute,
+                work_secs,
+                alpha: 1.0,
+                cpu_util: 1.0,
+                nic_fraction: 0.1,
+            })
+            .collect();
+        Job::new(
+            JobId(id),
+            NpbApp::Ep,
+            Class::A,
+            nprocs,
+            phases,
+            SimTime::ZERO,
+        )
+    }
+
+    /// Starts `jobs` on an 8-node scheduler.
+    fn started(jobs: Vec<Job>) -> Scheduler {
+        let mut s = sched(8);
+        let mut q = JobQueue::new();
+        for j in jobs {
+            q.push(j);
+        }
+        s.try_start(&mut q, SimTime::ZERO);
+        s
+    }
+
+    /// Advances `s` once by `secs` seconds at full speed; returns the
+    /// finished ids and the reported phase-edge nodes.
+    fn advance_by(s: &mut Scheduler, secs: u64) -> (Vec<JobId>, Vec<NodeId>) {
+        let mut edges = Vec::new();
+        let records = s.advance(secs as f64, SimTime::from_secs(secs), &[1.0; 8], &mut edges);
+        s.check_invariants();
+        (records.iter().map(|r| r.id).collect(), edges)
+    }
+
+    /// Starts `jobs` and advances them once by `secs` seconds.
+    fn advance_once(jobs: Vec<Job>, secs: u64) -> (Scheduler, Vec<JobId>, Vec<NodeId>) {
+        let mut s = started(jobs);
+        let (finished, edges) = advance_by(&mut s, secs);
+        (s, finished, edges)
+    }
+
     #[test]
     fn first_fit_takes_lowest_free_nodes() {
         let mut s = sched(8);
@@ -391,12 +455,67 @@ mod tests {
         q.push(job(1, 24, 5.0));
         s.try_start(&mut q, SimTime::ZERO);
         assert_eq!(s.utilization(), 0.5);
-        let records = s.advance(5.0, SimTime::from_secs(5), &|_| 1.0);
+        let records = s.advance(5.0, SimTime::from_secs(5), &[1.0; 8], &mut Vec::new());
         assert_eq!(records.len(), 1);
         assert_eq!(records[0].actual_secs, 5.0);
         assert_eq!(s.free_count(), 4);
         assert!(s.running_jobs().is_empty());
         s.check_invariants();
+    }
+
+    #[test]
+    fn phase_edge_is_reported() {
+        let (s, finished, edges) = advance_once(vec![phased_job(1, 24, &[3.0, 10.0])], 5);
+        assert!(finished.is_empty());
+        assert_eq!(s.running_jobs()[0].phase_index(), 1);
+        assert_eq!(edges, vec![NodeId(0), NodeId(1)]);
+    }
+
+    #[test]
+    fn two_edges_in_one_advance_are_reported_once() {
+        let (s, _, edges) = advance_once(vec![phased_job(1, 24, &[1.0, 1.0, 10.0])], 5);
+        assert_eq!(s.running_jobs()[0].phase_index(), 2);
+        assert_eq!(edges, vec![NodeId(0), NodeId(1)]);
+    }
+
+    #[test]
+    fn finishing_job_reports_no_edge() {
+        let (s, finished, edges) = advance_once(vec![phased_job(1, 24, &[1.0, 1.0])], 5);
+        assert_eq!(finished, vec![JobId(1)]);
+        assert!(s.running_jobs().is_empty());
+        assert!(edges.is_empty(), "a finished job's nodes free instead");
+    }
+
+    #[test]
+    fn job_within_its_phase_reports_no_edge() {
+        let (_, finished, edges) = advance_once(vec![phased_job(1, 24, &[10.0, 10.0])], 5);
+        assert!(finished.is_empty());
+        assert!(edges.is_empty());
+    }
+
+    #[test]
+    fn tail_job_moved_by_swap_remove_still_reports_its_edge() {
+        let mut s = started(vec![
+            phased_job(1, 12, &[1.0, 5.0]),
+            phased_job(2, 12, &[50.0, 50.0]),
+            phased_job(3, 24, &[5.0, 50.0]),
+        ]);
+        // Job 1 enters its second phase; job 3 is 2 s into its first.
+        let (_, edges) = advance_by(&mut s, 2);
+        assert_eq!(edges, vec![NodeId(0)]);
+        // Job 1 (slot 0, phase 1) finishes and job 3 swaps down from the
+        // tail into slot 0, where it crosses 0 → 1 in the same pass: the
+        // edge belongs to job 3's own phase index, not slot 0's old one.
+        let (finished, edges) = advance_by(&mut s, 5);
+        assert_eq!(finished, vec![JobId(1)]);
+        let moved = &s.running_jobs()[0];
+        assert_eq!(moved.id(), JobId(3));
+        assert_eq!(moved.phase_index(), 1);
+        assert!(
+            (moved.progress() - 7.0 / 55.0).abs() < 1e-12,
+            "advanced once"
+        );
+        assert_eq!(edges, vec![NodeId(2), NodeId(3)]);
     }
 
     #[test]
@@ -418,9 +537,9 @@ mod tests {
         q.push(job(1, 12, 10.0));
         s.try_start(&mut q, SimTime::ZERO);
         // Half speed: after 10 s the job is only half done.
-        let records = s.advance(10.0, SimTime::from_secs(10), &|_| 0.5);
+        let records = s.advance(10.0, SimTime::from_secs(10), &[0.5; 2], &mut Vec::new());
         assert!(records.is_empty());
-        let records = s.advance(10.0, SimTime::from_secs(20), &|_| 0.5);
+        let records = s.advance(10.0, SimTime::from_secs(20), &[0.5; 2], &mut Vec::new());
         assert_eq!(records.len(), 1);
         assert_eq!(records[0].actual_secs, 20.0);
         assert!(records[0].performance_ratio() < 0.51);
@@ -433,7 +552,7 @@ mod tests {
         q.push(job(1, 12, 3.0));
         q.push(job(2, 12, 4.0));
         s.try_start(&mut q, SimTime::ZERO);
-        let records = s.advance(5.0, SimTime::from_secs(5), &|_| 1.0);
+        let records = s.advance(5.0, SimTime::from_secs(5), &[1.0; 8], &mut Vec::new());
         assert_eq!(records.len(), 2);
         s.check_invariants();
     }
@@ -450,7 +569,7 @@ mod tests {
         q.push(job(3, 24, 50.0)); // nodes 3-4
         s.try_start(&mut q, SimTime::ZERO);
         s.check_invariants();
-        let records = s.advance(5.0, SimTime::from_secs(5), &|_| 1.0);
+        let records = s.advance(5.0, SimTime::from_secs(5), &[1.0; 8], &mut Vec::new());
         assert_eq!(records.len(), 1);
         assert_eq!(records[0].id, JobId(1));
         s.check_invariants();

@@ -117,7 +117,7 @@ mod tests {
         let mut t = 5;
         loop {
             t += 1;
-            if j.advance(1.0, &|_| speed).is_some() {
+            if j.advance(1.0, &[speed; 2]).is_some() {
                 break;
             }
             assert!(t < 1000);
