@@ -18,7 +18,11 @@
 //! * `--smoke` — CI mode: skip the hour macro and the sweep, run the
 //!   headline micros with fewer batches, print JSON to stdout and do
 //!   **not** overwrite `BENCH_ppc.json` (the CI perf guard compares the
-//!   stdout medians against the committed baseline).
+//!   stdout medians against the committed baseline);
+//! * `--faulted-only` — measure only the `scaling_faulted` row (the
+//!   10 240-node, 80-rack tick under a fixed fault mix) and merge it into
+//!   the existing `BENCH_ppc.json`, leaving every other section as it is.
+//!   The row is reported, never guarded.
 //!
 //! Micro numbers are medians over repeated sample batches (robust to the
 //! occasional scheduler hiccup); the macro number is a single wall-clock
@@ -26,8 +30,9 @@
 
 use ppc_cluster::{ClusterSim, ClusterSpec};
 use ppc_core::{HierarchicalManager, ManagerConfig, NodeSets, PolicyKind, PowerManager, Topology};
+use ppc_faults::{FaultInjection, FaultRates, FaultSchedule};
 use ppc_node::{Level, NodeId, OperatingState};
-use ppc_simkit::{SimDuration, SimTime, WorkerPool};
+use ppc_simkit::{RngFactory, SimDuration, SimTime, WorkerPool};
 use ppc_telemetry::{Collector, NodeSample};
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -116,6 +121,46 @@ fn hier_scaling_sim(nodes: u32, pool: &Arc<WorkerPool>) -> ClusterSim {
         .with_worker_pool(Arc::clone(pool))
 }
 
+/// The faulted scaling row: 10 240 nodes in 80 racks of 128 under a fixed
+/// fault mix (crashes, hangs, silences and 16-node partitions, seed 7).
+/// Faults switch off the lazy regime, so every tick runs the dense
+/// control path: the fresh-candidate mask, the per-rack observation
+/// rebuild and the per-rack coverage counts.
+fn scaling_faulted() -> serde_json::Value {
+    const NODES: u32 = 10_240;
+    const WARM_SECS: u64 = 60;
+    let rates = FaultRates {
+        crash_per_node_hour: 0.05,
+        reboot_mean_secs: 120.0,
+        hang_per_node_hour: 0.2,
+        hang_mean_secs: 120.0,
+        silence_per_node_hour: 0.5,
+        silence_mean_secs: 60.0,
+        partition_per_hour: 20.0,
+        partition_mean_secs: 60.0,
+        partition_width: 16,
+    };
+    // The horizon covers the warmup and every measured tick.
+    let horizon = SimDuration::from_secs(WARM_SECS + 300);
+    let schedule = FaultSchedule::generate(&rates, NODES, horizon, &RngFactory::new(7));
+    let pool = Arc::new(WorkerPool::new(1));
+    let mut sim = hier_scaling_sim(NODES, &pool).with_faults(FaultInjection::new(schedule));
+    sim.run_for(SimDuration::from_secs(WARM_SECS));
+    let step_us = median_us(5, 10, || sim.step());
+    let racks = sim
+        .hierarchy()
+        .expect("hierarchical sim")
+        .topology()
+        .racks();
+    eprintln!("scaling-faulted: nodes={NODES} workers=1 racks={racks} step={step_us:.2}us");
+    serde_json::json!([{
+        "nodes": NODES,
+        "workers": 1,
+        "racks": racks,
+        "sim_step_faulted_us": step_us,
+    }])
+}
+
 fn samples(n: u32, at: u64) -> Vec<NodeSample> {
     (0..n)
         .map(|i| NodeSample {
@@ -141,6 +186,7 @@ fn parse_list(s: &str) -> Vec<u32> {
 
 fn main() {
     let mut smoke = false;
+    let mut faulted_only = false;
     let mut guard: Option<String> = None;
     let mut sweep_nodes: Vec<u32> = vec![128, 1024, 10_240];
     let mut sweep_workers: Vec<u32> = vec![1, 4, 8];
@@ -148,13 +194,32 @@ fn main() {
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--smoke" => smoke = true,
+            "--faulted-only" => faulted_only = true,
             "--guard" => guard = Some(args.next().expect("--guard <baseline.json>")),
             "--nodes" => sweep_nodes = parse_list(&args.next().expect("--nodes <csv>")),
             "--workers" => sweep_workers = parse_list(&args.next().expect("--workers <csv>")),
             other => {
-                panic!("unknown flag {other} (expected --smoke | --guard | --nodes | --workers)")
+                panic!(
+                    "unknown flag {other} \
+                     (expected --smoke | --faulted-only | --guard | --nodes | --workers)"
+                )
             }
         }
+    }
+    if faulted_only {
+        let mut doc: serde_json::Value = std::fs::read_to_string("BENCH_ppc.json")
+            .ok()
+            .and_then(|s| serde_json::from_str(&s).ok())
+            .unwrap_or_else(|| serde_json::json!({}));
+        let serde_json::Value::Object(entries) = &mut doc else {
+            panic!("BENCH_ppc.json is not a JSON object");
+        };
+        entries.retain(|(k, _)| k != "scaling_faulted");
+        entries.push(("scaling_faulted".to_string(), scaling_faulted()));
+        let out = serde_json::to_string_pretty(&doc).expect("serializable");
+        std::fs::write("BENCH_ppc.json", format!("{out}\n")).expect("write BENCH_ppc.json");
+        eprintln!("updated BENCH_ppc.json (scaling_faulted section)");
+        return;
     }
     let (batches, iters) = if smoke { (7, 10) } else { (25, 40) };
 
@@ -288,6 +353,12 @@ fn main() {
         }
     }
 
+    let scaling_faulted = if smoke {
+        serde_json::json!([])
+    } else {
+        scaling_faulted()
+    };
+
     // Health-plane overhead on the managed hierarchical 10240-node tick.
     // The rollup is O(racks) per cycle and the fleet node-power sketch
     // samples every NODE_SKETCH_PERIOD ticks, so the honest figure is a
@@ -345,6 +416,7 @@ fn main() {
         },
         "scaling": scaling,
         "scaling_hier": scaling_hier,
+        "scaling_faulted": scaling_faulted,
         "health_overhead": {
             "nodes": 10_240,
             "ticks": health_ticks,

@@ -43,8 +43,8 @@ use crate::spec::ClusterSpec;
 use ppc_core::capping::LevelView;
 use ppc_core::observe::JobObservation;
 use ppc_core::{
-    BudgetNodeView, CycleOutcome, HierarchicalManager, ManagerStats, PowerManager, PowerState,
-    ProportionalBudgetController, Topology,
+    BudgetNodeView, CycleOutcome, HierarchicalManager, ManagerStats, NodeMask, PowerManager,
+    PowerState, ProportionalBudgetController, Topology,
 };
 use ppc_faults::{FaultEngine, FaultInjection, FaultTransition};
 use ppc_metrics::{AvailabilityInputs, AvailabilityReport};
@@ -128,8 +128,9 @@ struct FaultState {
     commands_failed: u64,
     /// Failed commands waiting out their retry backoff.
     retries: Vec<PendingRetry>,
-    /// Scratch: candidates with fresh telemetry this cycle.
-    fresh: BTreeSet<NodeId>,
+    /// Scratch: candidates with fresh telemetry this cycle, refilled in
+    /// place every control cycle.
+    fresh: NodeMask,
 }
 
 /// Handles to the deterministic instruments the cluster layer updates
@@ -568,7 +569,7 @@ impl ClusterSim {
             jobs_failed: 0,
             commands_failed: 0,
             retries: Vec::new(),
-            fresh: BTreeSet::new(),
+            fresh: NodeMask::default(),
         });
         self
     }
@@ -1855,14 +1856,14 @@ impl ClusterSim {
             let sets = hier.sets();
             let mut coverage = 1.0;
             let fresh = faults.map(|fs| {
-                fs.fresh.clear();
+                fs.fresh.reset(nodes.len());
                 for &id in sets.candidates() {
                     if collector.is_fresh(id, now, fs.staleness_limit) {
                         fs.fresh.insert(id);
                     }
                 }
                 if !sets.candidates().is_empty() {
-                    coverage = fs.fresh.len() as f64 / sets.candidates().len() as f64;
+                    coverage = fs.fresh.len() as f64 / sets.candidate_count() as f64;
                 }
                 &fs.fresh
             });
@@ -2371,7 +2372,7 @@ fn hier_multi_control(
     metered_w: f64,
     rack_obs: &[Vec<JobObservation>],
     nodes: &[Node],
-    fresh: Option<&BTreeSet<NodeId>>,
+    fresh: Option<&NodeMask>,
     rack_true_w: &[f64],
     fleet_true_w: f64,
     node_power: Option<&[f64]>,
@@ -2383,8 +2384,8 @@ fn hier_multi_control(
     let topology = *hier.topology();
     let racks = topology.racks();
     // Per-rack inputs. The metered apportionment keys off *true* power so
-    // the split is exact under meter noise; coverage restricts the fresh
-    // set to the rack's node-id range against the rack's own candidates.
+    // the split is exact under meter noise; coverage counts the fresh
+    // mask over the rack's node-id range against the rack's own candidates.
     scratch.metered.clear();
     scratch.coverage.clear();
     for (r, &rack_w) in rack_true_w[..racks].iter().enumerate() {
@@ -2395,11 +2396,9 @@ fn hier_multi_control(
         });
         let mut coverage = 1.0;
         if let Some(fresh) = fresh {
-            let range = topology.rack_nodes(r);
             let candidates = hier.subs()[r].sets().candidate_count();
             if candidates > 0 {
-                let fresh_here = fresh.range(NodeId(range.start)..NodeId(range.end)).count();
-                coverage = fresh_here as f64 / candidates as f64;
+                coverage = fresh.count_in(topology.rack_nodes(r)) as f64 / candidates as f64;
             }
         }
         scratch.coverage.push(coverage);

@@ -47,7 +47,7 @@ pub use hierarchy::{DelegationOutcome, HierarchicalManager};
 pub use manager::{CycleOutcome, ManagerStats, PowerManager};
 pub use observe::{JobObservation, NodeObsCache, NodeObservation, SelectionContext};
 pub use policy::{PolicyKind, TargetSelectionPolicy};
-pub use sets::NodeSets;
+pub use sets::{NodeMask, NodeSets};
 pub use state::{PowerState, Thresholds};
 pub use thresholds::ThresholdLearner;
 pub use topology::Topology;

@@ -168,9 +168,11 @@ impl NodeObsCache {
 
 /// Membership test for the candidate set — the only question the
 /// observation builder asks of the node classification. Implemented by
-/// the ordered `BTreeSet` (tests, fault-path freshness sets) and by
-/// [`crate::sets::NodeSets`] through its dense bitmask (the per-tick hot
-/// path, where a tree lookup per member visit is measurable).
+/// the ordered `BTreeSet` (tests and one-shot callers of
+/// [`observe_jobs`]), by [`crate::sets::NodeSets`] through its dense
+/// bitmask, and by [`crate::sets::NodeMask`] itself (the fault path's
+/// per-cycle fresh-candidate set). The per-tick paths use the masks,
+/// where a tree lookup per member visit is measurable.
 pub trait CandidateFilter {
     /// True if `node` is in the admitted set.
     fn admits(&self, node: NodeId) -> bool;

@@ -13,18 +13,117 @@
 //! `BTreeSet` keeps iteration order deterministic; with first-fit
 //! scheduling, taking the *lowest-indexed* `k` controllable nodes as
 //! candidates covers most running work (the paper's saturation-at-48
-//! effect).
+//! effect). Per-member membership tests on hot paths go through a dense
+//! [`NodeMask`] instead.
 
 use ppc_node::NodeId;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
+use std::ops::Range;
+
+/// A dense set of node ids: one bit per id, 64 ids to a `u64` word, plus
+/// a member count.
+///
+/// Membership is one word load and a rack's share of the set (node ids
+/// are contiguous per rack, see [`crate::Topology`]) is a popcount over
+/// the words its id range spans, so a per-tick set can be reset and
+/// refilled in place instead of being rebuilt as a tree.
+#[derive(Debug, Clone, Default)]
+pub struct NodeMask {
+    words: Vec<u64>,
+    len: usize,
+}
+
+/// The word index and bit of `node` in a [`NodeMask`].
+fn word_bit(node: NodeId) -> (usize, u64) {
+    (node.0 as usize / 64, 1u64 << (node.0 % 64))
+}
+
+impl NodeMask {
+    /// Removes every member and sizes the mask for ids `0..nodes`,
+    /// reusing its words. Larger ids still insert; the mask grows to fit.
+    pub fn reset(&mut self, nodes: usize) {
+        self.words.clear();
+        self.words.resize(nodes.div_ceil(64), 0);
+        self.len = 0;
+    }
+
+    /// Adds `node`; true if it was not already a member.
+    pub fn insert(&mut self, node: NodeId) -> bool {
+        let (w, bit) = word_bit(node);
+        if w >= self.words.len() {
+            self.words.resize(w + 1, 0);
+        }
+        let added = self.words[w] & bit == 0;
+        self.words[w] |= bit;
+        self.len += usize::from(added);
+        added
+    }
+
+    /// Removes `node`; true if it was a member.
+    pub fn remove(&mut self, node: NodeId) -> bool {
+        let (w, bit) = word_bit(node);
+        let Some(word) = self.words.get_mut(w) else {
+            return false;
+        };
+        let removed = *word & bit != 0;
+        *word &= !bit;
+        self.len -= usize::from(removed);
+        removed
+    }
+
+    /// True if `node` is a member.
+    pub fn contains(&self, node: NodeId) -> bool {
+        let (w, bit) = word_bit(node);
+        self.words.get(w).is_some_and(|word| word & bit != 0)
+    }
+
+    /// Number of members.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True if the mask has no members.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Members with ids in `range`: a popcount over the words it spans,
+    /// the two edge words masked to the range.
+    pub fn count_in(&self, range: Range<u32>) -> usize {
+        let start = range.start as usize;
+        let end = (range.end as usize).min(self.words.len() * 64);
+        if start >= end {
+            return 0;
+        }
+        let (first, last) = (start / 64, (end - 1) / 64);
+        let head = !0u64 << (start % 64);
+        let tail = !0u64 >> (63 - (end - 1) % 64);
+        if first == last {
+            return (self.words[first] & head & tail).count_ones() as usize;
+        }
+        let inner: u32 = self.words[first + 1..last]
+            .iter()
+            .map(|w| w.count_ones())
+            .sum();
+        (inner + (self.words[first] & head).count_ones() + (self.words[last] & tail).count_ones())
+            as usize
+    }
+}
+
+impl crate::observe::CandidateFilter for NodeMask {
+    fn admits(&self, node: NodeId) -> bool {
+        self.contains(node)
+    }
+}
 
 /// The architecture's node classification.
 ///
-/// The candidate set is cached and rebuilt on every mutation, so the
-/// per-cycle read path ([`NodeSets::candidates`], [`NodeSets::is_candidate`])
-/// never allocates: classification changes are rare (job start/finish),
-/// reads happen every control cycle for every candidate node.
+/// The candidate set is cached, so the per-cycle read path
+/// ([`NodeSets::candidates`], [`NodeSets::is_candidate`]) never
+/// allocates. Without a cap a privilege or offline toggle updates the
+/// cache for that one node; a capped set (whose lowest-indexed members
+/// shift when one leaves) and a deserialized one are rebuilt whole.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 #[serde(from = "NodeSetsWire")]
 pub struct NodeSets {
@@ -33,8 +132,8 @@ pub struct NodeSets {
     /// Dense bitmask mirror of `candidates`, for O(1) membership tests on
     /// the per-tick hot path (one word load instead of a tree descent).
     #[serde(skip)]
-    candidate_mask: Vec<u64>,
-    /// Bumped on every candidate-set rebuild; consumers memoizing work
+    candidate_mask: NodeMask,
+    /// Bumped on every candidate-set change; consumers memoizing work
     /// against the candidate set (e.g. the capping algorithm's degraded-set
     /// prune) re-run only when this moves.
     #[serde(skip)]
@@ -68,7 +167,7 @@ impl From<NodeSetsWire> for NodeSets {
             offline: wire.offline,
             candidate_cap: wire.candidate_cap,
             candidates: BTreeSet::new(),
-            candidate_mask: Vec::new(),
+            candidate_mask: NodeMask::default(),
             generation: 0,
         };
         sets.rebuild();
@@ -97,7 +196,7 @@ impl NodeSets {
             offline: BTreeSet::new(),
             candidate_cap: None,
             candidates: BTreeSet::new(),
-            candidate_mask: Vec::new(),
+            candidate_mask: NodeMask::default(),
             generation: 0,
         };
         sets.rebuild();
@@ -115,12 +214,30 @@ impl NodeSets {
             Some(cap) => it.take(cap).collect(),
             None => it.collect(),
         };
-        self.candidate_mask.clear();
-        if let Some(max) = self.candidates.iter().next_back() {
-            self.candidate_mask.resize(max.0 as usize / 64 + 1, 0);
-            for n in &self.candidates {
-                self.candidate_mask[n.0 as usize / 64] |= 1u64 << (n.0 % 64);
-            }
+        // Sized to the whole node set, so a later in-place toggle never
+        // grows it.
+        let nodes = self.total.last().map_or(0, |n| n.0 as usize + 1);
+        self.candidate_mask.reset(nodes);
+        for &n in &self.candidates {
+            self.candidate_mask.insert(n);
+        }
+        self.generation += 1;
+    }
+
+    /// Brings the cache up to date after `node`'s privilege or offline
+    /// flag changed. Without a cap a node's membership depends on its own
+    /// flags alone, so only that node moves; a capped set is rebuilt.
+    fn toggled(&mut self, node: NodeId) {
+        if self.candidate_cap.is_some() {
+            self.rebuild();
+            return;
+        }
+        if self.privileged.contains(&node) || self.offline.contains(&node) {
+            self.candidates.remove(&node);
+            self.candidate_mask.remove(node);
+        } else {
+            self.candidates.insert(node);
+            self.candidate_mask.insert(node);
         }
         self.generation += 1;
     }
@@ -151,13 +268,13 @@ impl NodeSets {
             self.privileged.remove(&node)
         };
         if changed {
-            self.rebuild();
+            self.toggled(node);
         }
     }
 
     /// Marks a node offline (down) or back online. Offline nodes leave
-    /// `A_candidate` immediately; a rejoining node re-enters on the next
-    /// rebuild (membership churn under faults).
+    /// `A_candidate` immediately and a rejoining node re-enters at once
+    /// (membership churn under faults).
     ///
     /// # Panics
     /// Panics if the node is not in the total set.
@@ -169,7 +286,7 @@ impl NodeSets {
             self.offline.remove(&node)
         };
         if changed {
-            self.rebuild();
+            self.toggled(node);
         }
     }
 
@@ -202,13 +319,11 @@ impl NodeSets {
     /// True if `node` is currently a candidate — a single word load
     /// against the dense bitmask, for per-member tests on hot paths.
     pub fn is_candidate(&self, node: NodeId) -> bool {
-        self.candidate_mask
-            .get(node.0 as usize / 64)
-            .is_some_and(|w| w & (1u64 << (node.0 % 64)) != 0)
+        self.candidate_mask.contains(node)
     }
 
-    /// The candidate-set generation: bumped on every rebuild (privilege,
-    /// offline or cap change). Equal generations guarantee an identical
+    /// The candidate-set generation: bumped on every effective privilege,
+    /// offline or cap change. Equal generations guarantee an identical
     /// candidate set, so memoized per-set work can be skipped.
     pub fn generation(&self) -> u64 {
         self.generation
@@ -228,6 +343,14 @@ mod tests {
 
     fn ids(v: impl IntoIterator<Item = u32>) -> Vec<NodeId> {
         v.into_iter().map(NodeId).collect()
+    }
+
+    fn mask(v: impl IntoIterator<Item = u32>) -> NodeMask {
+        let mut m = NodeMask::default();
+        for n in v {
+            m.insert(NodeId(n));
+        }
+        m
     }
 
     #[test]
@@ -319,7 +442,127 @@ mod tests {
         );
     }
 
+    #[test]
+    fn mask_counts_members_and_ignores_repeats() {
+        let mut m = NodeMask::default();
+        m.reset(100);
+        assert!(m.is_empty());
+        assert!(m.insert(NodeId(3)));
+        assert!(!m.insert(NodeId(3)));
+        assert!(m.insert(NodeId(64)));
+        assert!(m.insert(NodeId(300)), "ids past the capacity grow the mask");
+        assert_eq!(m.len(), 3);
+        assert!(m.contains(NodeId(300)) && !m.contains(NodeId(4)));
+        assert!(m.remove(NodeId(3)));
+        assert!(!m.remove(NodeId(3)));
+        assert!(!m.remove(NodeId(10_000)));
+        assert_eq!(m.len(), 2);
+        m.reset(100);
+        assert!(m.is_empty() && !m.contains(NodeId(64)));
+        assert!(
+            !m.contains(NodeId(300)),
+            "a reset drops words past its size"
+        );
+    }
+
+    #[test]
+    fn mask_range_count_edges() {
+        let m = mask([0, 63, 64, 127, 128, 200]);
+        assert_eq!(m.count_in(0..1), 1);
+        assert_eq!(m.count_in(63..64), 1);
+        assert_eq!(m.count_in(63..65), 2);
+        assert_eq!(m.count_in(1..63), 0);
+        assert_eq!(m.count_in(0..129), 5);
+        assert_eq!(m.count_in(64..128), 2);
+        assert_eq!(m.count_in(129..200), 0);
+        assert_eq!(m.count_in(0..10_000), 6, "a range past the words clamps");
+        assert_eq!(m.count_in(5_000..10_000), 0);
+        assert_eq!(m.count_in(7..7), 0);
+    }
+
+    /// One privilege or offline flip, applied to the sets and to the model.
+    #[derive(Debug, Clone, Copy)]
+    enum Toggle {
+        Privileged(u32, bool),
+        Offline(u32, bool),
+    }
+
+    fn arb_toggle(total: u32) -> impl Strategy<Value = Toggle> {
+        (0..total, any::<bool>(), any::<bool>()).prop_map(|(n, privileged, on)| {
+            if privileged {
+                Toggle::Privileged(n, on)
+            } else {
+                Toggle::Offline(n, on)
+            }
+        })
+    }
+
     proptest! {
+        /// The popcount range count equals an ordered-set range count on
+        /// random masks, over ranges that start and end anywhere in a word
+        /// (single-node and empty ranges included).
+        #[test]
+        fn prop_mask_range_count_matches_btreeset(
+            members in proptest::collection::vec(0u32..600, 0..300),
+            ranges in proptest::collection::vec((0u32..700, 0u32..70), 1..40),
+        ) {
+            let set: BTreeSet<NodeId> = members.iter().copied().map(NodeId).collect();
+            let m = mask(members.iter().copied());
+            prop_assert_eq!(m.len(), set.len());
+            for (start, width) in ranges {
+                let want = set.range(NodeId(start)..NodeId(start + width)).count();
+                prop_assert_eq!(m.count_in(start..start + width), want);
+                let single = set.contains(&NodeId(start)) as usize;
+                prop_assert_eq!(m.count_in(start..start + 1), single);
+            }
+        }
+
+        /// In-place toggles leave the uncapped sets exactly where a fresh
+        /// rebuild from the same flags puts them, and bump the generation
+        /// once per effective change, as the rebuild path does.
+        #[test]
+        fn prop_toggles_match_a_fresh_rebuild(
+            (total, toggles) in (1u32..150).prop_flat_map(|total| {
+                (Just(total), proptest::collection::vec(arb_toggle(total), 0..60))
+            }),
+        ) {
+            let mut sets = NodeSets::new(ids(0..total), []);
+            // The capped path rebuilds on every toggle; a cap no set
+            // reaches keeps its members equal to the uncapped set's.
+            let mut rebuilt = NodeSets::new(ids(0..total), []).with_candidate_cap(Some(usize::MAX));
+            let (g0, r0) = (sets.generation(), rebuilt.generation());
+            let (mut privileged, mut offline) = (BTreeSet::new(), BTreeSet::new());
+            let mut effective = 0u64;
+            for t in toggles {
+                let changed = match t {
+                    Toggle::Privileged(n, on) => {
+                        sets.set_privileged(NodeId(n), on);
+                        rebuilt.set_privileged(NodeId(n), on);
+                        if on { privileged.insert(n) } else { privileged.remove(&n) }
+                    }
+                    Toggle::Offline(n, on) => {
+                        sets.set_offline(NodeId(n), on);
+                        rebuilt.set_offline(NodeId(n), on);
+                        if on { offline.insert(n) } else { offline.remove(&n) }
+                    }
+                };
+                effective += u64::from(changed);
+            }
+            let mut fresh = NodeSets::new(ids(0..total), privileged.iter().copied().map(NodeId));
+            for &n in &offline {
+                fresh.offline.insert(NodeId(n));
+            }
+            fresh.rebuild();
+            prop_assert_eq!(sets.candidates(), fresh.candidates());
+            prop_assert_eq!(rebuilt.candidates(), fresh.candidates());
+            prop_assert_eq!(sets.candidate_count(), fresh.candidate_count());
+            for n in 0..total + 70 {
+                prop_assert_eq!(sets.is_candidate(NodeId(n)), fresh.is_candidate(NodeId(n)));
+            }
+            prop_assert_eq!(sets.generation() - g0, effective);
+            prop_assert_eq!(rebuilt.generation() - r0, effective);
+        }
+
         /// Candidates are always a subset of total, disjoint from
         /// privileged, and respect the cap.
         #[test]

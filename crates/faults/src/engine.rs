@@ -75,6 +75,11 @@ pub struct FaultEngine {
     events: Vec<crate::schedule::FaultEvent>,
     next_event: usize,
     health: Vec<NodeHealth>,
+    /// Lower bound on the earliest `*_until` deadline in `health`
+    /// ([`SimTime::MAX`] when none is set): the recovery scan runs only
+    /// once it has passed. Deadlines only move later or clear, so lowering
+    /// this whenever one is set keeps it a bound.
+    next_due: SimTime,
     stats: FaultStats,
     transitions: Vec<FaultTransition>,
 }
@@ -95,6 +100,7 @@ impl FaultEngine {
             events: schedule.events().to_vec(),
             next_event: 0,
             health: vec![NodeHealth::default(); node_count as usize],
+            next_due: SimTime::MAX,
             stats: FaultStats::default(),
             transitions: Vec::new(),
         }
@@ -126,8 +132,46 @@ impl FaultEngine {
     /// (schedule order). The returned slice is valid until the next call.
     pub fn advance(&mut self, now: SimTime) -> &[FaultTransition] {
         self.transitions.clear();
+        if self.next_due <= now {
+            self.recover(now);
+        }
 
-        // Recoveries: scan in node-id order so the output is deterministic.
+        // Newly striking faults.
+        while self.next_event < self.events.len() && self.events[self.next_event].at <= now {
+            let e = self.events[self.next_event];
+            self.next_event += 1;
+            match e.kind {
+                FaultKind::Crash { reboot } => self.strike_crash(e.node, now + reboot, now),
+                FaultKind::Hang { duration } => {
+                    let h = &mut self.health[e.node.0 as usize];
+                    if h.down_until.is_some() {
+                        continue; // down dominates
+                    }
+                    let until = now + duration;
+                    let fresh = h.hung_until.is_none();
+                    h.hung_until = Some(h.hung_until.map_or(until, |t| t.max(until)));
+                    self.next_due = self.next_due.min(until);
+                    if fresh {
+                        self.stats.hangs += 1;
+                        self.transitions.push(FaultTransition::HangStart(e.node));
+                    }
+                }
+                FaultKind::AgentSilence { duration } => self.strike_silence(e.node, now + duration),
+                FaultKind::SubtreePartition { width, duration } => {
+                    for n in e.node.0..e.node.0 + width {
+                        self.strike_silence(NodeId(n), now + duration);
+                    }
+                }
+            }
+        }
+
+        &self.transitions
+    }
+
+    /// Recoveries: scans in node-id order so the output is deterministic,
+    /// and recomputes the earliest deadline still pending.
+    fn recover(&mut self, now: SimTime) {
+        let mut next_due = SimTime::MAX;
         for (i, h) in self.health.iter_mut().enumerate() {
             let node = NodeId(i as u32);
             if let Some(t) = h.down_until {
@@ -154,37 +198,14 @@ impl FaultEngine {
                     self.transitions.push(FaultTransition::SilenceEnd(node));
                 }
             }
-        }
-
-        // Newly striking faults.
-        while self.next_event < self.events.len() && self.events[self.next_event].at <= now {
-            let e = self.events[self.next_event];
-            self.next_event += 1;
-            match e.kind {
-                FaultKind::Crash { reboot } => self.strike_crash(e.node, now + reboot, now),
-                FaultKind::Hang { duration } => {
-                    let h = &mut self.health[e.node.0 as usize];
-                    if h.down_until.is_some() {
-                        continue; // down dominates
-                    }
-                    let until = now + duration;
-                    let fresh = h.hung_until.is_none();
-                    h.hung_until = Some(h.hung_until.map_or(until, |t| t.max(until)));
-                    if fresh {
-                        self.stats.hangs += 1;
-                        self.transitions.push(FaultTransition::HangStart(e.node));
-                    }
-                }
-                FaultKind::AgentSilence { duration } => self.strike_silence(e.node, now + duration),
-                FaultKind::SubtreePartition { width, duration } => {
-                    for n in e.node.0..e.node.0 + width {
-                        self.strike_silence(NodeId(n), now + duration);
-                    }
-                }
+            for t in [h.down_until, h.hung_until, h.silent_until]
+                .into_iter()
+                .flatten()
+            {
+                next_due = next_due.min(t);
             }
         }
-
-        &self.transitions
+        self.next_due = next_due;
     }
 
     fn strike_crash(&mut self, node: NodeId, until: SimTime, now: SimTime) {
@@ -194,6 +215,7 @@ impl FaultEngine {
             h.down_until = Some(down_until.max(until));
             return;
         }
+        self.next_due = self.next_due.min(until);
         // Down dominates any hang/silence overlay.
         if h.hung_until.take().is_some() {
             self.transitions.push(FaultTransition::HangEnd(node));
@@ -214,6 +236,7 @@ impl FaultEngine {
         }
         let fresh = h.silent_until.is_none();
         h.silent_until = Some(h.silent_until.map_or(until, |t| t.max(until)));
+        self.next_due = self.next_due.min(until);
         if fresh {
             self.stats.silences += 1;
             self.transitions.push(FaultTransition::SilenceStart(node));
@@ -269,8 +292,9 @@ impl FaultEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schedule::{FaultEvent, FaultSchedule};
-    use ppc_simkit::SimDuration;
+    use crate::schedule::{FaultEvent, FaultRates, FaultSchedule};
+    use ppc_simkit::{RngFactory, SimDuration};
+    use proptest::prelude::*;
 
     fn secs(s: u64) -> SimTime {
         SimTime::from_secs(s)
@@ -399,5 +423,72 @@ mod tests {
             &[FaultTransition::SilenceEnd(NodeId(0))]
         );
         assert_eq!(eng.stats_at(secs(11)).silences, 1);
+    }
+
+    #[test]
+    fn quiet_ticks_skip_the_recovery_scan() {
+        let sched = FaultSchedule::new(vec![FaultEvent {
+            at: secs(2),
+            node: NodeId(3),
+            kind: FaultKind::Hang {
+                duration: SimDuration::from_secs(5),
+            },
+        }]);
+        let mut eng = FaultEngine::new(&sched, 8);
+        assert_eq!(eng.next_due, SimTime::MAX, "nothing pending");
+        eng.advance(secs(2));
+        assert_eq!(eng.next_due, secs(7));
+        assert!(eng.advance(secs(6)).is_empty());
+        assert_eq!(eng.advance(secs(7)), &[FaultTransition::HangEnd(NodeId(3))]);
+        assert_eq!(eng.next_due, SimTime::MAX, "the scan recomputed the bound");
+    }
+
+    proptest! {
+        /// Scanning only once the deadline bound has passed reports the
+        /// same transitions, health and accounting as scanning every tick
+        /// (the reference forces the scan by zeroing the bound), over
+        /// generated schedules advanced in uneven steps.
+        #[test]
+        fn prop_due_scan_matches_always_scan(
+            seed in any::<u64>(),
+            nodes in 1u32..40,
+            crash in 0.0f64..30.0,
+            hang in 0.0f64..30.0,
+            silence in 0.0f64..30.0,
+            partition in 0.0f64..40.0,
+            steps in proptest::collection::vec(1u64..4, 60..200),
+        ) {
+            let rates = FaultRates {
+                crash_per_node_hour: crash,
+                reboot_mean_secs: 20.0,
+                hang_per_node_hour: hang,
+                hang_mean_secs: 15.0,
+                silence_per_node_hour: silence,
+                silence_mean_secs: 10.0,
+                partition_per_hour: partition,
+                partition_mean_secs: 12.0,
+                partition_width: nodes.min(4),
+            };
+            let horizon = SimDuration::from_secs(steps.iter().sum());
+            let sched = FaultSchedule::generate(&rates, nodes, horizon, &RngFactory::new(seed));
+            let mut lazy = FaultEngine::new(&sched, nodes);
+            let mut always = FaultEngine::new(&sched, nodes);
+            let mut now = SimTime::ZERO;
+            for step in steps {
+                now += SimDuration::from_secs(step);
+                always.next_due = SimTime::ZERO;
+                let want = always.advance(now).to_vec();
+                prop_assert_eq!(lazy.advance(now), &want[..]);
+                prop_assert!(lazy.next_due <= always.next_due, "bound above the earliest deadline");
+                for n in 0..nodes {
+                    let (a, b) = (lazy.health(NodeId(n)), always.health(NodeId(n)));
+                    prop_assert_eq!(
+                        (a.down_until, a.hung_until, a.silent_until, a.down_since),
+                        (b.down_until, b.hung_until, b.silent_until, b.down_since)
+                    );
+                }
+                prop_assert_eq!(lazy.stats_at(now), always.stats_at(now));
+            }
+        }
     }
 }

@@ -3,16 +3,22 @@
 //! without random fault schedules — must never panic and must uphold the
 //! global invariants (§9 of DESIGN.md): node levels on their ladders,
 //! power inside the envelope, privileged nodes never commanded, dead
-//! nodes out of `A_candidate` and never re-leveled while down.
+//! nodes out of `A_candidate` and never re-leveled while down. Random
+//! rack/row trees under faults must also conserve every delegated budget
+//! and evaluate identically in the Full and Incremental regimes.
 
 use ppc::cluster::spec::NodeGroup;
-use ppc::cluster::{ClusterSim, ClusterSpec};
-use ppc::core::{ManagerConfig, NodeSets, PolicyKind, PowerManager};
+use ppc::cluster::{ClusterSim, ClusterSpec, EvalMode};
+use ppc::core::{
+    conserves_budget, HierarchicalManager, ManagerConfig, NodeSets, PolicyKind, PowerManager,
+    Topology,
+};
 use ppc::faults::{FaultInjection, FaultRates, FaultSchedule};
 use ppc::node::spec::NodeSpec;
 use ppc::node::{Level, NodeId};
 use ppc::simkit::{RngFactory, SimDuration};
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 
 #[derive(Debug, Clone)]
 struct FuzzConfig {
@@ -181,6 +187,137 @@ fn run_one(cfg: FuzzConfig, rates: Option<FaultRates>) {
     }
 }
 
+/// A random facility tree over a cluster large enough that racks straddle
+/// the 64-node words of the fresh-candidate mask.
+#[derive(Debug, Clone)]
+struct TreeConfig {
+    nodes: u32,
+    nodes_per_rack: u32,
+    racks_per_row: u32,
+    provision: f64,
+    policy_idx: usize,
+    think_secs: u64,
+    health: bool,
+    seed: u64,
+}
+
+fn arb_tree() -> impl Strategy<Value = TreeConfig> {
+    (
+        (65u32..160, 3u32..70, 1u32..4),
+        (0.45f64..0.9, 0usize..PolicyKind::ALL.len(), 0u64..20),
+        (any::<bool>(), any::<u64>()),
+    )
+        .prop_map(
+            |(
+                (nodes, nodes_per_rack, racks_per_row),
+                (provision, policy_idx, think_secs),
+                (health, seed),
+            )| TreeConfig {
+                nodes,
+                nodes_per_rack,
+                racks_per_row,
+                provision,
+                policy_idx,
+                think_secs,
+                health,
+                seed,
+            },
+        )
+}
+
+const TREE_TICKS: u64 = 150;
+
+fn tree_sim(cfg: &TreeConfig, rates: &FaultRates, mode: EvalMode) -> ClusterSim {
+    let mut spec = ClusterSpec::mini(cfg.nodes);
+    spec.provision_fraction = cfg.provision;
+    spec.think_time_mean = SimDuration::from_secs(cfg.think_secs);
+    spec.queue_depth = 3;
+    spec.critical_job_fraction = 0.1;
+    spec.seed = cfg.seed;
+    let topology =
+        Topology::new(cfg.nodes, cfg.nodes_per_rack, cfg.racks_per_row).expect("valid topology");
+    let config = ManagerConfig {
+        training_cycles: 20,
+        ..ManagerConfig::paper_defaults(spec.provision_w(), PolicyKind::ALL[cfg.policy_idx])
+    };
+    let hier = HierarchicalManager::new(config, topology, &BTreeSet::new(), spec.node_weights_w())
+        .expect("valid hierarchy");
+    let schedule = FaultSchedule::generate(
+        rates,
+        cfg.nodes,
+        SimDuration::from_secs(TREE_TICKS),
+        &RngFactory::new(cfg.seed),
+    );
+    let mut sim = ClusterSim::new(spec)
+        .with_eval_mode(mode)
+        .with_hierarchy(hier)
+        .with_faults(FaultInjection::new(schedule));
+    sim.set_health_enabled(cfg.health);
+    sim
+}
+
+/// Every level of the tree conserves its parent's budget, and no rack
+/// (nor the facility) keeps a down node among its candidates.
+fn assert_tree_invariants(sim: &ClusterSim) {
+    let h = sim.hierarchy().expect("hierarchical sim");
+    let topology = *h.topology();
+    assert!(
+        conserves_budget(h.config().p_provision_w, h.row_budget_w()),
+        "rows overspend the facility: {:?}",
+        h.row_budget_w()
+    );
+    for row in 0..topology.rows() {
+        let racks = topology.row_racks(row);
+        assert!(
+            conserves_budget(h.row_budget_w()[row], &h.rack_budget_w()[racks.clone()]),
+            "row {row} racks overspend: {:?}",
+            &h.rack_budget_w()[racks]
+        );
+    }
+    let engine = sim.fault_engine().expect("faulted sim");
+    let facility = h.sets().candidates().iter();
+    let racks = h.subs().iter().flat_map(|m| m.sets().candidates());
+    for &c in facility.chain(racks) {
+        assert!(!engine.is_down(c), "down node {c:?} still a candidate");
+    }
+}
+
+/// The seven determinism fingerprints plus the headline counters.
+fn fingerprints(sim: &ClusterSim) -> [u64; 9] {
+    let health = sim.health_fingerprints();
+    [
+        sim.journal().fingerprint(),
+        sim.true_power().fingerprint(),
+        sim.span_fingerprint(),
+        sim.metrics_fingerprint(),
+        health.rollup,
+        health.sketch,
+        health.alerts,
+        sim.finished().len() as u64,
+        sim.commands_applied(),
+    ]
+}
+
+fn run_tree(cfg: TreeConfig, rates: FaultRates) {
+    let rates = FaultRates {
+        partition_width: rates.partition_width.min(cfg.nodes),
+        ..rates
+    };
+    let mut full = tree_sim(&cfg, &rates, EvalMode::Full);
+    let mut incremental = tree_sim(&cfg, &rates, EvalMode::Incremental);
+    for _ in 0..TREE_TICKS {
+        full.step();
+        incremental.step();
+        assert_tree_invariants(&full);
+        assert_tree_invariants(&incremental);
+    }
+    assert_eq!(
+        fingerprints(&full),
+        fingerprints(&incremental),
+        "Full and Incremental evaluation diverged"
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig {
         cases: 24,
@@ -194,5 +331,16 @@ proptest! {
     #[test]
     fn random_fault_schedules_uphold_invariants(cfg in arb_config(), rates in arb_rates()) {
         run_one(cfg, Some(rates));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig {
+        cases: 48,
+        .. ProptestConfig::default()
+    })]
+    #[test]
+    fn random_trees_under_faults_conserve_budgets(cfg in arb_tree(), rates in arb_rates()) {
+        run_tree(cfg, rates);
     }
 }
