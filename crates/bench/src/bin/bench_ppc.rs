@@ -32,6 +32,7 @@ use ppc_cluster::{ClusterSim, ClusterSpec};
 use ppc_core::{HierarchicalManager, ManagerConfig, NodeSets, PolicyKind, PowerManager, Topology};
 use ppc_faults::{FaultInjection, FaultRates, FaultSchedule};
 use ppc_node::{Level, NodeId, OperatingState};
+use ppc_obs::StageProfiler;
 use ppc_simkit::{RngFactory, SimDuration, SimTime, WorkerPool};
 use ppc_telemetry::{Collector, NodeSample};
 use std::collections::BTreeSet;
@@ -123,9 +124,11 @@ fn hier_scaling_sim(nodes: u32, pool: &Arc<WorkerPool>) -> ClusterSim {
 
 /// The faulted scaling row: 10 240 nodes in 80 racks of 128 under a fixed
 /// fault mix (crashes, hangs, silences and 16-node partitions, seed 7).
-/// Faults switch off the lazy regime, so every tick runs the dense
-/// control path: the fresh-candidate mask, the per-rack observation
-/// rebuild and the per-rack coverage counts.
+/// Faults keep the lazy control regime: sampling, ingest and observation
+/// touch only the nodes that changed, and the fresh-candidate mask and
+/// per-rack coverage counts follow fault edges. `stages_us` is the mean
+/// cost of each `StageProfiler` stage over the measured steps, and
+/// `eval_mode` the regime that drove them.
 fn scaling_faulted() -> serde_json::Value {
     const NODES: u32 = 10_240;
     const WARM_SECS: u64 = 60;
@@ -146,18 +149,33 @@ fn scaling_faulted() -> serde_json::Value {
     let pool = Arc::new(WorkerPool::new(1));
     let mut sim = hier_scaling_sim(NODES, &pool).with_faults(FaultInjection::new(schedule));
     sim.run_for(SimDuration::from_secs(WARM_SECS));
+    sim.obs_mut().profile = StageProfiler::new();
     let step_us = median_us(5, 10, || sim.step());
     let racks = sim
         .hierarchy()
         .expect("hierarchical sim")
         .topology()
         .racks();
-    eprintln!("scaling-faulted: nodes={NODES} workers=1 racks={racks} step={step_us:.2}us");
+    let stages = serde_json::Value::Object(
+        sim.obs()
+            .profile
+            .report()
+            .iter()
+            .map(|c| (c.stage.to_string(), serde_json::json!(c.mean_secs * 1e6)))
+            .collect(),
+    );
+    let eval_mode = format!("{:?}", sim.eval_mode());
+    eprintln!(
+        "scaling-faulted: nodes={NODES} workers=1 racks={racks} mode={eval_mode} \
+         step={step_us:.2}us"
+    );
     serde_json::json!([{
         "nodes": NODES,
         "workers": 1,
         "racks": racks,
+        "eval_mode": eval_mode,
         "sim_step_faulted_us": step_us,
+        "stages_us": stages,
     }])
 }
 

@@ -43,8 +43,8 @@ use crate::spec::ClusterSpec;
 use ppc_core::capping::LevelView;
 use ppc_core::observe::JobObservation;
 use ppc_core::{
-    BudgetNodeView, CycleOutcome, HierarchicalManager, ManagerStats, NodeMask, PowerManager,
-    PowerState, ProportionalBudgetController, Topology,
+    BudgetNodeView, CycleOutcome, HierarchicalManager, ManagerStats, NodeMask, NodeSets,
+    PowerManager, PowerState, ProportionalBudgetController, Topology,
 };
 use ppc_faults::{FaultEngine, FaultInjection, FaultTransition};
 use ppc_metrics::{AvailabilityInputs, AvailabilityReport};
@@ -94,6 +94,9 @@ enum WheelEvent {
     ArrivalGate,
     /// The fixed-period control cycle is due (re-armed every tick).
     ControlDue,
+    /// A dark candidate's last sample reaches the staleness limit (lazy
+    /// regime under faults): its freshness is re-derived this cycle.
+    FreshnessDue(NodeId),
 }
 
 /// Give up on a frozen-actuator command after this many attempts (the
@@ -128,9 +131,74 @@ struct FaultState {
     commands_failed: u64,
     /// Failed commands waiting out their retry backoff.
     retries: Vec<PendingRetry>,
-    /// Scratch: candidates with fresh telemetry this cycle, refilled in
-    /// place every control cycle.
+    /// Candidates with fresh telemetry this cycle. The dense regimes
+    /// refill it from collector timestamps every cycle; the lazy regime
+    /// keeps it up to date from the edges that can change it
+    /// ([`FaultState::track_freshness`]).
     fresh: NodeMask,
+    /// Lazy regime: candidates whose agent is silent (dense sampling
+    /// skips them).
+    silent: NodeMask,
+    /// Lazy regime: nodes whose freshness flipped this cycle; their jobs'
+    /// observations are refreshed in full.
+    flipped: Vec<NodeId>,
+}
+
+impl FaultState {
+    /// Lazy regime: re-derives the freshness of every suspect (a node
+    /// whose candidacy, silence or staleness deadline may have moved since
+    /// the last cycle) at `tick`, before sampling. The dense regimes read
+    /// freshness off collector timestamps: a candidate is fresh iff its
+    /// latest sample is at most `staleness_limit` old. Dense sampling
+    /// re-stamps every lit candidate each cycle, so that is the same as:
+    /// a lit candidate is fresh (it holds a sample after this cycle's
+    /// ingest), and a silent one is fresh iff it has a sample taken no
+    /// more than the limit before now. Its last sample is at
+    /// `last_sampled_tick`, which the lazy regime catches up to the dense
+    /// one when the node goes dark ([`freeze_agent`]); the
+    /// tick it turns stale is scheduled on the wheel. Down nodes are never
+    /// candidates.
+    #[allow(clippy::too_many_arguments)]
+    fn track_freshness(
+        &mut self,
+        suspects: &mut Vec<NodeId>,
+        sets: &NodeSets,
+        collector: &Collector,
+        last_sampled_tick: &[u64],
+        tick: u64,
+        tau: SimDuration,
+        wheel: &mut TimeWheel<WheelEvent>,
+    ) {
+        let fresh_ticks = self.staleness_limit.as_millis() / tau.as_millis().max(1);
+        self.flipped.clear();
+        for n in suspects.drain(..) {
+            let candidate = sets.is_candidate(n);
+            let silent = candidate && self.engine.is_silent(n);
+            let fresh = if silent {
+                let stale_at = last_sampled_tick[n.0 as usize] + fresh_ticks + 1;
+                let fresh = tick < stale_at && collector.latest(n).is_some();
+                if fresh {
+                    wheel.schedule(stale_at, WheelEvent::FreshnessDue(n));
+                }
+                fresh
+            } else {
+                candidate
+            };
+            set_member(&mut self.silent, n, silent);
+            if set_member(&mut self.fresh, n, fresh) {
+                self.flipped.push(n);
+            }
+        }
+    }
+}
+
+/// Makes `node` a member of `mask` or not; true if that changed it.
+fn set_member(mask: &mut NodeMask, node: NodeId, member: bool) -> bool {
+    if member {
+        mask.insert(node)
+    } else {
+        mask.remove(node)
+    }
 }
 
 /// Handles to the deterministic instruments the cluster layer updates
@@ -338,11 +406,11 @@ pub struct ClusterSim {
     /// to) a sample; 0 = never.
     last_sampled_tick: Vec<u64>,
     /// Last tick each node's operating state was (re)materialized — the
-    /// moment its state may have changed. A candidate whose
-    /// `last_sampled_tick` predates this was outside the candidate set
-    /// when the change landed (SLA protection): its next sample must
-    /// accumulate the whole gap for real instead of replaying identical
-    /// intervals.
+    /// moment its state may have changed — or its agent stopped being
+    /// sampled (SLA protection, silence, crash). A candidate whose
+    /// `last_sampled_tick` predates this was not being sampled when the
+    /// change landed: its next sample must accumulate the whole gap for
+    /// real instead of replaying identical intervals.
     state_epoch: Vec<u64>,
     /// Nodes real-sampled last cycle (lazy regime): their collector
     /// prev-power view settles this cycle (dense re-ingestion of the
@@ -352,6 +420,10 @@ pub struct ClusterSim {
     /// rejoiners (their baseline spans the protection window) and staged
     /// follow-ups from `resample_next`.
     resample_now: Vec<u32>,
+    /// Nodes whose telemetry freshness may have changed since the last
+    /// control cycle: fault edges, candidate-set toggles, due staleness
+    /// deadlines (lazy regime under faults; emptied every tick).
+    fresh_suspects: Vec<NodeId>,
     /// Forced re-samples staged for the next cycle: a sample whose delta
     /// did not span exactly one tick (first-ever sample, post-protection
     /// gap) produces a value the next dense sample would not repeat.
@@ -476,6 +548,7 @@ impl ClusterSim {
             state_epoch: vec![0; n_total],
             settle_pending: Vec::new(),
             resample_now: Vec::new(),
+            fresh_suspects: Vec::new(),
             resample_next: Vec::new(),
             obs_cache: ppc_core::NodeObsCache::new(),
             dirty_prev: false,
@@ -501,6 +574,17 @@ impl ClusterSim {
         self
     }
 
+    /// The regime that drives this run: [`EvalMode::Incremental`] unless
+    /// it was not requested or a feature it cannot represent forces the
+    /// dense path (see [`EvalMode::Incremental`]).
+    pub fn eval_mode(&self) -> EvalMode {
+        if self.incremental_active() {
+            EvalMode::Incremental
+        } else {
+            EvalMode::Full
+        }
+    }
+
     /// True when the dirty-set incremental path drives this run. The
     /// dense path is forced for features incremental evaluation cannot
     /// represent: the budget controller samples every node every cycle,
@@ -513,13 +597,18 @@ impl ClusterSim {
             && self.spec.agent_noise == NoiseModel::NONE
     }
 
-    /// True when the fault-free lazy control regime may cache job
-    /// observations across clean ticks: fault injection rebuilds the
-    /// staleness/coverage view every cycle, and a meter that can drop
-    /// readings skips cycles, widening the next sample's interval in a
-    /// way a cached observation could not represent.
+    /// True when the lazy control regime may sample only what changed and
+    /// keep job observations across ticks. A meter that can drop readings
+    /// skips cycles, widening the next sample's interval in a way a kept
+    /// observation could not represent; a capped candidate set moves
+    /// *other* nodes in and out when one node's flags toggle, so the
+    /// regime could not tell which nodes joined.
     fn lazy_control_ok(&self) -> bool {
-        self.faults.is_none() && self.spec.meter_noise.dropout_prob == 0.0
+        self.spec.meter_noise.dropout_prob == 0.0
+            && self
+                .hierarchy
+                .as_ref()
+                .is_none_or(|h| h.sets().candidate_cap().is_none())
     }
 
     /// First tick whose start instant `(T−1)·τ` reaches `at` — when the
@@ -570,7 +659,12 @@ impl ClusterSim {
             commands_failed: 0,
             retries: Vec::new(),
             fresh: NodeMask::default(),
+            silent: NodeMask::default(),
+            flipped: Vec::new(),
         });
+        // Every node's freshness is derived on the first cycle.
+        self.fresh_suspects
+            .extend((0..self.nodes.len() as u32).map(NodeId));
         self
     }
 
@@ -756,6 +850,13 @@ impl ClusterSim {
     /// The fault engine, if fault injection is attached.
     pub fn fault_engine(&self) -> Option<&FaultEngine> {
         self.faults.as_ref().map(|f| &f.engine)
+    }
+
+    /// The candidates whose telemetry was fresh at the last control cycle
+    /// (`None` without fault injection): the set the manager selected
+    /// from, whose share of the candidates is its coverage.
+    pub fn fresh_candidates(&self) -> Option<&NodeMask> {
+        self.faults.as_ref().map(|fs| &fs.fresh)
     }
 
     /// Jobs evicted from dead nodes and successfully requeued (0 without
@@ -978,6 +1079,7 @@ impl ClusterSim {
         if let Some(h) = self.hierarchy.as_mut() {
             h.note_node_down(n);
         }
+        self.fresh_suspects.push(n);
         // The fault schedule predates the decommission: mask its pending
         // edges for this node (a reboot must not resurrect it).
         self.decommissioned.insert(n);
@@ -1000,6 +1102,7 @@ impl ClusterSim {
             if let Some(h) = self.hierarchy.as_mut() {
                 h.set_privileged(m, false);
             }
+            self.fresh_suspects.push(m);
             if resample(m) {
                 self.resample_now.push(m.0);
             }
@@ -1011,7 +1114,12 @@ impl ClusterSim {
     /// dropped from `A_candidate`; rebooted nodes rejoin at the lowest
     /// DVFS level and re-enter the candidate set as degraded (steady-green
     /// recovery promotes them back one level at a time).
-    fn fault_tick(&mut self, now: SimTime, dt: f64, tick: u64, incremental: bool) {
+    ///
+    /// In the lazy regime a node going dark (crash, silence) has its agent
+    /// frozen where dense sampling left it, and one coming back (reboot,
+    /// telemetry restored) takes a real sample this very tick, as dense
+    /// does. Every edge makes its node a freshness suspect.
+    fn fault_tick(&mut self, now: SimTime, dt: f64, tick: u64, incremental: bool, lazy: bool) {
         let Some(mut fs) = self.faults.take() else {
             return;
         };
@@ -1032,14 +1140,39 @@ impl ClusterSim {
                 continue;
             }
             match edge {
+                FaultTransition::NodeDown(n) | FaultTransition::SilenceStart(n) => {
+                    self.fresh_suspects.push(n);
+                    if lazy {
+                        let i = n.0 as usize;
+                        freeze_agent(
+                            &mut self.agents[i],
+                            &self.nodes[i],
+                            &mut self.last_sampled_tick[i],
+                            &mut self.state_epoch[i],
+                            dt,
+                            tick,
+                        );
+                    }
+                }
+                FaultTransition::NodeUp(n) | FaultTransition::SilenceEnd(n) => {
+                    self.fresh_suspects.push(n);
+                    if lazy {
+                        self.resample_now.push(n.0);
+                    }
+                }
+                FaultTransition::HangStart(_) | FaultTransition::HangEnd(_) => {}
+            }
+            match edge {
                 FaultTransition::NodeDown(n) => {
                     // The node is dead: whatever command we owed it is moot.
                     fs.retries.retain(|r| r.node != n);
                     if let Some(mut job) = self.scheduler.evict_job_on(n) {
                         // Release dynamic SLA protection, mirroring the
                         // completion path: the job is no longer running.
+                        // Released co-members rejoin the candidate set
+                        // this tick: the lazy regime samples them for real.
                         if job.priority() == JobPriority::Critical {
-                            self.release_sla(job.nodes(), |_| false);
+                            self.release_sla(job.nodes(), |m| lazy && m != n);
                         }
                         // The dead node's co-members lose their load this
                         // very tick.
@@ -1187,9 +1320,10 @@ impl ClusterSim {
         self.wheel.pop_due_into(tick, &mut events);
         let mut control_due = false;
         for ev in &events {
-            match ev {
+            match *ev {
                 WheelEvent::ArrivalGate => self.arrival_gate_open = true,
                 WheelEvent::ControlDue => control_due = true,
+                WheelEvent::FreshnessDue(n) => self.fresh_suspects.push(n),
             }
         }
         self.scratch_events = events;
@@ -1202,7 +1336,7 @@ impl ClusterSim {
 
         // 0. Fault edges strike before anything else this tick, so a node
         //    that dies now neither hosts a new job nor contributes power.
-        self.fault_tick(now0, dt, tick, incremental);
+        self.fault_tick(now0, dt, tick, incremental, lazy_step);
         let stage = self.obs.profile.lap("faults", stage);
 
         // 1. Job arrival and placement. With a replay trace, jobs arrive
@@ -1273,21 +1407,18 @@ impl ClusterSim {
                             continue;
                         }
                         // The node leaves the candidate set this tick; the
-                        // dense path sampled it through tick−1. Advance its
-                        // agent baseline over the clean window against the
-                        // *old* state now, so its post-protection sample
-                        // spans exactly the protection gap, as dense would.
+                        // dense path sampled it through tick−1.
                         if lazy_step {
-                            let last = self.last_sampled_tick[i];
-                            if self.agents[i].is_primed()
-                                && last >= self.state_epoch[i]
-                                && last + 1 < tick
-                            {
-                                let state = *self.nodes[i].state();
-                                self.agents[i].advance_baseline(&state, dt, tick - 1 - last);
-                                self.last_sampled_tick[i] = tick - 1;
-                            }
+                            freeze_agent(
+                                &mut self.agents[i],
+                                &self.nodes[i],
+                                &mut self.last_sampled_tick[i],
+                                &mut self.state_epoch[i],
+                                dt,
+                                tick,
+                            );
                         }
+                        self.fresh_suspects.push(n);
                         let node = &mut self.nodes[i];
                         // SLA work gets full performance: restore the node
                         // to its top level (it may carry a degradation from
@@ -1457,13 +1588,15 @@ impl ClusterSim {
         // every degraded node, so the cycle is skipped instead.
         if let Some(metered_w) = reading.value() {
             if self.hierarchy.is_some() {
-                self.control_cycle(now1, metered_w, dt, tick, incremental);
+                self.control_cycle(now1, metered_w, dt, tick, incremental, lazy_step);
             } else if self.budget_controller.is_some() {
                 self.budget_cycle(now1, metered_w, tick);
             }
         }
 
-        // Re-arm the fixed-period control event and commit the tick.
+        // Re-arm the fixed-period control event and commit the tick. Only
+        // the lazy control cycle consumes freshness suspects.
+        self.fresh_suspects.clear();
         self.wheel.schedule(tick + 1, WheelEvent::ControlDue);
         self.tick_index = tick;
     }
@@ -1614,7 +1747,8 @@ impl ClusterSim {
     }
 
     /// Runs the sampling agents and the power manager's control cycle,
-    /// then the shared epilogue.
+    /// then the shared epilogue. `lazy` selects the lazy control regime
+    /// (incremental evaluation and [`ClusterSim::lazy_control_ok`]).
     fn control_cycle(
         &mut self,
         now: SimTime,
@@ -1622,6 +1756,7 @@ impl ClusterSim {
         dt: f64,
         tick: u64,
         incremental: bool,
+        lazy: bool,
     ) {
         // Held out of `self` for the decision; put back before the
         // epilogue, which reads it.
@@ -1675,14 +1810,12 @@ impl ClusterSim {
             self.obs.profile.stop("delegate", delegate_t);
         }
 
-        // The lazy regime (incremental, fault-free, no meter dropout): when
-        // nothing changed since the last cycle, every candidate's sample
-        // would be bit-identical to its previous one and the resulting job
-        // observations identical too — so the cycle keeps the stored
-        // observations and skips sampling entirely. The manager itself
-        // still runs every cycle: the metered reading moves even when the
-        // nodes do not.
-        let lazy = incremental && self.lazy_control_ok();
+        // The lazy regime: when nothing changed since the last cycle, every
+        // candidate's sample would be bit-identical to its previous one and
+        // the resulting job observations identical too — so the cycle keeps
+        // the stored observations and skips sampling entirely. The manager
+        // itself still runs every cycle: the metered reading moves even
+        // when the nodes do not.
         let sampling = !lazy
             || self.rack_obs.is_stale()
             || self.dirty_prev
@@ -1698,6 +1831,25 @@ impl ClusterSim {
         self.obs.spans.open("sample", now);
         self.scratch_samples.clear();
         self.scratch_settle.clear();
+        if lazy {
+            if let Some(fs) = self.faults.as_mut() {
+                fs.track_freshness(
+                    &mut self.fresh_suspects,
+                    hier.sets(),
+                    &self.collector,
+                    &self.last_sampled_tick,
+                    tick,
+                    self.spec.tick,
+                    &mut self.wheel,
+                );
+            }
+        }
+        // Silent candidates deliver nothing (lazy regime; empty without
+        // faults).
+        let silent = self.faults.as_ref().map(|fs| &fs.silent);
+        let lit = |sets: &NodeSets, id: NodeId| {
+            sets.is_candidate(id) && !silent.is_some_and(|m| m.contains(id))
+        };
         if sampling && lazy {
             // Work-list sampling: only nodes whose sample value can differ
             // from the collector's current view are touched. A clean,
@@ -1708,28 +1860,25 @@ impl ClusterSim {
             let sets = hier.sets();
             // Nodes sampled last cycle settle their prev-power view; a
             // node being re-sampled now settles via the ingest itself, and
-            // one that just left the candidate set (SLA protection) keeps
-            // its frozen prev, exactly like dense.
+            // one that just left the lit candidates (SLA protection,
+            // silence) keeps its frozen prev, exactly like dense.
             for &raw in &self.settle_pending {
                 let id = NodeId(raw);
-                if self.columns.dirty.contains(id)
-                    || resample.contains(&raw)
-                    || !sets.is_candidate(id)
-                {
+                if self.columns.dirty.contains(id) || resample.contains(&raw) || !lit(sets, id) {
                     continue;
                 }
                 self.scratch_settle.push(raw);
             }
-            // Real samples: dirty candidates plus the forced re-samples.
+            // Real samples: dirty lit candidates plus the forced re-samples.
             self.scratch_sampled.clear();
             for &raw in self.columns.dirty.indices() {
-                if sets.is_candidate(NodeId(raw)) {
+                if lit(sets, NodeId(raw)) {
                     self.scratch_sampled.push(raw);
                 }
             }
             for &raw in &resample {
                 let id = NodeId(raw);
-                if !self.columns.dirty.contains(id) && sets.is_candidate(id) {
+                if !self.columns.dirty.contains(id) && lit(sets, id) {
                     self.scratch_sampled.push(raw);
                 }
             }
@@ -1773,22 +1922,20 @@ impl ClusterSim {
                     }
                 }
                 let idx = id.0 as usize;
-                let sample = if incremental {
-                    // Real sample every cycle (fault runs rebuild the
-                    // staleness view each time). Bring the counters
-                    // current first: a clean node may not have
-                    // materialized this tick, and a post-silence gap must
-                    // accumulate for real (the dense path's delta spans
-                    // the whole gap).
+                if incremental {
+                    // Incremental evaluation under the dense control path
+                    // (see `lazy_control_ok`) still samples every
+                    // candidate. Bring the counters current first: a clean
+                    // node may not have materialized this tick, and a
+                    // post-silence gap must accumulate for real (the dense
+                    // path's delta spans the whole gap).
                     let behind = tick - self.columns.stamp_of(id);
                     if behind > 0 && !self.columns.is_down(id) {
                         self.nodes[idx].catch_up(dt, behind);
                         self.columns.set_stamp(id, tick);
                     }
-                    self.agents[idx].sample(&self.nodes[idx], now)
-                } else {
-                    self.agents[idx].sample(&self.nodes[idx], now)
-                };
+                }
+                let sample = self.agents[idx].sample(&self.nodes[idx], now);
                 self.last_sampled_tick[idx] = tick;
                 if let Some(sample) = sample {
                     self.scratch_samples.push(sample);
@@ -1797,10 +1944,10 @@ impl ClusterSim {
         }
         // The span tree must be identical across evaluation modes, so the
         // lazy regime reports the *logical* sample count — what the dense
-        // path would have taken (one per candidate; the lazy regime
-        // excludes faults and agent noise, so none are dropped).
+        // path would have taken: one per lit candidate (the lazy regime
+        // excludes agent noise, so none are dropped).
         let logical_samples = if lazy {
-            hier.sets().candidates().len() as u64
+            (hier.sets().candidate_count() - silent.map_or(0, NodeMask::len)) as u64
         } else {
             self.scratch_samples.len() as u64
         };
@@ -1855,53 +2002,65 @@ impl ClusterSim {
             let collector = &*collector;
             let sets = hier.sets();
             let mut coverage = 1.0;
+            let mut flipped: &[NodeId] = &[];
             let fresh = faults.map(|fs| {
-                fs.fresh.reset(nodes.len());
-                for &id in sets.candidates() {
-                    if collector.is_fresh(id, now, fs.staleness_limit) {
-                        fs.fresh.insert(id);
+                // The lazy regime tracked the mask from edges before
+                // sampling; the dense regimes refill it from timestamps.
+                if !lazy {
+                    fs.fresh.reset(nodes.len());
+                    for &id in sets.candidates() {
+                        if collector.is_fresh(id, now, fs.staleness_limit) {
+                            fs.fresh.insert(id);
+                        }
                     }
                 }
                 if !sets.candidates().is_empty() {
                     coverage = fs.fresh.len() as f64 / sets.candidate_count() as f64;
                 }
+                let fs = &*fs;
+                flipped = &fs.flipped;
                 &fs.fresh
             });
-            // The lazy regime brings the per-rack observations up to date
-            // from what changed (run-queue edits, sampled and settled
-            // nodes); the dense and faulted regimes rebuild every rack,
-            // the latter admitting only candidates with fresh telemetry.
+            // Under faults only candidates with fresh telemetry are
+            // observed. The lazy regime brings the per-rack observations up
+            // to date from what changed (run-queue edits, sampled, settled
+            // and freshness-flipped nodes); the dense regimes rebuild every
+            // rack.
             spans.open("observe", now);
             let running = scheduler.running_jobs();
+            let refreshed = samples
+                .iter()
+                .map(|s| s.node)
+                .chain(flipped.iter().copied());
+            let settled = settle.iter().map(|&raw| NodeId(raw));
+            let slot_of = |n| scheduler.slot_of_node(n);
             match fresh {
-                Some(fresh) => store.rebuild(
+                Some(filter) => store.sync(
+                    lazy,
                     running,
+                    refreshed,
+                    settled,
+                    slot_of,
                     &mut Observer {
                         collector,
-                        filter: fresh,
+                        filter,
                         models,
                         cache: obs_cache,
                     },
                 ),
-                None => {
-                    let mut observer = Observer {
+                None => store.sync(
+                    lazy,
+                    running,
+                    refreshed,
+                    settled,
+                    slot_of,
+                    &mut Observer {
                         collector,
                         filter: sets,
                         models,
                         cache: obs_cache,
-                    };
-                    if lazy {
-                        store.update(
-                            running,
-                            samples.iter().map(|s| s.node),
-                            settle.iter().map(|&raw| NodeId(raw)),
-                            |n| scheduler.slot_of_node(n),
-                            &mut observer,
-                        );
-                    } else {
-                        store.rebuild(running, &mut observer);
-                    }
-                }
+                    },
+                ),
             }
             spans.attr("jobs", AttrValue::U64(store.jobs() as u64));
             if fresh.is_some() {
@@ -2342,6 +2501,29 @@ impl Clone for FanoutScratch {
 #[allow(clippy::unnecessary_filter_map)]
 fn recycle_slots<'b>(slots: Vec<RackSlot<'_>>) -> Vec<RackSlot<'b>> {
     slots.into_iter().filter_map(|_| None).collect()
+}
+
+/// The lazy regime's side of a node leaving the sampled set at `tick`
+/// (SLA protection, silence, crash): the dense path sampled it through
+/// tick−1, so its agent baseline is advanced over the clean window against
+/// the *old* state, and its state epoch moves to `tick` so no closed-form
+/// replay runs until its next real sample. That sample then spans exactly
+/// the gap, as dense would. A node already out of the sampled set (its last
+/// sample predates its epoch) stays frozen.
+fn freeze_agent(
+    agent: &mut ProfilingAgent,
+    node: &Node,
+    last_sampled_tick: &mut u64,
+    state_epoch: &mut u64,
+    dt: f64,
+    tick: u64,
+) {
+    let last = *last_sampled_tick;
+    if agent.is_primed() && last >= *state_epoch && last + 1 < tick {
+        agent.advance_baseline(node.state(), dt, tick - 1 - last);
+        *last_sampled_tick = tick - 1;
+    }
+    *state_epoch = tick;
 }
 
 /// Projects the controller's Green/Yellow/Red classification into the
@@ -2792,12 +2974,47 @@ mod tests {
         assert_eq!(run(EvalMode::Full), run(EvalMode::Incremental));
     }
 
+    /// Steps a Full and an Incremental sim built by `make` in lockstep for
+    /// `ticks`, handing both to `check` after every tick: their
+    /// fresh-candidate masks must agree on every tick and every
+    /// fingerprint at the end. Under faults the Incremental sim keeps the
+    /// lazy regime, so it must also take under three quarters of the real
+    /// samples the dense reference takes (these small clusters are
+    /// saturated, so most nodes change every few ticks).
+    fn assert_lockstep_under_faults(
+        make: impl Fn(EvalMode) -> ClusterSim,
+        ticks: u64,
+        mut check: impl FnMut(u64, &ClusterSim),
+    ) {
+        let mut full = make(EvalMode::Full);
+        let mut inc = make(EvalMode::Incremental);
+        assert!(inc.incremental_active() && inc.lazy_control_ok() && inc.faults.is_some());
+        let (mut dense_samples, mut lazy_samples) = (0, 0);
+        for tick in 1..=ticks {
+            full.step();
+            inc.step();
+            assert_eq!(
+                full.fresh_candidates(),
+                inc.fresh_candidates(),
+                "fresh candidates diverged at tick {tick}"
+            );
+            dense_samples += full.scratch_samples.len();
+            lazy_samples += inc.scratch_samples.len();
+            check(tick, &inc);
+        }
+        assert_eq!(digest(&full), digest(&inc));
+        assert!(
+            lazy_samples * 4 < dense_samples * 3,
+            "lazy {lazy_samples} vs dense {dense_samples} samples"
+        );
+    }
+
     #[test]
     fn incremental_matches_full_fingerprints_under_faults() {
         use ppc_faults::{FaultEvent, FaultInjection, FaultKind, FaultSchedule};
-        // Faults force the eager incremental regime: every cycle samples
-        // for real, but evaluation still only touches dirty nodes.
-        let run = |mode: EvalMode| {
+        // Faults keep the lazy regime: only dirty nodes and the nodes a
+        // fault edge brings back are sampled.
+        let make = |mode: EvalMode| {
             let schedule = FaultSchedule::new(vec![
                 FaultEvent {
                     at: SimTime::from_secs(40),
@@ -2821,10 +3038,149 @@ mod tests {
                     },
                 },
             ]);
-            let mut sim = managed_mini(8, PolicyKind::Mpc, 0.60)
+            managed_mini(8, PolicyKind::Mpc, 0.60)
+                .with_eval_mode(mode)
+                .with_faults(FaultInjection::new(schedule))
+        };
+        assert_lockstep_under_faults(make, 400, |_, _| {});
+    }
+
+    /// A hand-made schedule with one of every fault edge the lazy regime
+    /// must honour, on a saturated 8-node cluster running critical jobs
+    /// under a 3 s staleness limit.
+    #[test]
+    fn every_fault_edge_keeps_incremental_equal_to_full() {
+        use ppc_faults::{FaultEvent, FaultInjection, FaultKind, FaultSchedule};
+        let at = |secs, node, kind| FaultEvent {
+            at: SimTime::from_secs(secs),
+            node: NodeId(node),
+            kind,
+        };
+        let silence = |secs| FaultKind::AgentSilence {
+            duration: SimDuration::from_secs(secs),
+        };
+        let make = |mode: EvalMode| {
+            let schedule = FaultSchedule::new(vec![
+                // Longer than the staleness limit: node 3 drops out.
+                at(50, 3, silence(40)),
+                at(
+                    60,
+                    2,
+                    FaultKind::Hang {
+                        duration: SimDuration::from_secs(50),
+                    },
+                ),
+                at(
+                    80,
+                    1,
+                    FaultKind::Crash {
+                        reboot: SimDuration::from_secs(30),
+                    },
+                ),
+                at(
+                    120,
+                    4,
+                    FaultKind::SubtreePartition {
+                        width: 4,
+                        duration: SimDuration::from_secs(20),
+                    },
+                ),
+                // Shorter than the limit: node 6 never drops out.
+                at(150, 6, silence(2)),
+                // Long enough to span phase edges of the job on node 5.
+                at(200, 5, silence(60)),
+                // A crash while silent, then a silence struck on the
+                // reboot tick.
+                at(300, 7, silence(50)),
+                at(
+                    320,
+                    7,
+                    FaultKind::Crash {
+                        reboot: SimDuration::from_secs(20),
+                    },
+                ),
+                at(340, 7, silence(10)),
+            ]);
+            let mut spec = ClusterSpec::mini(8);
+            spec.provision_fraction = 0.60;
+            spec.critical_job_fraction = 0.4;
+            let sets = NodeSets::new(spec.node_ids(), []);
+            let config = ManagerConfig {
+                training_cycles: 0,
+                ..ManagerConfig::paper_defaults(spec.provision_w(), PolicyKind::Mpc)
+            };
+            ClusterSim::new(spec)
+                .with_manager(PowerManager::new(config, sets).unwrap())
+                .with_eval_mode(mode)
+                .with_faults(FaultInjection {
+                    staleness_limit: SimDuration::from_secs(3),
+                    ..FaultInjection::new(schedule)
+                })
+        };
+        let (mut dark_stale, mut dark_fresh, mut dark_edges) = (0, 0, 0);
+        let mut released = false;
+        assert_lockstep_under_faults(make, 500, |tick, sim| {
+            let engine = sim.fault_engine().unwrap();
+            let fresh = sim.fresh_candidates().unwrap();
+            if engine.is_silent(NodeId(3)) {
+                if fresh.contains(NodeId(3)) {
+                    dark_fresh += 1;
+                } else {
+                    dark_stale += 1;
+                }
+            }
+            if (151..=152).contains(&tick) {
+                assert!(fresh.contains(NodeId(6)), "short silence went stale");
+            }
+            if engine.is_silent(NodeId(5)) && sim.columns().dirty.contains(NodeId(5)) {
+                dark_edges += 1;
+            }
+            released |= sim
+                .finished()
+                .iter()
+                .any(|r| r.priority == JobPriority::Critical);
+        });
+        // Fresh for the 3 s limit after the last sample, stale after.
+        assert_eq!((dark_fresh, dark_stale), (3, 37));
+        assert!(
+            dark_edges > 0,
+            "the silence on node 5 crossed no phase edge"
+        );
+        assert!(released, "no critical job released its nodes");
+    }
+
+    /// A capped candidate set admits another node whenever a candidate
+    /// leaves it (SLA protection, a crash); the lazy regime cannot see
+    /// that node join, so a capped run takes the dense control path.
+    #[test]
+    fn incremental_matches_full_with_a_capped_candidate_set() {
+        use ppc_faults::{FaultInjection, FaultRates, FaultSchedule};
+        let run = |mode: EvalMode| {
+            let mut spec = ClusterSpec::mini(8);
+            spec.provision_fraction = 0.60;
+            spec.critical_job_fraction = 0.4;
+            let sets = NodeSets::new(spec.node_ids(), []).with_candidate_cap(Some(4));
+            let config = ManagerConfig {
+                training_cycles: 0,
+                ..ManagerConfig::paper_defaults(spec.provision_w(), PolicyKind::Mpc)
+            };
+            let rates = FaultRates {
+                crash_per_node_hour: 6.0,
+                reboot_mean_secs: 40.0,
+                ..FaultRates::default()
+            };
+            let schedule = FaultSchedule::generate(
+                &rates,
+                8,
+                SimDuration::from_secs(500),
+                &RngFactory::new(5),
+            );
+            let mut sim = ClusterSim::new(spec)
+                .with_manager(PowerManager::new(config, sets).unwrap())
                 .with_eval_mode(mode)
                 .with_faults(FaultInjection::new(schedule));
-            sim.run_for(SimDuration::from_secs(400));
+            assert!(!sim.lazy_control_ok());
+            sim.run_for(SimDuration::from_secs(500));
             digest(&sim)
         };
         assert_eq!(run(EvalMode::Full), run(EvalMode::Incremental));

@@ -21,8 +21,10 @@
 //!   with its unchanged latest sample) rewrites only that previous power;
 //! * clean racks are not touched.
 //!
-//! The dense and faulted regimes rebuild every rack each cycle through
-//! [`RackObs::rebuild`], reusing the pieces' allocations.
+//! Under faults the filter admits only candidates with fresh telemetry, and
+//! a node whose freshness flipped is refreshed like a sampled one. The dense
+//! regimes rebuild every rack each cycle through [`RackObs::rebuild`],
+//! reusing the pieces' allocations.
 
 use ppc_core::observe::{
     observe_job_into, observe_prev_power_w, CandidateFilter, JobObservation, NodeObservation,
@@ -192,11 +194,7 @@ impl RackObs {
     /// Rebuilds every rack from scratch: each running job is observed
     /// once, and its nodes are appended to the pieces of their racks, in
     /// run-queue order.
-    pub(super) fn rebuild<C: CandidateFilter + ?Sized>(
-        &mut self,
-        running: &[Job],
-        obs: &mut Observer<'_, C>,
-    ) {
+    fn rebuild<C: CandidateFilter + ?Sized>(&mut self, running: &[Job], obs: &mut Observer<'_, C>) {
         self.cursor.clear();
         self.cursor.resize(self.pieces.len(), 0);
         self.runq.clear();
@@ -246,12 +244,30 @@ impl RackObs {
         self.stale = false;
     }
 
+    /// Brings the pieces up to date: incrementally ([`RackObs::update`]) in
+    /// the lazy regime, by a full [`RackObs::rebuild`] otherwise.
+    pub(super) fn sync<C: CandidateFilter + ?Sized>(
+        &mut self,
+        lazy: bool,
+        running: &[Job],
+        sampled: impl IntoIterator<Item = NodeId>,
+        settled: impl IntoIterator<Item = NodeId>,
+        slot_of: impl Fn(NodeId) -> Option<usize>,
+        obs: &mut Observer<'_, C>,
+    ) {
+        if lazy {
+            self.update(running, sampled, settled, slot_of, obs);
+        } else {
+            self.rebuild(running, obs);
+        }
+    }
+
     /// Brings the pieces up to date incrementally: drops and re-places the
     /// jobs whose run-queue slot changed since the last sync, refreshes the
     /// jobs owning a `sampled` node, and rewrites the previous power of
     /// the jobs owning a `settled` one. `slot_of` maps a node to its job's
     /// run-queue slot.
-    pub(super) fn update<C: CandidateFilter + ?Sized>(
+    fn update<C: CandidateFilter + ?Sized>(
         &mut self,
         running: &[Job],
         sampled: impl IntoIterator<Item = NodeId>,
@@ -460,28 +476,37 @@ mod tests {
 
     const TICKS: u64 = 500;
 
-    /// The reference the store must reproduce: one global observation
-    /// list in run-queue order, split by owning rack.
-    fn oracle(sim: &ClusterSim, nodes_per_rack: u32, racks: usize) -> Vec<Vec<JobObservation>> {
-        let models = &sim.models;
+    /// The reference the store must reproduce, once split by owning rack:
+    /// one global observation list in run-queue order, built from the
+    /// dense reference `twin` (its collector, and under faults its fresh
+    /// mask).
+    fn oracle(twin: &ClusterSim) -> Vec<JobObservation> {
+        let models = &twin.models;
         let model_of = |n: NodeId| &*models[n.0 as usize];
-        let jobs = sim
+        let jobs = twin
             .scheduler
             .running_jobs()
             .iter()
             .map(|j| (j.id(), j.nodes()));
         let mut cache = NodeObsCache::new();
-        let global = match (&sim.faults, &sim.hierarchy) {
-            (Some(fs), _) => {
-                observe_jobs_cached(&sim.collector, jobs, &fs.fresh, &model_of, &mut cache)
-            }
+        let collector = &twin.collector;
+        match (&twin.faults, &twin.hierarchy) {
+            (Some(fs), _) => observe_jobs_cached(collector, jobs, &fs.fresh, &model_of, &mut cache),
             (None, Some(h)) => {
-                observe_jobs_cached(&sim.collector, jobs, h.sets(), &model_of, &mut cache)
+                observe_jobs_cached(collector, jobs, h.sets(), &model_of, &mut cache)
             }
             (None, None) => unreachable!("managed scenarios only"),
-        };
+        }
+    }
+
+    /// Splits a global observation list by owning rack.
+    fn split(
+        global: &[JobObservation],
+        nodes_per_rack: u32,
+        racks: usize,
+    ) -> Vec<Vec<JobObservation>> {
         let mut split = vec![Vec::<JobObservation>::new(); racks];
-        for obs in &global {
+        for obs in global {
             for nob in &obs.nodes {
                 let bucket = &mut split[(nob.node.0 / nodes_per_rack) as usize];
                 if bucket.last().map(|o| o.id) != Some(obs.id) {
@@ -494,7 +519,6 @@ mod tests {
                 bucket.last_mut().unwrap().nodes.push(*nob);
             }
         }
-        assert_eq!(sim.rack_obs.jobs(), global.len(), "observed job count");
         split
     }
 
@@ -537,16 +561,19 @@ mod tests {
     }
 
     /// Every tick, in both eval modes, with faults off and on, under the
-    /// flat (one-rack) manager and a 4-rack hierarchy, each rack's pieces equal the
-    /// split of a fresh global build element for element — through job
+    /// flat (one-rack) manager and a 4-rack hierarchy, each rack's pieces
+    /// equal the split of a global build element for element — through job
     /// starts and finishes, critical-job protect and release edges, and
-    /// nodes decommissioned mid-run.
+    /// nodes decommissioned mid-run. The global build reads a Full twin
+    /// stepped in lockstep, so the oracle shares no state with the regime
+    /// under test; under faults the two fresh masks must agree too.
     #[test]
     fn store_matches_global_build_and_split_every_tick() {
         for racks in [1u32, 4] {
             for mode in [EvalMode::Incremental, EvalMode::Full] {
                 for faulted in [false, true] {
                     let label = format!("{racks} racks, {mode:?}, faulted {faulted}");
+                    let mut twin = sim(EvalMode::Full, faulted, racks);
                     let mut sim = sim(mode, faulted, racks);
                     let mut decommissioned = 0;
                     for tick in 1..=TICKS {
@@ -565,10 +592,19 @@ mod tests {
                             });
                             for n in busy.into_iter().chain(idle) {
                                 decommissioned += usize::from(sim.decommission_node(n));
+                                twin.decommission_node(n);
                             }
                         }
                         sim.step();
-                        let want = oracle(&sim, 128 / racks, racks as usize);
+                        twin.step();
+                        assert_eq!(
+                            sim.fresh_candidates(),
+                            twin.fresh_candidates(),
+                            "{label}: fresh candidates diverged at tick {tick}"
+                        );
+                        let global = oracle(&twin);
+                        assert_eq!(sim.rack_obs.jobs(), global.len(), "{label}: job count");
+                        let want = split(&global, 128 / racks, racks as usize);
                         for (r, want) in want.iter().enumerate() {
                             assert_eq!(
                                 &sim.rack_obs.racks()[r],

@@ -111,6 +111,23 @@ impl NodeMask {
     }
 }
 
+/// Two masks are equal when they hold the same members, however many
+/// words each was sized to.
+impl PartialEq for NodeMask {
+    fn eq(&self, other: &Self) -> bool {
+        let (short, long) = if self.words.len() <= other.words.len() {
+            (&self.words, &other.words)
+        } else {
+            (&other.words, &self.words)
+        };
+        self.len == other.len
+            && short[..] == long[..short.len()]
+            && long[short.len()..].iter().all(|&w| w == 0)
+    }
+}
+
+impl Eq for NodeMask {}
+
 impl crate::observe::CandidateFilter for NodeMask {
     fn admits(&self, node: NodeId) -> bool {
         self.contains(node)
@@ -290,6 +307,11 @@ impl NodeSets {
         }
     }
 
+    /// The cap on the candidate count (`None` = all controllable).
+    pub fn candidate_cap(&self) -> Option<usize> {
+        self.candidate_cap
+    }
+
     /// Nodes currently offline.
     pub fn offline(&self) -> &BTreeSet<NodeId> {
         &self.offline
@@ -351,6 +373,19 @@ mod tests {
             m.insert(NodeId(n));
         }
         m
+    }
+
+    #[test]
+    fn masks_compare_by_members_not_size() {
+        let mut sized = NodeMask::default();
+        sized.reset(256);
+        sized.insert(NodeId(3));
+        assert_eq!(sized, mask([3]));
+        assert_ne!(sized, mask([3, 200]));
+        sized.insert(NodeId(200));
+        assert_eq!(mask([3, 200]), sized);
+        assert_ne!(mask([]), mask([0]));
+        assert_eq!(NodeMask::default(), mask([]));
     }
 
     #[test]

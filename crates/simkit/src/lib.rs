@@ -5,8 +5,9 @@
 //! * [`time`] — fixed-point simulation time ([`SimTime`], [`SimDuration`])
 //!   with millisecond resolution, so event ordering is exact and
 //!   platform-independent (no floating-point clock drift).
-//! * [`queue`] / [`engine`] — a discrete-event queue with stable FIFO
-//!   ordering for simultaneous events and a small DES engine driving it.
+//! * [`queue`] — a discrete-event queue with stable FIFO ordering for
+//!   simultaneous events (benchmarked, no longer used by the simulation:
+//!   the [`TimeWheel`] replaced it).
 //! * [`clock`] — a fixed-timestep ticker used by the cluster simulation's
 //!   control/sampling cycles.
 //! * [`rng`] — splittable, seeded random-number streams. Every source of
@@ -23,16 +24,16 @@
 //!   used for power traces and the ΔP×T overspend metric.
 //! * [`stats`] — running statistics (Welford) and fixed-bin histograms.
 //! * [`wheel`] — hierarchical timer wheel ([`TimeWheel`]) for sparse
-//!   tick-indexed events (arrivals, retry thaws) with deterministic
-//!   insertion-order drains.
+//!   tick-indexed events (arrivals, the control period, telemetry
+//!   staleness deadlines) with deterministic insertion-order drains.
+//! * [`journal`] — a bounded, fingerprinted audit trail of notable
+//!   events.
 //!
 //! Nothing in this crate knows about power, nodes or jobs; it is a generic
 //! substrate comparable to what a production simulator would keep in a
 //! `util`/`runtime` layer.
 
 pub mod clock;
-pub mod engine;
-pub mod error;
 pub mod hash;
 pub mod journal;
 pub mod par;
@@ -44,8 +45,6 @@ pub mod time;
 pub mod wheel;
 
 pub use clock::TickClock;
-pub use engine::{Engine, EventHandler, ScheduleHandle};
-pub use error::SimError;
 pub use hash::Fnv1a;
 pub use journal::{Event, Journal, Severity};
 pub use par::WorkerPool;

@@ -4,14 +4,16 @@
 //! global invariants (§9 of DESIGN.md): node levels on their ladders,
 //! power inside the envelope, privileged nodes never commanded, dead
 //! nodes out of `A_candidate` and never re-leveled while down. Random
-//! rack/row trees under faults must also conserve every delegated budget
-//! and evaluate identically in the Full and Incremental regimes.
+//! rack/row trees under faults must also conserve every delegated budget,
+//! never command a statically privileged node, floor every candidate of a
+//! Red rack, and evaluate identically in the Full and Incremental regimes
+//! on every tick.
 
 use ppc::cluster::spec::NodeGroup;
 use ppc::cluster::{ClusterSim, ClusterSpec, EvalMode};
 use ppc::core::{
     conserves_budget, HierarchicalManager, ManagerConfig, NodeSets, PolicyKind, PowerManager,
-    Topology,
+    PowerState, Topology,
 };
 use ppc::faults::{FaultInjection, FaultRates, FaultSchedule};
 use ppc::node::spec::NodeSpec;
@@ -199,6 +201,11 @@ struct TreeConfig {
     think_secs: u64,
     health: bool,
     seed: u64,
+    /// Staleness limit, seconds: short enough for deadlines to fall
+    /// inside the run.
+    staleness_secs: u64,
+    /// Statically privileged nodes (ids below the smallest fleet).
+    privileged: Vec<u32>,
 }
 
 fn arb_tree() -> impl Strategy<Value = TreeConfig> {
@@ -206,12 +213,14 @@ fn arb_tree() -> impl Strategy<Value = TreeConfig> {
         (65u32..160, 3u32..70, 1u32..4),
         (0.45f64..0.9, 0usize..PolicyKind::ALL.len(), 0u64..20),
         (any::<bool>(), any::<u64>()),
+        (1u64..9, prop::collection::vec(0u32..65, 0..4)),
     )
         .prop_map(
             |(
                 (nodes, nodes_per_rack, racks_per_row),
                 (provision, policy_idx, think_secs),
                 (health, seed),
+                (staleness_secs, privileged),
             )| TreeConfig {
                 nodes,
                 nodes_per_rack,
@@ -221,6 +230,8 @@ fn arb_tree() -> impl Strategy<Value = TreeConfig> {
                 think_secs,
                 health,
                 seed,
+                staleness_secs,
+                privileged,
             },
         )
 }
@@ -234,13 +245,15 @@ fn tree_sim(cfg: &TreeConfig, rates: &FaultRates, mode: EvalMode) -> ClusterSim 
     spec.queue_depth = 3;
     spec.critical_job_fraction = 0.1;
     spec.seed = cfg.seed;
+    let privileged: BTreeSet<NodeId> = cfg.privileged.iter().copied().map(NodeId).collect();
+    spec.privileged = privileged.iter().copied().collect();
     let topology =
         Topology::new(cfg.nodes, cfg.nodes_per_rack, cfg.racks_per_row).expect("valid topology");
     let config = ManagerConfig {
         training_cycles: 20,
         ..ManagerConfig::paper_defaults(spec.provision_w(), PolicyKind::ALL[cfg.policy_idx])
     };
-    let hier = HierarchicalManager::new(config, topology, &BTreeSet::new(), spec.node_weights_w())
+    let hier = HierarchicalManager::new(config, topology, &privileged, spec.node_weights_w())
         .expect("valid hierarchy");
     let schedule = FaultSchedule::generate(
         rates,
@@ -251,15 +264,27 @@ fn tree_sim(cfg: &TreeConfig, rates: &FaultRates, mode: EvalMode) -> ClusterSim 
     let mut sim = ClusterSim::new(spec)
         .with_eval_mode(mode)
         .with_hierarchy(hier)
-        .with_faults(FaultInjection::new(schedule));
+        .with_faults(FaultInjection {
+            staleness_limit: SimDuration::from_secs(cfg.staleness_secs),
+            ..FaultInjection::new(schedule)
+        });
     sim.set_health_enabled(cfg.health);
     sim
 }
 
 /// Every level of the tree conserves its parent's budget, and no rack
-/// (nor the facility) keeps a down node among its candidates.
+/// (nor the facility) keeps a down node among its candidates. Statically
+/// privileged nodes keep their top level. Once training is over, every
+/// candidate of a rack classified Red sits at the lowest level after
+/// actuation, unless its actuator is frozen (the command failed and
+/// waits to retry).
 fn assert_tree_invariants(sim: &ClusterSim) {
     let h = sim.hierarchy().expect("hierarchical sim");
+    let levels = sim.node_levels();
+    for &p in &sim.spec().privileged {
+        let top = sim.spec().spec_of(p).ladder.highest();
+        assert_eq!(levels[p.0 as usize], top, "privileged {p:?} was commanded");
+    }
     let topology = *h.topology();
     assert!(
         conserves_budget(h.config().p_provision_w, h.row_budget_w()),
@@ -280,6 +305,52 @@ fn assert_tree_invariants(sim: &ClusterSim) {
     for &c in facility.chain(racks) {
         assert!(!engine.is_down(c), "down node {c:?} still a candidate");
     }
+    if h.in_training() {
+        return;
+    }
+    for (r, _) in h
+        .last_rack_states()
+        .iter()
+        .enumerate()
+        .filter(|&(_, &s)| s == PowerState::Red)
+    {
+        for &c in h.subs()[r].sets().candidates() {
+            if !engine.is_hung(c) {
+                assert_eq!(
+                    levels[c.0 as usize],
+                    Level::LOWEST,
+                    "candidate {c:?} of Red rack {r} not floored"
+                );
+            }
+        }
+    }
+}
+
+/// What Full and Incremental evaluation must agree on after every tick:
+/// node levels, the last true-power value, commands applied and the
+/// fresh-candidate mask.
+fn assert_same_tick(full: &ClusterSim, incremental: &ClusterSim, tick: u64) {
+    assert_eq!(
+        full.node_levels(),
+        incremental.node_levels(),
+        "levels diverged at tick {tick}"
+    );
+    let last_w = |sim: &ClusterSim| sim.true_power().values().last().map(|w| w.to_bits());
+    assert_eq!(
+        last_w(full),
+        last_w(incremental),
+        "true power diverged at tick {tick}"
+    );
+    assert_eq!(
+        full.commands_applied(),
+        incremental.commands_applied(),
+        "commands applied diverged at tick {tick}"
+    );
+    assert_eq!(
+        full.fresh_candidates(),
+        incremental.fresh_candidates(),
+        "fresh candidates diverged at tick {tick}"
+    );
 }
 
 /// The seven determinism fingerprints plus the headline counters.
@@ -305,9 +376,10 @@ fn run_tree(cfg: TreeConfig, rates: FaultRates) {
     };
     let mut full = tree_sim(&cfg, &rates, EvalMode::Full);
     let mut incremental = tree_sim(&cfg, &rates, EvalMode::Incremental);
-    for _ in 0..TREE_TICKS {
+    for tick in 1..=TREE_TICKS {
         full.step();
         incremental.step();
+        assert_same_tick(&full, &incremental, tick);
         assert_tree_invariants(&full);
         assert_tree_invariants(&incremental);
     }
