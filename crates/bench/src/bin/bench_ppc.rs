@@ -122,6 +122,41 @@ fn hier_scaling_sim(nodes: u32, pool: &Arc<WorkerPool>) -> ClusterSim {
         .with_worker_pool(Arc::clone(pool))
 }
 
+/// Mean microseconds per `StageProfiler` stage over the steps since the
+/// profiler was last reset, by stage name.
+fn stages_us(sim: &ClusterSim) -> serde_json::Value {
+    serde_json::Value::Object(
+        sim.obs()
+            .profile
+            .report()
+            .iter()
+            .map(|c| (c.stage.to_string(), serde_json::json!(c.mean_secs * 1e6)))
+            .collect(),
+    )
+}
+
+/// Warms `sim` up for `warm_secs` simulated seconds, then returns the
+/// median per-step microseconds over `batches` × `iters` steps, the mean
+/// cost of each stage over those steps, and the evaluation regime that
+/// drove them.
+fn measure_steps(
+    sim: &mut ClusterSim,
+    warm_secs: u64,
+    batches: usize,
+    iters: usize,
+) -> (f64, serde_json::Value, String) {
+    sim.run_for(SimDuration::from_secs(warm_secs));
+    sim.obs_mut().profile = StageProfiler::new();
+    let step_us = median_us(batches, iters, || sim.step());
+    (step_us, stages_us(sim), format!("{:?}", sim.eval_mode()))
+}
+
+/// CPUs available to this process (the host context every scaling row
+/// carries, so rows from different machines are never compared blind).
+fn nproc() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
 /// The faulted scaling row: 10 240 nodes in 80 racks of 128 under a fixed
 /// fault mix (crashes, hangs, silences and 16-node partitions, seed 7).
 /// Faults keep the lazy control regime: sampling, ingest and observation
@@ -148,23 +183,12 @@ fn scaling_faulted() -> serde_json::Value {
     let schedule = FaultSchedule::generate(&rates, NODES, horizon, &RngFactory::new(7));
     let pool = Arc::new(WorkerPool::new(1));
     let mut sim = hier_scaling_sim(NODES, &pool).with_faults(FaultInjection::new(schedule));
-    sim.run_for(SimDuration::from_secs(WARM_SECS));
-    sim.obs_mut().profile = StageProfiler::new();
-    let step_us = median_us(5, 10, || sim.step());
+    let (step_us, stages, eval_mode) = measure_steps(&mut sim, WARM_SECS, 5, 10);
     let racks = sim
         .hierarchy()
         .expect("hierarchical sim")
         .topology()
         .racks();
-    let stages = serde_json::Value::Object(
-        sim.obs()
-            .profile
-            .report()
-            .iter()
-            .map(|c| (c.stage.to_string(), serde_json::json!(c.mean_secs * 1e6)))
-            .collect(),
-    );
-    let eval_mode = format!("{:?}", sim.eval_mode());
     eprintln!(
         "scaling-faulted: nodes={NODES} workers=1 racks={racks} mode={eval_mode} \
          step={step_us:.2}us"
@@ -173,6 +197,7 @@ fn scaling_faulted() -> serde_json::Value {
         "nodes": NODES,
         "workers": 1,
         "racks": racks,
+        "nproc": nproc(),
         "eval_mode": eval_mode,
         "sim_step_faulted_us": step_us,
         "stages_us": stages,
@@ -313,15 +338,17 @@ fn main() {
                     (120, 9, 20)
                 };
                 let mut h = hier_scaling_sim(n, &pool);
-                h.run_for(SimDuration::from_secs(warm_secs));
-                let hier_us = median_us(sb, si, || h.step());
+                let (hier_us, stages, eval_mode) = measure_steps(&mut h, warm_secs, sb, si);
                 let racks = h.hierarchy().expect("hierarchical sim").topology().racks();
                 eprintln!("scaling-hier: nodes={n} workers={w} racks={racks} step={hier_us:.2}us");
                 scaling_hier.push(serde_json::json!({
                     "nodes": n,
                     "workers": w,
+                    "nproc": nproc(),
                     "racks": racks,
+                    "eval_mode": eval_mode,
                     "sim_step_hier_us": hier_us,
+                    "stages_us": stages,
                 }));
                 col.push((n, hier_us));
             }
@@ -352,20 +379,23 @@ fn main() {
                 let pool = Arc::new(WorkerPool::new(w as usize));
                 let (warm_secs, sb, si) = if n > 4096 { (60, 5, 10) } else { (120, 9, 20) };
                 let mut m = scaling_sim(n, true, &pool);
-                m.run_for(SimDuration::from_secs(warm_secs));
-                let managed_us = median_us(sb, si, || m.step());
+                let (managed_us, stages, eval_mode) = measure_steps(&mut m, warm_secs, sb, si);
                 let mut u = scaling_sim(n, false, &pool);
                 u.run_for(SimDuration::from_secs(warm_secs));
                 let unmanaged_us = median_us(sb, si, || u.step());
                 eprintln!(
                     "scaling: nodes={n} workers={w} managed={managed_us:.2}us unmanaged={unmanaged_us:.2}us"
                 );
+                // `eval_mode` and `stages_us` describe the managed steps.
                 scaling.push(serde_json::json!({
                     "nodes": n,
                     "workers": w,
+                    "nproc": nproc(),
+                    "eval_mode": eval_mode,
                     "sim_step_managed_us": managed_us,
                     "sim_step_unmanaged_us": unmanaged_us,
                     "managed_over_unmanaged": managed_us / unmanaged_us,
+                    "stages_us": stages,
                 }));
             }
         }

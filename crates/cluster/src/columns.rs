@@ -104,6 +104,10 @@ pub struct NodeColumns {
     power_w: Vec<f64>,
     /// Relative compute speed at the node's current DVFS level.
     speed: Vec<f64>,
+    /// Nodes whose `speed` entry changed bits since the last
+    /// [`clear_speed_edges`](Self::clear_speed_edges), in write order
+    /// (a node may repeat).
+    speed_edges: Vec<u32>,
     /// Down flag (mirrors the fault engine; kept for queries, not needed
     /// by the sum).
     down: Vec<bool>,
@@ -132,6 +136,7 @@ impl NodeColumns {
         NodeColumns {
             power_w: vec![0.0; n],
             speed: vec![1.0; n],
+            speed_edges: Vec::new(),
             down: vec![false; n],
             stamp: vec![0; n],
             dirty: DirtySet::with_len(n),
@@ -167,6 +172,27 @@ impl NodeColumns {
         self.down[node.0 as usize]
     }
 
+    /// Nodes whose speed changed since the last
+    /// [`clear_speed_edges`](Self::clear_speed_edges): every write through
+    /// [`materialize`](Self::materialize) or [`set_speed`](Self::set_speed)
+    /// that moved the stored bits. Job progress refolds only their jobs'
+    /// minimum speeds.
+    pub fn speed_edges(&self) -> &[u32] {
+        &self.speed_edges
+    }
+
+    /// Forgets the reported speed edges (job progress has consumed them).
+    pub fn clear_speed_edges(&mut self) {
+        self.speed_edges.clear();
+    }
+
+    fn write_speed(&mut self, i: usize, speed: f64) {
+        if self.speed[i].to_bits() != speed.to_bits() {
+            self.speed[i] = speed;
+            self.speed_edges.push(i as u32);
+        }
+    }
+
     /// Last tick `node` was materialized.
     pub fn stamp_of(&self, node: NodeId) -> u64 {
         self.stamp[node.0 as usize]
@@ -176,14 +202,14 @@ impl NodeColumns {
     pub fn materialize(&mut self, node: NodeId, power_w: f64, speed: f64, tick: u64) {
         let i = node.0 as usize;
         self.power_w[i] = power_w;
-        self.speed[i] = speed;
+        self.write_speed(i, speed);
         self.stamp[i] = tick;
         self.sums_valid = false;
     }
 
     /// Updates only the speed column (a level change between evaluations).
     pub fn set_speed(&mut self, node: NodeId, speed: f64) {
-        self.speed[node.0 as usize] = speed;
+        self.write_speed(node.0 as usize, speed);
     }
 
     /// Advances a node's stamp without touching power/speed — used when the
@@ -396,6 +422,21 @@ mod tests {
             }
         }
         assert!(shards_bits_differ, "the data must tell the two folds apart");
+    }
+
+    #[test]
+    fn speed_edges_record_bit_changes_only() {
+        let mut c = NodeColumns::new(4);
+        c.set_speed(NodeId(1), 1.0);
+        c.materialize(NodeId(2), 100.0, 1.0, 1);
+        assert!(c.speed_edges().is_empty(), "unchanged bits are no edge");
+        c.set_speed(NodeId(3), 0.5);
+        c.materialize(NodeId(0), 100.0, 0.8, 2);
+        c.set_speed(NodeId(3), 0.75);
+        assert_eq!(c.speed_edges(), &[3, 0, 3]);
+        c.clear_speed_edges();
+        assert!(c.speed_edges().is_empty());
+        assert_eq!(c.speed(), &[0.8, 1.0, 1.0, 0.75]);
     }
 
     #[test]

@@ -1440,9 +1440,12 @@ impl ClusterSim {
         let stage = self.obs.profile.lap("schedule", stage);
 
         // 2. Node operating states for this tick, derived from the phase
-        //    each node's job is in.
+        //    each node's job is in. The lazy regime samples the dirty lit
+        //    candidates in the same pass, for this tick's control cycle.
+        self.scratch_samples.clear();
+        self.scratch_sampled.clear();
         if incremental {
-            self.materialize_dirty(dt, tick);
+            self.materialize_dirty(dt, tick, lazy_step, now0 + self.spec.tick);
         } else {
             // Dense reference: compute every node's load serially (borrows
             // the scheduler), apply to nodes in parallel via the pool. The
@@ -1485,15 +1488,22 @@ impl ClusterSim {
 
         // 3. Jobs progress at the min rate over their members' speeds.
         //    The speed column is maintained at every level mutation, so no
-        //    per-tick rebuild is needed. Phase boundaries crossed during
-        //    this advance change member loads starting next tick: the
-        //    scheduler reports those members, which are staged dirty.
+        //    per-tick rebuild is needed, and it reports the nodes whose
+        //    speed moved: only their jobs refold the minimum. Phase
+        //    boundaries crossed during this advance change member loads
+        //    starting next tick: the scheduler reports those members,
+        //    which are staged dirty.
         //    (Phase boundaries are not wheel-predicted — their timing
         //    depends on member speeds, which throttling changes mid-flight.)
         let now1 = self.clock.advance();
-        let mut records =
-            self.scheduler
-                .advance(dt, now1, self.columns.speed(), &mut self.scratch_edges);
+        let mut records = self.scheduler.advance(
+            dt,
+            now1,
+            self.columns.speed(),
+            self.columns.speed_edges(),
+            &mut self.scratch_edges,
+        );
+        self.columns.clear_speed_edges();
         for n in self.scratch_edges.drain(..) {
             self.columns.dirty.mark_next(n);
         }
@@ -1585,7 +1595,13 @@ impl ClusterSim {
         // 5/6. Profiling, collection, control, actuation. A meter gap
         // carries no information: acting on it (the old code fed the
         // controller 0.0 W) would read as maximal headroom and promote
-        // every degraded node, so the cycle is skipped instead.
+        // every degraded node, so the cycle is skipped instead. The lazy
+        // regime excludes meter dropout, so its cycle (which consumes the
+        // samples taken while materializing) always runs.
+        debug_assert!(
+            !lazy_step || reading.value().is_some(),
+            "the lazy regime's control cycle never skips"
+        );
         if let Some(metered_w) = reading.value() {
             if self.hierarchy.is_some() {
                 self.control_cycle(now1, metered_w, dt, tick, incremental, lazy_step);
@@ -1610,22 +1626,26 @@ impl ClusterSim {
     /// advanced over the same quiescent window *before* this tick's state
     /// change lands, so its next real sample spans exactly one tick —
     /// precisely what the dense path's per-cycle sampling would produce.
-    fn materialize_dirty(&mut self, dt: f64, tick: u64) {
+    /// A dirty candidate whose telemetry is lit then takes that sample
+    /// right here, at the control instant `sample_at`: nothing it reads
+    /// moves between this pass and the control cycle, so the node is
+    /// touched once per tick instead of twice.
+    fn materialize_dirty(&mut self, dt: f64, tick: u64, lazy: bool, sample_at: SimTime) {
         self.scratch_dirty.clear();
         self.scratch_dirty
             .extend_from_slice(self.columns.dirty.indices());
-        let lazy_candidates = self
-            .hierarchy
-            .as_ref()
-            .filter(|_| self.lazy_control_ok())
-            .map(|h| h.sets());
         for k in 0..self.scratch_dirty.len() {
             let id = NodeId(self.scratch_dirty[k]);
             let i = id.0 as usize;
             if self.columns.is_down(id) {
                 continue; // frozen until the up edge re-marks it
             }
-            if let Some(candidates) = lazy_candidates {
+            let candidate = lazy
+                && self
+                    .hierarchy
+                    .as_ref()
+                    .is_some_and(|h| h.sets().is_candidate(id));
+            if candidate {
                 // Candidate clean since its last sample (its state epoch
                 // has not moved past the sample): replay the skipped
                 // identical samples' baseline motion in closed form
@@ -1635,11 +1655,7 @@ impl ClusterSim {
                 // alone: dense froze their baseline when they left the
                 // candidate set, and their rejoin sample must span the gap.
                 let last = self.last_sampled_tick[i];
-                if last + 1 < tick
-                    && last >= self.state_epoch[i]
-                    && self.agents[i].is_primed()
-                    && candidates.is_candidate(id)
-                {
+                if last + 1 < tick && last >= self.state_epoch[i] && self.agents[i].is_primed() {
                     let state = *self.nodes[i].state();
                     self.agents[i].advance_baseline(&state, dt, tick - 1 - last);
                     self.last_sampled_tick[i] = tick - 1;
@@ -1664,7 +1680,44 @@ impl ClusterSim {
             let speed = self.nodes[i].relative_speed();
             self.columns.materialize(id, power, speed, tick);
             self.state_epoch[i] = tick;
+            // The `silent` mask is re-derived later this tick: read the
+            // engine, whose silences already moved at this tick's edges.
+            if candidate
+                && !self
+                    .faults
+                    .as_ref()
+                    .is_some_and(|fs| fs.engine.is_silent(id))
+            {
+                self.lazy_sample(id, dt, tick, sample_at);
+            }
         }
+    }
+
+    /// Lazy regime: takes a real sample of lit candidate `id` at `now`,
+    /// the control instant of `tick`, first bringing its counters current
+    /// (a forced re-sample may not have materialized this tick, and a
+    /// rejoiner's gap accumulates for real).
+    fn lazy_sample(&mut self, id: NodeId, dt: f64, tick: u64, now: SimTime) {
+        let idx = id.0 as usize;
+        let behind = tick - self.columns.stamp_of(id);
+        if behind > 0 {
+            self.nodes[idx].catch_up(dt, behind);
+            self.columns.set_stamp(id, tick);
+        }
+        // A sample whose delta does not span exactly the last tick
+        // (first-ever sample, post-protection gap) produces a value the
+        // next cycle's dense sample would not repeat: force a real
+        // follow-up next cycle instead of a settle.
+        let fresh_baseline =
+            self.agents[idx].is_primed() && self.last_sampled_tick[idx] + 1 == tick;
+        if !fresh_baseline {
+            self.resample_next.push(id.0);
+        }
+        if let Some(sample) = self.agents[idx].sample(&self.nodes[idx], now) {
+            self.scratch_samples.push(sample);
+        }
+        self.last_sampled_tick[idx] = tick;
+        self.scratch_sampled.push(id.0);
     }
 
     /// Runs the proportional-budget baseline's decision: sample **all**
@@ -1816,6 +1869,7 @@ impl ClusterSim {
         // the stored observations and skips sampling entirely. The manager
         // itself still runs every cycle: the metered reading moves even
         // when the nodes do not.
+        let sample_t = self.obs.profile.start();
         let sampling = !lazy
             || self.rack_obs.is_stale()
             || self.dirty_prev
@@ -1827,9 +1881,7 @@ impl ClusterSim {
         // be the unscalable design Figure 5 warns about. The sample buffer
         // is scratch, reused across cycles. Dead and silenced nodes
         // deliver nothing — their collector entries go stale.
-        let sample_t = self.obs.profile.start();
         self.obs.spans.open("sample", now);
-        self.scratch_samples.clear();
         self.scratch_settle.clear();
         if lazy {
             if let Some(fs) = self.faults.as_mut() {
@@ -1844,70 +1896,51 @@ impl ClusterSim {
                 );
             }
         }
-        // Silent candidates deliver nothing (lazy regime; empty without
-        // faults).
-        let silent = self.faults.as_ref().map(|fs| &fs.silent);
-        let lit = |sets: &NodeSets, id: NodeId| {
-            sets.is_candidate(id) && !silent.is_some_and(|m| m.contains(id))
-        };
         if sampling && lazy {
             // Work-list sampling: only nodes whose sample value can differ
             // from the collector's current view are touched. A clean,
             // settled candidate's dense sample would be bit-identical to
             // its collector entry, so skipping it changes nothing the
-            // policies (or the fingerprints) can see.
+            // policies (or the fingerprints) can see. The materialize pass
+            // already sampled the dirty lit candidates; what is left are
+            // the forced re-samples, among them the nodes SLA release made
+            // candidates after that pass (release queues them here).
             let resample = std::mem::take(&mut self.resample_now);
             let sets = hier.sets();
+            for &raw in &resample {
+                let id = NodeId(raw);
+                let lit = sets.is_candidate(id)
+                    && !self
+                        .faults
+                        .as_ref()
+                        .is_some_and(|fs| fs.silent.contains(id));
+                if lit && self.last_sampled_tick[raw as usize] != tick {
+                    self.lazy_sample(id, dt, tick, now);
+                }
+            }
             // Nodes sampled last cycle settle their prev-power view; a
-            // node being re-sampled now settles via the ingest itself, and
-            // one that just left the lit candidates (SLA protection,
-            // silence) keeps its frozen prev, exactly like dense.
+            // node re-sampled now settles via the ingest itself, and one
+            // that just left the lit candidates (SLA protection, silence)
+            // keeps its frozen prev, exactly like dense.
+            let silent = self.faults.as_ref().map(|fs| &fs.silent);
+            let lit = |id: NodeId| sets.is_candidate(id) && !silent.is_some_and(|m| m.contains(id));
             for &raw in &self.settle_pending {
                 let id = NodeId(raw);
-                if self.columns.dirty.contains(id) || resample.contains(&raw) || !lit(sets, id) {
+                if self.last_sampled_tick[raw as usize] == tick || !lit(id) {
                     continue;
                 }
                 self.scratch_settle.push(raw);
             }
-            // Real samples: dirty lit candidates plus the forced re-samples.
-            self.scratch_sampled.clear();
-            for &raw in self.columns.dirty.indices() {
-                if lit(sets, NodeId(raw)) {
-                    self.scratch_sampled.push(raw);
-                }
-            }
-            for &raw in &resample {
-                let id = NodeId(raw);
-                if !self.columns.dirty.contains(id) && lit(sets, id) {
-                    self.scratch_sampled.push(raw);
-                }
-            }
-            for k in 0..self.scratch_sampled.len() {
-                let raw = self.scratch_sampled[k];
-                let id = NodeId(raw);
-                let idx = raw as usize;
-                // Bring the counters current: a forced re-sample may not
-                // have materialized this tick (its state is unchanged), and
-                // a rejoiner's gap accumulates for real.
-                let behind = tick - self.columns.stamp_of(id);
-                if behind > 0 {
-                    self.nodes[idx].catch_up(dt, behind);
-                    self.columns.set_stamp(id, tick);
-                }
-                // A sample whose delta does not span exactly the last tick
-                // (first-ever sample, post-protection gap) produces a value
-                // the next cycle's dense sample would not repeat: force a
-                // real follow-up next cycle instead of a settle.
-                let fresh_baseline =
-                    self.agents[idx].is_primed() && self.last_sampled_tick[idx] + 1 == tick;
-                if !fresh_baseline {
-                    self.resample_next.push(raw);
-                }
-                if let Some(sample) = self.agents[idx].sample(&self.nodes[idx], now) {
-                    self.scratch_samples.push(sample);
-                }
-                self.last_sampled_tick[idx] = tick;
-            }
+            debug_assert!(
+                self.columns.dirty.indices().iter().all(|&raw| {
+                    !lit(NodeId(raw)) || self.last_sampled_tick[raw as usize] == tick
+                }),
+                "every dirty lit candidate is sampled at control time"
+            );
+            debug_assert!(
+                self.scratch_sampled.iter().all(|&raw| lit(NodeId(raw))),
+                "only lit candidates are sampled"
+            );
             // Recycle buffers: this cycle's sampled set settles next
             // cycle; the spent force-list becomes the next staging buffer.
             std::mem::swap(&mut self.settle_pending, &mut self.scratch_sampled);
@@ -1942,6 +1975,9 @@ impl ClusterSim {
                 }
             }
         }
+        // Silent candidates deliver nothing (lazy regime; empty without
+        // faults).
+        let silent = self.faults.as_ref().map(|fs| &fs.silent);
         // The span tree must be identical across evaluation modes, so the
         // lazy regime reports the *logical* sample count — what the dense
         // path would have taken: one per lit candidate (the lazy regime
@@ -2028,6 +2064,7 @@ impl ClusterSim {
             // rack.
             spans.open("observe", now);
             let running = scheduler.running_jobs();
+            let placed = scheduler.placement_edges();
             let refreshed = samples
                 .iter()
                 .map(|s| s.node)
@@ -2038,6 +2075,7 @@ impl ClusterSim {
                 Some(filter) => store.sync(
                     lazy,
                     running,
+                    placed,
                     refreshed,
                     settled,
                     slot_of,
@@ -2051,6 +2089,7 @@ impl ClusterSim {
                 None => store.sync(
                     lazy,
                     running,
+                    placed,
                     refreshed,
                     settled,
                     slot_of,
@@ -2095,6 +2134,7 @@ impl ClusterSim {
             };
             (outcome, coverage)
         });
+        self.scheduler.clear_placement_edges();
         self.obs.profile.stop("control", control_t);
         // The facility coverage is what the controller itself consumed:
         // fresh candidates over all candidates under faults, 1.0
@@ -2122,6 +2162,10 @@ impl ClusterSim {
         outcome: &CycleOutcome,
         decision: Decision,
     ) {
+        // Back-to-back stages: `actuate` takes the decision's bookkeeping
+        // and the commands, `health` the per-cycle instruments, the root
+        // span and the health fold (all of it when nothing is actuated).
+        let mut stage = self.obs.profile.start();
         let state = outcome.state;
         self.state_log.push((now, state));
         let red_entered = state == PowerState::Red && self.last_state != Some(PowerState::Red);
@@ -2151,7 +2195,6 @@ impl ClusterSim {
         }
 
         if decision.actuate {
-            let actuate_t = self.obs.profile.start();
             self.obs.spans.open("actuate", now);
             self.obs
                 .spans
@@ -2167,7 +2210,7 @@ impl ClusterSim {
                     .attr("retries_pending", AttrValue::U64(fs.retries.len() as u64));
             }
             self.obs.spans.close(now);
-            self.obs.profile.stop("actuate", actuate_t);
+            stage = self.obs.profile.lap("actuate", stage);
         }
 
         // Per-cycle instruments, then the root span, then (possibly) the
@@ -2211,7 +2254,6 @@ impl ClusterSim {
         // Fleet health plane: fold the cycle into the rollup tree, stage
         // sketches and SLO rules, after the root span closed so an
         // alert-triggered flight snapshot captures the complete cycle.
-        let health_t = self.obs.profile.start();
         let tree = self.hierarchy.as_ref().filter(|h| !h.is_single_rack());
         if self.health.wants_node_sample(tick) {
             match tree {
@@ -2259,7 +2301,7 @@ impl ClusterSim {
             }
         };
         self.publish_health_edges(now, base);
-        self.obs.profile.stop("health", health_t);
+        self.obs.profile.stop("health", stage);
     }
 
     /// Journals every new SLO alert edge, bumps the alert instruments,
@@ -2974,6 +3016,56 @@ mod tests {
         assert_eq!(run(EvalMode::Full), run(EvalMode::Incremental));
     }
 
+    /// SLA release lands mid-tick, after the materialize pass took this
+    /// tick's lazy samples: a released member that is dirty this tick (a
+    /// phase edge or a command staged last tick) was no candidate then, so
+    /// the control cycle must sample it. Every such node is sampled at
+    /// control time, and every fingerprint matches the dense reference on
+    /// every tick.
+    #[test]
+    fn released_dirty_nodes_are_sampled_at_control_time() {
+        let make = |mode: EvalMode| {
+            let mut spec = ClusterSpec::mini(16);
+            spec.provision_fraction = 0.60;
+            spec.critical_job_fraction = 0.4;
+            let sets = NodeSets::new(spec.node_ids(), spec.privileged.iter().copied());
+            let config = ManagerConfig {
+                training_cycles: 0,
+                ..ManagerConfig::paper_defaults(spec.provision_w(), PolicyKind::Mpc)
+            };
+            let manager = PowerManager::new(config, sets).unwrap();
+            ClusterSim::new(spec)
+                .with_manager(manager)
+                .with_eval_mode(mode)
+        };
+        let mut full = make(EvalMode::Full);
+        let mut inc = make(EvalMode::Incremental);
+        assert!(inc.incremental_active() && inc.lazy_control_ok());
+        let mut released_dirty = 0;
+        for tick in 1..=600 {
+            let done = inc.finished().len();
+            full.step();
+            inc.step();
+            assert_eq!(digest(&full), digest(&inc), "diverged at tick {tick}");
+            let sets = inc.hierarchy.as_ref().unwrap().sets();
+            for r in &inc.finished()[done..] {
+                if r.priority != JobPriority::Critical {
+                    continue;
+                }
+                for &n in &r.nodes {
+                    if inc.columns.dirty.contains(n) && sets.is_candidate(n) {
+                        released_dirty += 1;
+                        assert_eq!(
+                            inc.last_sampled_tick[n.0 as usize], tick,
+                            "released dirty node {n} unsampled at tick {tick}"
+                        );
+                    }
+                }
+            }
+        }
+        assert!(released_dirty > 0, "no release met a dirty member");
+    }
+
     /// Steps a Full and an Incremental sim built by `make` in lockstep for
     /// `ticks`, handing both to `check` after every tick: their
     /// fresh-candidate masks must agree on every tick and every
@@ -3418,6 +3510,43 @@ mod tests {
                 assert_eq!(count, Some(TICKS), "stage {stage}");
             }
             assert_eq!(report.len(), stages.len(), "no other stage is charged");
+        }
+    }
+
+    /// Wall seconds charged to every `StageProfiler` stage so far.
+    fn staged_secs(sim: &ClusterSim) -> f64 {
+        let report = sim.obs().profile.report();
+        report.iter().map(|c| c.mean_secs * c.count as f64).sum()
+    }
+
+    /// The profiler's stages account for the tick: together they cover at
+    /// least 95% of `step`'s wall time, flat at 128 nodes and hierarchical
+    /// at 1 024 and 10 240 nodes, so a per-stage breakdown leaves nothing
+    /// material untimed.
+    #[test]
+    fn profiler_stages_cover_the_step() {
+        const TICKS: u32 = 40;
+        for (mut sim, label) in [
+            (managed_mini(128, PolicyKind::Mpc, 0.6), "128 flat"),
+            (managed_hier(1024, 128), "1 024 hierarchical"),
+            (managed_hier(10240, 128), "10 240 hierarchical"),
+        ] {
+            // Warm up past the first tick, which materializes every node.
+            sim.run_for(SimDuration::from_secs(10));
+            let before = staged_secs(&sim);
+            let mut wall = ppc_obs::StageProfiler::new();
+            for _ in 0..TICKS {
+                let t = wall.start();
+                sim.step();
+                wall.stop("step", t);
+            }
+            let staged = staged_secs(&sim) - before;
+            let step = wall.report()[0].mean_secs * f64::from(TICKS);
+            assert!(
+                staged >= 0.95 * step,
+                "{label}: stages cover {:.1}% of the step",
+                100.0 * staged / step
+            );
         }
     }
 

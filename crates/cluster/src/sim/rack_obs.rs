@@ -14,7 +14,9 @@
 //! * a job that started, finished, was evicted or moved in the run queue
 //!   (`swap_remove` moves the tail job into the freed slot) has its pieces
 //!   dropped from the racks it touches and, while it still runs, rebuilt at
-//!   its new position;
+//!   its new position; only the slots the scheduler reports as placement
+//!   edges, and the tail between the old and new run-queue lengths, are
+//!   compared;
 //! * a sampled node refreshes only its own job's pieces, and the
 //!   job-global previous power is rewritten in every one of them;
 //! * a settled node (sampled last cycle, its previous power now caught up
@@ -80,10 +82,13 @@ pub(super) struct RackObs {
     cursor: Vec<usize>,
     /// Scratch: the racks of the job being refreshed.
     job_racks: Vec<usize>,
-    /// Scratch: run-queue slots whose placement changed this sync.
+    /// Scratch: run-queue slots whose placement changed this sync, as a
+    /// mask (all clear between syncs) and a list.
     changed: Vec<bool>,
+    changed_list: Vec<u32>,
     /// Scratch: run-queue slots to refresh this sync, each queued once
-    /// with the strongest refresh kind asked for.
+    /// with the strongest refresh kind asked for (`queued` is all
+    /// `QUEUED_NONE` between syncs).
     refresh: Vec<u32>,
     queued: Vec<u8>,
 }
@@ -149,6 +154,7 @@ impl RackObs {
             cursor: Vec::new(),
             job_racks: Vec::new(),
             changed: Vec::new(),
+            changed_list: Vec::new(),
             refresh: Vec::new(),
             queued: Vec::new(),
         }
@@ -246,40 +252,46 @@ impl RackObs {
 
     /// Brings the pieces up to date: incrementally ([`RackObs::update`]) in
     /// the lazy regime, by a full [`RackObs::rebuild`] otherwise.
+    /// `placed` lists the run-queue slots whose job changed since the last
+    /// sync ([`ppc_workload::Scheduler::placement_edges`]).
+    #[allow(clippy::too_many_arguments)]
     pub(super) fn sync<C: CandidateFilter + ?Sized>(
         &mut self,
         lazy: bool,
         running: &[Job],
+        placed: &[u32],
         sampled: impl IntoIterator<Item = NodeId>,
         settled: impl IntoIterator<Item = NodeId>,
         slot_of: impl Fn(NodeId) -> Option<usize>,
         obs: &mut Observer<'_, C>,
     ) {
         if lazy {
-            self.update(running, sampled, settled, slot_of, obs);
+            self.update(running, placed, sampled, settled, slot_of, obs);
         } else {
             self.rebuild(running, obs);
         }
     }
 
     /// Brings the pieces up to date incrementally: drops and re-places the
-    /// jobs whose run-queue slot changed since the last sync, refreshes the
-    /// jobs owning a `sampled` node, and rewrites the previous power of
+    /// jobs whose run-queue slot changed since the last sync (among the
+    /// `placed` slots and the run queue's grown or shrunk tail), refreshes
+    /// the jobs owning a `sampled` node, and rewrites the previous power of
     /// the jobs owning a `settled` one. `slot_of` maps a node to its job's
     /// run-queue slot.
     fn update<C: CandidateFilter + ?Sized>(
         &mut self,
         running: &[Job],
+        placed: &[u32],
         sampled: impl IntoIterator<Item = NodeId>,
         settled: impl IntoIterator<Item = NodeId>,
         slot_of: impl Fn(NodeId) -> Option<usize>,
         obs: &mut Observer<'_, C>,
     ) {
-        self.refresh.clear();
-        self.queued.clear();
-        self.queued.resize(running.len(), QUEUED_NONE);
+        if self.queued.len() < running.len() {
+            self.queued.resize(running.len(), QUEUED_NONE);
+        }
         if self.stale {
-            self.sync_run_queue(running);
+            self.sync_run_queue(running, placed);
         }
         for slot in sampled.into_iter().filter_map(&slot_of) {
             self.queue_refresh(slot, QUEUED_FULL);
@@ -296,7 +308,9 @@ impl RackObs {
             } else {
                 self.refresh_prev(slot, &running[slot], obs);
             }
+            self.queued[slot] = QUEUED_NONE;
         }
+        self.refresh.clear();
     }
 
     fn queue_refresh(&mut self, slot: usize, kind: u8) {
@@ -306,27 +320,34 @@ impl RackObs {
         self.queued[slot] = self.queued[slot].max(kind);
     }
 
-    /// Diffs the run queue against the last sync. Every slot whose
-    /// placement changed is queued for refresh (its job started or moved
-    /// there), and the racks of its members are pruned along with those
-    /// of departed jobs: pieces whose slot changed hands are dropped.
-    fn sync_run_queue(&mut self, running: &[Job]) {
+    /// Diffs the run queue against the last sync, slot by slot among the
+    /// `placed` slots and the tail between the old and new lengths (no
+    /// other slot can have changed). Every slot whose placement changed is
+    /// queued for refresh (its job started or moved there), and the racks
+    /// of its members are pruned along with those of departed jobs: pieces
+    /// whose slot changed hands are dropped.
+    fn sync_run_queue(&mut self, running: &[Job], placed: &[u32]) {
         let nodes_per_rack = self.nodes_per_rack;
         let old_len = self.runq.len();
-        self.changed.clear();
-        self.changed.resize(old_len.max(running.len()), false);
-        for (i, changed) in self.changed.iter_mut().enumerate() {
+        let new_len = running.len();
+        let hi = old_len.max(new_len);
+        if self.changed.len() < hi {
+            self.changed.resize(hi, false);
+        }
+        let tail = old_len.min(new_len)..hi;
+        let slots = placed.iter().map(|&s| s as usize).filter(|&s| s < hi);
+        for i in slots.chain(tail) {
             let now = running.get(i).map(Placement::of);
-            if self.runq.get(i).copied() == now {
+            if self.changed[i] || self.runq.get(i).copied() == now {
                 continue;
             }
-            *changed = true;
+            self.changed[i] = true;
+            self.changed_list.push(i as u32);
             if i < old_len && self.observed[i] {
                 self.jobs -= 1;
             }
             if let Some(job) = running.get(i) {
-                self.queued[i] = QUEUED_FULL;
-                self.refresh.push(i as u32);
+                self.queue_refresh(i, QUEUED_FULL);
                 for &n in job.nodes() {
                     let r = (n.0 / nodes_per_rack) as usize;
                     if !self.prune_mark[r] {
@@ -336,14 +357,16 @@ impl RackObs {
                 }
             }
         }
-        self.runq.truncate(running.len());
-        self.observed.truncate(running.len());
-        for (i, job) in running.iter().enumerate() {
-            if i >= old_len {
-                self.runq.push(Placement::of(job));
-                self.observed.push(false);
-            } else if self.changed[i] {
-                self.runq[i] = Placement::of(job);
+        self.runq.truncate(new_len);
+        self.observed.truncate(new_len);
+        for job in &running[self.runq.len()..] {
+            self.runq.push(Placement::of(job));
+            self.observed.push(false);
+        }
+        for &i in &self.changed_list {
+            let i = i as usize;
+            if i < old_len.min(new_len) {
+                self.runq[i] = Placement::of(&running[i]);
                 self.observed[i] = false;
             }
         }
@@ -353,7 +376,7 @@ impl RackObs {
             let (rack, slots) = (&mut self.pieces[r], &mut self.slots[r]);
             let mut w = 0;
             for j in 0..rack.len() {
-                if !self.changed.get(slots[j] as usize).copied().unwrap_or(true) {
+                if !self.changed[slots[j] as usize] {
                     rack.swap(w, j);
                     slots.swap(w, j);
                     w += 1;
@@ -363,6 +386,10 @@ impl RackObs {
             slots.truncate(w);
         }
         self.prune.clear();
+        for &i in &self.changed_list {
+            self.changed[i as usize] = false;
+        }
+        self.changed_list.clear();
         self.stale = false;
     }
 

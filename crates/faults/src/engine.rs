@@ -4,6 +4,8 @@ use crate::schedule::{FaultKind, FaultSchedule};
 use ppc_node::NodeId;
 use ppc_simkit::SimTime;
 use serde::Serialize;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Health of one node, as tracked by the engine.
 ///
@@ -67,19 +69,24 @@ pub struct FaultStats {
 /// Replays a [`FaultSchedule`] against simulation time.
 ///
 /// Call [`advance`](FaultEngine::advance) once per tick with the current
-/// instant; it returns the transitions that fired. Health queries are O(1)
-/// array lookups, cheap enough for per-node hot paths (power summation,
+/// instant; it returns the transitions that fired, at a cost in the edges
+/// due (recoveries pop off a deadline heap). Health queries are O(1) array
+/// lookups, cheap enough for per-node hot paths (power summation,
 /// telemetry sweeps).
 #[derive(Debug, Clone)]
 pub struct FaultEngine {
     events: Vec<crate::schedule::FaultEvent>,
     next_event: usize,
     health: Vec<NodeHealth>,
-    /// Lower bound on the earliest `*_until` deadline in `health`
-    /// ([`SimTime::MAX`] when none is set): the recovery scan runs only
-    /// once it has passed. Deadlines only move later or clear, so lowering
-    /// this whenever one is set keeps it a bound.
-    next_due: SimTime,
+    /// Recovery deadlines, earliest first: one `(deadline, node)` entry is
+    /// pushed whenever a strike sets or extends a `*_until`. Deadlines only
+    /// move later or clear, so every deadline in `health` has an entry at
+    /// exactly its instant; an entry whose deadline has since moved or
+    /// cleared is stale, and the per-node check at its pop finds nothing
+    /// due.
+    deadlines: BinaryHeap<Reverse<(SimTime, u32)>>,
+    /// Scratch: the nodes with a deadline due this tick, in node-id order.
+    due: Vec<u32>,
     stats: FaultStats,
     transitions: Vec<FaultTransition>,
 }
@@ -100,7 +107,8 @@ impl FaultEngine {
             events: schedule.events().to_vec(),
             next_event: 0,
             health: vec![NodeHealth::default(); node_count as usize],
-            next_due: SimTime::MAX,
+            deadlines: BinaryHeap::new(),
+            due: Vec::new(),
             stats: FaultStats::default(),
             transitions: Vec::new(),
         }
@@ -132,11 +140,13 @@ impl FaultEngine {
     /// (schedule order). The returned slice is valid until the next call.
     pub fn advance(&mut self, now: SimTime) -> &[FaultTransition] {
         self.transitions.clear();
-        if self.next_due <= now {
-            self.recover(now);
-        }
+        self.recover(now);
+        self.strike_due(now);
+        &self.transitions
+    }
 
-        // Newly striking faults.
+    /// Newly striking faults, in schedule order.
+    fn strike_due(&mut self, now: SimTime) {
         while self.next_event < self.events.len() && self.events[self.next_event].at <= now {
             let e = self.events[self.next_event];
             self.next_event += 1;
@@ -149,8 +159,10 @@ impl FaultEngine {
                     }
                     let until = now + duration;
                     let fresh = h.hung_until.is_none();
-                    h.hung_until = Some(h.hung_until.map_or(until, |t| t.max(until)));
-                    self.next_due = self.next_due.min(until);
+                    if h.hung_until.is_none_or(|t| t < until) {
+                        h.hung_until = Some(until);
+                        self.deadlines.push(Reverse((until, e.node.0)));
+                    }
                     if fresh {
                         self.stats.hangs += 1;
                         self.transitions.push(FaultTransition::HangStart(e.node));
@@ -164,58 +176,75 @@ impl FaultEngine {
                 }
             }
         }
-
-        &self.transitions
     }
 
-    /// Recoveries: scans in node-id order so the output is deterministic,
-    /// and recomputes the earliest deadline still pending.
+    /// The earliest pending recovery deadline ([`SimTime::MAX`] when none
+    /// is set). It may be a stale entry's: a lower bound on the earliest
+    /// deadline in `health`.
+    #[cfg(test)]
+    fn next_due(&self) -> SimTime {
+        self.deadlines.peek().map_or(SimTime::MAX, |e| e.0 .0)
+    }
+
+    /// Recoveries: pops the due deadlines and runs the per-node checks in
+    /// node-id order, so the transitions (and the downtime summation
+    /// order) are those of a scan over every node.
     fn recover(&mut self, now: SimTime) {
-        let mut next_due = SimTime::MAX;
-        for (i, h) in self.health.iter_mut().enumerate() {
-            let node = NodeId(i as u32);
-            if let Some(t) = h.down_until {
-                if t <= now {
-                    h.down_until = None;
-                    // ppc-lint: allow(panic-path): down_until and down_since are always set together in strike_crash
-                    let since = h.down_since.take().expect("down node has a start instant");
-                    let lost = (now - since).as_secs_f64();
-                    self.stats.node_seconds_lost += lost;
-                    self.stats.repair_secs_total += lost;
-                    self.stats.repairs += 1;
-                    self.transitions.push(FaultTransition::NodeUp(node));
-                }
+        self.due.clear();
+        while let Some(&Reverse((t, n))) = self.deadlines.peek() {
+            if t > now {
+                break;
             }
-            if let Some(t) = h.hung_until {
-                if t <= now {
-                    h.hung_until = None;
-                    self.transitions.push(FaultTransition::HangEnd(node));
-                }
-            }
-            if let Some(t) = h.silent_until {
-                if t <= now {
-                    h.silent_until = None;
-                    self.transitions.push(FaultTransition::SilenceEnd(node));
-                }
-            }
-            for t in [h.down_until, h.hung_until, h.silent_until]
-                .into_iter()
-                .flatten()
-            {
-                next_due = next_due.min(t);
+            self.deadlines.pop();
+            self.due.push(n);
+        }
+        self.due.sort_unstable();
+        self.due.dedup();
+        for k in 0..self.due.len() {
+            self.recover_node(NodeId(self.due[k]), now);
+        }
+    }
+
+    /// Ends whichever of `node`'s outage, hang and silence is due at `now`.
+    fn recover_node(&mut self, node: NodeId, now: SimTime) {
+        let h = &mut self.health[node.0 as usize];
+        if let Some(t) = h.down_until {
+            if t <= now {
+                h.down_until = None;
+                // ppc-lint: allow(panic-path): down_until and down_since are always set together in strike_crash
+                let since = h.down_since.take().expect("down node has a start instant");
+                let lost = (now - since).as_secs_f64();
+                self.stats.node_seconds_lost += lost;
+                self.stats.repair_secs_total += lost;
+                self.stats.repairs += 1;
+                self.transitions.push(FaultTransition::NodeUp(node));
             }
         }
-        self.next_due = next_due;
+        if let Some(t) = h.hung_until {
+            if t <= now {
+                h.hung_until = None;
+                self.transitions.push(FaultTransition::HangEnd(node));
+            }
+        }
+        if let Some(t) = h.silent_until {
+            if t <= now {
+                h.silent_until = None;
+                self.transitions.push(FaultTransition::SilenceEnd(node));
+            }
+        }
     }
 
     fn strike_crash(&mut self, node: NodeId, until: SimTime, now: SimTime) {
         let h = &mut self.health[node.0 as usize];
         if let Some(down_until) = h.down_until {
             // Already down: the new crash only extends the outage.
-            h.down_until = Some(down_until.max(until));
+            if until > down_until {
+                h.down_until = Some(until);
+                self.deadlines.push(Reverse((until, node.0)));
+            }
             return;
         }
-        self.next_due = self.next_due.min(until);
+        self.deadlines.push(Reverse((until, node.0)));
         // Down dominates any hang/silence overlay.
         if h.hung_until.take().is_some() {
             self.transitions.push(FaultTransition::HangEnd(node));
@@ -235,8 +264,10 @@ impl FaultEngine {
             return; // down dominates
         }
         let fresh = h.silent_until.is_none();
-        h.silent_until = Some(h.silent_until.map_or(until, |t| t.max(until)));
-        self.next_due = self.next_due.min(until);
+        if h.silent_until.is_none_or(|t| t < until) {
+            h.silent_until = Some(until);
+            self.deadlines.push(Reverse((until, node.0)));
+        }
         if fresh {
             self.stats.silences += 1;
             self.transitions.push(FaultTransition::SilenceStart(node));
@@ -435,19 +466,96 @@ mod tests {
             },
         }]);
         let mut eng = FaultEngine::new(&sched, 8);
-        assert_eq!(eng.next_due, SimTime::MAX, "nothing pending");
+        assert_eq!(eng.next_due(), SimTime::MAX, "nothing pending");
         eng.advance(secs(2));
-        assert_eq!(eng.next_due, secs(7));
+        assert_eq!(eng.next_due(), secs(7));
         assert!(eng.advance(secs(6)).is_empty());
         assert_eq!(eng.advance(secs(7)), &[FaultTransition::HangEnd(NodeId(3))]);
-        assert_eq!(eng.next_due, SimTime::MAX, "the scan recomputed the bound");
+        assert_eq!(eng.next_due(), SimTime::MAX, "the due entry was popped");
+    }
+
+    impl FaultEngine {
+        /// The reference sweep: recoveries from a check of every node in
+        /// node-id order, whatever the heap holds. Due heap entries are
+        /// still popped so both engines' heaps stay comparable.
+        fn advance_scanning(&mut self, now: SimTime) -> &[FaultTransition] {
+            self.transitions.clear();
+            while self.deadlines.peek().is_some_and(|e| e.0 .0 <= now) {
+                self.deadlines.pop();
+            }
+            for n in 0..self.health.len() as u32 {
+                self.recover_node(NodeId(n), now);
+            }
+            self.strike_due(now);
+            &self.transitions
+        }
+    }
+
+    /// One event of a hand-drawn schedule: `(at, node, kind, secs)`, kind
+    /// 0 = crash, 1 = hang, 2 = silence, 3 = partition of width 2.
+    fn drawn_event((at, node, kind, secs): (u64, u32, u8, u64), nodes: u32) -> FaultEvent {
+        let duration = SimDuration::from_secs(secs);
+        let node = node % nodes;
+        FaultEvent {
+            at: SimTime::from_secs(at),
+            node: NodeId(node),
+            kind: match kind {
+                0 => FaultKind::Crash { reboot: duration },
+                1 => FaultKind::Hang { duration },
+                2 => FaultKind::AgentSilence { duration },
+                _ => FaultKind::SubtreePartition {
+                    width: (nodes - node).min(2),
+                    duration,
+                },
+            },
+        }
+    }
+
+    /// Steps a heap-driven engine and the scanning reference over
+    /// `schedule` and checks transitions, health and accounting after
+    /// every step.
+    fn assert_heap_matches_scan(
+        sched: &FaultSchedule,
+        nodes: u32,
+        steps: &[u64],
+    ) -> Result<(), TestCaseError> {
+        let mut heap = FaultEngine::new(sched, nodes);
+        let mut scan = FaultEngine::new(sched, nodes);
+        let mut now = SimTime::ZERO;
+        for &step in steps {
+            now += SimDuration::from_secs(step);
+            let want = scan.advance_scanning(now).to_vec();
+            prop_assert_eq!(heap.advance(now), &want[..]);
+            let mut earliest = SimTime::MAX;
+            for n in 0..nodes {
+                let (a, b) = (heap.health(NodeId(n)), scan.health(NodeId(n)));
+                prop_assert_eq!(
+                    (a.down_until, a.hung_until, a.silent_until, a.down_since),
+                    (b.down_until, b.hung_until, b.silent_until, b.down_since)
+                );
+                for t in [a.down_until, a.hung_until, a.silent_until]
+                    .into_iter()
+                    .flatten()
+                {
+                    earliest = earliest.min(t);
+                }
+            }
+            prop_assert!(heap.next_due() <= earliest, "heap minimum above a deadline");
+            let (a, b) = (heap.stats_at(now), scan.stats_at(now));
+            prop_assert_eq!(a, b);
+            prop_assert_eq!(
+                a.node_seconds_lost.to_bits(),
+                b.node_seconds_lost.to_bits(),
+                "downtime summed in node-id order"
+            );
+        }
+        Ok(())
     }
 
     proptest! {
-        /// Scanning only once the deadline bound has passed reports the
-        /// same transitions, health and accounting as scanning every tick
-        /// (the reference forces the scan by zeroing the bound), over
-        /// generated schedules advanced in uneven steps.
+        /// Recoveries popped from the deadline heap report the same
+        /// transitions, health and accounting as a check of every node on
+        /// every tick, over generated schedules advanced in uneven steps.
         #[test]
         fn prop_due_scan_matches_always_scan(
             seed in any::<u64>(),
@@ -466,29 +574,60 @@ mod tests {
                 silence_per_node_hour: silence,
                 silence_mean_secs: 10.0,
                 partition_per_hour: partition,
-                partition_mean_secs: 12.0,
                 partition_width: nodes.min(4),
+                partition_mean_secs: 12.0,
             };
             let horizon = SimDuration::from_secs(steps.iter().sum());
             let sched = FaultSchedule::generate(&rates, nodes, horizon, &RngFactory::new(seed));
-            let mut lazy = FaultEngine::new(&sched, nodes);
-            let mut always = FaultEngine::new(&sched, nodes);
-            let mut now = SimTime::ZERO;
-            for step in steps {
-                now += SimDuration::from_secs(step);
-                always.next_due = SimTime::ZERO;
-                let want = always.advance(now).to_vec();
-                prop_assert_eq!(lazy.advance(now), &want[..]);
-                prop_assert!(lazy.next_due <= always.next_due, "bound above the earliest deadline");
-                for n in 0..nodes {
-                    let (a, b) = (lazy.health(NodeId(n)), always.health(NodeId(n)));
-                    prop_assert_eq!(
-                        (a.down_until, a.hung_until, a.silent_until, a.down_since),
-                        (b.down_until, b.hung_until, b.silent_until, b.down_since)
-                    );
-                }
-                prop_assert_eq!(lazy.stats_at(now), always.stats_at(now));
-            }
+            assert_heap_matches_scan(&sched, nodes, &steps)?;
         }
+
+        /// The same on dense hand-drawn schedules over a few nodes, where
+        /// the overlaps are the rule: hangs and silences that extend or
+        /// nest inside each other, crashes landing during a hang or a
+        /// silence (which clear them, leaving stale heap entries), and
+        /// crashes that extend an outage.
+        #[test]
+        fn prop_heap_matches_scan_on_overlapping_faults(
+            nodes in 1u32..6,
+            events in proptest::collection::vec((0u64..60, 0u32..6, 0u8..4, 1u64..20), 1..60),
+            steps in proptest::collection::vec(1u64..4, 30..60),
+        ) {
+            let sched = FaultSchedule::new(
+                events.into_iter().map(|e| drawn_event(e, nodes)).collect(),
+            );
+            assert_heap_matches_scan(&sched, nodes, &steps)?;
+        }
+    }
+
+    #[test]
+    fn crash_extending_an_outage_moves_the_reboot() {
+        let sched = FaultSchedule::new(vec![
+            drawn_event((1, 0, 0, 10), 2),
+            drawn_event((5, 0, 0, 20), 2),
+            drawn_event((6, 0, 0, 2), 2),
+        ]);
+        let mut eng = FaultEngine::new(&sched, 2);
+        assert_eq!(
+            eng.advance(secs(1)),
+            &[FaultTransition::NodeDown(NodeId(0))]
+        );
+        assert!(
+            eng.advance(secs(5)).is_empty(),
+            "extensions do not re-announce"
+        );
+        assert!(
+            eng.advance(secs(6)).is_empty(),
+            "a shorter crash does not cut it"
+        );
+        assert!(
+            eng.advance(secs(11)).is_empty(),
+            "the first deadline is stale"
+        );
+        assert_eq!(eng.advance(secs(25)), &[FaultTransition::NodeUp(NodeId(0))]);
+        let s = eng.stats_at(secs(25));
+        assert_eq!((s.crashes, s.repairs), (1, 1));
+        assert!((s.node_seconds_lost - 24.0).abs() < 1e-9);
+        assert_eq!(eng.next_due(), SimTime::MAX);
     }
 }

@@ -15,7 +15,9 @@
 //!   schedule against simulation time. Each tick it reports the edge
 //!   transitions ([`FaultTransition`]) the cluster layer must react to
 //!   (evict jobs, mark nodes offline, skip telemetry) and answers O(1)
-//!   health queries (`is_down` / `is_hung` / `is_silent`).
+//!   health queries (`is_down` / `is_hung` / `is_silent`). Recoveries
+//!   come from a deadline heap, so a tick costs the edges due on it, not
+//!   the fleet size.
 //! * [`FaultStats`] — availability accounting (crash count, node-seconds
 //!   lost, repair-time totals) that `metrics::availability` turns into the
 //!   normalized report benchmarks compare across policies.

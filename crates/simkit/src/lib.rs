@@ -5,9 +5,6 @@
 //! * [`time`] — fixed-point simulation time ([`SimTime`], [`SimDuration`])
 //!   with millisecond resolution, so event ordering is exact and
 //!   platform-independent (no floating-point clock drift).
-//! * [`queue`] — a discrete-event queue with stable FIFO ordering for
-//!   simultaneous events (benchmarked, no longer used by the simulation:
-//!   the [`TimeWheel`] replaced it).
 //! * [`clock`] — a fixed-timestep ticker used by the cluster simulation's
 //!   control/sampling cycles.
 //! * [`rng`] — splittable, seeded random-number streams. Every source of
@@ -37,7 +34,6 @@ pub mod clock;
 pub mod hash;
 pub mod journal;
 pub mod par;
-pub mod queue;
 pub mod rng;
 pub mod series;
 pub mod stats;
@@ -48,7 +44,6 @@ pub use clock::TickClock;
 pub use hash::Fnv1a;
 pub use journal::{Event, Journal, Severity};
 pub use par::WorkerPool;
-pub use queue::EventQueue;
 pub use rng::{DetRng, RngFactory};
 pub use series::TimeSeries;
 pub use stats::{Histogram, RunningStats};

@@ -232,7 +232,32 @@ impl Job {
 
     /// Advances execution by `dt_secs` of wall time. `speed` is the
     /// relative-speed column (`f/f_max ∈ (0,1]`) indexed by node id; the
-    /// job progresses at the *minimum* member rate. Crossing phase
+    /// job progresses at the *minimum* member rate (see
+    /// [`Job::advance_at`]).
+    ///
+    /// # Panics
+    /// Panics if the job is not running or a member's id is outside
+    /// `speed`.
+    pub fn advance(&mut self, dt_secs: f64, speed: &[f64]) -> Option<f64> {
+        let min_speed = self.min_speed(speed);
+        self.advance_at(dt_secs, min_speed)
+    }
+
+    /// The minimum relative speed over the job's members, read from the
+    /// speed column `speed` (indexed by node id): the rate the whole SPMD
+    /// job runs at.
+    ///
+    /// # Panics
+    /// Panics if a member's id is outside `speed`.
+    pub fn min_speed(&self, speed: &[f64]) -> f64 {
+        self.nodes
+            .iter()
+            .map(|n| speed[n.0 as usize])
+            .fold(f64::INFINITY, f64::min)
+    }
+
+    /// Advances execution by `dt_secs` of wall time at `min_speed`, the
+    /// job's minimum member speed ([`Job::min_speed`]). Crossing phase
     /// boundaries within one step is handled exactly.
     ///
     /// Returns `Some(unused_secs)` if the job finished during this step,
@@ -241,15 +266,9 @@ impl Job {
     /// time to record an exact finish timestamp.
     ///
     /// # Panics
-    /// Panics if the job is not running or a member's id is outside
-    /// `speed`.
-    pub fn advance(&mut self, dt_secs: f64, speed: &[f64]) -> Option<f64> {
+    /// Panics if the job is not running.
+    pub fn advance_at(&mut self, dt_secs: f64, min_speed: f64) -> Option<f64> {
         assert_eq!(self.status, JobStatus::Running, "only running jobs advance");
-        let min_speed = self
-            .nodes
-            .iter()
-            .map(|n| speed[n.0 as usize])
-            .fold(f64::INFINITY, f64::min);
         debug_assert!(min_speed > 0.0 && min_speed <= 1.0 + 1e-12);
         if min_speed < 1.0 - 1e-12 {
             self.throttled_secs += dt_secs;

@@ -40,6 +40,16 @@ pub struct Scheduler {
     /// node every tick) are one array read instead of a hash plus a
     /// linear scan over the run-queue.
     node_owner: Vec<Option<usize>>,
+    /// Per run-queue slot, parallel to `running`: the job's minimum member
+    /// speed as of its last fold, or `None` when it must be refolded (just
+    /// placed, or a member's speed changed since). Follows `swap_remove`.
+    min_speed: Vec<Option<f64>>,
+    /// Run-queue slots whose job changed (a placement, or the job a
+    /// `swap_remove` moved in) since the last
+    /// [`clear_placement_edges`](Scheduler::clear_placement_edges), in
+    /// first-change order, deduplicated by `slot_edge_mask`.
+    slot_edges: Vec<u32>,
+    slot_edge_mask: Vec<bool>,
     total_nodes: usize,
     admission: AdmissionPolicy,
     /// Nodes currently down (crashed, not yet rebooted). Down nodes are
@@ -61,6 +71,9 @@ impl Scheduler {
         let max_id = free.iter().next_back().map_or(0, |n| n.0 as usize);
         Scheduler {
             node_owner: vec![None; max_id + 1],
+            min_speed: Vec::new(),
+            slot_edges: Vec::new(),
+            slot_edge_mask: Vec::new(),
             free,
             cores_per_node,
             running: Vec::new(),
@@ -117,6 +130,53 @@ impl Scheduler {
     /// occupying `node`, if any.
     pub fn slot_of_node(&self, node: NodeId) -> Option<usize> {
         *self.node_owner.get(node.0 as usize)?
+    }
+
+    /// Run-queue slots whose job changed since the last
+    /// [`clear_placement_edges`](Scheduler::clear_placement_edges): every
+    /// slot a placement filled, and every slot a finish or an eviction
+    /// `swap_remove` refilled with the tail job. A slot can appear while
+    /// out of range (the run queue shrank since); the tail that a shrink
+    /// removed is not listed.
+    pub fn placement_edges(&self) -> &[u32] {
+        &self.slot_edges
+    }
+
+    /// Forgets the reported placement edges (their consumer has caught up).
+    pub fn clear_placement_edges(&mut self) {
+        for &slot in &self.slot_edges {
+            self.slot_edge_mask[slot as usize] = false;
+        }
+        self.slot_edges.clear();
+    }
+
+    fn note_slot_edge(&mut self, slot: usize) {
+        if self.slot_edge_mask.len() <= slot {
+            self.slot_edge_mask.resize(slot + 1, false);
+        }
+        if !self.slot_edge_mask[slot] {
+            self.slot_edge_mask[slot] = true;
+            self.slot_edges.push(slot as u32);
+        }
+    }
+
+    /// Takes the job in run-queue slot `idx` off the run queue: frees its
+    /// nodes, moves the tail job (if any) into the slot and repoints that
+    /// job's nodes and cached minimum speed.
+    fn remove_slot(&mut self, idx: usize) -> Job {
+        let job = self.running.swap_remove(idx);
+        self.min_speed.swap_remove(idx);
+        for &n in job.nodes() {
+            self.free.insert(n);
+            self.node_owner[n.0 as usize] = None;
+        }
+        if let Some(moved) = self.running.get(idx) {
+            for &n in moved.nodes() {
+                self.node_owner[n.0 as usize] = Some(idx);
+            }
+            self.note_slot_edge(idx);
+        }
+        job
     }
 
     /// Maximum NPROCS this cluster can host (whole machine).
@@ -179,11 +239,16 @@ impl Scheduler {
         job.start(alloc, now);
         let id = job.id();
         self.running.push(job);
+        self.min_speed.push(None);
+        self.note_slot_edge(slot);
         id
     }
 
     /// Advances all running jobs by `dt_secs` at the minimum member speed
     /// read from `speed` (the relative-speed column, indexed by node id).
+    /// `speed_edges` lists every node whose `speed` entry changed since the
+    /// previous call (duplicates allowed): only their jobs, and jobs placed
+    /// since, refold their minimum; every other job reuses its cached one.
     /// Jobs that complete are finished at their exact sub-step completion
     /// instant (`now` minus the unused step time), their nodes freed, and
     /// records returned.
@@ -198,29 +263,33 @@ impl Scheduler {
         dt_secs: f64,
         now: SimTime,
         speed: &[f64],
+        speed_edges: &[u32],
         edges: &mut Vec<NodeId>,
     ) -> Vec<JobRecord> {
+        for &n in speed_edges {
+            if let Some(&Some(slot)) = self.node_owner.get(n as usize) {
+                self.min_speed[slot] = None;
+            }
+        }
         let mut records = Vec::new();
         let mut i = 0;
         while i < self.running.len() {
             let job = &mut self.running[i];
+            let min_speed = *self.min_speed[i].get_or_insert_with(|| job.min_speed(speed));
+            debug_assert_eq!(
+                min_speed.to_bits(),
+                job.min_speed(speed).to_bits(),
+                "cached minimum speed of {} is stale",
+                job.id()
+            );
             let phase_before = job.phase_index();
-            let done = job.advance(dt_secs, speed);
+            let done = job.advance_at(dt_secs, min_speed);
             if let Some(unused_secs) = done {
-                let mut job = self.running.swap_remove(i);
+                // The job swapped down from the tail (if any) now lives at
+                // slot `i` and is advanced next.
+                let mut job = self.remove_slot(i);
                 let finish_at = now - SimDuration::from_secs_f64(unused_secs.min(dt_secs));
                 job.finish(finish_at);
-                for &n in job.nodes() {
-                    self.free.insert(n);
-                    self.node_owner[n.0 as usize] = None;
-                }
-                // The job swapped down from the tail (if any) now lives at
-                // slot `i` and is advanced next — repoint its nodes.
-                if let Some(moved) = self.running.get(i) {
-                    for &n in moved.nodes() {
-                        self.node_owner[n.0 as usize] = Some(i);
-                    }
-                }
                 records.push(JobRecord::from_job(&job));
             } else {
                 if job.phase_index() != phase_before {
@@ -239,17 +308,7 @@ impl Scheduler {
     /// repointed across the `swap_remove`, exactly as on completion.
     pub fn evict_job_on(&mut self, node: NodeId) -> Option<Job> {
         let idx = (*self.node_owner.get(node.0 as usize)?)?;
-        let job = self.running.swap_remove(idx);
-        for &n in job.nodes() {
-            self.free.insert(n);
-            self.node_owner[n.0 as usize] = None;
-        }
-        if let Some(moved) = self.running.get(idx) {
-            for &n in moved.nodes() {
-                self.node_owner[n.0 as usize] = Some(idx);
-            }
-        }
-        Some(job)
+        Some(self.remove_slot(idx))
     }
 
     /// Takes `node` out of service. The node must be idle — evict its job
@@ -299,6 +358,11 @@ impl Scheduler {
 
     /// Checks internal consistency (tests and debug assertions).
     pub fn check_invariants(&self) {
+        assert_eq!(
+            self.min_speed.len(),
+            self.running.len(),
+            "one cached minimum per slot"
+        );
         // Every running job's nodes point back at its slot and are not free.
         for (slot, job) in self.running.iter().enumerate() {
             assert_eq!(job.status(), JobStatus::Running);
@@ -332,6 +396,7 @@ mod tests {
     use super::*;
     use crate::app::{Class, NpbApp};
     use crate::phase::{Phase, PhaseKind};
+    use proptest::prelude::*;
 
     fn job(id: u64, nprocs: u32, work: f64) -> Job {
         Job::new(
@@ -392,7 +457,13 @@ mod tests {
     /// finished ids and the reported phase-edge nodes.
     fn advance_by(s: &mut Scheduler, secs: u64) -> (Vec<JobId>, Vec<NodeId>) {
         let mut edges = Vec::new();
-        let records = s.advance(secs as f64, SimTime::from_secs(secs), &[1.0; 8], &mut edges);
+        let records = s.advance(
+            secs as f64,
+            SimTime::from_secs(secs),
+            &[1.0; 8],
+            &[],
+            &mut edges,
+        );
         s.check_invariants();
         (records.iter().map(|r| r.id).collect(), edges)
     }
@@ -455,7 +526,7 @@ mod tests {
         q.push(job(1, 24, 5.0));
         s.try_start(&mut q, SimTime::ZERO);
         assert_eq!(s.utilization(), 0.5);
-        let records = s.advance(5.0, SimTime::from_secs(5), &[1.0; 8], &mut Vec::new());
+        let records = s.advance(5.0, SimTime::from_secs(5), &[1.0; 8], &[], &mut Vec::new());
         assert_eq!(records.len(), 1);
         assert_eq!(records[0].actual_secs, 5.0);
         assert_eq!(s.free_count(), 4);
@@ -537,9 +608,21 @@ mod tests {
         q.push(job(1, 12, 10.0));
         s.try_start(&mut q, SimTime::ZERO);
         // Half speed: after 10 s the job is only half done.
-        let records = s.advance(10.0, SimTime::from_secs(10), &[0.5; 2], &mut Vec::new());
+        let records = s.advance(
+            10.0,
+            SimTime::from_secs(10),
+            &[0.5; 2],
+            &[],
+            &mut Vec::new(),
+        );
         assert!(records.is_empty());
-        let records = s.advance(10.0, SimTime::from_secs(20), &[0.5; 2], &mut Vec::new());
+        let records = s.advance(
+            10.0,
+            SimTime::from_secs(20),
+            &[0.5; 2],
+            &[],
+            &mut Vec::new(),
+        );
         assert_eq!(records.len(), 1);
         assert_eq!(records[0].actual_secs, 20.0);
         assert!(records[0].performance_ratio() < 0.51);
@@ -552,7 +635,7 @@ mod tests {
         q.push(job(1, 12, 3.0));
         q.push(job(2, 12, 4.0));
         s.try_start(&mut q, SimTime::ZERO);
-        let records = s.advance(5.0, SimTime::from_secs(5), &[1.0; 8], &mut Vec::new());
+        let records = s.advance(5.0, SimTime::from_secs(5), &[1.0; 8], &[], &mut Vec::new());
         assert_eq!(records.len(), 2);
         s.check_invariants();
     }
@@ -569,7 +652,7 @@ mod tests {
         q.push(job(3, 24, 50.0)); // nodes 3-4
         s.try_start(&mut q, SimTime::ZERO);
         s.check_invariants();
-        let records = s.advance(5.0, SimTime::from_secs(5), &[1.0; 8], &mut Vec::new());
+        let records = s.advance(5.0, SimTime::from_secs(5), &[1.0; 8], &[], &mut Vec::new());
         assert_eq!(records.len(), 1);
         assert_eq!(records[0].id, JobId(1));
         s.check_invariants();
@@ -640,5 +723,86 @@ mod tests {
         q.push(job(1, 12, 10.0));
         s.try_start(&mut q, SimTime::ZERO);
         s.set_node_down(NodeId(0));
+    }
+
+    /// Each slot's placement, to tell which slots a round of edits changed.
+    fn placements(s: &Scheduler) -> Vec<(JobId, u32)> {
+        s.running_jobs()
+            .iter()
+            .map(|j| (j.id(), j.requeues()))
+            .collect()
+    }
+
+    proptest! {
+        /// Over random speed edits, starts, finishes and evictions, the
+        /// cached per-job minimum speed is bitwise a fresh fold after every
+        /// advance, and records and phase edges equal those of a twin
+        /// that refolds every job. Every slot whose job changed is among
+        /// the reported placement edges.
+        #[test]
+        fn prop_cached_min_speed_matches_a_refold(
+            rounds in proptest::collection::vec(
+                (
+                    proptest::collection::vec((0u32..16, 0u8..6), 0..5),
+                    proptest::collection::vec((1u32..60, 1u64..8, 1u64..8), 0..3),
+                    proptest::option::of(0u32..16),
+                    1u64..4,
+                ),
+                20..60,
+            ),
+        ) {
+            let mut s = sched(16);
+            let mut twin = sched(16);
+            let (mut q, mut twin_q) = (JobQueue::new(), JobQueue::new());
+            let mut speed = vec![1.0; 16];
+            let all: Vec<u32> = (0..16).collect();
+            let mut next_id = 0;
+            let mut now = SimTime::ZERO;
+            for (edits, arrivals, evict, secs) in rounds {
+                let before = placements(&s);
+                let mut changed = Vec::new();
+                for (n, level) in edits {
+                    speed[n as usize] = 0.5 + 0.1 * f64::from(level);
+                    changed.push(n);
+                }
+                for (nprocs, a, b) in arrivals {
+                    next_id += 1;
+                    let job = phased_job(next_id, nprocs, &[a as f64, b as f64]);
+                    q.push(job.clone());
+                    twin_q.push(job);
+                }
+                if let Some(n) = evict {
+                    for (s, q) in [(&mut s, &mut q), (&mut twin, &mut twin_q)] {
+                        if let Some(mut job) = s.evict_job_on(NodeId(n)) {
+                            job.requeue();
+                            q.push_front(job);
+                        }
+                    }
+                }
+                s.try_start(&mut q, now);
+                twin.try_start(&mut twin_q, now);
+                now += SimDuration::from_secs(secs);
+                let (mut edges, mut twin_edges) = (Vec::new(), Vec::new());
+                let dt = secs as f64;
+                let records = s.advance(dt, now, &speed, &changed, &mut edges);
+                let want = twin.advance(dt, now, &speed, &all, &mut twin_edges);
+                prop_assert_eq!(records, want);
+                prop_assert_eq!(edges, twin_edges);
+                s.check_invariants();
+                for (job, cached) in s.running_jobs().iter().zip(&s.min_speed) {
+                    prop_assert_eq!(cached.map(f64::to_bits), Some(job.min_speed(&speed).to_bits()));
+                }
+                let after = placements(&s);
+                for (slot, p) in after.iter().enumerate() {
+                    if before.get(slot) != Some(p) {
+                        prop_assert!(
+                            s.placement_edges().contains(&(slot as u32)),
+                            "slot {} changed unreported", slot
+                        );
+                    }
+                }
+                s.clear_placement_edges();
+            }
+        }
     }
 }
