@@ -2,9 +2,8 @@
 //!
 //! Runs one fixed macro workload (the paper-scale 128-node cluster,
 //! 1 simulated hour, MPC-managed) plus the hot-path micro measurements
-//! that the criterion suite tracks, plus a node-count × pool-width
-//! scaling sweep, and writes the results to `BENCH_ppc.json` in the
-//! current directory:
+//! that the criterion suite tracks, plus a node-count scaling sweep, and
+//! writes the results to `BENCH_ppc.json` in the current directory:
 //!
 //! ```text
 //! cargo run --release -p ppc-bench --bin bench_ppc
@@ -14,7 +13,6 @@
 //! Flags:
 //!
 //! * `--nodes 128,1024,10240` — node counts for the scaling sweep;
-//! * `--workers 1,4,8` — explicit pool widths for the scaling sweep;
 //! * `--smoke` — CI mode: skip the hour macro and the sweep, run the
 //!   headline micros with fewer batches, print JSON to stdout and do
 //!   **not** overwrite `BENCH_ppc.json` (the CI perf guard compares the
@@ -36,7 +34,6 @@ use ppc_obs::StageProfiler;
 use ppc_simkit::{RngFactory, SimDuration, SimTime, WorkerPool};
 use ppc_telemetry::{Collector, NodeSample};
 use std::collections::BTreeSet;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Hierarchical sweep shape: the paper-scale rack of 128 nodes, 16 racks
@@ -83,12 +80,12 @@ fn sim(managed: bool) -> ClusterSim {
 /// A saturated cluster at `nodes` nodes: zero think time and a queue
 /// depth that scales with the fleet, so the sweep measures busy ticks,
 /// not an idle calendar.
-fn scaling_sim(nodes: u32, managed: bool, pool: &Arc<WorkerPool>) -> ClusterSim {
+fn scaling_sim(nodes: u32, managed: bool) -> ClusterSim {
     let mut spec = ClusterSpec::tianhe_1a_variant();
     spec.node_count = nodes;
     spec.think_time_mean = SimDuration::ZERO;
     spec.queue_depth = (nodes / 64).max(1) as usize;
-    let sim = if managed {
+    if managed {
         let sets = NodeSets::new(spec.node_ids(), []);
         let config = ManagerConfig {
             training_cycles: 0,
@@ -98,13 +95,12 @@ fn scaling_sim(nodes: u32, managed: bool, pool: &Arc<WorkerPool>) -> ClusterSim 
         ClusterSim::new(spec).with_manager(manager)
     } else {
         ClusterSim::new(spec)
-    };
-    sim.with_worker_pool(Arc::clone(pool))
+    }
 }
 
 /// A saturated cluster under the *hierarchical* control plane at the
 /// sweep shape above.
-fn hier_scaling_sim(nodes: u32, pool: &Arc<WorkerPool>) -> ClusterSim {
+fn hier_scaling_sim(nodes: u32) -> ClusterSim {
     let mut spec = ClusterSpec::tianhe_1a_variant();
     spec.node_count = nodes;
     spec.think_time_mean = SimDuration::ZERO;
@@ -117,9 +113,7 @@ fn hier_scaling_sim(nodes: u32, pool: &Arc<WorkerPool>) -> ClusterSim {
     };
     let hier = HierarchicalManager::new(config, topology, &BTreeSet::new(), spec.node_weights_w())
         .expect("valid hierarchy");
-    ClusterSim::new(spec)
-        .with_hierarchy(hier)
-        .with_worker_pool(Arc::clone(pool))
+    ClusterSim::new(spec).with_hierarchy(hier)
 }
 
 /// Mean microseconds per `StageProfiler` stage over the steps since the
@@ -181,21 +175,16 @@ fn scaling_faulted() -> serde_json::Value {
     // The horizon covers the warmup and every measured tick.
     let horizon = SimDuration::from_secs(WARM_SECS + 300);
     let schedule = FaultSchedule::generate(&rates, NODES, horizon, &RngFactory::new(7));
-    let pool = Arc::new(WorkerPool::new(1));
-    let mut sim = hier_scaling_sim(NODES, &pool).with_faults(FaultInjection::new(schedule));
+    let mut sim = hier_scaling_sim(NODES).with_faults(FaultInjection::new(schedule));
     let (step_us, stages, eval_mode) = measure_steps(&mut sim, WARM_SECS, 5, 10);
     let racks = sim
         .hierarchy()
         .expect("hierarchical sim")
         .topology()
         .racks();
-    eprintln!(
-        "scaling-faulted: nodes={NODES} workers=1 racks={racks} mode={eval_mode} \
-         step={step_us:.2}us"
-    );
+    eprintln!("scaling-faulted: nodes={NODES} racks={racks} mode={eval_mode} step={step_us:.2}us");
     serde_json::json!([{
         "nodes": NODES,
-        "workers": 1,
         "racks": racks,
         "nproc": nproc(),
         "eval_mode": eval_mode,
@@ -232,7 +221,6 @@ fn main() {
     let mut faulted_only = false;
     let mut guard: Option<String> = None;
     let mut sweep_nodes: Vec<u32> = vec![128, 1024, 10_240];
-    let mut sweep_workers: Vec<u32> = vec![1, 4, 8];
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -240,11 +228,9 @@ fn main() {
             "--faulted-only" => faulted_only = true,
             "--guard" => guard = Some(args.next().expect("--guard <baseline.json>")),
             "--nodes" => sweep_nodes = parse_list(&args.next().expect("--nodes <csv>")),
-            "--workers" => sweep_workers = parse_list(&args.next().expect("--workers <csv>")),
             other => {
                 panic!(
-                    "unknown flag {other} \
-                     (expected --smoke | --faulted-only | --guard | --nodes | --workers)"
+                    "unknown flag {other} (expected --smoke | --faulted-only | --guard | --nodes)"
                 )
             }
         }
@@ -302,8 +288,7 @@ fn main() {
     // Micro: per-tick cost of the hierarchical control plane at the
     // 1024-node scale (8 racks of 128) — the smallest rung of the Figure 5
     // extension, cheap enough to measure (and guard) even in smoke mode.
-    let pool0 = Arc::new(WorkerPool::new(8));
-    let mut hier = hier_scaling_sim(1024, &pool0);
+    let mut hier = hier_scaling_sim(1024);
     hier.run_for(SimDuration::from_secs(30));
     let sim_step_1024_hier_us = median_us(batches, iters, || hier.step());
     drop(hier);
@@ -320,84 +305,70 @@ fn main() {
     assert!(total != 0.0 && cells[1] != 0.0, "work must not be elided");
 
     // Hierarchical scaling sweep — the Figure 5 extension: per-tick cost
-    // at 1k/10k/100k nodes under the sharded control plane, at pool
-    // widths 1 and 8. Sample counts shrink with scale; a 100k-node tick
-    // is milliseconds, so even a handful of batches is minutes-stable.
+    // at 1k/10k/100k nodes under the per-rack control plane. Sample
+    // counts shrink with scale; a 100k-node tick is milliseconds, so even
+    // a handful of batches is minutes-stable.
     let mut scaling_hier = Vec::new();
     if !smoke {
-        let mut per_width_us: Vec<(u32, Vec<(u32, f64)>)> = Vec::new();
-        for &w in &[1u32, 8] {
-            let mut col = Vec::new();
-            for &n in &[1024u32, 10_240, 102_400] {
-                let pool = Arc::new(WorkerPool::new(w as usize));
-                let (warm_secs, sb, si) = if n >= 100_000 {
-                    (20, 3, 3)
-                } else if n > 4096 {
-                    (40, 5, 10)
-                } else {
-                    (120, 9, 20)
-                };
-                let mut h = hier_scaling_sim(n, &pool);
-                let (hier_us, stages, eval_mode) = measure_steps(&mut h, warm_secs, sb, si);
-                let racks = h.hierarchy().expect("hierarchical sim").topology().racks();
-                eprintln!("scaling-hier: nodes={n} workers={w} racks={racks} step={hier_us:.2}us");
-                scaling_hier.push(serde_json::json!({
-                    "nodes": n,
-                    "workers": w,
-                    "nproc": nproc(),
-                    "racks": racks,
-                    "eval_mode": eval_mode,
-                    "sim_step_hier_us": hier_us,
-                    "stages_us": stages,
-                }));
-                col.push((n, hier_us));
-            }
-            per_width_us.push((w, col));
+        let mut col = Vec::new();
+        for &n in &[1024u32, 10_240, 102_400] {
+            let (warm_secs, sb, si) = if n >= 100_000 {
+                (20, 3, 3)
+            } else if n > 4096 {
+                (40, 5, 10)
+            } else {
+                (120, 9, 20)
+            };
+            let mut h = hier_scaling_sim(n);
+            let (hier_us, stages, eval_mode) = measure_steps(&mut h, warm_secs, sb, si);
+            let racks = h.hierarchy().expect("hierarchical sim").topology().racks();
+            eprintln!("scaling-hier: nodes={n} racks={racks} step={hier_us:.2}us");
+            scaling_hier.push(serde_json::json!({
+                "nodes": n,
+                "nproc": nproc(),
+                "racks": racks,
+                "eval_mode": eval_mode,
+                "sim_step_hier_us": hier_us,
+                "stages_us": stages,
+            }));
+            col.push((n, hier_us));
         }
         // The acceptance shape: each 10× node-count rung should cost well
-        // under 10× per tick (the issue's bar is ≤ ~3×).
-        for (w, col) in &per_width_us {
-            for pair in col.windows(2) {
-                let (n0, us0) = pair[0];
-                let (n1, us1) = pair[1];
-                eprintln!(
-                    "scaling-hier: width {w}: {n0}->{n1} nodes cost x{:.2} per tick",
-                    us1 / us0
-                );
-            }
+        // under 10× per tick (the bar is ≤ ~3×).
+        for pair in col.windows(2) {
+            let (n0, us0) = pair[0];
+            let (n1, us1) = pair[1];
+            eprintln!(
+                "scaling-hier: {n0}->{n1} nodes cost x{:.2} per tick",
+                us1 / us0
+            );
         }
     }
 
     // Scaling sweep: managed and unmanaged per-tick cost across node
-    // counts and explicit pool widths. Warmup is shorter at the largest
-    // scales; the incremental evaluator's cost tracks the dirty set, not
-    // the fleet, so busy steady-state ticks are what matter.
+    // counts. Warmup is shorter at the largest scales; the incremental
+    // evaluator's cost tracks the dirty set, not the fleet, so busy
+    // steady-state ticks are what matter.
     let mut scaling = Vec::new();
     if !smoke {
         for &n in &sweep_nodes {
-            for &w in &sweep_workers {
-                let pool = Arc::new(WorkerPool::new(w as usize));
-                let (warm_secs, sb, si) = if n > 4096 { (60, 5, 10) } else { (120, 9, 20) };
-                let mut m = scaling_sim(n, true, &pool);
-                let (managed_us, stages, eval_mode) = measure_steps(&mut m, warm_secs, sb, si);
-                let mut u = scaling_sim(n, false, &pool);
-                u.run_for(SimDuration::from_secs(warm_secs));
-                let unmanaged_us = median_us(sb, si, || u.step());
-                eprintln!(
-                    "scaling: nodes={n} workers={w} managed={managed_us:.2}us unmanaged={unmanaged_us:.2}us"
-                );
-                // `eval_mode` and `stages_us` describe the managed steps.
-                scaling.push(serde_json::json!({
-                    "nodes": n,
-                    "workers": w,
-                    "nproc": nproc(),
-                    "eval_mode": eval_mode,
-                    "sim_step_managed_us": managed_us,
-                    "sim_step_unmanaged_us": unmanaged_us,
-                    "managed_over_unmanaged": managed_us / unmanaged_us,
-                    "stages_us": stages,
-                }));
-            }
+            let (warm_secs, sb, si) = if n > 4096 { (60, 5, 10) } else { (120, 9, 20) };
+            let mut m = scaling_sim(n, true);
+            let (managed_us, stages, eval_mode) = measure_steps(&mut m, warm_secs, sb, si);
+            let mut u = scaling_sim(n, false);
+            u.run_for(SimDuration::from_secs(warm_secs));
+            let unmanaged_us = median_us(sb, si, || u.step());
+            eprintln!("scaling: nodes={n} managed={managed_us:.2}us unmanaged={unmanaged_us:.2}us");
+            // `eval_mode` and `stages_us` describe the managed steps.
+            scaling.push(serde_json::json!({
+                "nodes": n,
+                "nproc": nproc(),
+                "eval_mode": eval_mode,
+                "sim_step_managed_us": managed_us,
+                "sim_step_unmanaged_us": unmanaged_us,
+                "managed_over_unmanaged": managed_us / unmanaged_us,
+                "stages_us": stages,
+            }));
         }
     }
 
@@ -424,9 +395,9 @@ fn main() {
         }
         t.elapsed().as_secs_f64() * 1e6 / ticks as f64
     };
-    let mut health_on = hier_scaling_sim(10_240, &pool0);
+    let mut health_on = hier_scaling_sim(10_240);
     health_on.run_for(SimDuration::from_secs(20));
-    let mut health_off = hier_scaling_sim(10_240, &pool0);
+    let mut health_off = hier_scaling_sim(10_240);
     health_off.set_health_enabled(false);
     health_off.run_for(SimDuration::from_secs(20));
     let mut health_on_us = f64::INFINITY;
@@ -451,7 +422,6 @@ fn main() {
             "simulated_secs": 3600,
             "policy": "mpc",
         },
-        "pool_workers": pool.workers(),
         "managed_hour_wall_secs": managed_hour_secs,
         "managed_hour_finished_jobs": finished_jobs,
         "median_us": {
@@ -516,7 +486,7 @@ fn main() {
         // Guard the hierarchical step the same way once the committed
         // baseline records it.
         if let Some(hier_baseline) = committed["median_us"]["sim_step_1024_hier"].as_f64() {
-            let mut hier = hier_scaling_sim(1024, &pool0);
+            let mut hier = hier_scaling_sim(1024);
             hier.run_for(SimDuration::from_secs(30));
             let hier_best = sim_step_1024_hier_us
                 .min(median_us(batches, iters, || hier.step()))

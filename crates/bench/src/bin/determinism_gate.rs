@@ -3,10 +3,8 @@
 //! The static side (`ppc-lint`) keeps nondeterminism *sources* out of the
 //! tree; this binary checks the property those rules protect: a seeded
 //! end-to-end simulation — manager, scheduler, telemetry, fault injection
-//! — must be bit-identical run to run and at every worker-pool width. It
-//! runs the same managed, faulted experiment under pool widths 1 and 8
-//! (inline threshold zero forces even a small cluster through the
-//! parallel path) plus a same-width repeat, then compares:
+//! — must be bit-identical run to run. It runs the same managed, faulted
+//! experiment twice, then compares:
 //!
 //! * the journal fingerprint (job lifecycle, state flips, commands,
 //!   faults — an order-sensitive FNV-1a over every recorded event);
@@ -17,22 +15,23 @@
 //!   cannot diff);
 //! * the three fleet-health fingerprints — rollup tree, quantile
 //!   sketches (node power + modeled stage latency), SLO alert journal —
-//!   pinning the health plane's per-shard sketch merge and burn-rate
-//!   evaluation across widths, modes and branches;
+//!   pinning the health plane's sketches and burn-rate evaluation across
+//!   repeats, modes and branches;
 //! * finished-job and applied-command counts.
 //!
 //! The same experiment also runs under both evaluation modes — the dense
-//! full-evaluation path and the default dirty-set/event-driven path — at
-//! widths 1 and 8. The incremental evaluator is an *optimization*, not a
-//! semantic variant: every digest must match the dense reference bit for
-//! bit.
+//! full-evaluation path and the default dirty-set/event-driven path. The
+//! incremental evaluator is an *optimization*, not a semantic variant:
+//! every digest must match the dense reference bit for bit.
 //!
 //! A third family of legs checks the what-if snapshot contract: the run
 //! is stopped halfway, captured with `ClusterSnapshot`, the *original* is
 //! stepped onward (so any state the branch secretly shared with it would
 //! diverge), and the branch is driven to the end. Every digest of the
-//! branched run — taken mid-fault-schedule, at widths 1 and 8 — must
-//! match the uninterrupted reference bit for bit.
+//! branched run — taken mid-fault-schedule — must match the uninterrupted
+//! reference bit for bit.
+//!
+//! The tick runs on one thread, so there is no pool width to vary.
 //!
 //! Any divergence prints the offending run and exits non-zero, failing
 //! CI. Under a minute of wall clock; see `scripts/ci.sh`.
@@ -40,11 +39,10 @@
 use ppc_cluster::{ClusterSim, ClusterSpec, EvalMode};
 use ppc_core::{HierarchicalManager, ManagerConfig, NodeSets, PolicyKind, PowerManager, Topology};
 use ppc_faults::{FaultInjection, FaultRates, FaultSchedule};
-use ppc_simkit::{RngFactory, SimDuration, WorkerPool};
+use ppc_simkit::{RngFactory, SimDuration};
 use ppc_whatif::ClusterSnapshot;
 use std::collections::BTreeSet;
 use std::process::ExitCode;
-use std::sync::Arc;
 
 const NODES: u32 = 8;
 const RUN_SECS: u64 = 400;
@@ -109,40 +107,36 @@ fn gate_spec() -> (ClusterSpec, FaultSchedule, ManagerConfig) {
     (spec, schedule, config)
 }
 
-fn build(workers: usize, mode: EvalMode) -> Result<ClusterSim, String> {
+fn build(mode: EvalMode) -> Result<ClusterSim, String> {
     let (spec, schedule, config) = gate_spec();
     let sets = NodeSets::new(spec.node_ids(), []);
     let manager =
         PowerManager::new(config, sets).map_err(|e| format!("manager construction: {e}"))?;
-    let pool = Arc::new(WorkerPool::new(workers).with_inline_threshold(0));
     Ok(ClusterSim::new(spec)
         .with_manager(manager)
         .with_faults(FaultInjection::new(schedule))
-        .with_worker_pool(pool)
         .with_eval_mode(mode))
 }
 
 /// The same experiment under the hierarchical control plane.
-fn build_hier(workers: usize, mode: EvalMode, topology: Topology) -> Result<ClusterSim, String> {
+fn build_hier(mode: EvalMode, topology: Topology) -> Result<ClusterSim, String> {
     let (spec, schedule, config) = gate_spec();
     let hier = HierarchicalManager::new(config, topology, &BTreeSet::new(), spec.node_weights_w())
         .map_err(|e| format!("hierarchy construction: {e}"))?;
-    let pool = Arc::new(WorkerPool::new(workers).with_inline_threshold(0));
     Ok(ClusterSim::new(spec)
         .with_hierarchy(hier)
         .with_faults(FaultInjection::new(schedule))
-        .with_worker_pool(pool)
         .with_eval_mode(mode))
 }
 
-fn run_once_hier(workers: usize, mode: EvalMode, topology: Topology) -> Result<RunDigest, String> {
-    let mut sim = build_hier(workers, mode, topology)?;
+fn run_once_hier(mode: EvalMode, topology: Topology) -> Result<RunDigest, String> {
+    let mut sim = build_hier(mode, topology)?;
     sim.run_for(SimDuration::from_secs(RUN_SECS));
     Ok(digest(&sim))
 }
 
-fn run_once(workers: usize, mode: EvalMode) -> Result<RunDigest, String> {
-    let mut sim = build(workers, mode)?;
+fn run_once(mode: EvalMode) -> Result<RunDigest, String> {
+    let mut sim = build(mode)?;
     sim.run_for(SimDuration::from_secs(RUN_SECS));
     Ok(digest(&sim))
 }
@@ -151,9 +145,9 @@ fn run_once(workers: usize, mode: EvalMode) -> Result<RunDigest, String> {
 /// jobs in flight, thresholds learned — capture a snapshot, keep stepping
 /// the *original* (a branch that secretly shared state with it would
 /// diverge here), then drive the branch to the end and digest it.
-fn run_branched(workers: usize, mode: EvalMode) -> Result<RunDigest, String> {
+fn run_branched(mode: EvalMode) -> Result<RunDigest, String> {
     let half = RUN_SECS / 2;
-    let mut sim = build(workers, mode)?;
+    let mut sim = build(mode)?;
     sim.run_for(SimDuration::from_secs(half));
     let snapshot = ClusterSnapshot::capture(&sim);
     // Perturb the original past the capture point before the branch runs.
@@ -164,26 +158,22 @@ fn run_branched(workers: usize, mode: EvalMode) -> Result<RunDigest, String> {
 }
 
 fn main() -> ExitCode {
-    // (label, width, mode, branched): width 1 twice proves same-seed
-    // repeatability, width 8 proves pool-width invariance, the dense
-    // (Full) runs prove the dirty-set/event-driven evaluator changes
-    // nothing any fingerprint can see, and the branched legs prove a
-    // what-if snapshot forked halfway replays the back half bit for bit
-    // — at both widths.
+    // (label, mode, branched): the incremental run twice proves
+    // same-seed repeatability, the dense (Full) run proves the
+    // dirty-set/event-driven evaluator changes nothing any fingerprint
+    // can see, and the branched leg proves a what-if snapshot forked
+    // halfway replays the back half bit for bit.
     let runs = [
-        ("incr width 1", 1usize, EvalMode::Incremental, false),
-        ("incr width 1 rep", 1, EvalMode::Incremental, false),
-        ("incr width 8", 8, EvalMode::Incremental, false),
-        ("dense width 1", 1, EvalMode::Full, false),
-        ("dense width 8", 8, EvalMode::Full, false),
-        ("branch width 1", 1, EvalMode::Incremental, true),
-        ("branch width 8", 8, EvalMode::Incremental, true),
+        ("incr", EvalMode::Incremental, false),
+        ("incr rep", EvalMode::Incremental, false),
+        ("dense", EvalMode::Full, false),
+        ("branch", EvalMode::Incremental, true),
     ];
     let mut baseline: Option<RunDigest> = None;
     let mut failed = false;
-    for (label, workers, mode, branched) in runs {
+    for (label, mode, branched) in runs {
         let run = if branched { run_branched } else { run_once };
-        let digest = match run(workers, mode) {
+        let digest = match run(mode) {
             Ok(d) => d,
             Err(e) => {
                 eprintln!("determinism gate: {label}: {e}");
@@ -229,10 +219,9 @@ fn main() -> ExitCode {
     // Hierarchical legs. The flat baseline attaches its manager through
     // the adopting constructor (`HierarchicalManager::from_racks`); a
     // one-rack tree built by `HierarchicalManager::new` must match it bit
-    // for bit at both widths. A 3-level
-    // topology (2 rows × 2 racks of 2 nodes) exercises real delegation,
-    // sharded sub-manager evaluation and rollup; it forms its own digest
-    // family, pinned across widths 1 and 8 plus a same-width repeat.
+    // for bit. A 3-level topology (2 rows × 2 racks of 2 nodes) exercises
+    // real delegation, per-rack sub-manager evaluation and rollup; it
+    // forms its own digest family, pinned by a same-seed repeat.
     let single_rack = match Topology::single_rack(NODES) {
         Ok(t) => t,
         Err(e) => {
@@ -248,15 +237,13 @@ fn main() -> ExitCode {
         }
     };
     let hier_runs = [
-        ("hier 1rack width 1", 1usize, single_rack, false),
-        ("hier 1rack width 8", 8, single_rack, false),
-        ("hier 3lvl width 1", 1, three_level, true),
-        ("hier 3lvl width 1 rep", 1, three_level, true),
-        ("hier 3lvl width 8", 8, three_level, true),
+        ("hier 1rack", single_rack, false),
+        ("hier 3lvl", three_level, true),
+        ("hier 3lvl rep", three_level, true),
     ];
     let mut hier_baseline: Option<RunDigest> = None;
-    for (label, workers, topology, own_family) in hier_runs {
-        let digest = match run_once_hier(workers, EvalMode::Incremental, topology) {
+    for (label, topology, own_family) in hier_runs {
+        let digest = match run_once_hier(EvalMode::Incremental, topology) {
             Ok(d) => d,
             Err(e) => {
                 eprintln!("determinism gate: {label}: {e}");
@@ -312,7 +299,7 @@ fn main() -> ExitCode {
     } else {
         println!(
             "determinism gate: ok — journal, trace, span, metrics and health hashes identical \
-             across runs, pool widths, evaluation modes and control-plane architectures"
+             across runs, evaluation modes, branches and control-plane architectures"
         );
         ExitCode::SUCCESS
     }

@@ -15,7 +15,7 @@
 //!   are exact — the evaluator never recomputes them.
 //! * The set is a dense bitmask plus an insertion-ordered, deduplicated
 //!   index list, so iteration order is a pure function of the marking
-//!   order — identical across runs and worker-pool widths.
+//!   order — identical across runs.
 //! * Marks for effects that only materialize *next* tick (a phase
 //!   boundary or job finish observed while advancing tick T changes loads
 //!   starting at T+1; a level command applied during T's control cycle
@@ -311,10 +311,9 @@ impl NodeColumns {
         &self.shards
     }
 
-    /// Per-shard power sums: each entry is a serial index-order fold over
-    /// its shard's contiguous sub-slice of the dense power column, so a
-    /// rack's fleet sum is exactly the flat fold restricted to its range —
-    /// deterministic at any worker-pool width, same as the fleet sum.
+    /// Per-shard power sums: each entry is an index-order fold over its
+    /// shard's contiguous sub-slice of the dense power column, so a rack's
+    /// fleet sum is exactly the flat fold restricted to its range.
     /// Computed in the fleet sum's pass and cached with it. The fleet sum
     /// stays a single whole-column fold (float addition is not
     /// associative: summing shard sums would change its bits).

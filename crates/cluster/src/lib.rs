@@ -7,8 +7,8 @@
 //!
 //! * [`spec`] — cluster-level configuration (node model, size, tick,
 //!   provision capability, sensing noise);
-//! * [`sim`] — the tick loop: refill queue → start jobs → advance node
-//!   states (in parallel) → advance jobs at min-member-rate → meter →
+//! * [`sim`] — the single-threaded tick loop: refill queue → start jobs →
+//!   advance node states → advance jobs at min-member-rate → meter →
 //!   agents → control cycle → apply throttling commands;
 //! * [`experiment`] — the paper's protocol: an uncapped training period
 //!   that learns `P_peak`, then a measured period under a policy; plus the

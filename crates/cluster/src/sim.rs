@@ -21,16 +21,18 @@
 //! Step 2/4 run in one of two bit-identical regimes ([`EvalMode`]):
 //!
 //! * **Full** — the dense reference: every node's state advances every
-//!   tick (in parallel via the worker pool) and every node's power is
-//!   re-evaluated into the [`NodeColumns`] power column;
+//!   tick and every node's power is re-evaluated into the [`NodeColumns`]
+//!   power column;
 //! * **Incremental** (default) — only *dirty* nodes (a load, level, or
 //!   up/down input changed) are re-evaluated; clean nodes' counters are
 //!   caught up in closed form when next needed
 //!   ([`ppc_node::procfs::ProcCounters::advance_many`]) and their cached
-//!   column entries stand. The fleet power sum is a serial index-order
-//!   fold over the dense column either way, so the two modes (and any
-//!   worker-pool width) produce bit-identical traces, journals, span
-//!   trees, and metrics.
+//!   column entries stand. The fleet power sum is an index-order fold
+//!   over the dense column either way, so the two modes produce
+//!   bit-identical traces, journals, span trees, and metrics.
+//!
+//! The tick runs on one thread, like the paper's capping loop: meter,
+//! classify, select, step DVFS, in that order, once per period.
 //!
 //! Discrete one-shot events — the think-time arrival gate and the
 //! fixed-period control cycle — ride a hierarchical [`TimeWheel`] rather
@@ -52,8 +54,7 @@ use ppc_node::node::Node;
 use ppc_node::{Level, NodeId, OperatingState, PowerModel};
 use ppc_obs::{
     AttrValue, CounterHandle, CycleObservation, GaugeHandle, HealthFingerprints, HealthPlane,
-    HistogramHandle, MetricsRegistry, ObsHub, QuantileSketch, SpanRecorder, StageWork, ZoneMap,
-    ZoneState,
+    HistogramHandle, MetricsRegistry, ObsHub, SpanRecorder, StageWork, ZoneMap, ZoneState,
 };
 use ppc_simkit::journal::{Journal, Severity};
 use ppc_simkit::par::WorkerPool;
@@ -350,7 +351,7 @@ pub struct ClusterSim {
     /// Per-rack true power snapshot taken at the top of the control
     /// cycle (multi-rack hierarchy only).
     scratch_rack_true: Vec<f64>,
-    /// Reused buffers of the multi-rack fan-out.
+    /// Reused buffers of the multi-rack control cycle.
     fanout: FanoutScratch,
     /// Per-rack Green/Yellow/Red states mapped into rollup zones
     /// (multi-rack hierarchy only).
@@ -376,9 +377,6 @@ pub struct ClusterSim {
     /// `∫ mean relative-failure-rate dt` (reference = ambient), in
     /// rate-seconds (thermal model only).
     failure_integral: f64,
-    /// Worker-pool override (`None` = the process-global pool). Explicit
-    /// pools let tests prove worker-count invariance of the traces.
-    pool: Option<Arc<WorkerPool>>,
     /// Fault injection (`None` = a perfectly healthy machine).
     faults: Option<FaultState>,
     /// Nodes removed permanently via [`ClusterSim::decommission_node`]:
@@ -534,7 +532,6 @@ impl ClusterSim {
             last_state: None,
             peak_temp_c: f64::NEG_INFINITY,
             failure_integral: 0.0,
-            pool: None,
             faults: None,
             decommissioned: BTreeSet::new(),
             obs,
@@ -668,11 +665,11 @@ impl ClusterSim {
         self
     }
 
-    /// Overrides the worker pool used for node updates and power sums
-    /// (default: the process-global pool). Results are bit-identical for
-    /// any pool, by the pool's determinism contract.
-    pub fn with_worker_pool(mut self, pool: Arc<WorkerPool>) -> Self {
-        self.pool = Some(pool);
+    /// Does nothing: the tick runs on one thread and takes no worker
+    /// pool. Kept only because the repository benchmark still calls it;
+    /// the next change to the benchmark drops those calls, and then this
+    /// method.
+    pub fn with_worker_pool(self, _pool: Arc<WorkerPool>) -> Self {
         self
     }
 
@@ -929,7 +926,7 @@ impl ClusterSim {
     }
 
     /// FNV-1a fingerprint of every closed control-cycle span, for the
-    /// determinism gate (bit-identical across worker-pool widths).
+    /// determinism gate (bit-identical across same-seed runs).
     pub fn span_fingerprint(&self) -> u64 {
         self.obs.spans.fingerprint()
     }
@@ -1447,9 +1444,9 @@ impl ClusterSim {
         if incremental {
             self.materialize_dirty(dt, tick, lazy_step, now0 + self.spec.tick);
         } else {
-            // Dense reference: compute every node's load serially (borrows
-            // the scheduler), apply to nodes in parallel via the pool. The
-            // load buffer is a scratch field reused across ticks.
+            // Dense reference: compute every node's load (borrows the
+            // scheduler), then apply it to every node. The load buffer is a
+            // scratch field reused across ticks.
             self.scratch_loads.clear();
             self.scratch_loads.extend(self.nodes.iter().map(
                 |n| match self.scheduler.load_on(n.id()) {
@@ -1471,17 +1468,12 @@ impl ClusterSim {
             let columns = &self.columns;
             self.scratch_down
                 .extend((0..self.nodes.len() as u32).map(|i| columns.is_down(NodeId(i))));
-            let pool: &WorkerPool = match self.pool.as_deref() {
-                Some(p) => p,
-                None => WorkerPool::global(),
-            };
-            let loads = &self.scratch_loads;
-            let down = &self.scratch_down;
-            pool.for_each_mut(&mut self.nodes, |i, node| {
-                if !down[i] {
-                    node.run_interval(loads[i], dt);
+            let inputs = self.scratch_loads.iter().zip(&self.scratch_down);
+            for (node, (&load, &down)) in self.nodes.iter_mut().zip(inputs) {
+                if !down {
+                    node.run_interval(load, dt);
                 }
-            });
+            }
         }
 
         let stage = self.obs.profile.lap("materialize", stage);
@@ -1561,18 +1553,11 @@ impl ClusterSim {
         //    power column (downed nodes hold 0.0 — no per-node branch).
         if !incremental {
             // Dense reference: re-evaluate every node's power into the
-            // column in parallel first. The fold over the column is
-            // bit-identical to the ordered parallel reduction it replaced
-            // (that reduction also folded slot results in index order).
-            let pool: &WorkerPool = match self.pool.as_deref() {
-                Some(p) => p,
-                None => WorkerPool::global(),
-            };
-            let nodes = &self.nodes;
-            let down = &self.scratch_down;
-            pool.for_each_mut(self.columns.power_fill_mut(), |i, p| {
-                *p = if down[i] { 0.0 } else { nodes[i].power_w() };
-            });
+            // column first.
+            let inputs = self.nodes.iter().zip(&self.scratch_down);
+            for (p, (node, &down)) in self.columns.power_fill_mut().iter_mut().zip(inputs) {
+                *p = if down { 0.0 } else { node.power_w() };
+            }
         }
         let true_power_w = self.columns.fleet_power_w();
         self.true_power.push(now1, true_power_w);
@@ -2012,21 +1997,6 @@ impl ClusterSim {
         let spans = &mut self.obs.spans;
         let rack_true = &self.scratch_rack_true;
         let fanout = &mut self.fanout;
-        // Fleet node-power sketch sampling (every NODE_SKETCH_PERIOD
-        // ticks; the cadence keys off the deterministic tick index). In
-        // the multi-rack fan-out each rack slot sketches its own
-        // contiguous power-column slice in parallel and the shards merge
-        // serially post-join — sketch merge is exactly associative, so
-        // the result is bit-identical to serial observation at any pool
-        // width. A single rack observes the dense column serially in the
-        // epilogue.
-        let want_node_sample = self.health.wants_node_sample(tick);
-        let node_power: Option<&[f64]> =
-            (want_node_sample && multi).then(|| self.columns.power_w());
-        let pool: &WorkerPool = match self.pool.as_deref() {
-            Some(p) => p,
-            None => WorkerPool::global(),
-        };
         let (outcome, coverage) = self.cost_meter.measure(|| {
             spans.open("ingest", now);
             spans.attr("samples", AttrValue::U64(logical_samples));
@@ -2116,9 +2086,7 @@ impl ClusterSim {
                     fresh,
                     rack_true,
                     fleet_true_w,
-                    node_power,
                     fanout,
-                    pool,
                     now,
                     spans,
                 )
@@ -2254,13 +2222,14 @@ impl ClusterSim {
         // Fleet health plane: fold the cycle into the rollup tree, stage
         // sketches and SLO rules, after the root span closed so an
         // alert-triggered flight snapshot captures the complete cycle.
-        let tree = self.hierarchy.as_ref().filter(|h| !h.is_single_rack());
+        // The fleet node-power sketch samples every NODE_SKETCH_PERIOD
+        // ticks, keyed off the deterministic tick index. Actuation moved
+        // only speeds and dirty marks, so the power column still holds
+        // what the control cycle saw.
         if self.health.wants_node_sample(tick) {
-            match tree {
-                Some(_) => self.health.merge_node_shard(&self.fanout.sketch),
-                None => self.health.observe_node_power(self.columns.power_w()),
-            }
+            self.health.observe_node_power(self.columns.power_w());
         }
+        let tree = self.hierarchy.as_ref().filter(|h| !h.is_single_rack());
         let facility_state = zone_state_of(state);
         let work = StageWork {
             samples: decision.samples,
@@ -2480,21 +2449,6 @@ impl ClusterSim {
     }
 }
 
-/// One per-rack slot of the hierarchical fan-out: the rack's sub-manager,
-/// its inputs, and its outcome slot. Workers touch disjoint slots only.
-struct RackSlot<'a> {
-    mgr: &'a mut PowerManager,
-    obs: &'a [JobObservation],
-    metered_w: f64,
-    coverage: f64,
-    /// The rack's contiguous node-power column slice (empty outside
-    /// node-sketch sampling ticks).
-    power: &'a [f64],
-    /// Per-shard node-power sketch, merged serially post-join.
-    sketch: QuantileSketch,
-    out: Option<CycleOutcome>,
-}
-
 /// What a control plane's decision hands the shared cycle epilogue
 /// besides its outcome.
 struct Decision {
@@ -2510,39 +2464,13 @@ struct Decision {
     facility_coverage: f64,
 }
 
-/// Buffers of the multi-rack fan-out, reused across ticks.
-#[derive(Default)]
+/// Buffers of the multi-rack control cycle, reused across ticks.
+#[derive(Default, Clone)]
 struct FanoutScratch {
-    /// Per-rack metered share.
-    metered: Vec<f64>,
     /// Per-rack collector coverage, also read by the health rollup.
     coverage: Vec<f64>,
-    /// The slot array's allocation; empty between cycles.
-    slots: Vec<RackSlot<'static>>,
     /// Rack outcomes in rack order, drained by the rollup.
     outcomes: Vec<CycleOutcome>,
-    /// The racks' node-power sketches merged, on node-sample ticks.
-    sketch: QuantileSketch,
-}
-
-impl Clone for FanoutScratch {
-    fn clone(&self) -> Self {
-        FanoutScratch {
-            metered: self.metered.clone(),
-            coverage: self.coverage.clone(),
-            slots: Vec::new(),
-            outcomes: Vec::new(),
-            sketch: QuantileSketch::new(),
-        }
-    }
-}
-
-/// Empties a slot array and hands its allocation back for slots of other
-/// borrows: collecting an emptied same-layout vector reuses its buffer.
-// `filter` cannot re-type the element lifetime; `filter_map` can.
-#[allow(clippy::unnecessary_filter_map)]
-fn recycle_slots<'b>(slots: Vec<RackSlot<'_>>) -> Vec<RackSlot<'b>> {
-    slots.into_iter().filter_map(|_| None).collect()
 }
 
 /// The lazy regime's side of a node leaving the sampled set at `tick`
@@ -2580,16 +2508,14 @@ fn zone_state_of(s: PowerState) -> ZoneState {
 
 /// Runs the multi-rack hierarchical control cycle: apportion the metered
 /// reading by each rack's share of true fleet power, restrict coverage to
-/// each rack's own candidates, fan the rack sub-managers out over the
-/// worker pool on their rack's job observations, and roll the outcomes
-/// back up serially in rack order.
+/// each rack's own candidates, run each rack's sub-manager on its rack's
+/// job observations in rack order, and roll the outcomes up.
 ///
-/// Width-invariance argument: each rack's cycle reads only its own slot
-/// (its sub-manager, its observation slice, scalars) and records no spans
-/// (sub-managers run with a disabled recorder); every piece of shared
-/// bookkeeping — the rollup, the `shards` span taxonomy, the instruments —
-/// happens after the join, in rack order. This is the same serial
-/// post-join discipline the what-if engine's batch fan-out uses.
+/// Sub-managers run with a disabled span recorder; the `shards` span and
+/// one nested `shard` span per *interesting* rack (non-Green or
+/// commanding) are recorded here, in rack order. The selection is a pure
+/// function of sim state, so the taxonomy stays deterministic and the
+/// recorder is not swamped at 100k-node scale.
 #[allow(clippy::too_many_arguments)]
 fn hier_multi_control(
     hier: &mut HierarchicalManager,
@@ -2599,81 +2525,35 @@ fn hier_multi_control(
     fresh: Option<&NodeMask>,
     rack_true_w: &[f64],
     fleet_true_w: f64,
-    node_power: Option<&[f64]>,
     scratch: &mut FanoutScratch,
-    pool: &WorkerPool,
     now: SimTime,
     spans: &mut SpanRecorder,
 ) -> CycleOutcome {
     let topology = *hier.topology();
     let racks = topology.racks();
-    // Per-rack inputs. The metered apportionment keys off *true* power so
-    // the split is exact under meter noise; coverage counts the fresh
-    // mask over the rack's node-id range against the rack's own candidates.
-    scratch.metered.clear();
     scratch.coverage.clear();
-    for (r, &rack_w) in rack_true_w[..racks].iter().enumerate() {
-        scratch.metered.push(if fleet_true_w > 0.0 {
-            metered_w * rack_w / fleet_true_w
+    spans.open("shards", now);
+    let mut yellow = 0u64;
+    let mut red = 0u64;
+    let mut total_commands = 0u64;
+    for (r, (mgr, obs)) in hier.subs_mut().iter_mut().zip(rack_obs).enumerate() {
+        // The metered apportionment keys off *true* power so the split is
+        // exact under meter noise; coverage counts the fresh mask over the
+        // rack's node-id range against the rack's own candidates.
+        let rack_metered_w = if fleet_true_w > 0.0 {
+            metered_w * rack_true_w[r] / fleet_true_w
         } else {
             0.0
-        });
+        };
         let mut coverage = 1.0;
         if let Some(fresh) = fresh {
-            let candidates = hier.subs()[r].sets().candidate_count();
+            let candidates = mgr.sets().candidate_count();
             if candidates > 0 {
                 coverage = fresh.count_in(topology.rack_nodes(r)) as f64 / candidates as f64;
             }
         }
         scratch.coverage.push(coverage);
-    }
-    let mut slots = recycle_slots(std::mem::take(&mut scratch.slots));
-    slots.extend(
-        hier.subs_mut()
-            .iter_mut()
-            .zip(rack_obs)
-            .zip(scratch.metered.iter().zip(&scratch.coverage))
-            .enumerate()
-            .map(|(r, ((mgr, obs), (&metered_w, &coverage)))| RackSlot {
-                mgr,
-                obs,
-                metered_w,
-                coverage,
-                power: node_power
-                    .map(|p| {
-                        let range = topology.rack_nodes(r);
-                        &p[range.start as usize..range.end as usize]
-                    })
-                    .unwrap_or(&[]),
-                sketch: QuantileSketch::new(),
-                out: None,
-            }),
-    );
-    pool.for_each_mut(&mut slots, |_, slot| {
-        slot.out = Some(slot.mgr.control_cycle_with_coverage(
-            slot.metered_w,
-            slot.obs,
-            &NodesView(nodes),
-            slot.coverage,
-        ));
-        // Sketch building inside the fan-out is legal: `observe` touches
-        // only the slot's own sketch, and the fingerprint-bearing merge
-        // happens serially after the join.
-        if !slot.power.is_empty() {
-            slot.sketch.observe_slice(slot.power);
-        }
-    });
-    // Serial post-join bookkeeping, in rack order. Span budget: one nested
-    // span per *interesting* rack only (non-Green or commanding) — a pure
-    // function of sim state, so the taxonomy stays deterministic and the
-    // recorder is not swamped at 100k-node scale.
-    spans.open("shards", now);
-    let mut yellow = 0u64;
-    let mut red = 0u64;
-    let mut total_commands = 0u64;
-    for (r, slot) in slots.iter_mut().enumerate() {
-        // ppc-lint: allow(panic-path): for_each_mut runs the closure once per slot
-        let out = slot.out.take().expect("every rack slot filled");
+        let out = mgr.control_cycle_with_coverage(rack_metered_w, obs, &NodesView(nodes), coverage);
         match out.state {
             PowerState::Yellow => yellow += 1,
             PowerState::Red => red += 1,
@@ -2694,16 +2574,6 @@ fn hier_multi_control(
     spans.attr("yellow", AttrValue::U64(yellow));
     spans.attr("red", AttrValue::U64(red));
     spans.close(now);
-    if node_power.is_some() {
-        // Serial post-join merge in rack order (any order would do —
-        // sketch merge is commutative — but rack order keeps the
-        // discipline uniform with the rest of the rollup).
-        scratch.sketch = QuantileSketch::new();
-        for slot in &slots {
-            scratch.sketch.merge(&slot.sketch);
-        }
-    }
-    scratch.slots = recycle_slots(slots);
     hier.rollup(scratch.outcomes.drain(..))
 }
 
@@ -3554,23 +3424,12 @@ mod tests {
     fn rack_fanout_reuses_its_buffers() {
         let mut sim = managed_hier(16, 4);
         sim.run_for(SimDuration::from_secs(5));
-        let slots = (
-            sim.fanout.slots.as_ptr() as usize,
-            sim.fanout.slots.capacity(),
-        );
         let outcomes = (
             sim.fanout.outcomes.as_ptr() as usize,
             sim.fanout.outcomes.capacity(),
         );
-        assert!(slots.1 >= 4 && outcomes.1 >= 4);
+        assert!(outcomes.1 >= 4);
         sim.run_for(SimDuration::from_secs(20));
-        assert_eq!(
-            (
-                sim.fanout.slots.as_ptr() as usize,
-                sim.fanout.slots.capacity()
-            ),
-            slots
-        );
         assert_eq!(
             (
                 sim.fanout.outcomes.as_ptr() as usize,
@@ -3578,5 +3437,22 @@ mod tests {
             ),
             outcomes
         );
+    }
+
+    #[test]
+    fn multi_rack_node_sketch_sees_every_node() {
+        // 10 nodes in racks of 4: the last rack is partial. Every
+        // node-sample tick must observe each node once, whatever the
+        // rack layout.
+        const NODES: u64 = 10;
+        let mut sim = managed_hier(NODES as u32, 4);
+        assert_eq!(sim.hierarchy().unwrap().topology().racks(), 3);
+        let ticks = 2 * ppc_obs::NODE_SKETCH_PERIOD + 1;
+        sim.run_for(SimDuration::from_secs(ticks));
+        let samples = (1..=ticks)
+            .filter(|&t| sim.health().wants_node_sample(t))
+            .count() as u64;
+        assert_eq!(samples, 2);
+        assert_eq!(sim.health().node_power().count(), NODES * samples);
     }
 }

@@ -337,10 +337,10 @@ impl HierarchicalManager {
     /// surplus headroom between siblings, and reprovision the racks whose
     /// budget moved. `rack_demand_w[r]` is rack `r`'s current true power.
     ///
-    /// Serial and purely a function of manager state — the call sits on
-    /// the simulator's single-threaded control path, so the budget
-    /// trajectory is identical at every worker-pool width. On a
-    /// single-rack topology this is a no-op (flat equivalence).
+    /// Purely a function of manager state — the call sits on the
+    /// simulator's single-threaded control path, so the budget trajectory
+    /// replays exactly. On a single-rack topology this is a no-op (flat
+    /// equivalence).
     pub fn delegate(&mut self, rack_demand_w: &[f64]) -> DelegationOutcome {
         debug_assert_eq!(rack_demand_w.len(), self.topology.racks());
         if self.is_single_rack() {
@@ -435,8 +435,7 @@ impl HierarchicalManager {
     /// Rolls per-rack cycle outcomes (rack order) up into the facility
     /// view: worst rack state wins, commands concatenate in rack order,
     /// facility thresholds stand in for the per-rack pairs. Updates the
-    /// facility statistics. Serial, called after the sharded fan-out
-    /// joins — the rollup never sees scheduling order.
+    /// facility statistics. Called once every rack's cycle has run.
     pub fn rollup(&mut self, outcomes: impl IntoIterator<Item = CycleOutcome>) -> CycleOutcome {
         let mut state = PowerState::Green;
         let mut commands = Vec::new();

@@ -113,7 +113,7 @@ impl FaultRates {
 /// A complete, sorted fault schedule.
 ///
 /// The schedule is plain data — `(seed, rates)` expand to the same event
-/// list on every platform and at every worker-pool width — and serializes
+/// list on every platform — and serializes
 /// losslessly, so a failing run's schedule can be committed as a regression
 /// fixture.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]

@@ -8,7 +8,7 @@
 //! iteration, a wall-clock read, thread/machine identity, an environment
 //! read, a float reduction over unordered iteration — that can reach one
 //! of those sinks through any call chain is exactly the bug class the
-//! width-invariance tests only catch after the fact. This pass reports
+//! determinism tests only catch after the fact. This pass reports
 //! every source→sink path (with the full chain) that is not covered by a
 //! justified `ppc-lint: allow(fingerprint-taint): …` on the source line.
 //!
@@ -17,7 +17,7 @@
 //! run on arbitrary workers in arbitrary interleavings, so they must not
 //! write to any fingerprint sink — all journal/span/metrics bookkeeping
 //! belongs in the serial post-join pass, in index order (the discipline
-//! `cluster::sim` and `whatif` already follow).
+//! the what-if engine's batch fan-out follows).
 
 use crate::graph::{CallGraph, FileUnit, FnNode};
 use crate::rules::CrateClass;

@@ -98,7 +98,7 @@ pub struct ObsReport {
 /// tick keeps the health plane inside its ≤10% overhead budget while
 /// the per-rack/per-zone rollups still run every cycle. The cadence is
 /// keyed on the deterministic tick index, so it is identical across
-/// pool widths and eval modes.
+/// eval modes and control-plane shapes.
 pub const NODE_SKETCH_PERIOD: u64 = 64;
 
 /// Deterministic work counts of one control cycle, used to *model*
@@ -209,19 +209,10 @@ impl HealthPlane {
         self.enabled && tick.is_multiple_of(NODE_SKETCH_PERIOD)
     }
 
-    /// Serially observes every node's power (flat path; index order).
+    /// Observes every node's power, in index order.
     pub fn observe_node_power(&mut self, power_w: &[f64]) {
         if self.enabled {
             self.node_power.observe_slice(power_w);
-        }
-    }
-
-    /// Merges a per-shard node-power sketch built in the fan-out
-    /// (called serially post-join, in rack order; sketch merge is
-    /// exactly associative, so this equals serial observation).
-    pub fn merge_node_shard(&mut self, shard: &QuantileSketch) {
-        if self.enabled {
-            self.node_power.merge(shard);
         }
     }
 
@@ -426,19 +417,5 @@ mod tests {
         plane.observe_node_power(&[50.0]);
         assert!(!plane.wants_node_sample(0));
         assert_eq!(plane.fingerprints(), before);
-    }
-
-    #[test]
-    fn shard_merge_matches_serial_node_observation() {
-        let powers: Vec<f64> = (0..256u32).map(|i| 150.0 + f64::from(i % 17)).collect();
-        let mut serial = HealthPlane::new(ZoneMap::single_rack());
-        serial.observe_node_power(&powers);
-        let mut sharded = HealthPlane::new(ZoneMap::single_rack());
-        for chunk in powers.chunks(37) {
-            let mut shard = QuantileSketch::new();
-            shard.observe_slice(chunk);
-            sharded.merge_node_shard(&shard);
-        }
-        assert_eq!(serial.fingerprints(), sharded.fingerprints());
     }
 }

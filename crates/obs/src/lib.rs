@@ -6,7 +6,7 @@
 //! simulator that window while preserving its central invariant:
 //! everything recorded is a pure function of the experiment seed, so
 //! observability itself is regression-tested for bit-determinism across
-//! worker-pool widths.
+//! same-seed runs, evaluation modes and what-if branches.
 //!
 //! * [`span`] — a zero-alloc-on-hot-path span recorder keyed by sim
 //!   time; the cluster layer opens a root span per control cycle and a
@@ -23,7 +23,7 @@
 //! * [`rollup`] — the facility → row → rack health rollup tree
 //!   (dwell, power, headroom, coverage per zone; O(racks) memory).
 //! * [`sketch`] — the mergeable integer-bucketed quantile sketch whose
-//!   per-shard merge is bit-identical to serial observation.
+//!   merge is bit-identical to sequential observation.
 //! * [`slo`] — declarative SLO rules, dual-window burn-rate evaluation
 //!   and the deterministic alert journal.
 //! * [`timeseries`] — fixed-memory ring series with power-of-two

@@ -9,7 +9,7 @@
 //! deterministic. Nothing here reads the wall clock: anything folded
 //! into [`MetricsRegistry::fingerprint`] must be a pure function of the
 //! seeded simulation, because the determinism gate compares the value
-//! across worker-pool widths. Wall-clock self-profiling lives in
+//! across same-seed runs. Wall-clock self-profiling lives in
 //! [`crate::profile`] instead, outside the fingerprint.
 
 use ppc_simkit::hash::Fnv1a;
@@ -180,7 +180,7 @@ impl MetricsRegistry {
     /// Order-sensitive FNV-1a hash over every instrument in name order:
     /// name, kind, and exact value bits. Joins the journal and span-tree
     /// hashes in the determinism gate, so a single diverging count or
-    /// float bit across worker widths fails CI.
+    /// float bit across same-seed runs fails CI.
     pub fn fingerprint(&self) -> u64 {
         let mut h = Fnv1a::new();
         for (name, &idx) in &self.names {

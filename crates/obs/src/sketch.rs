@@ -1,12 +1,11 @@
 //! Mergeable, integer-bucketed quantile sketch (DDSketch-style).
 //!
 //! The health plane needs power and latency *distributions*, not just
-//! last values — and it needs them to survive the simkit fan-out: a
-//! sketch built from per-rack shard sketches merged post-join must be
-//! **bit-identical** to one built by observing every value serially, at
-//! any worker-pool width. Floating-point accumulation cannot give that
-//! (f64 addition is not associative), so everything inside the sketch is
-//! integer arithmetic:
+//! last values — and they must be mergeable: a sketch built from shard
+//! sketches merged in any order must be **bit-identical** to one built
+//! by observing every value in sequence. Floating-point accumulation
+//! cannot give that (f64 addition is not associative), so everything
+//! inside the sketch is integer arithmetic:
 //!
 //! * **Buckets** are derived from the IEEE-754 bit pattern: for a
 //!   positive value the index is `to_bits() >> 45`, i.e. the exponent
@@ -154,7 +153,7 @@ impl QuantileSketch {
 
     /// Merges another sketch into this one. Pure integer bucket/count
     /// addition plus min/max — exactly associative and commutative, so
-    /// per-shard sketches merged in rack order equal serial observation
+    /// shard sketches merged in any order equal sequential observation
     /// bit-for-bit.
     pub fn merge(&mut self, other: &QuantileSketch) {
         for (idx, n) in other.occupied() {

@@ -6,9 +6,9 @@
 //! selection, actuation, …) opens a child around its work. Spans carry
 //! typed [`AttrValue`] attributes (state color, deficit watts, |A_target|,
 //! retry counts) and are timestamped with [`SimTime`] only — never the
-//! wall clock — so the recorded tree is bit-identical across runs and
-//! worker-pool widths. CI's determinism gate compares
-//! [`SpanRecorder::fingerprint`] across widths 1 and 8.
+//! wall clock — so the recorded tree is bit-identical across runs. CI's
+//! determinism gate compares [`SpanRecorder::fingerprint`] across
+//! same-seed repeats, evaluation modes and what-if branches.
 //!
 //! Hot-path discipline mirrors the journal: completed spans live in a
 //! bounded ring (evictions counted, never silent), attribute vectors are

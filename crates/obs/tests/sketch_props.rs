@@ -1,8 +1,8 @@
 //! Property tests for the quantile sketch's merge laws.
 //!
-//! The fan-out contract (per-shard sketches merged post-join equal
-//! serial observation bit-for-bit, at any pool width) reduces to merge
-//! forming a commutative monoid over sketches. Each law is asserted on
+//! The merge contract (shard sketches merged in any order equal
+//! sequential observation bit-for-bit) reduces to merge forming a
+//! commutative monoid over sketches. Each law is asserted on
 //! the full state (`PartialEq`) *and* the FNV-1a fingerprint, because
 //! the fingerprint is what the determinism gate actually pins.
 

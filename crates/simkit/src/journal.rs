@@ -168,10 +168,10 @@ impl Journal {
     /// severity, category, message) plus the drop count.
     ///
     /// Two runs of the same seeded experiment must produce the same
-    /// fingerprint whatever the worker-pool width — CI's dynamic
-    /// determinism gate and the tier-1 double-run test compare exactly
-    /// this value, so any nondeterminism that reaches a journaled event
-    /// (job lifecycle, state flips, commands, faults) is caught.
+    /// fingerprint — CI's dynamic determinism gate and the tier-1
+    /// double-run test compare exactly this value, so any nondeterminism
+    /// that reaches a journaled event (job lifecycle, state flips,
+    /// commands, faults) is caught.
     pub fn fingerprint(&self) -> u64 {
         let mut h = Fnv1a::new();
         h.write_u64(self.dropped);

@@ -9,8 +9,7 @@
 //!   control/sampling cycles.
 //! * [`rng`] — splittable, seeded random-number streams. Every source of
 //!   randomness in a simulation derives its own independent stream from the
-//!   experiment seed, which keeps runs bit-reproducible even when node
-//!   updates execute in parallel.
+//!   experiment seed, which keeps runs bit-reproducible.
 //! * [`par`] — data-parallel helpers on a persistent worker pool
 //!   ([`par::WorkerPool`]): static index-ordered chunking and ordered
 //!   reductions keep results bit-identical across pool sizes, and inputs

@@ -12,7 +12,7 @@
 //! are the immutable `Arc<PowerModel>`/`Arc<NodeSpec>` tables, which no
 //! run mutates. Branch determinism therefore holds by construction:
 //! a branched run re-executes the exact state trajectory the original
-//! would, bit for bit, at any worker-pool width.
+//! would, bit for bit.
 //!
 //! ## Branch semantics
 //!
@@ -24,9 +24,8 @@
 //! branches.
 
 use ppc_cluster::{build_sim, ClusterSim, EvalMode, ExperimentConfig};
-use ppc_simkit::{SimTime, WorkerPool};
+use ppc_simkit::SimTime;
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 
 /// A complete, immutable capture of a [`ClusterSim`] at a tick boundary.
 #[derive(Clone)]
@@ -120,17 +119,8 @@ impl BaseScenario {
 
     /// Rehydrates the snapshot by deterministic replay.
     pub fn materialize(&self) -> ClusterSnapshot {
-        self.materialize_with(None)
-    }
-
-    /// [`BaseScenario::materialize`] on an explicit worker pool (tests
-    /// proving pool-width invariance pass width-forced pools).
-    pub fn materialize_with(&self, pool: Option<Arc<WorkerPool>>) -> ClusterSnapshot {
-        let (_, mut sim) = build_sim(&self.config);
-        sim = sim.with_eval_mode(self.eval_mode);
-        if let Some(pool) = pool {
-            sim = sim.with_worker_pool(pool);
-        }
+        let (_, sim) = build_sim(&self.config);
+        let mut sim = sim.with_eval_mode(self.eval_mode);
         for _ in 0..self.warmup_ticks {
             sim.step();
         }

@@ -2,9 +2,10 @@
 //!
 //! A branched run must be bit-identical to a fresh same-seed run driven
 //! to the same point — proven by all four determinism fingerprints
-//! (journal, power trace, spans, metrics) — at pool widths 1 and 8,
-//! through serde round-trips of the recipe form, under an active fault
-//! schedule, and with the journal's ring-eviction counter intact.
+//! (journal, power trace, spans, metrics) — through serde round-trips of
+//! the recipe form, under an active fault schedule, and with the
+//! journal's ring-eviction counter intact. The what-if engine's batch
+//! fan-out must answer identically at any pool width.
 
 use ppc_cluster::ExperimentConfig;
 use ppc_cluster::{ClusterSim, ClusterSpec};
@@ -44,7 +45,7 @@ fn digest(sim: &ClusterSim) -> Digest {
 
 /// A managed, faulted, tightly provisioned mini cluster — every subsystem
 /// the snapshot must capture is active.
-fn faulted_sim(workers: usize) -> ClusterSim {
+fn faulted_sim() -> ClusterSim {
     let mut spec = ClusterSpec::mini(NODES);
     spec.provision_fraction = 0.60;
     let rates = FaultRates {
@@ -65,37 +66,33 @@ fn faulted_sim(workers: usize) -> ClusterSim {
         ..ManagerConfig::paper_defaults(spec.provision_w(), PolicyKind::Mpc)
     };
     let manager = PowerManager::new(config, sets).expect("valid config");
-    let pool = Arc::new(WorkerPool::new(workers).with_inline_threshold(0));
     ClusterSim::new(spec)
         .with_manager(manager)
         .with_faults(FaultInjection::new(schedule))
-        .with_worker_pool(pool)
 }
 
 /// Branch-vs-fresh: a snapshot taken halfway and driven to the end must
-/// be bit-identical to the uninterrupted run — even after the original
-/// is perturbed past the capture point — at widths 1 and 8.
+/// be bit-identical to the uninterrupted same-seed run — even after the
+/// original is perturbed past the capture point.
 #[test]
-fn branch_matches_fresh_run_at_pool_widths_1_and_8() {
-    for workers in [1usize, 8] {
-        let mut fresh = faulted_sim(workers);
-        fresh.run_for(SimDuration::from_secs(RUN_SECS));
-        let reference = digest(&fresh);
+fn branch_matches_fresh_same_seed_run() {
+    let mut fresh = faulted_sim();
+    fresh.run_for(SimDuration::from_secs(RUN_SECS));
+    let reference = digest(&fresh);
 
-        let mut original = faulted_sim(workers);
-        original.run_for(SimDuration::from_secs(RUN_SECS / 2));
-        let snapshot = ClusterSnapshot::capture(&original);
-        // Drive the original past the capture point: a branch secretly
-        // sharing state with it would diverge.
-        original.run_for(SimDuration::from_secs(25));
-        let mut branch = snapshot.branch();
-        branch.run_for(SimDuration::from_secs(RUN_SECS / 2));
-        assert_eq!(
-            digest(&branch),
-            reference,
-            "branched run diverged from the fresh run at width {workers}"
-        );
-    }
+    let mut original = faulted_sim();
+    original.run_for(SimDuration::from_secs(RUN_SECS / 2));
+    let snapshot = ClusterSnapshot::capture(&original);
+    // Drive the original past the capture point: a branch secretly
+    // sharing state with it would diverge.
+    original.run_for(SimDuration::from_secs(25));
+    let mut branch = snapshot.branch();
+    branch.run_for(SimDuration::from_secs(RUN_SECS / 2));
+    assert_eq!(
+        digest(&branch),
+        reference,
+        "branched run diverged from the fresh run"
+    );
 }
 
 /// Two sibling branches of one snapshot are independent: mutating one
@@ -103,7 +100,7 @@ fn branch_matches_fresh_run_at_pool_widths_1_and_8() {
 /// untouched continuation.
 #[test]
 fn sibling_branches_are_isolated_under_faults() {
-    let mut sim = faulted_sim(1);
+    let mut sim = faulted_sim();
     sim.run_for(SimDuration::from_secs(RUN_SECS / 2));
     let snapshot = ClusterSnapshot::capture(&sim);
     assert!(
@@ -155,10 +152,6 @@ fn base_scenario_round_trips_and_materializes_identically() {
         digest(b.base()),
         "rehydrated snapshots must be fingerprint-equal"
     );
-
-    // And the pool used for rehydration must not matter either.
-    let pooled = back.materialize_with(Some(Arc::new(WorkerPool::new(8).with_inline_threshold(0))));
-    assert_eq!(digest(a.base()), digest(pooled.base()));
 }
 
 /// `Journal::dropped` travels with the snapshot: branch from a run whose
@@ -210,7 +203,7 @@ fn journal_dropped_counter_survives_branching() {
 /// pool, and on a width-8 pool.
 #[test]
 fn engine_batches_are_pool_width_invariant() {
-    let mut sim = faulted_sim(1);
+    let mut sim = faulted_sim();
     sim.run_for(SimDuration::from_secs(RUN_SECS / 2));
     let snapshot = ClusterSnapshot::capture(&sim);
     let requests = vec![

@@ -21,8 +21,10 @@ grep -q '"schema": "ppc-lint/v2"' LINT_report.json \
     || { echo "LINT_report.json is not ppc-lint/v2" >&2; exit 1; }
 
 # Dynamic pass: same seed must yield bit-identical journals, power
-# traces, span trees and metrics registries across worker-pool widths —
-# the replay-determinism contract.
+# traces, span trees, metrics registries and health fingerprints across
+# same-seed repeats, evaluation modes, a mid-run what-if branch and the
+# flat/one-rack/3-level control planes — the replay-determinism contract.
+# (The tick runs on one thread, so there is no pool width to vary.)
 cargo run --release -p ppc-bench --bin determinism_gate
 
 # What-if service smoke: a short query stream against a snapshot of the

@@ -1,13 +1,11 @@
 //! Reproducibility: identical seeds produce bit-identical experiments,
-//! different seeds produce different ones — across the whole stack,
-//! including the worker-pool node updates, at any pool width.
+//! different seeds produce different ones — across the whole stack.
 
 use ppc::cluster::experiment::{run_experiment, ExperimentConfig};
 use ppc::cluster::{ClusterSim, ClusterSpec};
 use ppc::core::{ManagerConfig, NodeSets, PolicyKind, PowerManager};
 use ppc::faults::{FaultInjection, FaultRates, FaultSchedule};
-use ppc::simkit::{RngFactory, SimDuration, WorkerPool};
-use std::sync::Arc;
+use ppc::simkit::{RngFactory, SimDuration};
 
 #[test]
 fn same_seed_same_everything() {
@@ -90,14 +88,11 @@ fn stepping_granularity_does_not_change_results() {
 }
 
 #[test]
-fn power_trace_is_invariant_across_worker_counts() {
-    // The worker pool's static chunking must make parallel execution
-    // bit-identical to sequential, whatever the pool width. Run the same
-    // managed experiment under pools of width 1, 2 and 8 (inline
-    // threshold zero forces even the 8-node cluster through the parallel
-    // path) and under the default global pool, and demand the exact same
-    // bits everywhere.
-    let run = |pool: Option<Arc<WorkerPool>>| {
+fn managed_power_trace_repeats_for_the_same_seed() {
+    // Run the same tightly provisioned managed experiment twice and
+    // demand the exact same power-trace bits, job count and command
+    // count.
+    let run = || {
         let mut spec = ClusterSpec::mini(8);
         spec.provision_fraction = 0.60; // tight: capping engages
         let sets = NodeSets::new(spec.node_ids(), []);
@@ -107,9 +102,6 @@ fn power_trace_is_invariant_across_worker_counts() {
         };
         let manager = PowerManager::new(config, sets).unwrap();
         let mut sim = ClusterSim::new(spec).with_manager(manager);
-        if let Some(pool) = pool {
-            sim = sim.with_worker_pool(pool);
-        }
         sim.run_for(SimDuration::from_secs(400));
         let bits: Vec<u64> = sim
             .true_power()
@@ -119,24 +111,17 @@ fn power_trace_is_invariant_across_worker_counts() {
             .collect();
         (bits, sim.finished().len(), sim.commands_applied())
     };
-    let baseline = run(None);
+    let baseline = run();
     assert!(baseline.2 > 0, "capping must engage for a meaningful check");
-    for workers in [1, 2, 8] {
-        let pool = Arc::new(WorkerPool::new(workers).with_inline_threshold(0));
-        let got = run(Some(pool));
-        assert_eq!(
-            got, baseline,
-            "worker count {workers} changed the power trace"
-        );
-    }
+    assert_eq!(run(), baseline, "a same-seed rerun changed the power trace");
 }
 
 #[test]
-fn faulted_run_is_invariant_across_worker_counts() {
-    // Fault injection must preserve the pool-width determinism contract:
-    // the same seeded schedule replays to bit-identical power traces and
-    // the identical availability report at any worker count.
-    let run = |pool: Option<Arc<WorkerPool>>| {
+fn faulted_run_repeats_for_the_same_seed() {
+    // Fault injection must preserve the determinism contract: the same
+    // seeded schedule replays to bit-identical power traces and the
+    // identical availability report.
+    let run = || {
         let mut spec = ClusterSpec::mini(8);
         spec.provision_fraction = 0.60;
         let rates = FaultRates {
@@ -163,9 +148,6 @@ fn faulted_run_is_invariant_across_worker_counts() {
         let mut sim = ClusterSim::new(spec)
             .with_manager(manager)
             .with_faults(FaultInjection::new(schedule));
-        if let Some(pool) = pool {
-            sim = sim.with_worker_pool(pool);
-        }
         sim.run_for(SimDuration::from_secs(400));
         let bits: Vec<u64> = sim
             .true_power()
@@ -176,16 +158,9 @@ fn faulted_run_is_invariant_across_worker_counts() {
         let report = sim.availability_report().expect("faults attached");
         (bits, sim.finished().len(), sim.commands_applied(), report)
     };
-    let baseline = run(None);
+    let baseline = run();
     assert!(baseline.3.crashes > 0, "schedule must actually strike");
-    for workers in [1, 2, 8] {
-        let pool = Arc::new(WorkerPool::new(workers).with_inline_threshold(0));
-        let got = run(Some(pool));
-        assert_eq!(
-            got, baseline,
-            "worker count {workers} changed the faulted run"
-        );
-    }
+    assert_eq!(run(), baseline, "a same-seed rerun changed the faulted run");
 }
 
 #[test]

@@ -1,5 +1,5 @@
 //! Fleet health plane end-to-end: hierarchical rollups, quantile
-//! sketches and SLO alerting must be bit-identical across pool widths,
+//! sketches and SLO alerting must be bit-identical across same-seed runs,
 //! control-plane architectures and what-if branches, and the alert
 //! journal must match the golden `ALERTS` fixture (see DESIGN §17).
 
@@ -7,10 +7,9 @@ use ppc::cluster::{ClusterSim, ClusterSpec};
 use ppc::core::{HierarchicalManager, ManagerConfig, NodeSets, PolicyKind, PowerManager, Topology};
 use ppc::faults::{FaultInjection, FaultRates, FaultSchedule};
 use ppc::obs::render_alerts;
-use ppc::simkit::{RngFactory, SimDuration, WorkerPool};
+use ppc::simkit::{RngFactory, SimDuration};
 use ppc::whatif::ClusterSnapshot;
 use std::collections::BTreeSet;
-use std::sync::Arc;
 
 const NODES: u32 = 8;
 const RUN_SECS: u64 = 400;
@@ -41,26 +40,24 @@ fn gate_spec() -> (ClusterSpec, FaultSchedule, ManagerConfig) {
     (spec, schedule, config)
 }
 
-fn flat(workers: usize) -> ClusterSim {
+fn flat() -> ClusterSim {
     let (spec, schedule, config) = gate_spec();
     let sets = NodeSets::new(spec.node_ids(), []);
     let manager = PowerManager::new(config, sets).expect("valid manager");
     ClusterSim::new(spec)
         .with_manager(manager)
         .with_faults(FaultInjection::new(schedule))
-        .with_worker_pool(Arc::new(WorkerPool::new(workers).with_inline_threshold(0)))
 }
 
 /// Hierarchical control plane over `topology` (multi-rack unless the
 /// single-rack topology is passed), same spec and fault schedule.
-fn hier(workers: usize, topology: Topology) -> ClusterSim {
+fn hier(topology: Topology) -> ClusterSim {
     let (spec, schedule, config) = gate_spec();
     let h = HierarchicalManager::new(config, topology, &BTreeSet::new(), spec.node_weights_w())
         .expect("valid hierarchy");
     ClusterSim::new(spec)
         .with_hierarchy(h)
         .with_faults(FaultInjection::new(schedule))
-        .with_worker_pool(Arc::new(WorkerPool::new(workers).with_inline_threshold(0)))
 }
 
 /// 2 rows × 2 racks of 2 nodes: real delegation, real rollup tree.
@@ -69,35 +66,32 @@ fn three_level() -> Topology {
 }
 
 #[test]
-fn health_fingerprints_pin_across_worker_widths() {
+fn health_fingerprints_pin_across_same_seed_runs() {
     let mut digests = Vec::new();
-    for workers in [1usize, 2, 8] {
-        let mut sim = hier(workers, three_level());
+    for run in 0..2 {
+        let mut sim = hier(three_level());
         sim.run_for(SimDuration::from_secs(RUN_SECS));
         let hp = sim.health();
         // Vacuity: the plane must have folded real cycles, per-rack
         // zones, and at least one fleet node-power sample.
-        assert!(hp.rollup().facility().cycles > 100, "width {workers}");
+        assert!(hp.rollup().facility().cycles > 100, "run {run}");
         assert_eq!(hp.rollup().racks().len(), 4);
         assert_eq!(hp.rollup().rows().len(), 2);
-        assert!(hp.node_power().count() > 0, "width {workers}");
-        digests.push((workers, sim.health_fingerprints()));
+        assert!(hp.node_power().count() > 0, "run {run}");
+        digests.push(sim.health_fingerprints());
     }
-    let (_, base) = digests[0];
-    for (workers, d) in &digests[1..] {
-        assert_eq!(
-            *d, base,
-            "health fingerprints diverged at pool width {workers}"
-        );
-    }
+    assert_eq!(
+        digests[0], digests[1],
+        "health fingerprints diverged across same-seed runs"
+    );
 }
 
 #[test]
 fn flat_and_single_rack_hierarchy_agree_on_health() {
-    let mut a = flat(1);
+    let mut a = flat();
     a.run_for(SimDuration::from_secs(RUN_SECS));
     let topo = Topology::single_rack(NODES).expect("valid topology");
-    let mut b = hier(8, topo);
+    let mut b = hier(topo);
     b.run_for(SimDuration::from_secs(RUN_SECS));
     assert_eq!(
         a.health_fingerprints(),
@@ -112,11 +106,11 @@ fn flat_and_single_rack_hierarchy_agree_on_health() {
 fn whatif_branch_replays_health_bit_for_bit() {
     // Fresh full run vs snapshot-at-half + branch-to-end: the branch
     // carries the health plane and must land on identical fingerprints.
-    let mut fresh = hier(1, three_level());
+    let mut fresh = hier(three_level());
     fresh.run_for(SimDuration::from_secs(RUN_SECS));
 
     let half = RUN_SECS / 2;
-    let mut sim = hier(1, three_level());
+    let mut sim = hier(three_level());
     sim.run_for(SimDuration::from_secs(half));
     let snapshot = ClusterSnapshot::capture(&sim);
     // Perturb the original past the capture point: a branch secretly

@@ -7,10 +7,9 @@ use ppc::cluster::{ClusterSim, ClusterSpec};
 use ppc::core::{ManagerConfig, NodeSets, PolicyKind, PowerManager};
 use ppc::faults::{FaultInjection, FaultRates, FaultSchedule};
 use ppc::node::spec::NodeSpec;
-use ppc::simkit::{RngFactory, Severity, SimDuration, WorkerPool};
+use ppc::simkit::{RngFactory, Severity, SimDuration};
 use ppc::telemetry::{Collector, NodeSample, PowerHistory};
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 fn managed(mut spec: ClusterSpec, provision: f64) -> ClusterSim {
     spec.provision_fraction = provision;
@@ -136,8 +135,8 @@ fn history_backed_windowed_rates_smooth_single_interval_noise() {
 }
 
 /// The determinism gate's scenario in miniature: managed, faulted, tight
-/// provision, zero inline threshold so the worker pool actually fans out.
-fn faulted_managed(workers: usize) -> ClusterSim {
+/// provision.
+fn faulted_managed() -> ClusterSim {
     const NODES: u32 = 8;
     const RUN_SECS: u64 = 400;
     let mut spec = ClusterSpec::mini(NODES);
@@ -165,26 +164,25 @@ fn faulted_managed(workers: usize) -> ClusterSim {
     let manager = PowerManager::new(config, sets).expect("valid manager");
     let mut sim = ClusterSim::new(spec)
         .with_manager(manager)
-        .with_faults(FaultInjection::new(schedule))
-        .with_worker_pool(Arc::new(WorkerPool::new(workers).with_inline_threshold(0)));
+        .with_faults(FaultInjection::new(schedule));
     sim.run_for(SimDuration::from_secs(RUN_SECS));
     sim
 }
 
 #[test]
-fn span_and_metrics_fingerprints_pin_across_worker_widths() {
-    let narrow = faulted_managed(1);
-    let wide = faulted_managed(8);
-    let (rn, rw) = (narrow.obs().report(), wide.obs().report());
+fn span_and_metrics_fingerprints_pin_across_same_seed_runs() {
+    let first = faulted_managed();
+    let second = faulted_managed();
+    let (rn, rw) = (first.obs().report(), second.obs().report());
     assert!(rn.spans_closed > 0, "tracing must have recorded spans");
     assert!(!rn.metrics.is_empty(), "registry must hold instruments");
     assert_eq!(
         rn.span_fingerprint, rw.span_fingerprint,
-        "span tree must be bit-identical at pool widths 1 and 8"
+        "span tree must be bit-identical across same-seed runs"
     );
     assert_eq!(
         rn.metrics_fingerprint, rw.metrics_fingerprint,
-        "metrics registry must be bit-identical at pool widths 1 and 8"
+        "metrics registry must be bit-identical across same-seed runs"
     );
     // The full reports — every attribute, bucket count and flight
     // snapshot — must agree too, not just the hashes.
@@ -219,7 +217,7 @@ fn flight_recorder_dumps_on_first_red_entry() {
 
 #[test]
 fn exports_validate_and_cover_every_cycle_stage() {
-    let sim = faulted_managed(1);
+    let sim = faulted_managed();
     let obs = sim.obs();
 
     // Every control cycle produced one root span and one span per stage.
