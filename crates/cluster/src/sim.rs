@@ -24,8 +24,9 @@
 //!   tick and every node's power is re-evaluated into the [`NodeColumns`]
 //!   power column;
 //! * **Incremental** (default) — only *dirty* nodes (a load, level, or
-//!   up/down input changed) are re-evaluated; clean nodes' counters are
-//!   caught up in closed form when next needed
+//!   up/down input changed) are re-evaluated, in ascending node id, each
+//!   reading its load from the scheduler's per-node load column; clean
+//!   nodes' counters are caught up in closed form when next needed
 //!   ([`ppc_node::procfs::ProcCounters::advance_many`]) and their cached
 //!   column entries stand. The fleet power sum is an index-order fold
 //!   over the dense column either way, so the two modes produce
@@ -1615,10 +1616,19 @@ impl ClusterSim {
     /// right here, at the control instant `sample_at`: nothing it reads
     /// moves between this pass and the control cycle, so the node is
     /// touched once per tick instead of twice.
+    ///
+    /// The pass visits the dirty nodes in ascending id, not in mark order
+    /// (which goes job by job, each job's members scattered over the
+    /// fleet), so every node-indexed array it touches is walked front to
+    /// back, the scheduler's load column among them. The order changes no
+    /// result: each node's evaluation, sample, ingest and next-cycle settle
+    /// touch only that node, and the rack-observation refreshes the samples
+    /// feed are independent of order (see `sim/rack_obs.rs`).
     fn materialize_dirty(&mut self, dt: f64, tick: u64, lazy: bool, sample_at: SimTime) {
         self.scratch_dirty.clear();
         self.scratch_dirty
             .extend_from_slice(self.columns.dirty.indices());
+        self.scratch_dirty.sort_unstable();
         for k in 0..self.scratch_dirty.len() {
             let id = NodeId(self.scratch_dirty[k]);
             let i = id.0 as usize;

@@ -48,10 +48,12 @@ use ppc_obs::SpanRecorder;
 use ppc_simkit::SimTime;
 use std::collections::BTreeSet;
 
-/// Fraction of a sibling's surplus headroom offered to the lending pool
-/// each cycle. Half-speed lending damps oscillation: a rack whose demand
-/// collapses returns its slack over a few cycles instead of slamming the
-/// budget back and forth between siblings.
+/// Fraction of a sibling's surplus headroom (its proportional base share
+/// above its need) offered to the lending pool. Delegation keeps no state
+/// between cycles: [`delegate_with_headroom`] re-cuts every budget from
+/// the proportional base on each call, so this is not a rate. However
+/// many cycles pass, a lender keeps at least half of its surplus, and the
+/// borrowers together get at most half of what their siblings have spare.
 const LEND_FRACTION: f64 = 0.5;
 
 /// What one delegation pass changed.

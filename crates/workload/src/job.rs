@@ -331,19 +331,45 @@ impl Job {
 
     /// Load this job currently induces on member node `node`, or `None` if
     /// the node is not a member or the job is not running.
+    ///
+    /// Searches the member list; the scheduler's per-node load column
+    /// answers the same question in one read.
     pub fn load_on(&self, node: NodeId, cores_per_node: u32) -> Option<NodeLoad> {
         if self.status != JobStatus::Running {
             return None;
         }
-        let idx = self.nodes.iter().position(|&n| n == node)? as u32;
+        let idx = self.nodes.iter().position(|&n| n == node)?;
         let phase = self.current_phase()?;
-        let ranks = ranks_on_node(self.nprocs, self.nodes.len() as u32, idx);
+        Some(self.member_load(phase, idx, cores_per_node))
+    }
+
+    /// Every member's current load, in member order: for each node of
+    /// [`Job::nodes`], exactly what [`Job::load_on`] returns for it.
+    pub(crate) fn member_loads(
+        &self,
+        cores_per_node: u32,
+    ) -> impl Iterator<Item = (NodeId, Option<NodeLoad>)> + '_ {
+        let phase = self
+            .current_phase()
+            .filter(|_| self.status == JobStatus::Running);
+        self.nodes.iter().enumerate().map(move |(idx, &node)| {
+            (
+                node,
+                phase.map(|phase| self.member_load(phase, idx, cores_per_node)),
+            )
+        })
+    }
+
+    /// The load of the member at position `idx` of [`Job::nodes`] during
+    /// `phase`.
+    fn member_load(&self, phase: &Phase, idx: usize, cores_per_node: u32) -> NodeLoad {
+        let ranks = ranks_on_node(self.nprocs, self.nodes.len() as u32, idx as u32);
         let occupancy = (ranks as f64 / cores_per_node as f64).min(1.0);
-        Some(NodeLoad {
+        NodeLoad {
             cpu_util: phase.cpu_util * occupancy,
             mem_bytes: self.class.mem_per_rank_bytes() * ranks as u64,
             nic_fraction: phase.nic_fraction * occupancy,
-        })
+        }
     }
 }
 

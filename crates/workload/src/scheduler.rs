@@ -28,6 +28,13 @@ pub enum AdmissionPolicy {
     Backfill,
 }
 
+/// Writes every member's current load of `job` into the load column.
+fn write_loads(loads: &mut [Option<NodeLoad>], job: &Job, cores_per_node: u32) {
+    for (node, load) in job.member_loads(cores_per_node) {
+        loads[node.0 as usize] = load;
+    }
+}
+
 /// Whole-node first-fit scheduler and run-queue.
 #[derive(Debug, Clone)]
 pub struct Scheduler {
@@ -36,10 +43,17 @@ pub struct Scheduler {
     running: Vec<Job>,
     /// Dense node-indexed owner table: `node_owner[node]` is the index of
     /// the owning job in `running` (`None` = idle). Maintained across
-    /// `swap_remove` on completion, so per-node lookups (`load_on`, every
-    /// node every tick) are one array read instead of a hash plus a
-    /// linear scan over the run-queue.
+    /// `swap_remove` on completion, so the per-node slot lookups
+    /// (`slot_of_node`, `job_of_node`, eviction, speed-edge refolds) are
+    /// one array read instead of a scan over the run-queue.
     node_owner: Vec<Option<usize>>,
+    /// Dense node-indexed load column: `loads[node]` is what the owning
+    /// job's [`Job::load_on`] returns for `node` (`None` = idle or down).
+    /// A member's load moves only at three edges, each written here:
+    /// `place` fills the placed job's members, a phase edge in `advance`
+    /// rewrites the job's members, and `remove_slot` clears the freed
+    /// ones. [`Scheduler::load_on`] is then one read.
+    loads: Vec<Option<NodeLoad>>,
     /// Per run-queue slot, parallel to `running`: the job's minimum member
     /// speed as of its last fold, or `None` when it must be refolded (just
     /// placed, or a member's speed changed since). Follows `swap_remove`.
@@ -71,6 +85,7 @@ impl Scheduler {
         let max_id = free.iter().next_back().map_or(0, |n| n.0 as usize);
         Scheduler {
             node_owner: vec![None; max_id + 1],
+            loads: vec![None; max_id + 1],
             min_speed: Vec::new(),
             slot_edges: Vec::new(),
             slot_edge_mask: Vec::new(),
@@ -169,6 +184,7 @@ impl Scheduler {
         for &n in job.nodes() {
             self.free.insert(n);
             self.node_owner[n.0 as usize] = None;
+            self.loads[n.0 as usize] = None;
         }
         if let Some(moved) = self.running.get(idx) {
             for &n in moved.nodes() {
@@ -237,6 +253,7 @@ impl Scheduler {
             self.node_owner[n.0 as usize] = Some(slot);
         }
         job.start(alloc, now);
+        write_loads(&mut self.loads, &job, self.cores_per_node);
         let id = job.id();
         self.running.push(job);
         self.min_speed.push(None);
@@ -294,6 +311,7 @@ impl Scheduler {
             } else {
                 if job.phase_index() != phase_before {
                     edges.extend_from_slice(job.nodes());
+                    write_loads(&mut self.loads, job, self.cores_per_node);
                 }
                 i += 1;
             }
@@ -350,9 +368,22 @@ impl Scheduler {
         self.down.len()
     }
 
-    /// The load `node` currently carries, or `None` if idle.
+    /// The load `node` currently carries, or `None` if idle: one read of
+    /// the load column.
     pub fn load_on(&self, node: NodeId) -> Option<NodeLoad> {
-        let idx = (*self.node_owner.get(node.0 as usize)?)?;
+        let load = *self.loads.get(node.0 as usize)?;
+        debug_assert_eq!(
+            load,
+            self.owner_load_on(node),
+            "load column of {node} is stale"
+        );
+        load
+    }
+
+    /// The owning job's own answer for `node`'s load: the oracle the load
+    /// column must always equal.
+    fn owner_load_on(&self, node: NodeId) -> Option<NodeLoad> {
+        let idx = self.slot_of_node(node)?;
         self.running[idx].load_on(node, self.cores_per_node)
     }
 
@@ -388,6 +419,15 @@ impl Scheduler {
             self.free.len() + owned_count + self.down.len(),
             self.total_nodes
         );
+        // The load column is the owners' own answer on every node.
+        for n in 0..self.loads.len() as u32 {
+            let node = NodeId(n);
+            assert_eq!(
+                self.loads[n as usize],
+                self.owner_load_on(node),
+                "load column of {node} is stale"
+            );
+        }
     }
 }
 
@@ -725,6 +765,31 @@ mod tests {
         s.set_node_down(NodeId(0));
     }
 
+    /// A job whose phases take `works` seconds each at full speed, each
+    /// phase with its own CPU and NIC load, so a phase edge moves every
+    /// member's load.
+    fn varied_job(id: u64, nprocs: u32, works: &[f64]) -> Job {
+        let phases = works
+            .iter()
+            .enumerate()
+            .map(|(k, &work_secs)| Phase {
+                kind: PhaseKind::Compute,
+                work_secs,
+                alpha: 1.0,
+                cpu_util: 1.0 - 0.2 * k as f64,
+                nic_fraction: 0.05 * (k + 1) as f64,
+            })
+            .collect();
+        Job::new(
+            JobId(id),
+            NpbApp::Ep,
+            Class::A,
+            nprocs,
+            phases,
+            SimTime::ZERO,
+        )
+    }
+
     /// Each slot's placement, to tell which slots a round of edits changed.
     fn placements(s: &Scheduler) -> Vec<(JobId, u32)> {
         s.running_jobs()
@@ -802,6 +867,69 @@ mod tests {
                     }
                 }
                 s.clear_placement_edges();
+            }
+        }
+
+        /// Over random starts, advances at random per-node speeds (so jobs
+        /// cross phases and finish), evictions and node down/up edges, the
+        /// load column equals the owning job's own `Job::load_on` on every
+        /// node after every operation, and is `None` on idle and down
+        /// nodes.
+        #[test]
+        fn prop_load_column_never_goes_stale(
+            ops in proptest::collection::vec(
+                (
+                    0u8..6,
+                    0u32..16,
+                    proptest::collection::vec(1u8..=10, 16..17),
+                    1u64..6,
+                ),
+                20..80,
+            ),
+        ) {
+            let mut s = sched(16);
+            let mut q = JobQueue::new();
+            let all: Vec<u32> = (0..16).collect();
+            let mut next_id = 0;
+            let mut now = SimTime::ZERO;
+            for (op, n, levels, secs) in ops {
+                let node = NodeId(n);
+                match op {
+                    0 | 1 => {
+                        next_id += 1;
+                        let works = [secs as f64, 2.0, f64::from(n % 5 + 1)];
+                        q.push(varied_job(next_id, 1 + n * 5, &works));
+                        s.try_start(&mut q, now);
+                    }
+                    2 => {
+                        // Every speed may move, so every node is an edge.
+                        let speed: Vec<f64> =
+                            levels.iter().map(|&l| f64::from(l) / 10.0).collect();
+                        now += SimDuration::from_secs(secs);
+                        s.advance(secs as f64, now, &speed, &all, &mut Vec::new());
+                    }
+                    3 | 4 => {
+                        if let Some(mut job) = s.evict_job_on(node) {
+                            job.requeue();
+                            q.push_front(job);
+                        }
+                        if op == 4 {
+                            s.set_node_down(node);
+                        }
+                    }
+                    _ => s.set_node_up(node),
+                }
+                for raw in 0..16 {
+                    let id = NodeId(raw);
+                    let want = s
+                        .slot_of_node(id)
+                        .and_then(|slot| s.running_jobs()[slot].load_on(id, s.cores_per_node()));
+                    prop_assert_eq!(s.load_on(id), want, "node {}", raw);
+                    if s.is_node_down(id) || s.job_of_node(id).is_none() {
+                        prop_assert!(s.load_on(id).is_none(), "idle or down node {} has a load", raw);
+                    }
+                }
+                s.check_invariants();
             }
         }
     }

@@ -27,6 +27,11 @@ grep -q '"schema": "ppc-lint/v2"' LINT_report.json \
 # (The tick runs on one thread, so there is no pool width to vary.)
 cargo run --release -p ppc-bench --bin determinism_gate
 
+# The paper's §V in-text claims (learned thresholds, no Red under
+# capping, ~2% performance loss, ~10% lower peak, MPC over HRI): exits
+# non-zero when a claim points the wrong way.
+cargo run --release -p ppc-bench --bin headline_claims
+
 # What-if service smoke: a short query stream against a snapshot of the
 # paper-scale cluster must replay bit-identically (answers and engine
 # fingerprints) when served twice.
