@@ -31,7 +31,7 @@ use ppc_core::{HierarchicalManager, ManagerConfig, NodeSets, PolicyKind, PowerMa
 use ppc_faults::{FaultInjection, FaultRates, FaultSchedule};
 use ppc_node::{Level, NodeId, OperatingState};
 use ppc_obs::StageProfiler;
-use ppc_simkit::{RngFactory, SimDuration, SimTime, WorkerPool};
+use ppc_simkit::{RngFactory, SimDuration, SimTime};
 use ppc_telemetry::{Collector, NodeSample};
 use std::collections::BTreeSet;
 use std::time::Instant;
@@ -284,6 +284,7 @@ fn main() {
     let aggregate_power_1024_us = median_us(batches, 10 * iters, || {
         total += collector.aggregate_power(&nodes);
     });
+    assert!(total != 0.0, "work must not be elided");
 
     // Micro: per-tick cost of the hierarchical control plane at the
     // 1024-node scale (8 racks of 128) — the smallest rung of the Figure 5
@@ -292,17 +293,6 @@ fn main() {
     hier.run_for(SimDuration::from_secs(30));
     let sim_step_1024_hier_us = median_us(batches, iters, || hier.step());
     drop(hier);
-
-    // Micro: one pool dispatch over a 4096-element slice (above the inline
-    // threshold, so this exercises the persistent workers when the machine
-    // has more than one core; on a 1-core machine it measures the inline
-    // path, which is the pool's sequential fallback).
-    let pool = WorkerPool::global();
-    let mut cells = vec![0.0f64; 4096];
-    let pool_dispatch_4096_us = median_us(batches, iters, || {
-        pool.for_each_mut(&mut cells, |i, c| *c += i as f64);
-    });
-    assert!(total != 0.0 && cells[1] != 0.0, "work must not be elided");
 
     // Hierarchical scaling sweep — the Figure 5 extension: per-tick cost
     // at 1k/10k/100k nodes under the per-rack control plane. Sample
@@ -429,7 +419,6 @@ fn main() {
             "sim_step_128_unmanaged": sim_step_unmanaged_us,
             "collector_ingest_batch_1024": collector_ingest_batch_1024_us,
             "aggregate_power_1024": aggregate_power_1024_us,
-            "pool_dispatch_4096": pool_dispatch_4096_us,
             "sim_step_1024_hier": sim_step_1024_hier_us,
         },
         "scaling": scaling,

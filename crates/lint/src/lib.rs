@@ -1,7 +1,7 @@
 //! `ppc-lint` — repo-specific determinism & safety static analysis.
 //!
 //! The whole value of this reproduction rests on bit-identical
-//! deterministic simulation: the worker pool is width-invariant, fault
+//! deterministic simulation: the what-if fan-out is width-invariant, fault
 //! schedules replay from a seed, and CI compares journal hashes across
 //! runs. Nothing in the compiler prevents a future change from quietly
 //! reintroducing nondeterminism (unordered `HashMap` iteration, wall-clock

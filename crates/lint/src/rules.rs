@@ -101,10 +101,10 @@ pub enum Rule {
     /// line with `allow(fingerprint-taint): <invariant>`.
     FingerprintTaint,
     /// Call-graph pass: a fingerprint sink written directly from inside a
-    /// closure handed to a `WorkerPool` fan-out (`for_each_mut`, `map`,
-    /// `map_reduce`, `sum_f64`, `par_*`). Worker interleaving is
-    /// nondeterministic, so all journal/span/metrics bookkeeping must run
-    /// in the serial post-join pass, in index order.
+    /// closure handed to the `WorkerPool::for_each_mut` fan-out (the
+    /// what-if batch). Thread interleaving is nondeterministic, so all
+    /// journal/span/metrics bookkeeping must run in the serial post-join
+    /// pass, in index order.
     ShardJoinOrder,
     /// Workspace pass: a justified `allow(...)` that no longer suppresses
     /// anything. The finding it silenced is gone, so the directive — and

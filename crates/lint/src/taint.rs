@@ -12,9 +12,9 @@
 //! every source→sink path (with the full chain) that is not covered by a
 //! justified `ppc-lint: allow(fingerprint-taint): …` on the source line.
 //!
-//! The same machinery checks the pool fan-out discipline
-//! (`shard-join-order`): closures handed to `WorkerPool` fan-out calls
-//! run on arbitrary workers in arbitrary interleavings, so they must not
+//! The same machinery checks the fan-out discipline
+//! (`shard-join-order`): closures handed to `WorkerPool::for_each_mut`
+//! run on scoped threads in arbitrary interleavings, so they must not
 //! write to any fingerprint sink — all journal/span/metrics bookkeeping
 //! belongs in the serial post-join pass, in index order (the discipline
 //! the what-if engine's batch fan-out follows).
@@ -300,17 +300,8 @@ pub struct ShardFinding {
     pub fanout: &'static str,
 }
 
-/// Pool fan-out entry points whose closure arguments run on workers.
-const FANOUT_TOKENS: &[&str] = &[
-    "for_each_mut(",
-    "par_for_each_mut(",
-    "map_reduce(",
-    "par_map_reduce(",
-    "sum_f64(",
-    "par_sum_f64(",
-    "par_map(",
-    "pool.map(",
-];
+/// Fan-out entry points whose closure arguments run on scoped threads.
+const FANOUT_TOKENS: &[&str] = &["for_each_mut("];
 
 /// Finds the line where the paren group opening at (`start_line`,
 /// `start_col` = index of `(`) closes, scanning blanked code lines.

@@ -22,8 +22,8 @@
 //!   [`HealthReport`].
 //! * [`rollup`] — the facility → row → rack health rollup tree
 //!   (dwell, power, headroom, coverage per zone; O(racks) memory).
-//! * [`sketch`] — the mergeable integer-bucketed quantile sketch whose
-//!   merge is bit-identical to sequential observation.
+//! * [`sketch`] — the integer-bucketed quantile sketch whose state is
+//!   bit-identical in any observation order.
 //! * [`slo`] — declarative SLO rules, dual-window burn-rate evaluation
 //!   and the deterministic alert journal.
 //! * [`timeseries`] — fixed-memory ring series with power-of-two

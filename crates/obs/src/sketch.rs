@@ -1,11 +1,11 @@
-//! Mergeable, integer-bucketed quantile sketch (DDSketch-style).
+//! Integer-bucketed quantile sketch (DDSketch-style).
 //!
 //! The health plane needs power and latency *distributions*, not just
-//! last values — and they must be mergeable: a sketch built from shard
-//! sketches merged in any order must be **bit-identical** to one built
-//! by observing every value in sequence. Floating-point accumulation
-//! cannot give that (f64 addition is not associative), so everything
-//! inside the sketch is integer arithmetic:
+//! last values, with a fingerprint the determinism gate can pin. The
+//! sketch's state depends only on the *multiset* of observed values,
+//! never on their order. Floating-point accumulation cannot give that
+//! (f64 addition is not associative), so everything inside the sketch
+//! is integer arithmetic:
 //!
 //! * **Buckets** are derived from the IEEE-754 bit pattern: for a
 //!   positive value the index is `to_bits() >> 45`, i.e. the exponent
@@ -15,18 +15,15 @@
 //!   `2^-(SUB_BITS+1) ≈ 0.39%`. No logarithms, no float rounding — the
 //!   bucket of a value is a pure bit shift.
 //! * **Counts** live in a dense `Vec<u64>` offset by the first observed
-//!   bucket index, merged by per-bucket integer addition, which is
-//!   exactly associative and commutative. A fleet's values span only a
-//!   few octaves (~128 buckets each), so the table stays small and the
-//!   hot `observe` path is a single indexed increment — the health
-//!   plane sketches every node's power draw on sample ticks, so this
-//!   path runs ~100k times per sample.
+//!   bucket index; integer increments commute exactly. A fleet's values
+//!   span only a few octaves (~128 buckets each), so the table stays
+//!   small and the hot `observe` path is a single indexed increment —
+//!   the health plane sketches every node's power draw on sample ticks,
+//!   so this path runs ~100k times per sample.
 //! * **The sum** is fixed-point (`value × 1024`, rounded, accumulated in
-//!   `i128`), so merged sums match serial sums bit-for-bit regardless of
-//!   merge order.
+//!   `i128`), so it is bit-identical in any observation order.
 //!
-//! Merge therefore forms a commutative monoid with the empty sketch as
-//! identity; the proptest suite pins all three laws on the fingerprint.
+//! The proptest suite pins order independence on the fingerprint.
 
 use ppc_simkit::hash::Fnv1a;
 use serde::{Deserialize, Serialize};
@@ -41,7 +38,7 @@ const SUM_SCALE: f64 = 1024.0;
 /// Guaranteed relative quantile error: half a geometric bucket.
 pub const RELATIVE_ERROR_BOUND: f64 = 1.0 / (1u64 << (SUB_BITS + 1)) as f64;
 
-/// A mergeable quantile sketch over non-negative samples. See the
+/// A quantile sketch over non-negative samples. See the
 /// module docs for the determinism argument.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct QuantileSketch {
@@ -82,7 +79,7 @@ fn bucket_mid(index: u32) -> f64 {
 }
 
 impl QuantileSketch {
-    /// An empty sketch (the merge identity).
+    /// An empty sketch.
     pub fn new() -> Self {
         QuantileSketch {
             base: 0,
@@ -107,31 +104,31 @@ impl QuantileSketch {
             self.max = self.max.max(x);
         }
         if x > 0.0 && x.is_finite() {
-            self.bump(bucket_of(x), 1);
+            self.bump(bucket_of(x));
         } else {
             self.low += 1;
         }
     }
 
-    /// Adds `n` observations to bucket `idx`, growing the dense table
+    /// Adds one observation to bucket `idx`, growing the dense table
     /// exactly far enough to cover it. Growth is rare (values cluster
     /// within a few octaves); the steady-state path is one indexed add.
     #[inline]
-    fn bump(&mut self, idx: u32, n: u64) {
+    fn bump(&mut self, idx: u32) {
         if self.buckets.is_empty() {
             self.base = idx;
-            self.buckets.push(n);
+            self.buckets.push(1);
         } else if idx < self.base {
             let grow = (self.base - idx) as usize;
             self.buckets.splice(0..0, std::iter::repeat_n(0, grow));
             self.base = idx;
-            self.buckets[0] += n;
+            self.buckets[0] += 1;
         } else {
             let off = (idx - self.base) as usize;
             if off >= self.buckets.len() {
                 self.buckets.resize(off + 1, 0);
             }
-            self.buckets[off] += n;
+            self.buckets[off] += 1;
         }
     }
 
@@ -149,21 +146,6 @@ impl QuantileSketch {
         for &x in xs {
             self.observe(x);
         }
-    }
-
-    /// Merges another sketch into this one. Pure integer bucket/count
-    /// addition plus min/max — exactly associative and commutative, so
-    /// shard sketches merged in any order equal sequential observation
-    /// bit-for-bit.
-    pub fn merge(&mut self, other: &QuantileSketch) {
-        for (idx, n) in other.occupied() {
-            self.bump(idx, n);
-        }
-        self.low += other.low;
-        self.count += other.count;
-        self.sum_q += other.sum_q;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
     }
 
     /// Total observations.
@@ -192,7 +174,7 @@ impl QuantileSketch {
     }
 
     /// Sum of finite observations, reconstructed from the fixed-point
-    /// accumulator (deterministic across merge orders).
+    /// accumulator (deterministic across observation orders).
     pub fn sum(&self) -> f64 {
         self.sum_q as f64 / SUM_SCALE
     }
@@ -308,6 +290,7 @@ mod tests {
     #[test]
     fn low_values_rank_at_zero() {
         let mut s = QuantileSketch::new();
+        assert!(s.quantile(0.5).is_none());
         s.observe(0.0);
         s.observe(-4.0);
         s.observe(10.0);
@@ -315,40 +298,6 @@ mod tests {
         assert_eq!(s.quantile(0.1), Some(0.0));
         let p99 = s.quantile(0.99).unwrap();
         assert!((p99 - 10.0).abs() / 10.0 <= RELATIVE_ERROR_BOUND);
-    }
-
-    #[test]
-    fn sharded_merge_equals_serial_observation() {
-        let values: Vec<f64> = (0..997u32)
-            .map(|i| f64::from(i % 113) * 3.7 + 0.5)
-            .collect();
-        let mut serial = QuantileSketch::new();
-        serial.observe_slice(&values);
-        for width in [1usize, 2, 8] {
-            let chunk = values.len().div_ceil(width);
-            let mut merged = QuantileSketch::new();
-            for shard in values.chunks(chunk) {
-                let mut s = QuantileSketch::new();
-                s.observe_slice(shard);
-                merged.merge(&s);
-            }
-            assert_eq!(merged, serial, "width {width}");
-            assert_eq!(merged.fingerprint(), serial.fingerprint(), "width {width}");
-        }
-    }
-
-    #[test]
-    fn empty_is_merge_identity() {
-        let mut s = QuantileSketch::new();
-        s.observe_slice(&[1.0, 2.0, 3.0]);
-        let before = s.fingerprint();
-        s.merge(&QuantileSketch::new());
-        assert_eq!(s.fingerprint(), before);
-        let mut e = QuantileSketch::new();
-        let t = s.clone();
-        e.merge(&t);
-        assert_eq!(e, t);
-        assert!(QuantileSketch::new().quantile(0.5).is_none());
     }
 
     #[test]

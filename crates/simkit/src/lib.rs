@@ -10,10 +10,9 @@
 //! * [`rng`] — splittable, seeded random-number streams. Every source of
 //!   randomness in a simulation derives its own independent stream from the
 //!   experiment seed, which keeps runs bit-reproducible.
-//! * [`par`] — data-parallel helpers on a persistent worker pool
-//!   ([`par::WorkerPool`]): static index-ordered chunking and ordered
-//!   reductions keep results bit-identical across pool sizes, and inputs
-//!   below an inline threshold skip the handoff entirely.
+//! * [`par`] — the what-if batch's fan-out ([`par::WorkerPool`]): static
+//!   index-ordered chunks on scoped threads, one output slot per item, so
+//!   results are bit-identical at every width.
 //! * [`hash`] — stable 64-bit FNV-1a hashing for determinism
 //!   fingerprints (journal, span tree, metrics registry).
 //! * [`series`] — append-only time series with trapezoid/step integration,

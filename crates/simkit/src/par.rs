@@ -1,534 +1,87 @@
-//! Deterministic data parallelism on a persistent worker pool.
+//! Deterministic fan-out for coarse-grained batches.
 //!
-//! The cluster simulation advances hundreds of independent node states per
-//! tick and samples them through per-node agents — classic data-parallel
-//! work, but on the *hot path*: a managed experiment executes tens of
-//! thousands of control cycles, and paying a thread spawn/join per cycle
-//! (the previous scoped-thread design) dominates exactly as the cluster
-//! grows. [`WorkerPool`] instead creates its threads once and hands work
-//! out through a generation-stamped barrier; per-call cost is one condvar
-//! broadcast instead of N `clone(2)`s.
+//! The one caller that pays for threads is the what-if engine's batch:
+//! each item is a whole branched simulation (milliseconds of work), so on
+//! a 2-vCPU host width 2 answers the 20-request capacity grid about 1.4×
+//! faster than width 1, and spawning scoped threads once per batch costs
+//! nothing next to that. [`WorkerPool`] is therefore only a width.
 //!
-//! Determinism is preserved by construction, for every pool size:
-//!
-//! * chunk boundaries are static functions of `(len, workers)` — no work
-//!   stealing, no racing for items;
-//! * every output is written to its pre-assigned slot (index-addressed);
-//! * reductions fold per-item results in index order, so floating-point
-//!   accumulation is bit-identical to a sequential loop.
-//!
-//! Inputs smaller than the pool's inline threshold run on the calling
-//! thread: below a few dozen items the handoff latency exceeds the work
-//! itself, and an inline loop produces the same bits anyway.
+//! Results are identical at every width by construction: chunk boundaries
+//! are a static function of `(len, workers)`, and each item writes only
+//! its own slot. Callers fold slots in index order after the join.
 
-use std::cell::UnsafeCell;
-use std::mem::{ManuallyDrop, MaybeUninit};
 use std::num::NonZeroUsize;
-use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
-use std::thread::JoinHandle;
+use std::sync::OnceLock;
 
-/// Default work-size threshold: inputs with fewer items than this run
-/// inline on the calling thread instead of paying pool handoff latency.
-pub const INLINE_THRESHOLD: usize = 64;
-
-/// Hard cap on pool width; beyond this, handoff and cache traffic beat
-/// any speedup for the per-item costs this codebase sees.
+/// Hard cap on the fan-out width.
 const MAX_WORKERS: usize = 32;
 
-/// Spin iterations a worker burns watching for the next generation before
-/// parking on the condvar (dispatches arrive back-to-back on the tick
-/// path, so a short spin usually catches the next one hot). Zeroed when
-/// the pool is wider than the machine — spinning while oversubscribed
-/// starves the threads doing real work.
-const WORKER_SPIN: u32 = 1 << 12;
-
-/// Spin iterations the submitter burns waiting for worker completion
-/// before parking; its own chunk is already done, so spinning longer than
-/// the workers' tail latency is pure win (same oversubscription caveat).
-const SUBMIT_SPIN: u32 = 1 << 15;
-
-/// `yield_now` rounds between spinning and parking — a cheap second
-/// chance before the condvar round-trip. Skipped along with the spin when
-/// the pool oversubscribes the machine: many waiters yielding to each
-/// other on too few cores is a context-switch storm, and parking at once
-/// is strictly cheaper there.
-const YIELD_ROUNDS: u32 = 32;
-
-/// Spin–yield–park wait ladder. Returns as soon as `ready()` holds; may
-/// also return spuriously after a park wake — callers re-check in a loop.
-fn wait_for(ready: impl Fn() -> bool, spin: u32, mutex: &Mutex<()>, cv: &Condvar) {
-    let mut spins = 0u32;
-    let mut yields = 0u32;
-    let yield_rounds = if spin == 0 { 0 } else { YIELD_ROUNDS };
-    while !ready() {
-        if spins < spin {
-            spins += 1;
-            std::hint::spin_loop();
-        } else if yields < yield_rounds {
-            yields += 1;
-            std::thread::yield_now();
-        } else {
-            let guard = mutex.lock().unwrap_or_else(PoisonError::into_inner);
-            // Re-check under the mutex; `Shared::wake` serializes with
-            // this, so the flag flip cannot slip between check and wait.
-            if !ready() {
-                drop(cv.wait(guard).unwrap_or_else(PoisonError::into_inner));
-            }
-            return;
-        }
-    }
-}
-
-/// Lifetime-erased pointer to the current dispatch's task closure.
-///
-/// Soundness: [`WorkerPool::run`] does not return until every worker has
-/// finished the generation that references this pointer, so the pointee
-/// (a closure on the submitting thread's stack) strictly outlives all
-/// uses.
-#[derive(Clone, Copy)]
-struct TaskRef(*const (dyn Fn(usize) + Sync));
-
-// SAFETY: the pointee is `Sync` (shared calls are safe) and the barrier in
-// `run` keeps it alive for the whole dispatch.
-unsafe impl Send for TaskRef {}
-
-/// Single-writer task mailbox, synchronized by the generation protocol:
-/// the submitter writes while no dispatch is in flight (`remaining == 0`)
-/// and publishes with a `Release` bump of `generation`; workers read only
-/// after an `Acquire` load observes the bump.
-struct TaskCell(UnsafeCell<Option<TaskRef>>);
-
-// SAFETY: see the generation protocol above — writes and reads never
-// overlap, and the Release/Acquire pair on `generation` orders them.
-unsafe impl Sync for TaskCell {}
-
-struct Shared {
-    /// Per-worker spin budget before yielding/parking (0 when the pool is
-    /// wider than the machine's available parallelism).
-    worker_spin: u32,
-    /// Bumped once per dispatch; workers run each generation exactly once.
-    generation: AtomicU64,
-    /// Spawned workers still running the current generation. The final
-    /// `Release` decrement / `Acquire` zero-read pair publishes all of the
-    /// workers' output writes to the submitter.
-    remaining: AtomicUsize,
-    task: TaskCell,
-    /// Set when a worker's task panicked (re-raised by the submitter).
-    panicked: AtomicBool,
-    /// Ends the worker loops (pool drop).
-    shutdown: AtomicBool,
-    /// Pairs with `generation` for the workers' parked wait.
-    work_mutex: Mutex<()>,
-    work_cv: Condvar,
-    /// Pairs with `remaining` for the submitter's parked wait.
-    done_mutex: Mutex<()>,
-    done_cv: Condvar,
-}
-
-impl Shared {
-    /// Wakes anyone parked on `(mutex, cv)`. Locking (and dropping) the
-    /// mutex after the atomic update guarantees a waiter either re-checks
-    /// the condition after our update or is already inside `wait` and
-    /// receives the notification — the standard flag-publication pairing,
-    /// with the atomics replacing the mutex-protected flag.
-    fn wake(mutex: &Mutex<()>, cv: &Condvar) {
-        drop(mutex.lock().unwrap_or_else(PoisonError::into_inner));
-        cv.notify_all();
-    }
-}
-
-thread_local! {
-    /// True while this thread is executing a pool task; nested parallel
-    /// calls then run inline instead of deadlocking on the submit lock.
-    static IN_PARALLEL: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
-}
-
-/// A persistent, deterministic worker pool.
-///
-/// Threads are created once (lazily for the [global](WorkerPool::global)
-/// pool, eagerly for explicit [`WorkerPool::new`] handles) and reused for
-/// every dispatch. The calling thread participates as worker 0, so a pool
-/// of `workers` logical workers spawns `workers − 1` threads and a
-/// 1-worker pool is a pure inline executor.
-///
-/// Results are bit-identical across pool sizes — see the module docs.
+/// A fan-out width: how many scoped threads a batch is split across.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WorkerPool {
-    shared: Arc<Shared>,
-    /// Logical worker count, including the caller (≥ 1).
     workers: usize,
-    /// Inputs smaller than this run inline.
-    inline_threshold: usize,
-    /// Submitter spin budget (0 when the pool oversubscribes the machine).
-    submit_spin: u32,
-    /// Serializes dispatches from different threads.
-    submit: Mutex<()>,
-    handles: Vec<JoinHandle<()>>,
-}
-
-impl std::fmt::Debug for WorkerPool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WorkerPool")
-            .field("workers", &self.workers)
-            .field("inline_threshold", &self.inline_threshold)
-            .finish()
-    }
-}
-
-fn worker_loop(shared: Arc<Shared>, index: usize) {
-    // Everything this thread ever runs is a pool task.
-    IN_PARALLEL.with(|c| c.set(true));
-    let mut last_gen = 0u64;
-    loop {
-        // Spin first — the tick path dispatches back-to-back — then park.
-        wait_for(
-            || {
-                shared.generation.load(Ordering::Acquire) != last_gen
-                    || shared.shutdown.load(Ordering::Acquire)
-            },
-            shared.worker_spin,
-            &shared.work_mutex,
-            &shared.work_cv,
-        );
-        if shared.shutdown.load(Ordering::Acquire) {
-            return;
-        }
-        if shared.generation.load(Ordering::Acquire) == last_gen {
-            continue; // spurious park wake
-        }
-        last_gen = shared.generation.load(Ordering::Acquire);
-        // SAFETY: the Acquire load above observed this generation's
-        // Release publication, so the mailbox write is visible and no
-        // writer touches it until we decrement `remaining`.
-        // ppc-lint: allow(panic-path): the generation handshake publishes the task before the bump (see SAFETY)
-        let task = unsafe { (*shared.task.0.get()).expect("generation implies task").0 };
-        // SAFETY: `task` is valid for this whole generation (see TaskRef).
-        let outcome = panic::catch_unwind(AssertUnwindSafe(|| unsafe { (*task)(index) }));
-        if outcome.is_err() {
-            shared.panicked.store(true, Ordering::Release);
-        }
-        if shared.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-            // Last finisher wakes the submitter (it may be parked).
-            Shared::wake(&shared.done_mutex, &shared.done_cv);
-        }
-    }
 }
 
 impl WorkerPool {
-    /// Creates a pool with the given logical worker count (clamped to
-    /// `1..=32`). The calling thread is worker 0; `workers − 1` threads
-    /// are spawned.
+    /// A fan-out of `workers` threads, clamped to `1..=32`.
     pub fn new(workers: usize) -> Self {
-        let workers = workers.clamp(1, MAX_WORKERS);
-        // Spinning only pays when every worker owns a hardware thread;
-        // oversubscribed (or single-core) machines go straight to
-        // yield/park so waiters never starve the thread doing the work.
-        // ppc-lint: allow(fingerprint-taint): selects spin-vs-park only; the width-invariance gate pins all fingerprints across worker counts
-        let hw = std::thread::available_parallelism()
-            .map(NonZeroUsize::get)
-            .unwrap_or(1);
-        let (worker_spin, submit_spin) = if workers <= hw {
-            (WORKER_SPIN, SUBMIT_SPIN)
-        } else {
-            (0, 0)
-        };
-        let shared = Arc::new(Shared {
-            worker_spin,
-            generation: AtomicU64::new(0),
-            remaining: AtomicUsize::new(0),
-            task: TaskCell(UnsafeCell::new(None)),
-            panicked: AtomicBool::new(false),
-            shutdown: AtomicBool::new(false),
-            work_mutex: Mutex::new(()),
-            work_cv: Condvar::new(),
-            done_mutex: Mutex::new(()),
-            done_cv: Condvar::new(),
-        });
-        let handles = (1..workers)
-            .map(|index| {
-                let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("ppc-par-{index}"))
-                    .spawn(move || worker_loop(shared, index))
-                    // ppc-lint: allow(panic-path): OS thread-spawn failure at pool construction is unrecoverable
-                    .expect("spawn pool worker")
-            })
-            .collect();
         WorkerPool {
-            shared,
-            workers,
-            inline_threshold: INLINE_THRESHOLD,
-            submit_spin,
-            submit: Mutex::new(()),
-            handles,
+            workers: workers.clamp(1, MAX_WORKERS),
         }
     }
 
-    /// Overrides the inline work-size threshold (0 forces every non-empty
-    /// input through the pool — used by determinism tests).
-    pub fn with_inline_threshold(mut self, items: usize) -> Self {
-        self.inline_threshold = items;
-        self
-    }
-
-    /// The process-wide shared pool (created on first use, sized to the
-    /// available parallelism, capped at 32).
-    pub fn global() -> &'static WorkerPool {
-        static GLOBAL: OnceLock<WorkerPool> = OnceLock::new();
-        GLOBAL.get_or_init(|| WorkerPool::new(default_workers()))
-    }
-
-    /// Logical worker count (including the calling thread).
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// Dispatches `task` so that `task(w)` runs exactly once for every
-    /// `w in 0..self.workers`, then waits for completion. Worker 0 runs on
-    /// the calling thread. Panics in any task are re-raised here, after
-    /// the barrier (so no task ever outlives its referents).
-    fn run(&self, task: &(dyn Fn(usize) + Sync)) {
-        if self.handles.is_empty() || IN_PARALLEL.with(|c| c.get()) {
-            // Single-worker pool, or a nested call from inside a task.
-            for w in 0..self.workers {
-                task(w);
-            }
-            return;
-        }
-        let _submit = self.submit.lock().unwrap_or_else(PoisonError::into_inner);
-        let shared = &*self.shared;
-        // SAFETY: lifetime erasure is sound because of the completion
-        // barrier below — `run` returns only after every worker finished.
-        let erased = TaskRef(unsafe {
-            std::mem::transmute::<
-                *const (dyn Fn(usize) + Sync),
-                *const (dyn Fn(usize) + Sync + 'static),
-            >(task)
+    /// The machine's available parallelism, read once per process.
+    pub fn available() -> Self {
+        static WIDTH: OnceLock<usize> = OnceLock::new();
+        let workers = *WIDTH.get_or_init(|| {
+            // Picks the width only; results are width-invariant.
+            std::thread::available_parallelism().map_or(1, NonZeroUsize::get)
         });
-        // SAFETY: no dispatch is in flight (we hold `submit` and the
-        // previous barrier saw `remaining == 0`), so no worker reads the
-        // mailbox until the generation bump below publishes this write.
-        unsafe { *shared.task.0.get() = Some(erased) };
-        shared
-            .remaining
-            .store(self.handles.len(), Ordering::Relaxed);
-        shared.generation.fetch_add(1, Ordering::Release);
-        Shared::wake(&shared.work_mutex, &shared.work_cv);
-        // The caller is worker 0; its share overlaps the spawned workers.
-        IN_PARALLEL.with(|c| c.set(true));
-        let own = panic::catch_unwind(AssertUnwindSafe(|| task(0)));
-        IN_PARALLEL.with(|c| c.set(false));
-        // Completion barrier: after this, `task` is no longer referenced
-        // and every worker's output writes are visible (Acquire pairs
-        // with the workers' Release decrements).
-        while shared.remaining.load(Ordering::Acquire) != 0 {
-            wait_for(
-                || shared.remaining.load(Ordering::Acquire) == 0,
-                self.submit_spin,
-                &shared.done_mutex,
-                &shared.done_cv,
-            );
-        }
-        let worker_panicked = shared.panicked.swap(false, Ordering::AcqRel);
-        if let Err(payload) = own {
-            panic::resume_unwind(payload);
-        }
-        assert!(!worker_panicked, "parallel worker panicked");
+        WorkerPool::new(workers)
     }
 
-    /// Applies `f` to every element in place; `f` receives the global
-    /// index. Bit-identical to the sequential loop for any pool size.
+    /// Applies `f(index, item)` to every item exactly once. Items are
+    /// split into index-ordered chunks of `ceil(len / workers)`, one
+    /// scoped thread each; width 1 or a single item runs on the calling
+    /// thread. A panic in `f` propagates to the caller after the join.
     pub fn for_each_mut<T, F>(&self, items: &mut [T], f: F)
     where
         T: Send,
         F: Fn(usize, &mut T) + Sync,
     {
-        let n = items.len();
-        if self.workers == 1 || n < self.inline_threshold.max(2) {
+        if self.workers == 1 || items.len() <= 1 {
             for (i, item) in items.iter_mut().enumerate() {
                 f(i, item);
             }
             return;
         }
-        let chunk = n.div_ceil(self.workers.min(n));
-        let base = SendPtr(items.as_mut_ptr());
-        let task = move |w: usize| {
-            let start = w * chunk;
-            if start >= n {
-                return; // pool wider than the chunk count
+        let chunk = items.len().div_ceil(self.workers);
+        let f = &f;
+        std::thread::scope(|scope| {
+            for (c, slice) in items.chunks_mut(chunk).enumerate() {
+                scope.spawn(move || {
+                    for (j, item) in slice.iter_mut().enumerate() {
+                        f(c * chunk + j, item);
+                    }
+                });
             }
-            let len = chunk.min(n - start);
-            // SAFETY: worker w exclusively owns [start, start+len); chunks
-            // are disjoint and cover 0..n exactly once.
-            let slice = unsafe { std::slice::from_raw_parts_mut(base.get().add(start), len) };
-            for (j, item) in slice.iter_mut().enumerate() {
-                f(start + j, item);
-            }
-        };
-        self.run(&task);
+        });
     }
-
-    /// Maps every element, preserving order.
-    pub fn map<T, U, F>(&self, items: &[T], f: F) -> Vec<U>
-    where
-        T: Sync,
-        U: Send,
-        F: Fn(usize, &T) -> U + Sync,
-    {
-        let n = items.len();
-        if self.workers == 1 || n < self.inline_threshold.max(2) {
-            return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
-        }
-        let mut out: Vec<MaybeUninit<U>> = Vec::with_capacity(n);
-        let chunk = n.div_ceil(self.workers.min(n));
-        let dst = SendPtr(out.as_mut_ptr());
-        let task = move |w: usize| {
-            let start = w * chunk;
-            if start >= n {
-                return;
-            }
-            let end = (start + chunk).min(n);
-            for (i, item) in items.iter().enumerate().take(end).skip(start) {
-                let value = f(i, item);
-                // SAFETY: slot i is written exactly once, by this worker.
-                unsafe { dst.get().add(i).write(MaybeUninit::new(value)) };
-            }
-        };
-        self.run(&task);
-        // Every slot in 0..n was initialized (chunks cover the range; a
-        // panic would have propagated out of `run` with `out` still empty,
-        // leaking initialized slots rather than reading uninitialized
-        // ones).
-        let mut out = ManuallyDrop::new(out);
-        let (ptr, cap) = (out.as_mut_ptr(), out.capacity());
-        // SAFETY: n initialized elements of U in an allocation of `cap`.
-        unsafe { Vec::from_raw_parts(ptr.cast::<U>(), n, cap) }
-    }
-
-    /// Parallel map followed by an ordered sequential fold: the fold runs
-    /// over per-item results in index order, so non-commutative
-    /// accumulation (or floating-point summation) gives the same answer
-    /// as a sequential loop.
-    pub fn map_reduce<T, U, A, M, R>(&self, items: &[T], map: M, init: A, mut reduce: R) -> A
-    where
-        T: Sync,
-        U: Send,
-        M: Fn(usize, &T) -> U + Sync,
-        R: FnMut(A, U) -> A,
-    {
-        let mapped = self.map(items, map);
-        let mut acc = init;
-        for u in mapped {
-            acc = reduce(acc, u);
-        }
-        acc
-    }
-
-    /// Deterministic parallel sum of `f` over `items` (ordered
-    /// accumulation; bit-identical to the sequential sum).
-    pub fn sum_f64<T, F>(&self, items: &[T], f: F) -> f64
-    where
-        T: Sync,
-        F: Fn(usize, &T) -> f64 + Sync,
-    {
-        self.map_reduce(items, f, 0.0, |acc, x| acc + x)
-    }
-}
-
-impl Drop for WorkerPool {
-    fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
-        Shared::wake(&self.shared.work_mutex, &self.shared.work_cv);
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
-        }
-    }
-}
-
-/// Raw-pointer wrapper the dispatch closures capture to hand each worker
-/// its disjoint output range. (Accessed via [`SendPtr::get`] so closures
-/// capture the whole wrapper — 2021 precise capture would otherwise grab
-/// the bare non-`Sync` pointer field.)
-struct SendPtr<T>(*mut T);
-
-impl<T> SendPtr<T> {
-    fn get(&self) -> *mut T {
-        self.0
-    }
-}
-
-impl<T> Clone for SendPtr<T> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<T> Copy for SendPtr<T> {}
-
-// SAFETY: every use partitions the pointee range disjointly per worker.
-unsafe impl<T: Send> Send for SendPtr<T> {}
-unsafe impl<T: Send> Sync for SendPtr<T> {}
-
-fn default_workers() -> usize {
-    // ppc-lint: allow(fingerprint-taint): picks the pool width only; results are width-invariant by construction (static chunking, index-order joins)
-    std::thread::available_parallelism()
-        .map(NonZeroUsize::get)
-        .unwrap_or(1)
-        .min(MAX_WORKERS)
-}
-
-/// Applies `f` to every element in parallel, in place, via the global
-/// pool. Deterministic: chunking is static and `f` receives
-/// `(global_index, item)`.
-pub fn par_for_each_mut<T, F>(items: &mut [T], f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut T) + Sync,
-{
-    WorkerPool::global().for_each_mut(items, f);
-}
-
-/// Maps every element in parallel via the global pool, preserving order.
-pub fn par_map<T, U, F>(items: &[T], f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(usize, &T) -> U + Sync,
-{
-    WorkerPool::global().map(items, f)
-}
-
-/// Parallel map followed by an ordered sequential fold (global pool).
-pub fn par_map_reduce<T, U, A, M, R>(items: &[T], map: M, init: A, reduce: R) -> A
-where
-    T: Sync,
-    U: Send,
-    M: Fn(usize, &T) -> U + Sync,
-    R: FnMut(A, U) -> A,
-{
-    WorkerPool::global().map_reduce(items, map, init, reduce)
-}
-
-/// Deterministic parallel sum of `f` over `items` (ordered accumulation,
-/// global pool).
-pub fn par_sum_f64<T, F>(items: &[T], f: F) -> f64
-where
-    T: Sync,
-    F: Fn(usize, &T) -> f64 + Sync,
-{
-    WorkerPool::global().sum_f64(items, f)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::panic::{self, AssertUnwindSafe};
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::thread::ThreadId;
 
     #[test]
     fn for_each_mut_touches_every_item_once() {
-        let mut v: Vec<u64> = (0..10_000).collect();
-        par_for_each_mut(&mut v, |i, x| {
+        // len > width: several items per chunk.
+        let mut v: Vec<u64> = (0..1_000).collect();
+        WorkerPool::new(3).for_each_mut(&mut v, |i, x| {
             assert_eq!(*x, i as u64, "index passed to closure must be global");
             *x += 1;
         });
@@ -537,158 +90,105 @@ mod tests {
 
     #[test]
     fn for_each_mut_handles_empty_and_single() {
+        // len 0 and len 1 run on the calling thread.
+        let caller = std::thread::current().id();
         let mut empty: Vec<u8> = vec![];
-        par_for_each_mut(&mut empty, |_, _| panic!("must not be called"));
-        let mut one = vec![5u8];
-        par_for_each_mut(&mut one, |i, x| {
+        WorkerPool::new(4).for_each_mut(&mut empty, |_, _| panic!("must not be called"));
+        let mut one = vec![None::<ThreadId>];
+        WorkerPool::new(4).for_each_mut(&mut one, |i, x| {
             assert_eq!(i, 0);
-            *x = 9;
+            *x = Some(std::thread::current().id());
         });
-        assert_eq!(one, vec![9]);
-    }
-
-    #[test]
-    fn map_preserves_order() {
-        let v: Vec<u64> = (0..5_000).collect();
-        let doubled = par_map(&v, |_, &x| x * 2);
-        assert_eq!(doubled.len(), v.len());
-        assert!(doubled.iter().enumerate().all(|(i, &x)| x == 2 * i as u64));
-    }
-
-    #[test]
-    fn map_reduce_matches_sequential_float_sum() {
-        // Floating-point addition is non-associative; ordered reduction must
-        // agree exactly with the sequential result.
-        let v: Vec<f64> = (0..4_321).map(|i| (i as f64) * 0.1 + 0.003).collect();
-        let seq: f64 = v.iter().map(|x| x.sin()).sum();
-        let par = par_sum_f64(&v, |_, x| x.sin());
-        assert_eq!(
-            seq.to_bits(),
-            par.to_bits(),
-            "ordered reduction must be exact"
-        );
+        assert_eq!(one, vec![Some(caller)]);
     }
 
     #[test]
     fn all_items_visited_in_parallel_mode() {
-        let v: Vec<u32> = (0..777).collect();
+        // len < width: one item per chunk, no thread left without work.
+        let mut v = vec![0u32; 3];
         let count = AtomicUsize::new(0);
-        let _ = par_map(&v, |_, _| {
+        WorkerPool::new(8).for_each_mut(&mut v, |i, x| {
             count.fetch_add(1, Ordering::Relaxed);
+            *x = i as u32 + 1;
         });
-        assert_eq!(count.load(Ordering::Relaxed), 777);
+        assert_eq!(count.load(Ordering::Relaxed), 3);
+        assert_eq!(v, vec![1, 2, 3]);
     }
 
-    /// Pools of every width produce the same bits as the sequential loop —
-    /// the heart of the determinism contract, including float ordering.
+    #[test]
+    fn map_preserves_order() {
+        // The batch pattern: each item fills its own output slot.
+        let inputs: Vec<u64> = (0..500).collect();
+        let mut out = vec![0u64; inputs.len()];
+        WorkerPool::new(4).for_each_mut(&mut out, |i, slot| *slot = inputs[i] * 2);
+        assert!(out.iter().enumerate().all(|(i, &x)| x == 2 * i as u64));
+    }
+
+    #[test]
+    fn map_reduce_matches_sequential_float_sum() {
+        // Per-slot results folded in index order after the join are
+        // bit-identical to the sequential sum.
+        let v: Vec<f64> = (0..4_321).map(|i| (i as f64) * 0.1 + 0.003).collect();
+        let seq: f64 = v.iter().map(|x| x.sin()).sum();
+        let mut slots = vec![0.0f64; v.len()];
+        WorkerPool::new(2).for_each_mut(&mut slots, |i, s| *s = v[i].sin());
+        assert_eq!(seq.to_bits(), slots.iter().sum::<f64>().to_bits());
+    }
+
     #[test]
     fn pool_results_invariant_across_worker_counts() {
         let inputs: Vec<f64> = (0..3_000).map(|i| (i as f64).sqrt() * 0.7 - 11.0).collect();
-        let seq_sum: f64 = inputs.iter().map(|x| x.sin() * x.cos()).sum();
-        let seq_map: Vec<f64> = inputs.iter().map(|x| x.tan()).collect();
-        let mut seq_each = inputs.clone();
-        for (i, x) in seq_each.iter_mut().enumerate() {
-            *x = x.mul_add(1.0000001, i as f64 * 1e-9);
+        let step = |i: usize, x: &mut f64| *x = x.mul_add(1.0000001, i as f64 * 1e-9);
+        let mut seq = inputs.clone();
+        for (i, x) in seq.iter_mut().enumerate() {
+            step(i, x);
         }
-        for workers in [1usize, 2, 3, 8, 32] {
-            // Threshold 0 forces even tiny inputs through the pool path.
-            let pool = WorkerPool::new(workers).with_inline_threshold(0);
-            let sum = pool.sum_f64(&inputs, |_, x| x.sin() * x.cos());
-            assert_eq!(sum.to_bits(), seq_sum.to_bits(), "sum, {workers} workers");
-            let mapped = pool.map(&inputs, |_, x| x.tan());
-            assert_eq!(mapped.len(), seq_map.len());
-            for (a, b) in mapped.iter().zip(&seq_map) {
-                assert_eq!(a.to_bits(), b.to_bits(), "map, {workers} workers");
-            }
+        for workers in [1usize, 2, 3, 8] {
             let mut each = inputs.clone();
-            pool.for_each_mut(&mut each, |i, x| *x = x.mul_add(1.0000001, i as f64 * 1e-9));
-            for (a, b) in each.iter().zip(&seq_each) {
-                assert_eq!(a.to_bits(), b.to_bits(), "for_each_mut, {workers} workers");
-            }
+            WorkerPool::new(workers).for_each_mut(&mut each, step);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&each), bits(&seq), "{workers} workers");
         }
     }
 
     #[test]
     fn pool_handles_empty_and_single_inputs() {
+        assert_eq!(WorkerPool::new(0), WorkerPool::new(1));
+        assert_eq!(WorkerPool::new(1_000), WorkerPool::new(MAX_WORKERS));
         for workers in [1usize, 2, 7] {
-            let pool = WorkerPool::new(workers).with_inline_threshold(0);
-            let empty: Vec<f64> = vec![];
-            assert_eq!(pool.sum_f64(&empty, |_, x| *x).to_bits(), 0f64.to_bits());
-            assert!(pool.map(&empty, |_, x: &f64| *x).is_empty());
             let mut none: Vec<u8> = vec![];
-            pool.for_each_mut(&mut none, |_, _| panic!("must not run"));
-            let one = [2.5f64];
-            assert_eq!(
-                pool.sum_f64(&one, |_, x| *x * 2.0).to_bits(),
-                5f64.to_bits()
-            );
-            assert_eq!(pool.map(&one, |i, x| (i, *x)), vec![(0, 2.5)]);
-            let mut mut_one = [1u32];
-            pool.for_each_mut(&mut mut_one, |i, x| *x += i as u32 + 9);
-            assert_eq!(mut_one, [10]);
+            WorkerPool::new(workers).for_each_mut(&mut none, |_, _| panic!("must not run"));
+            let mut one = [1u32];
+            WorkerPool::new(workers).for_each_mut(&mut one, |i, x| *x += i as u32 + 9);
+            assert_eq!(one, [10]);
         }
-    }
-
-    #[test]
-    fn pool_is_reused_across_many_dispatches() {
-        let pool = WorkerPool::new(4).with_inline_threshold(0);
-        for round in 0..200u64 {
-            let v: Vec<u64> = (0..97).collect();
-            let total = pool.map_reduce(&v, |_, &x| x + round, 0u64, |a, b| a + b);
-            assert_eq!(total, (0..97).sum::<u64>() + 97 * round);
-        }
-    }
-
-    #[test]
-    fn nested_parallel_calls_run_inline_without_deadlock() {
-        let pool = WorkerPool::new(4).with_inline_threshold(0);
-        let mut outer: Vec<u64> = (0..64).collect();
-        pool.for_each_mut(&mut outer, |_, x| {
-            // A nested global-pool call from inside a pool task must not
-            // deadlock; it falls back to the inline path.
-            let inner: Vec<u64> = (0..50).collect();
-            *x += par_sum_f64(&inner, |_, &y| y as f64) as u64;
-        });
-        let inner_sum: u64 = (0..50).sum();
-        assert!(outer
-            .iter()
-            .enumerate()
-            .all(|(i, &x)| x == i as u64 + inner_sum));
     }
 
     #[test]
     fn worker_panic_propagates_and_pool_survives() {
-        let pool = WorkerPool::new(4).with_inline_threshold(0);
-        let v: Vec<u32> = (0..500).collect();
+        let pool = WorkerPool::new(4);
+        let mut v: Vec<u32> = (0..500).collect();
         let boom = panic::catch_unwind(AssertUnwindSafe(|| {
-            pool.for_each_mut(&mut v.clone(), |i, _| {
-                assert!(i != 437, "injected failure");
-            });
+            pool.for_each_mut(&mut v, |i, _| assert!(i != 437, "injected failure"));
         }));
-        assert!(boom.is_err(), "panic must propagate to the submitter");
-        // The pool must stay serviceable after a task panic.
-        let sum = pool.sum_f64(&v, |_, &x| x as f64);
-        assert_eq!(sum as u64, (0..500).sum::<u32>() as u64);
+        assert!(boom.is_err(), "panic must propagate to the caller");
+        pool.for_each_mut(&mut v, |i, x| *x = i as u32);
+        assert!(v.iter().enumerate().all(|(i, &x)| x == i as u32));
     }
 
     proptest! {
-        /// Property: for arbitrary inputs and pool widths, the pool's
-        /// ordered float sum and map are bit-identical to sequential.
+        /// For arbitrary inputs and widths, the fan-out writes the same
+        /// bits as a sequential loop.
         #[test]
         fn prop_pool_bitwise_matches_sequential(
             values in prop::collection::vec(-1e6f64..1e6, 0..300),
             workers in 1usize..9,
         ) {
-            let pool = WorkerPool::new(workers).with_inline_threshold(0);
-            let seq: f64 = values.iter().map(|x| x * 1.5 + 0.25).sum();
-            let par = pool.sum_f64(&values, |_, x| x * 1.5 + 0.25);
-            prop_assert_eq!(seq.to_bits(), par.to_bits());
-            let mapped = pool.map(&values, |i, x| x + i as f64);
-            let expect: Vec<f64> = values.iter().enumerate().map(|(i, x)| x + i as f64).collect();
-            prop_assert_eq!(mapped.len(), expect.len());
-            for (a, b) in mapped.iter().zip(&expect) {
-                prop_assert_eq!(a.to_bits(), b.to_bits());
-            }
+            let f = |i: usize, x: &f64| x * 1.5 + 0.25 + i as f64;
+            let seq: Vec<f64> = values.iter().enumerate().map(|(i, x)| f(i, x)).collect();
+            let mut par = values;
+            WorkerPool::new(workers).for_each_mut(&mut par, |i, x| *x = f(i, x));
+            prop_assert!(par.iter().zip(&seq).all(|(a, b)| a.to_bits() == b.to_bits()));
         }
     }
 }

@@ -4,12 +4,13 @@
 //! [`WhatIfRequest`]s against it. Each request becomes an independent
 //! branch-and-simulate run — [`ClusterSnapshot::branch`], apply the
 //! hypothetical mutation, step the horizon, summarize — so a batch fans
-//! out over the `simkit` worker pool with no sharing between queries.
-//! Results are written into per-query slots and the engine's own
+//! out over scoped threads (`simkit::par`, one thread per core) with no
+//! sharing between queries; a one-request batch runs on the calling
+//! thread. Results are written into per-query slots and the engine's own
 //! observability (a span per query, admitted/denied counters) is
 //! recorded serially in request order after the fan-out joins, which
 //! keeps the engine's span and metrics fingerprints identical at every
-//! pool width.
+//! width.
 //!
 //! No wall-clock enters this module: answers are functions of simulated
 //! time only, and the crate is lint-classified `Deterministic`. Latency
@@ -24,7 +25,6 @@ use ppc_obs::{AttrValue, CounterHandle, MetricsRegistry, SpanRecorder};
 use ppc_simkit::series::Interp;
 use ppc_simkit::WorkerPool;
 use ppc_workload::JobId;
-use std::sync::Arc;
 
 /// Completed query spans the engine retains for inspection/fingerprints.
 const SPAN_CAPACITY: usize = 4096;
@@ -32,7 +32,6 @@ const SPAN_CAPACITY: usize = 4096;
 /// Batched what-if evaluation against one cluster snapshot.
 pub struct WhatIfEngine {
     snapshot: ClusterSnapshot,
-    pool: Option<Arc<WorkerPool>>,
     spans: SpanRecorder,
     metrics: MetricsRegistry,
     queries_total: CounterHandle,
@@ -41,8 +40,7 @@ pub struct WhatIfEngine {
 }
 
 impl WhatIfEngine {
-    /// An engine answering queries against `snapshot`, evaluating batches
-    /// sequentially until a pool is attached.
+    /// An engine answering queries against `snapshot`.
     pub fn new(snapshot: ClusterSnapshot) -> Self {
         let mut metrics = MetricsRegistry::new();
         let queries_total = metrics.counter("whatif.queries_total");
@@ -50,7 +48,6 @@ impl WhatIfEngine {
         let queries_denied = metrics.counter("whatif.queries_denied");
         WhatIfEngine {
             snapshot,
-            pool: None,
             spans: SpanRecorder::new(SPAN_CAPACITY),
             metrics,
             queries_total,
@@ -59,36 +56,26 @@ impl WhatIfEngine {
         }
     }
 
-    /// Fans batches out over `pool`. Answers (and the engine's span and
-    /// metrics fingerprints) are identical at every pool width.
-    pub fn with_worker_pool(mut self, pool: Arc<WorkerPool>) -> Self {
-        self.pool = Some(pool);
-        self
-    }
-
     /// The snapshot queries branch from.
     pub fn snapshot(&self) -> &ClusterSnapshot {
         &self.snapshot
     }
 
-    /// Evaluates every request as an independent branch of the snapshot
-    /// and returns the answers in request order.
+    /// Evaluates every request as an independent branch of the snapshot,
+    /// fanned out at the machine's available parallelism, and returns the
+    /// answers in request order. Answers and fingerprints do not depend
+    /// on the width.
     pub fn run_batch(&mut self, requests: &[WhatIfRequest]) -> Vec<WhatIfAnswer> {
+        self.run_batch_on(WorkerPool::available(), requests)
+    }
+
+    /// [`run_batch`](Self::run_batch) at an explicit fan-out width.
+    fn run_batch_on(&mut self, pool: WorkerPool, requests: &[WhatIfRequest]) -> Vec<WhatIfAnswer> {
         let mut slots: Vec<Option<WhatIfAnswer>> = requests.iter().map(|_| None).collect();
-        {
-            let snapshot = &self.snapshot;
-            let eval = |i: usize, slot: &mut Option<WhatIfAnswer>| {
-                *slot = Some(evaluate(snapshot.branch(), &requests[i]));
-            };
-            match self.pool.as_deref() {
-                Some(pool) => pool.for_each_mut(&mut slots, eval),
-                None => {
-                    for (i, slot) in slots.iter_mut().enumerate() {
-                        eval(i, slot);
-                    }
-                }
-            }
-        }
+        let snapshot = &self.snapshot;
+        pool.for_each_mut(&mut slots, |i, slot| {
+            *slot = Some(evaluate(snapshot.branch(), &requests[i]));
+        });
         // Serial, request-ordered bookkeeping after the join: the span
         // stream and counters never see fan-out scheduling.
         let at = self.snapshot.now();
@@ -133,7 +120,6 @@ impl std::fmt::Debug for WhatIfEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("WhatIfEngine")
             .field("snapshot", &self.snapshot)
-            .field("pooled", &self.pool.is_some())
             .finish_non_exhaustive()
     }
 }
@@ -301,4 +287,100 @@ fn drop_victims(sim: &ClusterSim, count: u32, rack: Option<u32>) -> Result<Vec<N
         victims.push(n);
     }
     Ok(victims)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::query::JobSpec;
+    use ppc_cluster::ClusterSpec;
+    use ppc_core::{ManagerConfig, NodeSets, PolicyKind, PowerManager};
+    use ppc_faults::{FaultInjection, FaultRates, FaultSchedule};
+    use ppc_simkit::{RngFactory, SimDuration};
+    use ppc_workload::{Class, NpbApp};
+
+    /// A managed, faulted, tightly provisioned 8-node cluster snapshotted
+    /// halfway through a 300 s run.
+    fn faulted_snapshot() -> ClusterSnapshot {
+        let mut spec = ClusterSpec::mini(8);
+        spec.provision_fraction = 0.60;
+        let rates = FaultRates {
+            crash_per_node_hour: 12.0,
+            reboot_mean_secs: 30.0,
+            silence_per_node_hour: 8.0,
+            ..FaultRates::default()
+        };
+        let schedule = FaultSchedule::generate(
+            &rates,
+            8,
+            SimDuration::from_secs(300),
+            &RngFactory::new(spec.seed),
+        );
+        let sets = NodeSets::new(spec.node_ids(), []);
+        let config = ManagerConfig {
+            training_cycles: 0,
+            ..ManagerConfig::paper_defaults(spec.provision_w(), PolicyKind::Mpc)
+        };
+        let manager = PowerManager::new(config, sets).expect("valid config");
+        let mut sim = ClusterSim::new(spec)
+            .with_manager(manager)
+            .with_faults(FaultInjection::new(schedule));
+        sim.run_for(SimDuration::from_secs(150));
+        ClusterSnapshot::capture(&sim)
+    }
+
+    /// The batch fan-out is width-invariant: answers and both engine
+    /// fingerprints match one-request-at-a-time serving at width 1, at
+    /// width 2, at a width larger than the batch, and at the default.
+    #[test]
+    fn engine_batches_are_pool_width_invariant() {
+        let snapshot = faulted_snapshot();
+        let provision_w = snapshot.base().spec().provision_w();
+        let job = JobSpec {
+            app: NpbApp::Lu,
+            class: Class::B,
+            nprocs: 16,
+            critical: false,
+        };
+        let drop_two = WhatIfQuery::DropNodes {
+            count: 2,
+            rack: None,
+        };
+        let requests: Vec<WhatIfRequest> = [
+            WhatIfQuery::Baseline,
+            WhatIfQuery::AdmitJobs { jobs: vec![job] },
+            drop_two.clone(),
+            WhatIfQuery::SwapPolicy {
+                policy: PolicyKind::Hri,
+            },
+            WhatIfQuery::Compound {
+                steps: vec![
+                    WhatIfQuery::SetCap {
+                        provision_w: provision_w * 0.9,
+                    },
+                    drop_two,
+                ],
+            },
+        ]
+        .into_iter()
+        .map(|q| WhatIfRequest::new(q, 40))
+        .collect();
+
+        let mut serial = WhatIfEngine::new(snapshot.clone());
+        let expected: Vec<WhatIfAnswer> = requests
+            .iter()
+            .flat_map(|r| serial.run_batch_on(WorkerPool::new(1), std::slice::from_ref(r)))
+            .collect();
+        let widths = [Some(1), Some(2), Some(requests.len() + 1), None];
+        for width in widths {
+            let mut engine = WhatIfEngine::new(snapshot.clone());
+            let answers = match width {
+                Some(w) => engine.run_batch_on(WorkerPool::new(w), &requests),
+                None => engine.run_batch(&requests),
+            };
+            assert_eq!(answers, expected, "answers diverged at width {width:?}");
+            assert_eq!(engine.span_fingerprint(), serial.span_fingerprint());
+            assert_eq!(engine.metrics_fingerprint(), serial.metrics_fingerprint());
+        }
+    }
 }

@@ -22,12 +22,12 @@
 //!   materializations of the same recipe are fingerprint-equal.
 //! * [`WhatIfEngine`] accepts fleets of [`WhatIfQuery`] values (admit a
 //!   job mix, raise/lower the cap, drop nodes, swap the selection
-//!   policy), fans them out over the `simkit` worker pool as independent
-//!   branch-and-simulate runs, and returns structured [`WhatIfAnswer`]s:
-//!   admit/deny, projected peak power, time in Yellow/Red, ΔP×T
-//!   overspend, SLO impact. Every query is evaluated against the *same*
-//!   snapshot, so a batch's answers are mutually comparable and the
-//!   whole batch is deterministic at any pool width.
+//!   policy), fans them out over scoped threads (one per core) as
+//!   independent branch-and-simulate runs, and returns structured
+//!   [`WhatIfAnswer`]s: admit/deny, projected peak power, time in
+//!   Yellow/Red, ΔP×T overspend, SLO impact. Every query is evaluated
+//!   against the *same* snapshot, so a batch's answers are mutually
+//!   comparable and the whole batch is deterministic at any width.
 //!
 //! The long-running service mode lives in `ppc-bench` (`whatif_serve`):
 //! it sustains a query stream against one snapshot and reports

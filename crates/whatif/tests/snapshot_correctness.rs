@@ -4,19 +4,15 @@
 //! to the same point — proven by all four determinism fingerprints
 //! (journal, power trace, spans, metrics) — through serde round-trips of
 //! the recipe form, under an active fault schedule, and with the
-//! journal's ring-eviction counter intact. The what-if engine's batch
-//! fan-out must answer identically at any pool width.
+//! journal's ring-eviction counter intact.
 
 use ppc_cluster::ExperimentConfig;
 use ppc_cluster::{ClusterSim, ClusterSpec};
 use ppc_core::{ManagerConfig, NodeSets, PolicyKind, PowerManager};
 use ppc_faults::{FaultInjection, FaultRates, FaultSchedule};
-use ppc_simkit::{RngFactory, SimDuration, WorkerPool};
-use ppc_whatif::{
-    BaseScenario, ClusterSnapshot, JobSpec, WhatIfEngine, WhatIfQuery, WhatIfRequest,
-};
+use ppc_simkit::{RngFactory, SimDuration};
+use ppc_whatif::{BaseScenario, ClusterSnapshot};
 use ppc_workload::{Class, NpbApp};
-use std::sync::Arc;
 
 const NODES: u32 = 8;
 const RUN_SECS: u64 = 300;
@@ -196,69 +192,4 @@ fn journal_dropped_counter_survives_branching() {
         "journal (dropped counter included) must replay bit-identically"
     );
     assert_eq!(branch.journal().dropped(), fresh.journal().dropped());
-}
-
-/// The engine's batched fan-out is width-invariant: answers and both
-/// engine fingerprints are identical serving sequentially, on a width-1
-/// pool, and on a width-8 pool.
-#[test]
-fn engine_batches_are_pool_width_invariant() {
-    let mut sim = faulted_sim();
-    sim.run_for(SimDuration::from_secs(RUN_SECS / 2));
-    let snapshot = ClusterSnapshot::capture(&sim);
-    let requests = vec![
-        WhatIfRequest::new(WhatIfQuery::Baseline, 40),
-        WhatIfRequest::new(
-            WhatIfQuery::AdmitJobs {
-                jobs: vec![JobSpec {
-                    app: NpbApp::Lu,
-                    class: Class::B,
-                    nprocs: 16,
-                    critical: false,
-                }],
-            },
-            40,
-        ),
-        WhatIfRequest::new(
-            WhatIfQuery::DropNodes {
-                count: 2,
-                rack: None,
-            },
-            40,
-        ),
-        WhatIfRequest::new(
-            WhatIfQuery::SwapPolicy {
-                policy: PolicyKind::Hri,
-            },
-            40,
-        ),
-        WhatIfRequest::new(
-            WhatIfQuery::Compound {
-                steps: vec![
-                    WhatIfQuery::SetCap {
-                        provision_w: snapshot.base().spec().provision_w() * 0.9,
-                    },
-                    WhatIfQuery::DropNodes {
-                        count: 1,
-                        rack: None,
-                    },
-                ],
-            },
-            40,
-        ),
-    ];
-
-    let mut sequential = WhatIfEngine::new(snapshot.clone());
-    let baseline = sequential.run_batch(&requests);
-    for workers in [1usize, 8] {
-        let pool = Arc::new(WorkerPool::new(workers).with_inline_threshold(0));
-        let mut pooled = WhatIfEngine::new(snapshot.clone()).with_worker_pool(pool);
-        let answers = pooled.run_batch(&requests);
-        assert_eq!(answers, baseline, "answers diverged at width {workers}");
-        assert_eq!(pooled.span_fingerprint(), sequential.span_fingerprint());
-        assert_eq!(
-            pooled.metrics_fingerprint(),
-            sequential.metrics_fingerprint()
-        );
-    }
 }

@@ -33,8 +33,9 @@ cargo run --release -p ppc-bench --bin determinism_gate
 cargo run --release -p ppc-bench --bin headline_claims
 
 # What-if service smoke: a short query stream against a snapshot of the
-# paper-scale cluster must replay bit-identically (answers and engine
-# fingerprints) when served twice.
+# paper-scale cluster, served one request at a time, must replay
+# bit-identically (answers and engine fingerprints) as one fanned-out
+# batch.
 cargo run --release -p ppc-bench --bin whatif_serve -- --smoke >/dev/null
 
 cargo run --release -p ppc-bench --bin ext_faults -- --smoke
