@@ -92,11 +92,6 @@ pub fn outcome_to_json(outcome: &ExperimentOutcome) -> String {
     serde_json::to_string_pretty(&slim).expect("outcome serializes")
 }
 
-/// Formats watts as kilowatts with two decimals.
-pub fn kw(watts: f64) -> String {
-    format!("{:.2}", watts / 1_000.0)
-}
-
 /// Formats a ratio as a percentage with one decimal.
 pub fn pct(ratio: f64) -> String {
     format!("{:.1}%", ratio * 100.0)
@@ -160,7 +155,6 @@ mod tests {
 
     #[test]
     fn formatting_helpers() {
-        assert_eq!(kw(43_640.0), "43.64");
         assert_eq!(pct(0.731), "73.1%");
     }
 }

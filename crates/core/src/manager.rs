@@ -134,11 +134,6 @@ impl PowerManager {
         self.stats
     }
 
-    /// `A_degraded` (for reports/tests).
-    pub fn degraded_count(&self) -> usize {
-        self.capping.degraded().len()
-    }
-
     /// The capping algorithm's current `A_degraded` set.
     pub fn capping_degraded(&self) -> &std::collections::BTreeSet<ppc_node::NodeId> {
         self.capping.degraded()
@@ -364,7 +359,7 @@ mod tests {
         assert_eq!(out.state, PowerState::Yellow);
         assert_eq!(out.commands.len(), 2);
         assert!(out.commands.iter().all(|c| c.level == Level::new(8)));
-        assert_eq!(m.degraded_count(), 2);
+        assert_eq!(m.capping_degraded().len(), 2);
         assert_eq!(m.stats().commands_issued, 2);
     }
 
@@ -435,7 +430,7 @@ mod tests {
         // Degrade via a normal Yellow first.
         let jobs = vec![jobs_obs(1, vec![nobs(0, 9, 300.0)], None)];
         m.control_cycle(900.0, &jobs, &FlatView(Level::new(9), Level::new(9)));
-        assert_eq!(m.degraded_count(), 1);
+        assert_eq!(m.capping_degraded().len(), 1);
         // t_g = 10; run plenty of blind Green cycles: no promotion.
         for _ in 0..20 {
             let out = m.control_cycle_with_coverage(
@@ -447,7 +442,7 @@ mod tests {
             assert_eq!(out.state, PowerState::Green);
             assert!(out.commands.is_empty(), "no blind promotion");
         }
-        assert_eq!(m.degraded_count(), 1, "still waiting for telemetry");
+        assert_eq!(m.capping_degraded().len(), 1, "still waiting for telemetry");
         assert_eq!(m.stats().conservative_cycles, 20);
     }
 

@@ -95,11 +95,6 @@ impl ThresholdLearner {
         self
     }
 
-    /// True if adjustment is disabled.
-    pub fn is_frozen(&self) -> bool {
-        self.frozen
-    }
-
     /// Current thresholds.
     pub fn thresholds(&self) -> Thresholds {
         self.thresholds
@@ -231,7 +226,6 @@ mod tests {
     #[test]
     fn frozen_learner_never_adjusts() {
         let mut l = ThresholdLearner::new(10_000.0, 1, 1).unwrap().frozen();
-        assert!(l.is_frozen());
         for _ in 0..10 {
             assert!(!l.observe_cycle(99_000.0));
         }

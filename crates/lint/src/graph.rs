@@ -51,6 +51,8 @@ pub struct FnNode {
     pub body: (usize, usize),
     /// True for fns inside `#[cfg(test)]`/`#[test]` regions.
     pub in_test: bool,
+    /// True if the fn returns a value (a return type other than `()`).
+    pub returns: bool,
 }
 
 impl FnNode {
@@ -442,6 +444,7 @@ pub fn build(units: &[FileUnit]) -> CallGraph {
                 sig_line: item.sig_line,
                 body: (item.open_line, item.close_line),
                 in_test: item.in_test,
+                returns: item.returns,
             });
             let last = item.close_line.min(unit.lines.len());
             for owner in &mut owners[item.open_line..=last] {

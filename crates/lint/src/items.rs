@@ -28,6 +28,8 @@ pub struct FnItem {
     pub close_line: usize,
     /// True if the fn lives in a `#[cfg(test)]`/`#[test]` region.
     pub in_test: bool,
+    /// True if the signature declares a return type other than `()`.
+    pub returns: bool,
 }
 
 /// One `use` import: `alias` names `path` in this file's scope.
@@ -217,6 +219,36 @@ pub fn parse(lines: &[Line]) -> FileItems {
     out
 }
 
+/// True if a `fn` header (everything after the keyword) declares a return
+/// type other than `()`: a `->` right after the parameter list. Generic
+/// parameters are skipped by angle depth (the `>` of an `->` inside them
+/// does not close one), so an `impl Fn() -> T` bound never counts.
+fn returns_value(header: &str) -> bool {
+    let (mut angle, mut paren) = (0i32, 0i32);
+    let mut prev = ' ';
+    for (i, c) in header.char_indices() {
+        match c {
+            '<' => angle += 1,
+            '>' if prev != '-' => angle -= 1,
+            '(' if angle == 0 => paren += 1,
+            ')' if angle == 0 => {
+                paren -= 1;
+                if paren == 0 {
+                    let rest = header[i + 1..].trim_start();
+                    let Some(ret) = rest.strip_prefix("->") else {
+                        return false;
+                    };
+                    let ret = ret.split(" where ").next().unwrap_or(ret);
+                    return ret.trim() != "()";
+                }
+            }
+            _ => {}
+        }
+        prev = c;
+    }
+    false
+}
+
 /// Pushes the scope for a completed header and records `fn` items.
 fn open_scope(
     p: Pending,
@@ -256,6 +288,7 @@ fn open_scope(
                 open_line,
                 close_line: open_line,
                 in_test,
+                returns: returns_value(&p.buf),
             });
             ScopeKind::Fn(out.fns.len() - 1)
         }

@@ -457,12 +457,6 @@ pub fn scan_source(ctx: &FileContext, text: &str) -> FileScan {
     scan_lines(ctx, &source::analyze(text))
 }
 
-/// Scans one file from disk.
-pub fn scan_file(root: &Path, rel: &str) -> io::Result<FileScan> {
-    let text = fs::read_to_string(root.join(rel))?;
-    Ok(scan_source(&FileContext::for_path(rel), &text))
-}
-
 /// Collects every `.rs` file the lint covers: `crates/*/src/**` plus the
 /// root `src/`, in sorted order for stable reports.
 pub fn workspace_files(root: &Path) -> io::Result<Vec<String>> {
@@ -524,6 +518,17 @@ fn chain_hop(units: &[FileUnit], g: &graph::CallGraph, e: graph::CallEdge) -> St
     )
 }
 
+/// Renders a hop up a returned value: the caller, located at the call
+/// whose result carries the source.
+fn chain_return(units: &[FileUnit], g: &graph::CallGraph, e: graph::CallEdge) -> String {
+    format!(
+        "{} (receives its return at {}:{})",
+        g.nodes[e.caller].fq(),
+        units[g.nodes[e.caller].file].ctx.path,
+        e.line
+    )
+}
+
 /// Runs the full multi-pass analysis over a set of in-memory files. This
 /// is the v2 engine: token rules per file, then the call-graph passes
 /// (`fingerprint-taint`, `shard-join-order`) across all of them, then the
@@ -561,6 +566,9 @@ pub fn scan_units(inputs: Vec<(FileContext, String)>) -> WorkspaceScan {
             continue;
         }
         let mut chain = vec![chain_head(&units, &g, p.source.fn_id, p.source.line)];
+        if let Some(ei) = p.returned_to {
+            chain.push(chain_return(&units, &g, g.edges[ei]));
+        }
         for &ei in &p.hops {
             chain.push(chain_hop(&units, &g, g.edges[ei]));
         }

@@ -216,8 +216,16 @@ fn closes_raw_string(chars: &[char], i: usize, hashes: usize) -> bool {
 }
 
 /// Marks lines inside `#[cfg(test)]` / `#[test]` regions by tracking the
-/// brace depth at which the attributed block opens.
+/// brace depth at which the attributed block opens. A file whose first
+/// code line is `#![cfg(test)]` (an out-of-line test module) is one region.
 fn mark_test_regions(lines: &mut [Line]) {
+    let first = lines.iter().map(|l| l.code.trim()).find(|c| !c.is_empty());
+    if first == Some("#![cfg(test)]") {
+        for line in lines.iter_mut() {
+            line.in_test = true;
+        }
+        return;
+    }
     let mut depth: i64 = 0;
     let mut pending = false;
     let mut open_at: Option<i64> = None;
@@ -313,6 +321,14 @@ fn lib2() {}
         assert!(lines[3].in_test);
         assert!(lines[4].in_test, "closing brace line belongs to the region");
         assert!(!lines[5].in_test);
+    }
+
+    #[test]
+    fn inner_cfg_test_makes_the_whole_file_a_region() {
+        let lines = analyze("//! Tests.\n\n#![cfg(test)]\nfn helper() { x.unwrap(); }\n");
+        assert!(lines.iter().all(|l| l.in_test));
+        let lines = analyze("fn lib() {}\n#![cfg(test)]\nfn helper() {}\n");
+        assert!(!lines[0].in_test, "only a leading inner attribute counts");
     }
 
     #[test]

@@ -103,7 +103,11 @@ pub struct TaintPath {
     pub source: TaintSource,
     /// Node index of the sink fn.
     pub sink: usize,
-    /// Edge indices from source fn to sink fn, in call order.
+    /// The call whose returned value carries the source up into its
+    /// caller, when the path starts there rather than in the source fn.
+    pub returned_to: Option<usize>,
+    /// Edge indices toward the sink fn, in call order: from the source fn,
+    /// or from the caller of `returned_to`.
     pub hops: Vec<usize>,
     /// True if any hop came from ambiguous method resolution.
     pub ambiguous: bool,
@@ -220,52 +224,61 @@ pub fn find_sinks(graph: &CallGraph) -> Vec<usize> {
 }
 
 /// Multi-source BFS from the sinks over reversed edges. Returns, per
-/// node, the first edge of a shortest path toward a sink (deterministic:
-/// sinks seeded in id order, edges relaxed in id order).
-fn route_to_sinks(graph: &CallGraph, sinks: &[usize]) -> Vec<Option<usize>> {
+/// node, the hop count of a shortest path toward a sink (`None`: no sink
+/// reachable) and that path's first edge (deterministic: sinks seeded in
+/// id order, edges relaxed in id order).
+fn route_to_sinks(graph: &CallGraph, sinks: &[usize]) -> (Vec<Option<usize>>, Vec<Option<usize>>) {
+    let mut dist: Vec<Option<usize>> = vec![None; graph.nodes.len()];
     let mut next_edge: Vec<Option<usize>> = vec![None; graph.nodes.len()];
-    let mut seen = vec![false; graph.nodes.len()];
     let mut queue: std::collections::VecDeque<usize> = std::collections::VecDeque::new();
     for &s in sinks {
-        seen[s] = true;
+        dist[s] = Some(0);
         queue.push_back(s);
     }
     while let Some(n) = queue.pop_front() {
+        let d = dist[n].map_or(0, |d| d + 1);
         for &ei in &graph.incoming[n] {
             let e = graph.edges[ei];
-            if !seen[e.caller] {
-                seen[e.caller] = true;
+            if dist[e.caller].is_none() {
+                dist[e.caller] = Some(d);
                 next_edge[e.caller] = Some(ei);
                 queue.push_back(e.caller);
             }
         }
     }
-    next_edge
+    (dist, next_edge)
 }
 
-/// Computes every source→sink taint path. A source fn that is itself a
-/// sink (e.g. a `fingerprint()` that iterates a hash map) yields a
-/// zero-hop path.
+/// Computes one shortest source→sink taint path per source. Taint flows
+/// down from the source fn into its callees and, when the source fn
+/// returns a value, one hop up into each of its callers, which may pass
+/// that value on to a sink. A source fn that is itself a sink (e.g. a
+/// `fingerprint()` that iterates a hash map) yields a zero-hop path.
 pub fn taint_paths(units: &[FileUnit], graph: &CallGraph) -> Vec<TaintPath> {
     let sinks = find_sinks(graph);
-    let is_sink = {
-        let mut v = vec![false; graph.nodes.len()];
-        for &s in &sinks {
-            v[s] = true;
-        }
-        v
-    };
-    let next_edge = route_to_sinks(graph, &sinks);
+    let (dist, next_edge) = route_to_sinks(graph, &sinks);
     let mut out = Vec::new();
     for source in find_sources(units, graph) {
-        let reachable = is_sink[source.fn_id] || next_edge[source.fn_id].is_some();
-        if !reachable {
-            continue;
+        let held = source.fn_id;
+        // Candidate starts: the source fn itself, then (if it returns a
+        // value) each caller, one hop further; the first shortest wins.
+        let mut best: Option<(usize, Option<usize>, usize)> = dist[held].map(|d| (d, None, held));
+        if graph.nodes[held].returns {
+            for &ei in &graph.incoming[held] {
+                let caller = graph.edges[ei].caller;
+                if let Some(d) = dist[caller] {
+                    if best.is_none_or(|(b, _, _)| d + 1 < b) {
+                        best = Some((d + 1, Some(ei), caller));
+                    }
+                }
+            }
         }
+        let Some((_, returned_to, mut at)) = best else {
+            continue;
+        };
         let mut hops = Vec::new();
-        let mut ambiguous = false;
-        let mut at = source.fn_id;
-        while !is_sink[at] {
+        let mut ambiguous = returned_to.is_some_and(|ei| graph.edges[ei].ambiguous);
+        while dist[at] != Some(0) {
             let Some(ei) = next_edge[at] else {
                 break;
             };
@@ -277,6 +290,7 @@ pub fn taint_paths(units: &[FileUnit], graph: &CallGraph) -> Vec<TaintPath> {
         out.push(TaintPath {
             source,
             sink: at,
+            returned_to,
             hops,
             ambiguous,
         });
@@ -479,6 +493,56 @@ pub fn sample(m: &HashMap<u32, f64>, j: &mut ppc_simkit::Journal) {
         // source fn → tick → observe → record: three hops.
         assert_eq!(p.hops.len(), 3);
         assert_eq!(g2.nodes[p.sink].fq(), "simkit::journal::Journal::record");
+    }
+
+    /// A helper that returns a wall-clock read taints its caller, which
+    /// writes the value to a journal; a source fn returning nothing does
+    /// not taint its caller.
+    #[test]
+    fn taint_flows_up_through_a_returned_value() {
+        let u = units(&[(
+            "crates/core/src/x.rs",
+            "\
+pub struct Journal;
+impl Journal {
+    pub fn record(&mut self, _at: u64) {}
+}
+fn stamp() -> u64 {
+    Instant::now().elapsed().as_nanos() as u64
+}
+fn discard() {
+    let _ = Instant::now();
+}
+pub fn log(j: &mut Journal) {
+    discard();
+    j.record(stamp());
+}
+",
+        )]);
+        let g = graph::build(&u);
+        let paths = taint_paths(&u, &g);
+        assert_eq!(paths.len(), 1, "{paths:?}");
+        let p = &paths[0];
+        assert_eq!((p.source.kind, p.source.line), (SourceKind::WallClock, 6));
+        let up = g.edges[p.returned_to.expect("the value returns to its caller")];
+        assert_eq!(g.nodes[up.caller].fq(), "core::x::log");
+        assert_eq!(up.line, 13);
+        assert_eq!(p.hops.len(), 1);
+        assert_eq!(g.nodes[p.sink].fq(), "core::x::Journal::record");
+    }
+
+    #[test]
+    fn return_types_are_recognized() {
+        let returns =
+            |src: &str| graph::build(&units(&[("crates/core/src/x.rs", src)])).nodes[0].returns;
+        assert!(returns("fn f() -> u64 {\n    0\n}\n"));
+        assert!(returns(
+            "fn f<T: Fn() -> u8>(t: T) -> Vec<u8> {\n    t\n}\n"
+        ));
+        assert!(!returns("fn f<T: Fn() -> u8>(t: T) {\n}\n"));
+        assert!(!returns("fn f(g: impl Fn(u8) -> u8) {\n}\n"));
+        assert!(!returns("fn f<F>(g: F)\nwhere\n    F: Fn() -> u8,\n{\n}\n"));
+        assert!(!returns("fn f() -> () {\n}\n"));
     }
 
     #[test]

@@ -32,11 +32,6 @@ impl ConfidenceInterval {
     pub fn contains(&self, value: f64) -> bool {
         (self.lo..=self.hi).contains(&value)
     }
-
-    /// Half-width of the interval.
-    pub fn half_width(&self) -> f64 {
-        (self.hi - self.lo) / 2.0
-    }
 }
 
 /// Percentile-bootstrap CI for the mean of `values`.
@@ -134,7 +129,7 @@ mod tests {
         assert!((ci.mean - true_mean).abs() < 1e-12);
         assert!(ci.contains(true_mean));
         assert!(ci.lo <= ci.mean && ci.mean <= ci.hi);
-        assert!(ci.half_width() < 0.5, "tight sample ⇒ tight CI");
+        assert!(ci.hi - ci.lo < 1.0, "tight sample ⇒ tight CI");
     }
 
     #[test]
@@ -143,7 +138,7 @@ mod tests {
         let wide: Vec<f64> = (0..100).map(|i| 50.0 + (i % 3) as f64 * 30.0).collect();
         let ci_tight = bootstrap_mean_ci(&tight, 500, 0.95, &mut rng());
         let ci_wide = bootstrap_mean_ci(&wide, 500, 0.95, &mut rng());
-        assert!(ci_wide.half_width() > ci_tight.half_width() * 5.0);
+        assert!(ci_wide.hi - ci_wide.lo > (ci_tight.hi - ci_tight.lo) * 5.0);
     }
 
     #[test]

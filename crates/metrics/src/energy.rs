@@ -1,43 +1,16 @@
-//! Related-work energy metrics (paper §I.B survey).
-//!
-//! Provided for completeness and used by the extension benches: total
-//! energy, the `E·Dⁿ` energy-delay family, and work-per-joule (the
-//! FLOPS/W analogue for our synthetic work units).
+//! Energy metrics (paper §I.B survey): the run's total energy.
 
 use ppc_simkit::series::Interp;
 use ppc_simkit::TimeSeries;
-use ppc_workload::JobRecord;
 
 /// Total energy of the run, joules.
 pub fn total_energy_j(trace: &TimeSeries) -> f64 {
     trace.integrate(Interp::Step)
 }
 
-/// Energy·Delayⁿ: `E × Dⁿ` with the run's makespan as the delay.
-///
-/// `n = 0` is plain energy, `n = 1` the energy-delay product, `n = 2` the
-/// common ED² (performance-leaning).
-pub fn energy_delay_n(trace: &TimeSeries, n: u32) -> f64 {
-    let e = total_energy_j(trace);
-    let d = trace.span().map(|s| s.as_secs_f64()).unwrap_or(0.0);
-    e * d.powi(n as i32)
-}
-
-/// Work per joule: total baseline work completed (full-speed seconds of
-/// computation, our FLOP analogue) per joule consumed.
-pub fn work_per_joule(records: &[JobRecord], trace: &TimeSeries) -> f64 {
-    let e = total_energy_j(trace);
-    if e <= 0.0 {
-        return 0.0;
-    }
-    let work: f64 = records.iter().map(|r| r.baseline_secs).sum();
-    work / e
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::report::testutil::record;
     use ppc_simkit::SimTime;
 
     fn trace() -> TimeSeries {
@@ -48,19 +21,7 @@ mod tests {
     }
 
     #[test]
-    fn energy_and_ed_n() {
-        let t = trace();
-        assert_eq!(total_energy_j(&t), 1_000.0);
-        assert_eq!(energy_delay_n(&t, 0), 1_000.0);
-        assert_eq!(energy_delay_n(&t, 1), 10_000.0);
-        assert_eq!(energy_delay_n(&t, 2), 100_000.0);
-    }
-
-    #[test]
-    fn work_per_joule_counts_baseline_work() {
-        let t = trace();
-        let records = vec![record(1, 50.0, 60.0), record(2, 25.0, 25.0)];
-        assert!((work_per_joule(&records, &t) - 75.0 / 1_000.0).abs() < 1e-12);
-        assert_eq!(work_per_joule(&records, &TimeSeries::new()), 0.0);
+    fn total_energy_integrates_the_trace() {
+        assert_eq!(total_energy_j(&trace()), 1_000.0);
     }
 }

@@ -12,10 +12,9 @@
 //!    `∫_{P>P_th}(P−P_th)dt / ∫P dt` — the accumulated thermal damage of
 //!    overspending the budget.
 //!
-//! [`energy`] adds the related-work metrics the paper surveys (energy,
-//!    `E·Dⁿ`, work-per-joule) and [`report`] assembles everything into one
-//!    [`report::RunMetrics`] with normalization against an unmanaged
-//!    baseline (how Figures 6 and 7 are presented).
+//! [`energy`] adds the run's total energy and [`report`] assembles
+//!    everything into one [`report::RunMetrics`] with normalization
+//!    against an unmanaged baseline (how Figures 6 and 7 are presented).
 
 pub mod availability;
 pub mod bootstrap;

@@ -88,11 +88,6 @@ impl FlightRecorder {
     pub fn is_empty(&self) -> bool {
         self.snapshots.is_empty()
     }
-
-    /// Consumes the recorder, yielding the stored snapshots.
-    pub fn into_snapshots(self) -> Vec<FlightSnapshot> {
-        self.snapshots
-    }
 }
 
 #[cfg(test)]

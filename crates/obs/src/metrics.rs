@@ -159,14 +159,6 @@ impl MetricsRegistry {
         }
     }
 
-    /// Current value of a gauge.
-    pub fn gauge_value(&self, h: GaugeHandle) -> f64 {
-        match self.instruments[h.0] {
-            Instrument::Gauge(v) => v,
-            _ => 0.0,
-        }
-    }
-
     /// Number of registered instruments.
     pub fn len(&self) -> usize {
         self.instruments.len()
@@ -294,11 +286,11 @@ mod tests {
             m.observe(h, v);
         }
         assert_eq!(m.counter_value(c), 3);
-        assert_eq!(m.gauge_value(g), 812.5);
         let dump = m.dump();
         assert_eq!(dump.len(), 3);
         // BTreeMap order: commands_applied, power_w, selection_size.
         assert_eq!(dump[0].name, "commands_applied");
+        assert_eq!(dump[1].value, MetricValue::Gauge(812.5));
         let MetricValue::Histogram(hd) = &dump[2].value else {
             panic!("expected histogram");
         };

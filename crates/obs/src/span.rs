@@ -167,11 +167,6 @@ impl SpanRecorder {
         r
     }
 
-    /// True unless this is the [`SpanRecorder::disabled`] sink.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Next intra-tick sequence number; resets whenever sim time moves.
     fn next_seq(&mut self, at: SimTime) -> u32 {
         if at != self.last_at {
@@ -279,11 +274,6 @@ impl SpanRecorder {
     /// Completed spans evicted by the ring.
     pub fn dropped(&self) -> u64 {
         self.dropped
-    }
-
-    /// Depth of the currently-open span stack.
-    pub fn open_depth(&self) -> usize {
-        self.stack.len()
     }
 
     /// Iterates retained completed spans, oldest first.
@@ -407,7 +397,6 @@ mod tests {
         r.close(t(2));
         assert_eq!(r.len(), 2);
         assert_eq!(r.closed(), 2);
-        assert_eq!(r.open_depth(), 0);
         let spans: Vec<&SpanRecord> = r.iter().collect();
         // Close order: child first.
         assert_eq!(spans[0].id, child);
@@ -486,7 +475,6 @@ mod tests {
     #[test]
     fn disabled_recorder_is_a_noop() {
         let mut r = SpanRecorder::disabled();
-        assert!(!r.is_enabled());
         let id = r.open("x", t(1));
         assert_eq!(id, SpanId(u64::MAX));
         r.attr("k", AttrValue::U64(1));

@@ -19,8 +19,8 @@
 //!   used for power traces and the ΔP×T overspend metric.
 //! * [`stats`] — running statistics (Welford) and fixed-bin histograms.
 //! * [`wheel`] — hierarchical timer wheel ([`TimeWheel`]) for sparse
-//!   tick-indexed events (arrivals, the control period, telemetry
-//!   staleness deadlines) with deterministic insertion-order drains.
+//!   tick-indexed events (arrivals, telemetry staleness deadlines) with
+//!   deterministic insertion-order drains.
 //! * [`journal`] — a bounded, fingerprinted audit trail of notable
 //!   events.
 //!

@@ -34,7 +34,7 @@ impl WorkerPool {
     pub fn available() -> Self {
         static WIDTH: OnceLock<usize> = OnceLock::new();
         let workers = *WIDTH.get_or_init(|| {
-            // Picks the width only; results are width-invariant.
+            // ppc-lint: allow(fingerprint-taint): picks the width only; `run_batch` answers and fingerprints are width-invariant (index-order joins, checked at widths 1, 2 and 6)
             std::thread::available_parallelism().map_or(1, NonZeroUsize::get)
         });
         WorkerPool::new(workers)

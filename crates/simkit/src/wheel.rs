@@ -111,27 +111,6 @@ impl<T> TimeWheel<T> {
         self.overflow.push(entry);
     }
 
-    /// Earliest tick with a scheduled entry, if any. O(entries) scan —
-    /// acceptable for the sparse schedules this simulator keeps.
-    pub fn next_due(&self) -> Option<u64> {
-        let mut best: Option<u64> = None;
-        let mut consider = |at: u64| match best {
-            Some(b) if b <= at => {}
-            _ => best = Some(at),
-        };
-        for level in &self.levels {
-            for slot in level {
-                for e in slot {
-                    consider(e.at);
-                }
-            }
-        }
-        for e in &self.overflow {
-            consider(e.at);
-        }
-        best
-    }
-
     /// Advances the wheel to `tick` and returns every entry due at or before
     /// it, ordered by (due tick, insertion order).
     pub fn pop_due(&mut self, tick: u64) -> Vec<T> {
@@ -209,7 +188,6 @@ mod tests {
         let mut w = TimeWheel::new();
         w.pop_due(100);
         w.schedule(7, "late");
-        assert_eq!(w.next_due(), Some(100));
         assert_eq!(w.pop_due(100), vec!["late"]);
     }
 
@@ -237,7 +215,6 @@ mod tests {
         w.schedule(5, "later");
         assert_eq!(w.pop_due(4), vec!["now"]);
         assert_eq!(w.len(), 1);
-        assert_eq!(w.next_due(), Some(5));
         assert_eq!(w.pop_due(5), vec!["later"]);
     }
 

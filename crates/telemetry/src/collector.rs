@@ -47,7 +47,7 @@ impl Collector {
     }
 
     /// Enables per-node power histories of the given depth (for windowed
-    /// rates and smoothing; see [`PowerHistory`]).
+    /// rates; see [`PowerHistory`]).
     ///
     /// # Panics
     /// Panics if `depth < 2`.
@@ -110,20 +110,6 @@ impl Collector {
         }
     }
 
-    /// [`Collector::ingest_batch`] with span recording: wraps the batch
-    /// in an `ingest` span carrying the sample count.
-    pub fn ingest_batch_traced(
-        &mut self,
-        samples: &[NodeSample],
-        at: SimTime,
-        spans: &mut ppc_obs::SpanRecorder,
-    ) {
-        spans.open("ingest", at);
-        spans.attr("samples", ppc_obs::AttrValue::U64(samples.len() as u64));
-        self.ingest_batch(samples);
-        spans.close(at);
-    }
-
     /// Re-stamps `node`'s slot to `now` as if a sample identical to the
     /// stored one had just been ingested: the latest power shifts into the
     /// "previous" slot (making `ΔP = 0`) and the timestamp advances.
@@ -162,11 +148,6 @@ impl Collector {
             .get(node.0 as usize)?
             .as_ref()?
             .windowed_rate(k)
-    }
-
-    /// Smoothed (mean over history) power estimate for `node`.
-    pub fn smoothed_power_of(&self, node: NodeId) -> Option<f64> {
-        self.histories.get(node.0 as usize)?.as_ref()?.mean()
     }
 
     /// Drops a node from the store (it left the candidate set).
@@ -230,22 +211,9 @@ impl Collector {
             .sum()
     }
 
-    /// Sum of previous-interval estimates over `nodes` (`P^{t−1}(J)`).
-    pub fn aggregate_prev_power(&self, nodes: &[NodeId]) -> f64 {
-        nodes
-            .iter()
-            .filter_map(|&n| self.slot(n).and_then(|s| s.prev_power_w))
-            .sum()
-    }
-
     /// Estimated total power of all monitored nodes, watts.
     pub fn estimated_total_w(&self) -> f64 {
         self.slots.iter().flatten().map(|s| s.latest.power_w).sum()
-    }
-
-    /// Timestamp of the freshest sample, if any.
-    pub fn freshest(&self) -> Option<SimTime> {
-        self.slots.iter().flatten().map(|s| s.latest.at).max()
     }
 
     /// Age of `node`'s latest sample relative to `now` (`None` if the node
@@ -411,7 +379,6 @@ mod tests {
             c.aggregate_power(&[NodeId(3), NodeId(5_000), NodeId(10_000)]),
             130.0
         );
-        assert_eq!(c.freshest(), Some(SimTime::from_secs(0)));
         c.forget(NodeId(10_000));
         assert_eq!(c.node_count(), 1);
         assert_eq!(c.power_of(NodeId(10_000)), None);
@@ -430,7 +397,6 @@ mod tests {
         assert_eq!(c.node_count(), 1);
         c.clear();
         assert_eq!(c.node_count(), 0);
-        assert_eq!(c.freshest(), None);
         // A cleared collector accepts fresh samples (capacity reused).
         c.ingest(sample(2, 9, 4.0));
         assert_eq!(c.node_count(), 1);
@@ -446,7 +412,6 @@ mod tests {
         }
         assert!((c.windowed_rate_of(NodeId(1), 1).unwrap() - 0.1).abs() < 1e-9);
         assert!((c.windowed_rate_of(NodeId(1), 3).unwrap() - 0.331).abs() < 1e-9);
-        assert!(c.smoothed_power_of(NodeId(1)).unwrap() > 100.0);
         // Default collector has no histories.
         let mut plain = Collector::new();
         plain.ingest(sample(1, 0, 10.0));

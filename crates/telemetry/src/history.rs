@@ -4,8 +4,8 @@
 //! noisy interval can therefore mislabel the "fastest-ramping job".
 //! [`PowerHistory`] keeps the last `depth` power estimates per node so
 //! library users can compute *windowed* rates (rate over the last `k`
-//! intervals) and smoothed means — the robustness knob the paper's future
-//! work alludes to when it speaks of "other selection policies".
+//! intervals) — the robustness knob the paper's future work alludes to
+//! when it speaks of "other selection policies".
 
 use ppc_simkit::SimTime;
 use serde::{Deserialize, Serialize};
@@ -74,14 +74,6 @@ impl PowerHistory {
         }
         Some((newest - base) / base)
     }
-
-    /// Arithmetic mean of the stored samples (smoothing), `None` if empty.
-    pub fn mean(&self) -> Option<f64> {
-        if self.samples.is_empty() {
-            return None;
-        }
-        Some(self.samples.iter().map(|&(_, p)| p).sum::<f64>() / self.samples.len() as f64)
-    }
 }
 
 #[cfg(test)]
@@ -116,13 +108,6 @@ mod tests {
         assert!((h.windowed_rate(3).unwrap() - 0.331).abs() < 1e-9);
         assert_eq!(h.windowed_rate(4), None, "not enough samples");
         assert_eq!(h.windowed_rate(0), None);
-    }
-
-    #[test]
-    fn smoothing_mean() {
-        let h = hist(&[10.0, 20.0, 30.0]);
-        assert_eq!(h.mean(), Some(20.0));
-        assert_eq!(PowerHistory::new(4).mean(), None);
     }
 
     #[test]

@@ -35,11 +35,6 @@ impl MeterReading {
             MeterReading::Gap => None,
         }
     }
-
-    /// True unless the meter sampled the feed this tick.
-    pub fn is_dropout(self) -> bool {
-        !matches!(self, MeterReading::Fresh(_))
-    }
 }
 
 /// Whole-system power meter with reading history.
@@ -95,11 +90,6 @@ impl SystemPowerMeter {
         }
     }
 
-    /// The most recent good reading, watts (0 before the first one).
-    pub fn last_reading_w(&self) -> f64 {
-        self.last_good_w.unwrap_or(0.0)
-    }
-
     /// Dropouts seen so far (held readings and gaps).
     pub fn dropouts(&self) -> u64 {
         self.dropouts
@@ -108,11 +98,6 @@ impl SystemPowerMeter {
     /// Full reading history (the `P(t)` trace metrics integrate).
     pub fn history(&self) -> &TimeSeries {
         &self.readings
-    }
-
-    /// Peak reading so far, watts (0 if no readings).
-    pub fn peak_w(&self) -> f64 {
-        self.readings.max().unwrap_or(0.0)
     }
 }
 
@@ -133,7 +118,7 @@ mod tests {
             m.read(1500.0, SimTime::from_secs(1)),
             MeterReading::Fresh(1500.0)
         );
-        assert_eq!(m.peak_w(), 1500.0);
+        assert_eq!(m.history().max(), Some(1500.0));
         assert_eq!(m.history().len(), 2);
         assert_eq!(m.dropouts(), 0);
     }
@@ -150,7 +135,6 @@ mod tests {
         assert_eq!(m.read(500.0, SimTime::ZERO), MeterReading::Gap);
         assert_eq!(m.read(500.0, SimTime::from_secs(1)), MeterReading::Gap);
         assert_eq!(m.history().len(), 0, "gaps record nothing");
-        assert_eq!(m.last_reading_w(), 0.0);
         assert_eq!(m.dropouts(), 2);
     }
 
@@ -163,10 +147,8 @@ mod tests {
         m.noise.dropout_prob = 1.0;
         let r = m.read(900.0, SimTime::from_secs(1));
         assert_eq!(r, MeterReading::Held(800.0));
-        assert!(r.is_dropout());
         assert_eq!(r.value(), Some(800.0));
         assert_eq!(m.history().len(), 2, "held values are recorded");
-        assert_eq!(m.last_reading_w(), 800.0);
         m.noise.dropout_prob = 0.0;
         assert_eq!(
             m.read(900.0, SimTime::from_secs(2)),
@@ -185,7 +167,7 @@ mod tests {
         let mean = sum / 1000.0;
         assert!((mean - 2000.0).abs() < 5.0, "mean={mean}");
         // Peak should be within a few sigma of truth, not wildly off.
-        assert!(m.peak_w() < 2000.0 * 1.06);
+        assert!(m.history().max().unwrap() < 2000.0 * 1.06);
     }
 
     #[test]

@@ -7,9 +7,8 @@
 //! module models that mechanism so the "modeled" Figure-5 series has a
 //! physical story, not just a fitted polynomial:
 //!
-//! * samples climb a `fan_in`-ary tree of aggregation switches; each hop
-//!   adds fixed latency, each message costs the receiving endpoint
-//!   processing time;
+//! * samples climb a `fan_in`-ary tree of aggregation switches; each
+//!   message costs the receiving endpoint processing time;
 //! * an aggregator can merge its children's reports (cheap, paid per
 //!   child) but the **root** — the management node — must ingest one
 //!   merged report per child *and* demultiplex all `n` node records it
@@ -25,8 +24,6 @@ use serde::{Deserialize, Serialize};
 pub struct AggregationTree {
     /// Children per aggregation switch.
     pub fan_in: usize,
-    /// Per-hop forwarding latency, seconds.
-    pub hop_latency_s: f64,
     /// Root CPU cost to demultiplex and store one node record, seconds.
     pub per_record_s: f64,
     /// Root service capacity: records it can absorb per second before
@@ -36,14 +33,13 @@ pub struct AggregationTree {
 
 impl AggregationTree {
     /// A management plane typical of 2012-era clusters: 16-port
-    /// aggregation switches at ~50 µs per hop, and ~2 ms of root-side
+    /// aggregation switches, and ~2 ms of root-side
     /// work per node record (daemon protocol handling, text parsing,
     /// database update — the pre-telemetry-era reality), saturating
     /// around 350 records/s.
     pub fn management_ethernet() -> Self {
         AggregationTree {
             fan_in: 16,
-            hop_latency_s: 50e-6,
             per_record_s: 2.0e-3,
             root_capacity_rec_per_s: 350.0,
         }
@@ -55,7 +51,6 @@ impl AggregationTree {
     /// Panics on non-physical values.
     pub fn validate(&self) {
         assert!(self.fan_in >= 2, "tree fan-in must be at least 2");
-        assert!(self.hop_latency_s >= 0.0);
         assert!(self.per_record_s > 0.0);
         assert!(self.root_capacity_rec_per_s > 0.0);
     }
@@ -72,11 +67,6 @@ impl AggregationTree {
             depth += 1;
         }
         depth
-    }
-
-    /// Wire latency for the slowest report to reach the root, seconds.
-    pub fn collection_latency_s(&self, n: usize) -> f64 {
-        self.depth(n) as f64 * self.hop_latency_s
     }
 
     /// Root-side processing time per collection cycle, seconds: linear
@@ -127,14 +117,6 @@ mod tests {
         assert_eq!(t.depth(17), 2);
         assert_eq!(t.depth(128), 2);
         assert_eq!(t.depth(257), 3);
-    }
-
-    #[test]
-    fn latency_grows_with_depth_only() {
-        let t = tree();
-        assert_eq!(t.collection_latency_s(16), 50e-6);
-        assert_eq!(t.collection_latency_s(128), 100e-6);
-        assert_eq!(t.collection_latency_s(8), t.collection_latency_s(16));
     }
 
     #[test]

@@ -60,11 +60,6 @@ impl JobGenerator {
         self
     }
 
-    /// Number of jobs generated so far.
-    pub fn generated(&self) -> u64 {
-        self.next_id
-    }
-
     /// Generates the next random job, submitted at `now`.
     pub fn next_job(&mut self, now: SimTime) -> Job {
         let app = *self.pick_rng.choice(&NpbApp::ALL);
@@ -109,12 +104,6 @@ impl JobGenerator {
         Job::new(id, app, class, nprocs, phases, now).with_priority(priority)
     }
 
-    /// The paper's refill rule: append one job iff the queue is empty.
-    /// Returns `true` if a job was added.
-    pub fn refill_if_empty(&mut self, queue: &mut JobQueue, now: SimTime) -> bool {
-        self.refill_to(queue, 1, now)
-    }
-
     /// Generalized refill: append one job iff fewer than `depth` are
     /// queued (depth 1 = the paper's protocol; deeper queues give the
     /// backfill admission policy something to scan).
@@ -143,7 +132,6 @@ mod tests {
         let mut g = generator();
         let ids: Vec<u64> = (0..20).map(|_| g.next_job(SimTime::ZERO).id().0).collect();
         assert_eq!(ids, (0..20).collect::<Vec<_>>());
-        assert_eq!(g.generated(), 20);
     }
 
     #[test]
@@ -173,12 +161,13 @@ mod tests {
     fn refill_only_when_empty() {
         let mut g = generator();
         let mut q = JobQueue::new();
-        assert!(g.refill_if_empty(&mut q, SimTime::ZERO));
+        // Depth 1 is the paper's rule: append one job iff the queue is empty.
+        assert!(g.refill_to(&mut q, 1, SimTime::ZERO));
         assert_eq!(q.len(), 1);
-        assert!(!g.refill_if_empty(&mut q, SimTime::ZERO));
+        assert!(!g.refill_to(&mut q, 1, SimTime::ZERO));
         assert_eq!(q.len(), 1);
         q.pop();
-        assert!(g.refill_if_empty(&mut q, SimTime::from_secs(5)));
+        assert!(g.refill_to(&mut q, 1, SimTime::from_secs(5)));
         assert_eq!(q.peek().unwrap().submitted_at(), SimTime::from_secs(5));
     }
 

@@ -53,12 +53,6 @@ impl Phase {
         1.0 / (self.alpha / s + (1.0 - self.alpha))
     }
 
-    /// Wall-clock duration of this phase if all nodes run at relative speed
-    /// `s` for its entirety.
-    pub fn duration_at_speed(&self, s: f64) -> f64 {
-        self.work_secs / self.rate_at_speed(s)
-    }
-
     /// Validates the phase invariants; used by constructors and tests.
     pub fn is_valid(&self) -> bool {
         self.work_secs > 0.0
@@ -94,14 +88,13 @@ mod tests {
     fn fully_compute_bound_scales_linearly() {
         let p = phase(1.0);
         assert!((p.rate_at_speed(0.5) - 0.5).abs() < 1e-12);
-        assert!((p.duration_at_speed(0.5) - 200.0).abs() < 1e-9);
     }
 
     #[test]
     fn fully_memory_bound_is_frequency_insensitive() {
         let p = phase(0.0);
         assert!((p.rate_at_speed(0.5) - 1.0).abs() < 1e-12);
-        assert!((p.duration_at_speed(0.55) - 100.0).abs() < 1e-9);
+        assert!((p.rate_at_speed(0.55) - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -137,8 +130,7 @@ mod tests {
     }
 
     proptest! {
-        /// Rate is monotone in speed, bounded by (0, 1], and duration is
-        /// correspondingly monotone decreasing.
+        /// Rate is monotone in speed and bounded by (0, 1].
         #[test]
         fn prop_rate_monotone_in_speed(alpha in 0.0f64..1.0, s1 in 0.05f64..1.0, s2 in 0.05f64..1.0) {
             let p = phase(alpha);
@@ -146,7 +138,6 @@ mod tests {
             prop_assert!(p.rate_at_speed(lo) <= p.rate_at_speed(hi) + 1e-12);
             prop_assert!(p.rate_at_speed(hi) <= 1.0 + 1e-12);
             prop_assert!(p.rate_at_speed(lo) > 0.0);
-            prop_assert!(p.duration_at_speed(lo) + 1e-9 >= p.duration_at_speed(hi));
         }
 
         /// Higher α ⇒ more slowdown at any sub-maximal speed.

@@ -10,6 +10,10 @@ cargo test -q
 # (`sim.manager()`, `sim.hierarchy()`) and checks its invariants.
 cargo test -q --offline --manifest-path perfbench/Cargo.toml
 cargo clippy --workspace --all-targets -- -D warnings
+# Rustdoc with warnings denied: every intra-doc link resolves, private
+# items included (the simulator's tick-phase modules link to one
+# another's items).
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --document-private-items --offline
 
 # Static pass: determinism/safety lint over every crate (see DESIGN §11
 # and §16 for the call-graph taint pass). Writes LINT_report.json; exits
