@@ -19,6 +19,7 @@ use ppc_core::observe::observe_jobs;
 use ppc_core::{ManagerConfig, NodeSets, PolicyKind, PowerManager};
 use ppc_node::spec::NodeSpec;
 use ppc_node::{Level, NodeId, OperatingState};
+use ppc_obs::SpanRecorder;
 use ppc_simkit::{RngFactory, SimTime};
 use ppc_telemetry::cost::{CycleCostMeter, ManagementCostModel};
 use ppc_telemetry::AggregationTree;
@@ -63,6 +64,7 @@ fn measure_cycle_cost(n: usize, cycles: u64) -> f64 {
         .collect();
 
     let mut meter = CycleCostMeter::new();
+    let mut spans = SpanRecorder::disabled();
     for cycle in 0..cycles {
         let at = SimTime::from_secs(cycle);
         let samples: Vec<NodeSample> = (0..n as u32)
@@ -93,7 +95,7 @@ fn measure_cycle_cost(n: usize, cycles: u64) -> f64 {
                 &candidates,
                 &|_| &*model,
             );
-            manager.control_cycle(power_w, &obs, &FlatView)
+            manager.control_cycle(power_w, &obs, &FlatView, 1.0, at, &mut spans)
         });
     }
     meter.mean_cycle_secs()

@@ -17,27 +17,26 @@
 //!
 //! ## Evaluation regimes
 //!
-//! Three regimes, bit-identical in every trace, journal, span tree, metric
+//! Two regimes, bit-identical in every trace, journal, span tree, metric
 //! and health fingerprint:
 //!
 //! * **Full** — the dense reference: every node's state and power is
-//!   re-evaluated into the [`NodeColumns`] every tick, and every lit
-//!   candidate is sampled every cycle. Requested as [`EvalMode::Full`], or
-//!   forced by what the dirty set cannot represent: the budget controller
-//!   (it samples every node), thermal models (they integrate every node),
-//!   agent sampling noise (a skipped sample would desync its RNG).
-//! * **Incremental with dense control** — only *dirty* nodes (a load,
-//!   level, or up/down input changed) are re-evaluated, in ascending id;
-//!   clean nodes' counters are caught up in closed form when next needed
-//!   ([`ppc_node::procfs::ProcCounters::advance_many`]). The control cycle
-//!   still samples every candidate and rebuilds every rack's observations.
-//!   Forced by meter dropout (a skipped cycle widens the next sample's
-//!   interval) or a capped candidate set (one node's flags toggling moves
-//!   *other* nodes in and out).
-//! * **Incremental lazy** (the default under a power manager, faults
-//!   included) — the control cycle samples only what changed (the dirty
-//!   lit candidates, in the materialize pass) and updates the rack
-//!   observations of `sim/rack_obs.rs` in place from the edges.
+//!   re-evaluated into the [`NodeColumns`] every tick, every lit candidate
+//!   is sampled every cycle, and every rack's observations are rebuilt.
+//!   Requested as [`EvalMode::Full`], or forced by what the dirty set
+//!   cannot represent: the budget controller (it samples every node),
+//!   thermal models (they integrate every node), agent sampling noise (a
+//!   skipped sample would desync its RNG), meter dropout (a skipped cycle
+//!   widens the next sample's interval) and a capped candidate set (one
+//!   node's flags toggling moves *other* nodes in and out).
+//! * **Incremental** (the default, faults included) — only *dirty* nodes
+//!   (a load, level, or up/down input changed) are re-evaluated, in
+//!   ascending id; clean nodes' counters are caught up in closed form when
+//!   next needed ([`ppc_node::procfs::ProcCounters::advance_many`]). Under
+//!   a power manager the control cycle is lazy: it samples only what
+//!   changed (the dirty lit candidates, in the materialize pass) and
+//!   updates the rack observations of `sim/rack_obs.rs` in place from the
+//!   edges.
 //!
 //! One-shot events — the think-time arrival gate and telemetry staleness
 //! deadlines — ride a [`TimeWheel`]. Phase boundaries do not: they depend
@@ -69,7 +68,6 @@ use ppc_obs::{
 use ppc_simkit::journal::{Journal, Severity};
 use ppc_simkit::par::WorkerPool;
 use ppc_simkit::{RngFactory, SimDuration, SimTime, TickClock, TimeSeries, TimeWheel};
-use ppc_telemetry::cost::CycleCostMeter;
 use ppc_telemetry::{
     Collector, MeterReading, NodeSample, NoiseModel, ProfilingAgent, SystemPowerMeter,
 };
@@ -96,9 +94,10 @@ mod schedule;
 pub enum EvalMode {
     /// Dense reference path: every node, every tick.
     Full,
-    /// Dirty-set incremental path (default). Falls back to [`Full`]
-    /// behaviour automatically when a feature it cannot represent is
-    /// active (budget controller, thermal models, agent sampling noise).
+    /// Dirty-set incremental path with the lazy control cycle (default).
+    /// Falls back to [`Full`] behaviour automatically when a feature it
+    /// cannot represent is active (budget controller, thermal models,
+    /// agent sampling noise, meter dropout, a capped candidate set).
     ///
     /// [`Full`]: EvalMode::Full
     #[default]
@@ -126,8 +125,8 @@ struct Tick {
     dt: f64,
     /// The dirty-set path evaluates nodes ([`ClusterSim::incremental_active`]).
     incremental: bool,
-    /// The lazy control regime runs the cycle: incremental evaluation, a
-    /// power manager, and [`ClusterSim::lazy_control_ok`].
+    /// The lazy control cycle runs: incremental evaluation under a power
+    /// manager.
     lazy: bool,
 }
 
@@ -178,7 +177,6 @@ pub struct ClusterSim {
     health: HealthPlane,
     true_power: TimeSeries,
     finished: Vec<JobRecord>,
-    cost_meter: CycleCostMeter,
     /// `(state, at)` log of control-cycle classifications.
     state_log: Vec<(SimTime, PowerState)>,
     arrival_rng: ppc_simkit::DetRng,
@@ -241,9 +239,6 @@ pub struct ClusterSim {
     resample_next: Vec<u32>,
     /// Memoized per-node saving predictions for observation building.
     obs_cache: ppc_core::NodeObsCache,
-    /// Whether the previous tick's dirty set was non-empty (the
-    /// collector's prev-power needs one extra cycle to stabilize).
-    dirty_prev: bool,
     /// Per-tick scratch buffers, reused across ticks so the steady-state
     /// step path performs no per-tick allocation.
     scratch_samples: Vec<NodeSample>,
@@ -331,7 +326,6 @@ impl ClusterSim {
             health: HealthPlane::new(ZoneMap::single_rack()),
             true_power: TimeSeries::new(),
             finished: Vec::new(),
-            cost_meter: CycleCostMeter::new(),
             state_log: Vec::new(),
             arrival_rng: factory.stream("arrivals", 0),
             journal: Journal::new(16_384).with_min_severity(Severity::Info),
@@ -354,7 +348,6 @@ impl ClusterSim {
             fresh_suspects: Vec::new(),
             resample_next: Vec::new(),
             obs_cache: ppc_core::NodeObsCache::new(),
-            dirty_prev: false,
             scratch_samples: Vec::new(),
             scratch_views: Vec::new(),
             scratch_transitions: Vec::new(),
@@ -387,26 +380,22 @@ impl ClusterSim {
         }
     }
 
-    /// True when the dirty-set incremental path drives this run. The
-    /// dense path is forced for features incremental evaluation cannot
-    /// represent: the budget controller samples every node every cycle,
-    /// thermal models integrate every node every tick, and agent sampling
-    /// noise draws per-sample RNG that a skipped sample would desync.
+    /// True when the dirty-set incremental path (and, under a power
+    /// manager, the lazy control cycle) drives this run. The dense path is
+    /// forced for what incremental evaluation cannot represent: the budget
+    /// controller samples every node every cycle; thermal models integrate
+    /// every node every tick; agent sampling noise draws per-sample RNG
+    /// that a skipped sample would desync; a meter that can drop readings
+    /// skips cycles, widening the next sample's interval in a way a kept
+    /// observation could not represent; and a capped candidate set moves
+    /// *other* nodes in and out when one node's flags toggle, so the lazy
+    /// cycle could not tell which nodes joined.
     fn incremental_active(&self) -> bool {
         self.eval_mode == EvalMode::Incremental
             && self.budget_controller.is_none()
             && !self.thermal_enabled()
             && self.spec.agent_noise == NoiseModel::NONE
-    }
-
-    /// True when the lazy control regime may sample only what changed and
-    /// keep job observations across ticks. A meter that can drop readings
-    /// skips cycles, widening the next sample's interval in a way a kept
-    /// observation could not represent; a capped candidate set moves
-    /// *other* nodes in and out when one node's flags toggle, so the
-    /// regime could not tell which nodes joined.
-    fn lazy_control_ok(&self) -> bool {
-        self.spec.meter_noise.dropout_prob == 0.0
+            && self.spec.meter_noise.dropout_prob == 0.0
             && self
                 .hierarchy
                 .as_ref()
@@ -616,9 +605,16 @@ impl ClusterSim {
             .map(|h| &h.subs()[0])
     }
 
-    /// Measured mean management cost per control cycle, seconds.
+    /// Measured mean management cost per control cycle, seconds: the
+    /// wall-clock mean of the profiler's `control` stage (0 before the
+    /// first cycle and for unmanaged runs).
     pub fn mean_mgmt_cost_secs(&self) -> f64 {
-        self.cost_meter.mean_cycle_secs()
+        self.obs
+            .profile
+            .report()
+            .iter()
+            .find(|c| c.stage == "control")
+            .map_or(0.0, |c| c.mean_secs)
     }
 
     /// Throttling commands actually applied to nodes.
@@ -816,8 +812,7 @@ impl ClusterSim {
         // Between ticks, so every change lands next tick; a released node
         // rejoins the candidate set then, and the lazy regime must take a
         // real sample of it (its delta spans the whole protection window).
-        let lazy = incremental && self.lazy_control_ok();
-        if let Some(mut job) = self.evict_from(n, true, lazy) {
+        if let Some(mut job) = self.evict_from(n, true, incremental) {
             let id = job.id();
             job.requeue();
             let attempt = job.requeues();
@@ -850,7 +845,7 @@ impl ClusterSim {
             start: self.clock.now(),
             dt: self.clock.dt_secs(),
             incremental,
-            lazy: incremental && self.hierarchy.is_some() && self.lazy_control_ok(),
+            lazy: incremental && self.hierarchy.is_some(),
         };
         let stage = self.fault_phase(&t, stage);
         let stage = self.schedule_phase(&t, stage);
@@ -898,4 +893,5 @@ impl ClusterSim {
     }
 }
 
+#[cfg(test)]
 mod tests;

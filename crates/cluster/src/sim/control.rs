@@ -114,10 +114,8 @@ impl ClusterSim {
         let control_t = self.obs.profile.start();
         spans.open("control", now);
         let models = &self.models;
-        let (state, commands) = self.cost_meter.measure(|| {
-            controller.cycle(metered_w, views, &|n: NodeId| {
-                Arc::clone(&models[n.0 as usize])
-            })
+        let (state, commands) = controller.cycle(metered_w, views, &|n: NodeId| {
+            Arc::clone(&models[n.0 as usize])
         });
         spans.attr("state", AttrValue::Str(state.name()));
         spans.attr("commands", AttrValue::U64(commands.len() as u64));
@@ -189,7 +187,8 @@ impl ClusterSim {
 
         let logical_samples = self.sample(hier.sets(), now, t);
 
-        // Everything the management node computes per cycle is measured:
+        // Everything the management node computes per cycle is charged to
+        // the `control` stage, the management cost the run reports:
         // ingestion, observation building, classification, selection. Job
         // membership is borrowed straight from the run-queue — no clones.
         // Under fault injection the staleness filter runs first: only
@@ -209,111 +208,108 @@ impl ClusterSim {
         let spans = &mut self.obs.spans;
         let rack_true = &self.scratch_rack_true;
         let fanout = &mut self.fanout;
-        let (outcome, coverage) = self.cost_meter.measure(|| {
-            spans.open("ingest", now);
-            spans.attr("samples", AttrValue::U64(logical_samples));
-            for &raw in settle {
-                collector.refresh(NodeId(raw), now);
-            }
-            collector.ingest_batch(samples);
-            spans.close(now);
-            let collector = &*collector;
-            let sets = hier.sets();
-            let mut coverage = 1.0;
-            let mut flipped: &[NodeId] = &[];
-            let fresh = faults.map(|fs| {
-                // The lazy regime tracked the mask from edges before
-                // sampling; the dense regimes refill it from timestamps.
-                if !lazy {
-                    fs.fresh.reset(nodes.len());
-                    for &id in sets.candidates() {
-                        if collector.is_fresh(id, now, fs.staleness_limit) {
-                            fs.fresh.insert(id);
-                        }
+        spans.open("ingest", now);
+        spans.attr("samples", AttrValue::U64(logical_samples));
+        for &raw in settle {
+            collector.refresh(NodeId(raw), now);
+        }
+        collector.ingest_batch(samples);
+        spans.close(now);
+        let collector = &*collector;
+        let sets = hier.sets();
+        let mut coverage = 1.0;
+        let mut flipped: &[NodeId] = &[];
+        let fresh = faults.map(|fs| {
+            // The lazy regime tracked the mask from edges before
+            // sampling; the dense regime refills it from timestamps.
+            if !lazy {
+                fs.fresh.reset(nodes.len());
+                for &id in sets.candidates() {
+                    if collector.is_fresh(id, now, fs.staleness_limit) {
+                        fs.fresh.insert(id);
                     }
                 }
-                if !sets.candidates().is_empty() {
-                    coverage = fs.fresh.len() as f64 / sets.candidate_count() as f64;
-                }
-                let fs = &*fs;
-                flipped = &fs.flipped;
-                &fs.fresh
-            });
-            // Under faults only candidates with fresh telemetry are
-            // observed. The lazy regime brings the per-rack observations up
-            // to date from what changed (run-queue edits, sampled, settled
-            // and freshness-flipped nodes); the dense regimes rebuild every
-            // rack.
-            spans.open("observe", now);
-            let running = scheduler.running_jobs();
-            let placed = scheduler.placement_edges();
-            let refreshed = samples
-                .iter()
-                .map(|s| s.node)
-                .chain(flipped.iter().copied());
-            let settled = settle.iter().map(|&raw| NodeId(raw));
-            let slot_of = |n| scheduler.slot_of_node(n);
-            match fresh {
-                Some(filter) => store.sync(
-                    lazy,
-                    running,
-                    placed,
-                    refreshed,
-                    settled,
-                    slot_of,
-                    &mut Observer {
-                        collector,
-                        filter,
-                        models,
-                        cache: obs_cache,
-                    },
-                ),
-                None => store.sync(
-                    lazy,
-                    running,
-                    placed,
-                    refreshed,
-                    settled,
-                    slot_of,
-                    &mut Observer {
-                        collector,
-                        filter: sets,
-                        models,
-                        cache: obs_cache,
-                    },
-                ),
             }
-            spans.attr("jobs", AttrValue::U64(store.jobs() as u64));
-            if fresh.is_some() {
-                spans.attr("coverage", AttrValue::F64(coverage));
+            if !sets.candidates().is_empty() {
+                coverage = fs.fresh.len() as f64 / sets.candidate_count() as f64;
             }
-            spans.close(now);
-            let racks = store.racks();
-            let outcome = if multi {
-                hier_multi_control(
-                    &mut hier,
-                    metered_w,
-                    racks,
-                    nodes,
-                    fresh,
-                    rack_true,
-                    fleet_true_w,
-                    fanout,
-                    now,
-                    spans,
-                )
-            } else {
-                hier.single_rack_cycle(
-                    metered_w,
-                    &racks[0],
-                    &NodesView(nodes),
-                    coverage,
-                    now,
-                    spans,
-                )
-            };
-            (outcome, coverage)
+            let fs = &*fs;
+            flipped = &fs.flipped;
+            &fs.fresh
         });
+        // Under faults only candidates with fresh telemetry are
+        // observed. The lazy regime brings the per-rack observations up
+        // to date from what changed (run-queue edits, sampled, settled
+        // and freshness-flipped nodes); the dense regime rebuilds every
+        // rack.
+        spans.open("observe", now);
+        let running = scheduler.running_jobs();
+        let placed = scheduler.placement_edges();
+        let refreshed = samples
+            .iter()
+            .map(|s| s.node)
+            .chain(flipped.iter().copied());
+        let settled = settle.iter().map(|&raw| NodeId(raw));
+        let slot_of = |n| scheduler.slot_of_node(n);
+        match fresh {
+            Some(filter) => store.sync(
+                lazy,
+                running,
+                placed,
+                refreshed,
+                settled,
+                slot_of,
+                &mut Observer {
+                    collector,
+                    filter,
+                    models,
+                    cache: obs_cache,
+                },
+            ),
+            None => store.sync(
+                lazy,
+                running,
+                placed,
+                refreshed,
+                settled,
+                slot_of,
+                &mut Observer {
+                    collector,
+                    filter: sets,
+                    models,
+                    cache: obs_cache,
+                },
+            ),
+        }
+        spans.attr("jobs", AttrValue::U64(store.jobs() as u64));
+        if fresh.is_some() {
+            spans.attr("coverage", AttrValue::F64(coverage));
+        }
+        spans.close(now);
+        let racks = store.racks();
+        let outcome = if multi {
+            hier_multi_control(
+                &mut hier,
+                metered_w,
+                racks,
+                nodes,
+                fresh,
+                rack_true,
+                fleet_true_w,
+                fanout,
+                now,
+                spans,
+            )
+        } else {
+            hier.single_rack_cycle(
+                metered_w,
+                &racks[0],
+                &NodesView(nodes),
+                coverage,
+                now,
+                spans,
+            )
+        };
         self.scheduler.clear_placement_edges();
         self.obs.profile.stop("control", control_t);
         // The facility coverage is what the controller itself consumed:
@@ -339,27 +335,19 @@ impl ClusterSim {
     /// design Figure 5 warns about. Dead and silenced nodes deliver nothing
     /// — their collector entries go stale.
     ///
-    /// The lazy regime: when nothing changed since the last cycle, every
-    /// candidate's sample would be bit-identical to its previous one and
-    /// the resulting job observations identical too — so the cycle keeps
-    /// the stored observations and skips sampling entirely. The manager
-    /// itself still runs every cycle: the metered reading moves even when
-    /// the nodes do not.
+    /// The lazy regime samples from work lists: when nothing changed since
+    /// the last cycle, every candidate's sample would be bit-identical to
+    /// its previous one and the resulting job observations identical too —
+    /// so the lists are empty and the cycle keeps the stored observations.
+    /// The manager itself still runs every cycle: the metered reading
+    /// moves even when the nodes do not.
     fn sample(&mut self, sets: &NodeSets, now: SimTime, t: &Tick) -> u64 {
         let (lazy, tick) = (t.lazy, t.tick);
         let sample_t = self.obs.profile.start();
-        let sampling = !lazy
-            || self.rack_obs.is_stale()
-            || self.dirty_prev
-            || !self.columns.dirty.is_empty()
-            || !self.settle_pending.is_empty()
-            || !self.resample_now.is_empty();
         self.obs.spans.open("sample", now);
         self.scratch_settle.clear();
         if lazy {
             self.track_freshness(sets, tick);
-        }
-        if sampling && lazy {
             // Work-list sampling: only nodes whose sample value can differ
             // from the collector's current view are touched. A clean,
             // settled candidate's dense sample would be bit-identical to
@@ -409,19 +397,11 @@ impl ClusterSim {
             let mut spent = resample;
             spent.clear();
             self.resample_now = std::mem::replace(&mut self.resample_next, spent);
-        } else if sampling {
+        } else {
             for &id in sets.candidates() {
                 let faults = self.faults.as_ref();
                 if faults.is_some_and(|fs| fs.engine.is_down(id) || fs.engine.is_silent(id)) {
                     continue;
-                }
-                // Incremental evaluation under the dense control path
-                // still samples every candidate. Bring the counters current
-                // first: a clean node may not have materialized this tick,
-                // and a post-silence gap must accumulate for real (the
-                // dense path's delta spans the whole gap).
-                if t.incremental && !self.columns.is_down(id) {
-                    self.catch_up(id, tick);
                 }
                 let idx = id.0 as usize;
                 let sample = self.agents[idx].sample(&self.nodes[idx], now);
@@ -478,7 +458,7 @@ impl ClusterSim {
 /// each rack's own candidates, run each rack's sub-manager on its rack's
 /// job observations in rack order, and roll the outcomes up.
 ///
-/// Sub-managers run with a disabled span recorder; the `shards` span and
+/// Sub-managers share one disabled span recorder; the `shards` span and
 /// one nested `shard` span per *interesting* rack (non-Green or
 /// commanding) are recorded here, in rack order. The selection is a pure
 /// function of sim state, so the taxonomy stays deterministic and the
@@ -502,6 +482,7 @@ fn hier_multi_control(
     spans.open("shards", now);
     let (mut yellow, mut red) = (0u64, 0u64);
     let mut total_commands = 0u64;
+    let mut quiet = SpanRecorder::disabled();
     for (r, (mgr, obs)) in hier.subs_mut().iter_mut().zip(rack_obs).enumerate() {
         // The metered apportionment keys off *true* power so the split is
         // exact under meter noise; coverage counts the fresh mask over the
@@ -519,7 +500,8 @@ fn hier_multi_control(
             }
         }
         scratch.coverage.push(coverage);
-        let out = mgr.control_cycle_with_coverage(rack_metered_w, obs, &NodesView(nodes), coverage);
+        let view = NodesView(nodes);
+        let out = mgr.control_cycle(rack_metered_w, obs, &view, coverage, now, &mut quiet);
         yellow += u64::from(out.state == PowerState::Yellow);
         red += u64::from(out.state == PowerState::Red);
         total_commands += out.commands.len() as u64;

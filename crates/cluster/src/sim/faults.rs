@@ -84,9 +84,6 @@ impl ClusterSim {
     /// staged during tick−1 (phase boundaries, level commands), drains the
     /// timer wheel up to this tick, and replays the fault schedule.
     pub(super) fn fault_phase(&mut self, t: &Tick, stage: StageTimer) -> StageTimer {
-        // Remember whether tick−1 itself had dirty work (the collector's
-        // prev-power view takes one more cycle to stabilize after a change).
-        self.dirty_prev = !self.columns.dirty.is_empty();
         self.columns.dirty.begin_tick();
         if t.incremental && t.tick == 1 {
             // Nothing has ever been evaluated: everything is dirty.

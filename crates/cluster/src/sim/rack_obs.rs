@@ -174,11 +174,6 @@ impl RackObs {
         self.jobs
     }
 
-    /// True when the run queue changed since the last sync.
-    pub(super) fn is_stale(&self) -> bool {
-        self.stale
-    }
-
     /// A job started: the next sync places its pieces.
     pub(super) fn note_start(&mut self) {
         self.stale = true;

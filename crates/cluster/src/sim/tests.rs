@@ -1,6 +1,5 @@
 //! Tests of the tick loop: each phase, the equivalence of the evaluation
 //! regimes, and the profiler's stage accounting.
-#![cfg(test)]
 
 use super::*;
 use ppc_core::{ManagerConfig, NodeSets, PolicyKind};
@@ -331,7 +330,7 @@ fn released_dirty_nodes_are_sampled_at_control_time() {
     };
     let mut full = make(EvalMode::Full);
     let mut inc = make(EvalMode::Incremental);
-    assert!(inc.incremental_active() && inc.lazy_control_ok());
+    assert!(inc.incremental_active());
     let mut released_dirty = 0;
     for tick in 1..=600 {
         let done = inc.finished().len();
@@ -371,7 +370,7 @@ fn assert_lockstep_under_faults(
 ) {
     let mut full = make(EvalMode::Full);
     let mut inc = make(EvalMode::Incremental);
-    assert!(inc.incremental_active() && inc.lazy_control_ok() && inc.faults.is_some());
+    assert!(inc.incremental_active() && inc.faults.is_some());
     let (mut dense_samples, mut lazy_samples) = (0, 0);
     for tick in 1..=ticks {
         full.step();
@@ -534,7 +533,8 @@ fn every_fault_edge_keeps_incremental_equal_to_full() {
 
 /// A capped candidate set admits another node whenever a candidate
 /// leaves it (SLA protection, a crash); the lazy regime cannot see
-/// that node join, so a capped run takes the dense control path.
+/// that node join, so a capped run is evaluated densely whichever mode
+/// it asks for.
 #[test]
 fn incremental_matches_full_with_a_capped_candidate_set() {
     use ppc_faults::{FaultInjection, FaultRates, FaultSchedule};
@@ -558,11 +558,54 @@ fn incremental_matches_full_with_a_capped_candidate_set() {
             .with_manager(PowerManager::new(config, sets).unwrap())
             .with_eval_mode(mode)
             .with_faults(FaultInjection::new(schedule));
-        assert!(!sim.lazy_control_ok());
+        assert_eq!(sim.eval_mode(), EvalMode::Full);
         sim.run_for(SimDuration::from_secs(500));
         digest(&sim)
     };
     assert_eq!(run(EvalMode::Full), run(EvalMode::Incremental));
+}
+
+/// Regime selection: a run the lazy control cycle cannot represent — a
+/// capped candidate set, a meter that drops readings — is evaluated
+/// densely, while plain managed, tree and faulted runs stay incremental.
+#[test]
+fn regime_follows_what_the_lazy_cycle_can_represent() {
+    use ppc_faults::{FaultEvent, FaultInjection, FaultKind, FaultSchedule};
+    let capped = {
+        let spec = ClusterSpec::mini(8);
+        let sets = NodeSets::new(spec.node_ids(), []).with_candidate_cap(Some(4));
+        let config = ManagerConfig::paper_defaults(spec.provision_w(), PolicyKind::Mpc);
+        ClusterSim::new(spec).with_manager(PowerManager::new(config, sets).unwrap())
+    };
+    let dropout = {
+        let mut spec = ClusterSpec::mini(8);
+        spec.meter_noise.dropout_prob = 0.1;
+        let sets = NodeSets::new(spec.node_ids(), []);
+        let config = ManagerConfig::paper_defaults(spec.provision_w(), PolicyKind::Mpc);
+        ClusterSim::new(spec).with_manager(PowerManager::new(config, sets).unwrap())
+    };
+    let faulted = managed_mini(8, PolicyKind::Mpc, 0.6).with_faults(FaultInjection::new(
+        FaultSchedule::new(vec![FaultEvent {
+            at: SimTime::from_secs(5),
+            node: NodeId(2),
+            kind: FaultKind::Crash {
+                reboot: SimDuration::from_secs(10),
+            },
+        }]),
+    ));
+    for (label, sim, mode) in [
+        ("capped candidates", capped, EvalMode::Full),
+        ("meter dropout", dropout, EvalMode::Full),
+        (
+            "flat manager",
+            managed_mini(8, PolicyKind::Mpc, 0.6),
+            EvalMode::Incremental,
+        ),
+        ("4-rack tree", managed_hier(16, 4), EvalMode::Incremental),
+        ("faulted", faulted, EvalMode::Incremental),
+    ] {
+        assert_eq!(sim.eval_mode(), mode, "{label}");
+    }
 }
 
 #[test]
@@ -767,8 +810,8 @@ fn managed_hier(nodes: u32, nodes_per_rack: u32) -> ClusterSim {
 
 /// Every control regime charges the same stages, each once per tick:
 /// the flat manager and a 4-rack tree (lazy), a faulted lazy run, a capped
-/// candidate set (incremental with dense control) and the budget
-/// controller (Full). Only a multi-rack tick runs the delegation pass.
+/// candidate set and the budget controller (both Full). Only a multi-rack
+/// tick runs the delegation pass.
 #[test]
 fn every_step_stage_is_charged_once_per_managed_tick() {
     use ppc_core::{ProportionalBudgetController, Thresholds};
@@ -805,7 +848,7 @@ fn every_step_stage_is_charged_once_per_managed_tick() {
             ),
         ]),
     ));
-    assert!(faulted.incremental_active() && faulted.lazy_control_ok());
+    assert_eq!(faulted.eval_mode(), EvalMode::Incremental);
     let capped = {
         let mut spec = ClusterSpec::mini(16);
         spec.provision_fraction = 0.6;
@@ -816,7 +859,7 @@ fn every_step_stage_is_charged_once_per_managed_tick() {
         };
         ClusterSim::new(spec).with_manager(PowerManager::new(config, sets).unwrap())
     };
-    assert!(capped.incremental_active() && !capped.lazy_control_ok());
+    assert_eq!(capped.eval_mode(), EvalMode::Full);
     let budget = {
         let spec = ClusterSpec::mini(16);
         let thy = spec.theoretical_max_w();

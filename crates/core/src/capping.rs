@@ -18,6 +18,10 @@
 //! clusters), never commands a privileged node (they are not candidates),
 //! never degrades below the lowest level, and never promotes above the
 //! highest.
+//!
+//! [`CappingAlgorithm::cycle`] is the one cycle entry point. Its owner
+//! (the power manager) prunes `A_degraded` to the candidate set first,
+//! once per candidate-set generation ([`CappingAlgorithm::prune_for`]).
 
 use crate::observe::SelectionContext;
 use crate::policy::TargetSelectionPolicy;
@@ -45,23 +49,6 @@ pub trait LevelView {
     fn highest_of(&self, node: NodeId) -> Level;
 }
 
-/// Convenience [`LevelView`] over closures.
-pub struct FnLevelView<'a> {
-    /// Returns a node's current level.
-    pub level_of: &'a dyn Fn(NodeId) -> Level,
-    /// Returns a node's highest level.
-    pub highest_of: &'a dyn Fn(NodeId) -> Level,
-}
-
-impl LevelView for FnLevelView<'_> {
-    fn level_of(&self, node: NodeId) -> Level {
-        (self.level_of)(node)
-    }
-    fn highest_of(&self, node: NodeId) -> Level {
-        (self.highest_of)(node)
-    }
-}
-
 /// Algorithm 1's persistent state across cycles.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct CappingAlgorithm {
@@ -77,10 +64,6 @@ pub struct CappingAlgorithm {
     /// wire state.
     #[serde(skip)]
     pruned_gen: Option<u64>,
-    /// Set by [`CappingAlgorithm::prune_for`]; consumed by the next
-    /// `cycle*` call to skip its unconditional prune.
-    #[serde(skip)]
-    prune_done: bool,
 }
 
 impl CappingAlgorithm {
@@ -91,29 +74,19 @@ impl CappingAlgorithm {
             time_g: 0,
             t_g,
             pruned_gen: None,
-            prune_done: false,
         }
     }
 
-    /// Prunes `A_degraded` to the candidate set, memoized on the set's
-    /// generation: nodes only ever enter `A_degraded` while they are
-    /// candidates, and candidate membership can't change without bumping
-    /// the generation — so until it moves, the prune is a no-op. The next
-    /// `cycle*` call skips its own unconditional prune.
+    /// Prunes `A_degraded` to the candidate set (a node that left it is no
+    /// longer ours to manage), memoized on the set's generation: nodes
+    /// only ever enter `A_degraded` while they are candidates, and
+    /// candidate membership can't change without bumping the generation —
+    /// so until it moves, the prune is a no-op. The owner calls this
+    /// before every cycle, whatever the cycle then does.
     pub fn prune_for(&mut self, candidates: &BTreeSet<NodeId>, generation: u64) {
         if self.pruned_gen != Some(generation) {
             self.degraded.retain(|n| candidates.contains(n));
             self.pruned_gen = Some(generation);
-        }
-        self.prune_done = true;
-    }
-
-    /// The unconditional per-cycle prune, unless [`Self::prune_for`]
-    /// already covered this cycle.
-    fn prune(&mut self, candidates: &BTreeSet<NodeId>) {
-        if !std::mem::take(&mut self.prune_done) {
-            self.degraded.retain(|n| candidates.contains(n));
-            self.pruned_gen = None;
         }
     }
 
@@ -129,33 +102,12 @@ impl CappingAlgorithm {
 
     /// Runs one cycle of Algorithm 1 and returns the commands to issue.
     ///
-    /// `candidates` is the current `A_candidate`; membership may have
-    /// changed since the last cycle, so `A_degraded` is pruned to it first
-    /// (a node that left the candidate set is no longer ours to manage).
-    pub fn cycle(
-        &mut self,
-        state: PowerState,
-        ctx: &SelectionContext,
-        policy: &mut dyn TargetSelectionPolicy,
-        candidates: &BTreeSet<NodeId>,
-        view: &dyn LevelView,
-    ) -> Vec<NodeCommand> {
-        self.cycle_traced(
-            state,
-            ctx,
-            policy,
-            candidates,
-            view,
-            SimTime::ZERO,
-            &mut SpanRecorder::disabled(),
-        )
-    }
-
-    /// [`CappingAlgorithm::cycle`] with span recording: Yellow wraps the
-    /// policy selection in a `select` span carrying the policy name,
-    /// `|A_target|` and the deficit driving it.
+    /// `candidates` is the current `A_candidate`, to which `A_degraded`
+    /// must already be pruned ([`CappingAlgorithm::prune_for`]). Yellow
+    /// wraps the policy selection in a `select` span at `at` carrying the
+    /// policy name, `|A_target|` and the deficit driving it.
     #[allow(clippy::too_many_arguments)]
-    pub fn cycle_traced(
+    pub fn cycle(
         &mut self,
         state: PowerState,
         ctx: &SelectionContext,
@@ -165,7 +117,6 @@ impl CappingAlgorithm {
         at: SimTime,
         spans: &mut SpanRecorder,
     ) -> Vec<NodeCommand> {
-        self.prune(candidates);
         match state {
             PowerState::Green => self.green_cycle(view),
             PowerState::Yellow => self.yellow_cycle(ctx, policy, candidates, view, at, spans),
@@ -188,13 +139,12 @@ impl CappingAlgorithm {
     /// policy selection (the policy picks a subset of these nodes), so the
     /// capping guarantee survives telemetry loss at the cost of
     /// performance.
-    pub fn conservative_yellow(
+    pub(crate) fn conservative_yellow(
         &mut self,
         ctx: &SelectionContext,
         candidates: &BTreeSet<NodeId>,
         view: &dyn LevelView,
     ) -> Vec<NodeCommand> {
-        self.prune(candidates);
         self.time_g = 0;
         let mut commands = Vec::new();
         let mut seen = BTreeSet::new();
@@ -360,6 +310,29 @@ mod tests {
         ids.iter().map(|&i| NodeId(i)).collect()
     }
 
+    impl CappingAlgorithm {
+        /// [`CappingAlgorithm::cycle`] with no spans recorded.
+        fn run(
+            &mut self,
+            state: PowerState,
+            ctx: &SelectionContext,
+            policy: &mut dyn TargetSelectionPolicy,
+            candidates: &BTreeSet<NodeId>,
+            view: &dyn LevelView,
+        ) -> Vec<NodeCommand> {
+            let mut spans = SpanRecorder::disabled();
+            self.cycle(
+                state,
+                ctx,
+                policy,
+                candidates,
+                view,
+                SimTime::ZERO,
+                &mut spans,
+            )
+        }
+    }
+
     #[test]
     fn yellow_degrades_policy_targets_one_level() {
         let levels = Levels::new(&[0, 1, 2], 9);
@@ -374,7 +347,7 @@ mod tests {
             1_100.0,
             1_000.0,
         );
-        let commands = alg.cycle(
+        let commands = alg.run(
             PowerState::Yellow,
             &c,
             policy.as_mut(),
@@ -396,7 +369,7 @@ mod tests {
         let mut alg = CappingAlgorithm::new(10);
         let mut policy = PolicyKind::Hri.build();
         let c = ctx(vec![], 2_000.0, 1_000.0);
-        let commands = alg.cycle(
+        let commands = alg.run(
             PowerState::Red,
             &c,
             policy.as_mut(),
@@ -420,29 +393,29 @@ mod tests {
         let cand = cands(&[0]);
         // Degrade twice via red.
         let c_red = ctx(vec![], 9_999.0, 1_000.0);
-        let cmds = alg.cycle(PowerState::Red, &c_red, policy.as_mut(), &cand, &levels);
+        let cmds = alg.run(PowerState::Red, &c_red, policy.as_mut(), &cand, &levels);
         levels.apply(&cmds);
         assert_eq!(levels.level(0), Level::new(0));
 
         let c_green = ctx(vec![], 1.0, 1_000.0);
         // Two green cycles: below T_g, nothing happens.
         for expected_tg in [1, 2] {
-            let cmds = alg.cycle(PowerState::Green, &c_green, policy.as_mut(), &cand, &levels);
+            let cmds = alg.run(PowerState::Green, &c_green, policy.as_mut(), &cand, &levels);
             assert!(cmds.is_empty());
             assert_eq!(alg.time_g(), expected_tg);
         }
         // Third green cycle: promote 0 → 1.
-        let cmds = alg.cycle(PowerState::Green, &c_green, policy.as_mut(), &cand, &levels);
+        let cmds = alg.run(PowerState::Green, &c_green, policy.as_mut(), &cand, &levels);
         levels.apply(&cmds);
         assert_eq!(levels.level(0), Level::new(1));
         assert_eq!(alg.degraded().len(), 1, "not yet at top");
         // Fourth green cycle: promote 1 → 2 (top) and forget the node.
-        let cmds = alg.cycle(PowerState::Green, &c_green, policy.as_mut(), &cand, &levels);
+        let cmds = alg.run(PowerState::Green, &c_green, policy.as_mut(), &cand, &levels);
         levels.apply(&cmds);
         assert_eq!(levels.level(0), Level::new(2));
         assert!(alg.degraded().is_empty());
         // Fifth: nothing left to do.
-        let cmds = alg.cycle(PowerState::Green, &c_green, policy.as_mut(), &cand, &levels);
+        let cmds = alg.run(PowerState::Green, &c_green, policy.as_mut(), &cand, &levels);
         assert!(cmds.is_empty());
     }
 
@@ -454,7 +427,7 @@ mod tests {
         let cand = cands(&[0]);
         let c_green = ctx(vec![], 1.0, 1_000.0);
         for _ in 0..3 {
-            alg.cycle(PowerState::Green, &c_green, policy.as_mut(), &cand, &levels);
+            alg.run(PowerState::Green, &c_green, policy.as_mut(), &cand, &levels);
         }
         assert_eq!(alg.time_g(), 3);
         let c_yellow = ctx(
@@ -462,7 +435,7 @@ mod tests {
             1_100.0,
             1_000.0,
         );
-        let cmds = alg.cycle(
+        let cmds = alg.run(
             PowerState::Yellow,
             &c_yellow,
             policy.as_mut(),
@@ -478,25 +451,19 @@ mod tests {
         let levels = Levels::new(&[0, 1], 9);
         let mut alg = CappingAlgorithm::new(1);
         let mut policy = PolicyKind::Mpc.build();
+        let (both, rest) = (cands(&[0, 1]), cands(&[0]));
+        alg.prune_for(&both, 0);
         let c_red = ctx(vec![], 9_999.0, 1_000.0);
-        let cmds = alg.cycle(
-            PowerState::Red,
-            &c_red,
-            policy.as_mut(),
-            &cands(&[0, 1]),
-            &levels,
-        );
+        let cmds = alg.run(PowerState::Red, &c_red, policy.as_mut(), &both, &levels);
         levels.apply(&cmds);
         assert_eq!(alg.degraded().len(), 2);
-        // Node 1 becomes privileged (leaves the candidate set).
+        // Node 1 becomes privileged (leaves the candidate set), which
+        // moves the set's generation: only then does the prune run.
+        alg.prune_for(&rest, 0);
+        assert_eq!(alg.degraded().len(), 2, "same generation: memoized");
+        alg.prune_for(&rest, 1);
         let c_green = ctx(vec![], 1.0, 1_000.0);
-        let cmds = alg.cycle(
-            PowerState::Green,
-            &c_green,
-            policy.as_mut(),
-            &cands(&[0]),
-            &levels,
-        );
+        let cmds = alg.run(PowerState::Green, &c_green, policy.as_mut(), &rest, &levels);
         assert!(alg.degraded().iter().all(|&n| n == NodeId(0)));
         // Only node 0 gets a recovery command.
         assert!(cmds.iter().all(|c| c.node == NodeId(0)));
@@ -513,7 +480,7 @@ mod tests {
             1_100.0,
             1_000.0,
         );
-        let cmds = alg.cycle(
+        let cmds = alg.run(
             PowerState::Yellow,
             &c_yellow,
             policy.as_mut(),
@@ -528,7 +495,7 @@ mod tests {
             level: Level::new(9),
         }]);
         let c_green = ctx(vec![], 1.0, 1_000.0);
-        let cmds = alg.cycle(PowerState::Green, &c_green, policy.as_mut(), &cand, &levels);
+        let cmds = alg.run(PowerState::Green, &c_green, policy.as_mut(), &cand, &levels);
         assert!(cmds.is_empty());
         assert!(alg.degraded().is_empty());
     }
@@ -546,11 +513,11 @@ mod tests {
         let mut policy = PolicyKind::Mpc.build();
         let cand = cands(&[0, 1]);
         let c_green = ctx(vec![], 1.0, 1_000.0);
-        let cmds = alg.cycle(PowerState::Green, &c_green, policy.as_mut(), &cand, &levels);
+        let cmds = alg.run(PowerState::Green, &c_green, policy.as_mut(), &cand, &levels);
         levels.apply(&cmds);
         assert_eq!(levels.level(0), Level::new(1), "adopted node promoted");
         assert_eq!(levels.level(1), Level::new(2), "untouched");
-        let cmds = alg.cycle(PowerState::Green, &c_green, policy.as_mut(), &cand, &levels);
+        let cmds = alg.run(PowerState::Green, &c_green, policy.as_mut(), &cand, &levels);
         levels.apply(&cmds);
         assert_eq!(levels.level(0), Level::new(2));
         assert!(alg.degraded().is_empty());
@@ -613,7 +580,7 @@ mod tests {
                     })
                     .collect();
                 let c = ctx(vec![jobs_obs(1, nodes, None)], 1_100.0, 1_000.0);
-                let commands = alg.cycle(state, &c, policy.as_mut(), &cand, &levels);
+                let commands = alg.run(state, &c, policy.as_mut(), &cand, &levels);
                 // Invariants on the issued commands.
                 for cmd in &commands {
                     assert!(cand.contains(&cmd.node), "command to non-candidate");
@@ -665,7 +632,7 @@ mod tests {
         let mut policy = PolicyKind::MpcC.build();
         let none = BTreeSet::new();
         for state in [PowerState::Green, PowerState::Yellow, PowerState::Red] {
-            let cmds = alg.cycle(
+            let cmds = alg.run(
                 state,
                 &ctx(vec![], 5_000.0, 1_000.0),
                 policy.as_mut(),

@@ -429,7 +429,7 @@ impl HierarchicalManager {
         spans: &mut SpanRecorder,
     ) -> CycleOutcome {
         debug_assert!(self.is_single_rack(), "multi-rack cycles roll up");
-        let outcome = self.subs[0].control_cycle_traced(power_w, jobs, view, coverage, at, spans);
+        let outcome = self.subs[0].control_cycle(power_w, jobs, view, coverage, at, spans);
         self.last_rack_states[0] = outcome.state;
         outcome
     }
@@ -670,7 +670,8 @@ mod tests {
         // Rack 0 far over its ~1000 W budget → Red; others idle → Green.
         for (r, sub) in h.subs_mut().iter_mut().enumerate() {
             let power = if r == 0 { 3_000.0 } else { 100.0 };
-            outcomes.push(sub.control_cycle(power, &[], &view));
+            let mut spans = SpanRecorder::disabled();
+            outcomes.push(sub.control_cycle(power, &[], &view, 1.0, SimTime::ZERO, &mut spans));
         }
         let rolled = h.rollup(outcomes);
         assert_eq!(rolled.state, PowerState::Red);
@@ -707,7 +708,8 @@ mod tests {
         let sets = NodeSets::new((0..4).map(NodeId), [NodeId(1)]).with_candidate_cap(Some(2));
         let mut flat = PowerManager::new(config, sets).unwrap();
         let view = FlatView(Level::new(9), Level::new(9));
-        let _ = flat.control_cycle(3_000.0, &[], &view);
+        let mut spans = SpanRecorder::disabled();
+        let _ = flat.control_cycle(3_000.0, &[], &view, 1.0, SimTime::ZERO, &mut spans);
         let topology = Topology::single_rack(4).unwrap();
         let h =
             HierarchicalManager::from_racks(config, topology, vec![flat.clone()], vec![250.0; 4])

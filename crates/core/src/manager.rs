@@ -5,11 +5,14 @@
 //! 1. feeds the metered system power to the threshold learner (peak
 //!    observation + periodic adjustment),
 //! 2. classifies the power state against the current `(P_L, P_H)`,
-//! 3. runs Algorithm 1 with the configured selection policy,
+//! 3. prunes `A_degraded` to the candidate set if the set changed since
+//!    the last cycle, then runs Algorithm 1 with the configured selection
+//!    policy (or the conservative fallback under low telemetry coverage),
 //! 4. returns the throttling commands for the actuation layer to apply,
 //!
 //! and keeps cycle statistics (state occupancy, commands issued,
-//! adjustments) for the evaluation reports.
+//! adjustments) for the evaluation reports. [`PowerManager::control_cycle`]
+//! is the one entry point.
 
 use crate::capping::{CappingAlgorithm, LevelView, NodeCommand};
 use crate::config::ManagerConfig;
@@ -174,23 +177,22 @@ impl PowerManager {
         Ok(())
     }
 
-    /// Runs one control cycle with full telemetry coverage.
+    /// Runs one control cycle at sim time `at`.
     ///
     /// * `power_w` — the metered total system power;
     /// * `jobs` — this cycle's job observations (built via
     ///   [`crate::observe::observe_jobs`]);
-    /// * `view` — current/highest level lookup for candidate nodes.
-    pub fn control_cycle(
-        &mut self,
-        power_w: f64,
-        jobs: &[JobObservation],
-        view: &dyn LevelView,
-    ) -> CycleOutcome {
-        self.control_cycle_with_coverage(power_w, jobs, view, 1.0)
-    }
-
-    /// Runs one control cycle with an explicit telemetry-coverage figure:
-    /// the fraction of candidate nodes whose collector samples are fresh.
+    /// * `view` — current/highest level lookup for candidate nodes;
+    /// * `coverage` — the fraction of candidate nodes whose collector
+    ///   samples are fresh (1.0 with full telemetry);
+    /// * `spans` — a `classify` span carries the metered power, classified
+    ///   state and deficit; a `capping` span wraps Algorithm 1 (the Yellow
+    ///   selection opens a nested `select` span) and carries the command
+    ///   count. Pass [`SpanRecorder::disabled`] to record nothing.
+    ///
+    /// `A_degraded` is pruned to the candidate set whenever the set's
+    /// generation has moved, before Algorithm 1 runs, whatever the state
+    /// and coverage.
     ///
     /// When coverage drops below the configured floor the manager stops
     /// trusting the selection policy's savings estimates: Yellow degrades
@@ -198,28 +200,7 @@ impl PowerManager {
     /// policy pick), Green holds recovery rather than promote blind, and
     /// Red floors everything as usual (it needs no telemetry). This keeps
     /// the capping guarantee intact while the telemetry fabric is dark.
-    pub fn control_cycle_with_coverage(
-        &mut self,
-        power_w: f64,
-        jobs: &[JobObservation],
-        view: &dyn LevelView,
-        coverage: f64,
-    ) -> CycleOutcome {
-        self.control_cycle_traced(
-            power_w,
-            jobs,
-            view,
-            coverage,
-            SimTime::ZERO,
-            &mut SpanRecorder::disabled(),
-        )
-    }
-
-    /// [`PowerManager::control_cycle_with_coverage`] with span recording:
-    /// a `classify` span carries the metered power, classified state and
-    /// deficit; a `capping` span wraps Algorithm 1 (the Yellow selection
-    /// opens a nested `select` span) and carries the command count.
-    pub fn control_cycle_traced(
+    pub fn control_cycle(
         &mut self,
         power_w: f64,
         jobs: &[JobObservation],
@@ -244,8 +225,6 @@ impl PowerManager {
         spans.close(at);
 
         let candidates = self.sets.candidates();
-        // Prune A_degraded once per candidate-set change instead of every
-        // cycle: membership can't move without bumping the generation.
         self.capping.prune_for(candidates, self.sets.generation());
         let ctx = SelectionContext {
             jobs,
@@ -267,7 +246,7 @@ impl PowerManager {
                 PowerState::Green => Vec::new(),
                 PowerState::Yellow => self.capping.conservative_yellow(&ctx, candidates, view),
                 // Red is telemetry-free: flatten everything.
-                PowerState::Red => self.capping.cycle_traced(
+                PowerState::Red => self.capping.cycle(
                     state,
                     &ctx,
                     self.policy.as_mut(),
@@ -278,7 +257,7 @@ impl PowerManager {
                 ),
             }
         } else {
-            self.capping.cycle_traced(
+            self.capping.cycle(
                 state,
                 &ctx,
                 self.policy.as_mut(),
@@ -326,6 +305,20 @@ mod tests {
         }
     }
 
+    impl PowerManager {
+        /// [`PowerManager::control_cycle`] with no spans recorded.
+        fn run(
+            &mut self,
+            power_w: f64,
+            jobs: &[JobObservation],
+            view: &dyn LevelView,
+            coverage: f64,
+        ) -> CycleOutcome {
+            let mut spans = SpanRecorder::disabled();
+            self.control_cycle(power_w, jobs, view, coverage, SimTime::ZERO, &mut spans)
+        }
+    }
+
     fn manager(policy: PolicyKind, candidate_cap: Option<usize>) -> PowerManager {
         let sets = NodeSets::new((0..8).map(NodeId), []).with_candidate_cap(candidate_cap);
         let config = ManagerConfig {
@@ -339,7 +332,7 @@ mod tests {
     fn green_cycle_issues_nothing_and_counts() {
         let mut m = manager(PolicyKind::Mpc, None);
         // P_L = 840: 500 W is Green.
-        let out = m.control_cycle(500.0, &[], &FlatView(Level::new(9), Level::new(9)));
+        let out = m.run(500.0, &[], &FlatView(Level::new(9), Level::new(9)), 1.0);
         assert_eq!(out.state, PowerState::Green);
         assert!(out.commands.is_empty());
         assert_eq!(m.stats().green_cycles, 1);
@@ -355,7 +348,7 @@ mod tests {
             None,
         )];
         // P in [840, 930): Yellow.
-        let out = m.control_cycle(900.0, &jobs, &FlatView(Level::new(9), Level::new(9)));
+        let out = m.run(900.0, &jobs, &FlatView(Level::new(9), Level::new(9)), 1.0);
         assert_eq!(out.state, PowerState::Yellow);
         assert_eq!(out.commands.len(), 2);
         assert!(out.commands.iter().all(|c| c.level == Level::new(8)));
@@ -366,7 +359,7 @@ mod tests {
     #[test]
     fn red_cycle_floors_all_candidates() {
         let mut m = manager(PolicyKind::Hri, None);
-        let out = m.control_cycle(950.0, &[], &FlatView(Level::new(9), Level::new(9)));
+        let out = m.run(950.0, &[], &FlatView(Level::new(9), Level::new(9)), 1.0);
         assert_eq!(out.state, PowerState::Red);
         assert_eq!(out.commands.len(), 8);
         assert!(out.commands.iter().all(|c| c.level == Level::LOWEST));
@@ -375,7 +368,7 @@ mod tests {
     #[test]
     fn zero_candidate_cap_never_commands() {
         let mut m = manager(PolicyKind::Mpc, Some(0));
-        let out = m.control_cycle(5_000.0, &[], &FlatView(Level::new(9), Level::new(9)));
+        let out = m.run(5_000.0, &[], &FlatView(Level::new(9), Level::new(9)), 1.0);
         assert_eq!(out.state, PowerState::Red);
         assert!(out.commands.is_empty(), "monitoring-only mode");
     }
@@ -390,15 +383,15 @@ mod tests {
         };
         let mut m = PowerManager::new(config, sets).unwrap();
         let view = FlatView(Level::new(9), Level::new(9));
-        m.control_cycle(700.0, &[], &view);
-        let out = m.control_cycle(750.0, &[], &view);
+        m.run(700.0, &[], &view, 1.0);
+        let out = m.run(750.0, &[], &view, 1.0);
         assert!(out.thresholds_adjusted, "training ends on cycle 2");
         assert_eq!(m.learner().p_peak_w(), 750.0);
         assert_eq!(m.stats().threshold_adjustments, 1);
         // Next adjustment after t_p = 3 more cycles.
-        m.control_cycle(740.0, &[], &view);
-        m.control_cycle(740.0, &[], &view);
-        let out = m.control_cycle(740.0, &[], &view);
+        m.run(740.0, &[], &view, 1.0);
+        m.run(740.0, &[], &view, 1.0);
+        let out = m.run(740.0, &[], &view, 1.0);
         assert!(out.thresholds_adjusted);
     }
 
@@ -412,12 +405,7 @@ mod tests {
             None,
         )];
         // Coverage 0.25 < floor 0.5: conservative Yellow, no policy.
-        let out = m.control_cycle_with_coverage(
-            900.0,
-            &jobs,
-            &FlatView(Level::new(9), Level::new(9)),
-            0.25,
-        );
+        let out = m.run(900.0, &jobs, &FlatView(Level::new(9), Level::new(9)), 0.25);
         assert_eq!(out.state, PowerState::Yellow);
         assert_eq!(out.commands.len(), 2, "all observed candidates degraded");
         assert!(out.commands.iter().all(|c| c.level == Level::new(8)));
@@ -429,16 +417,11 @@ mod tests {
         let mut m = manager(PolicyKind::Mpc, None);
         // Degrade via a normal Yellow first.
         let jobs = vec![jobs_obs(1, vec![nobs(0, 9, 300.0)], None)];
-        m.control_cycle(900.0, &jobs, &FlatView(Level::new(9), Level::new(9)));
+        m.run(900.0, &jobs, &FlatView(Level::new(9), Level::new(9)), 1.0);
         assert_eq!(m.capping_degraded().len(), 1);
         // t_g = 10; run plenty of blind Green cycles: no promotion.
         for _ in 0..20 {
-            let out = m.control_cycle_with_coverage(
-                500.0,
-                &[],
-                &FlatView(Level::new(8), Level::new(9)),
-                0.0,
-            );
+            let out = m.run(500.0, &[], &FlatView(Level::new(8), Level::new(9)), 0.0);
             assert_eq!(out.state, PowerState::Green);
             assert!(out.commands.is_empty(), "no blind promotion");
         }
@@ -449,12 +432,7 @@ mod tests {
     #[test]
     fn low_coverage_red_still_floors_everything() {
         let mut m = manager(PolicyKind::Mpc, None);
-        let out = m.control_cycle_with_coverage(
-            5_000.0,
-            &[],
-            &FlatView(Level::new(9), Level::new(9)),
-            0.0,
-        );
+        let out = m.run(5_000.0, &[], &FlatView(Level::new(9), Level::new(9)), 0.0);
         assert_eq!(out.state, PowerState::Red);
         assert_eq!(out.commands.len(), 8, "red needs no telemetry");
         assert!(out.commands.iter().all(|c| c.level == Level::LOWEST));
@@ -468,13 +446,35 @@ mod tests {
         assert_eq!(m.sets().candidate_count(), 7);
         assert!(!m.sets().is_candidate(NodeId(3)));
         // Red while the node is down: commands must skip it.
-        let out = m.control_cycle(5_000.0, &[], &FlatView(Level::new(9), Level::new(9)));
+        let out = m.run(5_000.0, &[], &FlatView(Level::new(9), Level::new(9)), 1.0);
         assert_eq!(out.commands.len(), 7);
         assert!(out.commands.iter().all(|c| c.node != NodeId(3)));
         // Rejoin at the lowest level: adopted for green recovery.
         m.note_node_rejoined(NodeId(3));
         assert!(m.sets().is_candidate(NodeId(3)));
         assert!(m.capping_degraded().contains(&NodeId(3)));
+    }
+
+    /// The manager prunes `A_degraded` whenever the candidate set's
+    /// generation moves, whatever the cycle then does: a node that left
+    /// the candidates is dropped even by a conservative Green cycle, which
+    /// never reaches Algorithm 1.
+    #[test]
+    fn degraded_set_is_pruned_when_the_generation_moves_even_on_conservative_green() {
+        let mut m = manager(PolicyKind::Mpc, None);
+        let out = m.run(5_000.0, &[], &FlatView(Level::new(9), Level::new(9)), 1.0);
+        assert_eq!(out.state, PowerState::Red);
+        assert_eq!(m.capping_degraded().len(), 8);
+        let generation = m.sets().generation();
+        m.note_node_down(NodeId(3));
+        assert_ne!(m.sets().generation(), generation);
+        // Coverage 0 < floor: Green holds recovery and issues nothing.
+        let out = m.run(500.0, &[], &FlatView(Level::LOWEST, Level::new(9)), 0.0);
+        assert_eq!(out.state, PowerState::Green);
+        assert!(out.commands.is_empty());
+        assert_eq!(m.stats().conservative_cycles, 1);
+        assert_eq!(m.capping_degraded().len(), 7);
+        assert!(!m.capping_degraded().contains(&NodeId(3)));
     }
 
     #[test]

@@ -28,7 +28,11 @@ pub struct FileUnit {
 impl FileUnit {
     /// Lexes and parses one file's source under the given context.
     pub fn new(ctx: FileContext, text: &str) -> FileUnit {
-        let lines = source::analyze(text);
+        FileUnit::from_lines(ctx, source::analyze(text))
+    }
+
+    /// Parses one file's lexed lines under the given context.
+    pub(crate) fn from_lines(ctx: FileContext, lines: Vec<Line>) -> FileUnit {
         let items = items::parse(&lines);
         FileUnit { ctx, lines, items }
     }

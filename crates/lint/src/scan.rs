@@ -15,6 +15,7 @@ use crate::graph::{self, FileUnit};
 use crate::rules::{CrateClass, Rule};
 use crate::source;
 use crate::taint;
+use std::collections::BTreeSet;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -529,16 +530,60 @@ fn chain_return(units: &[FileUnit], g: &graph::CallGraph, e: graph::CallEdge) ->
     )
 }
 
+/// Marks every file that a test-only declaration pulls in
+/// (`#[cfg(test)] mod x;`, or any `mod x;` in a file that is test code
+/// throughout) as test code throughout, as its own `#![cfg(test)]` would.
+/// Repeated until nothing changes, so a test module's own out-of-line
+/// children count too.
+fn mark_test_modules(files: &mut [(FileContext, Vec<source::Line>)]) {
+    loop {
+        let children: BTreeSet<String> = files
+            .iter()
+            .flat_map(|(ctx, lines)| {
+                source::test_mod_decls(lines)
+                    .into_iter()
+                    .flat_map(|name| child_paths(&ctx.path, &name))
+            })
+            .collect();
+        let mut changed = false;
+        for (ctx, lines) in files.iter_mut() {
+            if children.contains(&ctx.path) && !lines.iter().all(|l| l.in_test) {
+                lines.iter_mut().for_each(|l| l.in_test = true);
+                changed = true;
+            }
+        }
+        if !changed {
+            return;
+        }
+    }
+}
+
+/// Where `mod name;` declared in the file at `parent` lives: `name.rs` or
+/// `name/mod.rs` beside a `lib.rs`, `main.rs` or `mod.rs`, and in the
+/// directory named after any other file.
+fn child_paths(parent: &str, name: &str) -> [String; 2] {
+    let dir = match parent.rsplit_once('/') {
+        Some((dir, "lib.rs" | "main.rs" | "mod.rs")) => dir,
+        _ => parent.strip_suffix(".rs").unwrap_or(parent),
+    };
+    [format!("{dir}/{name}.rs"), format!("{dir}/{name}/mod.rs")]
+}
+
 /// Runs the full multi-pass analysis over a set of in-memory files. This
 /// is the v2 engine: token rules per file, then the call-graph passes
 /// (`fingerprint-taint`, `shard-join-order`) across all of them, then the
 /// unused-suppression sweep.
 pub fn scan_units(inputs: Vec<(FileContext, String)>) -> WorkspaceScan {
     // Pass 1: lex + item parse + token rules.
-    let mut units: Vec<FileUnit> = Vec::with_capacity(inputs.len());
-    let mut file_scans: Vec<FileScan> = Vec::with_capacity(inputs.len());
-    for (ctx, text) in inputs {
-        let unit = FileUnit::new(ctx, &text);
+    let mut lexed: Vec<(FileContext, Vec<source::Line>)> = inputs
+        .into_iter()
+        .map(|(ctx, text)| (ctx, source::analyze(&text)))
+        .collect();
+    mark_test_modules(&mut lexed);
+    let mut units: Vec<FileUnit> = Vec::with_capacity(lexed.len());
+    let mut file_scans: Vec<FileScan> = Vec::with_capacity(lexed.len());
+    for (ctx, lines) in lexed {
+        let unit = FileUnit::from_lines(ctx, lines);
         file_scans.push(scan_lines(&unit.ctx, &unit.lines));
         units.push(unit);
     }

@@ -216,8 +216,11 @@ fn closes_raw_string(chars: &[char], i: usize, hashes: usize) -> bool {
 }
 
 /// Marks lines inside `#[cfg(test)]` / `#[test]` regions by tracking the
-/// brace depth at which the attributed block opens. A file whose first
-/// code line is `#![cfg(test)]` (an out-of-line test module) is one region.
+/// brace depth at which the attributed block opens; an attributed item
+/// that ends in `;` before any brace (`#[cfg(test)] mod x;`) opens none.
+/// A file whose first code line is `#![cfg(test)]` (an out-of-line test
+/// module) is one region; so is one a test-only `mod x;` declaration
+/// pulls in, which the workspace scan marks ([`test_mod_decls`]).
 fn mark_test_regions(lines: &mut [Line]) {
     let first = lines.iter().map(|l| l.code.trim()).find(|c| !c.is_empty());
     if first == Some("#![cfg(test)]") {
@@ -251,11 +254,56 @@ fn mark_test_regions(lines: &mut [Line]) {
                     }
                     depth -= 1;
                 }
+                ';' => pending = false,
                 _ => {}
             }
         }
         line.in_test = in_test;
     }
+}
+
+/// Names of the out-of-line modules (`mod name;`) this file declares as
+/// test code: under a `#[cfg(test)]` attribute, or anywhere in a file that
+/// is test code throughout. (A declaration nested in an inline test module
+/// lives under that module's directory and is not followed.)
+pub(crate) fn test_mod_decls(lines: &[Line]) -> Vec<String> {
+    let whole = lines.iter().all(|l| l.in_test);
+    let mut out = Vec::new();
+    let mut cfg_test = false;
+    for line in lines {
+        let mut code = line.code.trim();
+        if let Some(rest) = code.strip_prefix("#[cfg(test)]") {
+            cfg_test = true;
+            code = rest.trim_start();
+        }
+        if code.is_empty() {
+            continue;
+        }
+        if let Some(name) = mod_decl(code).filter(|_| cfg_test || whole) {
+            out.push(name.to_string());
+        }
+        // Further attributes may sit between `#[cfg(test)]` and the item.
+        cfg_test = cfg_test && code.starts_with("#[");
+    }
+    out
+}
+
+/// The module name of an out-of-line declaration `[pub[(…)]] mod name;`.
+fn mod_decl(code: &str) -> Option<&str> {
+    let mut rest = code;
+    if let Some(after) = rest.strip_prefix("pub") {
+        rest = match after.strip_prefix('(') {
+            Some(vis) => &vis[vis.find(')')? + 1..],
+            None => after,
+        };
+    }
+    let name = rest
+        .trim_start()
+        .strip_prefix("mod ")?
+        .strip_suffix(';')?
+        .trim();
+    let ident = !name.is_empty() && name.chars().all(|c| c.is_alphanumeric() || c == '_');
+    ident.then_some(name)
 }
 
 #[cfg(test)]
@@ -329,6 +377,37 @@ fn lib2() {}
         assert!(lines.iter().all(|l| l.in_test));
         let lines = analyze("fn lib() {}\n#![cfg(test)]\nfn helper() {}\n");
         assert!(!lines[0].in_test, "only a leading inner attribute counts");
+    }
+
+    #[test]
+    fn cfg_test_declaration_opens_no_region() {
+        let src = "#[cfg(test)]\nmod tests;\nfn lib() {\n    body();\n}\n";
+        let lines = analyze(src);
+        assert!(
+            lines.iter().all(|l| !l.in_test),
+            "the next item is library code"
+        );
+        assert_eq!(test_mod_decls(&lines), ["tests"]);
+    }
+
+    #[test]
+    fn test_mod_decls_finds_only_test_only_declarations() {
+        let src = "\
+mod lib_child;
+#[cfg(test)]
+#[allow(dead_code)]
+pub(crate) mod attributed;
+#[cfg(test)] mod inline_attr;
+#[cfg(test)]
+mod tests {
+    mod nested;
+}
+pub mod after;
+";
+        let lines = analyze(src);
+        assert_eq!(test_mod_decls(&lines), ["attributed", "inline_attr"]);
+        let lines = analyze("#![cfg(test)]\nmod helper;\n");
+        assert_eq!(test_mod_decls(&lines), ["helper"]);
     }
 
     #[test]

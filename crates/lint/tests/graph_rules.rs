@@ -122,3 +122,26 @@ fn unused_suppression_flags_stale_allow_only() {
     assert_eq!(ws.suppressed, 1);
     assert!(ws.diagnostics[0].message.contains("panic-path"));
 }
+
+#[test]
+fn a_file_pulled_in_by_a_cfg_test_declaration_is_test_code() {
+    let parent = include_str!("fixtures/test_mod_parent.rs");
+    let child = include_str!("fixtures/test_mod_child.rs");
+    let ws = scan(&[
+        ("crates/core/src/holder.rs", parent),
+        ("crates/core/src/holder/tests.rs", child),
+    ]);
+    // The child is test code throughout; the attribute covers only the
+    // declaration, so the parent's next item is still library code.
+    assert_eq!(lines_for(&ws, Rule::PanicPath), vec![11]);
+    assert!(
+        ws.diagnostics
+            .iter()
+            .all(|d| d.file == "crates/core/src/holder.rs"),
+        "{:?}",
+        ws.diagnostics
+    );
+    // The same file, not declared as a test module, is library code.
+    let ws = scan(&[("crates/core/src/holder/tests.rs", child)]);
+    assert_eq!(lines_for(&ws, Rule::PanicPath), vec![11]);
+}

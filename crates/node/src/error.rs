@@ -13,10 +13,6 @@ pub enum NodeError {
         /// The highest valid level on this node's ladder.
         highest: Level,
     },
-    /// A node was asked to degrade below its lowest power state.
-    AlreadyLowest,
-    /// A node was asked to upgrade above its highest power state.
-    AlreadyHighest,
     /// A state change was commanded on a privileged (uncontrollable) node.
     Privileged,
     /// A specification value was out of range.
@@ -30,8 +26,6 @@ impl fmt::Display for NodeError {
                 f,
                 "invalid power level {requested:?}; ladder tops out at {highest:?}"
             ),
-            NodeError::AlreadyLowest => write!(f, "node is already at its lowest power state"),
-            NodeError::AlreadyHighest => write!(f, "node is already at its highest power state"),
             NodeError::Privileged => write!(f, "node is privileged (uncontrollable)"),
             NodeError::InvalidSpec(msg) => write!(f, "invalid node spec: {msg}"),
         }

@@ -185,28 +185,6 @@ impl Node {
         Ok(())
     }
 
-    /// Steps one level down (less power). Errors at the bottom.
-    pub fn degrade(&mut self) -> Result<Level, NodeError> {
-        if self.privileged {
-            return Err(NodeError::Privileged);
-        }
-        let lower = self.level.down().ok_or(NodeError::AlreadyLowest)?;
-        self.level = lower;
-        Ok(lower)
-    }
-
-    /// Steps one level up (more performance). Errors at the top.
-    pub fn upgrade(&mut self) -> Result<Level, NodeError> {
-        if self.privileged {
-            return Err(NodeError::Privileged);
-        }
-        if self.level >= self.spec.ladder.highest() {
-            return Err(NodeError::AlreadyHighest);
-        }
-        self.level = self.level.up();
-        Ok(self.level)
-    }
-
     /// Forces the lowest level (the Red-state action).
     pub fn force_lowest(&mut self) -> Result<(), NodeError> {
         if self.privileged {
@@ -238,29 +216,9 @@ mod tests {
     }
 
     #[test]
-    fn degrade_upgrade_walk_the_ladder() {
-        let mut n = node();
-        assert_eq!(n.degrade().unwrap(), Level::new(8));
-        assert_eq!(n.degrade().unwrap(), Level::new(7));
-        assert_eq!(n.upgrade().unwrap(), Level::new(8));
-        assert_eq!(n.upgrade().unwrap(), Level::new(9));
-        assert_eq!(n.upgrade(), Err(NodeError::AlreadyHighest));
-    }
-
-    #[test]
-    fn degrade_stops_at_bottom() {
-        let mut n = node();
-        n.force_lowest().unwrap();
-        assert_eq!(n.level(), Level::LOWEST);
-        assert_eq!(n.degrade(), Err(NodeError::AlreadyLowest));
-    }
-
-    #[test]
     fn privileged_node_refuses_all_commands() {
         let mut n = node();
         n.set_privileged(true);
-        assert_eq!(n.degrade(), Err(NodeError::Privileged));
-        assert_eq!(n.upgrade(), Err(NodeError::Privileged));
         assert_eq!(n.force_lowest(), Err(NodeError::Privileged));
         assert_eq!(n.set_level(Level::new(1)), Err(NodeError::Privileged));
         assert_eq!(n.level(), Level::new(9), "level untouched");

@@ -100,15 +100,6 @@ impl DetRng {
         }
     }
 
-    /// Uniform integer in `[lo, hi)`.
-    ///
-    /// # Panics
-    /// Panics if `lo >= hi`.
-    pub fn range_u64(&mut self, lo: u64, hi: u64) -> u64 {
-        assert!(lo < hi, "invalid range [{lo}, {hi})");
-        lo + self.below(hi - lo)
-    }
-
     /// Uniform index in `[0, len)` for slice access.
     pub fn index(&mut self, len: usize) -> usize {
         self.below(len as u64) as usize
@@ -159,14 +150,6 @@ impl DetRng {
         assert!(mean > 0.0, "mean must be positive");
         let u = 1.0 - self.f64();
         -mean * u.ln()
-    }
-
-    /// Fisher–Yates shuffle.
-    pub fn shuffle<T>(&mut self, items: &mut [T]) {
-        for i in (1..items.len()).rev() {
-            let j = self.index(i + 1);
-            items.swap(i, j);
-        }
     }
 }
 
@@ -316,21 +299,6 @@ mod tests {
     }
 
     #[test]
-    fn shuffle_is_a_permutation() {
-        let mut rng = DetRng::seed_from_u64(11);
-        let mut v: Vec<u32> = (0..50).collect();
-        rng.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
-        assert_ne!(
-            v,
-            (0..50).collect::<Vec<_>>(),
-            "50 elements staying put is ~impossible"
-        );
-    }
-
-    #[test]
     fn fill_bytes_covers_partial_chunks() {
         let mut rng = DetRng::seed_from_u64(1);
         let mut buf = [0u8; 13];
@@ -344,16 +312,6 @@ mod tests {
             let mut rng = DetRng::seed_from_u64(seed);
             for _ in 0..32 {
                 prop_assert!(rng.below(n) < n);
-            }
-        }
-
-        #[test]
-        fn prop_range_u64_in_range(seed in any::<u64>(), lo in 0u64..1000, span in 1u64..1000) {
-            let mut rng = DetRng::seed_from_u64(seed);
-            let hi = lo + span;
-            for _ in 0..16 {
-                let x = rng.range_u64(lo, hi);
-                prop_assert!(x >= lo && x < hi);
             }
         }
 

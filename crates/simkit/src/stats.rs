@@ -42,26 +42,6 @@ impl RunningStats {
         self.max = self.max.max(x);
     }
 
-    /// Merges another accumulator (parallel-friendly Chan et al. update).
-    pub fn merge(&mut self, other: &RunningStats) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n1 = self.count as f64;
-        let n2 = other.count as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.count += other.count;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
     /// Number of observations.
     pub fn count(&self) -> u64 {
         self.count
@@ -157,11 +137,6 @@ impl Histogram {
         &self.bins
     }
 
-    /// Under- and overflow counts.
-    pub fn outliers(&self) -> (u64, u64) {
-        (self.underflow, self.overflow)
-    }
-
     /// Approximate `q`-quantile (`0 ≤ q ≤ 1`): the left edge of the bin
     /// containing the q-th observation. Returns `None` if empty.
     pub fn quantile(&self, q: f64) -> Option<f64> {
@@ -214,51 +189,14 @@ mod tests {
     }
 
     #[test]
-    fn merge_equals_sequential() {
-        let data: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0).collect();
-        let mut whole = RunningStats::new();
-        for &x in &data {
-            whole.push(x);
-        }
-        let mut a = RunningStats::new();
-        let mut b = RunningStats::new();
-        for &x in &data[..37] {
-            a.push(x);
-        }
-        for &x in &data[37..] {
-            b.push(x);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), whole.count());
-        assert!((a.mean() - whole.mean()).abs() < 1e-10);
-        assert!((a.variance() - whole.variance()).abs() < 1e-10);
-        assert_eq!(a.min(), whole.min());
-        assert_eq!(a.max(), whole.max());
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut a = RunningStats::new();
-        a.push(1.0);
-        a.push(3.0);
-        let before = a.clone();
-        a.merge(&RunningStats::new());
-        assert_eq!(a.count(), before.count());
-        assert_eq!(a.mean(), before.mean());
-        let mut empty = RunningStats::new();
-        empty.merge(&before);
-        assert_eq!(empty.count(), 2);
-        assert_eq!(empty.mean(), before.mean());
-    }
-
-    #[test]
     fn histogram_bins_and_outliers() {
         let mut h = Histogram::new(0.0, 10.0, 10);
         for x in [-1.0, 0.0, 0.5, 5.0, 9.99, 10.0, 42.0] {
             h.record(x);
         }
         assert_eq!(h.count(), 7);
-        assert_eq!(h.outliers(), (1, 2));
+        // -1.0 falls under the range, 10.0 and 42.0 over it.
+        assert_eq!(h.bins().iter().sum::<u64>(), 4);
         assert_eq!(h.bins()[0], 2); // 0.0 and 0.5
         assert_eq!(h.bins()[5], 1); // 5.0
         assert_eq!(h.bins()[9], 1); // 9.99
@@ -298,9 +236,10 @@ mod tests {
             for &x in &data {
                 h.record(x);
             }
-            let (under, over) = h.outliers();
             let binned: u64 = h.bins().iter().sum();
-            prop_assert_eq!(under + over + binned, data.len() as u64);
+            let in_range = data.iter().filter(|x| (0.0..100.0).contains(*x)).count();
+            prop_assert_eq!(h.count(), data.len() as u64);
+            prop_assert_eq!(binned, in_range as u64);
         }
     }
 }

@@ -58,32 +58,6 @@ impl ProfilingAgent {
         self.prev_snapshot.is_some()
     }
 
-    /// Produces the sample a real read would yield for a *quiescent* node —
-    /// one whose counters advanced exactly `ticks_since_sample` intervals of
-    /// `dt_secs` in its current operating state since the previous sample —
-    /// without touching the node's counters.
-    ///
-    /// The caller guarantees quiescence; under that contract the returned
-    /// sample (state, power, drop decision) and the agent's internal
-    /// baseline are bit-identical to calling [`sample`](Self::sample) after
-    /// materializing the node. The agent must already be primed.
-    pub fn resample_quiescent(
-        &mut self,
-        node: &Node,
-        now: SimTime,
-        dt_secs: f64,
-        ticks_since_sample: u64,
-    ) -> Option<NodeSample> {
-        let prev = self
-            .prev_snapshot
-            // ppc-lint: allow(panic-path): documented caller contract — the sim only calls this on agents it has primed
-            .expect("resample_quiescent requires a primed agent");
-        let snap = prev.advanced(node.state(), dt_secs, ticks_since_sample);
-        let state = snap.delta_since(&prev).unwrap_or(self.last_state);
-        self.prev_snapshot = Some(snap);
-        self.emit(node, now, state)
-    }
-
     /// Fast-forwards the agent's baseline by `ticks` intervals of `dt_secs`
     /// during which the node ran in `state`, as if `ticks` samples had been
     /// taken (and their identical results discarded). Leaves the baseline
@@ -210,23 +184,23 @@ mod tests {
         }
         let r = real_last.unwrap();
         // Quiescent path: node materialized once at t=1 then left alone;
-        // the agent fast-forwards its baseline to t=4 and resamples at t=5
-        // without a node read.
+        // the agent fast-forwards its baseline to t=4, the node's counters
+        // are caught up to t=5 in closed form, and a real read at t=5
+        // matches the per-tick path bit for bit.
         let mut lazy_agent = agent(NoiseModel::NONE);
         let mut lazy_node = node();
         lazy_agent.sample(&lazy_node, SimTime::ZERO);
         lazy_node.run_interval(busy, 1.0);
         lazy_agent.advance_baseline(lazy_node.state(), 1.0, 4);
+        lazy_node.catch_up(1.0, 4);
+        assert_eq!(lazy_node.proc_counters(), real_node.proc_counters());
         let s = lazy_agent
-            .resample_quiescent(&lazy_node, SimTime::from_secs(5), 1.0, 1)
+            .sample(&lazy_node, SimTime::from_secs(5))
             .unwrap();
         assert_eq!(s.state, r.state);
         assert_eq!(s.power_w.to_bits(), r.power_w.to_bits());
         assert_eq!(s.at, r.at);
         assert_eq!(lazy_agent.stats(), real_agent.stats());
-        // After catching the node up, a real read agrees with the baseline.
-        lazy_node.catch_up(1.0, 4);
-        assert_eq!(lazy_node.proc_counters(), real_node.proc_counters());
         lazy_node.run_interval(busy, 1.0);
         real_node.run_interval(busy, 1.0);
         let a = lazy_agent

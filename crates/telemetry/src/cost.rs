@@ -8,7 +8,8 @@
 //!
 //! * [`CycleCostMeter`] measures the *real* wall-clock cost of our
 //!   collector + policy code per control cycle (used by the Figure-5
-//!   regenerator and the criterion bench);
+//!   regenerator; a simulation reads the same cost from its profiler's
+//!   `control` stage);
 //! * [`ManagementCostModel`] is the calibrated analytic curve — a linear
 //!   per-sample term (ingest, Formula-1 evaluation) plus a super-linear
 //!   aggregation/coordination term (job grouping, sorting, and the
@@ -42,18 +43,6 @@ impl CycleCostMeter {
     /// Mean measured cost per cycle, seconds.
     pub fn mean_cycle_secs(&self) -> f64 {
         self.stats.mean()
-    }
-
-    /// Number of cycles measured.
-    pub fn cycles(&self) -> u64 {
-        self.stats.count()
-    }
-
-    /// Management-node CPU utilization: mean cycle cost over the cycle
-    /// period (clamped to 1).
-    pub fn utilization(&self, cycle_period_secs: f64) -> f64 {
-        assert!(cycle_period_secs > 0.0, "cycle period must be positive");
-        (self.mean_cycle_secs() / cycle_period_secs).min(1.0)
     }
 }
 
@@ -107,9 +96,8 @@ mod tests {
             acc
         });
         assert!(out > 0);
-        assert_eq!(m.cycles(), 1);
         assert!(m.mean_cycle_secs() >= 0.0);
-        assert!(m.utilization(1.0) <= 1.0);
+        assert_eq!(CycleCostMeter::new().mean_cycle_secs(), 0.0);
     }
 
     #[test]
