@@ -12,15 +12,14 @@
 //! `#[cfg(test)]` regions by brace depth, and matches rule tokens against
 //! the remaining code).
 //!
-//! v2 grew the scanner into a multi-pass analyzer: [`items`] recovers the
-//! module tree and fn/impl items from the lexed lines, [`graph`] resolves
-//! intra-workspace call edges into a workspace call graph, and [`taint`]
-//! walks it to find paths from nondeterminism sources (unordered-map
-//! iteration, wall clocks, thread identity, env reads, unordered float
-//! reduction) to fingerprint sinks (`Fnv1a::write*`, `Journal::record*`,
-//! `SpanRecorder`, `MetricsRegistry`). See DESIGN.md §16.
+//! Every rule is a token rule that fires on the line that introduces the
+//! hazard — including `host-read`, which flags thread identity, machine
+//! width and environment reads whether or not the value reaches a
+//! fingerprint. The workspace scan adds `unused-suppression` on top, for
+//! allows that silence nothing. DESIGN.md §11 explains why no call graph
+//! is needed.
 //!
-//! Rules are documented in [`rules::Rule`] and DESIGN.md §11/§16. Every
+//! Rules are documented in [`rules::Rule`] and DESIGN.md §11. Every
 //! rule has an inline escape hatch:
 //!
 //! ```text
@@ -36,19 +35,13 @@
 //! Run it as `cargo run -p ppc-lint -- --workspace` (add `--json` to also
 //! write `LINT_report.json` for trend tracking, like `BENCH_ppc.json`).
 
-pub mod graph;
-pub mod items;
 pub mod report;
 pub mod rules;
 pub mod scan;
 pub mod source;
-pub mod taint;
 
-pub use graph::{CallEdge, CallGraph, FileUnit, FnNode};
 pub use report::Report;
 pub use rules::{CrateClass, Rule};
 pub use scan::{
-    scan_source, scan_units, scan_workspace, Diagnostic, FileContext, FileScan, GraphStats,
-    TaintPathReport, WorkspaceScan,
+    scan_source, scan_units, scan_workspace, Diagnostic, FileContext, FileScan, WorkspaceScan,
 };
-pub use taint::SourceKind;

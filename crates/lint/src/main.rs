@@ -79,10 +79,11 @@ fn run() -> Result<i32, String> {
         scan::scan_workspace(&args.root)
             .map_err(|e| format!("scanning workspace at {}: {e}", args.root.display()))?
     } else {
-        // Explicit file lists still go through the full multi-pass engine:
-        // the call graph is just restricted to the named files, so taint
-        // chains that leave the set are invisible (the workspace scan is
-        // the authority; this mode is for fast iteration on one file).
+        // Explicit file lists run the same engine as the workspace scan,
+        // restricted to the named files: a file that only a test-only
+        // `mod x;` outside the set pulls in is linted as library code (the
+        // workspace scan is the authority; this mode is for fast
+        // iteration on one file).
         let mut inputs = Vec::new();
         for rel in &args.files {
             let text =
@@ -104,10 +105,8 @@ fn run() -> Result<i32, String> {
         print!("{}", report::render_text(&ws));
     }
     eprintln!(
-        "lint-runtime: {} files, {} fns, {} call edges in {:.3}s",
+        "lint-runtime: {} files in {:.3}s",
         ws.files_scanned,
-        ws.graph.functions,
-        ws.graph.edges,
         elapsed.as_secs_f64()
     );
 

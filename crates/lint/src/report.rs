@@ -1,17 +1,14 @@
 //! Rendering: human-readable diagnostics and the machine-readable
-//! `LINT_report.json` (rule → count → files, call-graph stats, taint
-//! paths) used to track the violation trajectory across PRs, like
-//! `BENCH_ppc.json` tracks performance.
+//! `LINT_report.json` (rule → count → files) used to track the violation
+//! trajectory across PRs, like `BENCH_ppc.json` tracks performance.
 //!
-//! v2 schema (`ppc-lint/v2`) adds two sections over v1: `call_graph`
-//! (functions/edges/ambiguous-edge counts plus taint source/sink tallies,
-//! so a PR that silently grows ambiguity or sources shows up in the diff)
-//! and `taint_paths` (every unsuppressed source→sink chain, verbatim).
-//! Output is byte-deterministic: all maps are `BTreeMap`, diagnostics and
-//! paths arrive pre-sorted from the scanner.
+//! Schema `ppc-lint/v3` holds files scanned, violation and suppression
+//! totals, and the per-rule tallies. Output is byte-deterministic: all
+//! maps are `BTreeMap`, and diagnostics arrive pre-sorted from the
+//! scanner.
 
 use crate::rules::Rule;
-use crate::scan::{GraphStats, TaintPathReport, WorkspaceScan};
+use crate::scan::WorkspaceScan;
 use serde::Serialize;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -25,70 +22,6 @@ pub struct RuleReport {
     pub files: BTreeMap<String, usize>,
 }
 
-/// Call-graph section of the report.
-#[derive(Debug, Clone, Serialize)]
-pub struct CallGraphReport {
-    /// Function items recovered by the parser.
-    pub functions: usize,
-    /// Resolved intra-workspace call edges.
-    pub edges: usize,
-    /// Edges kept under method-name ambiguity (sound over-approximation).
-    pub ambiguous_edges: usize,
-    /// Nondeterminism sources detected in function bodies.
-    pub taint_sources: usize,
-    /// Fingerprint sink functions.
-    pub taint_sinks: usize,
-}
-
-impl CallGraphReport {
-    fn from_stats(s: &GraphStats) -> CallGraphReport {
-        CallGraphReport {
-            functions: s.functions,
-            edges: s.edges,
-            ambiguous_edges: s.ambiguous_edges,
-            taint_sources: s.taint_sources,
-            taint_sinks: s.taint_sinks,
-        }
-    }
-}
-
-/// One reported source→sink chain.
-#[derive(Debug, Clone, Serialize)]
-pub struct TaintPathJson {
-    /// Source kind id (e.g. `wall-clock`, `unordered-iter`).
-    pub kind: String,
-    /// The token that matched at the source line.
-    pub token: String,
-    /// File and line of the source.
-    pub file: String,
-    pub line: usize,
-    /// Fully qualified source and sink functions.
-    pub source_fn: String,
-    pub sink_fn: String,
-    /// Which fingerprint family the sink feeds.
-    pub sink_label: String,
-    /// The call chain, source to sink, each entry `fn (file:line)`.
-    pub chain: Vec<String>,
-    /// True if any hop went through ambiguous method resolution.
-    pub ambiguous: bool,
-}
-
-impl TaintPathJson {
-    fn from_report(p: &TaintPathReport) -> TaintPathJson {
-        TaintPathJson {
-            kind: p.kind.clone(),
-            token: p.token.clone(),
-            file: p.file.clone(),
-            line: p.line,
-            source_fn: p.source_fn.clone(),
-            sink_fn: p.sink_fn.clone(),
-            sink_label: p.sink_label.clone(),
-            chain: p.chain.clone(),
-            ambiguous: p.ambiguous,
-        }
-    }
-}
-
 /// The full machine-readable report.
 #[derive(Debug, Clone, Serialize)]
 pub struct Report {
@@ -100,13 +33,9 @@ pub struct Report {
     pub violations: usize,
     /// Findings silenced by a justified `allow(...)`.
     pub suppressed: usize,
-    /// Workspace call-graph statistics.
-    pub call_graph: CallGraphReport,
     /// Rule id → tally, sorted by rule id. Rules with zero violations are
     /// included so trend diffs show rules going *to* zero, not vanishing.
     pub rules: BTreeMap<String, RuleReport>,
-    /// Every unsuppressed source→sink taint chain.
-    pub taint_paths: Vec<TaintPathJson>,
 }
 
 impl Report {
@@ -131,17 +60,11 @@ impl Report {
             }
         }
         Report {
-            schema: "ppc-lint/v2".to_string(),
+            schema: "ppc-lint/v3".to_string(),
             files_scanned: scan.files_scanned,
             violations: scan.diagnostics.len(),
             suppressed: scan.suppressed,
-            call_graph: CallGraphReport::from_stats(&scan.graph),
             rules,
-            taint_paths: scan
-                .taint_paths
-                .iter()
-                .map(TaintPathJson::from_report)
-                .collect(),
         }
     }
 
@@ -163,17 +86,6 @@ pub fn render_text(scan: &WorkspaceScan) -> String {
         scan.files_scanned,
         scan.diagnostics.len(),
         scan.suppressed
-    );
-    let g = &scan.graph;
-    let _ = writeln!(
-        out,
-        "call graph: {} fn(s), {} edge(s) ({} ambiguous), {} taint source(s), {} sink(s), {} path(s)",
-        g.functions,
-        g.edges,
-        g.ambiguous_edges,
-        g.taint_sources,
-        g.taint_sinks,
-        scan.taint_paths.len()
     );
     out
 }
@@ -211,7 +123,6 @@ mod tests {
             ],
             suppressed: 3,
             files_scanned: 10,
-            ..WorkspaceScan::default()
         };
         let report = Report::from_scan(&scan);
         assert_eq!(report.violations, 2);
@@ -220,15 +131,12 @@ mod tests {
         assert_eq!(pp.count, 2);
         assert_eq!(pp.files["crates/core/src/a.rs"], 2);
         assert_eq!(report.rules["wall-clock"].count, 0, "zero rules present");
-        assert_eq!(
-            report.rules["fingerprint-taint"].count, 0,
-            "v2 rules present even at zero"
-        );
+        assert_eq!(report.rules["host-read"].count, 0, "every rule present");
+        assert_eq!(report.rules.len(), Rule::ALL.len());
         let json = report.to_json();
         assert!(json.contains("\"panic-path\""));
-        assert!(json.contains("\"schema\": \"ppc-lint/v2\""));
-        assert!(json.contains("\"call_graph\""));
-        assert!(json.contains("\"taint_paths\""));
+        assert!(json.contains("\"schema\": \"ppc-lint/v3\""));
+        assert!(!json.contains("\"call_graph\""));
     }
 
     #[test]
@@ -237,12 +145,10 @@ mod tests {
             diagnostics: vec![],
             suppressed: 0,
             files_scanned: 2,
-            ..WorkspaceScan::default()
         };
         let text = render_text(&scan);
         assert!(text.contains("2 file(s), 0 violation(s)"));
-        assert!(text.contains("call graph:"));
         assert!(render_rules().contains("unordered-collections"));
-        assert!(render_rules().contains("fingerprint-taint"));
+        assert!(render_rules().contains("host-read"));
     }
 }

@@ -24,8 +24,8 @@ pub enum CrateClass {
     /// the fleet health plane (`rollup`, `sketch`, `slo`, `timeseries`,
     /// `hub`) feed determinism fingerprints, so every rule applies —
     /// except that the dedicated self-profiling module
-    /// (`crates/obs/src/profile.rs`) may read wall clocks; that one-file
-    /// carve-out lives in the scanner.
+    /// (`crates/obs/src/profile.rs`) may read wall clocks and thread
+    /// identity; that one-file carve-out lives in the scanner.
     Obs,
     /// Host-side tooling (this linter): panic/print hygiene only.
     Tool,
@@ -71,6 +71,15 @@ pub enum Rule {
     /// `thread_rng`/`from_entropy`/`rand::random`: all randomness must
     /// flow from the experiment seed through `RngFactory` so runs replay.
     AdHocRng,
+    /// `thread::current`/`ThreadId`/`available_parallelism`/`env::var`/
+    /// `env::vars`/`env::args`/`var_os` in deterministic and `Obs`
+    /// library code: thread identity, machine width and the environment
+    /// differ from host to host, so a value read from them must never
+    /// reach a fingerprint. Binaries (which parse their own arguments)
+    /// and test code are exempt, and so are the thread reads of the obs
+    /// self-profiler. Fires on the read itself, whether or not the value
+    /// flows anywhere; an `allow` states why it cannot vary a replay.
+    HostRead,
     /// `.unwrap()`/`.expect(...)`/`panic!`/`todo!`/`unimplemented!`/
     /// `unreachable!` in library code: a panic in the control loop takes
     /// down the manager
@@ -92,20 +101,6 @@ pub enum Rule {
     /// the closing parenthesis, or naming an unknown rule. Suppressions
     /// must say why.
     BareAllow,
-    /// Call-graph pass: a nondeterministic source (unordered-map
-    /// iteration, wall-clock, thread/machine identity, env read, float
-    /// reduction over unordered iteration) can reach a fingerprint sink
-    /// (`Fnv1a::write*`, `Journal::record*`, `SpanRecorder`,
-    /// `MetricsRegistry`, any `fingerprint()`) through some call chain.
-    /// The diagnostic carries the full chain; suppress on the *source*
-    /// line with `allow(fingerprint-taint): <invariant>`.
-    FingerprintTaint,
-    /// Call-graph pass: a fingerprint sink written directly from inside a
-    /// closure handed to the `WorkerPool::for_each_mut` fan-out (the
-    /// what-if batch). Thread interleaving is nondeterministic, so all
-    /// journal/span/metrics bookkeeping must run in the serial post-join
-    /// pass, in index order.
-    ShardJoinOrder,
     /// Workspace pass: a justified `allow(...)` that no longer suppresses
     /// anything. The finding it silenced is gone, so the directive — and
     /// the invariant it claims — is stale. Delete it, or fix the code it
@@ -115,16 +110,15 @@ pub enum Rule {
 
 impl Rule {
     /// Every rule, in report order.
-    pub const ALL: [Rule; 10] = [
+    pub const ALL: [Rule; 9] = [
         Rule::UnorderedCollections,
         Rule::WallClock,
         Rule::AdHocRng,
+        Rule::HostRead,
         Rule::PanicPath,
         Rule::Stdout,
         Rule::FloatEq,
         Rule::BareAllow,
-        Rule::FingerprintTaint,
-        Rule::ShardJoinOrder,
         Rule::UnusedSuppression,
     ];
 
@@ -134,12 +128,11 @@ impl Rule {
             Rule::UnorderedCollections => "unordered-collections",
             Rule::WallClock => "wall-clock",
             Rule::AdHocRng => "ad-hoc-rng",
+            Rule::HostRead => "host-read",
             Rule::PanicPath => "panic-path",
             Rule::Stdout => "stdout",
             Rule::FloatEq => "float-eq",
             Rule::BareAllow => "bare-allow",
-            Rule::FingerprintTaint => "fingerprint-taint",
-            Rule::ShardJoinOrder => "shard-join-order",
             Rule::UnusedSuppression => "unused-suppression",
         }
     }
@@ -157,24 +150,22 @@ impl Rule {
             }
             Rule::WallClock => "Instant::now/SystemTime in deterministic crates (use SimTime)",
             Rule::AdHocRng => "thread_rng/from_entropy/rand::random (all RNG must be seeded)",
+            Rule::HostRead => "thread identity/env read in library code (varies by host)",
             Rule::PanicPath => "unwrap/expect/panic! in library code (return typed errors)",
             Rule::Stdout => "println!/dbg! in library code (route through the journal)",
             Rule::FloatEq => "float-literal ==/!= in power/budget arithmetic (use a tolerance)",
             Rule::BareAllow => "ppc-lint allow directive without a justification",
-            Rule::FingerprintTaint => {
-                "nondeterministic source reaches a fingerprint sink via the call graph"
+            Rule::UnusedSuppression => {
+                "allow directive whose rule no longer fires (stale suppression)"
             }
-            Rule::ShardJoinOrder => {
-                "fingerprint sink written inside a pool fan-out closure (join serially, in index order)"
-            }
-            Rule::UnusedSuppression => "allow directive whose rule no longer fires (stale suppression)",
         }
     }
 
     /// Whether the rule applies to code inside `#[cfg(test)]`/`#[test]`
     /// regions. Determinism rules do (flaky tests are still flaky);
     /// panic/print/float hygiene does not (tests assert and panic on
-    /// purpose).
+    /// purpose), and neither does `host-read` (a test may look at thread
+    /// identity to check the fan-out itself).
     pub fn applies_in_tests(self) -> bool {
         matches!(
             self,
@@ -191,18 +182,16 @@ impl Rule {
         match self {
             Rule::UnorderedCollections | Rule::AdHocRng => class != CrateClass::Tool,
             // `Obs` output joins the fingerprints, so it is held to the
-            // deterministic standard; its profile.rs carve-out is
-            // file-scoped in scan.rs, not class-wide.
-            Rule::WallClock => matches!(class, CrateClass::Deterministic | CrateClass::Obs),
+            // deterministic standard; its profile.rs and the binaries'
+            // carve-outs are file-scoped in scan.rs, not class-wide.
+            Rule::WallClock | Rule::HostRead => {
+                matches!(class, CrateClass::Deterministic | CrateClass::Obs)
+            }
             Rule::PanicPath => !matches!(class, CrateClass::Bench),
             Rule::Stdout => !matches!(class, CrateClass::Bench),
             // Scoped further to the power-model/budget crates in scan.rs.
             Rule::FloatEq => class == CrateClass::Deterministic,
             Rule::BareAllow => true,
-            // Source kinds carry their own finer class gating in
-            // `taint::SourceKind::applies`; the class-level statement is
-            // just "the tool does not analyze itself".
-            Rule::FingerprintTaint | Rule::ShardJoinOrder => class != CrateClass::Tool,
             Rule::UnusedSuppression => true,
         }
     }

@@ -1,20 +1,13 @@
 //! The scanner: applies [`Rule`]s to analyzed source lines, honors
 //! `// ppc-lint: allow(rule): reason` directives, and walks the workspace.
 //!
-//! Scanning is a multi-pass pipeline (v2):
-//!
-//! 1. per-file token pass (the original line scanner), which also
-//!    collects every `allow` directive as an [`AllowSite`];
-//! 2. item parse + call-graph build ([`crate::items`], [`crate::graph`]);
-//! 3. the determinism-taint and shard-join-order passes
-//!    ([`crate::taint`]), whose suppressions attach to source lines;
-//! 4. an unused-suppression sweep over every justified allow that ended
-//!    the run with zero uses.
+//! Every rule is a token rule, checked line by line. The workspace scan
+//! adds two steps around that pass: it first marks the files a test-only
+//! `mod x;` declaration pulls in as test code, and afterwards reports
+//! every justified allow that silenced nothing as `unused-suppression`.
 
-use crate::graph::{self, FileUnit};
 use crate::rules::{CrateClass, Rule};
 use crate::source;
-use crate::taint;
 use std::collections::BTreeSet;
 use std::fs;
 use std::io;
@@ -53,10 +46,10 @@ impl FileContext {
         CrateClass::of(&self.crate_name)
     }
 
-    /// The one file in the `obs` crate allowed to read wall clocks: the
-    /// self-profiler measures real recording cost the same way
-    /// `telemetry`'s cost meter does, and its output never joins the
-    /// determinism fingerprints.
+    /// The one file in the `obs` crate allowed to read wall clocks and
+    /// thread identity: the self-profiler measures real recording cost
+    /// the same way `telemetry`'s cost meter does, and its output never
+    /// joins the determinism fingerprints.
     fn is_obs_profile(&self) -> bool {
         self.path == "crates/obs/src/profile.rs"
     }
@@ -93,14 +86,11 @@ pub struct Diagnostic {
 pub struct AllowSite {
     /// 1-based line of the directive comment.
     pub line: usize,
-    /// 1-based code line the directive attaches to (the directive's own
-    /// line for trailing comments, the next code line otherwise).
-    pub code_line: usize,
     /// The rule it suppresses.
     pub rule: Rule,
     /// True when a justification follows the closing parenthesis.
     pub justified: bool,
-    /// How many findings this directive silenced, across all passes.
+    /// How many findings this directive silenced.
     pub used: usize,
 }
 
@@ -111,46 +101,8 @@ pub struct FileScan {
     pub diagnostics: Vec<Diagnostic>,
     /// Findings silenced by a justified `allow`.
     pub suppressed: usize,
-    /// Every allow directive in the file, with token-pass use counts.
+    /// Every allow directive in the file, with its use count.
     pub allows: Vec<AllowSite>,
-}
-
-/// One reported source→sink taint path (structured for the JSON report).
-#[derive(Debug, Clone)]
-pub struct TaintPathReport {
-    /// Source kind id (e.g. `wall-clock`).
-    pub kind: String,
-    /// The matched source token.
-    pub token: String,
-    /// File and line of the source.
-    pub file: String,
-    /// 1-based source line.
-    pub line: usize,
-    /// Fully qualified source fn.
-    pub source_fn: String,
-    /// Fully qualified sink fn and its sink label.
-    pub sink_fn: String,
-    /// What fingerprint the sink feeds.
-    pub sink_label: String,
-    /// Rendered call chain, source to sink: `fq (file:line)` per hop.
-    pub chain: Vec<String>,
-    /// True if any hop came from ambiguous method resolution.
-    pub ambiguous: bool,
-}
-
-/// Call-graph size statistics for the report.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct GraphStats {
-    /// Function items recovered.
-    pub functions: usize,
-    /// Resolved call edges.
-    pub edges: usize,
-    /// Edges from ambiguous method resolution.
-    pub ambiguous_edges: usize,
-    /// Live taint sources detected.
-    pub taint_sources: usize,
-    /// Fingerprint sink fns detected.
-    pub taint_sinks: usize,
 }
 
 /// Result of scanning the whole workspace.
@@ -158,14 +110,10 @@ pub struct GraphStats {
 pub struct WorkspaceScan {
     /// Findings across all files, sorted by (file, line, rule).
     pub diagnostics: Vec<Diagnostic>,
-    /// Total justified suppressions (token and graph passes).
+    /// Total justified suppressions.
     pub suppressed: usize,
     /// Number of files scanned.
     pub files_scanned: usize,
-    /// Call-graph statistics.
-    pub graph: GraphStats,
-    /// Unsuppressed taint paths, in diagnostic order.
-    pub taint_paths: Vec<TaintPathReport>,
 }
 
 /// A parsed `ppc-lint:` directive.
@@ -208,7 +156,7 @@ fn parse_directives(comment: &str) -> Vec<Directive> {
 
 /// True if the byte at `i` starts token `tok` with a non-identifier char
 /// (or line start) before it.
-pub(crate) fn token_at(code: &str, tok: &str) -> bool {
+fn token_at(code: &str, tok: &str) -> bool {
     let mut from = 0;
     while let Some(at) = code[from..].find(tok) {
         let i = from + at;
@@ -237,12 +185,31 @@ pub(crate) fn token_at(code: &str, tok: &str) -> bool {
     false
 }
 
+/// `host-read` tokens: thread identity and machine width, then the
+/// environment ([`ENV_READS`], the only ones live in `obs/src/profile.rs`).
+const HOST_READS: [&str; 7] = [
+    "thread::current",
+    "ThreadId",
+    "available_parallelism",
+    "env::var",
+    "env::vars",
+    "env::args",
+    "var_os",
+];
+const ENV_READS: &[&str] = HOST_READS.split_at(3).1;
+
+/// The first of `tokens` that occurs in `code`.
+fn first_token(tokens: &[&'static str], code: &str) -> Option<&'static str> {
+    tokens.iter().find(|t| token_at(code, t)).copied()
+}
+
 /// Tokens per rule (matched against comment- and string-stripped code).
 fn match_rule(rule: Rule, code: &str) -> Option<&'static str> {
     let tokens: &[&'static str] = match rule {
         Rule::UnorderedCollections => &["HashMap", "HashSet"],
         Rule::WallClock => &["Instant::now", "SystemTime", "UNIX_EPOCH"],
         Rule::AdHocRng => &["thread_rng", "from_entropy", "rand::random", "OsRng"],
+        Rule::HostRead => &HOST_READS,
         Rule::PanicPath => &[
             ".unwrap()",
             ".expect(",
@@ -252,13 +219,9 @@ fn match_rule(rule: Rule, code: &str) -> Option<&'static str> {
             "unreachable!",
         ],
         Rule::Stdout => &["println!", "eprintln!", "print!", "eprint!", "dbg!"],
-        Rule::FloatEq
-        | Rule::BareAllow
-        | Rule::FingerprintTaint
-        | Rule::ShardJoinOrder
-        | Rule::UnusedSuppression => &[],
+        Rule::FloatEq | Rule::BareAllow | Rule::UnusedSuppression => &[],
     };
-    tokens.iter().find(|t| token_at(code, t)).copied()
+    first_token(tokens, code)
 }
 
 /// Crates whose arithmetic the `float-eq` rule guards (the power model
@@ -360,7 +323,6 @@ fn scan_lines(ctx: &FileContext, lines: &[source::Line]) -> FileScan {
                     here.push(out.allows.len());
                     out.allows.push(AllowSite {
                         line: lineno,
-                        code_line: lineno,
                         rule,
                         justified: true,
                         used: 0,
@@ -382,7 +344,6 @@ fn scan_lines(ctx: &FileContext, lines: &[source::Line]) -> FileScan {
                     here.push(out.allows.len());
                     out.allows.push(AllowSite {
                         line: lineno,
-                        code_line: lineno,
                         rule,
                         justified: false,
                         used: 0,
@@ -405,9 +366,6 @@ fn scan_lines(ctx: &FileContext, lines: &[source::Line]) -> FileScan {
             continue;
         }
         let attached: Vec<usize> = pending.drain(..).chain(here).collect();
-        for &site in &attached {
-            out.allows[site].code_line = lineno;
-        }
 
         for rule in Rule::ALL {
             if rule == Rule::BareAllow || !rule.applies_to(class) {
@@ -419,8 +377,11 @@ fn scan_lines(ctx: &FileContext, lines: &[source::Line]) -> FileScan {
             let hit: Option<String> = match rule {
                 Rule::FloatEq => (in_float_eq_scope(&ctx.crate_name) && float_eq_hit(&line.code))
                     .then(|| "float-literal equality comparison".to_string()),
-                Rule::Stdout if ctx.is_binary => None,
+                Rule::Stdout | Rule::HostRead if ctx.is_binary => None,
                 Rule::WallClock if ctx.is_obs_profile() => None,
+                Rule::HostRead if ctx.is_obs_profile() => {
+                    first_token(ENV_READS, &line.code).map(|tok| format!("`{tok}`"))
+                }
                 _ => match_rule(rule, &line.code).map(|tok| format!("`{tok}`")),
             };
             let Some(what) = hit else { continue };
@@ -451,9 +412,9 @@ fn scan_lines(ctx: &FileContext, lines: &[source::Line]) -> FileScan {
     out
 }
 
-/// Scans one file's source text under the given context (token pass
-/// only — the call-graph passes need the whole workspace; see
-/// [`scan_units`]).
+/// Scans one file's source text under the given context. Test-module
+/// marking and the stale-allow sweep need the whole file set; see
+/// [`scan_units`].
 pub fn scan_source(ctx: &FileContext, text: &str) -> FileScan {
     scan_lines(ctx, &source::analyze(text))
 }
@@ -498,38 +459,6 @@ fn collect_rs(dir: &Path, root: &Path, out: &mut Vec<String>) -> io::Result<()> 
     Ok(())
 }
 
-/// Renders the head of a taint chain: the source fn at the source line.
-fn chain_head(units: &[FileUnit], g: &graph::CallGraph, node: usize, line: usize) -> String {
-    format!(
-        "{} ({}:{})",
-        g.nodes[node].fq(),
-        units[g.nodes[node].file].ctx.path,
-        line
-    )
-}
-
-/// Renders one hop of a taint chain: the callee, located by the call
-/// site in the *caller's* file (that is where a reader must look next).
-fn chain_hop(units: &[FileUnit], g: &graph::CallGraph, e: graph::CallEdge) -> String {
-    format!(
-        "{} (called at {}:{})",
-        g.nodes[e.callee].fq(),
-        units[g.nodes[e.caller].file].ctx.path,
-        e.line
-    )
-}
-
-/// Renders a hop up a returned value: the caller, located at the call
-/// whose result carries the source.
-fn chain_return(units: &[FileUnit], g: &graph::CallGraph, e: graph::CallEdge) -> String {
-    format!(
-        "{} (receives its return at {}:{})",
-        g.nodes[e.caller].fq(),
-        units[g.nodes[e.caller].file].ctx.path,
-        e.line
-    )
-}
-
 /// Marks every file that a test-only declaration pulls in
 /// (`#[cfg(test)] mod x;`, or any `mod x;` in a file that is test code
 /// throughout) as test code throughout, as its own `#![cfg(test)]` would.
@@ -569,158 +498,43 @@ fn child_paths(parent: &str, name: &str) -> [String; 2] {
     [format!("{dir}/{name}.rs"), format!("{dir}/{name}/mod.rs")]
 }
 
-/// Runs the full multi-pass analysis over a set of in-memory files. This
-/// is the v2 engine: token rules per file, then the call-graph passes
-/// (`fingerprint-taint`, `shard-join-order`) across all of them, then the
-/// unused-suppression sweep.
+/// Scans a set of in-memory files: token rules per file, then the
+/// unused-suppression sweep over every justified allow that silenced
+/// nothing.
 pub fn scan_units(inputs: Vec<(FileContext, String)>) -> WorkspaceScan {
-    // Pass 1: lex + item parse + token rules.
     let mut lexed: Vec<(FileContext, Vec<source::Line>)> = inputs
         .into_iter()
         .map(|(ctx, text)| (ctx, source::analyze(&text)))
         .collect();
     mark_test_modules(&mut lexed);
-    let mut units: Vec<FileUnit> = Vec::with_capacity(lexed.len());
-    let mut file_scans: Vec<FileScan> = Vec::with_capacity(lexed.len());
-    for (ctx, lines) in lexed {
-        let unit = FileUnit::from_lines(ctx, lines);
-        file_scans.push(scan_lines(&unit.ctx, &unit.lines));
-        units.push(unit);
-    }
-
-    // Pass 2: workspace call graph.
-    let g = graph::build(&units);
-    let mut suppressed = 0usize;
-    let mut diagnostics: Vec<Diagnostic> = Vec::new();
-    let mut taint_reports: Vec<TaintPathReport> = Vec::new();
-
-    // Pass 3a: determinism taint. An allow suppresses at the source line.
-    let paths = taint::taint_paths(&units, &g);
-    let source_count = taint::find_sources(&units, &g).len();
-    let sink_count = taint::find_sinks(&g).len();
-    for p in &paths {
-        let src = &g.nodes[p.source.fn_id];
-        let fi = src.file;
-        let path = units[fi].ctx.path.clone();
-        let allow = file_scans[fi].allows.iter_mut().find(|a| {
-            a.justified && a.rule == Rule::FingerprintTaint && a.code_line == p.source.line
-        });
-        if let Some(a) = allow {
-            a.used += 1;
-            suppressed += 1;
-            continue;
-        }
-        let mut chain = vec![chain_head(&units, &g, p.source.fn_id, p.source.line)];
-        if let Some(ei) = p.returned_to {
-            chain.push(chain_return(&units, &g, g.edges[ei]));
-        }
-        for &ei in &p.hops {
-            chain.push(chain_hop(&units, &g, g.edges[ei]));
-        }
-        let label = taint::sink_label(&g.nodes[p.sink]).unwrap_or("fingerprint");
-        let amb = if p.ambiguous {
-            " [chain includes ambiguous method resolution]"
-        } else {
-            ""
-        };
-        diagnostics.push(Diagnostic {
-            file: path.clone(),
-            line: p.source.line,
-            rule: Rule::FingerprintTaint,
-            message: format!(
-                "nondeterministic `{}` ({}) reaches the {} sink `{}`: {}{}",
-                p.source.token,
-                p.source.kind,
-                label,
-                g.nodes[p.sink].fq(),
-                chain.join(" -> "),
-                amb
-            ),
-        });
-        taint_reports.push(TaintPathReport {
-            kind: p.source.kind.id().to_string(),
-            token: p.source.token.to_string(),
-            file: path,
-            line: p.source.line,
-            source_fn: g.nodes[p.source.fn_id].fq(),
-            sink_fn: g.nodes[p.sink].fq(),
-            sink_label: label.to_string(),
-            chain,
-            ambiguous: p.ambiguous,
-        });
-    }
-
-    // Pass 3b: fan-out join discipline. An allow suppresses at the line
-    // of the offending sink call.
-    for f in taint::shard_join_findings(&units, &g) {
-        let fi = g.nodes[f.caller].file;
-        let allow = file_scans[fi]
-            .allows
-            .iter_mut()
-            .find(|a| a.justified && a.rule == Rule::ShardJoinOrder && a.code_line == f.line);
-        if let Some(a) = allow {
-            a.used += 1;
-            suppressed += 1;
-            continue;
-        }
-        diagnostics.push(Diagnostic {
-            file: units[fi].ctx.path.clone(),
-            line: f.line,
-            rule: Rule::ShardJoinOrder,
-            message: format!(
-                "`{}` written inside the `{}` fan-out opened at line {}: sinks must be \
-                 combined serially after the join, in index order",
-                g.nodes[f.callee].fq(),
-                f.fanout,
-                f.fanout_line
-            ),
-        });
-    }
-
-    // Pass 4: stale allows. Only justified directives are reported here —
-    // bare ones already carry a bare-allow diagnostic.
-    for (fi, fscan) in file_scans.iter().enumerate() {
-        for a in &fscan.allows {
-            if a.justified && a.used == 0 {
-                diagnostics.push(Diagnostic {
-                    file: units[fi].ctx.path.clone(),
-                    line: a.line,
-                    rule: Rule::UnusedSuppression,
-                    message: format!(
-                        "allow({}) suppresses nothing here — the finding it covered is \
-                         gone; delete the directive",
-                        a.rule.id()
-                    ),
-                });
-            }
-        }
-    }
-
     let mut ws = WorkspaceScan {
-        files_scanned: units.len(),
-        graph: GraphStats {
-            functions: g.nodes.len(),
-            edges: g.edges.len(),
-            ambiguous_edges: g.ambiguous_edges(),
-            taint_sources: source_count,
-            taint_sinks: sink_count,
-        },
+        files_scanned: lexed.len(),
         ..WorkspaceScan::default()
     };
-    for fscan in file_scans {
+    for (ctx, lines) in &lexed {
+        let fscan = scan_lines(ctx, lines);
+        // Only justified directives are reported stale — bare ones
+        // already carry a bare-allow diagnostic.
+        let stale = fscan.allows.iter().filter(|a| a.justified && a.used == 0);
+        ws.diagnostics.extend(stale.map(|a| Diagnostic {
+            file: ctx.path.clone(),
+            line: a.line,
+            rule: Rule::UnusedSuppression,
+            message: format!(
+                "allow({}) suppresses nothing here — the finding it covered is \
+                 gone; delete the directive",
+                a.rule.id()
+            ),
+        }));
         ws.diagnostics.extend(fscan.diagnostics);
         ws.suppressed += fscan.suppressed;
     }
-    ws.diagnostics.extend(diagnostics);
-    ws.suppressed += suppressed;
     ws.diagnostics
         .sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
-    taint_reports.sort_by(|a, b| (&a.file, a.line, &a.kind).cmp(&(&b.file, b.line, &b.kind)));
-    ws.taint_paths = taint_reports;
     ws
 }
 
-/// Scans the whole workspace rooted at `root` with the full v2 pipeline.
+/// Scans the whole workspace rooted at `root`.
 pub fn scan_workspace(root: &Path) -> io::Result<WorkspaceScan> {
     let mut inputs = Vec::new();
     for rel in workspace_files(root)? {

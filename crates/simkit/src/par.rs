@@ -34,7 +34,7 @@ impl WorkerPool {
     pub fn available() -> Self {
         static WIDTH: OnceLock<usize> = OnceLock::new();
         let workers = *WIDTH.get_or_init(|| {
-            // ppc-lint: allow(fingerprint-taint): picks the width only; `run_batch` answers and fingerprints are width-invariant (index-order joins, checked at widths 1, 2 and 6)
+            // ppc-lint: allow(host-read): picks the width only; `run_batch` answers and fingerprints are width-invariant (index-order joins, checked at widths 1, 2 and 6)
             std::thread::available_parallelism().map_or(1, NonZeroUsize::get)
         });
         WorkerPool::new(workers)
@@ -44,6 +44,14 @@ impl WorkerPool {
     /// split into index-ordered chunks of `ceil(len / workers)`, one
     /// scoped thread each; width 1 or a single item runs on the calling
     /// thread. A panic in `f` propagates to the caller after the join.
+    ///
+    /// The `Fn + Sync` bound keeps shared fingerprint sinks out of the
+    /// fan-out: the journal, span recorder, metrics registry and `Fnv1a`
+    /// hasher all record through `&mut self`, which a shared closure
+    /// cannot hold, so each call writes only its own item and the caller
+    /// folds sinks serially after the join, in index order. The what-if
+    /// engine's `engine_batches_are_pool_width_invariant` test checks the
+    /// one batch caller's answers and fingerprints at several widths.
     pub fn for_each_mut<T, F>(&self, items: &mut [T], f: F)
     where
         T: Send,

@@ -15,14 +15,13 @@ cargo clippy --workspace --all-targets -- -D warnings
 # another's items).
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --document-private-items --offline
 
-# Static pass: determinism/safety lint over every crate (see DESIGN §11
-# and §16 for the call-graph taint pass). Writes LINT_report.json; exits
-# non-zero on any unsuppressed violation, and --deny turns stale allow
-# directives into errors too. The runtime line lands in the CI log via
-# the tool's stderr (`lint-runtime: ...`).
+# Static pass: determinism/safety lint over every crate (see DESIGN §11).
+# Writes LINT_report.json; exits non-zero on any unsuppressed violation,
+# and --deny turns stale allow directives into errors too. The runtime
+# line lands in the CI log via the tool's stderr (`lint-runtime: ...`).
 cargo run --release -p ppc-lint -- --workspace --json --deny
-grep -q '"schema": "ppc-lint/v2"' LINT_report.json \
-    || { echo "LINT_report.json is not ppc-lint/v2" >&2; exit 1; }
+grep -q '"schema": "ppc-lint/v3"' LINT_report.json \
+    || { echo "LINT_report.json is not ppc-lint/v3" >&2; exit 1; }
 
 # Dynamic pass: same seed must yield bit-identical journals, power
 # traces, span trees, metrics registries and health fingerprints across
@@ -44,11 +43,6 @@ cargo run --release -p ppc-bench --bin whatif_serve -- --smoke >/dev/null
 
 cargo run --release -p ppc-bench --bin ext_faults -- --smoke
 
-# Bench smoke + perf guard: quick per-tick medians, then fail if the
-# managed 128-node step regressed >25% vs the committed baseline (the
-# guard takes the best of three medians to ride out shared-box noise).
-cargo run --release -p ppc-bench --bin bench_ppc -- --smoke --guard BENCH_ppc.json >/dev/null
-
 # Observability smoke: a faulted managed run must emit a schema-valid
 # JSONL trace stream through --trace-out (see DESIGN §12) and a
 # schema-valid health stream through --health-out (see DESIGN §17).
@@ -60,3 +54,10 @@ trap 'rm -f "$trace_tmp" "$health_tmp"' EXIT
     --health-out "$health_tmp" >/dev/null
 cargo run --release -p ppc-obs --bin validate_trace -- "$trace_tmp"
 cargo run --release -p ppc-obs --bin validate_health -- "$health_tmp"
+
+# Bench smoke + perf guard, last, so a timing failure on a noisy host
+# cannot hide a schema or correctness failure above: quick per-tick
+# medians, then fail if the managed 128-node step regressed >25% vs the
+# committed baseline (the guard takes the best of three medians to ride
+# out shared-box noise).
+cargo run --release -p ppc-bench --bin bench_ppc -- --smoke --guard BENCH_ppc.json >/dev/null
