@@ -13,10 +13,10 @@
 //!   fingerprint (the observability layer must replay bit-identically
 //!   too — a nondeterministic attribute or counter is a trace you
 //!   cannot diff);
-//! * the three fleet-health fingerprints — rollup tree, quantile
-//!   sketches (node power + modeled stage latency), SLO alert journal —
-//!   pinning the health plane's sketches and burn-rate evaluation across
-//!   repeats, modes and branches;
+//! * the three fleet-health fingerprints — rollup tree, fleet
+//!   node-power sketch, SLO alert journal — pinning the health plane's
+//!   sketches and burn-rate evaluation across repeats, modes and
+//!   branches;
 //! * finished-job and applied-command counts.
 //!
 //! The same experiment also runs under both evaluation modes — the dense

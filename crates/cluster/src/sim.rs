@@ -63,7 +63,7 @@ use ppc_node::{Level, NodeId, OperatingState, PowerModel};
 use ppc_obs::profile::StageTimer;
 use ppc_obs::{
     AttrValue, CounterHandle, CycleObservation, GaugeHandle, HealthFingerprints, HealthPlane,
-    HistogramHandle, MetricsRegistry, ObsHub, SpanRecorder, StageWork, ZoneMap, ZoneState,
+    HistogramHandle, MetricsRegistry, ObsHub, SpanRecorder, ZoneMap,
 };
 use ppc_simkit::journal::{Journal, Severity};
 use ppc_simkit::par::WorkerPool;
@@ -169,9 +169,6 @@ pub struct ClusterSim {
     scratch_rack_true: Vec<f64>,
     /// Reused buffers of the multi-rack control cycle.
     fanout: FanoutScratch,
-    /// Per-rack Green/Yellow/Red states mapped into rollup zones
-    /// (multi-rack hierarchy only).
-    scratch_rack_zone: Vec<ZoneState>,
     /// Fleet health plane: hierarchical rollups, quantile sketches and
     /// SLO burn-rate alerting. Fingerprinted into the determinism gate.
     health: HealthPlane,
@@ -322,7 +319,6 @@ impl ClusterSim {
             rack_obs: RackObs::new(n_total.max(1) as u32, 1),
             scratch_rack_true: Vec::new(),
             fanout: FanoutScratch::default(),
-            scratch_rack_zone: Vec::new(),
             health: HealthPlane::new(ZoneMap::single_rack()),
             true_power: TimeSeries::new(),
             finished: Vec::new(),

@@ -15,8 +15,6 @@ pub(super) struct Decision {
     pub(super) subject: &'static str,
     /// False while the power manager trains: observe only, never throttle.
     pub(super) actuate: bool,
-    /// Samples the cycle took (the health plane's stage work).
-    pub(super) samples: u64,
     /// The facility zone's budget for the health fold, watts.
     pub(super) facility_budget_w: f64,
     /// The facility zone's telemetry coverage for the health fold.
@@ -135,7 +133,6 @@ impl ClusterSim {
             metered_w,
             subject: "budget controller: state",
             actuate: true,
-            samples: self.scratch_views.len() as u64,
             facility_budget_w: thresholds.p_high_w(),
             facility_coverage: 1.0,
         })
@@ -320,7 +317,6 @@ impl ClusterSim {
             metered_w,
             subject: "power state",
             actuate: !hier.in_training(),
-            samples: logical_samples,
             facility_budget_w: hier.config().p_provision_w,
             facility_coverage: coverage,
         };

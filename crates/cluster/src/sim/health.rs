@@ -2,6 +2,7 @@
 //! the red-entry flight trigger, and the fleet health plane's fold.
 
 use super::*;
+use std::slice;
 
 /// Handles to the deterministic instruments the cluster layer updates
 /// (registered once in [`ClusterSim::new`], bumped on the hot path via
@@ -143,9 +144,9 @@ impl ClusterSim {
                 .trigger(now, "red-entry", &self.obs.spans, &self.obs.metrics);
         }
 
-        // Fleet health plane: fold the cycle into the rollup tree, stage
-        // sketches and SLO rules, after the root span closed so an
-        // alert-triggered flight snapshot captures the complete cycle.
+        // Fleet health plane: fold the cycle into the rollup tree and SLO
+        // rules, after the root span closed so an alert-triggered flight
+        // snapshot captures the complete cycle.
         // The fleet node-power sketch samples every NODE_SKETCH_PERIOD
         // ticks, keyed off the deterministic tick index. Actuation moved
         // only speeds and dirty marks, so the power column still holds
@@ -153,46 +154,25 @@ impl ClusterSim {
         if self.health.wants_node_sample(tick) {
             self.health.observe_node_power(self.columns.power_w());
         }
-        let tree = self.hierarchy.as_ref().filter(|h| !h.is_single_rack());
-        let facility_state = zone_state_of(state);
-        let work = StageWork {
-            samples: decision.samples,
-            commands: outcome.commands.len() as u64,
-            racks: tree.map_or(1, |h| h.topology().racks() as u64),
+        // One zone fed from the facility values, whatever the control
+        // plane, unless a multi-rack tree supplies per-rack views.
+        let mut obs = CycleObservation {
+            rack_state: slice::from_ref(&state),
+            rack_power_w: slice::from_ref(&metered_w),
+            rack_budget_w: slice::from_ref(&decision.facility_budget_w),
+            rack_coverage: slice::from_ref(&decision.facility_coverage),
+            facility_state: state,
+            facility_power_w: metered_w,
+            facility_budget_w: decision.facility_budget_w,
+            facility_coverage: decision.facility_coverage,
         };
-        let base = match tree {
-            Some(h) => {
-                self.scratch_rack_zone.clear();
-                self.scratch_rack_zone
-                    .extend(h.last_rack_states().iter().map(|&s| zone_state_of(s)));
-                let obs = CycleObservation {
-                    rack_state: &self.scratch_rack_zone,
-                    rack_power_w: &self.scratch_rack_true,
-                    rack_budget_w: h.rack_budget_w(),
-                    rack_coverage: &self.fanout.coverage,
-                    facility_state,
-                    facility_power_w: metered_w,
-                    facility_budget_w: decision.facility_budget_w,
-                    facility_coverage: decision.facility_coverage,
-                };
-                self.health.observe_cycle(now, &obs, &work)
-            }
-            None => {
-                // One zone fed from the facility values only, whatever the
-                // control plane.
-                let obs = CycleObservation {
-                    rack_state: &[facility_state],
-                    rack_power_w: &[metered_w],
-                    rack_budget_w: &[decision.facility_budget_w],
-                    rack_coverage: &[decision.facility_coverage],
-                    facility_state,
-                    facility_power_w: metered_w,
-                    facility_budget_w: decision.facility_budget_w,
-                    facility_coverage: decision.facility_coverage,
-                };
-                self.health.observe_cycle(now, &obs, &work)
-            }
-        };
+        if let Some(h) = self.hierarchy.as_ref().filter(|h| !h.is_single_rack()) {
+            obs.rack_state = h.last_rack_states();
+            obs.rack_power_w = &self.scratch_rack_true;
+            obs.rack_budget_w = h.rack_budget_w();
+            obs.rack_coverage = &self.fanout.coverage;
+        }
+        let base = self.health.observe_cycle(now, &obs);
         self.publish_health_edges(now, base);
         self.obs.profile.stop("health", stage);
     }
@@ -234,15 +214,5 @@ impl ClusterSim {
             self.obs_i.health_alerts_open,
             self.health.slo().open_alerts() as f64,
         );
-    }
-}
-
-/// Projects the controller's Green/Yellow/Red classification into the
-/// health rollup's zone states.
-fn zone_state_of(s: PowerState) -> ZoneState {
-    match s {
-        PowerState::Green => ZoneState::Green,
-        PowerState::Yellow => ZoneState::Yellow,
-        PowerState::Red => ZoneState::Red,
     }
 }

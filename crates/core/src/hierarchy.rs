@@ -445,9 +445,7 @@ impl HierarchicalManager {
         let mut racks = 0;
         for (outcome, last) in outcomes.into_iter().zip(&mut self.last_rack_states) {
             racks += 1;
-            if severity(outcome.state) > severity(state) {
-                state = outcome.state;
-            }
+            state = state.max(outcome.state);
             adjusted |= outcome.thresholds_adjusted;
             *last = outcome.state;
             commands.extend(outcome.commands);
@@ -487,15 +485,6 @@ impl std::fmt::Debug for HierarchicalManager {
             .field("racks", &self.subs.len())
             .field("rack_budget_w", &self.rack_budget_w)
             .finish_non_exhaustive()
-    }
-}
-
-/// Green < Yellow < Red for the rollup's worst-state fold.
-fn severity(state: PowerState) -> u8 {
-    match state {
-        PowerState::Green => 0,
-        PowerState::Yellow => 1,
-        PowerState::Red => 2,
     }
 }
 

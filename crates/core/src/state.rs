@@ -6,38 +6,10 @@
 
 use crate::error::CoreError;
 use serde::{Deserialize, Serialize};
-use std::fmt;
 
-/// The three power-consumption states.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum PowerState {
-    /// `P < P_L`: safe; no throttling needed.
-    Green,
-    /// `P_L ≤ P < P_H`: warning; reduce power mildly (one level on a
-    /// policy-selected target set).
-    Yellow,
-    /// `P ≥ P_H`: critical; force every candidate node to its lowest
-    /// power state immediately.
-    Red,
-}
-
-impl PowerState {
-    /// The state's color name as a static string (used for journal
-    /// messages and span attributes without allocating).
-    pub fn name(self) -> &'static str {
-        match self {
-            PowerState::Green => "green",
-            PowerState::Yellow => "yellow",
-            PowerState::Red => "red",
-        }
-    }
-}
-
-impl fmt::Display for PowerState {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
+/// The three power-consumption states, defined in `ppc-obs` so the
+/// health rollup folds the controller's own classification.
+pub use ppc_obs::PowerState;
 
 /// A validated `(P_L, P_H)` pair, watts.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -156,13 +128,8 @@ mod tests {
         #[test]
         fn prop_classification_monotone(pl in 1.0f64..1e6, gap in 0.0f64..1e5, p1 in 0.0f64..2e6, p2 in 0.0f64..2e6) {
             let t = Thresholds::new(pl, pl + gap).unwrap();
-            let rank = |s: PowerState| match s {
-                PowerState::Green => 0,
-                PowerState::Yellow => 1,
-                PowerState::Red => 2,
-            };
             let (lo, hi) = if p1 <= p2 { (p1, p2) } else { (p2, p1) };
-            prop_assert!(rank(t.classify(lo)) <= rank(t.classify(hi)));
+            prop_assert!(t.classify(lo) <= t.classify(hi));
         }
 
         /// from_peak always yields valid, ordered thresholds below peak.

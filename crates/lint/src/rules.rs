@@ -21,8 +21,8 @@ pub enum CrateClass {
     /// may panic on malformed CLI input; only determinism rules apply.
     Bench,
     /// Observability: the span recorder, metrics registry, exporters and
-    /// the fleet health plane (`rollup`, `sketch`, `slo`, `timeseries`,
-    /// `hub`) feed determinism fingerprints, so every rule applies —
+    /// the fleet health plane (`rollup`, `sketch`, `slo`, `hub`) feed
+    /// determinism fingerprints, so every rule applies —
     /// except that the dedicated self-profiling module
     /// (`crates/obs/src/profile.rs`) may read wall clocks and thread
     /// identity; that one-file carve-out lives in the scanner.

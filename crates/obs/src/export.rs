@@ -17,7 +17,7 @@
 //! Exporters never mutate recorder state and fingerprints are rendered
 //! as fixed-width hex strings (JSON numbers cannot hold all `u64`s).
 
-use crate::hub::HealthPlane;
+use crate::hub::{finite_or_zero, HealthPlane};
 use crate::metrics::{MetricValue, MetricsRegistry};
 use crate::rollup::ZoneStats;
 use crate::slo::AlertEdge;
@@ -203,16 +203,6 @@ pub fn prometheus(metrics: &MetricsRegistry) -> String {
     out
 }
 
-/// `+inf`/`nan` cannot be carried by JSON or Prometheus samples; empty
-/// -run sentinels render as 0.
-fn finite_or_zero(x: f64) -> f64 {
-    if x.is_finite() {
-        x
-    } else {
-        0.0
-    }
-}
-
 /// Renders the health plane as Prometheus text with a
 /// `{rack="..",row=".."}` label dimension: per-rack and per-row rollup
 /// gauges/counters plus a cumulative-bucket (`le`-labeled) histogram of
@@ -362,14 +352,6 @@ fn zone_line(kind: &str, index: u64, row: Option<u64>, z: &ZoneStats) -> Value {
             "p99_w".into(),
             serde_json::value_of(&z.power_sketch.quantile(0.99).unwrap_or(0.0)),
         ),
-        (
-            "series_stride".into(),
-            serde_json::value_of(&z.series.stride()),
-        ),
-        (
-            "series_len".into(),
-            serde_json::value_of(&(z.series.samples().len() as u64)),
-        ),
     ]);
     Value::Object(fields)
 }
@@ -448,7 +430,7 @@ pub fn health_jsonl(health: &HealthPlane) -> String {
 pub struct HealthJsonlSummary {
     /// `health_meta` header lines seen (must be ≥ 1).
     pub meta_lines: usize,
-    /// `zone` lines seen (must be ≥ 3: rack + row + facility).
+    /// `zone` lines seen (the header's `racks + rows + 1`).
     pub zone_lines: usize,
     /// `alert` lines seen.
     pub alert_lines: usize,
@@ -460,15 +442,20 @@ fn require_f64(obj: &Value, key: &str, line_no: usize) -> Result<f64, String> {
         .ok_or_else(|| format!("line {line_no}: `{key}` must be a number"))
 }
 
-/// Schema-checks a health JSONL stream produced by [`health_jsonl`].
-/// CI runs this (via the `validate_health` binary) over the faulted
-/// smoke experiment's `--health-out` output.
+/// Schema-checks a health JSONL stream produced by [`health_jsonl`]:
+/// besides each record's fields, the `health_meta` header precedes every
+/// zone line, the zone lines are the header's `racks + rows + 1`, and
+/// each rack's `row` is below the header's `rows`. CI runs this (via the
+/// `validate_health` binary) over the faulted smoke experiment's
+/// `--health-out` output.
 pub fn validate_health(text: &str) -> Result<HealthJsonlSummary, String> {
     let mut summary = HealthJsonlSummary {
         meta_lines: 0,
         zone_lines: 0,
         alert_lines: 0,
     };
+    // `(racks, rows)` from the header, which must precede every zone line.
+    let mut shape = None;
     for (i, line) in text.lines().enumerate() {
         let line_no = i + 1;
         if line.trim().is_empty() {
@@ -488,9 +475,13 @@ pub fn validate_health(text: &str) -> Result<HealthJsonlSummary, String> {
                         return Err(format!("line {line_no}: `{key}` must be 16 hex digits"));
                     }
                 }
-                for key in ["cycles", "racks", "rows", "alert_edges", "alerts_dropped"] {
+                for key in ["cycles", "alert_edges", "alerts_dropped"] {
                     require_u64(&value, key, line_no)?;
                 }
+                shape = Some((
+                    require_u64(&value, "racks", line_no)?,
+                    require_u64(&value, "rows", line_no)?,
+                ));
                 summary.meta_lines += 1;
             }
             "zone" => {
@@ -498,8 +489,18 @@ pub fn validate_health(text: &str) -> Result<HealthJsonlSummary, String> {
                 if !matches!(kind, "rack" | "row" | "facility") {
                     return Err(format!("line {line_no}: unknown zone kind `{kind}`"));
                 }
+                let Some((_, rows)) = shape else {
+                    return Err(format!(
+                        "line {line_no}: zone line before the health_meta header"
+                    ));
+                };
                 if kind == "rack" {
-                    require_u64(&value, "row", line_no)?;
+                    let row = require_u64(&value, "row", line_no)?;
+                    if row >= rows {
+                        return Err(format!(
+                            "line {line_no}: rack row {row} >= header rows {rows}"
+                        ));
+                    }
                 }
                 for key in [
                     "index",
@@ -543,13 +544,21 @@ pub fn validate_health(text: &str) -> Result<HealthJsonlSummary, String> {
             }
         }
     }
-    if summary.meta_lines == 0 {
+    let Some((racks, rows)) = shape else {
         return Err("stream has no `health_meta` header line".to_string());
-    }
+    };
     if summary.zone_lines < 3 {
         return Err(format!(
             "stream has {} zone lines; expected at least rack + row + facility",
             summary.zone_lines
+        ));
+    }
+    if summary.zone_lines as u64 != racks + rows + 1 {
+        return Err(format!(
+            "stream has {} zone lines; the header's {racks} racks + {rows} rows + facility \
+             make {}",
+            summary.zone_lines,
+            racks + rows + 1
         ));
     }
     Ok(summary)
@@ -772,14 +781,13 @@ mod tests {
     }
 
     fn sample_health() -> HealthPlane {
-        use crate::hub::StageWork;
-        use crate::rollup::{CycleObservation, ZoneMap, ZoneState};
+        use crate::rollup::{CycleObservation, PowerState, ZoneMap};
         let mut health = HealthPlane::new(ZoneMap::single_rack());
         for (i, power) in [100.0, 140.0, 180.0].iter().enumerate() {
             let state = if *power > 150.0 {
-                ZoneState::Red
+                PowerState::Red
             } else {
-                ZoneState::Green
+                PowerState::Green
             };
             health.observe_cycle(
                 ppc_simkit::SimTime::from_secs(i as u64),
@@ -792,11 +800,6 @@ mod tests {
                     facility_power_w: *power,
                     facility_budget_w: 160.0,
                     facility_coverage: 1.0,
-                },
-                &StageWork {
-                    samples: 4,
-                    commands: 1,
-                    racks: 1,
                 },
             );
         }
@@ -838,5 +841,46 @@ mod tests {
         if mutated != good {
             assert!(validate_health(&mutated).is_err());
         }
+    }
+
+    #[test]
+    fn health_validator_checks_zone_lines_against_the_header() {
+        use crate::rollup::{CycleObservation, PowerState, ZoneMap};
+        // Racks 0,1 in row 0; racks 2,3 in row 1: seven zone lines.
+        let mut health = HealthPlane::new(ZoneMap::new(vec![0, 0, 1, 1]));
+        health.observe_cycle(
+            ppc_simkit::SimTime::from_secs(1),
+            &CycleObservation {
+                rack_state: &[PowerState::Green; 4],
+                rack_power_w: &[100.0; 4],
+                rack_budget_w: &[150.0; 4],
+                rack_coverage: &[1.0; 4],
+                facility_state: PowerState::Green,
+                facility_power_w: 400.0,
+                facility_budget_w: 600.0,
+                facility_coverage: 1.0,
+            },
+        );
+        let good = health_jsonl(&health);
+        assert_eq!(validate_health(&good).unwrap().zone_lines, 7);
+        let lines: Vec<&str> = good.lines().collect();
+        let rack_line = lines
+            .iter()
+            .position(|l| l.contains("\"zone\":\"rack\""))
+            .unwrap();
+        let mut dropped = lines.clone();
+        dropped.remove(rack_line);
+        let err = validate_health(&dropped.join("\n")).unwrap_err();
+        assert!(err.contains("6 zone lines"), "{err}");
+        let bad_row = good.replacen("\"row\":1", "\"row\":2", 1);
+        assert_ne!(bad_row, good);
+        assert!(validate_health(&bad_row)
+            .unwrap_err()
+            .contains("header rows 2"));
+        let (meta, zones) = good.split_once('\n').unwrap();
+        let late_header = format!("{zones}{meta}\n");
+        assert!(validate_health(&late_header)
+            .unwrap_err()
+            .contains("before the health_meta header"));
     }
 }

@@ -9,11 +9,10 @@
 use crate::flight::{FlightRecorder, FlightSnapshot};
 use crate::metrics::{MetricDump, MetricsRegistry};
 use crate::profile::StageProfiler;
-use crate::rollup::{CycleObservation, RollupTree, ZoneMap, ZoneState};
+use crate::rollup::{CycleObservation, PowerState, RollupTree, ZoneMap};
 use crate::sketch::{QuantileSketch, SketchSummary};
 use crate::slo::{default_rules, AlertEvent, SloEngine};
 use crate::span::SpanRecorder;
-use ppc_simkit::hash::Fnv1a;
 use ppc_simkit::SimTime;
 use serde::{Deserialize, Serialize};
 
@@ -95,47 +94,20 @@ pub struct ObsReport {
 
 /// Ticks between fleet node-power sketch samples. Sketching every node
 /// every tick would be O(nodes) on the hot path; sampling every Nth
-/// tick keeps the health plane inside its ≤10% overhead budget while
-/// the per-rack/per-zone rollups still run every cycle. The cadence is
+/// tick amortises it to about 3 µs per tick on the 10 240-node tree (a
+/// 2-vCPU host), under a third of the health fold, while the per-zone
+/// rollups still run every cycle. The plane as a whole does not stay
+/// reliably inside its 10% overhead budget (DESIGN §17). The cadence is
 /// keyed on the deterministic tick index, so it is identical across
 /// eval modes and control-plane shapes.
 pub const NODE_SKETCH_PERIOD: u64 = 64;
-
-/// Deterministic work counts of one control cycle, used to *model*
-/// per-stage control-plane latency. Wall-clock timing can never reach a
-/// fingerprint (it lives in [`crate::profile`]), so the stage latency
-/// distributions are a fixed cost model over these counts — same
-/// shape, zero nondeterminism.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct StageWork {
-    /// Node observations ingested this cycle.
-    pub samples: u64,
-    /// Capping commands issued this cycle.
-    pub commands: u64,
-    /// Rack shards evaluated this cycle.
-    pub racks: u64,
-}
-
-/// Modeled stage names, in fold order.
-const STAGE_NAMES: [&str; 4] = ["sample", "classify", "actuate", "delegate"];
-
-/// Modeled per-stage latency in microseconds (fixed coefficients ×
-/// deterministic work counts; see [`StageWork`]).
-fn stage_model_us(stage: usize, work: &StageWork) -> f64 {
-    match stage {
-        0 => 0.2 + 0.010 * work.samples as f64,
-        1 => 0.5 + 0.002 * work.samples as f64,
-        2 => 0.3 + 0.050 * work.commands as f64,
-        _ => 0.2 + 0.020 * work.racks as f64,
-    }
-}
 
 /// The three health-plane fingerprints the determinism gate pins.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HealthFingerprints {
     /// [`RollupTree::fingerprint`].
     pub rollup: u64,
-    /// Combined node-power + per-stage sketch fingerprints.
+    /// [`QuantileSketch::fingerprint`] of the fleet node-power sketch.
     pub sketch: u64,
     /// [`SloEngine::fingerprint`].
     pub alerts: u64,
@@ -151,7 +123,6 @@ pub struct HealthPlane {
     rollup: RollupTree,
     slo: SloEngine,
     node_power: QuantileSketch,
-    stages: [QuantileSketch; STAGE_NAMES.len()],
 }
 
 impl HealthPlane {
@@ -164,12 +135,6 @@ impl HealthPlane {
             rollup: RollupTree::new(map),
             slo,
             node_power: QuantileSketch::new(),
-            stages: [
-                QuantileSketch::new(),
-                QuantileSketch::new(),
-                QuantileSketch::new(),
-                QuantileSketch::new(),
-            ],
         }
     }
 
@@ -185,22 +150,14 @@ impl HealthPlane {
         self.enabled
     }
 
-    /// Folds one control cycle into the rollup tree and stage sketches,
-    /// then evaluates the SLO rules. Returns the alert-journal length
-    /// *before* evaluation; new edges are `alerts()[returned..]`.
-    pub fn observe_cycle(
-        &mut self,
-        now: SimTime,
-        obs: &CycleObservation<'_>,
-        work: &StageWork,
-    ) -> usize {
+    /// Folds one control cycle into the rollup tree, then evaluates the
+    /// SLO rules. Returns the alert-journal length *before* evaluation;
+    /// new edges are `alerts()[returned..]`.
+    pub fn observe_cycle(&mut self, now: SimTime, obs: &CycleObservation<'_>) -> usize {
         if !self.enabled {
             return self.slo.events().len();
         }
         self.rollup.observe_cycle(obs);
-        for (i, sketch) in self.stages.iter_mut().enumerate() {
-            sketch.observe(stage_model_us(i, work));
-        }
         self.slo.evaluate(now, &self.rollup)
     }
 
@@ -231,27 +188,16 @@ impl HealthPlane {
         &self.node_power
     }
 
-    /// Modeled per-stage latency sketches, `(stage, sketch)` pairs in
-    /// fold order.
-    pub fn stages(&self) -> impl Iterator<Item = (&'static str, &QuantileSketch)> {
-        STAGE_NAMES.iter().copied().zip(self.stages.iter())
-    }
-
     /// The alert journal.
     pub fn alerts(&self) -> &[AlertEvent] {
         self.slo.events()
     }
 
-    /// The three gate fingerprints (rollup / sketches / alerts).
+    /// The three gate fingerprints (rollup / node-power sketch / alerts).
     pub fn fingerprints(&self) -> HealthFingerprints {
-        let mut h = Fnv1a::new();
-        h.write_u64(self.node_power.fingerprint());
-        for s in &self.stages {
-            h.write_u64(s.fingerprint());
-        }
         HealthFingerprints {
             rollup: self.rollup.fingerprint(),
-            sketch: h.finish(),
+            sketch: self.node_power.fingerprint(),
             alerts: self.slo.fingerprint(),
         }
     }
@@ -270,8 +216,8 @@ impl HealthPlane {
             alerts_open: self.slo.open_alerts(),
             alert_edges: self.slo.total_edges(),
             alerts_dropped: self.slo.dropped(),
-            red_dwell_fraction: f.dwell_fraction_at_least(ZoneState::Red),
-            yellow_dwell_fraction: f.dwell_fraction_at_least(ZoneState::Yellow),
+            red_dwell_fraction: f.dwell_fraction_at_least(PowerState::Red),
+            yellow_dwell_fraction: f.dwell_fraction_at_least(PowerState::Yellow),
             min_coverage: f.min_coverage,
             min_headroom_w: finite_or_zero(f.min_headroom_w),
             peak_power_w: f.peak_power_w,
@@ -281,8 +227,9 @@ impl HealthPlane {
     }
 }
 
-/// JSON cannot carry infinities; empty-run sentinels render as 0.
-fn finite_or_zero(x: f64) -> f64 {
+/// `+inf`/`nan` cannot be carried by JSON or Prometheus samples; empty
+/// -run sentinels render as 0.
+pub(crate) fn finite_or_zero(x: f64) -> f64 {
     if x.is_finite() {
         x
     } else {
@@ -296,7 +243,7 @@ fn finite_or_zero(x: f64) -> f64 {
 pub struct HealthReport {
     /// FNV-1a over the rollup tree.
     pub rollup_fingerprint: u64,
-    /// FNV-1a over the node-power + stage sketches.
+    /// FNV-1a over the fleet node-power sketch.
     pub sketch_fingerprint: u64,
     /// FNV-1a over the SLO engine (rules, journal, window state).
     pub alert_fingerprint: u64,
@@ -356,16 +303,11 @@ mod tests {
     #[test]
     fn health_plane_observes_and_reports() {
         let mut plane = HealthPlane::new(ZoneMap::single_rack());
-        let work = StageWork {
-            samples: 8,
-            commands: 2,
-            racks: 1,
-        };
         for i in 0..5u64 {
             let state = if i >= 2 {
-                ZoneState::Red
+                PowerState::Red
             } else {
-                ZoneState::Green
+                PowerState::Green
             };
             plane.observe_cycle(
                 SimTime::from_secs(i),
@@ -379,7 +321,6 @@ mod tests {
                     facility_budget_w: 110.0,
                     facility_coverage: 1.0,
                 },
-                &work,
             );
         }
         assert!(plane.wants_node_sample(0));
@@ -403,16 +344,15 @@ mod tests {
         plane.observe_cycle(
             SimTime::from_secs(1),
             &CycleObservation {
-                rack_state: &[ZoneState::Red],
+                rack_state: &[PowerState::Red],
                 rack_power_w: &[100.0],
                 rack_budget_w: &[90.0],
                 rack_coverage: &[0.2],
-                facility_state: ZoneState::Red,
+                facility_state: PowerState::Red,
                 facility_power_w: 100.0,
                 facility_budget_w: 90.0,
                 facility_coverage: 0.2,
             },
-            &StageWork::default(),
         );
         plane.observe_node_power(&[50.0]);
         assert!(!plane.wants_node_sample(0));

@@ -21,13 +21,13 @@
 //!   end-of-run [`ObsReport`], and the fleet [`HealthPlane`] with its
 //!   [`HealthReport`].
 //! * [`rollup`] — the facility → row → rack health rollup tree
-//!   (dwell, power, headroom, coverage per zone; O(racks) memory).
+//!   (dwell, power, headroom, coverage per zone; O(racks) memory) and
+//!   [`PowerState`], the controller's Green/Yellow/Red classification
+//!   that `ppc-core` re-exports.
 //! * [`sketch`] — the integer-bucketed quantile sketch whose state is
 //!   bit-identical in any observation order.
 //! * [`slo`] — declarative SLO rules, dual-window burn-rate evaluation
 //!   and the deterministic alert journal.
-//! * [`timeseries`] — fixed-memory ring series with power-of-two
-//!   downsampling, backing per-zone power history.
 //! * [`profile`] — wall-clock self-cost measurement; the one module
 //!   exempt from the no-wall-clock rule, and never fingerprinted.
 //!
@@ -43,7 +43,6 @@ pub mod rollup;
 pub mod sketch;
 pub mod slo;
 pub mod span;
-pub mod timeseries;
 
 pub use export::{
     chrome_trace, health_jsonl, jsonl, prometheus, prometheus_health, validate_health,
@@ -51,15 +50,14 @@ pub use export::{
 };
 pub use flight::{FlightRecorder, FlightSnapshot};
 pub use hub::{
-    HealthFingerprints, HealthPlane, HealthReport, ObsHub, ObsReport, StageWork, NODE_SKETCH_PERIOD,
+    HealthFingerprints, HealthPlane, HealthReport, ObsHub, ObsReport, NODE_SKETCH_PERIOD,
 };
 pub use metrics::{
     CounterHandle, GaugeHandle, HistogramDump, HistogramHandle, MetricDump, MetricValue,
     MetricsRegistry,
 };
 pub use profile::{StageCost, StageProfiler};
-pub use rollup::{CycleObservation, RollupTree, ZoneMap, ZoneState, ZoneStats};
+pub use rollup::{CycleObservation, PowerState, RollupTree, ZoneMap, ZoneStats};
 pub use sketch::{QuantileSketch, SketchSummary, RELATIVE_ERROR_BOUND};
 pub use slo::{default_rules, render_alerts, AlertEdge, AlertEvent, SloEngine, SloRule, ZoneId};
 pub use span::{AttrValue, SpanDump, SpanId, SpanRecord, SpanRecorder};
-pub use timeseries::RingSeries;

@@ -7,9 +7,8 @@
 //! [`CycleObservation`] — per-rack power, budget, Green/Yellow/Red state
 //! and collector coverage plus the facility-level view — and the tree
 //! folds it into per-zone [`ZoneStats`]: dwell counters, peak power,
-//! minimum headroom, a bounded [`RingSeries`] power history and a
-//! [`QuantileSketch`] of the per-cycle power distribution. Memory is
-//! O(racks + rows), never O(nodes × ticks).
+//! minimum headroom and a [`QuantileSketch`] of the per-cycle power
+//! distribution. Memory is O(racks + rows), never O(nodes × ticks).
 //!
 //! `ppc-obs` sits *below* `ppc-core` in the crate graph, so the tree
 //! cannot read `core::Topology` directly; the cluster layer projects the
@@ -23,41 +22,47 @@
 //! inputs, so [`RollupTree::fingerprint`] joins the determinism gate.
 
 use crate::sketch::QuantileSketch;
-use crate::timeseries::RingSeries;
 use ppc_simkit::hash::Fnv1a;
 use serde::{Deserialize, Serialize};
+use std::fmt;
 
-/// Retained power samples per zone (before downsampling kicks in).
-const SERIES_CAP: usize = 128;
-
-/// Aggregated Green/Yellow/Red severity of a zone, ordered by urgency.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
-pub enum ZoneState {
-    /// Under the low threshold: capacity to spare.
+/// The controller's power-consumption state: the paper's Algorithm 1
+/// classifies power against two thresholds `P_L ≤ P_H`. Ordered by
+/// urgency, so a worst-state fold is `max`. `ppc-core` re-exports it
+/// from its `state` module; it lives here, the lowest crate that needs
+/// it, so the rollup folds the controller's own states.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+pub enum PowerState {
+    /// `P < P_L`: safe; no throttling needed.
     Green,
-    /// Between thresholds: steady state.
+    /// `P_L ≤ P < P_H`: warning; reduce power mildly (one level on a
+    /// policy-selected target set).
     Yellow,
-    /// Over the high threshold: capping active.
+    /// `P ≥ P_H`: critical; force every candidate node to its lowest
+    /// power state immediately.
     Red,
 }
 
-impl ZoneState {
+impl PowerState {
     /// Dense index for dwell arrays.
     pub fn index(self) -> usize {
-        match self {
-            ZoneState::Green => 0,
-            ZoneState::Yellow => 1,
-            ZoneState::Red => 2,
-        }
+        self as usize
     }
 
-    /// Lower-case display name.
+    /// The state's color name as a static string (used for journal
+    /// messages, span attributes and exports without allocating).
     pub fn name(self) -> &'static str {
         match self {
-            ZoneState::Green => "green",
-            ZoneState::Yellow => "yellow",
-            ZoneState::Red => "red",
+            PowerState::Green => "green",
+            PowerState::Yellow => "yellow",
+            PowerState::Red => "red",
         }
+    }
+}
+
+impl fmt::Display for PowerState {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.name())
     }
 }
 
@@ -112,10 +117,10 @@ impl ZoneMap {
 pub struct ZoneStats {
     /// Control cycles observed.
     pub cycles: u64,
-    /// Cycles spent Green / Yellow / Red (index via [`ZoneState::index`]).
+    /// Cycles spent Green / Yellow / Red (index via [`PowerState::index`]).
     pub dwell: [u64; 3],
     /// State at the latest cycle.
-    pub last_state: ZoneState,
+    pub last_state: PowerState,
     /// Power at the latest cycle (W).
     pub last_power_w: f64,
     /// Budget at the latest cycle (W).
@@ -128,8 +133,6 @@ pub struct ZoneStats {
     pub min_headroom_w: f64,
     /// Smallest coverage seen.
     pub min_coverage: f64,
-    /// Bounded per-cycle power history.
-    pub series: RingSeries,
     /// Distribution of per-cycle power.
     pub power_sketch: QuantileSketch,
 }
@@ -139,19 +142,18 @@ impl ZoneStats {
         ZoneStats {
             cycles: 0,
             dwell: [0; 3],
-            last_state: ZoneState::Green,
+            last_state: PowerState::Green,
             last_power_w: 0.0,
             last_budget_w: 0.0,
             last_coverage: 1.0,
             peak_power_w: 0.0,
             min_headroom_w: f64::INFINITY,
             min_coverage: 1.0,
-            series: RingSeries::new(SERIES_CAP),
             power_sketch: QuantileSketch::new(),
         }
     }
 
-    fn observe(&mut self, state: ZoneState, power_w: f64, budget_w: f64, coverage: f64) {
+    fn observe(&mut self, state: PowerState, power_w: f64, budget_w: f64, coverage: f64) {
         self.cycles += 1;
         self.dwell[state.index()] += 1;
         self.last_state = state;
@@ -161,12 +163,11 @@ impl ZoneStats {
         self.peak_power_w = self.peak_power_w.max(power_w);
         self.min_headroom_w = self.min_headroom_w.min(budget_w - power_w);
         self.min_coverage = self.min_coverage.min(coverage);
-        self.series.push(power_w);
         self.power_sketch.observe(power_w);
     }
 
     /// Fraction of observed cycles at or above `state` severity.
-    pub fn dwell_fraction_at_least(&self, state: ZoneState) -> f64 {
+    pub fn dwell_fraction_at_least(&self, state: PowerState) -> f64 {
         if self.cycles == 0 {
             return 0.0;
         }
@@ -186,7 +187,6 @@ impl ZoneStats {
         h.write_f64(self.peak_power_w);
         h.write_f64(self.min_headroom_w);
         h.write_f64(self.min_coverage);
-        h.write_u64(self.series.fingerprint());
         h.write_u64(self.power_sketch.fingerprint());
     }
 }
@@ -196,7 +196,7 @@ impl ZoneStats {
 #[derive(Debug, Clone, Copy)]
 pub struct CycleObservation<'a> {
     /// Per-rack Green/Yellow/Red state.
-    pub rack_state: &'a [ZoneState],
+    pub rack_state: &'a [PowerState],
     /// Per-rack power (W).
     pub rack_power_w: &'a [f64],
     /// Per-rack delegated budget (W).
@@ -204,7 +204,7 @@ pub struct CycleObservation<'a> {
     /// Per-rack collector coverage (0..=1).
     pub rack_coverage: &'a [f64],
     /// Facility-level classification.
-    pub facility_state: ZoneState,
+    pub facility_state: PowerState,
     /// Facility-level (metered) power (W).
     pub facility_power_w: f64,
     /// Facility provision in force (W).
@@ -223,11 +223,11 @@ pub struct RollupTree {
     /// Per-row accumulator reused every cycle (state, power, budget,
     /// coverage, touched) — deterministic scratch, zero allocation on
     /// the observe path.
-    row_acc: Vec<(ZoneState, f64, f64, f64, bool)>,
+    row_acc: Vec<(PowerState, f64, f64, f64, bool)>,
 }
 
-const ROW_ACC_EMPTY: (ZoneState, f64, f64, f64, bool) =
-    (ZoneState::Green, 0.0, 0.0, f64::INFINITY, false);
+const ROW_ACC_EMPTY: (PowerState, f64, f64, f64, bool) =
+    (PowerState::Green, 0.0, 0.0, f64::INFINITY, false);
 
 impl RollupTree {
     /// An empty tree over the given topology projection.
@@ -331,28 +331,28 @@ mod tests {
     fn rows_aggregate_their_racks() {
         let mut tree = RollupTree::new(two_row_map());
         let states = [
-            ZoneState::Green,
-            ZoneState::Red,
-            ZoneState::Yellow,
-            ZoneState::Green,
+            PowerState::Green,
+            PowerState::Red,
+            PowerState::Yellow,
+            PowerState::Green,
         ];
         tree.observe_cycle(&CycleObservation {
             rack_state: &states,
             rack_power_w: &[100.0, 150.0, 120.0, 80.0],
             rack_budget_w: &[200.0, 140.0, 150.0, 150.0],
             rack_coverage: &[1.0, 0.5, 0.9, 1.0],
-            facility_state: ZoneState::Red,
+            facility_state: PowerState::Red,
             facility_power_w: 450.0,
             facility_budget_w: 640.0,
             facility_coverage: 0.5,
         });
         let row0 = &tree.rows()[0];
-        assert_eq!(row0.last_state, ZoneState::Red);
+        assert_eq!(row0.last_state, PowerState::Red);
         assert_eq!(row0.last_power_w, 250.0);
         assert_eq!(row0.last_budget_w, 340.0);
         assert_eq!(row0.last_coverage, 0.5);
         let row1 = &tree.rows()[1];
-        assert_eq!(row1.last_state, ZoneState::Yellow);
+        assert_eq!(row1.last_state, PowerState::Yellow);
         assert_eq!(row1.last_power_w, 200.0);
         // Rack 1 overshoots its budget by 10 W → negative headroom.
         assert_eq!(tree.racks()[1].min_headroom_w, -10.0);
@@ -364,10 +364,10 @@ mod tests {
     fn dwell_fractions_accumulate() {
         let mut tree = RollupTree::new(ZoneMap::single_rack());
         for state in [
-            ZoneState::Green,
-            ZoneState::Yellow,
-            ZoneState::Red,
-            ZoneState::Red,
+            PowerState::Green,
+            PowerState::Yellow,
+            PowerState::Red,
+            PowerState::Red,
         ] {
             tree.observe_cycle(&CycleObservation {
                 rack_state: &[state],
@@ -382,8 +382,8 @@ mod tests {
         }
         let f = tree.facility();
         assert_eq!(f.dwell, [1, 1, 2]);
-        assert_eq!(f.dwell_fraction_at_least(ZoneState::Red), 0.5);
-        assert_eq!(f.dwell_fraction_at_least(ZoneState::Yellow), 0.75);
+        assert_eq!(f.dwell_fraction_at_least(PowerState::Red), 0.5);
+        assert_eq!(f.dwell_fraction_at_least(PowerState::Yellow), 0.75);
         // Single-rack map: rack, row and facility zones coincide.
         assert_eq!(tree.racks()[0], tree.rows()[0]);
         assert_eq!(tree.racks()[0], *tree.facility());
@@ -396,11 +396,11 @@ mod tests {
             for i in 0..n {
                 let p = 90.0 + i as f64;
                 tree.observe_cycle(&CycleObservation {
-                    rack_state: &[ZoneState::Green; 4],
+                    rack_state: &[PowerState::Green; 4],
                     rack_power_w: &[p, p, p, p],
                     rack_budget_w: &[150.0; 4],
                     rack_coverage: &[1.0; 4],
-                    facility_state: ZoneState::Green,
+                    facility_state: PowerState::Green,
                     facility_power_w: 4.0 * p,
                     facility_budget_w: 600.0,
                     facility_coverage: 1.0,

@@ -23,7 +23,7 @@
 //! determinism gate. Thresholds compare with `>=`/`<=` so a window
 //! sitting *exactly at* the threshold fires (pinned by a boundary test).
 
-use crate::rollup::{RollupTree, ZoneState, ZoneStats};
+use crate::rollup::{PowerState, RollupTree, ZoneStats};
 use ppc_simkit::hash::Fnv1a;
 use ppc_simkit::SimTime;
 use std::fmt::Write as _;
@@ -84,7 +84,7 @@ pub enum SloRule {
         /// Stable rule name used in events and exports.
         name: &'static str,
         /// Severity that counts as "bad" (at or above).
-        min_state: ZoneState,
+        min_state: PowerState,
         /// Short window length, in control cycles.
         short_cycles: u32,
         /// Long window length, in control cycles (≥ short).
@@ -182,14 +182,14 @@ pub fn default_rules() -> Vec<SloRule> {
     vec![
         SloRule::DwellBurnRate {
             name: "red-dwell-burn",
-            min_state: ZoneState::Red,
+            min_state: PowerState::Red,
             short_cycles: 30,
             long_cycles: 120,
             max_fraction: 0.5,
         },
         SloRule::DwellBurnRate {
             name: "yellow-dwell-burn",
-            min_state: ZoneState::Yellow,
+            min_state: PowerState::Yellow,
             short_cycles: 60,
             long_cycles: 240,
             max_fraction: 0.9,
@@ -641,7 +641,7 @@ mod tests {
         RollupTree::new(ZoneMap::single_rack())
     }
 
-    fn feed(tree: &mut RollupTree, state: ZoneState, power: f64, budget: f64, coverage: f64) {
+    fn feed(tree: &mut RollupTree, state: PowerState, power: f64, budget: f64, coverage: f64) {
         tree.observe_cycle(&CycleObservation {
             rack_state: &[state],
             rack_power_w: &[power],
@@ -658,7 +658,7 @@ mod tests {
         SloEngine::new(
             vec![SloRule::DwellBurnRate {
                 name: "red-dwell-burn",
-                min_state: ZoneState::Red,
+                min_state: PowerState::Red,
                 short_cycles: short,
                 long_cycles: long,
                 max_fraction,
@@ -675,10 +675,10 @@ mod tests {
         let mut tree = single_zone_tree();
         let mut engine = burn_engine(4, 4, 0.5);
         for state in [
-            ZoneState::Green,
-            ZoneState::Green,
-            ZoneState::Red,
-            ZoneState::Red,
+            PowerState::Green,
+            PowerState::Green,
+            PowerState::Red,
+            PowerState::Red,
         ] {
             feed(&mut tree, state, 100.0, 120.0, 1.0);
             engine.evaluate(SimTime::from_secs(tree.facility().cycles), &tree);
@@ -697,7 +697,7 @@ mod tests {
         // Green it still holds [G,R,R,G] = 0.5. Three Greens bring the
         // short window to 1/4 and resolve the alert.
         for _ in 0..3 {
-            feed(&mut tree, ZoneState::Green, 100.0, 120.0, 1.0);
+            feed(&mut tree, PowerState::Green, 100.0, 120.0, 1.0);
             engine.evaluate(SimTime::from_secs(tree.facility().cycles), &tree);
         }
         assert_eq!(engine.open_alerts(), 0);
@@ -712,7 +712,7 @@ mod tests {
         let mut tree = single_zone_tree();
         let mut engine = burn_engine(2, 100, 1.0);
         for _ in 0..3 {
-            feed(&mut tree, ZoneState::Red, 130.0, 120.0, 1.0);
+            feed(&mut tree, PowerState::Red, 130.0, 120.0, 1.0);
             engine.evaluate(SimTime::from_secs(tree.facility().cycles), &tree);
         }
         assert!(
@@ -751,14 +751,14 @@ mod tests {
         );
         // Overshoot below the margin: never fires.
         for _ in 0..5 {
-            feed(&mut tree, ZoneState::Yellow, 121.0, 120.0, 1.0);
+            feed(&mut tree, PowerState::Yellow, 121.0, 120.0, 1.0);
             engine.evaluate(SimTime::from_secs(tree.facility().cycles), &tree);
         }
         assert_eq!(engine.open_alerts(), 0);
         // Two big cycles: duration not met. Third: fires — in all
         // three coincident zones of the single-rack tree.
         for i in 0..3 {
-            feed(&mut tree, ZoneState::Red, 130.0, 120.0, 1.0);
+            feed(&mut tree, PowerState::Red, 130.0, 120.0, 1.0);
             engine.evaluate(SimTime::from_secs(tree.facility().cycles), &tree);
             let expect = if i == 2 { 3 } else { 0 };
             assert_eq!(engine.open_alerts(), expect, "cycle {i}");
@@ -792,11 +792,11 @@ mod tests {
         // floor 50) and facility coverage collapses to 0.3.
         for _ in 0..3 {
             tree.observe_cycle(&CycleObservation {
-                rack_state: &[ZoneState::Green, ZoneState::Red],
+                rack_state: &[PowerState::Green, PowerState::Red],
                 rack_power_w: &[200.0, 30.0],
                 rack_budget_w: &[390.0, 10.0],
                 rack_coverage: &[1.0, 0.3],
-                facility_state: ZoneState::Red,
+                facility_state: PowerState::Red,
                 facility_power_w: 230.0,
                 facility_budget_w: 400.0,
                 facility_coverage: 0.3,
@@ -826,9 +826,9 @@ mod tests {
             // edges per flip pair.
             for i in 0..40u64 {
                 let s = if i % 2 == 0 {
-                    ZoneState::Red
+                    PowerState::Red
                 } else {
-                    ZoneState::Green
+                    PowerState::Green
                 };
                 feed(&mut tree, s, 100.0, 120.0, 1.0);
                 engine.evaluate(SimTime::from_secs(i), &tree);

@@ -6,7 +6,7 @@
 use ppc::cluster::{ClusterSim, ClusterSpec};
 use ppc::core::{HierarchicalManager, ManagerConfig, NodeSets, PolicyKind, PowerManager, Topology};
 use ppc::faults::{FaultInjection, FaultRates, FaultSchedule};
-use ppc::obs::render_alerts;
+use ppc::obs::{health_jsonl, prometheus_health, render_alerts, validate_health};
 use ppc::simkit::{RngFactory, SimDuration};
 use ppc::whatif::ClusterSnapshot;
 use std::collections::BTreeSet;
@@ -84,6 +84,29 @@ fn health_fingerprints_pin_across_same_seed_runs() {
         digests[0], digests[1],
         "health fingerprints diverged across same-seed runs"
     );
+}
+
+#[test]
+fn multi_rack_exports_carry_every_zone() {
+    let mut sim = hier(three_level());
+    sim.run_for(SimDuration::from_secs(RUN_SECS));
+    let hp = sim.health();
+    let (racks, rows) = (hp.rollup().racks().len(), hp.rollup().rows().len());
+    assert_eq!((racks, rows), (4, 2));
+    let summary = validate_health(&health_jsonl(hp)).expect("valid health JSONL");
+    assert_eq!(summary.zone_lines, racks + rows + 1);
+    let text = prometheus_health(hp);
+    for metric in ["ppc_rack_power_watts{", "ppc_rack_power_dist_watts_count{"] {
+        let lines: Vec<&str> = text.lines().filter(|l| l.starts_with(metric)).collect();
+        assert_eq!(lines.len(), racks, "{metric}: {lines:?}");
+        for (r, line) in lines.iter().enumerate() {
+            let row = hp.rollup().map().row_of(r);
+            assert!(
+                line.contains(&format!("{{rack=\"{r}\",row=\"{row}\"}}")),
+                "{line}"
+            );
+        }
+    }
 }
 
 #[test]
