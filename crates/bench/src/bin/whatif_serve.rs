@@ -45,8 +45,10 @@ fn base_sim() -> ClusterSim {
         ..ManagerConfig::paper_defaults(spec.provision_w(), PolicyKind::Mpc)
     };
     let manager = PowerManager::new(config, sets).expect("valid config");
-    // A service clones the base per query: keep the journal ring small so
-    // a branch costs column/RNG copies, not thousands of String clones.
+    // A service clones the base per query. Journal entries own `String`
+    // messages, so a small journal ring bounds a branch to 256 of them;
+    // the span recorder's records and attributes are two flat rings,
+    // copied without a per-span allocation.
     ClusterSim::new(spec)
         .with_manager(manager)
         .with_journal_capacity(256)

@@ -711,7 +711,7 @@ impl ClusterSim {
         self.obs.metrics.fingerprint()
     }
 
-    /// Control-cycle state classifications (time, state).
+    /// Control-cycle state classifications (time, state), in time order.
     pub fn state_log(&self) -> &[(SimTime, PowerState)] {
         &self.state_log
     }

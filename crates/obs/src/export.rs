@@ -46,10 +46,10 @@ fn attr_value(v: &AttrValue) -> Value {
     }
 }
 
-fn attrs_object(span: &SpanRecord) -> Value {
+fn attrs_object(spans: &SpanRecorder, span: &SpanRecord) -> Value {
     Value::Object(
-        span.attrs
-            .iter()
+        spans
+            .attrs(span)
             .map(|(k, v)| ((*k).to_string(), attr_value(v)))
             .collect(),
     )
@@ -92,7 +92,7 @@ pub fn chrome_trace(spans: &SpanRecorder) -> String {
             ("dur".into(), serde_json::value_of(&dur_us(span))),
             ("pid".into(), serde_json::value_of(&1u64)),
             ("tid".into(), serde_json::value_of(&1u64)),
-            ("args".into(), attrs_object(span)),
+            ("args".into(), attrs_object(spans, span)),
         ]));
     }
     let root = Value::Object(vec![
@@ -146,7 +146,7 @@ pub fn jsonl(spans: &SpanRecorder, metrics: &MetricsRegistry) -> String {
             ("end_ms".into(), serde_json::value_of(&span.end.as_millis())),
             ("start_seq".into(), serde_json::value_of(&span.start_seq)),
             ("end_seq".into(), serde_json::value_of(&span.end_seq)),
-            ("attrs".into(), attrs_object(span)),
+            ("attrs".into(), attrs_object(spans, span)),
         ]);
         push_json_line(&mut out, &line);
     }

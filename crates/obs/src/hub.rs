@@ -19,10 +19,12 @@ use serde::{Deserialize, Serialize};
 /// Default retained completed spans (≈ 500 control cycles of an 8-stage
 /// tree — ample for flight-recorder windows and Chrome-trace exports).
 ///
-/// Deliberately sized so the ring (~112 B/record) stays cache-resident:
-/// the fingerprint covers *every* span ever closed regardless of
-/// retention, and a multi-megabyte ring measurably slowed the managed
-/// tick by streaming every close through cold cache lines.
+/// Deliberately sized so the rings stay cache-resident (an 80 B record
+/// plus 40 B per attribute in the shared attribute ring; the managed
+/// cycle averages under two attributes per span, ~0.6 MB in all): the
+/// fingerprint covers *every* span ever closed regardless of retention,
+/// and a multi-megabyte ring measurably slowed the managed tick by
+/// streaming every close through cold cache lines.
 pub const DEFAULT_SPAN_CAPACITY: usize = 4_096;
 /// Default flight-recorder snapshot bound.
 pub const DEFAULT_FLIGHT_SNAPSHOTS: usize = 8;

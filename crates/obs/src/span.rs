@@ -11,10 +11,16 @@
 //! same-seed repeats, evaluation modes and what-if branches.
 //!
 //! Hot-path discipline mirrors the journal: completed spans live in a
-//! bounded ring (evictions counted, never silent), attribute vectors are
-//! recycled through a freelist so steady-state recording allocates
-//! nothing, and the fingerprint is folded incrementally at span close so
-//! it covers *every* span ever closed, not just the retained window.
+//! bounded ring (evictions counted, never silent), and the fingerprint is
+//! folded incrementally at span close so it covers *every* span ever
+//! closed, not just the retained window. Records own no heap data: open
+//! spans push their attributes onto one pending stack, `close` moves them
+//! into one attribute ring beside the record ring, and a record keeps
+//! only its position and count there ([`SpanRecorder::attrs`]). Evicting
+//! a record drops its attributes from the ring's front, so steady-state
+//! recording allocates nothing. Cloning a recorder (every what-if branch
+//! does) copies two flat buffers instead of one vector per span, each at
+//! its source's capacity so the clone never regrows them.
 
 use ppc_simkit::hash::Fnv1a;
 use ppc_simkit::SimTime;
@@ -84,10 +90,13 @@ fn static_digest(interned: &mut Vec<InternedStr>, s: &'static str) -> u64 {
     d
 }
 
-/// One completed span. (Serialize-only: the static name cannot be
-/// deserialized into a `'static` borrow — see [`SpanDump`] for the owned
-/// round-trippable form.)
-#[derive(Debug, Clone, PartialEq, Serialize)]
+/// One attached attribute: static key and typed value.
+type Attr = (&'static str, AttrValue);
+
+/// One completed span. Its attributes live in the recorder that closed
+/// it: read them with [`SpanRecorder::attrs`]. See [`SpanDump`] for the
+/// owned, serializable form.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SpanRecord {
     /// Recorder-unique id (monotonic in close order of open).
     pub id: SpanId,
@@ -104,29 +113,38 @@ pub struct SpanRecord {
     pub start_seq: u32,
     /// Intra-tick sequence number at close.
     pub end_seq: u32,
-    /// Typed attributes in attach order.
-    pub attrs: Vec<(&'static str, AttrValue)>,
+    /// Index of the first attribute among every attribute the recorder
+    /// has ever retired into its attribute ring.
+    attr_at: u64,
+    /// Number of attributes, in attach order from `attr_at`.
+    attr_len: u32,
 }
 
-/// An open span awaiting close.
-#[derive(Debug, Clone)]
+/// An open span awaiting close; its attributes are the pending stack
+/// from `attr_from` up.
+#[derive(Debug, Clone, Copy)]
 struct OpenSpan {
     id: SpanId,
     parent: Option<SpanId>,
     name: &'static str,
     start: SimTime,
     start_seq: u32,
-    attrs: Vec<(&'static str, AttrValue)>,
+    attr_from: usize,
 }
 
 /// Bounded, deterministic span recorder. See the module docs.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct SpanRecorder {
     enabled: bool,
     capacity: usize,
     done: VecDeque<SpanRecord>,
     stack: Vec<OpenSpan>,
-    freelist: Vec<Vec<(&'static str, AttrValue)>>,
+    /// Attributes of the open spans, innermost span's on top.
+    pending: Vec<Attr>,
+    /// Attributes of the retained spans, in close order.
+    attrs: VecDeque<Attr>,
+    /// Ring index of `attrs.front()`: attributes evicted so far.
+    attrs_evicted: u64,
     interned: Vec<InternedStr>,
     next_id: u64,
     closed: u64,
@@ -134,6 +152,29 @@ pub struct SpanRecorder {
     hash: Fnv1a,
     last_at: SimTime,
     seq: u32,
+}
+
+/// A clone keeps each ring's capacity, so it records on (a what-if branch
+/// steps its clone) without regrowing a ring by a copy.
+impl Clone for SpanRecorder {
+    fn clone(&self) -> Self {
+        SpanRecorder {
+            done: ring_clone(&self.done),
+            stack: self.stack.clone(),
+            pending: self.pending.clone(),
+            attrs: ring_clone(&self.attrs),
+            interned: self.interned.clone(),
+            hash: self.hash.clone(),
+            ..*self
+        }
+    }
+}
+
+/// A copy of `ring` in a buffer of the same capacity.
+fn ring_clone<T: Copy>(ring: &VecDeque<T>) -> VecDeque<T> {
+    let mut copy = VecDeque::with_capacity(ring.capacity());
+    copy.extend(ring);
+    copy
 }
 
 impl SpanRecorder {
@@ -148,7 +189,21 @@ impl SpanRecorder {
             capacity,
             done: VecDeque::with_capacity(capacity.min(1024)),
             stack: Vec::with_capacity(8),
-            freelist: Vec::new(),
+            ..SpanRecorder::disabled()
+        }
+    }
+
+    /// A recorder that ignores every call — lets untraced code paths call
+    /// the traced API at negligible cost. Allocates nothing.
+    pub fn disabled() -> Self {
+        SpanRecorder {
+            enabled: false,
+            capacity: 1,
+            done: VecDeque::new(),
+            stack: Vec::new(),
+            pending: Vec::new(),
+            attrs: VecDeque::new(),
+            attrs_evicted: 0,
             interned: Vec::new(),
             next_id: 0,
             closed: 0,
@@ -157,14 +212,6 @@ impl SpanRecorder {
             last_at: SimTime::ZERO,
             seq: 0,
         }
-    }
-
-    /// A recorder that ignores every call — lets untraced code paths call
-    /// the traced API at negligible cost.
-    pub fn disabled() -> Self {
-        let mut r = SpanRecorder::new(1);
-        r.enabled = false;
-        r
     }
 
     /// Next intra-tick sequence number; resets whenever sim time moves.
@@ -188,14 +235,13 @@ impl SpanRecorder {
         self.next_id += 1;
         let start_seq = self.next_seq(at);
         let parent = self.stack.last().map(|s| s.id);
-        let attrs = self.freelist.pop().unwrap_or_default();
         self.stack.push(OpenSpan {
             id,
             parent,
             name,
             start: at,
             start_seq,
-            attrs,
+            attr_from: self.pending.len(),
         });
         id
     }
@@ -203,8 +249,8 @@ impl SpanRecorder {
     /// Attaches an attribute to the innermost open span. No-op when
     /// disabled or when no span is open.
     pub fn attr(&mut self, key: &'static str, value: AttrValue) {
-        if let Some(top) = self.stack.last_mut() {
-            top.attrs.push((key, value));
+        if !self.stack.is_empty() {
+            self.pending.push((key, value));
         }
     }
 
@@ -216,7 +262,35 @@ impl SpanRecorder {
             return;
         };
         let end_seq = self.next_seq(at);
-        let record = SpanRecord {
+        let attrs = &self.pending[open.attr_from..];
+        // Fold the span into the running fingerprint now, so the hash
+        // covers every closed span regardless of later ring eviction.
+        // Word-granularity absorbs (one multiply per fixed-width field,
+        // names via interned digests) keep this a few nanoseconds: the
+        // fold runs ~10 times per control cycle on the managed hot path.
+        let h = &mut self.hash;
+        h.write_word(open.id.0);
+        h.write_word(open.parent.map_or(u64::MAX, |p| p.0));
+        h.write_word(static_digest(&mut self.interned, open.name));
+        h.write_word(open.start.as_millis());
+        h.write_word(at.as_millis());
+        h.write_word(u64::from(open.start_seq) << 32 | u64::from(end_seq));
+        h.write_word(attrs.len() as u64);
+        for (key, value) in attrs {
+            h.write_word(static_digest(&mut self.interned, key));
+            value.absorb(h, &mut self.interned);
+        }
+        self.closed += 1;
+        if self.done.len() == self.capacity {
+            if let Some(evicted) = self.done.pop_front() {
+                for _ in 0..evicted.attr_len {
+                    self.attrs.pop_front();
+                }
+                self.attrs_evicted += u64::from(evicted.attr_len);
+            }
+            self.dropped += 1;
+        }
+        self.done.push_back(SpanRecord {
             id: open.id,
             parent: open.parent,
             name: open.name,
@@ -224,36 +298,24 @@ impl SpanRecorder {
             end: at,
             start_seq: open.start_seq,
             end_seq,
-            attrs: open.attrs,
-        };
-        // Fold the span into the running fingerprint now, so the hash
-        // covers every closed span regardless of later ring eviction.
-        // Word-granularity absorbs (one multiply per fixed-width field,
-        // names via interned digests) keep this a few nanoseconds: the
-        // fold runs ~10 times per control cycle on the managed hot path.
-        let h = &mut self.hash;
-        h.write_word(record.id.0);
-        h.write_word(record.parent.map_or(u64::MAX, |p| p.0));
-        h.write_word(static_digest(&mut self.interned, record.name));
-        h.write_word(record.start.as_millis());
-        h.write_word(record.end.as_millis());
-        h.write_word(u64::from(record.start_seq) << 32 | u64::from(record.end_seq));
-        h.write_word(record.attrs.len() as u64);
-        for (key, value) in &record.attrs {
-            h.write_word(static_digest(&mut self.interned, key));
-            value.absorb(h, &mut self.interned);
-        }
-        self.closed += 1;
-        if self.done.len() == self.capacity {
-            if let Some(mut evicted) = self.done.pop_front() {
-                // Recycle the attribute vector: steady-state recording
-                // then allocates nothing per span.
-                evicted.attrs.clear();
-                self.freelist.push(std::mem::take(&mut evicted.attrs));
+            attr_at: self.attrs_evicted + self.attrs.len() as u64,
+            attr_len: attrs.len() as u32,
+        });
+        self.attrs.extend(self.pending.drain(open.attr_from..));
+    }
+
+    /// The attributes of `span`, in attach order. `span` must be a record
+    /// this recorder retains ([`Self::iter`], [`Self::tail`]); one it has
+    /// since evicted yields none.
+    pub fn attrs(&self, span: &SpanRecord) -> std::collections::vec_deque::Iter<'_, Attr> {
+        let len = u64::from(span.attr_len);
+        let range = match span.attr_at.checked_sub(self.attrs_evicted) {
+            Some(from) if from + len <= self.attrs.len() as u64 => {
+                from as usize..(from + len) as usize
             }
-            self.dropped += 1;
-        }
-        self.done.push_back(record);
+            _ => 0..0,
+        };
+        self.attrs.range(range)
     }
 
     /// Number of retained completed spans.
@@ -304,7 +366,32 @@ impl SpanRecorder {
     /// Owned copies of the last `n` retained spans (for flight-recorder
     /// snapshots and serialized reports).
     pub fn dump_tail(&self, n: usize) -> Vec<SpanDump> {
-        self.tail(n).map(SpanDump::from).collect()
+        self.tail(n).map(|r| self.dump(r)).collect()
+    }
+
+    /// Owned copy of the retained record `r`.
+    fn dump(&self, r: &SpanRecord) -> SpanDump {
+        SpanDump {
+            id: r.id.0,
+            parent: r.parent.map(|p| p.0),
+            name: r.name.to_string(),
+            start_ms: r.start.as_millis(),
+            end_ms: r.end.as_millis(),
+            start_seq: r.start_seq,
+            end_seq: r.end_seq,
+            attrs: self
+                .attrs(r)
+                .map(|(k, v)| AttrDump {
+                    key: (*k).to_string(),
+                    value: match *v {
+                        AttrValue::U64(x) => AttrDumpValue::U64(x),
+                        AttrValue::I64(x) => AttrDumpValue::I64(x),
+                        AttrValue::F64(x) => AttrDumpValue::F64(x),
+                        AttrValue::Str(s) => AttrDumpValue::Str(s.to_string()),
+                    },
+                })
+                .collect(),
+        }
     }
 }
 
@@ -352,33 +439,6 @@ pub enum AttrDumpValue {
     Str(String),
 }
 
-impl From<&SpanRecord> for SpanDump {
-    fn from(r: &SpanRecord) -> Self {
-        SpanDump {
-            id: r.id.0,
-            parent: r.parent.map(|p| p.0),
-            name: r.name.to_string(),
-            start_ms: r.start.as_millis(),
-            end_ms: r.end.as_millis(),
-            start_seq: r.start_seq,
-            end_seq: r.end_seq,
-            attrs: r
-                .attrs
-                .iter()
-                .map(|(k, v)| AttrDump {
-                    key: (*k).to_string(),
-                    value: match *v {
-                        AttrValue::U64(x) => AttrDumpValue::U64(x),
-                        AttrValue::I64(x) => AttrDumpValue::I64(x),
-                        AttrValue::F64(x) => AttrDumpValue::F64(x),
-                        AttrValue::Str(s) => AttrDumpValue::Str(s.to_string()),
-                    },
-                })
-                .collect(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -402,7 +462,9 @@ mod tests {
         assert_eq!(spans[0].id, child);
         assert_eq!(spans[0].parent, Some(root));
         assert_eq!(spans[0].name, "select");
-        assert_eq!(spans[0].attrs, vec![("targets", AttrValue::U64(3))]);
+        let attrs: Vec<Attr> = r.attrs(spans[0]).copied().collect();
+        assert_eq!(attrs, vec![("targets", AttrValue::U64(3))]);
+        assert_eq!(r.attrs(spans[1]).len(), 0);
         assert_eq!(spans[1].id, root);
         assert_eq!(spans[1].parent, None);
         assert_eq!(spans[1].end, t(2));
@@ -488,21 +550,6 @@ mod tests {
         let mut r = SpanRecorder::new(4);
         r.close(t(1)); // no open span: ignored
         assert_eq!(r.closed(), 0);
-    }
-
-    #[test]
-    fn freelist_recycles_attr_vectors() {
-        let mut r = SpanRecorder::new(1);
-        for i in 0..4u64 {
-            r.open("s", t(i));
-            r.attr("k", AttrValue::U64(i));
-            r.close(t(i));
-        }
-        // Ring of 1: three evictions, so the freelist has fed vectors
-        // back; behaviorally the retained span must still be correct.
-        let last = r.iter().next().unwrap();
-        assert_eq!(last.attrs, vec![("k", AttrValue::U64(3))]);
-        assert_eq!(r.dropped(), 3);
     }
 
     #[test]

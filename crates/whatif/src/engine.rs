@@ -151,10 +151,10 @@ pub fn evaluate(mut sim: ClusterSim, req: &WhatIfRequest) -> WhatIfAnswer {
     let cycle_secs = sim.spec().tick.as_secs_f64();
     let mut yellow_secs = 0.0;
     let mut red_secs = 0.0;
-    for (at, state) in sim.state_log() {
-        if *at <= t0 {
-            continue;
-        }
+    // The log is in time order: skip the base run's cycles by search.
+    let log = sim.state_log();
+    let after_t0 = log.partition_point(|&(at, _)| at <= t0);
+    for (_, state) in &log[after_t0..] {
         match state {
             PowerState::Yellow => yellow_secs += cycle_secs,
             PowerState::Red => red_secs += cycle_secs,

@@ -4,7 +4,7 @@
 //! to the same point — proven by all four determinism fingerprints
 //! (journal, power trace, spans, metrics) — through serde round-trips of
 //! the recipe form, under an active fault schedule, and with the
-//! journal's ring-eviction counter intact.
+//! journal's and the span recorder's ring evictions intact.
 
 use ppc_cluster::ExperimentConfig;
 use ppc_cluster::{ClusterSim, ClusterSpec};
@@ -26,6 +26,16 @@ struct Digest {
     metrics: u64,
     finished: usize,
     commands: u64,
+}
+
+/// The retained spans exactly as exported: the JSONL stream and the
+/// Chrome trace.
+fn exports(sim: &ClusterSim) -> (String, String) {
+    let obs = sim.obs();
+    (
+        ppc_obs::jsonl(&obs.spans, &obs.metrics),
+        ppc_obs::chrome_trace(&obs.spans),
+    )
 }
 
 fn digest(sim: &ClusterSim) -> Digest {
@@ -89,6 +99,22 @@ fn branch_matches_fresh_same_seed_run() {
         reference,
         "branched run diverged from the fresh run"
     );
+
+    // Drive both past a wrapped span ring: the retained records and their
+    // attributes, not only the hashes, must match byte for byte.
+    while fresh.obs().spans.closed() <= ppc_obs::hub::DEFAULT_SPAN_CAPACITY as u64 {
+        fresh.step();
+        branch.step();
+    }
+    assert!(
+        branch.obs().spans.dropped() > 0,
+        "the ring must have wrapped"
+    );
+    assert_eq!(digest(&branch), digest(&fresh));
+    assert!(
+        exports(&branch) == exports(&fresh),
+        "exports of a wrapped ring diverged between branch and fresh run"
+    );
 }
 
 /// Two sibling branches of one snapshot are independent: mutating one
@@ -99,6 +125,7 @@ fn sibling_branches_are_isolated_under_faults() {
     let mut sim = faulted_sim();
     sim.run_for(SimDuration::from_secs(RUN_SECS / 2));
     let snapshot = ClusterSnapshot::capture(&sim);
+    let base_exports = exports(snapshot.base());
     assert!(
         snapshot
             .base()
@@ -125,6 +152,10 @@ fn sibling_branches_are_isolated_under_faults() {
         digest(&mutated).trace,
         digest(&sim).trace,
         "the mutation must actually change the mutated branch"
+    );
+    assert!(
+        exports(snapshot.base()) == base_exports,
+        "stepping branches must leave the snapshot's spans and attributes unchanged"
     );
 }
 

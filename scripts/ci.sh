@@ -46,11 +46,13 @@ cargo run --release -p ppc-bench --bin ext_faults -- --smoke
 # Observability smoke: a faulted managed run must emit a schema-valid
 # JSONL trace stream through --trace-out (see DESIGN §12) and a
 # schema-valid health stream through --health-out (see DESIGN §17).
+# Ten measured minutes close more spans than the recorder retains, so
+# the exported stream comes from a wrapped span ring.
 trace_tmp="$(mktemp -t ppc-trace.XXXXXX.jsonl)"
 health_tmp="$(mktemp -t ppc-health.XXXXXX.jsonl)"
 trap 'rm -f "$trace_tmp" "$health_tmp"' EXIT
 ./target/release/ppc run --nodes 8 --provision 0.6 --faults 6 \
-    --training-mins 1 --measure-mins 5 --trace-out "$trace_tmp" \
+    --training-mins 1 --measure-mins 10 --trace-out "$trace_tmp" \
     --health-out "$health_tmp" >/dev/null
 cargo run --release -p ppc-obs --bin validate_trace -- "$trace_tmp"
 cargo run --release -p ppc-obs --bin validate_health -- "$health_tmp"
