@@ -7,7 +7,7 @@
 //!
 //! | phase | stages | module |
 //! |---|---|---|
-//! | tick boundary, timer wheel, fault edges | `faults` | `sim/faults.rs` |
+//! | tick boundary, staleness deadlines, fault edges | `faults` | `sim/faults.rs` |
 //! | job arrivals, placement, SLA protection | `schedule` | `sim/schedule.rs` |
 //! | node operating states (and lazy samples) | `materialize` | `sim/advance.rs` |
 //! | job progress, thermal, fleet power, meter | `advance` | `sim/advance.rs` |
@@ -38,10 +38,14 @@
 //!   updates the rack observations of `sim/rack_obs.rs` in place from the
 //!   edges.
 //!
-//! One-shot events — the think-time arrival gate and telemetry staleness
-//! deadlines — ride a [`TimeWheel`]. Phase boundaries do not: they depend
-//! on member speeds, which throttling changes mid-flight, so the advance
-//! pass detects them and stages the affected members dirty.
+//! Simulated time is the tick count: `now() = tick_index · τ`. Two kinds
+//! of one-shot event are keyed by tick: the think-time arrival gate is
+//! the one tick it opens on, compared by the schedule phase, and
+//! telemetry staleness deadlines sit in a min-heap on `(tick, seq)`,
+//! drained at the tick boundary in due-tick then insertion order. Phase
+//! boundaries are not predicted: they depend on member speeds, which
+//! throttling changes mid-flight, so the advance pass detects them and
+//! stages the affected members dirty.
 
 use crate::columns::NodeColumns;
 use crate::spec::ClusterSpec;
@@ -67,7 +71,7 @@ use ppc_obs::{
 };
 use ppc_simkit::journal::{Journal, Severity};
 use ppc_simkit::par::WorkerPool;
-use ppc_simkit::{RngFactory, SimDuration, SimTime, TickClock, TimeSeries, TimeWheel};
+use ppc_simkit::{RngFactory, SimDuration, SimTime, TimeSeries};
 use ppc_telemetry::{
     Collector, MeterReading, NodeSample, NoiseModel, ProfilingAgent, SystemPowerMeter,
 };
@@ -77,7 +81,8 @@ use ppc_workload::{
     Scheduler, TraceSource,
 };
 use rack_obs::{Observer, RackObs};
-use std::collections::BTreeSet;
+use std::cmp::Reverse;
+use std::collections::{BTreeSet, BinaryHeap};
 use std::sync::Arc;
 
 mod actuate;
@@ -104,16 +109,6 @@ pub enum EvalMode {
     Incremental,
 }
 
-/// One-shot discrete events scheduled on the simulation's timer wheel.
-#[derive(Debug, Clone, Copy)]
-enum WheelEvent {
-    /// The think-time gate opens: job submission may resume.
-    ArrivalGate,
-    /// A dark candidate's last sample reaches the staleness limit (lazy
-    /// regime under faults): its freshness is re-derived this cycle.
-    FreshnessDue(NodeId),
-}
-
 /// What every phase of one tick reads.
 #[derive(Clone, Copy)]
 struct Tick {
@@ -133,7 +128,8 @@ struct Tick {
 /// The integrated cluster simulation.
 ///
 /// `Clone` produces a deep, independent copy of every piece of mutable
-/// state (RNG streams, columns, wheel, controller, journal, observability)
+/// state (RNG streams, columns, deadlines, controller, journal,
+/// observability)
 /// while sharing the immutable `Arc<PowerModel>`/`Arc<NodeSpec>` tables —
 /// the substrate of the what-if snapshot/branch subsystem (`ppc-whatif`).
 /// A branched clone stepped N ticks is bit-identical to the original
@@ -141,7 +137,6 @@ struct Tick {
 #[derive(Clone)]
 pub struct ClusterSim {
     spec: ClusterSpec,
-    clock: TickClock,
     /// Per-node power model (group-shared Arcs).
     models: Vec<Arc<PowerModel>>,
     nodes: Vec<Node>,
@@ -201,13 +196,20 @@ pub struct ClusterSim {
     eval_mode: EvalMode,
     /// Dense per-node columns (power, speed, down, stamps) + dirty set.
     columns: NodeColumns,
-    /// Timer wheel carrying the arrival gate and staleness deadlines.
-    wheel: TimeWheel<WheelEvent>,
-    /// Completed ticks; the tick being computed inside `step()` is
-    /// `tick_index + 1` and stamps `now1 = tick · τ`.
+    /// Completed ticks, the simulation's one clock: `now() = tick_index · τ`.
+    /// The tick being computed inside `step()` is `tick_index + 1` and
+    /// stamps `now1 = tick · τ`.
     tick_index: u64,
-    /// Whether the think-time gate is open (opened by the wheel).
-    arrival_gate_open: bool,
+    /// The tick the think-time gate opens on: submission is held back
+    /// while the tick being computed is below it (0 = open).
+    arrival_gate_tick: u64,
+    /// Telemetry staleness deadlines (lazy regime under faults):
+    /// `(tick, seq, node)`, min first. A dark candidate whose last sample
+    /// reaches the staleness limit at `tick` is a freshness suspect then;
+    /// `seq` counts pushes, so equal ticks drain in insertion order.
+    stale_deadlines: BinaryHeap<Reverse<(u64, u64, NodeId)>>,
+    /// Pushes onto `stale_deadlines` so far.
+    stale_seq: u64,
     /// Last tick each node's agent produced (or had its baseline advanced
     /// to) a sample; 0 = never.
     last_sampled_tick: Vec<u64>,
@@ -244,7 +246,6 @@ pub struct ClusterSim {
     scratch_down: Vec<bool>,
     scratch_dirty: Vec<u32>,
     scratch_edges: Vec<NodeId>,
-    scratch_events: Vec<WheelEvent>,
     scratch_sampled: Vec<u32>,
     scratch_settle: Vec<u32>,
 }
@@ -303,7 +304,6 @@ impl ClusterSim {
         let obs_i = ObsInstruments::register(&mut obs.metrics);
         let n_total = nodes.len();
         ClusterSim {
-            clock: TickClock::new(spec.tick),
             models,
             nodes,
             scheduler,
@@ -334,9 +334,10 @@ impl ClusterSim {
             obs_i,
             eval_mode: EvalMode::default(),
             columns: NodeColumns::new(n_total),
-            wheel: TimeWheel::new(),
             tick_index: 0,
-            arrival_gate_open: true,
+            arrival_gate_tick: 0,
+            stale_deadlines: BinaryHeap::new(),
+            stale_seq: 0,
             last_sampled_tick: vec![0; n_total],
             state_epoch: vec![0; n_total],
             settle_pending: Vec::new(),
@@ -350,7 +351,6 @@ impl ClusterSim {
             scratch_down: Vec::new(),
             scratch_dirty: Vec::new(),
             scratch_edges: Vec::new(),
-            scratch_events: Vec::new(),
             scratch_sampled: Vec::new(),
             scratch_settle: Vec::new(),
             spec,
@@ -573,7 +573,7 @@ impl ClusterSim {
 
     /// Current simulation time.
     pub fn now(&self) -> SimTime {
-        self.clock.now()
+        SimTime::ZERO + self.spec.tick * self.tick_index
     }
 
     /// The true (unmetered) power trace.
@@ -651,7 +651,7 @@ impl ClusterSim {
     /// injection). Open outages are charged up to the current instant.
     pub fn availability_report(&self) -> Option<AvailabilityReport> {
         let fs = self.faults.as_ref()?;
-        let now = self.clock.now();
+        let now = self.now();
         let stats = fs.engine.stats_at(now);
         let (red_cycles, conservative_cycles, total_cycles) = match self.control_stats() {
             Some(s) => (s.red_cycles, s.conservative_cycles, s.cycles),
@@ -769,7 +769,7 @@ impl ClusterSim {
         nprocs: u32,
         priority: JobPriority,
     ) -> JobId {
-        let now = self.clock.now();
+        let now = self.now();
         let job = self.generator.synthesize(app, class, nprocs, priority, now);
         let id = job.id();
         self.journal.record_with(now, Severity::Info, "whatif", || {
@@ -799,7 +799,7 @@ impl ClusterSim {
         if self.columns.is_down(n) {
             return false;
         }
-        let now = self.clock.now();
+        let now = self.now();
         let incremental = self.incremental_active();
         if let Some(fs) = self.faults.as_mut() {
             // Whatever command we owed the node is moot.
@@ -838,8 +838,8 @@ impl ClusterSim {
         let incremental = self.incremental_active();
         let t = Tick {
             tick: self.tick_index + 1,
-            start: self.clock.now(),
-            dt: self.clock.dt_secs(),
+            start: self.now(),
+            dt: self.spec.tick.as_secs_f64(),
             incremental,
             lazy: incremental && self.hierarchy.is_some(),
         };
@@ -882,7 +882,7 @@ impl ClusterSim {
 
     /// Runs the simulation for `duration`.
     pub fn run_for(&mut self, duration: SimDuration) {
-        let ticks = self.clock.ticks_in(duration);
+        let ticks = duration.as_millis().div_ceil(self.spec.tick.as_millis());
         for _ in 0..ticks {
             self.step();
         }

@@ -117,9 +117,9 @@ impl ClusterSim {
         // moved: only their jobs refold the minimum. Phase boundaries
         // crossed during this advance change member loads starting next
         // tick: the scheduler reports those members, which are staged
-        // dirty. (Phase boundaries are not wheel-predicted — their timing
+        // dirty. (Phase boundaries are not predicted — their timing
         // depends on member speeds, which throttling changes mid-flight.)
-        let now = self.clock.advance();
+        let now = SimTime::ZERO + self.spec.tick * t.tick;
         let mut records = self.scheduler.advance(
             dt,
             now,
@@ -217,7 +217,7 @@ impl ClusterSim {
     pub(super) fn catch_up(&mut self, id: NodeId, upto: u64) {
         let behind = upto - self.columns.stamp_of(id);
         if behind > 0 {
-            self.nodes[id.0 as usize].catch_up(self.clock.dt_secs(), behind);
+            self.nodes[id.0 as usize].catch_up(self.spec.tick.as_secs_f64(), behind);
             self.columns.set_stamp(id, upto);
         }
     }

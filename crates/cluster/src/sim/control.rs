@@ -220,7 +220,7 @@ impl ClusterSim {
             // The lazy regime tracked the mask from edges before
             // sampling; the dense regime refills it from timestamps.
             if !lazy {
-                fs.fresh.reset(nodes.len());
+                fs.fresh.reset(0..nodes.len() as u32);
                 for &id in sets.candidates() {
                     if collector.is_fresh(id, now, fs.staleness_limit) {
                         fs.fresh.insert(id);

@@ -1,6 +1,7 @@
-//! The `faults` stage: the tick boundary, the timer wheel, and the fault
-//! schedule's edges, which strike before anything else in the tick so a
-//! node that dies now neither hosts a new job nor contributes power.
+//! The `faults` stage: the tick boundary, the due staleness deadlines,
+//! and the fault schedule's edges, which strike before anything else in
+//! the tick so a node that dies now neither hosts a new job nor
+//! contributes power.
 
 use super::*;
 
@@ -42,12 +43,13 @@ impl ClusterSim {
     /// more than the limit before now. Its last sample is at
     /// `last_sampled_tick`, which the lazy regime catches up to the dense
     /// one when the node goes dark ([`freeze_agent`]); the tick it turns
-    /// stale is scheduled on the wheel. Down nodes are never candidates.
+    /// stale is pushed onto the deadline heap. Down nodes are never
+    /// candidates.
     pub(super) fn track_freshness(&mut self, sets: &NodeSets, tick: u64) {
         let Some(fs) = self.faults.as_mut() else {
             return;
         };
-        let fresh_ticks = fs.staleness_limit.as_millis() / self.spec.tick.as_millis().max(1);
+        let fresh_ticks = fs.staleness_limit.as_millis() / self.spec.tick.as_millis();
         fs.flipped.clear();
         for n in self.fresh_suspects.drain(..) {
             let candidate = sets.is_candidate(n);
@@ -56,7 +58,9 @@ impl ClusterSim {
                 let stale_at = self.last_sampled_tick[n.0 as usize] + fresh_ticks + 1;
                 let fresh = tick < stale_at && self.collector.latest(n).is_some();
                 if fresh {
-                    self.wheel.schedule(stale_at, WheelEvent::FreshnessDue(n));
+                    self.stale_deadlines
+                        .push(Reverse((stale_at, self.stale_seq, n)));
+                    self.stale_seq += 1;
                 }
                 fresh
             } else {
@@ -81,8 +85,10 @@ fn set_member(mask: &mut NodeMask, node: NodeId, member: bool) -> bool {
 
 impl ClusterSim {
     /// The tick boundary, then the fault edges: promotes the dirty marks
-    /// staged during tick−1 (phase boundaries, level commands), drains the
-    /// timer wheel up to this tick, and replays the fault schedule.
+    /// staged during tick−1 (phase boundaries, level commands), makes the
+    /// nodes whose staleness deadline is due by this tick freshness
+    /// suspects (due tick, then insertion order), and replays the fault
+    /// schedule.
     pub(super) fn fault_phase(&mut self, t: &Tick, stage: StageTimer) -> StageTimer {
         self.columns.dirty.begin_tick();
         if t.incremental && t.tick == 1 {
@@ -91,15 +97,13 @@ impl ClusterSim {
                 self.columns.dirty.mark(NodeId(id));
             }
         }
-        let mut events = std::mem::take(&mut self.scratch_events);
-        self.wheel.pop_due_into(t.tick, &mut events);
-        for ev in &events {
-            match *ev {
-                WheelEvent::ArrivalGate => self.arrival_gate_open = true,
-                WheelEvent::FreshnessDue(n) => self.fresh_suspects.push(n),
+        while let Some(&Reverse((at, _, n))) = self.stale_deadlines.peek() {
+            if at > t.tick {
+                break;
             }
+            self.stale_deadlines.pop();
+            self.fresh_suspects.push(n);
         }
-        self.scratch_events = events;
         self.fault_tick(t);
         self.obs.profile.lap("faults", stage)
     }

@@ -6,11 +6,11 @@ use super::*;
 impl ClusterSim {
     /// Job arrival and placement. With a replay trace, jobs arrive at their
     /// recorded times; otherwise an empty queue is refilled (paper
-    /// protocol), gated by the think-time gap — a one-shot wheel event
-    /// rather than a per-tick deadline compare. Started jobs' members are
-    /// dirty this very tick, and a critical job's nodes join
-    /// `A_uncontrollable` for its lifetime (the paper's dynamic candidate
-    /// set).
+    /// protocol), gated by the think-time gap: after a refill, submission
+    /// resumes on the first tick that starts at or after a drawn gap.
+    /// Started jobs' members are dirty this very tick, and a critical
+    /// job's nodes join `A_uncontrollable` for its lifetime (the paper's
+    /// dynamic candidate set).
     pub(super) fn schedule_phase(&mut self, t: &Tick, stage: StageTimer) -> StageTimer {
         let now = t.start;
         match self.trace_source.as_mut() {
@@ -20,7 +20,7 @@ impl ClusterSim {
                 }
             }
             None => {
-                if self.arrival_gate_open
+                if t.tick >= self.arrival_gate_tick
                     && self
                         .generator
                         .refill_to(&mut self.queue, self.spec.queue_depth, now)
@@ -30,9 +30,8 @@ impl ClusterSim {
                         .arrival_rng
                         .exponential(self.spec.think_time_mean.as_secs_f64());
                     let next_submit_at = now + SimDuration::from_secs_f64(gap);
-                    self.arrival_gate_open = false;
-                    let open_at = gate_open_tick(next_submit_at, self.spec.tick).max(t.tick + 1);
-                    self.wheel.schedule(open_at, WheelEvent::ArrivalGate);
+                    self.arrival_gate_tick =
+                        gate_open_tick(next_submit_at, self.spec.tick).max(t.tick + 1);
                 }
             }
         }
@@ -129,6 +128,5 @@ impl ClusterSim {
 /// First tick whose start instant `(T−1)·τ` reaches `at` — when the
 /// think-time gate scheduled for `at` opens.
 fn gate_open_tick(at: SimTime, tau: SimDuration) -> u64 {
-    let tau_ms = tau.as_millis().max(1);
-    at.as_millis().div_ceil(tau_ms) + 1
+    at.as_millis().div_ceil(tau.as_millis()) + 1
 }

@@ -32,6 +32,50 @@ fn unmanaged_sim_runs_jobs_and_records_power() {
 }
 
 #[test]
+fn time_is_the_tick_count_times_tau() {
+    let mut spec = ClusterSpec::mini(2);
+    spec.tick = SimDuration::from_millis(1_500);
+    let mut sim = ClusterSim::new(spec);
+    assert_eq!(sim.now(), SimTime::ZERO);
+    // 4 s is 2.67 ticks of 1.5 s: `run_for` rounds up to whole ticks.
+    sim.run_for(SimDuration::from_secs(4));
+    assert_eq!(sim.tick_index(), 3);
+    assert_eq!(sim.now(), SimTime::from_millis(4_500));
+    sim.run_for(SimDuration::ZERO);
+    assert_eq!(sim.tick_index(), 3);
+    // The trace stamps each tick's end instant.
+    let want = [1_500, 3_000, 4_500].map(SimTime::from_millis);
+    assert_eq!(sim.true_power().times(), want);
+}
+
+#[test]
+fn staleness_deadlines_drain_in_tick_then_insertion_order() {
+    let mut sim = ClusterSim::new(ClusterSpec::mini(4));
+    for (seq, (at, node)) in [(5, 1), (3, 2), (5, 0), (7, 3)].into_iter().enumerate() {
+        sim.stale_deadlines
+            .push(Reverse((at, seq as u64, NodeId(node))));
+    }
+    // The suspects a tick boundary makes of the deadlines due by `tick`.
+    let mut due_by = |tick: u64| {
+        let t = Tick {
+            tick,
+            start: SimTime::ZERO,
+            dt: 1.0,
+            incremental: false,
+            lazy: false,
+        };
+        let stage = sim.obs.profile.start();
+        sim.fault_phase(&t, stage);
+        std::mem::take(&mut sim.fresh_suspects)
+    };
+    assert_eq!(due_by(2), []);
+    assert_eq!(due_by(6), [NodeId(2), NodeId(1), NodeId(0)]);
+    assert_eq!(due_by(6), [], "a deadline is drained once");
+    assert_eq!(due_by(7), [NodeId(3)]);
+    assert!(sim.stale_deadlines.is_empty());
+}
+
+#[test]
 fn deterministic_across_runs() {
     let run = || {
         let mut sim = ClusterSim::new(ClusterSpec::mini(4));

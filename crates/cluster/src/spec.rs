@@ -182,6 +182,7 @@ impl ClusterSpec {
     /// peak — violating Necessity — or privileged nodes out of range).
     pub fn validate(&self) {
         assert!(self.node_count > 0, "cluster needs nodes");
+        assert!(!self.tick.is_zero(), "tick step must be positive");
         assert!(
             (0.0..1.0).contains(&self.provision_fraction),
             "Necessity: provision capability must be below the theoretical peak"
@@ -233,6 +234,14 @@ mod tests {
     fn provision_at_or_above_peak_rejected() {
         let mut s = ClusterSpec::mini(4);
         s.provision_fraction = 1.0;
+        s.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "positive")]
+    fn zero_tick_rejected() {
+        let mut s = ClusterSpec::mini(4);
+        s.tick = SimDuration::ZERO;
         s.validate();
     }
 

@@ -24,12 +24,16 @@ use std::ops::Range;
 /// A dense set of node ids: one bit per id, 64 ids to a `u64` word, plus
 /// a member count.
 ///
-/// Membership is one word load and a rack's share of the set (node ids
-/// are contiguous per rack, see [`crate::Topology`]) is a popcount over
-/// the words its id range spans, so a per-tick set can be reset and
-/// refilled in place instead of being rebuilt as a tree.
+/// The words cover one span of ids, starting at word `first`: a rack's
+/// mask holds the rack's own ids only, whatever their offset in the
+/// fleet. Membership is one word load and a rack's share of the set
+/// (node ids are contiguous per rack, see [`crate::Topology`]) is a
+/// popcount over the words its id range spans, so a per-tick set can be
+/// reset and refilled in place instead of being rebuilt as a tree.
 #[derive(Debug, Clone, Default)]
 pub struct NodeMask {
+    /// Word index (id / 64) of `words[0]`.
+    first: usize,
     words: Vec<u64>,
     len: usize,
 }
@@ -40,22 +44,40 @@ fn word_bit(node: NodeId) -> (usize, u64) {
 }
 
 impl NodeMask {
-    /// Removes every member and sizes the mask for ids `0..nodes`,
-    /// reusing its words. Larger ids still insert; the mask grows to fit.
-    pub fn reset(&mut self, nodes: usize) {
+    /// Removes every member and sizes the mask for the ids in `ids`,
+    /// reusing its words. Ids outside still insert; the mask grows to fit.
+    pub fn reset(&mut self, ids: Range<u32>) {
+        self.first = ids.start as usize / 64;
         self.words.clear();
-        self.words.resize(nodes.div_ceil(64), 0);
+        self.words.resize(
+            (ids.end as usize).div_ceil(64).saturating_sub(self.first),
+            0,
+        );
         self.len = 0;
+    }
+
+    /// The word holding absolute word index `w` (0 outside the span).
+    fn word(&self, w: usize) -> u64 {
+        w.checked_sub(self.first)
+            .and_then(|i| self.words.get(i))
+            .copied()
+            .unwrap_or(0)
     }
 
     /// Adds `node`; true if it was not already a member.
     pub fn insert(&mut self, node: NodeId) -> bool {
         let (w, bit) = word_bit(node);
-        if w >= self.words.len() {
-            self.words.resize(w + 1, 0);
+        if w < self.first {
+            let grow = self.first - w;
+            self.words.splice(0..0, std::iter::repeat_n(0, grow));
+            self.first = w;
         }
-        let added = self.words[w] & bit == 0;
-        self.words[w] |= bit;
+        let i = w - self.first;
+        if i >= self.words.len() {
+            self.words.resize(i + 1, 0);
+        }
+        let added = self.words[i] & bit == 0;
+        self.words[i] |= bit;
         self.len += usize::from(added);
         added
     }
@@ -63,7 +85,10 @@ impl NodeMask {
     /// Removes `node`; true if it was a member.
     pub fn remove(&mut self, node: NodeId) -> bool {
         let (w, bit) = word_bit(node);
-        let Some(word) = self.words.get_mut(w) else {
+        let Some(word) = w
+            .checked_sub(self.first)
+            .and_then(|i| self.words.get_mut(i))
+        else {
             return false;
         };
         let removed = *word & bit != 0;
@@ -75,7 +100,7 @@ impl NodeMask {
     /// True if `node` is a member.
     pub fn contains(&self, node: NodeId) -> bool {
         let (w, bit) = word_bit(node);
-        self.words.get(w).is_some_and(|word| word & bit != 0)
+        self.word(w) & bit != 0
     }
 
     /// Number of members.
@@ -91,12 +116,12 @@ impl NodeMask {
     /// Members with ids in `range`: a popcount over the words it spans,
     /// the two edge words masked to the range.
     pub fn count_in(&self, range: Range<u32>) -> usize {
-        let start = range.start as usize;
-        let end = (range.end as usize).min(self.words.len() * 64);
+        let start = (range.start as usize).max(self.first * 64);
+        let end = (range.end as usize).min((self.first + self.words.len()) * 64);
         if start >= end {
             return 0;
         }
-        let (first, last) = (start / 64, (end - 1) / 64);
+        let (first, last) = (start / 64 - self.first, (end - 1) / 64 - self.first);
         let head = !0u64 << (start % 64);
         let tail = !0u64 >> (63 - (end - 1) % 64);
         if first == last {
@@ -112,17 +137,12 @@ impl NodeMask {
 }
 
 /// Two masks are equal when they hold the same members, however many
-/// words each was sized to.
+/// words each was sized to and wherever its span starts.
 impl PartialEq for NodeMask {
     fn eq(&self, other: &Self) -> bool {
-        let (short, long) = if self.words.len() <= other.words.len() {
-            (&self.words, &other.words)
-        } else {
-            (&other.words, &self.words)
-        };
-        self.len == other.len
-            && short[..] == long[..short.len()]
-            && long[short.len()..].iter().all(|&w| w == 0)
+        let lo = self.first.min(other.first);
+        let hi = (self.first + self.words.len()).max(other.first + other.words.len());
+        self.len == other.len && (lo..hi).all(|w| self.word(w) == other.word(w))
     }
 }
 
@@ -231,10 +251,13 @@ impl NodeSets {
             Some(cap) => it.take(cap).collect(),
             None => it.collect(),
         };
-        // Sized to the whole node set, so a later in-place toggle never
-        // grows it.
-        let nodes = self.total.last().map_or(0, |n| n.0 as usize + 1);
-        self.candidate_mask.reset(nodes);
+        // Sized to the span of the node set, so a later in-place toggle
+        // never grows it and a rack's mask covers its own ids only.
+        let span = match (self.total.first(), self.total.last()) {
+            (Some(lo), Some(hi)) => lo.0..hi.0 + 1,
+            _ => 0..0,
+        };
+        self.candidate_mask.reset(span);
         for &n in &self.candidates {
             self.candidate_mask.insert(n);
         }
@@ -378,7 +401,7 @@ mod tests {
     #[test]
     fn masks_compare_by_members_not_size() {
         let mut sized = NodeMask::default();
-        sized.reset(256);
+        sized.reset(0..256);
         sized.insert(NodeId(3));
         assert_eq!(sized, mask([3]));
         assert_ne!(sized, mask([3, 200]));
@@ -480,7 +503,7 @@ mod tests {
     #[test]
     fn mask_counts_members_and_ignores_repeats() {
         let mut m = NodeMask::default();
-        m.reset(100);
+        m.reset(0..100);
         assert!(m.is_empty());
         assert!(m.insert(NodeId(3)));
         assert!(!m.insert(NodeId(3)));
@@ -492,12 +515,33 @@ mod tests {
         assert!(!m.remove(NodeId(3)));
         assert!(!m.remove(NodeId(10_000)));
         assert_eq!(m.len(), 2);
-        m.reset(100);
+        m.reset(0..100);
         assert!(m.is_empty() && !m.contains(NodeId(64)));
         assert!(
             !m.contains(NodeId(300)),
             "a reset drops words past its size"
         );
+    }
+
+    #[test]
+    fn masks_span_their_own_ids() {
+        let mut m = NodeMask::default();
+        m.reset(1_280..1_408);
+        assert_eq!(m.words.len(), 2, "two words for 128 ids at any offset");
+        assert!(m.insert(NodeId(1_300)));
+        assert!(m.contains(NodeId(1_300)) && !m.contains(NodeId(44)));
+        assert!(!m.remove(NodeId(44)), "ids below the span are absent");
+        assert!(m.insert(NodeId(44)), "ids below the span grow the mask");
+        assert!(m.insert(NodeId(5_000)), "so do ids above it");
+        assert_eq!(m, mask([44, 1_300, 5_000]));
+        assert_eq!(m.count_in(0..1_300), 1);
+        assert_eq!(m.count_in(45..10_000), 2);
+        assert_eq!(m.len(), 3);
+
+        // A rack's candidate mask covers the rack, not ids 0.. up to it.
+        let rack = NodeSets::new(ids(102_272..102_400), ids([]));
+        assert_eq!(rack.candidate_mask.words.len(), 2);
+        assert!(rack.is_candidate(NodeId(102_399)) && !rack.is_candidate(NodeId(0)));
     }
 
     #[test]
@@ -535,18 +579,28 @@ mod tests {
     proptest! {
         /// The popcount range count equals an ordered-set range count on
         /// random masks, over ranges that start and end anywhere in a word
-        /// (single-node and empty ranges included).
+        /// (single-node and empty ranges included), whatever span the mask
+        /// was sized to.
         #[test]
         fn prop_mask_range_count_matches_btreeset(
             members in proptest::collection::vec(0u32..600, 0..300),
             ranges in proptest::collection::vec((0u32..700, 0u32..70), 1..40),
+            span in (0u32..600, 0u32..300),
         ) {
             let set: BTreeSet<NodeId> = members.iter().copied().map(NodeId).collect();
             let m = mask(members.iter().copied());
             prop_assert_eq!(m.len(), set.len());
+            // The same members inserted into a mask sized to another span.
+            let mut offset = NodeMask::default();
+            offset.reset(span.0..span.0 + span.1);
+            for &n in &members {
+                offset.insert(NodeId(n));
+            }
+            prop_assert_eq!(&offset, &m);
             for (start, width) in ranges {
                 let want = set.range(NodeId(start)..NodeId(start + width)).count();
                 prop_assert_eq!(m.count_in(start..start + width), want);
+                prop_assert_eq!(offset.count_in(start..start + width), want);
                 let single = set.contains(&NodeId(start)) as usize;
                 prop_assert_eq!(m.count_in(start..start + 1), single);
             }

@@ -55,7 +55,8 @@ impl FileContext {
     }
 
     /// Hot-path modules of the incremental tick core: the SoA node
-    /// columns and the simkit time wheel run inside every simulation
+    /// columns and the tick boundary (`sim/faults.rs`, which pushes and
+    /// drains the staleness-deadline heap) run inside every simulation
     /// tick, where a wall-clock read or an unordered collection would
     /// both cost cycles and threaten replay determinism. For these files
     /// the two rules are *not suppressable* — an `allow` directive is
@@ -63,7 +64,7 @@ impl FileContext {
     fn is_hot_path(&self) -> bool {
         matches!(
             self.path.as_str(),
-            "crates/cluster/src/columns.rs" | "crates/simkit/src/wheel.rs"
+            "crates/cluster/src/columns.rs" | "crates/cluster/src/sim/faults.rs"
         )
     }
 }
@@ -658,7 +659,7 @@ let c = z.unwrap();
         // collection findings cannot be suppressed, even with a reason…
         for path in [
             "crates/cluster/src/columns.rs",
-            "crates/simkit/src/wheel.rs",
+            "crates/cluster/src/sim/faults.rs",
         ] {
             let ctx = FileContext::for_path(path);
             let src = "\
@@ -673,7 +674,7 @@ use std::collections::HashMap;
             assert!(scan.diagnostics[0].message.contains("hot-path module"));
         }
         // …while other rules keep the normal allow semantics there.
-        let ctx = FileContext::for_path("crates/simkit/src/wheel.rs");
+        let ctx = FileContext::for_path("crates/cluster/src/sim/faults.rs");
         let scan = scan_source(
             &ctx,
             "// ppc-lint: allow(panic-path): invariant documented\nlet a = x.unwrap();\n",

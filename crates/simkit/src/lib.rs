@@ -5,8 +5,6 @@
 //! * [`time`] — fixed-point simulation time ([`SimTime`], [`SimDuration`])
 //!   with millisecond resolution, so event ordering is exact and
 //!   platform-independent (no floating-point clock drift).
-//! * [`clock`] — a fixed-timestep ticker used by the cluster simulation's
-//!   control/sampling cycles.
 //! * [`rng`] — splittable, seeded random-number streams. Every source of
 //!   randomness in a simulation derives its own independent stream from the
 //!   experiment seed, which keeps runs bit-reproducible.
@@ -17,18 +15,18 @@
 //!   fingerprints (journal, span tree, metrics registry).
 //! * [`series`] — append-only time series with trapezoid/step integration,
 //!   used for power traces and the ΔP×T overspend metric.
-//! * [`stats`] — running statistics (Welford) and fixed-bin histograms.
-//! * [`wheel`] — hierarchical timer wheel ([`TimeWheel`]) for sparse
-//!   tick-indexed events (arrivals, telemetry staleness deadlines) with
-//!   deterministic insertion-order drains.
+//! * [`stats`] — running statistics (Welford).
 //! * [`journal`] — a bounded, fingerprinted audit trail of notable
 //!   events.
+//!
+//! There is no clock or event queue here: the cluster simulation's clock
+//! is its tick count (`now = tick · τ`), and its two kinds of one-shot
+//! deadline are a field and a small heap next to the tick loop.
 //!
 //! Nothing in this crate knows about power, nodes or jobs; it is a generic
 //! substrate comparable to what a production simulator would keep in a
 //! `util`/`runtime` layer.
 
-pub mod clock;
 pub mod hash;
 pub mod journal;
 pub mod par;
@@ -36,14 +34,11 @@ pub mod rng;
 pub mod series;
 pub mod stats;
 pub mod time;
-pub mod wheel;
 
-pub use clock::TickClock;
 pub use hash::Fnv1a;
 pub use journal::{Event, Journal, Severity};
 pub use par::WorkerPool;
 pub use rng::{DetRng, RngFactory};
 pub use series::TimeSeries;
-pub use stats::{Histogram, RunningStats};
+pub use stats::RunningStats;
 pub use time::{SimDuration, SimTime};
-pub use wheel::TimeWheel;

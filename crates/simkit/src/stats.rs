@@ -1,8 +1,7 @@
-//! Running statistics and histograms.
+//! Running statistics.
 //!
 //! [`RunningStats`] uses Welford's algorithm so long traces can be
-//! summarized in O(1) memory; [`Histogram`] gives fixed-bin distributions
-//! and approximate percentiles for report tables.
+//! summarized in O(1) memory.
 
 use serde::{Deserialize, Serialize};
 
@@ -81,85 +80,6 @@ impl RunningStats {
     }
 }
 
-/// Fixed-width-bin histogram over `[lo, hi)` with under/overflow bins.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    bins: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
-    count: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram with `bins` equal-width bins over `[lo, hi)`.
-    ///
-    /// # Panics
-    /// Panics if `lo >= hi` or `bins == 0`.
-    pub fn new(lo: f64, hi: f64, bins: usize) -> Self {
-        assert!(lo < hi, "invalid histogram range [{lo}, {hi})");
-        assert!(bins > 0, "histogram needs at least one bin");
-        Histogram {
-            lo,
-            hi,
-            bins: vec![0; bins],
-            underflow: 0,
-            overflow: 0,
-            count: 0,
-        }
-    }
-
-    /// Records one observation.
-    pub fn record(&mut self, x: f64) {
-        assert!(x.is_finite(), "observation must be finite, got {x}");
-        self.count += 1;
-        if x < self.lo {
-            self.underflow += 1;
-        } else if x >= self.hi {
-            self.overflow += 1;
-        } else {
-            let width = (self.hi - self.lo) / self.bins.len() as f64;
-            let idx = ((x - self.lo) / width) as usize;
-            // Guard against rounding landing exactly on bins.len().
-            let idx = idx.min(self.bins.len() - 1);
-            self.bins[idx] += 1;
-        }
-    }
-
-    /// Total observations recorded (including under/overflow).
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Per-bin counts (excluding under/overflow).
-    pub fn bins(&self) -> &[u64] {
-        &self.bins
-    }
-
-    /// Approximate `q`-quantile (`0 ≤ q ≤ 1`): the left edge of the bin
-    /// containing the q-th observation. Returns `None` if empty.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        assert!((0.0..=1.0).contains(&q), "quantile must be in [0, 1]");
-        if self.count == 0 {
-            return None;
-        }
-        let target = (q * self.count as f64).ceil().max(1.0) as u64;
-        let mut seen = self.underflow;
-        if seen >= target {
-            return Some(self.lo);
-        }
-        let width = (self.hi - self.lo) / self.bins.len() as f64;
-        for (i, &c) in self.bins.iter().enumerate() {
-            seen += c;
-            if seen >= target {
-                return Some(self.lo + i as f64 * width);
-            }
-        }
-        Some(self.hi)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -188,34 +108,6 @@ mod tests {
         assert_eq!(s.max(), None);
     }
 
-    #[test]
-    fn histogram_bins_and_outliers() {
-        let mut h = Histogram::new(0.0, 10.0, 10);
-        for x in [-1.0, 0.0, 0.5, 5.0, 9.99, 10.0, 42.0] {
-            h.record(x);
-        }
-        assert_eq!(h.count(), 7);
-        // -1.0 falls under the range, 10.0 and 42.0 over it.
-        assert_eq!(h.bins().iter().sum::<u64>(), 4);
-        assert_eq!(h.bins()[0], 2); // 0.0 and 0.5
-        assert_eq!(h.bins()[5], 1); // 5.0
-        assert_eq!(h.bins()[9], 1); // 9.99
-    }
-
-    #[test]
-    fn histogram_quantiles() {
-        let mut h = Histogram::new(0.0, 100.0, 100);
-        for i in 0..100 {
-            h.record(i as f64 + 0.5);
-        }
-        assert_eq!(h.quantile(0.0), Some(0.0));
-        let median = h.quantile(0.5).unwrap();
-        assert!((49.0..=51.0).contains(&median), "median={median}");
-        let p99 = h.quantile(0.99).unwrap();
-        assert!((97.0..=99.0).contains(&p99), "p99={p99}");
-        assert_eq!(Histogram::new(0.0, 1.0, 4).quantile(0.5), None);
-    }
-
     proptest! {
         #[test]
         fn prop_welford_matches_naive(data in proptest::collection::vec(-1e6f64..1e6, 1..200)) {
@@ -228,18 +120,6 @@ mod tests {
             let var: f64 = data.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n;
             prop_assert!((s.mean() - mean).abs() < 1e-6 * (1.0 + mean.abs()));
             prop_assert!((s.variance() - var).abs() < 1e-5 * (1.0 + var.abs()));
-        }
-
-        #[test]
-        fn prop_histogram_conserves_counts(data in proptest::collection::vec(-10.0f64..110.0, 0..300)) {
-            let mut h = Histogram::new(0.0, 100.0, 13);
-            for &x in &data {
-                h.record(x);
-            }
-            let binned: u64 = h.bins().iter().sum();
-            let in_range = data.iter().filter(|x| (0.0..100.0).contains(*x)).count();
-            prop_assert_eq!(h.count(), data.len() as u64);
-            prop_assert_eq!(binned, in_range as u64);
         }
     }
 }

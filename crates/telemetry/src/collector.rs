@@ -16,7 +16,6 @@
 //! arrival order within a batch because each node's slot only advances
 //! on strictly newer timestamps.
 
-use crate::history::PowerHistory;
 use crate::sample::NodeSample;
 use ppc_node::NodeId;
 use ppc_simkit::{SimDuration, SimTime};
@@ -33,9 +32,6 @@ struct Slot {
 pub struct Collector {
     /// Dense per-node slots, indexed by `NodeId.0`; `None` = no sample.
     slots: Vec<Option<Slot>>,
-    /// Dense per-node power histories (empty unless history is enabled).
-    histories: Vec<Option<PowerHistory>>,
-    history_depth: usize,
     /// Number of `Some` slots (nodes with at least one sample).
     populated: usize,
 }
@@ -44,17 +40,6 @@ impl Collector {
     /// Creates an empty collector.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Enables per-node power histories of the given depth (for windowed
-    /// rates; see [`PowerHistory`]).
-    ///
-    /// # Panics
-    /// Panics if `depth < 2`.
-    pub fn with_history(mut self, depth: usize) -> Self {
-        assert!(depth >= 2, "history depth must be at least 2");
-        self.history_depth = depth;
-        self
     }
 
     fn slot(&self, node: NodeId) -> Option<&Slot> {
@@ -69,14 +54,11 @@ impl Collector {
         if idx >= self.slots.len() {
             self.slots.resize(idx + 1, None);
         }
-        let fresh = match &mut self.slots[idx] {
+        match &mut self.slots[idx] {
             Some(slot) => {
                 if sample.at > slot.latest.at {
                     slot.prev_power_w = Some(slot.latest.power_w);
                     slot.latest = sample;
-                    true
-                } else {
-                    false
                 }
             }
             empty => {
@@ -85,16 +67,7 @@ impl Collector {
                     prev_power_w: None,
                 });
                 self.populated += 1;
-                true
             }
-        };
-        if fresh && self.history_depth >= 2 {
-            if idx >= self.histories.len() {
-                self.histories.resize_with(idx + 1, || None);
-            }
-            self.histories[idx]
-                .get_or_insert_with(|| PowerHistory::new(self.history_depth))
-                .push(sample.at, sample.power_w);
         }
     }
 
@@ -120,8 +93,7 @@ impl Collector {
     /// been identical. No-op for nodes without a sample. Returns `true` if
     /// the slot advanced.
     pub fn refresh(&mut self, node: NodeId, now: SimTime) -> bool {
-        let idx = node.0 as usize;
-        let Some(Some(slot)) = self.slots.get_mut(idx) else {
+        let Some(Some(slot)) = self.slots.get_mut(node.0 as usize) else {
             return false;
         };
         if now <= slot.latest.at {
@@ -129,44 +101,21 @@ impl Collector {
         }
         slot.prev_power_w = Some(slot.latest.power_w);
         slot.latest.at = now;
-        let refreshed = slot.latest;
-        if self.history_depth >= 2 {
-            if idx >= self.histories.len() {
-                self.histories.resize_with(idx + 1, || None);
-            }
-            self.histories[idx]
-                .get_or_insert_with(|| PowerHistory::new(self.history_depth))
-                .push(refreshed.at, refreshed.power_w);
-        }
         true
-    }
-
-    /// Windowed rate of increase over the last `k` intervals for `node`
-    /// (requires a history-enabled collector; see [`Collector::with_history`]).
-    pub fn windowed_rate_of(&self, node: NodeId, k: usize) -> Option<f64> {
-        self.histories
-            .get(node.0 as usize)?
-            .as_ref()?
-            .windowed_rate(k)
     }
 
     /// Drops a node from the store (it left the candidate set).
     pub fn forget(&mut self, node: NodeId) {
-        let idx = node.0 as usize;
-        if let Some(slot) = self.slots.get_mut(idx) {
+        if let Some(slot) = self.slots.get_mut(node.0 as usize) {
             if slot.take().is_some() {
                 self.populated -= 1;
             }
-        }
-        if let Some(history) = self.histories.get_mut(idx) {
-            *history = None;
         }
     }
 
     /// Drops every stored sample (capacity is kept for reuse).
     pub fn clear(&mut self) {
         self.slots.iter_mut().for_each(|s| *s = None);
-        self.histories.iter_mut().for_each(|h| *h = None);
         self.populated = 0;
     }
 
@@ -402,24 +351,6 @@ mod tests {
         assert_eq!(c.node_count(), 1);
         assert_eq!(c.power_of(NodeId(2)), Some(4.0));
         assert_eq!(c.prev_power_of(NodeId(2)), None, "clear resets history");
-    }
-
-    #[test]
-    fn history_enabled_collector_reports_windowed_rates() {
-        let mut c = Collector::new().with_history(4);
-        for (t, p) in [(0u64, 100.0), (1, 110.0), (2, 121.0), (3, 133.1)] {
-            c.ingest(sample(1, t, p));
-        }
-        assert!((c.windowed_rate_of(NodeId(1), 1).unwrap() - 0.1).abs() < 1e-9);
-        assert!((c.windowed_rate_of(NodeId(1), 3).unwrap() - 0.331).abs() < 1e-9);
-        // Default collector has no histories.
-        let mut plain = Collector::new();
-        plain.ingest(sample(1, 0, 10.0));
-        plain.ingest(sample(1, 1, 20.0));
-        assert_eq!(plain.windowed_rate_of(NodeId(1), 1), None);
-        // Forget clears history too.
-        c.forget(NodeId(1));
-        assert_eq!(c.windowed_rate_of(NodeId(1), 1), None);
     }
 
     #[test]

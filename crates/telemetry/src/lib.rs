@@ -21,7 +21,6 @@
 pub mod agent;
 pub mod collector;
 pub mod cost;
-pub mod history;
 pub mod meter;
 pub mod noise;
 pub mod sample;
@@ -29,7 +28,6 @@ pub mod tree;
 
 pub use agent::ProfilingAgent;
 pub use collector::Collector;
-pub use history::PowerHistory;
 pub use meter::{MeterReading, SystemPowerMeter};
 pub use noise::NoiseModel;
 pub use sample::NodeSample;

@@ -8,7 +8,7 @@
 //! live run already knows. This crate makes the question cheap:
 //!
 //! * [`ClusterSnapshot`] captures a live [`ClusterSim`] *completely* —
-//!   RNG streams, node columns, dirty set, timer wheel, scheduler,
+//!   RNG streams, node columns, dirty set, deadlines, scheduler,
 //!   collector, manager, journal, observability — at a tick boundary.
 //!   [`ClusterSnapshot::branch`] forks an independent simulation from it;
 //!   a branched run stepped N ticks is **bit-identical** to the original

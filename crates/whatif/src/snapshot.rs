@@ -4,7 +4,7 @@
 //!
 //! Everything. [`ClusterSim`] owns all of its mutable state as plain
 //! data — deterministic RNG streams, the SoA node columns and dirty
-//! set, the timer wheel, scheduler and queue, the collector's slot
+//! set, the staleness deadlines, scheduler and queue, the collector's slot
 //! table, the power manager (thresholds, `A_degraded`, policy state),
 //! the bounded journal *including its `dropped` counter*, and the
 //! observability hub (span hash, metrics registry, flight recorder) —

@@ -101,11 +101,30 @@ fn fault_schedule(nodes: u32, seed: u64) -> FaultSchedule {
     )
 }
 
-fn flat128() -> ClusterSim {
-    let spec = paper_spec();
+/// A flat MPC manager over every node of `spec`.
+fn flat_mpc(spec: ClusterSpec) -> ClusterSim {
     let manager = PowerManager::new(config(&spec), NodeSets::new(spec.node_ids(), []))
         .expect("valid manager");
     ClusterSim::new(spec).with_manager(manager)
+}
+
+fn flat128() -> ClusterSim {
+    flat_mpc(paper_spec())
+}
+
+/// 128 nodes with the Tianhe-1A variant's 15 s mean think time: every
+/// refill of the empty queue closes the arrival gate until a drawn gap
+/// has passed. The provision is tight enough for the thinned-out load
+/// to be capped.
+fn think_spec() -> ClusterSpec {
+    let mut spec = paper_spec();
+    spec.provision_fraction = 0.55;
+    spec.think_time_mean = SimDuration::from_secs(15);
+    spec
+}
+
+fn think128() -> ClusterSim {
+    flat_mpc(think_spec())
 }
 
 fn hier_1rack() -> ClusterSim {
@@ -178,13 +197,14 @@ type Scenario = (&'static str, fn() -> ClusterSim);
 #[test]
 fn fingerprints_match_golden_fixture() {
     let mut rendered = String::new();
-    let scenarios: [Scenario; 6] = [
+    let scenarios: [Scenario; 7] = [
         ("flat128", flat128),
         ("hier_1rack", hier_1rack),
         ("hier4_busy", hier4_busy),
         ("hier4_faulted", hier4_faulted),
         ("health_alerts", health_alerts),
         ("budget128", budget128),
+        ("think128", think128),
     ];
     for (name, build) in scenarios {
         write!(rendered, "{}", line(name, build())).expect("write to string");
@@ -208,8 +228,14 @@ fn fingerprints_match_golden_fixture() {
     );
 }
 
+/// Jobs the run has submitted so far: finished, running or queued.
+fn submitted(sim: &ClusterSim) -> usize {
+    sim.finished().len() + sim.running_jobs() + sim.queued_jobs()
+}
+
 /// The scenarios exercise what they claim: capping, a busy fleet with
-/// critical jobs, faults, alert edges, and an active budget baseline.
+/// critical jobs, faults, alert edges, an active budget baseline, and a
+/// think-time gate that closes.
 #[test]
 fn fingerprint_scenarios_are_not_vacuous() {
     let mut busy = hier4_busy();
@@ -242,4 +268,19 @@ fn fingerprint_scenarios_are_not_vacuous() {
     let stats = budget.budget_controller().expect("attached").stats();
     assert!(stats.active_cycles > 0, "the budget must bind");
     assert!(budget.commands_applied() > 0);
+
+    // The same spec with zero think time never closes the gate.
+    let mut open_spec = think_spec();
+    open_spec.think_time_mean = SimDuration::ZERO;
+    let mut open = flat_mpc(open_spec);
+    open.run_for(SimDuration::from_secs(RUN_SECS));
+    let mut gated = think128();
+    gated.run_for(SimDuration::from_secs(RUN_SECS));
+    assert!(
+        submitted(&gated) < submitted(&open),
+        "the think-time gate must hold submissions back: {} vs {}",
+        submitted(&gated),
+        submitted(&open)
+    );
+    assert!(gated.commands_applied() > 0);
 }

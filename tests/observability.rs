@@ -1,5 +1,5 @@
 //! Observability extensions end-to-end: the event journal, the thermal
-//! model, history-backed windowed rates, and the `ppc-obs` tracing layer
+//! model, the collector's rate view, and the `ppc-obs` tracing layer
 //! (span/metrics fingerprints, flight recorder, exporters).
 
 use ppc::cluster::spec::NodeGroup;
@@ -8,7 +8,7 @@ use ppc::core::{ManagerConfig, NodeSets, PolicyKind, PowerManager};
 use ppc::faults::{FaultInjection, FaultRates, FaultSchedule};
 use ppc::node::spec::NodeSpec;
 use ppc::simkit::{RngFactory, Severity, SimDuration};
-use ppc::telemetry::{Collector, NodeSample, PowerHistory};
+use ppc::telemetry::{Collector, NodeSample};
 use std::collections::BTreeMap;
 
 fn managed(mut spec: ClusterSpec, provision: f64) -> ClusterSim {
@@ -100,10 +100,10 @@ fn mixed_thermal_and_plain_partitions_account_only_thermal_nodes() {
 }
 
 #[test]
-fn history_backed_windowed_rates_smooth_single_interval_noise() {
+fn power_rate_follows_the_last_interval_swing() {
     use ppc::node::{Level, NodeId, OperatingState};
     use ppc::simkit::SimTime;
-    let mut c = Collector::new().with_history(8);
+    let mut c = Collector::new();
     // A sawtooth: alternating ±20% around a rising trend.
     let powers = [200.0, 245.0, 230.0, 280.0, 260.0, 320.0];
     for (t, &p) in powers.iter().enumerate() {
@@ -119,19 +119,10 @@ fn history_backed_windowed_rates_smooth_single_interval_noise() {
             power_w: p,
         });
     }
-    let instantaneous = c.power_rate_of(NodeId(1)).unwrap();
-    let windowed = c.windowed_rate_of(NodeId(1), 5).unwrap();
-    // The 5-interval window sees the clean +60% trend; the single-interval
-    // rate is dominated by the last sawtooth swing.
-    assert!((windowed - 0.6).abs() < 1e-9, "windowed={windowed}");
-    assert!((instantaneous - (320.0 - 260.0) / 260.0).abs() < 1e-9);
-
-    // PowerHistory standalone behaves identically.
-    let mut h = PowerHistory::new(8);
-    for (t, &p) in powers.iter().enumerate() {
-        h.push(SimTime::from_secs(t as u64), p);
-    }
-    assert_eq!(h.windowed_rate(5), Some(windowed));
+    // The rate ΔP/P spans one interval only: it reads the last sawtooth
+    // swing, not the rising trend underneath.
+    let rate = c.power_rate_of(NodeId(1)).unwrap();
+    assert!((rate - (320.0 - 260.0) / 260.0).abs() < 1e-9, "rate={rate}");
 }
 
 /// The determinism gate's scenario in miniature: managed, faulted, tight
