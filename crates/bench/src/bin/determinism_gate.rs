@@ -31,6 +31,11 @@
 //! branched run — taken mid-fault-schedule — must match the uninterrupted
 //! reference bit for bit.
 //!
+//! A fourth family repeats the incremental, dense and branched legs with
+//! the paper protocol's 15 s mean think time, so the arrival gate closes
+//! after every finish: the three must agree with each other, and differ
+//! from the zero-think run (or the gate never closed).
+//!
 //! The tick runs on one thread, so there is no pool width to vary.
 //!
 //! Any divergence prints the offending run and exits non-zero, failing
@@ -46,6 +51,8 @@ use std::process::ExitCode;
 
 const NODES: u32 = 8;
 const RUN_SECS: u64 = 400;
+/// Mean think time of the think-time legs: the paper protocol's.
+const THINK_SECS: u64 = 15;
 
 /// Everything one run produces that must be invariant.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -80,11 +87,13 @@ fn digest(sim: &ClusterSim) -> RunDigest {
 }
 
 /// The gate's shared experiment: a tightly-provisioned mini cluster with
-/// an aggressive fault schedule. Both the flat and the hierarchical legs
-/// run exactly this.
-fn gate_spec() -> (ClusterSpec, FaultSchedule, ManagerConfig) {
+/// an aggressive fault schedule, and a mean think time of `think_secs`
+/// between a finish and the next arrival. Both the flat and the
+/// hierarchical legs run exactly this.
+fn gate_spec(think_secs: u64) -> (ClusterSpec, FaultSchedule, ManagerConfig) {
     let mut spec = ClusterSpec::mini(NODES);
     spec.provision_fraction = 0.60; // tight provision: capping engages
+    spec.think_time_mean = SimDuration::from_secs(think_secs);
     let rates = FaultRates {
         crash_per_node_hour: 6.0,
         reboot_mean_secs: 45.0,
@@ -107,8 +116,8 @@ fn gate_spec() -> (ClusterSpec, FaultSchedule, ManagerConfig) {
     (spec, schedule, config)
 }
 
-fn build(mode: EvalMode) -> Result<ClusterSim, String> {
-    let (spec, schedule, config) = gate_spec();
+fn build(mode: EvalMode, think_secs: u64) -> Result<ClusterSim, String> {
+    let (spec, schedule, config) = gate_spec(think_secs);
     let sets = NodeSets::new(spec.node_ids(), []);
     let manager =
         PowerManager::new(config, sets).map_err(|e| format!("manager construction: {e}"))?;
@@ -120,7 +129,7 @@ fn build(mode: EvalMode) -> Result<ClusterSim, String> {
 
 /// The same experiment under the hierarchical control plane.
 fn build_hier(mode: EvalMode, topology: Topology) -> Result<ClusterSim, String> {
-    let (spec, schedule, config) = gate_spec();
+    let (spec, schedule, config) = gate_spec(0);
     let hier = HierarchicalManager::new(config, topology, &BTreeSet::new(), spec.node_weights_w())
         .map_err(|e| format!("hierarchy construction: {e}"))?;
     Ok(ClusterSim::new(spec)
@@ -135,8 +144,8 @@ fn run_once_hier(mode: EvalMode, topology: Topology) -> Result<RunDigest, String
     Ok(digest(&sim))
 }
 
-fn run_once(mode: EvalMode) -> Result<RunDigest, String> {
-    let mut sim = build(mode)?;
+fn run_once(mode: EvalMode, think_secs: u64) -> Result<RunDigest, String> {
+    let mut sim = build(mode, think_secs)?;
     sim.run_for(SimDuration::from_secs(RUN_SECS));
     Ok(digest(&sim))
 }
@@ -145,9 +154,9 @@ fn run_once(mode: EvalMode) -> Result<RunDigest, String> {
 /// jobs in flight, thresholds learned — capture a snapshot, keep stepping
 /// the *original* (a branch that secretly shared state with it would
 /// diverge here), then drive the branch to the end and digest it.
-fn run_branched(mode: EvalMode) -> Result<RunDigest, String> {
+fn run_branched(mode: EvalMode, think_secs: u64) -> Result<RunDigest, String> {
     let half = RUN_SECS / 2;
-    let mut sim = build(mode)?;
+    let mut sim = build(mode, think_secs)?;
     sim.run_for(SimDuration::from_secs(half));
     let snapshot = ClusterSnapshot::capture(&sim);
     // Perturb the original past the capture point before the branch runs.
@@ -155,6 +164,69 @@ fn run_branched(mode: EvalMode) -> Result<RunDigest, String> {
     let mut branch = snapshot.branch();
     branch.run_for(SimDuration::from_secs(RUN_SECS - half));
     Ok(digest(&branch))
+}
+
+/// Prints one leg's digest line.
+fn print_digest(label: &str, digest: &RunDigest) {
+    println!(
+        "determinism gate: {label:16} journal={:016x} trace={:016x} spans={:016x} \
+         metrics={:016x} rollup={:016x} sketch={:016x} alerts={:016x} finished={} commands={}",
+        digest.journal,
+        digest.trace,
+        digest.spans,
+        digest.metrics,
+        digest.rollup,
+        digest.sketch,
+        digest.alerts,
+        digest.finished,
+        digest.commands
+    );
+}
+
+/// One flat-manager leg: (label, mode, branched).
+type Leg = (&'static str, EvalMode, bool);
+
+/// Runs a family of flat-manager legs with mean think time `think_secs`,
+/// printing each digest. Every leg must have recorded spans and match the
+/// family's first leg, which must have applied commands and folded health
+/// cycles; a miss sets `failed`. Returns the first leg's digest, or the
+/// exit code when a leg could not be built.
+fn run_family(legs: &[Leg], think_secs: u64, failed: &mut bool) -> Result<RunDigest, ExitCode> {
+    let mut baseline: Option<RunDigest> = None;
+    for &(label, mode, branched) in legs {
+        let run = if branched { run_branched } else { run_once };
+        let digest = match run(mode, think_secs) {
+            Ok(d) => d,
+            Err(e) => {
+                eprintln!("determinism gate: {label}: {e}");
+                return Err(ExitCode::FAILURE);
+            }
+        };
+        print_digest(label, &digest);
+        if digest.spans == ppc_obs::SpanRecorder::new(1).fingerprint() {
+            eprintln!("determinism gate: span fingerprint is the empty-recorder hash — no spans recorded, gate would be vacuous");
+            *failed = true;
+        }
+        match &baseline {
+            None => {
+                if digest.commands == 0 {
+                    eprintln!("determinism gate: no commands applied — gate would be vacuous");
+                    *failed = true;
+                }
+                if digest.health_cycles == 0 {
+                    eprintln!("determinism gate: health plane observed no cycles — health fingerprints would be vacuous");
+                    *failed = true;
+                }
+                baseline = Some(digest);
+            }
+            Some(b) if *b != digest => {
+                eprintln!("determinism gate: {label} diverged from the first run");
+                *failed = true;
+            }
+            Some(_) => {}
+        }
+    }
+    baseline.ok_or(ExitCode::FAILURE)
 }
 
 fn main() -> ExitCode {
@@ -169,53 +241,11 @@ fn main() -> ExitCode {
         ("dense", EvalMode::Full, false),
         ("branch", EvalMode::Incremental, true),
     ];
-    let mut baseline: Option<RunDigest> = None;
     let mut failed = false;
-    for (label, mode, branched) in runs {
-        let run = if branched { run_branched } else { run_once };
-        let digest = match run(mode) {
-            Ok(d) => d,
-            Err(e) => {
-                eprintln!("determinism gate: {label}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        println!(
-            "determinism gate: {label:16} journal={:016x} trace={:016x} spans={:016x} \
-             metrics={:016x} rollup={:016x} sketch={:016x} alerts={:016x} finished={} commands={}",
-            digest.journal,
-            digest.trace,
-            digest.spans,
-            digest.metrics,
-            digest.rollup,
-            digest.sketch,
-            digest.alerts,
-            digest.finished,
-            digest.commands
-        );
-        if digest.spans == ppc_obs::SpanRecorder::new(1).fingerprint() {
-            eprintln!("determinism gate: span fingerprint is the empty-recorder hash — no spans recorded, gate would be vacuous");
-            failed = true;
-        }
-        match &baseline {
-            None => {
-                if digest.commands == 0 {
-                    eprintln!("determinism gate: no commands applied — gate would be vacuous");
-                    failed = true;
-                }
-                if digest.health_cycles == 0 {
-                    eprintln!("determinism gate: health plane observed no cycles — health fingerprints would be vacuous");
-                    failed = true;
-                }
-                baseline = Some(digest);
-            }
-            Some(b) if *b != digest => {
-                eprintln!("determinism gate: {label} diverged from the first run");
-                failed = true;
-            }
-            Some(_) => {}
-        }
-    }
+    let baseline = match run_family(&runs, 0, &mut failed) {
+        Ok(d) => d,
+        Err(code) => return code,
+    };
     // Hierarchical legs. The flat baseline attaches its manager through
     // the adopting constructor (`HierarchicalManager::from_racks`); a
     // one-rack tree built by `HierarchicalManager::new` must match it bit
@@ -250,22 +280,10 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
-        println!(
-            "determinism gate: {label:16} journal={:016x} trace={:016x} spans={:016x} \
-             metrics={:016x} rollup={:016x} sketch={:016x} alerts={:016x} finished={} commands={}",
-            digest.journal,
-            digest.trace,
-            digest.spans,
-            digest.metrics,
-            digest.rollup,
-            digest.sketch,
-            digest.alerts,
-            digest.finished,
-            digest.commands
-        );
+        print_digest(label, &digest);
         if !own_family {
             // Flat-equivalence family: compare against the flat baseline.
-            if baseline.as_ref() != Some(&digest) {
+            if baseline != digest {
                 eprintln!(
                     "determinism gate: {label} diverged from the flat manager — \
                      `new` and the adopting constructor disagree on one rack"
@@ -292,6 +310,21 @@ fn main() -> ExitCode {
             }
             Some(_) => {}
         }
+    }
+    // Think-time legs: the closed arrival gate must replay bit for bit
+    // across modes and branches, and must change the run.
+    let think_runs = [
+        ("think incr", EvalMode::Incremental, false),
+        ("think dense", EvalMode::Full, false),
+        ("think branch", EvalMode::Incremental, true),
+    ];
+    match run_family(&think_runs, THINK_SECS, &mut failed) {
+        Ok(think) if think.journal == baseline.journal => {
+            eprintln!("determinism gate: think-time legs match the zero-think run — the arrival gate never closed");
+            failed = true;
+        }
+        Ok(_) => {}
+        Err(code) => return code,
     }
     if failed {
         eprintln!("determinism gate: FAILED — seeded replay is not bit-identical");

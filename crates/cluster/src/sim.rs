@@ -34,9 +34,10 @@
 //!   ascending id; clean nodes' counters are caught up in closed form when
 //!   next needed ([`ppc_node::procfs::ProcCounters::advance_many`]). Under
 //!   a power manager the control cycle is lazy: it samples only what
-//!   changed (the dirty lit candidates, in the materialize pass) and
-//!   updates the rack observations of `sim/rack_obs.rs` in place from the
-//!   edges.
+//!   changed (the dirty lit candidates, in the materialize pass), notes
+//!   the edges every tick, and refreshes the rack observations of
+//!   `sim/rack_obs.rs` in place only in the cycles whose capping step
+//!   reads them.
 //!
 //! Simulated time is the tick count: `now() = tick_index · τ`. Two kinds
 //! of one-shot event are keyed by tick: the think-time arrival gate is
@@ -57,8 +58,8 @@ use health::{HierInstruments, ObsInstruments};
 use ppc_core::capping::LevelView;
 use ppc_core::observe::JobObservation;
 use ppc_core::{
-    BudgetNodeView, CycleOutcome, HierarchicalManager, ManagerStats, NodeMask, NodeSets,
-    PowerManager, PowerState, ProportionalBudgetController, Topology,
+    BudgetNodeView, Classification, CycleOutcome, HierarchicalManager, ManagerStats, NodeMask,
+    NodeSets, PowerManager, PowerState, ProportionalBudgetController, Topology,
 };
 use ppc_faults::{FaultEngine, FaultInjection, FaultTransition};
 use ppc_metrics::{AvailabilityInputs, AvailabilityReport};

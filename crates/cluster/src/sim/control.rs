@@ -21,11 +21,16 @@ pub(super) struct Decision {
     pub(super) facility_coverage: f64,
 }
 
-/// Buffers of the multi-rack control cycle, reused across ticks.
+/// Buffers of the rack control cycles, reused across ticks.
 #[derive(Default, Clone)]
 pub(super) struct FanoutScratch {
     /// Per-rack collector coverage, also read by the health rollup.
     pub(super) coverage: Vec<f64>,
+    /// Rack classifications in rack order, for the capping half.
+    pub(super) classified: Vec<Classification>,
+    /// Per rack: whether its capping half reads the job observations
+    /// (the one rack's too on a single-rack topology).
+    pub(super) reads: Vec<bool>,
     /// Rack outcomes in rack order, drained by the rollup.
     pub(super) outcomes: Vec<CycleOutcome>,
 }
@@ -235,77 +240,74 @@ impl ClusterSim {
             &fs.fresh
         });
         // Under faults only candidates with fresh telemetry are
-        // observed. The lazy regime brings the per-rack observations up
-        // to date from what changed (run-queue edits, sampled, settled
-        // and freshness-flipped nodes); the dense regime rebuilds every
-        // rack.
+        // observed. The lazy regime notes what changed (run-queue edits,
+        // sampled, settled and freshness-flipped nodes) and refreshes the
+        // per-rack observations only in a cycle whose capping reads them;
+        // the dense regime rebuilds every rack.
         spans.open("observe", now);
         let running = scheduler.running_jobs();
-        let placed = scheduler.placement_edges();
-        let refreshed = samples
-            .iter()
-            .map(|s| s.node)
-            .chain(flipped.iter().copied());
-        let settled = settle.iter().map(|&raw| NodeId(raw));
-        let slot_of = |n| scheduler.slot_of_node(n);
-        match fresh {
-            Some(filter) => store.sync(
-                lazy,
+        let mut observer = Observer {
+            collector,
+            filter: fresh.unwrap_or(sets.candidate_mask()),
+            models,
+            cache: &mut *obs_cache,
+        };
+        if lazy {
+            let sampled = samples
+                .iter()
+                .map(|s| s.node)
+                .chain(flipped.iter().copied());
+            store.note(
                 running,
-                placed,
-                refreshed,
-                settled,
-                slot_of,
-                &mut Observer {
-                    collector,
-                    filter,
-                    models,
-                    cache: obs_cache,
-                },
-            ),
-            None => store.sync(
-                lazy,
-                running,
-                placed,
-                refreshed,
-                settled,
-                slot_of,
-                &mut Observer {
-                    collector,
-                    filter: sets,
-                    models,
-                    cache: obs_cache,
-                },
-            ),
+                scheduler.placement_edges(),
+                sampled,
+                settle.iter().map(|&raw| NodeId(raw)),
+                |n| scheduler.slot_of_node(n),
+                &observer,
+            );
+        } else {
+            store.rebuild(running, &mut observer);
         }
         spans.attr("jobs", AttrValue::U64(store.jobs() as u64));
         if fresh.is_some() {
             spans.attr("coverage", AttrValue::F64(coverage));
         }
         spans.close(now);
-        let racks = store.racks();
-        let outcome = if multi {
-            hier_multi_control(
+        // Every rack is classified before any capping runs, so the pieces
+        // are flushed once, for the racks whose capping reads them.
+        let single = if multi {
+            classify_racks(
                 &mut hier,
                 metered_w,
-                racks,
-                nodes,
                 fresh,
                 rack_true,
                 fleet_true_w,
                 fanout,
                 now,
-                spans,
-            )
+            );
+            None
         } else {
-            hier.single_rack_cycle(
-                metered_w,
-                &racks[0],
-                &NodesView(nodes),
-                coverage,
-                now,
-                spans,
-            )
+            let classified = hier.single_rack_classify(metered_w, now, spans);
+            fanout.reads.clear();
+            fanout.reads.push(hier.subs()[0].reads_jobs(&classified));
+            Some(classified)
+        };
+        if lazy {
+            let observer = &mut Observer {
+                collector,
+                filter: fresh.unwrap_or(hier.sets().candidate_mask()),
+                models,
+                cache: obs_cache,
+            };
+            store.flush(running, observer, &fanout.reads);
+        }
+        let racks = store.racks();
+        let outcome = match single {
+            None => cap_racks(&mut hier, racks, nodes, fanout, now, spans),
+            Some(classified) => {
+                let view = NodesView(nodes);
+                hier.single_rack_cap(classified, &racks[0], &view, coverage, now, spans)
+            }
         };
         self.scheduler.clear_placement_edges();
         self.obs.profile.stop("control", control_t);
@@ -449,37 +451,26 @@ impl ClusterSim {
     }
 }
 
-/// Runs the multi-rack hierarchical control cycle: apportion the metered
-/// reading by each rack's share of true fleet power, restrict coverage to
-/// each rack's own candidates, run each rack's sub-manager on its rack's
-/// job observations in rack order, and roll the outcomes up.
-///
-/// Sub-managers share one disabled span recorder; the `shards` span and
-/// one nested `shard` span per *interesting* rack (non-Green or
-/// commanding) are recorded here, in rack order. The selection is a pure
-/// function of sim state, so the taxonomy stays deterministic and the
-/// recorder is not swamped at 100k-node scale.
-#[allow(clippy::too_many_arguments)]
-fn hier_multi_control(
+/// The classify half of the multi-rack hierarchical control cycle:
+/// apportions the metered reading by each rack's share of true fleet
+/// power, restricts coverage to each rack's own candidates, and classifies
+/// every rack in rack order into `scratch`, with whether its capping half
+/// reads the job observations.
+fn classify_racks(
     hier: &mut HierarchicalManager,
     metered_w: f64,
-    rack_obs: &[Vec<JobObservation>],
-    nodes: &[Node],
     fresh: Option<&NodeMask>,
     rack_true_w: &[f64],
     fleet_true_w: f64,
     scratch: &mut FanoutScratch,
     now: SimTime,
-    spans: &mut SpanRecorder,
-) -> CycleOutcome {
+) {
     let topology = *hier.topology();
-    let racks = topology.racks();
     scratch.coverage.clear();
-    spans.open("shards", now);
-    let (mut yellow, mut red) = (0u64, 0u64);
-    let mut total_commands = 0u64;
+    scratch.classified.clear();
+    scratch.reads.clear();
     let mut quiet = SpanRecorder::disabled();
-    for (r, (mgr, obs)) in hier.subs_mut().iter_mut().zip(rack_obs).enumerate() {
+    for (r, mgr) in hier.subs_mut().iter_mut().enumerate() {
         // The metered apportionment keys off *true* power so the split is
         // exact under meter noise; coverage counts the fresh mask over the
         // rack's node-id range against the rack's own candidates.
@@ -496,8 +487,44 @@ fn hier_multi_control(
             }
         }
         scratch.coverage.push(coverage);
-        let view = NodesView(nodes);
-        let out = mgr.control_cycle(rack_metered_w, obs, &view, coverage, now, &mut quiet);
+        let classified = mgr.classify(rack_metered_w, now, &mut quiet);
+        scratch.reads.push(mgr.reads_jobs(&classified));
+        scratch.classified.push(classified);
+    }
+}
+
+/// The capping half of the multi-rack hierarchical control cycle: runs
+/// each rack's sub-manager on its rack's job observations in rack order,
+/// and rolls the outcomes up.
+///
+/// Sub-managers share one disabled span recorder; the `shards` span and
+/// one nested `shard` span per *interesting* rack (non-Green or
+/// commanding) are recorded here, in rack order. The selection is a pure
+/// function of sim state, so the taxonomy stays deterministic and the
+/// recorder is not swamped at 100k-node scale.
+fn cap_racks(
+    hier: &mut HierarchicalManager,
+    rack_obs: &[Vec<JobObservation>],
+    nodes: &[Node],
+    scratch: &mut FanoutScratch,
+    now: SimTime,
+    spans: &mut SpanRecorder,
+) -> CycleOutcome {
+    let racks = hier.topology().racks();
+    spans.open("shards", now);
+    let (mut yellow, mut red) = (0u64, 0u64);
+    let mut total_commands = 0u64;
+    let mut quiet = SpanRecorder::disabled();
+    let view = NodesView(nodes);
+    let rack_inputs = scratch.classified.iter().zip(&scratch.coverage);
+    for (r, ((mgr, obs), (&classified, &coverage))) in hier
+        .subs_mut()
+        .iter_mut()
+        .zip(rack_obs)
+        .zip(rack_inputs)
+        .enumerate()
+    {
+        let out = mgr.cap(classified, obs, &view, coverage, now, &mut quiet);
         yellow += u64::from(out.state == PowerState::Yellow);
         red += u64::from(out.state == PowerState::Red);
         total_commands += out.commands.len() as u64;

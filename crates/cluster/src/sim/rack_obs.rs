@@ -8,20 +8,38 @@
 //! observation list in run-queue order and splitting it by `rack_of` gives;
 //! the test oracle below checks it tick by tick.
 //!
-//! The pieces stay in place across ticks, and each tick touches only what
-//! changed:
+//! Only a Yellow cycle's capping step reads the pieces (Algorithm 1 picks
+//! `A_target` from them; Green and Red need no telemetry per job), so the
+//! lazy regime splits their upkeep in two:
 //!
-//! * a job that started, finished, was evicted or moved in the run queue
+//! * [`RackObs::note`] runs every tick and only records what changed. A
+//!   job that started, finished, was evicted or moved in the run queue
 //!   (`swap_remove` moves the tail job into the freed slot) has its pieces
-//!   dropped from the racks it touches and, while it still runs, rebuilt at
-//!   its new position; only the slots the scheduler reports as placement
-//!   edges, and the tail between the old and new run-queue lengths, are
-//!   compared;
-//! * a sampled node refreshes only its own job's pieces, and the
-//!   job-global previous power is rewritten in every one of them;
-//! * a settled node (sampled last cycle, its previous power now caught up
-//!   with its unchanged latest sample) rewrites only that previous power;
-//! * clean racks are not touched.
+//!   dropped from the racks it touches and a full refresh queued at its
+//!   new slot; only the slots the scheduler reports as placement edges,
+//!   and the tail between the old and new run-queue lengths, are compared.
+//!   A sampled node queues a full refresh of its own job, and a settled
+//!   node (sampled last cycle, its previous power now caught up with its
+//!   unchanged latest sample) a refresh of the job-global previous power
+//!   alone. Each slot keeps one queued refresh, the strongest asked for,
+//!   across ticks until a flush; a slot the run queue shrinks away drops
+//!   its refresh, and a slot whose job changed is queued in full.
+//! * [`RackObs::flush`] runs queued refreshes on demand, after every rack
+//!   is classified: those of the jobs whose rack span (first to last rack
+//!   of their members) meets a rack whose capping step reads the pieces.
+//!   The others stay queued. Refreshes are independent (each rewrites one
+//!   job's pieces from the collector's current view), so running them
+//!   late, merged, gives the pieces a refresh every tick would have given.
+//!
+//! So a rack's pieces are current whenever its capping step reads them;
+//! in between they may lag. The job count
+//! [`RackObs::jobs`] (the `observe` span reports it every tick) is exact
+//! on every tick all the same: `note` keeps a flag per run-queue slot,
+//! whether its job has an observable member, and only the nodes whose
+//! observability can have changed touch it. A sampled or freshness-flipped
+//! node is one check of its own observability; its job's members are
+//! scanned only when the node went dark while the flag was set, the one
+//! case where the flag can clear. A job placed in a slot is scanned once.
 //!
 //! Under faults the filter admits only candidates with fresh telemetry, and
 //! a node whose freshness flipped is refreshed like a sampled one. The dense
@@ -29,9 +47,9 @@
 //! reusing the pieces' allocations.
 
 use ppc_core::observe::{
-    observe_job_into, observe_prev_power_w, CandidateFilter, JobObservation, NodeObservation,
+    is_observable, observe_job_into, observe_prev_power_w, JobObservation, NodeObservation,
 };
-use ppc_core::NodeObsCache;
+use ppc_core::{NodeMask, NodeObsCache};
 use ppc_node::{NodeId, PowerModel};
 use ppc_telemetry::Collector;
 use ppc_workload::{Job, JobId};
@@ -63,11 +81,14 @@ pub(super) struct RackObs {
     pieces: Vec<Vec<JobObservation>>,
     /// Per rack, parallel to `pieces`: each piece's run-queue slot.
     slots: Vec<Vec<u32>>,
-    /// The run queue at the last sync, and whether each slot's job has
-    /// any piece.
+    /// The run queue at the last sync, and whether each slot's job has an
+    /// observable member now (its pieces may lag until the next flush).
     runq: Vec<Placement>,
     observed: Vec<bool>,
-    /// Jobs with at least one piece.
+    /// Per run-queue slot: the first and last rack its job's members live
+    /// in, which bound every rack it touches.
+    span: Vec<(u32, u32)>,
+    /// Jobs with an observable member.
     jobs: usize,
     /// A job started, finished or was evicted since the last sync.
     stale: bool,
@@ -86,24 +107,27 @@ pub(super) struct RackObs {
     /// mask (all clear between syncs) and a list.
     changed: Vec<bool>,
     changed_list: Vec<u32>,
-    /// Scratch: run-queue slots to refresh this sync, each queued once
-    /// with the strongest refresh kind asked for (`queued` is all
-    /// `QUEUED_NONE` between syncs).
+    /// Run-queue slots with a queued refresh, each queued once with the
+    /// strongest refresh kind asked for since the last flush (`queued` is
+    /// `QUEUED_NONE` for every slot not in `refresh`).
     refresh: Vec<u32>,
     queued: Vec<u8>,
+    /// Scratch: how many of the racks before each rack read their pieces
+    /// this cycle.
+    reading: Vec<u32>,
 }
 
 /// What the observe stage reads: the collector's current view through a
 /// candidate filter (the candidate set, or the fresh candidates under
 /// faults), with the memo of per-node saving predictions.
-pub(super) struct Observer<'a, C: ?Sized> {
+pub(super) struct Observer<'a> {
     pub collector: &'a Collector,
-    pub filter: &'a C,
+    pub filter: &'a NodeMask,
     pub models: &'a [Arc<PowerModel>],
     pub cache: &'a mut NodeObsCache,
 }
 
-impl<C: CandidateFilter + ?Sized> Observer<'_, C> {
+impl Observer<'_> {
     /// Builds `job`'s whole observation into `out`; false if it has no
     /// observable member.
     fn observe(&mut self, job: &Job, out: &mut JobObservation) -> bool {
@@ -124,6 +148,16 @@ impl<C: CandidateFilter + ?Sized> Observer<'_, C> {
     fn prev_power_w(&self, job: &Job) -> Option<f64> {
         observe_prev_power_w(self.collector, job.nodes(), self.filter)
     }
+
+    /// True if node `n` is observable now.
+    fn observes(&self, n: NodeId) -> bool {
+        is_observable(self.collector, self.filter, n)
+    }
+
+    /// True if some member of `job` is observable now.
+    fn observes_any(&self, job: &Job) -> bool {
+        job.nodes().iter().any(|&n| self.observes(n))
+    }
 }
 
 /// Refresh kinds queued per run-queue slot, weakest first.
@@ -141,6 +175,7 @@ impl RackObs {
             slots: vec![Vec::new(); racks],
             runq: Vec::new(),
             observed: Vec::new(),
+            span: Vec::new(),
             jobs: 0,
             stale: true,
             prune: Vec::new(),
@@ -157,6 +192,7 @@ impl RackObs {
             changed_list: Vec::new(),
             refresh: Vec::new(),
             queued: Vec::new(),
+            reading: Vec::new(),
         }
     }
 
@@ -164,12 +200,22 @@ impl RackObs {
         (node.0 / self.nodes_per_rack) as usize
     }
 
-    /// Every rack's pieces, indexed by rack.
+    /// The first and last rack `job`'s members live in.
+    fn span_of(&self, job: &Job) -> (u32, u32) {
+        let mut racks = job.nodes().iter().map(|&n| n.0 / self.nodes_per_rack);
+        let first = racks.next().unwrap_or(0);
+        racks.fold((first, first), |(lo, hi), r| (lo.min(r), hi.max(r)))
+    }
+
+    /// Every rack's pieces, indexed by rack: current after a
+    /// [`RackObs::rebuild`], and for the racks a [`RackObs::flush`] was
+    /// asked for.
     pub(super) fn racks(&self) -> &[Vec<JobObservation>] {
         &self.pieces
     }
 
-    /// Running jobs with at least one observed node.
+    /// Running jobs with at least one observable node, exact after every
+    /// [`RackObs::note`] or [`RackObs::rebuild`].
     pub(super) fn jobs(&self) -> usize {
         self.jobs
     }
@@ -195,16 +241,19 @@ impl RackObs {
     /// Rebuilds every rack from scratch: each running job is observed
     /// once, and its nodes are appended to the pieces of their racks, in
     /// run-queue order.
-    fn rebuild<C: CandidateFilter + ?Sized>(&mut self, running: &[Job], obs: &mut Observer<'_, C>) {
+    pub(super) fn rebuild(&mut self, running: &[Job], obs: &mut Observer<'_>) {
+        debug_assert!(self.refresh.is_empty(), "the dense regime queues nothing");
         self.cursor.clear();
         self.cursor.resize(self.pieces.len(), 0);
         self.runq.clear();
         self.observed.clear();
+        self.span.clear();
         self.jobs = 0;
         for (slot, job) in running.iter().enumerate() {
             let observed = obs.observe(job, &mut self.job);
             self.runq.push(Placement::of(job));
             self.observed.push(observed);
+            self.span.push(self.span_of(job));
             if !observed {
                 continue;
             }
@@ -245,59 +294,76 @@ impl RackObs {
         self.stale = false;
     }
 
-    /// Brings the pieces up to date: incrementally ([`RackObs::update`]) in
-    /// the lazy regime, by a full [`RackObs::rebuild`] otherwise.
-    /// `placed` lists the run-queue slots whose job changed since the last
-    /// sync ([`ppc_workload::Scheduler::placement_edges`]).
-    #[allow(clippy::too_many_arguments)]
-    pub(super) fn sync<C: CandidateFilter + ?Sized>(
-        &mut self,
-        lazy: bool,
-        running: &[Job],
-        placed: &[u32],
-        sampled: impl IntoIterator<Item = NodeId>,
-        settled: impl IntoIterator<Item = NodeId>,
-        slot_of: impl Fn(NodeId) -> Option<usize>,
-        obs: &mut Observer<'_, C>,
-    ) {
-        if lazy {
-            self.update(running, placed, sampled, settled, slot_of, obs);
-        } else {
-            self.rebuild(running, obs);
-        }
-    }
-
-    /// Brings the pieces up to date incrementally: drops and re-places the
-    /// jobs whose run-queue slot changed since the last sync (among the
-    /// `placed` slots and the run queue's grown or shrunk tail), refreshes
-    /// the jobs owning a `sampled` node, and rewrites the previous power of
-    /// the jobs owning a `settled` one. `slot_of` maps a node to its job's
-    /// run-queue slot.
-    fn update<C: CandidateFilter + ?Sized>(
+    /// Records what changed since the last sync, without observing any
+    /// job: drops the pieces of the jobs whose run-queue slot changed
+    /// (among the `placed` slots and the run queue's grown or shrunk tail)
+    /// and queues their full refresh, queues a full refresh of the jobs
+    /// owning a `sampled` node and a previous-power refresh of those
+    /// owning a `settled` one, and keeps [`RackObs::jobs`] exact. `slot_of`
+    /// maps a node to its job's run-queue slot. [`RackObs::flush`] runs
+    /// the queued refreshes.
+    pub(super) fn note(
         &mut self,
         running: &[Job],
         placed: &[u32],
         sampled: impl IntoIterator<Item = NodeId>,
         settled: impl IntoIterator<Item = NodeId>,
         slot_of: impl Fn(NodeId) -> Option<usize>,
-        obs: &mut Observer<'_, C>,
+        obs: &Observer<'_>,
     ) {
         if self.queued.len() < running.len() {
             self.queued.resize(running.len(), QUEUED_NONE);
         }
         if self.stale {
-            self.sync_run_queue(running, placed);
+            self.sync_run_queue(running, placed, obs);
         }
-        for slot in sampled.into_iter().filter_map(&slot_of) {
+        for n in sampled {
+            let Some(slot) = slot_of(n) else {
+                continue;
+            };
             self.queue_refresh(slot, QUEUED_FULL);
+            // Only `n`'s observability can have moved the flag: it sets
+            // the flag when observable, and can clear it only when it is
+            // not, which a scan of the members then decides.
+            let observed = if obs.observes(n) {
+                true
+            } else {
+                self.observed[slot] && obs.observes_any(&running[slot])
+            };
+            self.set_observed(slot, observed);
         }
         for slot in settled.into_iter().filter_map(&slot_of) {
             self.queue_refresh(slot, QUEUED_PREV);
         }
+    }
+
+    /// Runs the queued refreshes of the jobs that may touch a rack `r`
+    /// with `reads[r]` set (their rack span meets it), so that those
+    /// racks' pieces are current; the other refreshes stay queued.
+    pub(super) fn flush(&mut self, running: &[Job], obs: &mut Observer<'_>, reads: &[bool]) {
+        if !reads.contains(&true) {
+            return;
+        }
+        // How many racks before each rack read: a span meets a reading
+        // rack exactly when the count grows across it.
+        self.reading.clear();
+        self.reading.push(0);
+        let mut n = 0;
+        for &read in reads {
+            n += u32::from(read);
+            self.reading.push(n);
+        }
         // Refreshes are independent (each rewrites one job's pieces at its
         // run-queue position), so their order does not matter.
+        let mut kept = 0;
         for k in 0..self.refresh.len() {
             let slot = self.refresh[k] as usize;
+            let (first, last) = self.span[slot];
+            if self.reading[last as usize + 1] == self.reading[first as usize] {
+                self.refresh[kept] = slot as u32;
+                kept += 1;
+                continue;
+            }
             if self.queued[slot] == QUEUED_FULL {
                 self.refresh_slot(slot, &running[slot], obs);
             } else {
@@ -305,7 +371,7 @@ impl RackObs {
             }
             self.queued[slot] = QUEUED_NONE;
         }
-        self.refresh.clear();
+        self.refresh.truncate(kept);
     }
 
     fn queue_refresh(&mut self, slot: usize, kind: u8) {
@@ -315,13 +381,26 @@ impl RackObs {
         self.queued[slot] = self.queued[slot].max(kind);
     }
 
+    fn set_observed(&mut self, slot: usize, observed: bool) {
+        if observed != self.observed[slot] {
+            self.observed[slot] = observed;
+            if observed {
+                self.jobs += 1;
+            } else {
+                self.jobs -= 1;
+            }
+        }
+    }
+
     /// Diffs the run queue against the last sync, slot by slot among the
     /// `placed` slots and the tail between the old and new lengths (no
     /// other slot can have changed). Every slot whose placement changed is
-    /// queued for refresh (its job started or moved there), and the racks
-    /// of its members are pruned along with those of departed jobs: pieces
-    /// whose slot changed hands are dropped.
-    fn sync_run_queue(&mut self, running: &[Job], placed: &[u32]) {
+    /// queued for a full refresh and scanned for an observable member (its
+    /// job started or moved there), and the racks of its members are
+    /// pruned along with those of departed jobs: pieces whose slot changed
+    /// hands are dropped. Slots past the new length drop their queued
+    /// refresh.
+    fn sync_run_queue(&mut self, running: &[Job], placed: &[u32], obs: &Observer<'_>) {
         let nodes_per_rack = self.nodes_per_rack;
         let old_len = self.runq.len();
         let new_len = running.len();
@@ -331,6 +410,7 @@ impl RackObs {
         }
         let tail = old_len.min(new_len)..hi;
         let slots = placed.iter().map(|&s| s as usize).filter(|&s| s < hi);
+        let mut dropped = false;
         for i in slots.chain(tail) {
             let now = running.get(i).map(Placement::of);
             if self.changed[i] || self.runq.get(i).copied() == now {
@@ -350,19 +430,30 @@ impl RackObs {
                         self.prune.push(r as u32);
                     }
                 }
+            } else if self.queued[i] != QUEUED_NONE {
+                self.queued[i] = QUEUED_NONE;
+                dropped = true;
             }
+        }
+        if dropped {
+            self.refresh.retain(|&s| (s as usize) < new_len);
         }
         self.runq.truncate(new_len);
         self.observed.truncate(new_len);
+        self.span.truncate(new_len);
         for job in &running[self.runq.len()..] {
             self.runq.push(Placement::of(job));
             self.observed.push(false);
+            self.span.push((0, 0));
         }
         for &i in &self.changed_list {
             let i = i as usize;
-            if i < old_len.min(new_len) {
-                self.runq[i] = Placement::of(&running[i]);
-                self.observed[i] = false;
+            if i < new_len {
+                let job = &running[i];
+                self.runq[i] = Placement::of(job);
+                self.observed[i] = obs.observes_any(job);
+                self.jobs += usize::from(self.observed[i]);
+                self.span[i] = self.span_of(job);
             }
         }
         for k in 0..self.prune.len() {
@@ -392,21 +483,9 @@ impl RackObs {
     /// every rack it touches: updated in place, inserted at its run-queue
     /// position when the rack gained an observed member, dropped when the
     /// rack lost its last one.
-    fn refresh_slot<C: CandidateFilter + ?Sized>(
-        &mut self,
-        slot: usize,
-        job: &Job,
-        obs: &mut Observer<'_, C>,
-    ) {
+    fn refresh_slot(&mut self, slot: usize, job: &Job, obs: &mut Observer<'_>) {
         let observed = obs.observe(job, &mut self.job);
-        if observed != self.observed[slot] {
-            self.observed[slot] = observed;
-            if observed {
-                self.jobs += 1;
-            } else {
-                self.jobs -= 1;
-            }
-        }
+        debug_assert_eq!(observed, self.observed[slot], "note tracks observability");
         self.collect_job_racks(job);
         let nodes_per_rack = self.nodes_per_rack;
         let one_rack = self.job_racks.len() == 1;
@@ -441,12 +520,7 @@ impl RackObs {
 
     /// Rewrites the previous power of the job in run-queue `slot` in every
     /// piece it has, its node observations being unchanged.
-    fn refresh_prev<C: CandidateFilter + ?Sized>(
-        &mut self,
-        slot: usize,
-        job: &Job,
-        obs: &Observer<'_, C>,
-    ) {
+    fn refresh_prev(&mut self, slot: usize, job: &Job, obs: &Observer<'_>) {
         if !self.observed[slot] {
             return;
         }
@@ -490,7 +564,9 @@ mod tests {
     use super::*;
     use ppc_core::observe::observe_jobs_cached;
     use ppc_core::Topology;
-    use ppc_core::{HierarchicalManager, ManagerConfig, NodeSets, PolicyKind, PowerManager};
+    use ppc_core::{
+        HierarchicalManager, ManagerConfig, NodeSets, PolicyKind, PowerManager, PowerState,
+    };
     use ppc_faults::{FaultInjection, FaultRates, FaultSchedule};
     use ppc_simkit::{RngFactory, SimDuration};
     use ppc_workload::JobPriority;
@@ -582,13 +658,53 @@ mod tests {
         sim
     }
 
+    /// The store's pieces after a test-only flush of its queued
+    /// refreshes, run on a copy so the simulation keeps its own queue.
+    fn flushed(sim: &ClusterSim) -> RackObs {
+        let mut store = sim.rack_obs.clone();
+        let hier = sim.hierarchy.as_ref().expect("managed scenarios only");
+        let filter = match &sim.faults {
+            Some(fs) => &fs.fresh,
+            None => hier.sets().candidate_mask(),
+        };
+        let mut cache = NodeObsCache::new();
+        let mut observer = Observer {
+            collector: &sim.collector,
+            filter,
+            models: &sim.models,
+            cache: &mut cache,
+        };
+        let every_rack = vec![true; store.racks().len()];
+        store.flush(sim.scheduler.running_jobs(), &mut observer, &every_rack);
+        store
+    }
+
+    /// The racks whose capping step read their pieces in the last cycle:
+    /// the Yellow ones with candidates.
+    fn read_racks(sim: &ClusterSim) -> Vec<usize> {
+        let hier = sim.hierarchy.as_ref().expect("managed scenarios only");
+        let states = hier.last_rack_states().iter();
+        states
+            .zip(hier.subs())
+            .enumerate()
+            .filter(|(_, (&state, sub))| {
+                state == PowerState::Yellow && sub.sets().candidate_count() > 0
+            })
+            .map(|(r, _)| r)
+            .collect()
+    }
+
     /// Every tick, in both eval modes, with faults off and on, under the
-    /// flat (one-rack) manager and a 4-rack hierarchy, each rack's pieces
-    /// equal the split of a global build element for element — through job
-    /// starts and finishes, critical-job protect and release edges, and
-    /// nodes decommissioned mid-run. The global build reads a Full twin
-    /// stepped in lockstep, so the oracle shares no state with the regime
-    /// under test; under faults the two fresh masks must agree too.
+    /// flat (one-rack) manager and a 4-rack hierarchy, the store's job
+    /// count equals a global build's, and each rack's pieces equal the
+    /// split of that build element for element whenever a capping step
+    /// read them, and after a flush on every tick — through job starts
+    /// and finishes, critical-job protect and release edges, and nodes
+    /// decommissioned mid-run. The global build reads a Full twin stepped
+    /// in lockstep, so the oracle shares no state with the regime under
+    /// test; under faults the two fresh masks must agree too. The lazy
+    /// regime must have left some pieces behind between reads, or the
+    /// deferral went untested.
     #[test]
     fn store_matches_global_build_and_split_every_tick() {
         for racks in [1u32, 4] {
@@ -598,6 +714,7 @@ mod tests {
                     let mut twin = sim(EvalMode::Full, faulted, racks);
                     let mut sim = sim(mode, faulted, racks);
                     let mut decommissioned = 0;
+                    let (mut reads, mut multi_reads, mut lagging) = (0, 0, 0);
                     for tick in 1..=TICKS {
                         if tick % 150 == 0 {
                             // A node of the run queue's tail job (it is
@@ -625,15 +742,40 @@ mod tests {
                             "{label}: fresh candidates diverged at tick {tick}"
                         );
                         let global = oracle(&twin);
-                        assert_eq!(sim.rack_obs.jobs(), global.len(), "{label}: job count");
+                        assert_eq!(
+                            sim.rack_obs.jobs(),
+                            global.len(),
+                            "{label}: job count at tick {tick}"
+                        );
                         let want = split(&global, 128 / racks, racks as usize);
-                        for (r, want) in want.iter().enumerate() {
+                        let read = read_racks(&sim);
+                        for &r in &read {
                             assert_eq!(
                                 &sim.rack_obs.racks()[r],
-                                want,
-                                "{label}: rack {r} diverged at tick {tick}"
+                                &want[r],
+                                "{label}: rack {r} read stale pieces at tick {tick}"
                             );
                         }
+                        reads += read.len();
+                        multi_reads += usize::from(read.len() > 1);
+                        lagging += usize::from(sim.rack_obs.racks() != want.as_slice());
+                        let flushed = flushed(&sim);
+                        for (r, want) in want.iter().enumerate() {
+                            assert_eq!(
+                                &flushed.racks()[r],
+                                want,
+                                "{label}: rack {r} diverged after a flush at tick {tick}"
+                            );
+                        }
+                    }
+                    assert!(reads >= 20, "{label}: {reads} capping reads");
+                    if racks > 1 {
+                        assert!(multi_reads >= 5, "{label}: {multi_reads} multi-rack reads");
+                    }
+                    if mode == EvalMode::Incremental {
+                        assert!(lagging > 0, "{label}: the pieces never lagged");
+                    } else {
+                        assert_eq!(lagging, 0, "{label}: a rebuild is always current");
                     }
                     assert!(decommissioned >= 4, "{label}: {decommissioned}");
                     assert!(sim.finished().len() > 100, "{label}");

@@ -28,7 +28,8 @@
 //! a pure passthrough: the rack's budget is the facility budget bit for
 //! bit (single-child split is exact), [`HierarchicalManager::delegate`]
 //! never moves it, the cycle runs the rack directly
-//! ([`HierarchicalManager::single_rack_cycle`]), and every query
+//! ([`HierarchicalManager::single_rack_classify`] and
+//! [`HierarchicalManager::single_rack_cap`]), and every query
 //! (`sets`, `stats`, `thresholds`, `in_training`) is the sub-manager's
 //! own. `determinism_gate` pins an adopted flat manager bit-identical to
 //! a one-rack tree built by `new` on every determinism fingerprint.
@@ -37,7 +38,7 @@ use crate::budget::{conserves_budget, delegate_with_headroom, is_positive, split
 use crate::capping::LevelView;
 use crate::config::ManagerConfig;
 use crate::error::CoreError;
-use crate::manager::{CycleOutcome, ManagerStats, PowerManager};
+use crate::manager::{Classification, CycleOutcome, ManagerStats, PowerManager};
 use crate::observe::JobObservation;
 use crate::policy::PolicyKind;
 use crate::sets::NodeSets;
@@ -415,21 +416,33 @@ impl HierarchicalManager {
         outcome
     }
 
-    /// Runs the lone rack's control cycle on a single-rack topology (the
+    /// Classifies the lone rack's cycle on a single-rack topology (the
     /// flat passthrough: no delegation, no rollup; the facility stats are
-    /// the rack's own) and records its state in
-    /// [`HierarchicalManager::last_rack_states`].
-    pub fn single_rack_cycle(
+    /// the rack's own): [`PowerManager::classify`] of the rack.
+    pub fn single_rack_classify(
         &mut self,
         power_w: f64,
+        at: SimTime,
+        spans: &mut SpanRecorder,
+    ) -> Classification {
+        debug_assert!(self.is_single_rack(), "multi-rack cycles roll up");
+        self.subs[0].classify(power_w, at, spans)
+    }
+
+    /// Runs the capping half of the lone rack's cycle classified by
+    /// [`HierarchicalManager::single_rack_classify`]
+    /// ([`PowerManager::cap`]) and records its state in
+    /// [`HierarchicalManager::last_rack_states`].
+    pub fn single_rack_cap(
+        &mut self,
+        classified: Classification,
         jobs: &[JobObservation],
         view: &dyn LevelView,
         coverage: f64,
         at: SimTime,
         spans: &mut SpanRecorder,
     ) -> CycleOutcome {
-        debug_assert!(self.is_single_rack(), "multi-rack cycles roll up");
-        let outcome = self.subs[0].control_cycle(power_w, jobs, view, coverage, at, spans);
+        let outcome = self.subs[0].cap(classified, jobs, view, coverage, at, spans);
         self.last_rack_states[0] = outcome.state;
         outcome
     }

@@ -44,7 +44,7 @@ pub use capping::{CappingAlgorithm, NodeCommand};
 pub use config::ManagerConfig;
 pub use error::CoreError;
 pub use hierarchy::{DelegationOutcome, HierarchicalManager};
-pub use manager::{CycleOutcome, ManagerStats, PowerManager};
+pub use manager::{Classification, CycleOutcome, ManagerStats, PowerManager};
 pub use observe::{JobObservation, NodeObsCache, NodeObservation, SelectionContext};
 pub use policy::{PolicyKind, TargetSelectionPolicy};
 pub use sets::{NodeMask, NodeSets};

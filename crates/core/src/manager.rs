@@ -12,7 +12,11 @@
 //!
 //! and keeps cycle statistics (state occupancy, commands issued,
 //! adjustments) for the evaluation reports. [`PowerManager::control_cycle`]
-//! is the one entry point.
+//! runs a whole cycle. It is the composition of its two halves, which a
+//! caller that builds job observations on demand runs apart: steps 1–2
+//! ([`PowerManager::classify`]) read no job observation, and steps 3–4
+//! ([`PowerManager::cap`]) read them only in a Yellow cycle
+//! ([`PowerManager::reads_jobs`]).
 
 use crate::capping::{CappingAlgorithm, LevelView, NodeCommand};
 use crate::config::ManagerConfig;
@@ -37,6 +41,21 @@ pub struct CycleOutcome {
     pub thresholds: Thresholds,
     /// True if the thresholds were re-derived this cycle.
     pub thresholds_adjusted: bool,
+}
+
+/// What the classify half of a control cycle decided
+/// ([`PowerManager::classify`]), handed to its capping half
+/// ([`PowerManager::cap`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Classification {
+    /// The classified power state.
+    pub state: PowerState,
+    /// Thresholds in force this cycle.
+    pub thresholds: Thresholds,
+    /// True if the thresholds were re-derived this cycle.
+    pub thresholds_adjusted: bool,
+    /// The metered power classified, watts.
+    pub power_w: f64,
 }
 
 /// Running statistics over all cycles.
@@ -177,7 +196,8 @@ impl PowerManager {
         Ok(())
     }
 
-    /// Runs one control cycle at sim time `at`.
+    /// Runs one control cycle at sim time `at`: [`PowerManager::classify`]
+    /// then [`PowerManager::cap`].
     ///
     /// * `power_w` — the metered total system power;
     /// * `jobs` — this cycle's job observations (built via
@@ -189,17 +209,6 @@ impl PowerManager {
     ///   state and deficit; a `capping` span wraps Algorithm 1 (the Yellow
     ///   selection opens a nested `select` span) and carries the command
     ///   count. Pass [`SpanRecorder::disabled`] to record nothing.
-    ///
-    /// `A_degraded` is pruned to the candidate set whenever the set's
-    /// generation has moved, before Algorithm 1 runs, whatever the state
-    /// and coverage.
-    ///
-    /// When coverage drops below the configured floor the manager stops
-    /// trusting the selection policy's savings estimates: Yellow degrades
-    /// every observed candidate (strictly more conservative than any
-    /// policy pick), Green holds recovery rather than promote blind, and
-    /// Red floors everything as usual (it needs no telemetry). This keeps
-    /// the capping guarantee intact while the telemetry fabric is dark.
     pub fn control_cycle(
         &mut self,
         power_w: f64,
@@ -209,6 +218,21 @@ impl PowerManager {
         at: SimTime,
         spans: &mut SpanRecorder,
     ) -> CycleOutcome {
+        let classified = self.classify(power_w, at, spans);
+        self.cap(classified, jobs, view, coverage, at, spans)
+    }
+
+    /// The classify half of a control cycle: feeds the metered `power_w`
+    /// to the threshold learner and classifies it against the thresholds
+    /// then in force, under a `classify` span at `at`. It reads no job
+    /// observation, so a caller can build them only for the cycles whose
+    /// capping half reads them ([`PowerManager::reads_jobs`]).
+    pub fn classify(
+        &mut self,
+        power_w: f64,
+        at: SimTime,
+        spans: &mut SpanRecorder,
+    ) -> Classification {
         spans.open("classify", at);
         let thresholds_adjusted = self.learner.observe_cycle(power_w);
         let thresholds = self.learner.thresholds();
@@ -223,7 +247,53 @@ impl PowerManager {
             spans.attr("thresholds_adjusted", AttrValue::U64(1));
         }
         spans.close(at);
+        Classification {
+            state,
+            thresholds,
+            thresholds_adjusted,
+            power_w,
+        }
+    }
 
+    /// True if the capping half of a cycle classified `classified` reads
+    /// its job observations: a Yellow cycle over a non-empty candidate set
+    /// (the policy's selection, or the conservative sweep under low
+    /// coverage). Green promotes `A_degraded` and Red floors every
+    /// candidate, neither from telemetry.
+    pub fn reads_jobs(&self, classified: &Classification) -> bool {
+        classified.state == PowerState::Yellow && !self.sets.candidates().is_empty()
+    }
+
+    /// The capping half of a control cycle: Algorithm 1 on the
+    /// `classified` state over the job observations `jobs`, under a
+    /// `capping` span at `at`, and the cycle statistics. `jobs` is read
+    /// only when [`PowerManager::reads_jobs`] holds.
+    ///
+    /// `A_degraded` is pruned to the candidate set whenever the set's
+    /// generation has moved, before Algorithm 1 runs, whatever the state
+    /// and coverage.
+    ///
+    /// When coverage drops below the configured floor the manager stops
+    /// trusting the selection policy's savings estimates: Yellow degrades
+    /// every observed candidate (strictly more conservative than any
+    /// policy pick), Green holds recovery rather than promote blind, and
+    /// Red floors everything as usual (it needs no telemetry). This keeps
+    /// the capping guarantee intact while the telemetry fabric is dark.
+    pub fn cap(
+        &mut self,
+        classified: Classification,
+        jobs: &[JobObservation],
+        view: &dyn LevelView,
+        coverage: f64,
+        at: SimTime,
+        spans: &mut SpanRecorder,
+    ) -> CycleOutcome {
+        let Classification {
+            state,
+            thresholds,
+            thresholds_adjusted,
+            power_w,
+        } = classified;
         let candidates = self.sets.candidates();
         self.capping.prune_for(candidates, self.sets.generation());
         let ctx = SelectionContext {
@@ -475,6 +545,57 @@ mod tests {
         assert_eq!(m.stats().conservative_cycles, 1);
         assert_eq!(m.capping_degraded().len(), 7);
         assert!(!m.capping_degraded().contains(&NodeId(3)));
+    }
+
+    /// A whole cycle is its classify half followed by its capping half,
+    /// bit for bit, in every state and under low coverage: the same
+    /// outcomes, statistics, `A_degraded` and recorded spans. Only a
+    /// Yellow cycle over candidates reads the job observations.
+    #[test]
+    fn control_cycle_is_classify_then_cap_in_every_state() {
+        let jobs = vec![
+            jobs_obs(1, vec![nobs(0, 9, 300.0), nobs(1, 9, 280.0)], None),
+            jobs_obs(2, vec![nobs(2, 9, 250.0)], Some(240.0)),
+        ];
+        let view = FlatView(Level::new(9), Level::new(9));
+        // P_L = 840, P_H = 930 (training off): Green, Yellow, Red, then
+        // Green long enough (t_g = 10) to promote, and Yellow again under
+        // low coverage.
+        let mut cycles: Vec<(f64, f64)> = vec![(500.0, 1.0), (900.0, 1.0), (950.0, 1.0)];
+        cycles.extend([(500.0, 1.0); 12]);
+        cycles.extend([(900.0, 0.25), (500.0, 0.25), (950.0, 0.25)]);
+        let mut whole = manager(PolicyKind::Mpc, None);
+        let mut halves = manager(PolicyKind::Mpc, None);
+        let mut whole_spans = SpanRecorder::new(256);
+        let mut halves_spans = SpanRecorder::new(256);
+        let mut states = Vec::new();
+        for (i, &(power_w, coverage)) in cycles.iter().enumerate() {
+            let at = SimTime::from_secs(i as u64);
+            let want = whole.control_cycle(power_w, &jobs, &view, coverage, at, &mut whole_spans);
+            let classified = halves.classify(power_w, at, &mut halves_spans);
+            assert_eq!(
+                halves.reads_jobs(&classified),
+                classified.state == PowerState::Yellow,
+                "cycle {i}"
+            );
+            let got = halves.cap(classified, &jobs, &view, coverage, at, &mut halves_spans);
+            assert_eq!(got, want, "cycle {i}");
+            assert_eq!(halves.stats(), whole.stats(), "cycle {i}");
+            assert_eq!(halves.capping_degraded(), whole.capping_degraded());
+            states.push(got.state);
+        }
+        assert_eq!(halves_spans.fingerprint(), whole_spans.fingerprint());
+        assert_eq!(halves_spans.closed(), whole_spans.closed());
+        for state in [PowerState::Green, PowerState::Yellow, PowerState::Red] {
+            assert!(states.contains(&state), "{state} never ran");
+        }
+        assert!(whole.stats().conservative_cycles >= 3);
+        // With no candidate no state reads the jobs.
+        let mut idle = manager(PolicyKind::Mpc, Some(0));
+        let mut spans = SpanRecorder::disabled();
+        let classified = idle.classify(900.0, SimTime::ZERO, &mut spans);
+        assert_eq!(classified.state, PowerState::Yellow);
+        assert!(!idle.reads_jobs(&classified));
     }
 
     #[test]

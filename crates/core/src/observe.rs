@@ -120,12 +120,13 @@ impl SelectionContext<'_> {
 
 /// Value-keyed memo of each node's one-level-down saving prediction.
 ///
-/// `saving_one_level_w` walks the power model's formula twice per call, and
-/// a steady-state cluster re-presents the *same* sample values cycle after
-/// cycle. The cache keys on exactly the sample fields the prediction reads
-/// (level, operating state, estimated power — compared bit-for-bit, so a
-/// hit returns the bit-identical `f64` a recomputation would) and needs no
-/// explicit invalidation: any changed input misses and recomputes.
+/// `saving_one_level_w` evaluates the power model's formula at two levels
+/// per call, and a steady-state cluster re-presents the *same* sample
+/// values cycle after cycle. The cache keys on exactly the sample fields
+/// the prediction reads (level, operating state, estimated power —
+/// compared bit-for-bit, so a hit returns the bit-identical `f64` a
+/// recomputation would) and needs no explicit invalidation: any changed
+/// input misses and recomputes.
 #[derive(Debug, Clone, Default)]
 pub struct NodeObsCache {
     entries: Vec<Option<(Level, ppc_node::OperatingState, f64, f64)>>,
@@ -287,11 +288,22 @@ pub fn observe_prev_power_w<C: CandidateFilter + ?Sized>(
 ) -> Option<f64> {
     let mut prev = PrevSum::default();
     for &n in members {
-        if observable(collector, candidates, n).is_some() {
+        if is_observable(collector, candidates, n) {
             prev.add(collector, n);
         }
     }
     prev.value()
+}
+
+/// True if node `n` belongs in its job's `Nodes(J)`: an admitted
+/// candidate with a non-idle latest sample. A job is observed exactly when
+/// one of its members is.
+pub fn is_observable<C: CandidateFilter + ?Sized>(
+    collector: &Collector,
+    candidates: &C,
+    n: NodeId,
+) -> bool {
+    observable(collector, candidates, n).is_some()
 }
 
 /// The sample a member contributes to `Nodes(J)`: an admitted candidate

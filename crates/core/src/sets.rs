@@ -367,6 +367,12 @@ impl NodeSets {
         self.candidate_mask.contains(node)
     }
 
+    /// The candidates as a dense bitmask, the filter the per-tick
+    /// observation paths test members against.
+    pub fn candidate_mask(&self) -> &NodeMask {
+        &self.candidate_mask
+    }
+
     /// The candidate-set generation: bumped on every effective privilege,
     /// offline or cap change. Equal generations guarantee an identical
     /// candidate set, so memoized per-set work can be skipped.

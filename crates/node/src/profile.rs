@@ -94,11 +94,22 @@ impl PowerModel {
     /// can slightly overshoot (counter wrap mid-interval, rounding) and the
     /// estimate must stay within the calibrated envelope.
     pub fn power_w(&self, level: Level, state: &OperatingState) -> f64 {
-        let i = level.index();
+        self.power_at(level, self.ratios(state))
+    }
+
+    /// Formula (1)'s level-independent terms for `state`: CPU utilization,
+    /// memory ratio and NIC ratio, each clamped into `[0, 1]`.
+    fn ratios(&self, state: &OperatingState) -> [f64; 3] {
         let cpu_util = state.cpu_util.clamp(0.0, 1.0);
         let mem_ratio = (state.mem_used_bytes as f64 / self.mem_total_bytes as f64).clamp(0.0, 1.0);
         let nic_cap = self.nic.interval_capacity_bytes(self.tau_secs);
         let nic_ratio = (state.nic_bytes as f64 / nic_cap).clamp(0.0, 1.0);
+        [cpu_util, mem_ratio, nic_ratio]
+    }
+
+    /// Formula (1) at `level` over precomputed [`PowerModel::ratios`].
+    fn power_at(&self, level: Level, [cpu_util, mem_ratio, nic_ratio]: [f64; 3]) -> f64 {
+        let i = level.index();
         self.table.idle_w[i]
             + cpu_util * self.table.cpu_dynamic_w[i]
             + mem_ratio * self.table.mem_dynamic_w[i]
@@ -116,9 +127,12 @@ impl PowerModel {
     }
 
     /// The saving `P(x) − P'(x)` from degrading one level, in watts
-    /// (0 at the bottom level).
+    /// (0 at the bottom level). The state's ratios are computed once and
+    /// serve both levels.
     pub fn saving_one_level_w(&self, level: Level, state: &OperatingState) -> f64 {
-        self.power_w(level, state) - self.power_one_level_down_w(level, state)
+        let ratios = self.ratios(state);
+        let here = self.power_at(level, ratios);
+        here - self.power_at(level.down().unwrap_or(level), ratios)
     }
 
     /// Theoretical maximal power of this node (top level, all devices at
@@ -280,6 +294,24 @@ mod tests {
 
             // P'(x) ≤ P(x) always.
             prop_assert!(m.power_one_level_down_w(level, &st) <= p + 1e-12);
+        }
+
+        /// The one-level saving, which shares the state's ratios between
+        /// both levels, equals the difference of two whole evaluations bit
+        /// for bit, over every level and over states inside and outside
+        /// the clamped envelope.
+        #[test]
+        fn prop_saving_matches_two_evaluations(
+            lvl in 0u8..10,
+            util in -0.5f64..1.5,
+            mem in 0u64..(48u64 << 30),
+            nic in 0u64..10_000_000_000u64,
+        ) {
+            let (_ladder, m) = model();
+            let level = Level::new(lvl);
+            let st = OperatingState { cpu_util: util, mem_used_bytes: mem, nic_bytes: nic };
+            let two_calls = m.power_w(level, &st) - m.power_one_level_down_w(level, &st);
+            prop_assert_eq!(m.saving_one_level_w(level, &st).to_bits(), two_calls.to_bits());
         }
     }
 }
