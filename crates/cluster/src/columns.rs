@@ -13,9 +13,12 @@
 //!   T: its job load (start/finish/phase boundary/eviction), its DVFS
 //!   level, or its up/down state. Clean nodes' cached `power_w` entries
 //!   are exact — the evaluator never recomputes them.
-//! * The set is a dense bitmask plus an insertion-ordered, deduplicated
-//!   index list, so iteration order is a pure function of the marking
-//!   order — identical across runs.
+//! * The set is a bitmask of `u64` words (bit `i % 64` of word `i / 64`
+//!   is node `i`) plus an insertion-ordered, deduplicated index list. The
+//!   evaluator walks the mask's set bits, i.e. the dirty nodes in
+//!   ascending id, with no copy or sort; the list keeps the mark order
+//!   and the count. Both orders are pure functions of the marking
+//!   sequence — identical across runs.
 //! * Marks for effects that only materialize *next* tick (a phase
 //!   boundary or job finish observed while advancing tick T changes loads
 //!   starting at T+1; a level command applied during T's control cycle
@@ -30,40 +33,47 @@
 
 use ppc_node::NodeId;
 
-/// Deterministic dirty set: dense bitmask + ordered index list, with a
-/// staged buffer for marks that take effect next tick.
+/// Deterministic dirty set: a bitmask of 64-node words plus the ordered
+/// index list, with a staged copy of both for marks that take effect
+/// next tick.
 #[derive(Debug, Clone, Default)]
 pub struct DirtySet {
-    mask: Vec<bool>,
+    mask: Vec<u64>,
     list: Vec<u32>,
-    staged_mask: Vec<bool>,
+    staged_mask: Vec<u64>,
     staged_list: Vec<u32>,
+}
+
+/// Word and bit of node index `i` in a mask.
+fn word_bit(i: u32) -> (usize, u64) {
+    ((i / 64) as usize, 1 << (i % 64))
 }
 
 impl DirtySet {
     fn with_len(n: usize) -> Self {
+        let words = n.div_ceil(64);
         DirtySet {
-            mask: vec![false; n],
+            mask: vec![0; words],
             list: Vec::with_capacity(n),
-            staged_mask: vec![false; n],
+            staged_mask: vec![0; words],
             staged_list: Vec::with_capacity(n),
         }
     }
 
     /// Marks `node` dirty for the current tick.
     pub fn mark(&mut self, node: NodeId) {
-        let i = node.0 as usize;
-        if !self.mask[i] {
-            self.mask[i] = true;
+        let (w, bit) = word_bit(node.0);
+        if self.mask[w] & bit == 0 {
+            self.mask[w] |= bit;
             self.list.push(node.0);
         }
     }
 
     /// Marks `node` dirty for the *next* tick.
     pub fn mark_next(&mut self, node: NodeId) {
-        let i = node.0 as usize;
-        if !self.staged_mask[i] {
-            self.staged_mask[i] = true;
+        let (w, bit) = word_bit(node.0);
+        if self.staged_mask[w] & bit == 0 {
+            self.staged_mask[w] |= bit;
             self.staged_list.push(node.0);
         }
     }
@@ -73,7 +83,7 @@ impl DirtySet {
     /// allocation after construction.
     pub fn begin_tick(&mut self) {
         for &i in &self.list {
-            self.mask[i as usize] = false;
+            self.mask[word_bit(i).0] = 0;
         }
         self.list.clear();
         std::mem::swap(&mut self.mask, &mut self.staged_mask);
@@ -82,7 +92,8 @@ impl DirtySet {
 
     /// True if `node` is dirty this tick.
     pub fn contains(&self, node: NodeId) -> bool {
-        self.mask[node.0 as usize]
+        let (w, bit) = word_bit(node.0);
+        self.mask[w] & bit != 0
     }
 
     /// Dirty node indices in mark order (deduplicated).
@@ -90,10 +101,30 @@ impl DirtySet {
         &self.list
     }
 
+    /// The mask's words: bit `i % 64` of word `i / 64` is node `i`. Read
+    /// in order, each through [`word_ids`], they give the dirty nodes in
+    /// ascending id; a caller that mutates other state during the walk
+    /// copies one word at a time.
+    pub(crate) fn words(&self) -> &[u64] {
+        &self.mask
+    }
+
     /// True when no node is dirty this tick.
     pub fn is_empty(&self) -> bool {
         self.list.is_empty()
     }
+}
+
+/// The node indices set in mask word `w` (holding `word`), ascending.
+pub(crate) fn word_ids(w: usize, mut word: u64) -> impl Iterator<Item = u32> {
+    let base = w as u32 * 64;
+    std::iter::from_fn(move || {
+        (word != 0).then(|| {
+            let bit = word.trailing_zeros();
+            word &= word - 1;
+            base + bit
+        })
+    })
 }
 
 /// Dense per-node columns for the hot tick path.
@@ -360,6 +391,65 @@ mod tests {
         d.mark(NodeId(0));
         d.mark(NodeId(2)); // already present via promotion
         assert_eq!(d.indices(), &[2, 0]);
+    }
+
+    proptest::proptest! {
+        /// Over random `mark`/`mark_next`/`begin_tick` sequences on fleets
+        /// that do and do not fill their last 64-node word, the ascending
+        /// walk (as the evaluator reads it, word by word) is the sorted
+        /// mark-order list, the list is the reference's first-mark order,
+        /// and `contains` agrees on every id. Ids 0, 63, 64 and n−1 are
+        /// drawn often.
+        #[test]
+        fn ascending_walk_is_the_sorted_mark_list(
+            size in 0usize..6,
+            ops in proptest::collection::vec((0u8..8, 0u8..6, 0u32..4096), 1..150),
+        ) {
+            let n = [1u32, 63, 64, 65, 200, 1000][size];
+            let mut d = DirtySet::with_len(n as usize);
+            let (mut live, mut staged) = (Vec::<u32>::new(), Vec::<u32>::new());
+            for (op, pick, raw) in ops {
+                let id = match pick {
+                    0 => 63,
+                    1 => 64,
+                    2 => n - 1,
+                    3 => 0,
+                    _ => raw,
+                } % n;
+                match op {
+                    0..=3 => {
+                        d.mark(NodeId(id));
+                        if !live.contains(&id) {
+                            live.push(id);
+                        }
+                    }
+                    4..=6 => {
+                        d.mark_next(NodeId(id));
+                        if !staged.contains(&id) {
+                            staged.push(id);
+                        }
+                    }
+                    _ => {
+                        d.begin_tick();
+                        live = std::mem::take(&mut staged);
+                    }
+                }
+                proptest::prop_assert_eq!(d.indices(), &live[..]);
+                let mut sorted = live.clone();
+                sorted.sort_unstable();
+                let walked: Vec<u32> = d
+                    .words()
+                    .iter()
+                    .enumerate()
+                    .flat_map(|(w, &word)| word_ids(w, word))
+                    .collect();
+                proptest::prop_assert_eq!(walked, sorted);
+                for i in 0..n {
+                    proptest::prop_assert_eq!(d.contains(NodeId(i)), live.contains(&i), "id {}", i);
+                }
+                proptest::prop_assert_eq!(d.is_empty(), live.is_empty());
+            }
+        }
     }
 
     #[test]

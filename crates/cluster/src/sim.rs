@@ -245,7 +245,6 @@ pub struct ClusterSim {
     scratch_views: Vec<BudgetNodeView>,
     scratch_transitions: Vec<FaultTransition>,
     scratch_down: Vec<bool>,
-    scratch_dirty: Vec<u32>,
     scratch_edges: Vec<NodeId>,
     scratch_sampled: Vec<u32>,
     scratch_settle: Vec<u32>,
@@ -350,7 +349,6 @@ impl ClusterSim {
             scratch_views: Vec::new(),
             scratch_transitions: Vec::new(),
             scratch_down: Vec::new(),
-            scratch_dirty: Vec::new(),
             scratch_edges: Vec::new(),
             scratch_sampled: Vec::new(),
             scratch_settle: Vec::new(),

@@ -3,6 +3,7 @@
 //! facility meter's reading.
 
 use super::*;
+use crate::columns::word_ids;
 
 impl ClusterSim {
     /// Node operating states for this tick, derived from the phase each
@@ -51,58 +52,65 @@ impl ClusterSim {
     /// The pass visits the dirty nodes in ascending id, not in mark order
     /// (which goes job by job, each job's members scattered over the
     /// fleet), so every node-indexed array it touches is walked front to
-    /// back, the scheduler's load column among them. The order changes no
-    /// result: each node's evaluation, sample, ingest and next-cycle settle
-    /// touch only that node, and the rack-observation refreshes the samples
-    /// feed are independent of order (see `sim/rack_obs.rs`).
+    /// back, the scheduler's load column among them. It reads the ids off
+    /// the dirty mask's set bits, one 64-node word at a time (nothing in
+    /// the pass marks a node dirty for this tick, so each copied word
+    /// stays current): no copy of the mark-order list and no sort. The
+    /// order changes no result: each node's evaluation, sample, ingest and
+    /// next-cycle settle touch only that node, and the rack-observation
+    /// refreshes the samples feed are independent of order (see
+    /// `sim/rack_obs.rs`).
     fn materialize_dirty(&mut self, t: &Tick) {
-        let (dt, tick) = (t.dt, t.tick);
         let sample_at = t.start + self.spec.tick;
-        self.scratch_dirty.clear();
-        self.scratch_dirty
-            .extend_from_slice(self.columns.dirty.indices());
-        self.scratch_dirty.sort_unstable();
-        for k in 0..self.scratch_dirty.len() {
-            let id = NodeId(self.scratch_dirty[k]);
-            let i = id.0 as usize;
-            if self.columns.is_down(id) {
-                continue; // frozen until the up edge re-marks it
+        for w in 0..self.columns.dirty.words().len() {
+            for raw in word_ids(w, self.columns.dirty.words()[w]) {
+                self.materialize_node(NodeId(raw), t, sample_at);
             }
-            let candidate = t.lazy
-                && self
-                    .hierarchy
-                    .as_ref()
-                    .is_some_and(|h| h.sets().is_candidate(id));
-            if candidate {
-                // Protected (non-candidate) nodes are deliberately left
-                // alone: dense froze their baseline when they left the
-                // candidate set, and their rejoin sample must span the gap.
-                freeze_agent(
-                    &mut self.agents[i],
-                    &self.nodes[i],
-                    &mut self.last_sampled_tick[i],
-                    &mut self.state_epoch[i],
-                    dt,
-                    tick,
-                );
-            }
-            self.catch_up(id, tick - 1);
-            let load = operating_state(self.scheduler.load_on(id), &self.nodes[i], dt);
-            self.nodes[i].run_interval(load, dt);
-            let power = self.nodes[i].power_w();
-            let speed = self.nodes[i].relative_speed();
-            self.columns.materialize(id, power, speed, tick);
-            self.state_epoch[i] = tick;
-            // The `silent` mask is re-derived later this tick: read the
-            // engine, whose silences already moved at this tick's edges.
-            if candidate
-                && !self
-                    .faults
-                    .as_ref()
-                    .is_some_and(|fs| fs.engine.is_silent(id))
-            {
-                self.lazy_sample(id, tick, sample_at);
-            }
+        }
+    }
+
+    /// One dirty node's part of [`materialize_dirty`](Self::materialize_dirty).
+    fn materialize_node(&mut self, id: NodeId, t: &Tick, sample_at: SimTime) {
+        let (dt, tick) = (t.dt, t.tick);
+        let i = id.0 as usize;
+        if self.columns.is_down(id) {
+            return; // frozen until the up edge re-marks it
+        }
+        let candidate = t.lazy
+            && self
+                .hierarchy
+                .as_ref()
+                .is_some_and(|h| h.sets().is_candidate(id));
+        // The `silent` mask is re-derived later this tick: read the
+        // engine, whose silences already moved at this tick's edges.
+        let sampled = candidate
+            && !self
+                .faults
+                .as_ref()
+                .is_some_and(|fs| fs.engine.is_silent(id));
+        if candidate {
+            // Protected (non-candidate) nodes are deliberately left
+            // alone: dense froze their baseline when they left the
+            // candidate set, and their rejoin sample must span the gap.
+            freeze_agent(
+                &mut self.agents[i],
+                &self.nodes[i],
+                &mut self.last_sampled_tick[i],
+                &mut self.state_epoch[i],
+                dt,
+                tick,
+                sampled,
+            );
+        }
+        self.catch_up(id, tick - 1);
+        let load = operating_state(self.scheduler.load_on(id), &self.nodes[i], dt);
+        self.nodes[i].run_interval(load, dt);
+        let power = self.nodes[i].power_w();
+        let speed = self.nodes[i].relative_speed();
+        self.columns.materialize(id, power, speed, tick);
+        self.state_epoch[i] = tick;
+        if sampled {
+            self.lazy_sample(id, tick, sample_at);
         }
     }
 
@@ -244,7 +252,9 @@ fn operating_state(load: Option<NodeLoad>, node: &Node, dt: f64) -> OperatingSta
 /// its next real sample. A node leaving the sampled set (SLA protection,
 /// silence, crash) then takes a sample spanning exactly the gap, as dense
 /// would; a node already out of the sampled set (its last sample predates
-/// its epoch) stays frozen.
+/// its epoch) stays frozen. `sampled`: the caller samples the node this
+/// tick, which replaces the agent's last state, so the baseline advance
+/// leaves it alone.
 pub(super) fn freeze_agent(
     agent: &mut ProfilingAgent,
     node: &Node,
@@ -252,10 +262,16 @@ pub(super) fn freeze_agent(
     state_epoch: &mut u64,
     dt: f64,
     tick: u64,
+    sampled: bool,
 ) {
     let last = *last_sampled_tick;
     if agent.is_primed() && last >= *state_epoch && last + 1 < tick {
-        agent.advance_baseline(node.state(), dt, tick - 1 - last);
+        let ticks = tick - 1 - last;
+        if sampled {
+            agent.advance_baseline_before_sample(node.state(), dt, ticks);
+        } else {
+            agent.advance_baseline(node.state(), dt, ticks);
+        }
         *last_sampled_tick = tick - 1;
     }
     *state_epoch = tick;

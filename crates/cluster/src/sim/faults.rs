@@ -233,6 +233,7 @@ impl ClusterSim {
                 &mut self.state_epoch[i],
                 t.dt,
                 t.tick,
+                false,
             );
         }
     }

@@ -82,6 +82,7 @@ impl ClusterSim {
                             &mut self.state_epoch[i],
                             t.dt,
                             t.tick,
+                            false,
                         );
                     }
                     self.fresh_suspects.push(n);

@@ -55,16 +55,21 @@ impl FileContext {
     }
 
     /// Hot-path modules of the incremental tick core: the SoA node
-    /// columns and the tick boundary (`sim/faults.rs`, which pushes and
-    /// drains the staleness-deadline heap) run inside every simulation
-    /// tick, where a wall-clock read or an unordered collection would
+    /// columns, the tick boundary (`sim/faults.rs`, which pushes and
+    /// drains the staleness-deadline heap), the dirty-node and job advance
+    /// (`sim/advance.rs`) and the run queue it steps
+    /// (`workload/src/scheduler.rs`) run inside every simulation tick,
+    /// where a wall-clock read or an unordered collection would
     /// both cost cycles and threaten replay determinism. For these files
     /// the two rules are *not suppressable* — an `allow` directive is
     /// ignored and the finding reported anyway.
     fn is_hot_path(&self) -> bool {
         matches!(
             self.path.as_str(),
-            "crates/cluster/src/columns.rs" | "crates/cluster/src/sim/faults.rs"
+            "crates/cluster/src/columns.rs"
+                | "crates/cluster/src/sim/faults.rs"
+                | "crates/cluster/src/sim/advance.rs"
+                | "crates/workload/src/scheduler.rs"
         )
     }
 }
@@ -660,6 +665,8 @@ let c = z.unwrap();
         for path in [
             "crates/cluster/src/columns.rs",
             "crates/cluster/src/sim/faults.rs",
+            "crates/cluster/src/sim/advance.rs",
+            "crates/workload/src/scheduler.rs",
         ] {
             let ctx = FileContext::for_path(path);
             let src = "\

@@ -37,14 +37,17 @@ pub struct Node {
     state: OperatingState,
     privileged: bool,
     proc_counters: ProcCounters,
-    thermal: Option<ThermalState>,
+    /// Boxed: a thermal model forces the simulator's dense path, so the
+    /// incremental path, which touches only dirty nodes, never reads it
+    /// and a pointer keeps each node small.
+    thermal: Option<Box<ThermalState>>,
 }
 
 impl Node {
     /// Creates a node at the top (unthrottled) power level, idle.
     pub fn new(id: NodeId, spec: Arc<NodeSpec>, model: Arc<PowerModel>) -> Self {
         let level = spec.ladder.highest();
-        let thermal = spec.thermal.map(ThermalState::new);
+        let thermal = spec.thermal.map(|t| Box::new(ThermalState::new(t)));
         Node {
             id,
             spec,

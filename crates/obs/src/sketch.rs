@@ -141,11 +141,39 @@ impl QuantileSketch {
             .map(move |(i, &n)| (self.base + i as u32, n))
     }
 
-    /// Records every value of a slice, in order.
+    /// Records every value of a slice, in order: the state is bit-identical
+    /// to [`observe`](Self::observe) on each value. The counters, min and
+    /// max stay in locals, and the fixed-point sum of values whose scaled
+    /// magnitude is below 2^47 accumulates in an `i64`, widened once per
+    /// chunk of 2^15 values (so it cannot overflow); only larger values
+    /// convert to `i128` one by one.
     pub fn observe_slice(&mut self, xs: &[f64]) {
-        for &x in xs {
-            self.observe(x);
+        const SMALL: f64 = (1u64 << 47) as f64;
+        const CHUNK: usize = 1 << 15;
+        let (mut low, mut min, mut max) = (self.low, self.min, self.max);
+        for chunk in xs.chunks(CHUNK) {
+            let mut small = 0i64;
+            for &x in chunk {
+                if x.is_finite() {
+                    let q = x * SUM_SCALE;
+                    if q.abs() < SMALL {
+                        small += q.round() as i64;
+                    } else {
+                        self.sum_q += q.round() as i128;
+                    }
+                    min = min.min(x);
+                    max = max.max(x);
+                }
+                if x > 0.0 && x.is_finite() {
+                    self.bump(bucket_of(x));
+                } else {
+                    low += 1;
+                }
+            }
+            self.sum_q += i128::from(small);
         }
+        self.count += xs.len() as u64;
+        (self.low, self.min, self.max) = (low, min, max);
     }
 
     /// Total observations.

@@ -51,3 +51,87 @@ proptest! {
         }
     }
 }
+
+/// Values for the slice kernel: the edge cases of every branch it takes
+/// (zero of both signs, negatives, NaN, ±inf, the 2^47 fixed-point
+/// boundary of its `i64` sum at 2^37, values above 2^53) mixed with
+/// ordinary powers.
+fn kernel_values() -> impl Strategy<Value = Vec<f64>> {
+    const EDGES: [f64; 14] = [
+        0.0,
+        -0.0,
+        -3.5,
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        137_438_953_472.0, // 2^37: scaled, exactly 2^47
+        137_438_953_471.999,
+        -137_438_953_472.0,
+        9_007_199_254_740_993.0, // above 2^53
+        1.8e16,
+        -2.5e17,
+        1e30,
+        f64::MIN_POSITIVE,
+    ];
+    prop::collection::vec(
+        (0u8..4, 0usize..EDGES.len(), 1e-3..1e9f64).prop_map(|(sel, k, x)| match sel {
+            0 => EDGES[k],
+            _ => x,
+        }),
+        0..200,
+    )
+}
+
+/// Observes `xs` one value at a time.
+fn observed_one_by_one(start: &QuantileSketch, xs: &[f64]) -> QuantileSketch {
+    let mut s = start.clone();
+    for &x in xs {
+        s.observe(x);
+    }
+    s
+}
+
+/// Bit-level view of a sketch's state beyond its fingerprint.
+fn state(s: &QuantileSketch) -> (u64, u64, Option<u64>, Option<u64>, u64, u64) {
+    (
+        s.count(),
+        s.low_count(),
+        s.min().map(f64::to_bits),
+        s.max().map(f64::to_bits),
+        s.sum().to_bits(),
+        s.fingerprint(),
+    )
+}
+
+proptest! {
+    /// `observe_slice` leaves exactly the state `observe` on each value
+    /// leaves, from an empty sketch and from one already holding values.
+    #[test]
+    fn slice_equals_one_by_one(prefix in kernel_values(), xs in kernel_values()) {
+        let start = observed_one_by_one(&QuantileSketch::new(), &prefix);
+        let mut sliced = start.clone();
+        sliced.observe_slice(&xs);
+        let each = observed_one_by_one(&start, &xs);
+        prop_assert_eq!(state(&sliced), state(&each));
+        prop_assert_eq!(&sliced, &each);
+    }
+}
+
+/// A slice longer than the kernel's `i64` chunk, with values just below
+/// the 2^47 boundary, sums exactly as the per-value path does.
+#[test]
+fn long_slice_of_large_values_equals_one_by_one() {
+    let xs: Vec<f64> = (0..100_000u32)
+        .map(|i| match i % 5 {
+            0 => 137_438_953_471.5,
+            1 => -137_438_953_471.0,
+            2 => 137_438_953_472.0 + f64::from(i),
+            3 => 4e20,
+            _ => f64::from(i) * 0.37,
+        })
+        .collect();
+    let mut sliced = QuantileSketch::new();
+    sliced.observe_slice(&xs);
+    let each = observed_one_by_one(&QuantileSketch::new(), &xs);
+    assert_eq!(state(&sliced), state(&each));
+}

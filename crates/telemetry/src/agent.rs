@@ -18,23 +18,38 @@ use ppc_simkit::{DetRng, SimTime};
 pub struct ProfilingAgent {
     prev_snapshot: Option<ProcSnapshot>,
     last_state: OperatingState,
+    samples_taken: u64,
+    /// The sensing-noise model with its RNG stream and dropout count;
+    /// `None` for a perfect sensor ([`NoiseModel::NONE`]), which never
+    /// draws or drops. Boxed so a noiseless agent, the one the
+    /// simulator's incremental path samples, stays small.
+    noisy: Option<Box<NoisySensor>>,
+}
+
+/// The parts of a [`ProfilingAgent`] only a noisy sensor uses.
+#[derive(Debug, Clone)]
+struct NoisySensor {
     noise: NoiseModel,
     rng: DetRng,
-    samples_taken: u64,
     samples_dropped: u64,
 }
 
 impl ProfilingAgent {
-    /// Creates an agent with the given sensing-noise model and RNG stream.
+    /// Creates an agent with the given sensing-noise model and RNG stream
+    /// (dropped unread under [`NoiseModel::NONE`], which never draws).
     pub fn new(noise: NoiseModel, rng: DetRng) -> Self {
         noise.validate();
         ProfilingAgent {
             prev_snapshot: None,
             last_state: OperatingState::IDLE,
-            noise,
-            rng,
             samples_taken: 0,
-            samples_dropped: 0,
+            noisy: (noise != NoiseModel::NONE).then(|| {
+                Box::new(NoisySensor {
+                    noise,
+                    rng,
+                    samples_dropped: 0,
+                })
+            }),
         }
     }
 
@@ -65,6 +80,27 @@ impl ProfilingAgent {
     /// node would. Draws no noise — only valid under a noise model that
     /// never consumes RNG (`NoiseModel::NONE`).
     pub fn advance_baseline(&mut self, state: &OperatingState, dt_secs: f64, ticks: u64) {
+        if let Some(prev) = self.prev_snapshot.filter(|_| ticks > 0) {
+            // Each skipped sample would have recovered the same one-tick
+            // delta.
+            let one = prev.advanced(state, dt_secs, 1);
+            self.last_state = one.delta_since(&prev).unwrap_or(self.last_state);
+        }
+        self.advance_baseline_before_sample(state, dt_secs, ticks);
+    }
+
+    /// [`advance_baseline`](Self::advance_baseline) for a caller that
+    /// samples the node one interval later: the baseline and the sample
+    /// count move, `last_state` does not. That sample overwrites it; over
+    /// an interval too short to hold a jiffy the sample falls back to it
+    /// instead, and then the one-tick delta `advance_baseline` would have
+    /// taken is empty too and leaves it unchanged.
+    pub fn advance_baseline_before_sample(
+        &mut self,
+        state: &OperatingState,
+        dt_secs: f64,
+        ticks: u64,
+    ) {
         if ticks == 0 {
             return;
         }
@@ -72,9 +108,6 @@ impl ProfilingAgent {
             .prev_snapshot
             // ppc-lint: allow(panic-path): documented caller contract — the sim checks is_primed() before advancing
             .expect("advance_baseline requires a primed agent");
-        // Each skipped sample would have recovered the same one-tick delta.
-        let one = prev.advanced(state, dt_secs, 1);
-        self.last_state = one.delta_since(&prev).unwrap_or(self.last_state);
         self.prev_snapshot = Some(prev.advanced(state, dt_secs, ticks));
         self.samples_taken += ticks;
     }
@@ -87,24 +120,29 @@ impl ProfilingAgent {
         // instantaneous state) — the estimate lags reality by one interval,
         // as on the real system.
         let est = node.model().power_w(node.level(), &state);
-        match self.noise.apply(est, &mut self.rng) {
-            Some(power_w) => Some(NodeSample {
-                node: node.id(),
-                at: now,
-                state,
-                level: node.level(),
-                power_w,
-            }),
-            None => {
-                self.samples_dropped += 1;
-                None
-            }
-        }
+        let power_w = match self.noisy.as_deref_mut() {
+            None => est,
+            Some(sensor) => match sensor.noise.apply(est, &mut sensor.rng) {
+                Some(power_w) => power_w,
+                None => {
+                    sensor.samples_dropped += 1;
+                    return None;
+                }
+            },
+        };
+        Some(NodeSample {
+            node: node.id(),
+            at: now,
+            state,
+            level: node.level(),
+            power_w,
+        })
     }
 
     /// `(taken, dropped)` counters for diagnostics.
     pub fn stats(&self) -> (u64, u64) {
-        (self.samples_taken, self.samples_dropped)
+        let dropped = self.noisy.as_ref().map_or(0, |s| s.samples_dropped);
+        (self.samples_taken, dropped)
     }
 }
 

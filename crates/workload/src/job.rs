@@ -67,6 +67,12 @@ pub struct NodeLoad {
     pub nic_fraction: f64,
 }
 
+/// True when a job whose minimum member speed is `min_speed` runs below
+/// its top level: the step counts toward [`Job::throttled_secs`].
+pub(crate) fn is_throttled(min_speed: f64) -> bool {
+    min_speed < 1.0 - 1e-12
+}
+
 /// A parallel job.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Job {
@@ -270,7 +276,7 @@ impl Job {
     pub fn advance_at(&mut self, dt_secs: f64, min_speed: f64) -> Option<f64> {
         assert_eq!(self.status, JobStatus::Running, "only running jobs advance");
         debug_assert!(min_speed > 0.0 && min_speed <= 1.0 + 1e-12);
-        if min_speed < 1.0 - 1e-12 {
+        if is_throttled(min_speed) {
             self.throttled_secs += dt_secs;
         }
         let mut remaining = dt_secs;
@@ -291,6 +297,31 @@ impl Job {
             }
         }
         (self.cur_phase >= self.phases.len()).then_some(remaining)
+    }
+
+    /// [`Job::advance_at`] for a step that stays inside the current phase,
+    /// given that phase's `work_secs`, its `rate` at the minimum member
+    /// speed and whether that speed [`is_throttled`]: the same arithmetic
+    /// without reading the phase list. Returns `false`, changing nothing,
+    /// when the step is not positive or would reach the phase's end; the
+    /// caller then advances through [`Job::advance_at`].
+    pub(crate) fn advance_in_phase(
+        &mut self,
+        dt_secs: f64,
+        work_secs: f64,
+        rate: f64,
+        throttled: bool,
+    ) -> bool {
+        debug_assert_eq!(self.status, JobStatus::Running, "only running jobs advance");
+        let time_to_finish = (work_secs - self.done_in_phase_secs) / rate;
+        if !(dt_secs > 0.0 && time_to_finish > dt_secs) {
+            return false;
+        }
+        if throttled {
+            self.throttled_secs += dt_secs;
+        }
+        self.done_in_phase_secs += dt_secs * rate;
+        true
     }
 
     /// Times this job has been evicted and requeued.

@@ -46,11 +46,7 @@ impl Phase {
     /// # Panics
     /// Panics (debug) if `s` is out of `(0, 1]`.
     pub fn rate_at_speed(&self, s: f64) -> f64 {
-        debug_assert!(
-            s > 0.0 && s <= 1.0 + 1e-12,
-            "relative speed {s} out of range"
-        );
-        1.0 / (self.alpha / s + (1.0 - self.alpha))
+        rate_at(self.alpha, s)
     }
 
     /// Validates the phase invariants; used by constructors and tests.
@@ -60,6 +56,20 @@ impl Phase {
             && (0.0..=1.0).contains(&self.cpu_util)
             && (0.0..=1.0).contains(&self.nic_fraction)
     }
+}
+
+/// Progress rate of a phase of compute-boundness `alpha` at relative
+/// speed `s ∈ (0, 1]`: [`Phase::rate_at_speed`] without the phase, for
+/// callers that keep only its `alpha`.
+///
+/// # Panics
+/// Panics (debug) if `s` is out of `(0, 1]`.
+pub(crate) fn rate_at(alpha: f64, s: f64) -> f64 {
+    debug_assert!(
+        s > 0.0 && s <= 1.0 + 1e-12,
+        "relative speed {s} out of range"
+    );
+    1.0 / (alpha / s + (1.0 - alpha))
 }
 
 #[cfg(test)]

@@ -7,7 +7,8 @@
 //! cover the whole machine, which is why the capping effect saturates
 //! around 48 of 128 nodes.
 
-use crate::job::{Job, JobId, JobStatus, NodeLoad};
+use crate::job::{is_throttled, Job, JobId, JobStatus, NodeLoad};
+use crate::phase::rate_at;
 use crate::queue::JobQueue;
 use crate::scaling::nodes_needed;
 use crate::trace::JobRecord;
@@ -35,6 +36,66 @@ fn write_loads(loads: &mut [Option<NodeLoad>], job: &Job, cores_per_node: u32) {
     }
 }
 
+/// What [`Scheduler::advance`] reads of one run-queue slot's job to step
+/// it inside its current phase: that phase's work and compute-boundness,
+/// and the job's minimum member speed with the phase's rate at it.
+#[derive(Debug, Clone, Copy)]
+struct SlotPhase {
+    /// The current phase's `work_secs`.
+    work_secs: f64,
+    /// The current phase's `alpha`.
+    alpha: f64,
+    /// The job's minimum member speed as of its last fold.
+    min_speed: f64,
+    /// The current phase's progress rate at `min_speed`.
+    rate: f64,
+    /// `min_speed` is below the top level.
+    throttled: bool,
+    /// `min_speed`, `rate` and `throttled` must be refolded: the job was
+    /// just placed, or a member's speed changed since the fold.
+    stale: bool,
+}
+
+impl SlotPhase {
+    /// The record of `job`'s current phase, to be folded before use.
+    fn of(job: &Job) -> Self {
+        let mut slot = SlotPhase {
+            work_secs: 0.0,
+            alpha: 0.0,
+            min_speed: 1.0,
+            rate: 1.0,
+            throttled: false,
+            stale: true,
+        };
+        slot.enter_phase(job);
+        slot
+    }
+
+    /// Reloads the phase fields after `job` moved to a new phase, with the
+    /// rate at the unchanged minimum speed.
+    fn enter_phase(&mut self, job: &Job) {
+        if let Some(phase) = job.current_phase() {
+            self.work_secs = phase.work_secs;
+            self.alpha = phase.alpha;
+            if !self.stale {
+                self.rate = rate_at(self.alpha, self.min_speed);
+            }
+        }
+    }
+
+    /// The job's minimum member speed, refolded from `speed` first when
+    /// stale.
+    fn min_speed(&mut self, job: &Job, speed: &[f64]) -> f64 {
+        if self.stale {
+            self.min_speed = job.min_speed(speed);
+            self.rate = rate_at(self.alpha, self.min_speed);
+            self.throttled = is_throttled(self.min_speed);
+            self.stale = false;
+        }
+        self.min_speed
+    }
+}
+
 /// Whole-node first-fit scheduler and run-queue.
 #[derive(Debug, Clone)]
 pub struct Scheduler {
@@ -54,10 +115,15 @@ pub struct Scheduler {
     /// rewrites the job's members, and `remove_slot` clears the freed
     /// ones. [`Scheduler::load_on`] is then one read.
     loads: Vec<Option<NodeLoad>>,
-    /// Per run-queue slot, parallel to `running`: the job's minimum member
-    /// speed as of its last fold, or `None` when it must be refolded (just
-    /// placed, or a member's speed changed since). Follows `swap_remove`.
-    min_speed: Vec<Option<f64>>,
+    /// Per run-queue slot, parallel to `running`: the current phase's
+    /// work and `alpha`, the job's minimum member speed as of its last
+    /// fold (stale when just placed or a member's speed changed since) and
+    /// the phase's rate at it. A job that stays inside its phase advances
+    /// from this record with one division; a phase crossing or a finish
+    /// goes through [`Job::advance_at`] and reloads the phase fields. The
+    /// job's own progress and throttled time are written every step.
+    /// Follows `swap_remove`.
+    slots: Vec<SlotPhase>,
     /// Run-queue slots whose job changed (a placement, or the job a
     /// `swap_remove` moved in) since the last
     /// [`clear_placement_edges`](Scheduler::clear_placement_edges), in
@@ -86,7 +152,7 @@ impl Scheduler {
         Scheduler {
             node_owner: vec![None; max_id + 1],
             loads: vec![None; max_id + 1],
-            min_speed: Vec::new(),
+            slots: Vec::new(),
             slot_edges: Vec::new(),
             slot_edge_mask: Vec::new(),
             free,
@@ -177,10 +243,10 @@ impl Scheduler {
 
     /// Takes the job in run-queue slot `idx` off the run queue: frees its
     /// nodes, moves the tail job (if any) into the slot and repoints that
-    /// job's nodes and cached minimum speed.
+    /// job's nodes and phase record.
     fn remove_slot(&mut self, idx: usize) -> Job {
         let job = self.running.swap_remove(idx);
-        self.min_speed.swap_remove(idx);
+        self.slots.swap_remove(idx);
         for &n in job.nodes() {
             self.free.insert(n);
             self.node_owner[n.0 as usize] = None;
@@ -255,8 +321,8 @@ impl Scheduler {
         job.start(alloc, now);
         write_loads(&mut self.loads, &job, self.cores_per_node);
         let id = job.id();
+        self.slots.push(SlotPhase::of(&job));
         self.running.push(job);
-        self.min_speed.push(None);
         self.note_slot_edge(slot);
         id
     }
@@ -285,20 +351,25 @@ impl Scheduler {
     ) -> Vec<JobRecord> {
         for &n in speed_edges {
             if let Some(&Some(slot)) = self.node_owner.get(n as usize) {
-                self.min_speed[slot] = None;
+                self.slots[slot].stale = true;
             }
         }
         let mut records = Vec::new();
         let mut i = 0;
         while i < self.running.len() {
             let job = &mut self.running[i];
-            let min_speed = *self.min_speed[i].get_or_insert_with(|| job.min_speed(speed));
+            let slot = &mut self.slots[i];
+            let min_speed = slot.min_speed(job, speed);
             debug_assert_eq!(
                 min_speed.to_bits(),
                 job.min_speed(speed).to_bits(),
                 "cached minimum speed of {} is stale",
                 job.id()
             );
+            if job.advance_in_phase(dt_secs, slot.work_secs, slot.rate, slot.throttled) {
+                i += 1;
+                continue;
+            }
             let phase_before = job.phase_index();
             let done = job.advance_at(dt_secs, min_speed);
             if let Some(unused_secs) = done {
@@ -310,6 +381,7 @@ impl Scheduler {
                 records.push(JobRecord::from_job(&job));
             } else {
                 if job.phase_index() != phase_before {
+                    slot.enter_phase(job);
                     edges.extend_from_slice(job.nodes());
                     write_loads(&mut self.loads, job, self.cores_per_node);
                 }
@@ -390,13 +462,30 @@ impl Scheduler {
     /// Checks internal consistency (tests and debug assertions).
     pub fn check_invariants(&self) {
         assert_eq!(
-            self.min_speed.len(),
+            self.slots.len(),
             self.running.len(),
-            "one cached minimum per slot"
+            "one phase record per slot"
         );
         // Every running job's nodes point back at its slot and are not free.
         for (slot, job) in self.running.iter().enumerate() {
             assert_eq!(job.status(), JobStatus::Running);
+            // The slot's record holds the job's current phase, and its
+            // folded rate and throttled flag follow from it.
+            let record = &self.slots[slot];
+            assert_eq!(
+                job.current_phase()
+                    .map(|p| (p.work_secs.to_bits(), p.alpha.to_bits())),
+                Some((record.work_secs.to_bits(), record.alpha.to_bits())),
+                "phase record of slot {slot} is stale"
+            );
+            if !record.stale {
+                assert_eq!(
+                    record.rate.to_bits(),
+                    rate_at(record.alpha, record.min_speed).to_bits(),
+                    "rate of slot {slot} is stale"
+                );
+                assert_eq!(record.throttled, is_throttled(record.min_speed));
+            }
             for &n in job.nodes() {
                 assert_eq!(
                     self.node_owner[n.0 as usize],
@@ -854,8 +943,9 @@ mod tests {
                 prop_assert_eq!(records, want);
                 prop_assert_eq!(edges, twin_edges);
                 s.check_invariants();
-                for (job, cached) in s.running_jobs().iter().zip(&s.min_speed) {
-                    prop_assert_eq!(cached.map(f64::to_bits), Some(job.min_speed(&speed).to_bits()));
+                for (job, slot) in s.running_jobs().iter().zip(&s.slots) {
+                    prop_assert!(!slot.stale);
+                    prop_assert_eq!(slot.min_speed.to_bits(), job.min_speed(&speed).to_bits());
                 }
                 let after = placements(&s);
                 for (slot, p) in after.iter().enumerate() {
@@ -867,6 +957,103 @@ mod tests {
                     }
                 }
                 s.clear_placement_edges();
+            }
+        }
+
+        /// Differential check of the per-slot phase cache: over random
+        /// phase lists (work and `alpha`), member speed edits reported as
+        /// edges, evictions and τ, every running job's progress, phase
+        /// index and throttled time are bitwise those of a reference copy
+        /// advanced by [`Job::advance`] on every tick, and the phase-edge
+        /// lists and finish records (Debug-formatted, so every float's
+        /// bits count) are the reference's. The reference mirrors the run
+        /// queue's slots: placements append, finishes and evictions
+        /// `swap_remove`.
+        #[test]
+        fn prop_slot_cache_matches_reference_jobs(
+            rounds in proptest::collection::vec(
+                (
+                    proptest::collection::vec((0u32..16, 0u8..8), 0..4),
+                    proptest::collection::vec(
+                        (1u32..60, proptest::collection::vec((1u32..400, 0u8..5), 1..5)),
+                        0..3,
+                    ),
+                    proptest::option::of(0u32..40),
+                    1u32..40,
+                ),
+                10..60,
+            ),
+        ) {
+            let mut s = sched(16);
+            let mut q = JobQueue::new();
+            let mut reference: Vec<Job> = Vec::new();
+            let mut speed = vec![1.0; 16];
+            let mut next_id = 0;
+            let mut now = SimTime::ZERO;
+            for (edits, arrivals, evict, tenths) in rounds {
+                let mut changed = Vec::new();
+                for (n, level) in edits {
+                    // Level 7 is the top: unthrottled again.
+                    speed[n as usize] = 0.3 + 0.1 * f64::from(level);
+                    changed.push(n);
+                }
+                for (nprocs, phases) in arrivals {
+                    next_id += 1;
+                    let phases = phases
+                        .iter()
+                        .map(|&(work, alpha)| Phase {
+                            kind: PhaseKind::Compute,
+                            work_secs: f64::from(work) * 0.05,
+                            alpha: f64::from(alpha) * 0.25,
+                            cpu_util: 1.0,
+                            nic_fraction: 0.1,
+                        })
+                        .collect();
+                    let job = Job::new(JobId(next_id), NpbApp::Ep, Class::A, nprocs, phases, now);
+                    q.push(job);
+                }
+                if let Some(n) = evict.filter(|&n| n < 16) {
+                    if let Some(mut job) = s.evict_job_on(NodeId(n)) {
+                        let slot = reference.iter().position(|r| r.id() == job.id());
+                        prop_assert!(slot.is_some());
+                        reference.swap_remove(slot.unwrap_or_default());
+                        job.requeue();
+                        q.push_front(job);
+                    }
+                }
+                let placed = s.running_jobs().len();
+                s.try_start(&mut q, now);
+                reference.extend_from_slice(&s.running_jobs()[placed..]);
+                let dt = f64::from(tenths) * 0.1;
+                now += SimDuration::from_secs_f64(dt);
+
+                let mut edges = Vec::new();
+                let records = s.advance(dt, now, &speed, &changed, &mut edges);
+                let (mut want_edges, mut want_records) = (Vec::new(), Vec::new());
+                let mut i = 0;
+                while i < reference.len() {
+                    let before = reference[i].phase_index();
+                    if let Some(unused) = reference[i].advance(dt, &speed) {
+                        let mut job = reference.swap_remove(i);
+                        job.finish(now - SimDuration::from_secs_f64(unused.min(dt)));
+                        want_records.push(JobRecord::from_job(&job));
+                    } else {
+                        if reference[i].phase_index() != before {
+                            want_edges.extend_from_slice(reference[i].nodes());
+                        }
+                        i += 1;
+                    }
+                }
+                prop_assert_eq!(format!("{records:?}"), format!("{want_records:?}"));
+                prop_assert_eq!(edges, want_edges);
+                prop_assert_eq!(s.running_jobs().len(), reference.len());
+                for (job, want) in s.running_jobs().iter().zip(&reference) {
+                    prop_assert_eq!(job.id(), want.id());
+                    prop_assert_eq!(job.phase_index(), want.phase_index());
+                    prop_assert_eq!(job.progress().to_bits(), want.progress().to_bits(), "{}", job.id());
+                    prop_assert_eq!(job.throttled_secs().to_bits(), want.throttled_secs().to_bits());
+                }
+                s.check_invariants();
             }
         }
 
