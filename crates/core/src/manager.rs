@@ -23,7 +23,7 @@ use crate::config::ManagerConfig;
 use crate::error::CoreError;
 use crate::observe::{JobObservation, SelectionContext};
 use crate::policy::TargetSelectionPolicy;
-use crate::sets::NodeSets;
+use crate::sets::{NodeMask, NodeSets};
 use crate::state::{PowerState, Thresholds};
 use crate::thresholds::ThresholdLearner;
 use ppc_obs::{AttrValue, SpanRecorder};
@@ -157,7 +157,7 @@ impl PowerManager {
     }
 
     /// The capping algorithm's current `A_degraded` set.
-    pub fn capping_degraded(&self) -> &std::collections::BTreeSet<ppc_node::NodeId> {
+    pub fn capping_degraded(&self) -> &NodeMask {
         self.capping.degraded()
     }
 
@@ -294,7 +294,7 @@ impl PowerManager {
             thresholds_adjusted,
             power_w,
         } = classified;
-        let candidates = self.sets.candidates();
+        let candidates = self.sets.candidate_mask();
         self.capping.prune_for(candidates, self.sets.generation());
         let ctx = SelectionContext {
             jobs,
@@ -522,7 +522,7 @@ mod tests {
         // Rejoin at the lowest level: adopted for green recovery.
         m.note_node_rejoined(NodeId(3));
         assert!(m.sets().is_candidate(NodeId(3)));
-        assert!(m.capping_degraded().contains(&NodeId(3)));
+        assert!(m.capping_degraded().contains(NodeId(3)));
     }
 
     /// The manager prunes `A_degraded` whenever the candidate set's
@@ -544,7 +544,7 @@ mod tests {
         assert!(out.commands.is_empty());
         assert_eq!(m.stats().conservative_cycles, 1);
         assert_eq!(m.capping_degraded().len(), 7);
-        assert!(!m.capping_degraded().contains(&NodeId(3)));
+        assert!(!m.capping_degraded().contains(NodeId(3)));
     }
 
     /// A whole cycle is its classify half followed by its capping half,

@@ -7,7 +7,7 @@
 //! and LPC (paper §IV.A).
 
 use crate::observe::SelectionContext;
-use crate::policy::{argmax_job, targets_of, TargetSelectionPolicy};
+use crate::policy::{keep_best, targets_of, TargetSelectionPolicy};
 use ppc_node::NodeId;
 
 /// The BFP policy (stateless).
@@ -25,16 +25,19 @@ impl TargetSelectionPolicy for Bfp {
 
     fn select(&mut self, ctx: &SelectionContext) -> Vec<NodeId> {
         let deficit = ctx.deficit_w();
-        let candidates = || ctx.jobs.iter().filter(|j| j.has_degradable());
-        // Best fit: smallest saving that still covers the deficit …
-        let fit = argmax_job(
-            candidates()
-                .filter(|j| j.saving_w() >= deficit)
-                .map(|j| (j, -j.saving_w())),
-        );
+        let (mut fit, mut biggest) = (None, None);
+        for job in ctx.jobs.iter().filter(|j| j.has_degradable()) {
+            let saving = job.saving_w();
+            // Best fit: smallest saving that still covers the deficit …
+            if saving >= deficit {
+                fit = keep_best(fit, (job, -saving));
+            }
+            biggest = keep_best(biggest, (job, saving));
+        }
         // … falling back to the largest saving when none covers it.
-        let chosen = fit.or_else(|| argmax_job(candidates().map(|j| (j, j.saving_w()))));
-        chosen.map(targets_of).unwrap_or_default()
+        fit.or(biggest)
+            .map(|(job, _)| targets_of(job))
+            .unwrap_or_default()
     }
 }
 

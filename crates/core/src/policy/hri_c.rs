@@ -6,10 +6,9 @@
 //! Jobs without rate information are appended after rated ones, ordered
 //! by power, so the collection can still complete on cold starts.
 
-use crate::observe::{JobObservation, SelectionContext};
-use crate::policy::TargetSelectionPolicy;
+use crate::observe::SelectionContext;
+use crate::policy::{collect_until_covered, Keyed, TargetSelectionPolicy};
 use ppc_node::NodeId;
-use std::collections::BTreeSet;
 
 /// The HRI-C policy (stateless).
 #[derive(Debug, Clone, Copy, Default)]
@@ -25,37 +24,21 @@ impl TargetSelectionPolicy for HriC {
     }
 
     fn select(&mut self, ctx: &SelectionContext) -> Vec<NodeId> {
-        let mut rated: Vec<(&JobObservation, f64)> = Vec::new();
-        let mut unrated: Vec<&JobObservation> = Vec::new();
+        let mut rated: Vec<Keyed> = Vec::new();
+        let mut unrated: Vec<Keyed> = Vec::new();
         for j in ctx.jobs.iter().filter(|j| j.has_degradable()) {
             match j.power_rate() {
                 Some(r) => rated.push((j, r)),
-                None => unrated.push(j),
+                None => unrated.push((j, j.power_w())),
             }
         }
         // total_cmp: a total order even on pathological inputs, so the
         // selection can never panic mid-control-cycle.
-        rated.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.id.cmp(&b.0.id)));
-        unrated.sort_by(|a, b| {
-            b.power_w()
-                .total_cmp(&a.power_w())
-                .then_with(|| a.id.cmp(&b.id))
-        });
-
-        let deficit = ctx.deficit_w();
-        let mut saved = 0.0;
-        let mut targets: BTreeSet<NodeId> = BTreeSet::new();
-        for job in rated.into_iter().map(|(j, _)| j).chain(unrated) {
-            for n in job.degradable_nodes() {
-                if targets.insert(n.node) {
-                    saved += n.saving_w;
-                }
-            }
-            if saved >= deficit {
-                break;
-            }
+        for keyed in [&mut rated, &mut unrated] {
+            keyed.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.id.cmp(&b.0.id)));
         }
-        targets.into_iter().collect()
+        let order = rated.iter().chain(&unrated).map(|&(j, _)| j);
+        collect_until_covered(order, ctx.deficit_w())
     }
 }
 

@@ -8,9 +8,8 @@
 //! cost of touching more jobs.
 
 use crate::observe::SelectionContext;
-use crate::policy::TargetSelectionPolicy;
+use crate::policy::{collect_until_covered, Keyed, TargetSelectionPolicy};
 use ppc_node::NodeId;
-use std::collections::BTreeSet;
 
 /// The MPC-C policy (stateless).
 #[derive(Debug, Clone, Copy, Default)]
@@ -33,33 +32,21 @@ impl TargetSelectionPolicy for MpcC {
 /// Shared engine for MPC-C and LPC-C: walk jobs ordered by power and
 /// accumulate until the saving covers the deficit.
 pub(crate) fn collect_until_deficit(ctx: &SelectionContext, descending_power: bool) -> Vec<NodeId> {
-    let mut order: Vec<&crate::observe::JobObservation> =
-        ctx.jobs.iter().filter(|j| j.has_degradable()).collect();
+    // Each job's `Power(J)` once, not once per comparison.
+    let mut order: Vec<Keyed> = ctx
+        .jobs
+        .iter()
+        .filter(|j| j.has_degradable())
+        .map(|j| (j, j.power_w()))
+        .collect();
     // Sort by power with deterministic id tie-break.
     order.sort_by(|a, b| {
         // total_cmp: panic-free total order even on pathological inputs.
-        let cmp = a.power_w().total_cmp(&b.power_w());
+        let cmp = a.1.total_cmp(&b.1);
         let cmp = if descending_power { cmp.reverse() } else { cmp };
-        cmp.then_with(|| a.id.cmp(&b.id))
+        cmp.then_with(|| a.0.id.cmp(&b.0.id))
     });
-
-    let deficit = ctx.deficit_w();
-    let mut saved = 0.0;
-    let mut targets: BTreeSet<NodeId> = BTreeSet::new();
-    for job in order {
-        for n in job.degradable_nodes() {
-            // `Nodes(J_i) − A` in Algorithm 2: only count nodes not already
-            // collected (jobs never share nodes under exclusive scheduling,
-            // but the algorithm is written to tolerate overlap).
-            if targets.insert(n.node) {
-                saved += n.saving_w;
-            }
-        }
-        if saved >= deficit {
-            break;
-        }
-    }
-    targets.into_iter().collect()
+    collect_until_covered(order.iter().map(|&(j, _)| j), ctx.deficit_w())
 }
 
 #[cfg(test)]

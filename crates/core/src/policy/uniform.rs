@@ -14,7 +14,6 @@
 use crate::observe::SelectionContext;
 use crate::policy::TargetSelectionPolicy;
 use ppc_node::NodeId;
-use std::collections::BTreeSet;
 
 /// The UNIFORM baseline (stateless).
 #[derive(Debug, Clone, Copy, Default)]
@@ -30,13 +29,14 @@ impl TargetSelectionPolicy for Uniform {
     }
 
     fn select(&mut self, ctx: &SelectionContext) -> Vec<NodeId> {
-        let mut targets: BTreeSet<NodeId> = BTreeSet::new();
-        for job in ctx.jobs {
-            for n in job.degradable_nodes() {
-                targets.insert(n.node);
-            }
-        }
-        targets.into_iter().collect()
+        let mut targets: Vec<NodeId> = ctx
+            .jobs
+            .iter()
+            .flat_map(|job| job.degradable_nodes().map(|n| n.node))
+            .collect();
+        targets.sort_unstable();
+        targets.dedup();
+        targets
     }
 }
 

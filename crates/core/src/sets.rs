@@ -103,6 +103,33 @@ impl NodeMask {
         self.word(w) & bit != 0
     }
 
+    /// Removes every member, keeping the span and its words.
+    pub fn clear(&mut self) {
+        self.words.fill(0);
+        self.len = 0;
+    }
+
+    /// The ids the mask's words cover: whole words, from the first id of
+    /// its first word to one past the last id of its last. `reset` with
+    /// this range gives another mask the same words.
+    pub fn span(&self) -> Range<u32> {
+        let id = |w: usize| u32::try_from(w * 64).unwrap_or(u32::MAX);
+        id(self.first)..id(self.first + self.words.len())
+    }
+
+    /// Members in ascending id order.
+    pub fn iter(&self) -> MaskIter<'_> {
+        let (word, words) = self
+            .words
+            .split_first()
+            .map_or((0, &[][..]), |(&w, rest)| (w, rest));
+        MaskIter {
+            words,
+            word,
+            base: self.first * 64,
+        }
+    }
+
     /// Number of members.
     pub fn len(&self) -> usize {
         self.len
@@ -133,6 +160,34 @@ impl NodeMask {
             .sum();
         (inner + (self.words[first] & head).count_ones() + (self.words[last] & tail).count_ones())
             as usize
+    }
+}
+
+/// The members of a [`NodeMask`] in ascending id order
+/// ([`NodeMask::iter`]): each word's set bits, lowest first.
+#[derive(Debug, Clone)]
+pub struct MaskIter<'a> {
+    /// The words after the current one.
+    words: &'a [u64],
+    /// The current word's members not yet yielded.
+    word: u64,
+    /// The id of the current word's bit 0.
+    base: usize,
+}
+
+impl Iterator for MaskIter<'_> {
+    type Item = NodeId;
+
+    fn next(&mut self) -> Option<NodeId> {
+        while self.word == 0 {
+            let (&next, rest) = self.words.split_first()?;
+            self.words = rest;
+            self.word = next;
+            self.base += 64;
+        }
+        let bit = self.word.trailing_zeros() as usize;
+        self.word &= self.word - 1;
+        Some(NodeId((self.base + bit) as u32))
     }
 }
 
@@ -565,6 +620,46 @@ mod tests {
         assert_eq!(m.count_in(7..7), 0);
     }
 
+    #[test]
+    fn mask_iterates_the_word_edges_in_order() {
+        let n = 200;
+        let mut m = NodeMask::default();
+        m.reset(0..n);
+        for id in [n - 1, 64, 0, 63, 127, 128] {
+            m.insert(NodeId(id));
+        }
+        let got: Vec<u32> = m.iter().map(|id| id.0).collect();
+        assert_eq!(got, [0, 63, 64, 127, 128, n - 1]);
+        assert_eq!(m.span(), 0..256);
+        m.clear();
+        assert!(m.is_empty() && m.iter().next().is_none());
+        assert_eq!(m.span(), 0..256, "clear keeps the words");
+        assert!(!m.contains(NodeId(63)));
+
+        // A mask reset to a rack far into the fleet spans two words, not
+        // 1 600; one never sized grows from id 0.
+        let mut rack = NodeMask::default();
+        rack.reset(102_272..102_400);
+        rack.insert(NodeId(102_399));
+        assert_eq!(rack.span(), 102_272..102_400);
+        assert_eq!(mask([102_399]).span(), 0..102_400);
+        assert_eq!(NodeMask::default().span(), 0..0);
+        assert_eq!(NodeMask::default().iter().count(), 0);
+    }
+
+    /// The ids a mask's words must cover: the words of the `reset` range
+    /// (from word 0 when never sized), widened to the words of the
+    /// members.
+    fn covering_words(reset: Option<(u32, u32)>, members: &BTreeSet<NodeId>) -> Range<u32> {
+        let (mut lo, mut hi) =
+            reset.map_or((0, 0), |(lo, hi)| (lo / 64, hi.div_ceil(64).max(lo / 64)));
+        if let (Some(first), Some(last)) = (members.first(), members.last()) {
+            lo = lo.min(first.0 / 64);
+            hi = hi.max(last.0 / 64 + 1);
+        }
+        lo * 64..hi * 64
+    }
+
     /// One privilege or offline flip, applied to the sets and to the model.
     #[derive(Debug, Clone, Copy)]
     enum Toggle {
@@ -610,6 +705,58 @@ mod tests {
                 let single = set.contains(&NodeId(start)) as usize;
                 prop_assert_eq!(m.count_in(start..start + 1), single);
             }
+        }
+
+        /// `iter`, `span` and `clear` agree with an ordered set, for masks
+        /// grown from nothing (down as well as up) and masks sized to a
+        /// span that need not start at 0, with members at a word's last
+        /// and first ids and at the span's last id.
+        #[test]
+        fn prop_mask_iter_span_clear_match_btreeset(
+            base in 0usize..4,
+            members in proptest::collection::vec(0u32..300, 0..120),
+            sized in any::<bool>(),
+            span in (0u32..300, 0u32..300),
+        ) {
+            let base = [0, 64, 1_000, 102_272][base];
+            let mut ids: Vec<u32> = members.iter().map(|m| base + m).collect();
+            if sized {
+                let n = span.0 + span.1;
+                ids.extend([63, 64, n.saturating_sub(1)].map(|i| base + i).into_iter().filter(|&i| i < base + n));
+            }
+            let set: BTreeSet<NodeId> = ids.iter().copied().map(NodeId).collect();
+            let reset = sized.then_some((base + span.0, base + span.0 + span.1));
+            let mut m = NodeMask::default();
+            if let Some((lo, hi)) = reset {
+                m.reset(lo..hi);
+            }
+            for &id in &ids {
+                m.insert(NodeId(id));
+            }
+            let walked: Vec<NodeId> = m.iter().collect();
+            let want: Vec<NodeId> = set.iter().copied().collect();
+            prop_assert_eq!(&walked, &want);
+            prop_assert_eq!(m.len(), set.len());
+            prop_assert_eq!(m.span(), covering_words(reset, &set));
+            prop_assert!(set.iter().all(|n| m.span().contains(&n.0)));
+            // Another mask reset to this span holds the same words.
+            let mut copy = NodeMask::default();
+            copy.reset(m.span());
+            for &n in &set {
+                copy.insert(n);
+            }
+            prop_assert_eq!(copy.span(), m.span());
+            prop_assert_eq!(&copy, &m);
+            let before = m.span();
+            m.clear();
+            prop_assert!(m.is_empty() && m.iter().next().is_none());
+            prop_assert_eq!(m.span(), before);
+            prop_assert!(set.iter().all(|&n| !m.contains(n)));
+            for &n in &set {
+                m.insert(n);
+            }
+            prop_assert_eq!(m.iter().collect::<Vec<_>>(), want);
+            prop_assert_eq!(m.span(), before, "refilling inside the span never grows it");
         }
 
         /// In-place toggles leave the uncapped sets exactly where a fresh

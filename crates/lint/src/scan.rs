@@ -58,11 +58,13 @@ impl FileContext {
     /// columns, the tick boundary (`sim/faults.rs`, which pushes and
     /// drains the staleness-deadline heap), the dirty-node and job advance
     /// (`sim/advance.rs`) and the run queue it steps
-    /// (`workload/src/scheduler.rs`) run inside every simulation tick,
-    /// where a wall-clock read or an unordered collection would
-    /// both cost cycles and threaten replay determinism. For these files
-    /// the two rules are *not suppressable* — an `allow` directive is
-    /// ignored and the finding reported anyway.
+    /// (`workload/src/scheduler.rs`) run inside every simulation tick, and
+    /// Algorithm 1 (`core/src/capping.rs`) with its selection policies
+    /// (`core/src/policy/`) inside every control cycle, where a
+    /// wall-clock read or an unordered collection would both cost cycles
+    /// and threaten replay determinism. For these files the two rules are
+    /// *not suppressable* — an `allow` directive is ignored and the
+    /// finding reported anyway.
     fn is_hot_path(&self) -> bool {
         matches!(
             self.path.as_str(),
@@ -70,7 +72,8 @@ impl FileContext {
                 | "crates/cluster/src/sim/faults.rs"
                 | "crates/cluster/src/sim/advance.rs"
                 | "crates/workload/src/scheduler.rs"
-        )
+                | "crates/core/src/capping.rs"
+        ) || self.path.starts_with("crates/core/src/policy/")
     }
 }
 
@@ -667,6 +670,9 @@ let c = z.unwrap();
             "crates/cluster/src/sim/faults.rs",
             "crates/cluster/src/sim/advance.rs",
             "crates/workload/src/scheduler.rs",
+            "crates/core/src/capping.rs",
+            "crates/core/src/policy/mod.rs",
+            "crates/core/src/policy/mpc_c.rs",
         ] {
             let ctx = FileContext::for_path(path);
             let src = "\
@@ -685,6 +691,14 @@ use std::collections::HashMap;
         let scan = scan_source(
             &ctx,
             "// ppc-lint: allow(panic-path): invariant documented\nlet a = x.unwrap();\n",
+        );
+        assert!(scan.diagnostics.is_empty());
+        assert_eq!(scan.suppressed, 1);
+        // The core crate's other modules keep the normal semantics.
+        let ctx = FileContext::for_path("crates/core/src/manager.rs");
+        let scan = scan_source(
+            &ctx,
+            "// ppc-lint: allow(unordered-collections): order never observed\nuse std::collections::HashMap;\n",
         );
         assert!(scan.diagnostics.is_empty());
         assert_eq!(scan.suppressed, 1);

@@ -49,8 +49,8 @@ impl ProcCounters {
         if ticks == 0 {
             return;
         }
-        let total_jiffies = (dt_secs * USER_HZ as f64).round() as u64;
-        let busy = (total_jiffies as f64 * state.cpu_util.clamp(0.0, 1.0)).round() as u64;
+        let total_jiffies = round_to_u64(dt_secs * USER_HZ as f64);
+        let busy = round_to_u64(total_jiffies as f64 * state.cpu_util.clamp(0.0, 1.0));
         let idle = total_jiffies - busy.min(total_jiffies);
         self.busy_jiffies += busy * ticks;
         self.idle_jiffies += idle * ticks;
@@ -60,6 +60,27 @@ impl ProcCounters {
             .nic_bytes_wrapping
             .wrapping_add((state.nic_bytes as u32).wrapping_mul(ticks as u32));
     }
+}
+
+/// `x.round() as u64` without the `round` call: baseline x86-64 has no
+/// rounding instruction, so `f64::round` is an out-of-line libm routine,
+/// and node catch-up rounds twice per counter advance. Truncation and a
+/// compare give the same value for every `f64`: NaN and anything below
+/// one half give 0 (as the saturating cast does for NaN and negatives),
+/// ties round away from zero, values from 2^52 up are already integers,
+/// and values from 2^64 up saturate.
+fn round_to_u64(x: f64) -> u64 {
+    /// 2^52: every `f64` at or above it is an integer.
+    const INTEGRAL: f64 = 4_503_599_627_370_496.0;
+    if x.is_nan() || x < 0.5 {
+        return 0;
+    }
+    if x >= INTEGRAL {
+        return x as u64;
+    }
+    // Below 2^52 the truncation and the fraction `x − trunc(x)` are exact.
+    let whole = x as i64;
+    whole as u64 + u64::from(x - whole as f64 >= 0.5)
 }
 
 /// A snapshot taken by a profiling agent.
@@ -204,7 +225,69 @@ mod tests {
         assert_eq!(s3.delta_since(&s2).unwrap().cpu_util, 1.0);
     }
 
+    #[test]
+    fn rounding_matches_f64_round_at_the_edges() {
+        let two52 = 4_503_599_627_370_496.0_f64;
+        let two64 = 18_446_744_073_709_551_616.0_f64;
+        for x in [
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MAX,
+            f64::MIN,
+            f64::MIN_POSITIVE,
+            -0.0,
+            0.0,
+            0.49999999999999994,
+            0.5,
+            -0.5,
+            -0.5000000000000001,
+            1.5,
+            2.5,
+            1e-300,
+            two52 - 0.5,
+            two52 - 1.5,
+            two52,
+            two52 + 1.0,
+            two52 * 2.0 - 1.0,
+            two52 * 2.0,
+            9_223_372_036_854_775_808.0,
+            two64 - 2048.0,
+            two64,
+            two64 * 2.0,
+        ] {
+            assert_eq!(round_to_u64(x), x.round() as u64, "{x:e}");
+        }
+    }
+
     proptest! {
+        /// The integer-path rounding equals `f64::round` on every bit
+        /// pattern (NaNs, infinities, subnormals, negatives, values past
+        /// 2^64).
+        #[test]
+        fn prop_rounding_matches_f64_round_on_any_bits(bits in any::<u64>()) {
+            let x = f64::from_bits(bits);
+            prop_assert_eq!(round_to_u64(x), x.round() as u64);
+        }
+
+        /// … and near the cases that matter: x.5 ties, the fraction just
+        /// either side of one half, and magnitudes up to past 2^53, of
+        /// either sign.
+        #[test]
+        fn prop_rounding_matches_f64_round_near_ties(
+            whole in 0u64..(1 << 54),
+            ulps in -3i64..4,
+            negative in any::<bool>(),
+        ) {
+            let tie = whole as f64 + 0.5;
+            let x = f64::from_bits((tie.to_bits() as i64 + ulps) as u64);
+            let x = if negative { -x } else { x };
+            prop_assert_eq!(round_to_u64(x), x.round() as u64);
+            let small = whole as f64 / 1_000.0;
+            prop_assert_eq!(round_to_u64(small), small.round() as u64);
+        }
+
         /// Closed-form k-tick advance is bit-identical to k single advances,
         /// including across the NIC 32-bit wrap.
         #[test]

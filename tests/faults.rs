@@ -76,7 +76,7 @@ fn crash_walks_the_full_lifecycle() {
         Level::LOWEST,
         "rejoins at lowest level"
     );
-    assert!(mgr.capping_degraded().contains(&NodeId(2)));
+    assert!(mgr.capping_degraded().contains(NodeId(2)));
 
     // The requeued job restarts from scratch and the cluster keeps
     // finishing work after the outage.
