@@ -51,7 +51,6 @@ fn measure_cycle_cost(n: usize, cycles: u64) -> f64 {
         sets,
     )
     .expect("valid config");
-    let candidates = manager.sets().candidates().clone();
     let mut collector = Collector::new();
     // Jobs of 8 nodes each, covering the monitored pool.
     let jobs: Vec<(JobId, Vec<NodeId>)> = (0..n / 8)
@@ -92,7 +91,7 @@ fn measure_cycle_cost(n: usize, cycles: u64) -> f64 {
             let obs = observe_jobs(
                 &collector,
                 jobs.iter().map(|(id, ns)| (*id, ns.as_slice())),
-                &candidates,
+                manager.sets().candidate_mask(),
                 &|_| &*model,
             );
             manager.control_cycle(power_w, &obs, &FlatView, 1.0, at, &mut spans)

@@ -83,7 +83,7 @@ use ppc_workload::{
 };
 use rack_obs::{Observer, RackObs};
 use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap};
+use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 mod actuate;
@@ -187,7 +187,7 @@ pub struct ClusterSim {
     /// Nodes removed permanently via [`ClusterSim::decommission_node`]:
     /// the fault schedule was generated before they left, so its pending
     /// edges for them (a reboot above all) must be ignored.
-    decommissioned: BTreeSet<NodeId>,
+    decommissioned: NodeMask,
     /// Observability: span tree, instruments, flight recorder, profiler.
     obs: ObsHub,
     /// Pre-registered instrument handles into `obs.metrics`.
@@ -329,7 +329,7 @@ impl ClusterSim {
             peak_temp_c: f64::NEG_INFINITY,
             failure_integral: 0.0,
             faults: None,
-            decommissioned: BTreeSet::new(),
+            decommissioned: NodeMask::default(),
             obs,
             obs_i,
             eval_mode: EvalMode::default(),

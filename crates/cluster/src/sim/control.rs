@@ -226,13 +226,13 @@ impl ClusterSim {
             // sampling; the dense regime refills it from timestamps.
             if !lazy {
                 fs.fresh.reset(0..nodes.len() as u32);
-                for &id in sets.candidates() {
+                for id in sets.candidate_mask().iter() {
                     if collector.is_fresh(id, now, fs.staleness_limit) {
                         fs.fresh.insert(id);
                     }
                 }
             }
-            if !sets.candidates().is_empty() {
+            if sets.candidate_count() > 0 {
                 coverage = fs.fresh.len() as f64 / sets.candidate_count() as f64;
             }
             let fs = &*fs;
@@ -396,7 +396,7 @@ impl ClusterSim {
             spent.clear();
             self.resample_now = std::mem::replace(&mut self.resample_next, spent);
         } else {
-            for &id in sets.candidates() {
+            for id in sets.candidate_mask().iter() {
                 let faults = self.faults.as_ref();
                 if faults.is_some_and(|fs| fs.engine.is_down(id) || fs.engine.is_silent(id)) {
                     continue;

@@ -134,7 +134,7 @@ impl ClusterSim {
             | FaultTransition::HangEnd(n)
             | FaultTransition::SilenceStart(n)
             | FaultTransition::SilenceEnd(n)) = edge;
-            if self.decommissioned.contains(&n) {
+            if self.decommissioned.contains(n) {
                 // Decommissioned nodes are gone for good: the schedule's
                 // remaining edges for them are void.
                 continue;

@@ -590,9 +590,13 @@ mod tests {
         let collector = &twin.collector;
         match (&twin.faults, &twin.hierarchy) {
             (Some(fs), _) => observe_jobs_cached(collector, jobs, &fs.fresh, &model_of, &mut cache),
-            (None, Some(h)) => {
-                observe_jobs_cached(collector, jobs, h.sets(), &model_of, &mut cache)
-            }
+            (None, Some(h)) => observe_jobs_cached(
+                collector,
+                jobs,
+                h.sets().candidate_mask(),
+                &model_of,
+                &mut cache,
+            ),
             (None, None) => unreachable!("managed scenarios only"),
         }
     }

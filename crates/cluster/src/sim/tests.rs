@@ -5,6 +5,7 @@ use super::*;
 use ppc_core::{ManagerConfig, NodeSets, PolicyKind};
 use ppc_simkit::RngFactory;
 use ppc_workload::TraceEntry;
+use std::collections::BTreeSet;
 
 fn managed_mini(nodes: u32, policy: PolicyKind, provision_fraction: f64) -> ClusterSim {
     let mut spec = ClusterSpec::mini(nodes);
@@ -183,12 +184,7 @@ fn crash_evicts_requeues_and_rejoins_at_lowest_level() {
     sim.run_for(SimDuration::from_secs(70));
     // Mid-outage: the node is down, off the candidate set, powerless.
     assert!(sim.fault_engine().unwrap().is_down(NodeId(1)));
-    assert!(!sim
-        .manager()
-        .unwrap()
-        .sets()
-        .candidates()
-        .contains(&NodeId(1)));
+    assert!(!sim.manager().unwrap().sets().is_candidate(NodeId(1)));
     assert_eq!(
         sim.jobs_requeued() + sim.jobs_failed(),
         1,
@@ -197,12 +193,7 @@ fn crash_evicts_requeues_and_rejoins_at_lowest_level() {
     sim.run_for(SimDuration::from_secs(60));
     // Rebooted: back in the candidate set at the lowest DVFS level.
     assert!(!sim.fault_engine().unwrap().is_down(NodeId(1)));
-    assert!(sim
-        .manager()
-        .unwrap()
-        .sets()
-        .candidates()
-        .contains(&NodeId(1)));
+    assert!(sim.manager().unwrap().sets().is_candidate(NodeId(1)));
     let report = sim.availability_report().unwrap();
     assert_eq!(report.crashes, 1);
     assert!((report.mttr_secs - 30.0).abs() < 1.0);

@@ -328,11 +328,7 @@ mod tests {
     }
 
     fn cands(ids: &[u32]) -> NodeMask {
-        let mut mask = NodeMask::default();
-        for &i in ids {
-            mask.insert(NodeId(i));
-        }
-        mask
+        ids.iter().map(|&i| NodeId(i)).collect()
     }
 
     impl CappingAlgorithm {
@@ -824,7 +820,9 @@ mod tests {
                         let width = 1 + (a % 17) as usize;
                         let jobs = observe(&rack, &sets, width, b, conservative);
                         let c = ctx(jobs, 1_000.0 + (b % 400) as f64, 1_000.0);
-                        let (mask, set) = (sets.candidate_mask(), sets.candidates());
+                        let mask = sets.candidate_mask();
+                        let set: BTreeSet<NodeId> = mask.iter().collect();
+                        let set = &set;
                         alg.prune_for(mask, sets.generation());
                         reference.prune_for(set, sets.generation());
                         let (got, want) = if set.is_empty() {

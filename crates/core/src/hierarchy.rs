@@ -146,12 +146,7 @@ impl HierarchicalManager {
             construction_cut(&config, &topology, &node_weight_w)?;
         let fits = |(r, sub): (usize, &PowerManager)| {
             sub.config().p_provision_w.to_bits() == rack_budget_w[r].to_bits()
-                && sub
-                    .sets()
-                    .total()
-                    .iter()
-                    .map(|n| n.0)
-                    .eq(topology.rack_nodes(r))
+                && sub.sets().total() == topology.rack_nodes(r)
         };
         if subs.len() != topology.racks() || !subs.iter().enumerate().all(fits) {
             return Err(CoreError::InvalidConfig(
@@ -163,8 +158,7 @@ impl HierarchicalManager {
             [only] => only.sets().clone(),
             _ => NodeSets::new(
                 (0..topology.node_count()).map(NodeId),
-                subs.iter()
-                    .flat_map(|s| s.sets().privileged().iter().copied()),
+                subs.iter().flat_map(|s| s.sets().privileged().iter()),
             ),
         };
         let racks = topology.racks();
@@ -275,7 +269,7 @@ impl HierarchicalManager {
     /// Routes a crash to the owning rack and maintains the rack's online
     /// weight so the next delegation pass reclaims the node's share.
     pub fn note_node_down(&mut self, node: NodeId) {
-        if self.global_sets.offline().contains(&node) {
+        if self.global_sets.offline().contains(node) {
             return;
         }
         self.global_sets.set_offline(node, true);
@@ -292,7 +286,7 @@ impl HierarchicalManager {
 
     /// Routes a reboot to the owning rack and restores its weight share.
     pub fn note_node_rejoined(&mut self, node: NodeId) {
-        if !self.global_sets.offline().contains(&node) {
+        if !self.global_sets.offline().contains(node) {
             return;
         }
         self.global_sets.set_offline(node, false);
@@ -661,7 +655,7 @@ mod tests {
         h.note_node_rejoined(NodeId(1));
         assert_eq!(h.rack_online_count[0], 4);
         assert!((h.rack_online_weight_w[0] - w0).abs() < 1e-9);
-        assert!(!h.sets().offline().contains(&NodeId(1)));
+        assert!(!h.sets().offline().contains(NodeId(1)));
     }
 
     #[test]
@@ -741,11 +735,11 @@ mod tests {
     fn privileged_routing_reaches_the_owning_rack() {
         let mut h = hier(8, 4, 1, 2_000.0);
         h.set_privileged(NodeId(5), true);
-        assert!(h.sets().privileged().contains(&NodeId(5)));
-        assert!(h.subs()[1].sets().privileged().contains(&NodeId(5)));
-        assert!(!h.subs()[0].sets().privileged().contains(&NodeId(5)));
+        assert!(h.sets().privileged().contains(NodeId(5)));
+        assert!(h.subs()[1].sets().privileged().contains(NodeId(5)));
+        assert!(!h.subs()[0].sets().privileged().contains(NodeId(5)));
         h.set_privileged(NodeId(5), false);
-        assert!(!h.subs()[1].sets().privileged().contains(&NodeId(5)));
+        assert!(!h.subs()[1].sets().privileged().contains(NodeId(5)));
     }
 
     #[test]

@@ -261,7 +261,7 @@ impl PowerManager {
     /// coverage). Green promotes `A_degraded` and Red floors every
     /// candidate, neither from telemetry.
     pub fn reads_jobs(&self, classified: &Classification) -> bool {
-        classified.state == PowerState::Yellow && !self.sets.candidates().is_empty()
+        classified.state == PowerState::Yellow && self.sets.candidate_count() > 0
     }
 
     /// The capping half of a control cycle: Algorithm 1 on the

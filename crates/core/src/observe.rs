@@ -7,11 +7,10 @@
 //! (Formula (1) at level `l−1`, as Algorithm 2 requires), plus the
 //! previous-interval job power `P^{t−1}(J)` for change-based policies.
 
-use ppc_node::{Level, NodeId, PowerModel};
+use ppc_node::{Level, NodeId, NodeMask, PowerModel};
 use ppc_telemetry::Collector;
 use ppc_workload::JobId;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
 
 /// One candidate node of a job, as seen this cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -167,24 +166,6 @@ impl NodeObsCache {
     }
 }
 
-/// Membership test for the candidate set — the only question the
-/// observation builder asks of the node classification. Implemented by
-/// the ordered `BTreeSet` (tests and one-shot callers of
-/// [`observe_jobs`]), by [`crate::sets::NodeSets`] through its dense
-/// bitmask, and by [`crate::sets::NodeMask`] itself (the fault path's
-/// per-cycle fresh-candidate set). The per-tick paths use the masks,
-/// where a tree lookup per member visit is measurable.
-pub trait CandidateFilter {
-    /// True if `node` is in the admitted set.
-    fn admits(&self, node: NodeId) -> bool;
-}
-
-impl CandidateFilter for BTreeSet<NodeId> {
-    fn admits(&self, node: NodeId) -> bool {
-        self.contains(&node)
-    }
-}
-
 /// Builds job observations from the collector's current view.
 ///
 /// Convenience wrapper over [`observe_jobs_cached`] with a throwaway cache
@@ -193,7 +174,7 @@ impl CandidateFilter for BTreeSet<NodeId> {
 pub fn observe_jobs<'a, 'm>(
     collector: &Collector,
     jobs: impl IntoIterator<Item = (JobId, &'a [NodeId])>,
-    candidates: &BTreeSet<NodeId>,
+    candidates: &NodeMask,
     model_of: &dyn Fn(NodeId) -> &'m PowerModel,
 ) -> Vec<JobObservation> {
     observe_jobs_cached(
@@ -214,10 +195,10 @@ pub fn observe_jobs<'a, 'm>(
 /// (heterogeneous clusters return per-group models). Idle nodes and nodes
 /// outside `candidates` are excluded per the paper's definition of
 /// `Nodes(J)`; jobs left with no observable nodes are dropped entirely.
-pub fn observe_jobs_cached<'a, 'm, C: CandidateFilter + ?Sized>(
+pub fn observe_jobs_cached<'a, 'm>(
     collector: &Collector,
     jobs: impl IntoIterator<Item = (JobId, &'a [NodeId])>,
-    candidates: &C,
+    candidates: &NodeMask,
     model_of: &dyn Fn(NodeId) -> &'m PowerModel,
     cache: &mut NodeObsCache,
 ) -> Vec<JobObservation> {
@@ -244,11 +225,11 @@ pub fn observe_jobs_cached<'a, 'm, C: CandidateFilter + ?Sized>(
 /// the incremental evaluator can refresh only the jobs whose members
 /// changed this cycle.
 #[allow(clippy::too_many_arguments)]
-pub fn observe_job_into<'m, C: CandidateFilter + ?Sized>(
+pub fn observe_job_into<'m>(
     collector: &Collector,
     id: JobId,
     members: &[NodeId],
-    candidates: &C,
+    candidates: &NodeMask,
     model_of: &dyn Fn(NodeId) -> &'m PowerModel,
     cache: &mut NodeObsCache,
     out: &mut JobObservation,
@@ -281,10 +262,10 @@ pub fn observe_job_into<'m, C: CandidateFilter + ?Sized>(
 /// latest samples are unchanged since its last observation and only their
 /// previous power moved (a settled sample), its observation differs in
 /// this field alone.
-pub fn observe_prev_power_w<C: CandidateFilter + ?Sized>(
+pub fn observe_prev_power_w(
     collector: &Collector,
     members: &[NodeId],
-    candidates: &C,
+    candidates: &NodeMask,
 ) -> Option<f64> {
     let mut prev = PrevSum::default();
     for &n in members {
@@ -298,22 +279,18 @@ pub fn observe_prev_power_w<C: CandidateFilter + ?Sized>(
 /// True if node `n` belongs in its job's `Nodes(J)`: an admitted
 /// candidate with a non-idle latest sample. A job is observed exactly when
 /// one of its members is.
-pub fn is_observable<C: CandidateFilter + ?Sized>(
-    collector: &Collector,
-    candidates: &C,
-    n: NodeId,
-) -> bool {
+pub fn is_observable(collector: &Collector, candidates: &NodeMask, n: NodeId) -> bool {
     observable(collector, candidates, n).is_some()
 }
 
 /// The sample a member contributes to `Nodes(J)`: an admitted candidate
 /// with a non-idle latest sample.
-fn observable<C: CandidateFilter + ?Sized>(
+fn observable(
     collector: &Collector,
-    candidates: &C,
+    candidates: &NodeMask,
     n: NodeId,
 ) -> Option<ppc_telemetry::NodeSample> {
-    if !candidates.admits(n) {
+    if !candidates.contains(n) {
         return None;
     }
     collector.latest(n).filter(|s| !s.is_idle())
@@ -464,7 +441,7 @@ mod tests {
         collector.ingest(mk(0, 0));
         collector.ingest(mk(0, 1)); // node 0: two samples → prev known
         collector.ingest(mk(1, 1)); // node 1: first sample only
-        let candidates: BTreeSet<NodeId> = [NodeId(0), NodeId(1)].into_iter().collect();
+        let candidates: NodeMask = [NodeId(0), NodeId(1)].into_iter().collect();
         let members = [NodeId(0), NodeId(1)];
         let obs = observe_jobs(&collector, [(JobId(3), &members[..])], &candidates, &|_| {
             &*model
@@ -497,7 +474,7 @@ mod tests {
         collector.ingest(mk(0, 1, busy));
         collector.ingest(mk(1, 1, OperatingState::IDLE));
         collector.ingest(mk(2, 1, busy));
-        let candidates: BTreeSet<NodeId> = [NodeId(0), NodeId(1)].into_iter().collect();
+        let candidates: NodeMask = [NodeId(0), NodeId(1)].into_iter().collect();
         let jobs = [
             (JobId(1), vec![NodeId(0), NodeId(1), NodeId(2)]),
             (JobId(2), vec![NodeId(2)]), // no observable nodes → dropped
@@ -541,7 +518,7 @@ mod tests {
         }
         collector.ingest(mk(2, 1, OperatingState::IDLE, 150.0));
         collector.ingest(mk(3, 1, busy, 220.0));
-        let candidates: BTreeSet<NodeId> = (0..4).map(NodeId).collect();
+        let candidates: NodeMask = (0..4).map(NodeId).collect();
         let member_sets: [&[u32]; 6] = [&[0, 1], &[1, 0, 2], &[0, 3], &[2], &[4], &[1, 4, 0]];
         for members in member_sets {
             let members: Vec<NodeId> = members.iter().map(|&n| NodeId(n)).collect();
@@ -582,7 +559,7 @@ mod tests {
             level: Level::new(9),
             power_w: 250.0,
         });
-        let candidates: BTreeSet<NodeId> = [NodeId(0)].into_iter().collect();
+        let candidates: NodeMask = [NodeId(0)].into_iter().collect();
         let members = [NodeId(0)];
         let obs = observe_jobs(&collector, [(JobId(7), &members[..])], &candidates, &|_| {
             &*model

@@ -24,6 +24,7 @@
 //! * [`procfs`] — the simulated `/proc` counters an on-node profiling agent
 //!   samples (jiffies, meminfo, NIC byte counters with wrap handling).
 //! * [`node`] — the node itself: spec + power level + operating state.
+//! * [`sets`] — [`NodeMask`], the bitmask every set of node ids is held in.
 //! * [`spec`] — node presets, including the Tianhe-1A variant used by the
 //!   paper's testbed.
 
@@ -35,6 +36,7 @@ pub mod freq;
 pub mod node;
 pub mod procfs;
 pub mod profile;
+pub mod sets;
 pub mod spec;
 pub mod thermal;
 
@@ -43,5 +45,6 @@ pub use error::NodeError;
 pub use freq::{FrequencyLadder, Level};
 pub use node::{Node, NodeId};
 pub use profile::{OperatingState, PowerModel};
+pub use sets::{MaskIter, NodeMask};
 pub use spec::NodeSpec;
 pub use thermal::{ThermalSpec, ThermalState};

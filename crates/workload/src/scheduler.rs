@@ -12,9 +12,8 @@ use crate::phase::rate_at;
 use crate::queue::JobQueue;
 use crate::scaling::nodes_needed;
 use crate::trace::JobRecord;
-use ppc_node::NodeId;
+use ppc_node::{NodeId, NodeMask};
 use ppc_simkit::{SimDuration, SimTime};
-use std::collections::BTreeSet;
 
 /// How queued jobs are admitted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
@@ -99,7 +98,9 @@ impl SlotPhase {
 /// Whole-node first-fit scheduler and run-queue.
 #[derive(Debug, Clone)]
 pub struct Scheduler {
-    free: BTreeSet<NodeId>,
+    /// Nodes in service and idle. First-fit walks the mask in ascending
+    /// id, so a placement takes the lowest free ids.
+    free: NodeMask,
     cores_per_node: u32,
     running: Vec<Job>,
     /// Dense node-indexed owner table: `node_owner[node]` is the index of
@@ -132,10 +133,10 @@ pub struct Scheduler {
     slot_edge_mask: Vec<bool>,
     total_nodes: usize,
     admission: AdmissionPolicy,
-    /// Nodes currently down (crashed, not yet rebooted). Down nodes are
-    /// neither free nor allocatable; conservation becomes
+    /// Nodes currently down (crashed, not yet rebooted), disjoint from
+    /// `free`: down nodes are not allocatable, and conservation becomes
     /// `free + owned + down = total`.
-    down: BTreeSet<NodeId>,
+    down: NodeMask,
 }
 
 impl Scheduler {
@@ -145,10 +146,10 @@ impl Scheduler {
     /// Panics if `nodes` is empty or `cores_per_node == 0`.
     pub fn new(nodes: impl IntoIterator<Item = NodeId>, cores_per_node: u32) -> Self {
         assert!(cores_per_node > 0, "nodes must have cores");
-        let free: BTreeSet<NodeId> = nodes.into_iter().collect();
+        let free: NodeMask = nodes.into_iter().collect();
         assert!(!free.is_empty(), "scheduler needs at least one node");
         let total_nodes = free.len();
-        let max_id = free.iter().next_back().map_or(0, |n| n.0 as usize);
+        let max_id = free.iter().last().map_or(0, |n| n.0 as usize);
         Scheduler {
             node_owner: vec![None; max_id + 1],
             loads: vec![None; max_id + 1],
@@ -160,7 +161,7 @@ impl Scheduler {
             running: Vec::new(),
             total_nodes,
             admission: AdmissionPolicy::default(),
-            down: BTreeSet::new(),
+            down: NodeMask::default(),
         }
     }
 
@@ -312,10 +313,10 @@ impl Scheduler {
     fn place(&mut self, mut job: Job, now: SimTime) -> JobId {
         let needed = nodes_needed(job.nprocs(), self.cores_per_node) as usize;
         debug_assert!(needed <= self.free.len());
-        let alloc: Vec<NodeId> = self.free.iter().copied().take(needed).collect();
+        let alloc: Vec<NodeId> = self.free.iter().take(needed).collect();
         let slot = self.running.len();
         for &n in &alloc {
-            self.free.remove(&n);
+            self.free.remove(n);
             self.node_owner[n.0 as usize] = Some(slot);
         }
         job.start(alloc, now);
@@ -416,23 +417,23 @@ impl Scheduler {
                 .is_none(),
             "evict the job on {node} before marking it down"
         );
-        if self.down.contains(&node) {
+        if self.down.contains(node) {
             return;
         }
-        assert!(self.free.remove(&node), "{node} is not a managed free node");
+        assert!(self.free.remove(node), "{node} is not a managed free node");
         self.down.insert(node);
     }
 
     /// Returns a rebooted node to the free pool.
     pub fn set_node_up(&mut self, node: NodeId) {
-        if self.down.remove(&node) {
+        if self.down.remove(node) {
             self.free.insert(node);
         }
     }
 
     /// True if `node` is currently out of service.
     pub fn is_node_down(&self, node: NodeId) -> bool {
-        self.down.contains(&node)
+        self.down.contains(node)
     }
 
     /// Number of nodes currently out of service.
@@ -492,8 +493,8 @@ impl Scheduler {
                     Some(slot),
                     "owner table must track {n} to slot {slot}"
                 );
-                assert!(!self.free.contains(&n), "running node must not be free");
-                assert!(!self.down.contains(&n), "running node must not be down");
+                assert!(!self.free.contains(n), "running node must not be free");
+                assert!(!self.down.contains(n), "running node must not be down");
             }
         }
         // Ownership maps only to live run-queue slots.
@@ -526,6 +527,7 @@ mod tests {
     use crate::app::{Class, NpbApp};
     use crate::phase::{Phase, PhaseKind};
     use proptest::prelude::*;
+    use std::collections::BTreeSet;
 
     fn job(id: u64, nprocs: u32, work: f64) -> Job {
         Job::new(
@@ -887,6 +889,9 @@ mod tests {
             .collect()
     }
 
+    /// Nodes in `prop_load_column_never_goes_stale`: three 64-id words.
+    const N: u32 = 130;
+
     proptest! {
         /// Over random speed edits, starts, finishes and evictions, the
         /// cached per-job minimum speed is bitwise a fresh fold after every
@@ -1058,25 +1063,31 @@ mod tests {
         }
 
         /// Over random starts, advances at random per-node speeds (so jobs
-        /// cross phases and finish), evictions and node down/up edges, the
-        /// load column equals the owning job's own `Job::load_on` on every
-        /// node after every operation, and is `None` on idle and down
-        /// nodes.
+        /// cross phases and finish), evictions and node down/up edges on
+        /// `N` nodes, a
+        /// machine wider than one 64-id word, the load column equals the
+        /// owning job's own `Job::load_on` on every node after every
+        /// operation, and is `None` on idle and down nodes. The free and
+        /// down sets match an ordered-set reference: every placement takes
+        /// the reference's lowest free ids, and the counts and utilization
+        /// follow it.
         #[test]
         fn prop_load_column_never_goes_stale(
             ops in proptest::collection::vec(
                 (
                     0u8..6,
-                    0u32..16,
-                    proptest::collection::vec(1u8..=10, 16..17),
+                    0u32..N,
+                    proptest::collection::vec(1u8..=10, N as usize..N as usize + 1),
                     1u64..6,
                 ),
                 20..80,
             ),
         ) {
-            let mut s = sched(16);
+            let mut s = sched(N);
             let mut q = JobQueue::new();
-            let all: Vec<u32> = (0..16).collect();
+            let all: Vec<u32> = (0..N).collect();
+            let mut free: BTreeSet<NodeId> = (0..N).map(NodeId).collect();
+            let mut down = BTreeSet::new();
             let mut next_id = 0;
             let mut now = SimTime::ZERO;
             for (op, n, levels, secs) in ops {
@@ -1086,28 +1097,52 @@ mod tests {
                         next_id += 1;
                         let works = [secs as f64, 2.0, f64::from(n % 5 + 1)];
                         q.push(varied_job(next_id, 1 + n * 5, &works));
-                        s.try_start(&mut q, now);
+                        for id in s.try_start(&mut q, now) {
+                            let slot = s.running_jobs().iter().position(|j| j.id() == id).unwrap();
+                            let placed = s.running_jobs()[slot].nodes();
+                            let lowest: Vec<NodeId> = free.iter().copied().take(placed.len()).collect();
+                            prop_assert_eq!(placed, &lowest[..], "first fit for {}", id);
+                            for n in &lowest {
+                                free.remove(n);
+                            }
+                        }
                     }
                     2 => {
                         // Every speed may move, so every node is an edge.
                         let speed: Vec<f64> =
                             levels.iter().map(|&l| f64::from(l) / 10.0).collect();
                         now += SimDuration::from_secs(secs);
-                        s.advance(secs as f64, now, &speed, &all, &mut Vec::new());
+                        for record in s.advance(secs as f64, now, &speed, &all, &mut Vec::new()) {
+                            free.extend(record.nodes);
+                        }
                     }
                     3 | 4 => {
                         if let Some(mut job) = s.evict_job_on(node) {
+                            free.extend(job.nodes().iter().copied());
                             job.requeue();
                             q.push_front(job);
                         }
                         if op == 4 {
                             s.set_node_down(node);
+                            if free.remove(&node) {
+                                down.insert(node);
+                            }
                         }
                     }
-                    _ => s.set_node_up(node),
+                    _ => {
+                        s.set_node_up(node);
+                        if down.remove(&node) {
+                            free.insert(node);
+                        }
+                    }
                 }
-                for raw in 0..16 {
+                prop_assert_eq!(s.free_count(), free.len());
+                prop_assert_eq!(s.down_count(), down.len());
+                let idle = (free.len() + down.len()) as f64;
+                prop_assert_eq!(s.utilization().to_bits(), (1.0 - idle / f64::from(N)).to_bits());
+                for raw in 0..N {
                     let id = NodeId(raw);
+                    prop_assert_eq!(s.is_node_down(id), down.contains(&id));
                     let want = s
                         .slot_of_node(id)
                         .and_then(|slot| s.running_jobs()[slot].load_on(id, s.cores_per_node()));

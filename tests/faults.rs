@@ -63,14 +63,14 @@ fn crash_walks_the_full_lifecycle() {
     );
     assert_eq!(sim.jobs_failed(), 0);
     let mgr = sim.manager().unwrap();
-    assert!(!mgr.sets().candidates().contains(&NodeId(2)));
+    assert!(!mgr.sets().is_candidate(NodeId(2)));
 
     // The tick after reboot: back in the candidate set, at the lowest
     // DVFS level, adopted as degraded for steady-green recovery.
     sim.run_for(SimDuration::from_secs(31));
     assert!(!sim.fault_engine().unwrap().is_down(NodeId(2)));
     let mgr = sim.manager().unwrap();
-    assert!(mgr.sets().candidates().contains(&NodeId(2)));
+    assert!(mgr.sets().is_candidate(NodeId(2)));
     assert_eq!(
         sim.node_levels()[2],
         Level::LOWEST,

@@ -167,7 +167,7 @@ fn run_one(cfg: FuzzConfig, rates: Option<FaultRates>) {
             .map(|i| sim.fault_engine().is_some_and(|e| e.is_down(NodeId(i))))
             .collect();
         if let Some(m) = sim.manager() {
-            for &c in m.sets().candidates() {
+            for c in m.sets().candidate_mask().iter() {
                 assert!(!down[c.0 as usize], "down node {c:?} still a candidate");
             }
         }
@@ -300,9 +300,12 @@ fn assert_tree_invariants(sim: &ClusterSim) {
         );
     }
     let engine = sim.fault_engine().expect("faulted sim");
-    let facility = h.sets().candidates().iter();
-    let racks = h.subs().iter().flat_map(|m| m.sets().candidates());
-    for &c in facility.chain(racks) {
+    let facility = h.sets().candidate_mask().iter();
+    let racks = h
+        .subs()
+        .iter()
+        .flat_map(|m| m.sets().candidate_mask().iter());
+    for c in facility.chain(racks) {
         assert!(!engine.is_down(c), "down node {c:?} still a candidate");
     }
     if h.in_training() {
@@ -314,7 +317,7 @@ fn assert_tree_invariants(sim: &ClusterSim) {
         .enumerate()
         .filter(|&(_, &s)| s == PowerState::Red)
     {
-        for &c in h.subs()[r].sets().candidates() {
+        for c in h.subs()[r].sets().candidate_mask().iter() {
             if !engine.is_hung(c) {
                 assert_eq!(
                     levels[c.0 as usize],
