@@ -48,7 +48,7 @@
 //! throttling changes mid-flight, so the advance pass detects them and
 //! stages the affected members dirty.
 
-use crate::columns::NodeColumns;
+use crate::columns::{DirtySet, NodeColumns};
 use crate::spec::ClusterSpec;
 use actuate::PendingRetry;
 use advance::freeze_agent;
@@ -160,9 +160,6 @@ pub struct ClusterSim {
     /// Per-rack job observations, kept in place across ticks (one rack
     /// under the single-rack hierarchy).
     rack_obs: RackObs,
-    /// Per-rack true power snapshot taken at the top of the control
-    /// cycle (multi-rack hierarchy only).
-    scratch_rack_true: Vec<f64>,
     /// Reused buffers of the multi-rack control cycle.
     fanout: FanoutScratch,
     /// Fleet health plane: hierarchical rollups, quantile sketches and
@@ -195,7 +192,7 @@ pub struct ClusterSim {
     /// Requested evaluation mode (`Incremental` may be forced to the
     /// dense path at runtime; see [`ClusterSim::incremental_active`]).
     eval_mode: EvalMode,
-    /// Dense per-node columns (power, speed, down, stamps) + dirty set.
+    /// Dense per-node columns (power, speed, stamps) + dirty set.
     columns: NodeColumns,
     /// Completed ticks, the simulation's one clock: `now() = tick_index · τ`.
     /// The tick being computed inside `step()` is `tick_index + 1` and
@@ -244,7 +241,6 @@ pub struct ClusterSim {
     scratch_samples: Vec<NodeSample>,
     scratch_views: Vec<BudgetNodeView>,
     scratch_transitions: Vec<FaultTransition>,
-    scratch_down: Vec<bool>,
     scratch_edges: Vec<NodeId>,
     scratch_sampled: Vec<u32>,
     scratch_settle: Vec<u32>,
@@ -317,7 +313,6 @@ impl ClusterSim {
             hierarchy: None,
             hier_i: None,
             rack_obs: RackObs::new(n_total.max(1) as u32, 1),
-            scratch_rack_true: Vec::new(),
             fanout: FanoutScratch::default(),
             health: HealthPlane::new(ZoneMap::single_rack()),
             true_power: TimeSeries::new(),
@@ -348,7 +343,6 @@ impl ClusterSim {
             scratch_samples: Vec::new(),
             scratch_views: Vec::new(),
             scratch_transitions: Vec::new(),
-            scratch_down: Vec::new(),
             scratch_edges: Vec::new(),
             scratch_sampled: Vec::new(),
             scratch_settle: Vec::new(),
@@ -397,9 +391,15 @@ impl ClusterSim {
                 .is_none_or(|h| h.sets().candidate_cap().is_none())
     }
 
-    /// The dense node columns (power/speed/down/stamps + dirty set).
+    /// The dense node columns (power/speed/stamps + dirty set).
     pub fn columns(&self) -> &NodeColumns {
         &self.columns
+    }
+
+    /// True while `n` is out of service: crashed and not yet rebooted, or
+    /// decommissioned.
+    pub fn is_node_down(&self, n: NodeId) -> bool {
+        self.scheduler.is_node_down(n)
     }
 
     /// Attaches a fault-injection schedule. Node crashes evict and requeue
@@ -485,8 +485,8 @@ impl ClusterSim {
 
     /// Attaches the hierarchical control plane (built by the caller from
     /// a facility [`ppc_core::ManagerConfig`] and [`ppc_core::Topology`]).
-    /// Installs the topology's shard-contiguous layout on the node
-    /// columns so per-rack fleet sums stay dense index-order folds.
+    /// Gives the node columns the topology's rack size, so per-rack power
+    /// sums stay dense index-order folds.
     /// Hierarchy instruments register only on multi-rack topologies: a
     /// single-rack hierarchy is the flat architecture and must
     /// fingerprint like it.
@@ -505,13 +505,8 @@ impl ClusterSim {
             "topology must cover the cluster exactly"
         );
         let racks = hierarchy.topology().racks();
-        let shards: Vec<(u32, u32)> = (0..racks)
-            .map(|r| {
-                let range = hierarchy.topology().rack_nodes(r);
-                (range.start, range.end)
-            })
-            .collect();
-        self.columns.set_shards(shards);
+        self.columns
+            .set_rack_size(hierarchy.topology().nodes_per_rack() as usize);
         if !hierarchy.is_single_rack() {
             self.hier_i = Some(HierInstruments::register(&mut self.obs.metrics, racks));
             // The health rollup mirrors the delegation topology. A
@@ -795,7 +790,7 @@ impl ClusterSim {
             "node {} outside the cluster",
             n.0
         );
-        if self.columns.is_down(n) {
+        if self.scheduler.is_node_down(n) {
             return false;
         }
         let now = self.now();

@@ -3,7 +3,6 @@
 //! facility meter's reading.
 
 use super::*;
-use crate::columns::word_ids;
 
 impl ClusterSim {
     /// Node operating states for this tick, derived from the phase each
@@ -18,13 +17,13 @@ impl ClusterSim {
         } else {
             // Dense reference: every node runs the interval its load sets.
             // Down nodes are dark: they neither advance counters nor draw
-            // power until their reboot (if any). The columns' down flag
-            // mirrors every fault-engine edge the same tick it strikes
+            // power until their reboot (if any). The scheduler's down set
+            // follows every fault-engine edge the same tick it strikes
             // (see `fault_tick`) and additionally covers decommissioned
             // nodes, which the engine never sees.
             for (i, node) in self.nodes.iter_mut().enumerate() {
                 let id = NodeId(i as u32);
-                if !self.columns.is_down(id) {
+                if !self.scheduler.is_node_down(id) {
                     node.run_interval(
                         operating_state(self.scheduler.load_on(id), node, t.dt),
                         t.dt,
@@ -49,31 +48,34 @@ impl ClusterSim {
     /// it reads moves between this pass and the control cycle, so the node
     /// is touched once per tick instead of twice.
     ///
-    /// The pass visits the dirty nodes in ascending id, not in mark order
-    /// (which goes job by job, each job's members scattered over the
-    /// fleet), so every node-indexed array it touches is walked front to
-    /// back, the scheduler's load column among them. It reads the ids off
-    /// the dirty mask's set bits, one 64-node word at a time (nothing in
-    /// the pass marks a node dirty for this tick, so each copied word
-    /// stays current): no copy of the mark-order list and no sort. The
-    /// order changes no result: each node's evaluation, sample, ingest and
-    /// next-cycle settle touch only that node, and the rack-observation
-    /// refreshes the samples feed are independent of order (see
-    /// `sim/rack_obs.rs`).
+    /// The pass visits the dirty nodes in ascending id, not job by job as
+    /// they were marked (each job's members are scattered over the fleet),
+    /// so every node-indexed array it touches is walked front to back, the
+    /// scheduler's load column among them. The dirty set is moved out for
+    /// the walk and put back after (nothing in the pass marks a node
+    /// dirty, this tick or the next, so the set walked is the set put
+    /// back): no copy of the ids and no sort. The order changes no result:
+    /// each node's evaluation, sample, ingest and next-cycle settle touch
+    /// only that node, and the rack-observation refreshes the samples feed
+    /// are independent of order (see `sim/rack_obs.rs`).
     fn materialize_dirty(&mut self, t: &Tick) {
         let sample_at = t.start + self.spec.tick;
-        for w in 0..self.columns.dirty.words().len() {
-            for raw in word_ids(w, self.columns.dirty.words()[w]) {
-                self.materialize_node(NodeId(raw), t, sample_at);
-            }
+        let dirty = std::mem::take(&mut self.columns.dirty);
+        for id in dirty.indices().iter() {
+            self.materialize_node(id, t, sample_at);
         }
+        debug_assert!(
+            self.columns.dirty == DirtySet::default(),
+            "the materialize pass marks no node dirty"
+        );
+        self.columns.dirty = dirty;
     }
 
     /// One dirty node's part of [`materialize_dirty`](Self::materialize_dirty).
     fn materialize_node(&mut self, id: NodeId, t: &Tick, sample_at: SimTime) {
         let (dt, tick) = (t.dt, t.tick);
         let i = id.0 as usize;
-        if self.columns.is_down(id) {
+        if self.scheduler.is_node_down(id) {
             return; // frozen until the up edge re-marks it
         }
         let candidate = t.lazy
@@ -187,13 +189,14 @@ impl ClusterSim {
             }
             // Dense reference: re-evaluate every node's power into the
             // column before the fold.
-            self.scratch_down.clear();
-            let columns = &self.columns;
-            self.scratch_down
-                .extend((0..self.nodes.len() as u32).map(|i| columns.is_down(NodeId(i))));
-            let inputs = self.nodes.iter().zip(&self.scratch_down);
-            for (p, (node, &down)) in self.columns.power_fill_mut().iter_mut().zip(inputs) {
-                *p = if down { 0.0 } else { node.power_w() };
+            let scheduler = &self.scheduler;
+            let column = self.columns.power_fill_mut().iter_mut();
+            for (p, node) in column.zip(&self.nodes) {
+                *p = if scheduler.is_node_down(node.id()) {
+                    0.0
+                } else {
+                    node.power_w()
+                };
             }
         }
 

@@ -86,7 +86,7 @@ impl ClusterSim {
                 continue;
             }
             // Dead or decommissioned nodes have no agent to sample.
-            if self.columns.is_down(node.id()) {
+            if self.scheduler.is_node_down(node.id()) {
                 continue;
             }
             // Silent nodes produce no samples.
@@ -160,12 +160,9 @@ impl ClusterSim {
         if multi {
             let delegate_t = self.obs.profile.start();
             fleet_true_w = self.columns.fleet_power_w();
-            let shard_w = self.columns.shard_power_w();
-            self.scratch_rack_true.clear();
-            self.scratch_rack_true.extend_from_slice(shard_w);
             let spans = &mut self.obs.spans;
             spans.open("delegate", now);
-            let outcome = hier.delegate(&self.scratch_rack_true);
+            let outcome = hier.delegate(self.columns.shard_power_w());
             let racks = hier.topology().racks() as u64;
             spans.attr("racks", AttrValue::U64(racks));
             spans.attr("redelegated", AttrValue::U64(u64::from(outcome.changed)));
@@ -208,7 +205,7 @@ impl ClusterSim {
         let obs_cache = &mut self.obs_cache;
         let faults = self.faults.as_mut();
         let spans = &mut self.obs.spans;
-        let rack_true = &self.scratch_rack_true;
+        let rack_true = self.columns.shard_power_w();
         let fanout = &mut self.fanout;
         spans.open("ingest", now);
         spans.attr("samples", AttrValue::U64(logical_samples));
@@ -380,9 +377,11 @@ impl ClusterSim {
                 self.scratch_settle.push(raw);
             }
             debug_assert!(
-                self.columns.dirty.indices().iter().all(|&raw| {
-                    !lit(NodeId(raw)) || self.last_sampled_tick[raw as usize] == tick
-                }),
+                self.columns
+                    .dirty
+                    .indices()
+                    .iter()
+                    .all(|id| !lit(id) || self.last_sampled_tick[id.0 as usize] == tick),
                 "every dirty lit candidate is sampled at control time"
             );
             debug_assert!(

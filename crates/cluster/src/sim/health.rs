@@ -168,7 +168,7 @@ impl ClusterSim {
         };
         if let Some(h) = self.hierarchy.as_ref().filter(|h| !h.is_single_rack()) {
             obs.rack_state = h.last_rack_states();
-            obs.rack_power_w = &self.scratch_rack_true;
+            obs.rack_power_w = self.columns.shard_power_w();
             obs.rack_budget_w = h.rack_budget_w();
             obs.rack_coverage = &self.fanout.coverage;
         }

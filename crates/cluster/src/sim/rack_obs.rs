@@ -731,7 +731,8 @@ mod tests {
                                 .last()
                                 .map(|job| job.nodes()[0]);
                             let idle = (0..128).rev().map(NodeId).find(|&n| {
-                                !sim.columns.is_down(n) && sim.scheduler.slot_of_node(n).is_none()
+                                !sim.scheduler.is_node_down(n)
+                                    && sim.scheduler.slot_of_node(n).is_none()
                             });
                             for n in busy.into_iter().chain(idle) {
                                 decommissioned += usize::from(sim.decommission_node(n));

@@ -55,7 +55,8 @@ impl FileContext {
     }
 
     /// Hot-path modules of the incremental tick core: the SoA node
-    /// columns, the tick boundary (`sim/faults.rs`, which pushes and
+    /// columns, the node-id bitmask their dirty set is held in
+    /// (`node/src/sets.rs`), the tick boundary (`sim/faults.rs`, which pushes and
     /// drains the staleness-deadline heap), the dirty-node and job advance
     /// (`sim/advance.rs`) and the run queue it steps
     /// (`workload/src/scheduler.rs`) run inside every simulation tick, and
@@ -73,6 +74,7 @@ impl FileContext {
                 | "crates/cluster/src/sim/advance.rs"
                 | "crates/workload/src/scheduler.rs"
                 | "crates/core/src/capping.rs"
+                | "crates/node/src/sets.rs"
         ) || self.path.starts_with("crates/core/src/policy/")
     }
 }
@@ -671,6 +673,7 @@ let c = z.unwrap();
             "crates/cluster/src/sim/advance.rs",
             "crates/workload/src/scheduler.rs",
             "crates/core/src/capping.rs",
+            "crates/node/src/sets.rs",
             "crates/core/src/policy/mod.rs",
             "crates/core/src/policy/mpc_c.rs",
         ] {

@@ -16,6 +16,9 @@ use std::ops::Range;
 /// fleet. Membership is one word load, a contiguous id range's share of
 /// the set (a rack's, say) is a popcount over the words the range spans,
 /// and a per-tick set is reset and refilled in place, reusing its words.
+/// The per-member operations are `#[inline]`, with an `insert` that must
+/// grow the words kept off the inlined path: the simulator's dirty set
+/// calls them from another crate for every dirty node of every tick.
 #[derive(Debug, Clone, Default)]
 pub struct NodeMask {
     /// Word index (id / 64) of `words[0]`.
@@ -43,6 +46,7 @@ impl NodeMask {
     }
 
     /// The word holding absolute word index `w` (0 outside the span).
+    #[inline]
     fn word(&self, w: usize) -> u64 {
         w.checked_sub(self.first)
             .and_then(|i| self.words.get(i))
@@ -51,8 +55,23 @@ impl NodeMask {
     }
 
     /// Adds `node`; true if it was not already a member.
+    #[inline]
     pub fn insert(&mut self, node: NodeId) -> bool {
         let (w, bit) = word_bit(node);
+        let i = match w.checked_sub(self.first) {
+            Some(i) if i < self.words.len() => i,
+            _ => self.grow_to(w),
+        };
+        let added = self.words[i] & bit == 0;
+        self.words[i] |= bit;
+        self.len += usize::from(added);
+        added
+    }
+
+    /// Grows the words to cover absolute word index `w`, which they do
+    /// not yet; returns its index into `words`.
+    #[cold]
+    fn grow_to(&mut self, w: usize) -> usize {
         if w < self.first {
             let grow = self.first - w;
             self.words.splice(0..0, std::iter::repeat_n(0, grow));
@@ -62,10 +81,7 @@ impl NodeMask {
         if i >= self.words.len() {
             self.words.resize(i + 1, 0);
         }
-        let added = self.words[i] & bit == 0;
-        self.words[i] |= bit;
-        self.len += usize::from(added);
-        added
+        i
     }
 
     /// Removes `node`; true if it was a member.
@@ -84,12 +100,14 @@ impl NodeMask {
     }
 
     /// True if `node` is a member.
+    #[inline]
     pub fn contains(&self, node: NodeId) -> bool {
         let (w, bit) = word_bit(node);
         self.word(w) & bit != 0
     }
 
     /// Removes every member, keeping the span and its words.
+    #[inline]
     pub fn clear(&mut self) {
         self.words.fill(0);
         self.len = 0;
@@ -104,6 +122,7 @@ impl NodeMask {
     }
 
     /// Members in ascending id order.
+    #[inline]
     pub fn iter(&self) -> MaskIter<'_> {
         let (word, words) = self
             .words
@@ -117,11 +136,13 @@ impl NodeMask {
     }
 
     /// Number of members.
+    #[inline]
     pub fn len(&self) -> usize {
         self.len
     }
 
     /// True if the mask has no members.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
@@ -164,6 +185,7 @@ pub struct MaskIter<'a> {
 impl Iterator for MaskIter<'_> {
     type Item = NodeId;
 
+    #[inline]
     fn next(&mut self) -> Option<NodeId> {
         while self.word == 0 {
             let (&next, rest) = self.words.split_first()?;

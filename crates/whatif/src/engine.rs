@@ -273,7 +273,6 @@ fn drop_victims(sim: &ClusterSim, count: u32, rack: Option<u32>) -> Result<Vec<N
             topology.rack_nodes(r as usize)
         }
     };
-    let columns = sim.columns();
     let privileged = &sim.spec().privileged;
     let mut victims = Vec::with_capacity(count as usize);
     for i in range.rev() {
@@ -281,7 +280,7 @@ fn drop_victims(sim: &ClusterSim, count: u32, rack: Option<u32>) -> Result<Vec<N
             break;
         }
         let n = NodeId(i);
-        if columns.is_down(n) || privileged.contains(&n) {
+        if sim.is_node_down(n) || privileged.contains(&n) {
             continue;
         }
         victims.push(n);

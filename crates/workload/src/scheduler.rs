@@ -432,6 +432,7 @@ impl Scheduler {
     }
 
     /// True if `node` is currently out of service.
+    #[inline]
     pub fn is_node_down(&self, node: NodeId) -> bool {
         self.down.contains(node)
     }

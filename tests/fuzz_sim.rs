@@ -166,6 +166,14 @@ fn run_one(cfg: FuzzConfig, rates: Option<FaultRates>) {
         let down: Vec<bool> = (0..total_nodes)
             .map(|i| sim.fault_engine().is_some_and(|e| e.is_down(NodeId(i))))
             .collect();
+        // The sim's liveness is the engine's, and a down node draws
+        // nothing in the power column.
+        for (i, &d) in down.iter().enumerate() {
+            assert_eq!(sim.is_node_down(NodeId(i as u32)), d, "node {i} liveness");
+            if d {
+                assert_eq!(sim.columns().power_w()[i], 0.0, "down node {i} draws power");
+            }
+        }
         if let Some(m) = sim.manager() {
             for c in m.sets().candidate_mask().iter() {
                 assert!(!down[c.0 as usize], "down node {c:?} still a candidate");
