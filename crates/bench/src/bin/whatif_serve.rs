@@ -45,10 +45,10 @@ fn base_sim() -> ClusterSim {
         ..ManagerConfig::paper_defaults(spec.provision_w(), PolicyKind::Mpc)
     };
     let manager = PowerManager::new(config, sets).expect("valid config");
-    // A service clones the base per query. Journal entries own `String`
-    // messages, so a small journal ring bounds a branch to 256 of them;
-    // the span recorder's records and attributes are two flat rings,
-    // copied without a per-span allocation.
+    // A service clones the base per query. The journal and the span
+    // recorder share their sealed history chunks with every branch, so a
+    // branch copies at most one chunk of each; the small journal ring
+    // bounds what the base keeps resident.
     ClusterSim::new(spec)
         .with_manager(manager)
         .with_journal_capacity(256)

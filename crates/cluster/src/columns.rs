@@ -176,6 +176,7 @@ impl NodeColumns {
     }
 
     /// Writes a node's freshly evaluated power/speed and stamps it.
+    #[inline]
     pub fn materialize(&mut self, node: NodeId, power_w: f64, speed: f64, tick: u64) {
         let i = node.0 as usize;
         self.power_w[i] = power_w;

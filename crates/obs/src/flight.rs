@@ -7,11 +7,16 @@
 //! and a full metrics-registry dump at that instant. Snapshot count is
 //! bounded; excess triggers are counted, never silently ignored —
 //! the same contract as the journal ring.
+//!
+//! A stored snapshot never changes, so each sits behind an `Arc`: a
+//! clone of the recorder (every what-if branch clones one) copies a few
+//! pointers and shares the snapshots' owned span and metric dumps.
 
 use crate::metrics::{MetricDump, MetricsRegistry};
 use crate::span::{SpanDump, SpanRecorder};
 use ppc_simkit::SimTime;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// One captured snapshot.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -31,7 +36,7 @@ pub struct FlightSnapshot {
 pub struct FlightRecorder {
     max_snapshots: usize,
     span_window: usize,
-    snapshots: Vec<FlightSnapshot>,
+    snapshots: Vec<Arc<FlightSnapshot>>,
     suppressed: u64,
 }
 
@@ -60,17 +65,17 @@ impl FlightRecorder {
             self.suppressed += 1;
             return false;
         }
-        self.snapshots.push(FlightSnapshot {
+        self.snapshots.push(Arc::new(FlightSnapshot {
             at_ms: at.as_millis(),
             reason: reason.into(),
             spans: spans.dump_tail(self.span_window),
             metrics: metrics.dump(),
-        });
+        }));
         true
     }
 
     /// Stored snapshots, in trigger order.
-    pub fn snapshots(&self) -> &[FlightSnapshot] {
+    pub fn snapshots(&self) -> &[Arc<FlightSnapshot>] {
         &self.snapshots
     }
 
@@ -135,8 +140,8 @@ mod tests {
         let metrics = MetricsRegistry::new();
         let mut fr = FlightRecorder::new(1, 4);
         fr.trigger(SimTime::from_secs(1), "fault:crash n0", &spans, &metrics);
-        let json = serde_json::to_string(&fr.snapshots()[0]).unwrap();
+        let json = serde_json::to_string(&*fr.snapshots()[0]).unwrap();
         let back: FlightSnapshot = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, fr.snapshots()[0]);
+        assert_eq!(back, *fr.snapshots()[0]);
     }
 }

@@ -20,11 +20,13 @@ use serde::{Deserialize, Serialize};
 /// tree — ample for flight-recorder windows and Chrome-trace exports).
 ///
 /// Deliberately sized so the rings stay cache-resident (an 80 B record
-/// plus 40 B per attribute in the shared attribute ring; the managed
+/// plus 40 B per attribute in the recorder's attribute ring; the managed
 /// cycle averages under two attributes per span, ~0.6 MB in all): the
 /// fingerprint covers *every* span ever closed regardless of retention,
 /// and a multi-megabyte ring measurably slowed the managed tick by
-/// streaming every close through cold cache lines.
+/// streaming every close through cold cache lines. The capacity does
+/// not set what a clone costs: both rings are `SharedRing`s, so a clone
+/// shares their sealed chunks and copies at most one chunk of each.
 pub const DEFAULT_SPAN_CAPACITY: usize = 4_096;
 /// Default flight-recorder snapshot bound.
 pub const DEFAULT_FLIGHT_SNAPSHOTS: usize = 8;
@@ -63,7 +65,12 @@ impl ObsHub {
             spans_closed: self.spans.closed(),
             spans_dropped: self.spans.dropped(),
             metrics: self.metrics.dump(),
-            flight: self.flight.snapshots().to_vec(),
+            flight: self
+                .flight
+                .snapshots()
+                .iter()
+                .map(|s| FlightSnapshot::clone(s))
+                .collect(),
             flight_suppressed: self.flight.suppressed(),
         }
     }

@@ -14,18 +14,18 @@
 //! bounded ring (evictions counted, never silent), and the fingerprint is
 //! folded incrementally at span close so it covers *every* span ever
 //! closed, not just the retained window. Records own no heap data: open
-//! spans push their attributes onto one pending stack, `close` moves them
-//! into one attribute ring beside the record ring, and a record keeps
-//! only its position and count there ([`SpanRecorder::attrs`]). Evicting
-//! a record drops its attributes from the ring's front, so steady-state
-//! recording allocates nothing. Cloning a recorder (every what-if branch
-//! does) copies two flat buffers instead of one vector per span, each at
-//! its source's capacity so the clone never regrows them.
+//! spans push their attributes onto one pending stack, `close` appends
+//! them in one bulk copy to an attribute ring beside the record ring, and
+//! a record keeps only its position and count there
+//! ([`SpanRecorder::attrs`]). Evicting a record drops its attributes from
+//! the ring's front by index. Both rings are [`SharedRing`]s, so cloning
+//! a recorder (every what-if branch does) shares their sealed chunks with
+//! the source and copies at most one chunk of each.
 
 use ppc_simkit::hash::Fnv1a;
+use ppc_simkit::ring::{self, SharedRing};
 use ppc_simkit::SimTime;
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 
 /// Identifier of a recorded span, unique within one recorder.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
@@ -133,16 +133,16 @@ struct OpenSpan {
 }
 
 /// Bounded, deterministic span recorder. See the module docs.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct SpanRecorder {
     enabled: bool,
     capacity: usize,
-    done: VecDeque<SpanRecord>,
+    done: SharedRing<SpanRecord>,
     stack: Vec<OpenSpan>,
     /// Attributes of the open spans, innermost span's on top.
     pending: Vec<Attr>,
     /// Attributes of the retained spans, in close order.
-    attrs: VecDeque<Attr>,
+    attrs: SharedRing<Attr>,
     /// Ring index of `attrs.front()`: attributes evicted so far.
     attrs_evicted: u64,
     interned: Vec<InternedStr>,
@@ -152,29 +152,6 @@ pub struct SpanRecorder {
     hash: Fnv1a,
     last_at: SimTime,
     seq: u32,
-}
-
-/// A clone keeps each ring's capacity, so it records on (a what-if branch
-/// steps its clone) without regrowing a ring by a copy.
-impl Clone for SpanRecorder {
-    fn clone(&self) -> Self {
-        SpanRecorder {
-            done: ring_clone(&self.done),
-            stack: self.stack.clone(),
-            pending: self.pending.clone(),
-            attrs: ring_clone(&self.attrs),
-            interned: self.interned.clone(),
-            hash: self.hash.clone(),
-            ..*self
-        }
-    }
-}
-
-/// A copy of `ring` in a buffer of the same capacity.
-fn ring_clone<T: Copy>(ring: &VecDeque<T>) -> VecDeque<T> {
-    let mut copy = VecDeque::with_capacity(ring.capacity());
-    copy.extend(ring);
-    copy
 }
 
 impl SpanRecorder {
@@ -187,7 +164,6 @@ impl SpanRecorder {
         SpanRecorder {
             enabled: true,
             capacity,
-            done: VecDeque::with_capacity(capacity.min(1024)),
             stack: Vec::with_capacity(8),
             ..SpanRecorder::disabled()
         }
@@ -199,10 +175,10 @@ impl SpanRecorder {
         SpanRecorder {
             enabled: false,
             capacity: 1,
-            done: VecDeque::new(),
+            done: SharedRing::new(),
             stack: Vec::new(),
             pending: Vec::new(),
-            attrs: VecDeque::new(),
+            attrs: SharedRing::new(),
             attrs_evicted: 0,
             interned: Vec::new(),
             next_id: 0,
@@ -282,12 +258,11 @@ impl SpanRecorder {
         }
         self.closed += 1;
         if self.done.len() == self.capacity {
-            if let Some(evicted) = self.done.pop_front() {
-                for _ in 0..evicted.attr_len {
-                    self.attrs.pop_front();
-                }
+            if let Some(evicted) = self.done.front() {
+                self.attrs.drop_front(evicted.attr_len as usize);
                 self.attrs_evicted += u64::from(evicted.attr_len);
             }
+            self.done.drop_front(1);
             self.dropped += 1;
         }
         self.done.push_back(SpanRecord {
@@ -301,21 +276,21 @@ impl SpanRecorder {
             attr_at: self.attrs_evicted + self.attrs.len() as u64,
             attr_len: attrs.len() as u32,
         });
-        self.attrs.extend(self.pending.drain(open.attr_from..));
+        self.attrs
+            .extend_from_slice(&self.pending[open.attr_from..]);
+        self.pending.truncate(open.attr_from);
     }
 
     /// The attributes of `span`, in attach order. `span` must be a record
     /// this recorder retains ([`Self::iter`], [`Self::tail`]); one it has
     /// since evicted yields none.
-    pub fn attrs(&self, span: &SpanRecord) -> std::collections::vec_deque::Iter<'_, Attr> {
-        let len = u64::from(span.attr_len);
-        let range = match span.attr_at.checked_sub(self.attrs_evicted) {
-            Some(from) if from + len <= self.attrs.len() as u64 => {
-                from as usize..(from + len) as usize
-            }
-            _ => 0..0,
-        };
-        self.attrs.range(range)
+    pub fn attrs(&self, span: &SpanRecord) -> ring::Iter<'_, Attr> {
+        let from = span.attr_at.checked_sub(self.attrs_evicted);
+        from.and_then(|from| {
+            let from = from as usize;
+            self.attrs.range(from..from + span.attr_len as usize)
+        })
+        .unwrap_or_default()
     }
 
     /// Number of retained completed spans.
@@ -345,8 +320,10 @@ impl SpanRecorder {
 
     /// The most recent `n` completed spans, oldest of those first.
     pub fn tail(&self, n: usize) -> impl Iterator<Item = &SpanRecord> {
-        let skip = self.done.len().saturating_sub(n);
-        self.done.iter().skip(skip)
+        let len = self.done.len();
+        self.done
+            .range(len.saturating_sub(n)..len)
+            .unwrap_or_default()
     }
 
     /// Order-sensitive FNV-1a hash over every span ever closed (id,
@@ -550,6 +527,43 @@ mod tests {
         let mut r = SpanRecorder::new(4);
         r.close(t(1)); // no open span: ignored
         assert_eq!(r.closed(), 0);
+    }
+
+    /// A clone of a full recorder at the simulation's default capacity
+    /// shares every sealed chunk of both rings with its source: a return
+    /// to deep copies fails here on any host.
+    #[test]
+    fn clone_of_a_full_recorder_shares_its_sealed_chunks() {
+        let cap = crate::hub::DEFAULT_SPAN_CAPACITY;
+        let mut r = SpanRecorder::new(cap);
+        for i in 0..cap as u64 + 100 {
+            r.open("cycle", t(i));
+            r.attr("state", AttrValue::Str("green"));
+            r.attr("deficit_w", AttrValue::F64(i as f64));
+            r.close(t(i));
+        }
+        assert_eq!(r.len(), cap);
+        let copy = r.clone();
+        for (ring, sealed, shared) in [
+            (
+                "records",
+                r.done.sealed_chunks(),
+                copy.done.shared_chunks(&r.done),
+            ),
+            (
+                "attributes",
+                r.attrs.sealed_chunks(),
+                copy.attrs.shared_chunks(&r.attrs),
+            ),
+        ] {
+            assert!(
+                sealed >= cap / ring::CHUNK,
+                "{ring}: {sealed} sealed chunks"
+            );
+            assert_eq!(shared, sealed, "{ring}: every sealed chunk is shared");
+        }
+        assert_eq!(copy.fingerprint(), r.fingerprint());
+        assert_eq!(copy.dump_tail(cap), r.dump_tail(cap));
     }
 
     #[test]

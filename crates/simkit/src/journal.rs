@@ -5,11 +5,17 @@
 //! memory unboundedly over hundreds of thousands of ticks. [`Journal`] is
 //! a fixed-capacity ring of categorized events; when full, the oldest
 //! events are dropped and counted, never silently.
+//!
+//! The events live in a [`SharedRing`]: a clone (every what-if branch
+//! clones the simulation's journal) shares the sealed chunks of events
+//! with its source and copies only the newest, unsealed chunk, so it
+//! duplicates at most [`CHUNK`](crate::ring::CHUNK) event messages
+//! however large the ring is.
 
 use crate::hash::Fnv1a;
+use crate::ring::SharedRing;
 use crate::time::SimTime;
 use serde::Serialize;
-use std::collections::VecDeque;
 use std::fmt;
 
 /// Event severity.
@@ -61,7 +67,7 @@ impl fmt::Display for Event {
 #[derive(Debug, Clone, Serialize)]
 pub struct Journal {
     capacity: usize,
-    events: VecDeque<Event>,
+    events: SharedRing<Event>,
     dropped: u64,
     min_severity: Severity,
 }
@@ -75,7 +81,7 @@ impl Journal {
         assert!(capacity > 0, "journal capacity must be positive");
         Journal {
             capacity,
-            events: VecDeque::with_capacity(capacity.min(1024)),
+            events: SharedRing::new(),
             dropped: 0,
             min_severity: Severity::Debug,
         }
@@ -106,7 +112,7 @@ impl Journal {
             return;
         }
         if self.events.len() == self.capacity {
-            self.events.pop_front();
+            self.events.drop_front(1);
             self.dropped += 1;
         }
         self.events.push_back(Event {
@@ -160,8 +166,11 @@ impl Journal {
 
     /// The most recent `n` events, oldest of those first.
     pub fn tail(&self, n: usize) -> Vec<&Event> {
-        let skip = self.events.len().saturating_sub(n);
-        self.events.iter().skip(skip).collect()
+        let len = self.events.len();
+        self.events
+            .range(len.saturating_sub(n)..len)
+            .unwrap_or_default()
+            .collect()
     }
 
     /// Order-sensitive FNV-1a hash over every retained event (time,
@@ -175,7 +184,7 @@ impl Journal {
     pub fn fingerprint(&self) -> u64 {
         let mut h = Fnv1a::new();
         h.write_u64(self.dropped);
-        for e in &self.events {
+        for e in self.events.iter() {
             h.write_u64(e.at.as_millis());
             h.write_u8(e.severity as u8);
             h.write_bytes(e.category.as_bytes());
@@ -308,6 +317,28 @@ mod tests {
             b.record(SimTime::from_secs(i), Severity::Info, "x", format!("e{i}"));
         }
         assert_ne!(a.fingerprint(), b.fingerprint());
+    }
+
+    /// A clone of a wrapped journal at the simulation's default capacity
+    /// shares every sealed chunk of events with its source: a return to
+    /// deep copies fails here on any host.
+    #[test]
+    fn clone_of_a_wrapped_journal_shares_its_sealed_chunks() {
+        let mut j = journal(16_384);
+        for i in 0..20_000u64 {
+            j.record(
+                SimTime::from_millis(i),
+                Severity::Info,
+                "x",
+                format!("e{i}"),
+            );
+        }
+        assert_eq!((j.len(), j.dropped()), (16_384, 3_616));
+        let copy = j.clone();
+        let sealed = j.events.sealed_chunks();
+        assert!(sealed >= 16_384 / crate::ring::CHUNK);
+        assert_eq!(copy.events.shared_chunks(&j.events), sealed);
+        assert_eq!(copy.fingerprint(), j.fingerprint());
     }
 
     #[test]

@@ -18,6 +18,9 @@
 //! * [`stats`] — running statistics (Welford).
 //! * [`journal`] — a bounded, fingerprinted audit trail of notable
 //!   events.
+//! * [`ring`] — the FIFO behind bounded histories ([`SharedRing`]):
+//!   full chunks are sealed into `Arc`s that every clone shares, so a
+//!   what-if branch copies at most one chunk of its history.
 //!
 //! There is no clock or event queue here: the cluster simulation's clock
 //! is its tick count (`now = tick · τ`), and its two kinds of one-shot
@@ -30,6 +33,7 @@
 pub mod hash;
 pub mod journal;
 pub mod par;
+pub mod ring;
 pub mod rng;
 pub mod series;
 pub mod stats;
@@ -38,6 +42,7 @@ pub mod time;
 pub use hash::Fnv1a;
 pub use journal::{Event, Journal, Severity};
 pub use par::WorkerPool;
+pub use ring::SharedRing;
 pub use rng::{DetRng, RngFactory};
 pub use series::TimeSeries;
 pub use stats::RunningStats;

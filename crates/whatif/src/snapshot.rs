@@ -8,11 +8,17 @@
 //! table, the power manager (thresholds, `A_degraded`, policy state),
 //! the bounded journal *including its `dropped` counter*, and the
 //! observability hub (span hash, metrics registry, flight recorder) —
-//! so a deep clone **is** a complete capture. The only shared pieces
-//! are the immutable `Arc<PowerModel>`/`Arc<NodeSpec>` tables, which no
-//! run mutates. Branch determinism therefore holds by construction:
-//! a branched run re-executes the exact state trajectory the original
-//! would, bit for bit.
+//! so a clone **is** a complete capture. What a clone shares with its
+//! source is immutable: the `Arc<PowerModel>`/`Arc<NodeSpec>` tables,
+//! which no run mutates, and the retained history — the journal's
+//! events and the span recorder's records and attributes, held in
+//! sealed [`SharedRing`](ppc_simkit::SharedRing) chunks that are never
+//! written again, and the flight recorder's stored snapshots. Each side
+//! appends new history to a tail chunk it owns, so a clone copies at
+//! most one chunk of each ring, however much history is retained.
+//! Branch determinism therefore holds by construction: a branched run
+//! re-executes the exact state trajectory the original would, bit for
+//! bit.
 //!
 //! ## Branch semantics
 //!
@@ -34,8 +40,9 @@ pub struct ClusterSnapshot {
 }
 
 impl ClusterSnapshot {
-    /// Captures `sim` by deep copy; the live simulation is untouched and
-    /// may keep running.
+    /// Captures `sim` by clone (sharing only immutable history, see the
+    /// module docs); the live simulation is untouched and may keep
+    /// running.
     ///
     /// Call at a tick boundary (between [`ClusterSim::step`] calls).
     pub fn capture(sim: &ClusterSim) -> Self {

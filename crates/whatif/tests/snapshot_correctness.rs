@@ -10,7 +10,8 @@ use ppc_cluster::ExperimentConfig;
 use ppc_cluster::{ClusterSim, ClusterSpec};
 use ppc_core::{ManagerConfig, NodeSets, PolicyKind, PowerManager};
 use ppc_faults::{FaultInjection, FaultRates, FaultSchedule};
-use ppc_simkit::{RngFactory, SimDuration};
+use ppc_obs::FlightSnapshot;
+use ppc_simkit::{Event, RngFactory, SimDuration};
 use ppc_whatif::{BaseScenario, ClusterSnapshot};
 use ppc_workload::{Class, NpbApp};
 
@@ -52,8 +53,13 @@ fn digest(sim: &ClusterSim) -> Digest {
 /// A managed, faulted, tightly provisioned mini cluster — every subsystem
 /// the snapshot must capture is active.
 fn faulted_sim() -> ClusterSim {
+    faulted_sim_provisioned(0.60)
+}
+
+/// [`faulted_sim`] at another provision fraction.
+fn faulted_sim_provisioned(fraction: f64) -> ClusterSim {
     let mut spec = ClusterSpec::mini(NODES);
-    spec.provision_fraction = 0.60;
+    spec.provision_fraction = fraction;
     let rates = FaultRates {
         crash_per_node_hour: 12.0,
         reboot_mean_secs: 30.0,
@@ -119,21 +125,40 @@ fn branch_matches_fresh_same_seed_run() {
 
 /// Two sibling branches of one snapshot are independent: mutating one
 /// (decommission, injection) leaves the other bit-identical to the
-/// untouched continuation.
+/// untouched continuation, and stepping them through a Red entry, flight
+/// snapshots and a wrapping journal leaves the snapshot's retained
+/// history — spans, journal, flight snapshots — exactly as captured,
+/// though the branches share its sealed history chunks.
 #[test]
 fn sibling_branches_are_isolated_under_faults() {
-    let mut sim = faulted_sim();
-    sim.run_for(SimDuration::from_secs(RUN_SECS / 2));
+    // At this provision and capture time the flight recorder still has
+    // room, and a Red entry follows within the branches' minute; the
+    // journal ring has wrapped before the capture and wraps on after it.
+    let mut sim = faulted_sim_provisioned(0.65).with_journal_capacity(16);
+    sim.run_for(SimDuration::from_secs(60));
     let snapshot = ClusterSnapshot::capture(&sim);
-    let base_exports = exports(snapshot.base());
+    let base = snapshot.base();
+    let base_exports = exports(base);
+    let journal_state = |sim: &ClusterSim| {
+        let j = sim.journal();
+        let events: Vec<Event> = j.iter().cloned().collect();
+        (events, j.fingerprint(), j.dropped())
+    };
+    let flight_state = |sim: &ClusterSim| -> Vec<FlightSnapshot> {
+        let flight = sim.obs().flight.snapshots();
+        flight.iter().map(|s| FlightSnapshot::clone(s)).collect()
+    };
+    let base_journal = journal_state(base);
+    let base_flight = flight_state(base);
     assert!(
-        snapshot
-            .base()
-            .journal()
-            .iter()
-            .any(|e| e.category == "fault"),
+        base.journal().iter().any(|e| e.category == "fault"),
         "capture point must sit inside an active fault schedule"
     );
+    assert!(
+        base.journal().dropped() > 0,
+        "the journal must have wrapped"
+    );
+    assert!(base_flight.len() < ppc_obs::hub::DEFAULT_FLIGHT_SNAPSHOTS);
 
     let mut mutated = snapshot.branch();
     mutated.decommission_node(ppc_node::NodeId(NODES - 1));
@@ -141,6 +166,19 @@ fn sibling_branches_are_isolated_under_faults() {
     let mut clean = snapshot.branch();
     mutated.run_for(SimDuration::from_secs(60));
     clean.run_for(SimDuration::from_secs(60));
+    assert!(
+        journal_state(snapshot.base()) == base_journal,
+        "stepping branches must leave the snapshot's journal unchanged"
+    );
+    assert_eq!(
+        flight_state(snapshot.base()),
+        base_flight,
+        "stepping branches must leave the snapshot's flight snapshots unchanged"
+    );
+    assert!(
+        exports(snapshot.base()) == base_exports,
+        "stepping branches must leave the snapshot's spans and attributes unchanged"
+    );
 
     sim.run_for(SimDuration::from_secs(60));
     assert_eq!(
@@ -153,9 +191,21 @@ fn sibling_branches_are_isolated_under_faults() {
         digest(&sim).trace,
         "the mutation must actually change the mutated branch"
     );
+    for branch in [&clean, &mutated] {
+        assert!(
+            branch.journal().dropped() > base_journal.2,
+            "the branches' journals must wrap on"
+        );
+        assert!(branch.obs().flight.len() > base_flight.len());
+    }
     assert!(
-        exports(snapshot.base()) == base_exports,
-        "stepping branches must leave the snapshot's spans and attributes unchanged"
+        clean
+            .obs()
+            .flight
+            .snapshots()
+            .iter()
+            .any(|s| s.reason == "red-entry" && s.at_ms > snapshot.now().as_millis()),
+        "the clean branch must enter Red after the capture"
     );
 }
 
