@@ -163,7 +163,7 @@ pub struct ClusterSim {
     /// Reused buffers of the multi-rack control cycle.
     fanout: FanoutScratch,
     /// Fleet health plane: hierarchical rollups, quantile sketches and
-    /// SLO burn-rate alerting. Fingerprinted into the determinism gate.
+    /// SLO burn-rate alerting. Fingerprinted into the behaviour pin.
     health: HealthPlane,
     true_power: TimeSeries,
     finished: Vec<JobRecord>,
@@ -352,7 +352,8 @@ impl ClusterSim {
 
     /// Selects the evaluation strategy. `Incremental` (the default) and
     /// `Full` are bit-identical; `Full` exists as the dense reference the
-    /// determinism gate and the differential tests compare against.
+    /// behaviour pin's dense legs and the differential tests compare
+    /// against.
     pub fn with_eval_mode(mut self, mode: EvalMode) -> Self {
         self.eval_mode = mode;
         self
@@ -694,7 +695,7 @@ impl ClusterSim {
     }
 
     /// FNV-1a fingerprint of every closed control-cycle span, for the
-    /// determinism gate (bit-identical across same-seed runs).
+    /// behaviour pin (bit-identical across same-seed runs).
     pub fn span_fingerprint(&self) -> u64 {
         self.obs.spans.fingerprint()
     }

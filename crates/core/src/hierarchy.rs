@@ -31,8 +31,9 @@
 //! ([`HierarchicalManager::single_rack_classify`] and
 //! [`HierarchicalManager::single_rack_cap`]), and every query
 //! (`sets`, `stats`, `thresholds`, `in_training`) is the sub-manager's
-//! own. `determinism_gate` pins an adopted flat manager bit-identical to
-//! a one-rack tree built by `new` on every determinism fingerprint.
+//! own. The behaviour pin (`tests/fingerprints.rs`, the `gate8` row)
+//! holds an adopted flat manager bit-identical to a one-rack tree built
+//! by `new` on every determinism fingerprint.
 
 use crate::budget::{conserves_budget, delegate_with_headroom, is_positive, split_proportional};
 use crate::capping::LevelView;

@@ -111,7 +111,7 @@ pub struct ObsReport {
 /// eval modes and control-plane shapes.
 pub const NODE_SKETCH_PERIOD: u64 = 64;
 
-/// The three health-plane fingerprints the determinism gate pins.
+/// The three health-plane fingerprints the behaviour pin checks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HealthFingerprints {
     /// [`RollupTree::fingerprint`].

@@ -32,7 +32,8 @@
 //!   exempt from the no-wall-clock rule, and never fingerprinted.
 //!
 //! Span-tree, registry, rollup, sketch and alert FNV-1a fingerprints
-//! join `Journal::fingerprint` in CI's determinism gate.
+//! join `Journal::fingerprint` in the tier-1 behaviour pin
+//! (`tests/fingerprints.rs`).
 
 pub mod export;
 pub mod flight;

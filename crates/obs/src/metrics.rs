@@ -8,7 +8,7 @@
 //! order (and therefore the rendered text and the FNV-1a hash) is
 //! deterministic. Nothing here reads the wall clock: anything folded
 //! into [`MetricsRegistry::fingerprint`] must be a pure function of the
-//! seeded simulation, because the determinism gate compares the value
+//! seeded simulation, because the behaviour pin compares the value
 //! across same-seed runs. Wall-clock self-profiling lives in
 //! [`crate::profile`] instead, outside the fingerprint.
 
@@ -171,8 +171,8 @@ impl MetricsRegistry {
 
     /// Order-sensitive FNV-1a hash over every instrument in name order:
     /// name, kind, and exact value bits. Joins the journal and span-tree
-    /// hashes in the determinism gate, so a single diverging count or
-    /// float bit across same-seed runs fails CI.
+    /// hashes in the behaviour pin, so a single diverging count or
+    /// float bit across same-seed runs fails tier-1.
     pub fn fingerprint(&self) -> u64 {
         let mut h = Fnv1a::new();
         for (name, &idx) in &self.names {

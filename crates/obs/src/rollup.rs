@@ -15,11 +15,11 @@
 //! topology into a [`ZoneMap`] (rack → row assignment) at construction.
 //! A flat (non-hierarchical) simulation uses the single-rack map, which
 //! makes the rack, row and facility zones coincide — exactly the
-//! invariant the determinism gate's "single-rack hierarchy ≡ flat" leg
+//! invariant the behaviour pin's "single-rack hierarchy ≡ flat" leg
 //! relies on.
 //!
 //! Every fold happens serially, in rack index order, from deterministic
-//! inputs, so [`RollupTree::fingerprint`] joins the determinism gate.
+//! inputs, so [`RollupTree::fingerprint`] joins the behaviour pin.
 
 use crate::sketch::QuantileSketch;
 use ppc_simkit::hash::Fnv1a;

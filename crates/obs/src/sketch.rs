@@ -1,7 +1,7 @@
 //! Integer-bucketed quantile sketch (DDSketch-style).
 //!
 //! The health plane needs power and latency *distributions*, not just
-//! last values, with a fingerprint the determinism gate can pin. The
+//! last values, with a fingerprint the behaviour pin can check. The
 //! sketch's state depends only on the *multiset* of observed values,
 //! never on their order. Floating-point accumulation cannot give that
 //! (f64 addition is not associative), so everything inside the sketch

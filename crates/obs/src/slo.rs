@@ -20,7 +20,7 @@
 //! alert journal ([`AlertEvent`] with open/resolve edges). Everything —
 //! window state, event order, values — is a pure function of the
 //! observation stream, so [`SloEngine::fingerprint`] joins the
-//! determinism gate. Thresholds compare with `>=`/`<=` so a window
+//! behaviour pin. Thresholds compare with `>=`/`<=` so a window
 //! sitting *exactly at* the threshold fires (pinned by a boundary test).
 
 use crate::rollup::{PowerState, RollupTree, ZoneStats};

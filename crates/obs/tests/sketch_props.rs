@@ -2,7 +2,7 @@
 //!
 //! Order independence is asserted on the full state (`PartialEq`) *and*
 //! the FNV-1a fingerprint, because the fingerprint is what the
-//! determinism gate actually pins.
+//! behaviour pin (`tests/fingerprints.rs`) actually compares.
 
 use ppc_obs::QuantileSketch;
 use proptest::prelude::*;

@@ -4,9 +4,9 @@
 //! `std::collections::hash_map::DefaultHasher` it is not randomly keyed
 //! per process, so fingerprints are comparable across runs, platforms and
 //! processes. The journal, the observability span recorder and the
-//! metrics registry all fold their state through this hasher, and CI's
-//! determinism gate compares the resulting values across worker-pool
-//! widths.
+//! metrics registry all fold their state through this hasher, and the
+//! tier-1 behaviour pin (`tests/fingerprints.rs`) compares the resulting
+//! values across runs and with golden values.
 
 /// Minimal FNV-1a (64-bit) streaming hasher.
 #[derive(Debug, Clone)]
@@ -43,7 +43,7 @@ impl Fnv1a {
     }
 
     /// Absorbs an `f64` by bit pattern. Fingerprint equality therefore
-    /// means *bit* equality — exactly the contract the determinism gate
+    /// means *bit* equality — exactly the contract the behaviour pin
     /// checks.
     pub fn write_f64(&mut self, v: f64) {
         self.write_u64(v.to_bits());

@@ -177,8 +177,8 @@ impl Journal {
     /// severity, category, message) plus the drop count.
     ///
     /// Two runs of the same seeded experiment must produce the same
-    /// fingerprint — CI's dynamic determinism gate and the tier-1
-    /// double-run test compare exactly this value, so any nondeterminism
+    /// fingerprint — the tier-1 behaviour pin (`tests/fingerprints.rs`)
+    /// compares exactly this value, so any nondeterminism
     /// that reaches a journaled event (job lifecycle, state flips,
     /// commands, faults) is caught.
     pub fn fingerprint(&self) -> u64 {

@@ -69,8 +69,7 @@ impl TimeSeries {
     }
 
     /// FNV-1a fingerprint over the raw bits of every value (byte
-    /// discipline — the same stream CI's determinism gate has always
-    /// hashed): equal fingerprints mean a bit-identical trace.
+    /// discipline): equal fingerprints mean a bit-identical trace.
     pub fn fingerprint(&self) -> u64 {
         let mut h = crate::Fnv1a::new();
         for v in &self.values {

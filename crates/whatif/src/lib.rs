@@ -13,8 +13,8 @@
 //!   [`ClusterSnapshot::branch`] forks an independent simulation from it;
 //!   a branched run stepped N ticks is **bit-identical** to the original
 //!   stepped N ticks, all four determinism fingerprints (journal, power
-//!   trace, spans, metrics) included. CI gates this
-//!   (`determinism_gate`'s branch-and-replay legs).
+//!   trace, spans, metrics) included. Tier-1 pins this (the branch legs
+//!   of `tests/fingerprints.rs`).
 //! * [`BaseScenario`] is the serializable *recipe* form of a snapshot:
 //!   because the simulation is deterministic, `(config, eval mode,
 //!   warmup ticks)` is a faithful encoding of the full state —

@@ -5,6 +5,9 @@ cd "$(dirname "$0")/.."
 
 cargo fmt --check
 cargo build --release
+# Tier-1. Includes the behaviour pin (`tests/fingerprints.rs`: golden
+# fingerprints plus same-seed, dense, what-if branch and one-rack legs)
+# and the paper's §V claims (`crates/bench/tests/headline_claims.rs`).
 cargo test -q
 # The repository benchmark's own tests: perfbench reads the control plane
 # (`sim.manager()`, `sim.hierarchy()`) and checks its invariants.
@@ -22,18 +25,6 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --document-private-it
 cargo run --release -p ppc-lint -- --workspace --json --deny
 grep -q '"schema": "ppc-lint/v3"' LINT_report.json \
     || { echo "LINT_report.json is not ppc-lint/v3" >&2; exit 1; }
-
-# Dynamic pass: same seed must yield bit-identical journals, power
-# traces, span trees, metrics registries and health fingerprints across
-# same-seed repeats, evaluation modes, a mid-run what-if branch and the
-# flat/one-rack/3-level control planes — the replay-determinism contract.
-# (The tick runs on one thread, so there is no pool width to vary.)
-cargo run --release -p ppc-bench --bin determinism_gate
-
-# The paper's §V in-text claims (learned thresholds, no Red under
-# capping, ~2% performance loss, ~10% lower peak, MPC over HRI): exits
-# non-zero when a claim points the wrong way.
-cargo run --release -p ppc-bench --bin headline_claims
 
 # What-if service smoke: a short query stream against a snapshot of the
 # paper-scale cluster, served one request at a time, must replay

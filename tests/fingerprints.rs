@@ -1,29 +1,42 @@
-//! Golden fingerprints: the seven determinism fingerprints (journal,
-//! power trace, spans, metrics, health rollup, sketches, alerts) of a
-//! small scenario matrix, pinned in `tests/fixtures/FINGERPRINTS.txt`.
+//! The behaviour pin: one scenario table, each row checked two ways.
 //!
-//! The determinism gate compares runs with each other (widths, eval
-//! modes, branch vs fresh), so a change that moves behaviour the same way
-//! everywhere passes it silently. This file compares against values
-//! recorded from an earlier build: a refactor that leaves the fixture
-//! untouched preserved behaviour bit for bit.
+//! * Against a golden line in `tests/fixtures/FINGERPRINTS.txt`: the
+//!   seven determinism fingerprints (journal, power trace, spans,
+//!   metrics, health rollup, sketches, alerts) and the finished-job and
+//!   applied-command counts, recorded from an earlier build. A refactor
+//!   that leaves the fixture untouched preserved behaviour bit for bit.
+//! * Against its own legs: other ways to produce the same run (a
+//!   same-seed repeat, the dense evaluator, a what-if branch, the same
+//!   run built another way). Each leg must match the row's run on every
+//!   fingerprint and on the whole health plane, the full observability
+//!   report (metrics and flight snapshots) and the availability report.
+//!   This catches a change that moves two paths apart even when it
+//!   happens to leave some golden row alone.
+//!
+//! Every row also asserts, on the run that produced its golden line,
+//! that it exercises what it claims (capping, faults, alerts, ...).
 //!
 //! `PPC_REGEN_FIXTURES=1 cargo test --test fingerprints` rewrites the
 //! fixture instead of comparing (then rerun without the variable). A
 //! regeneration is a behaviour change and must be justified.
 
-use ppc::cluster::{ClusterSim, ClusterSpec};
+use ppc::cluster::{ClusterSim, ClusterSpec, EvalMode};
 use ppc::core::{
     HierarchicalManager, ManagerConfig, NodeSets, PolicyKind, PowerManager,
     ProportionalBudgetController, Thresholds, Topology,
 };
 use ppc::faults::{FaultInjection, FaultRates, FaultSchedule};
+use ppc::obs::{health_jsonl, prometheus_health, validate_health, SpanRecorder};
 use ppc::simkit::{RngFactory, SimDuration, SimTime};
+use ppc::whatif::ClusterSnapshot;
 use ppc::workload::{JobGenerator, JobPriority, TraceEntry};
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
 const RUN_SECS: u64 = 600;
+/// Nodes and run length of the 8-node faulted `gate8*` rows.
+const GATE_NODES: u32 = 8;
+const GATE_SECS: u64 = 400;
 
 fn config(spec: &ClusterSpec) -> ManagerConfig {
     ManagerConfig {
@@ -64,13 +77,16 @@ fn poisson_trace(spec: &ClusterSpec, rate_per_s: f64, horizon_secs: f64) -> Vec<
     entries
 }
 
-/// The busy trace-fed fleet: 4 racks of 32 nodes in 2 rows.
-fn busy_spec() -> ClusterSpec {
-    let mut spec = ClusterSpec::mini(128);
+/// A busy trace-fed fleet of `racks` racks in 2 rows, under Poisson
+/// arrivals at `rate_per_s`.
+fn busy_tree(nodes: u32, racks: u32, rate_per_s: f64) -> ClusterSim {
+    let mut spec = ClusterSpec::mini(nodes);
     spec.provision_fraction = 0.65;
     spec.critical_job_fraction = 0.1;
-    spec.job_trace = Some(poisson_trace(&spec, 1.5, RUN_SECS as f64));
-    spec
+    spec.job_trace = Some(poisson_trace(&spec, rate_per_s, RUN_SECS as f64));
+    let topology = Topology::new(nodes, nodes / racks, racks / 2).expect("valid topology");
+    let h = hierarchy(&spec, topology);
+    ClusterSim::new(spec).with_hierarchy(h)
 }
 
 fn hierarchy(spec: &ClusterSpec, topology: Topology) -> HierarchicalManager {
@@ -99,6 +115,13 @@ fn fault_schedule(nodes: u32, seed: u64) -> FaultSchedule {
         SimDuration::from_secs(RUN_SECS),
         &RngFactory::new(seed),
     )
+}
+
+/// `sim` under [`fault_schedule`] for its own size and seed.
+fn faulted(sim: ClusterSim) -> ClusterSim {
+    let spec = sim.spec();
+    let schedule = fault_schedule(spec.total_nodes(), spec.seed);
+    sim.with_faults(FaultInjection::new(schedule))
 }
 
 /// A flat MPC manager over every node of `spec`.
@@ -133,19 +156,21 @@ fn hier_1rack() -> ClusterSim {
     ClusterSim::new(spec).with_hierarchy(h)
 }
 
+/// 4 racks of 32 nodes.
 fn hier4_busy() -> ClusterSim {
-    let spec = busy_spec();
-    let h = hierarchy(&spec, Topology::new(128, 32, 2).expect("valid topology"));
-    ClusterSim::new(spec).with_hierarchy(h)
+    busy_tree(128, 4, 1.5)
 }
 
 fn hier4_faulted() -> ClusterSim {
-    let spec = busy_spec();
-    let schedule = fault_schedule(128, spec.seed);
-    let h = hierarchy(&spec, Topology::new(128, 32, 2).expect("valid topology"));
-    ClusterSim::new(spec)
-        .with_hierarchy(h)
-        .with_faults(FaultInjection::new(schedule))
+    faulted(hier4_busy())
+}
+
+/// 1 024 nodes in 8 racks of 128, about 12 arrivals a second, faulted:
+/// the size at which the lazy regime, the rack observation store and
+/// fault handling all do work in one run. (A job trace bypasses the
+/// think-time gate, so only `think128` and `gate8_think` close it.)
+fn hier8_1024() -> ClusterSim {
+    faulted(busy_tree(1024, 8, 12.0))
 }
 
 /// The related-work proportional-budget baseline on 128 nodes, at the
@@ -173,12 +198,82 @@ fn health_alerts() -> ClusterSim {
     sim
 }
 
-fn line(name: &str, mut sim: ClusterSim) -> String {
-    sim.run_for(SimDuration::from_secs(RUN_SECS));
+/// The 8-node faulted scenario of the `gate8*` rows: provision 0.60,
+/// aggressive faults over [`GATE_SECS`], a mean think time of
+/// `think_secs`, under a flat manager or a tree over `topology`.
+fn gate(think_secs: u64, topology: Option<Topology>) -> ClusterSim {
+    let mut spec = ClusterSpec::mini(GATE_NODES);
+    spec.provision_fraction = 0.60;
+    spec.think_time_mean = SimDuration::from_secs(think_secs);
+    let rates = FaultRates {
+        crash_per_node_hour: 6.0,
+        reboot_mean_secs: 45.0,
+        hang_per_node_hour: 6.0,
+        silence_per_node_hour: 8.0,
+        partition_per_hour: 10.0,
+        partition_width: 4,
+        ..FaultRates::default()
+    };
+    let schedule = FaultSchedule::generate(
+        &rates,
+        GATE_NODES,
+        SimDuration::from_secs(GATE_SECS),
+        &RngFactory::new(spec.seed),
+    );
+    let sim = match topology {
+        None => flat_mpc(spec),
+        Some(topology) => {
+            let h = hierarchy(&spec, topology);
+            ClusterSim::new(spec).with_hierarchy(h)
+        }
+    };
+    sim.with_faults(FaultInjection::new(schedule))
+}
+
+fn gate8() -> ClusterSim {
+    gate(0, None)
+}
+
+/// `gate8` through a one-rack `HierarchicalManager::new`; the flat row
+/// attaches its manager through the adopting constructor.
+fn gate8_1rack() -> ClusterSim {
+    gate(
+        0,
+        Some(Topology::single_rack(GATE_NODES).expect("valid topology")),
+    )
+}
+
+/// 2 rows × 2 racks of 2 nodes: real delegation, real rollup tree.
+fn gate8_3lvl() -> ClusterSim {
+    gate(
+        0,
+        Some(Topology::new(GATE_NODES, 2, 2).expect("valid topology")),
+    )
+}
+
+/// `gate8` with the paper protocol's 15 s think time, so the arrival
+/// gate closes after every refill.
+fn gate8_think() -> ClusterSim {
+    gate(15, None)
+}
+
+/// Runs `sim` for `secs` one-second ticks; returns it with the most jobs
+/// it ran at once.
+fn run(mut sim: ClusterSim, secs: u64) -> (ClusterSim, usize) {
+    assert_eq!(sim.spec().tick, SimDuration::from_secs(1));
+    let mut peak_running = 0;
+    for _ in 0..secs {
+        sim.step();
+        peak_running = peak_running.max(sim.running_jobs());
+    }
+    (sim, peak_running)
+}
+
+fn digests(sim: &ClusterSim) -> String {
     let health = sim.health_fingerprints();
     format!(
-        "{name:14} journal={:016x} trace={:016x} spans={:016x} metrics={:016x} \
-         rollup={:016x} sketch={:016x} alerts={:016x} finished={} commands={}\n",
+        "journal={:016x} trace={:016x} spans={:016x} metrics={:016x} \
+         rollup={:016x} sketch={:016x} alerts={:016x} finished={} commands={}",
         sim.journal().fingerprint(),
         sim.true_power().fingerprint(),
         sim.span_fingerprint(),
@@ -191,24 +286,220 @@ fn line(name: &str, mut sim: ClusterSim) -> String {
     )
 }
 
-/// A scenario's fixture name and builder.
-type Scenario = (&'static str, fn() -> ClusterSim);
+/// Another way to produce a scenario's run.
+#[derive(Clone, Copy)]
+enum Leg {
+    /// A same-seed repeat.
+    Repeat,
+    /// The dense evaluator, [`EvalMode::Full`].
+    Dense,
+    /// Capture at half time, step the original 30 s on (a branch that
+    /// shares state with it would diverge), then run the branch to the
+    /// end.
+    Branch,
+    /// The same run built another way.
+    Rebuilt(fn() -> ClusterSim),
+}
+
+/// One row of the pin: its fixture name and builder, how long it runs,
+/// its legs, and the vacuity check on its run and peak running-job count.
+struct Scenario {
+    name: &'static str,
+    build: fn() -> ClusterSim,
+    secs: u64,
+    legs: &'static [Leg],
+    check: fn(&ClusterSim, usize),
+}
+
+impl Leg {
+    fn run(self, s: &Scenario) -> (&'static str, ClusterSim) {
+        match self {
+            Leg::Repeat => ("repeat", run((s.build)(), s.secs).0),
+            Leg::Dense => (
+                "dense",
+                run((s.build)().with_eval_mode(EvalMode::Full), s.secs).0,
+            ),
+            Leg::Branch => {
+                let half = s.secs / 2;
+                let (mut original, _) = run((s.build)(), half);
+                let snapshot = ClusterSnapshot::capture(&original);
+                original.run_for(SimDuration::from_secs(30));
+                ("branch", run(snapshot.branch(), s.secs - half).0)
+            }
+            Leg::Rebuilt(build) => ("rebuilt", run(build(), s.secs).0),
+        }
+    }
+}
+
+/// A leg must match the row's run on every fingerprint and on the whole
+/// health plane, observability report and availability report.
+fn assert_same_run(what: &str, reference: &ClusterSim, leg: &ClusterSim) {
+    assert_eq!(digests(leg), digests(reference), "{what}: fingerprints");
+    assert!(leg.health() == reference.health(), "{what}: health plane");
+    assert!(
+        leg.obs().report() == reference.obs().report(),
+        "{what}: metrics or flight snapshots"
+    );
+    assert_eq!(
+        leg.availability_report(),
+        reference.availability_report(),
+        "{what}: availability"
+    );
+}
+
+/// Jobs the run has submitted so far: finished, running or queued.
+fn submitted(sim: &ClusterSim) -> usize {
+    sim.finished().len() + sim.running_jobs() + sim.queued_jobs()
+}
+
+fn requeues_and_failed_commands(sim: &ClusterSim) {
+    assert!(sim.jobs_requeued() > 0);
+    assert!(sim.commands_failed() > 0);
+}
 
 #[test]
 fn fingerprints_match_golden_fixture() {
-    let mut rendered = String::new();
-    let scenarios: [Scenario; 7] = [
-        ("flat128", flat128),
-        ("hier_1rack", hier_1rack),
-        ("hier4_busy", hier4_busy),
-        ("hier4_faulted", hier4_faulted),
-        ("health_alerts", health_alerts),
-        ("budget128", budget128),
-        ("think128", think128),
+    use Leg::{Branch, Dense, Rebuilt, Repeat};
+    let scenarios = [
+        Scenario {
+            name: "flat128",
+            build: flat128,
+            secs: RUN_SECS,
+            legs: &[],
+            check: |_, _| {},
+        },
+        Scenario {
+            name: "hier_1rack",
+            build: hier_1rack,
+            secs: RUN_SECS,
+            legs: &[],
+            check: |_, _| {},
+        },
+        Scenario {
+            name: "hier4_busy",
+            build: hier4_busy,
+            secs: RUN_SECS,
+            legs: &[],
+            check: |sim, peak_running| {
+                assert!(sim.finished().len() > 100, "{}", sim.finished().len());
+                assert!(peak_running >= 8, "{peak_running}");
+                assert!(
+                    sim.finished()
+                        .iter()
+                        .any(|r| r.priority == JobPriority::Critical),
+                    "the busy trace must run critical jobs"
+                );
+            },
+        },
+        Scenario {
+            name: "hier4_faulted",
+            build: hier4_faulted,
+            secs: RUN_SECS,
+            legs: &[],
+            check: |sim, _| requeues_and_failed_commands(sim),
+        },
+        Scenario {
+            name: "health_alerts",
+            build: health_alerts,
+            secs: RUN_SECS,
+            legs: &[],
+            check: |sim, _| assert!(!sim.health().alerts().is_empty()),
+        },
+        Scenario {
+            name: "budget128",
+            build: budget128,
+            secs: RUN_SECS,
+            legs: &[],
+            check: |sim, _| {
+                let stats = sim.budget_controller().expect("attached").stats();
+                assert!(stats.active_cycles > 0, "the budget must bind");
+            },
+        },
+        Scenario {
+            name: "think128",
+            build: think128,
+            secs: RUN_SECS,
+            legs: &[],
+            check: |gated, _| {
+                // The same spec with zero think time never closes the gate.
+                let mut open_spec = think_spec();
+                open_spec.think_time_mean = SimDuration::ZERO;
+                let (open, _) = run(flat_mpc(open_spec), RUN_SECS);
+                assert!(
+                    submitted(gated) < submitted(&open),
+                    "the think-time gate must hold submissions back: {} vs {}",
+                    submitted(gated),
+                    submitted(&open)
+                );
+            },
+        },
+        Scenario {
+            name: "gate8",
+            build: gate8,
+            secs: GATE_SECS,
+            legs: &[Repeat, Dense, Branch, Rebuilt(gate8_1rack)],
+            check: |sim, _| {
+                let crashes = sim.availability_report().expect("faults attached").crashes;
+                assert!(crashes > 0, "the schedule must strike");
+                assert!(!sim.obs().report().metrics.is_empty());
+            },
+        },
+        Scenario {
+            name: "gate8_3lvl",
+            build: gate8_3lvl,
+            secs: GATE_SECS,
+            legs: &[Repeat, Branch],
+            check: |sim, _| {
+                // Real cycles, per-rack and per-row zones, and fleet
+                // node-power samples.
+                let hp = sim.health();
+                assert!(hp.rollup().facility().cycles > 100);
+                assert_eq!(hp.rollup().racks().len(), 4);
+                assert_eq!(hp.rollup().rows().len(), 2);
+                assert!(hp.node_power().count() > 0);
+            },
+        },
+        Scenario {
+            name: "gate8_think",
+            build: gate8_think,
+            secs: GATE_SECS,
+            legs: &[Dense, Branch],
+            check: |_, _| {},
+        },
+        Scenario {
+            name: "hier8_1024",
+            build: hier8_1024,
+            secs: RUN_SECS,
+            legs: &[Dense, Branch],
+            check: |sim, _| {
+                requeues_and_failed_commands(sim);
+                assert_eq!(sim.eval_mode(), EvalMode::Incremental);
+            },
+        },
     ];
-    for (name, build) in scenarios {
-        write!(rendered, "{}", line(name, build())).expect("write to string");
+    let empty_spans = SpanRecorder::new(1).fingerprint();
+    let mut rendered = String::new();
+    let mut journals = BTreeMap::new();
+    for s in &scenarios {
+        let (sim, peak_running) = run((s.build)(), s.secs);
+        writeln!(rendered, "{:14} {}", s.name, digests(&sim)).expect("write to string");
+        // Every row records spans, applies commands and folds health
+        // cycles; then its own claims.
+        assert_ne!(sim.span_fingerprint(), empty_spans, "{}: no spans", s.name);
+        assert!(sim.commands_applied() > 0, "{}: no commands", s.name);
+        let cycles = sim.health().rollup().facility().cycles;
+        assert!(cycles > 0, "{}: no health cycles", s.name);
+        (s.check)(&sim, peak_running);
+        for &leg in s.legs {
+            let (label, other) = leg.run(s);
+            assert_same_run(&format!("{} {label}", s.name), &sim, &other);
+        }
+        journals.insert(s.name, sim.journal().fingerprint());
     }
+    assert_ne!(
+        journals["gate8_think"], journals["gate8"],
+        "gate8_think replays gate8's journal: the arrival gate never closed"
+    );
     if std::env::var_os("PPC_REGEN_FIXTURES").is_some() {
         std::fs::write(
             concat!(
@@ -228,59 +519,74 @@ fn fingerprints_match_golden_fixture() {
     );
 }
 
-/// Jobs the run has submitted so far: finished, running or queued.
-fn submitted(sim: &ClusterSim) -> usize {
-    sim.finished().len() + sim.running_jobs() + sim.queued_jobs()
+#[test]
+fn multi_rack_exports_carry_every_zone() {
+    let (sim, _) = run(gate8_3lvl(), GATE_SECS);
+    let hp = sim.health();
+    let (racks, rows) = (hp.rollup().racks().len(), hp.rollup().rows().len());
+    assert_eq!((racks, rows), (4, 2));
+    let summary = validate_health(&health_jsonl(hp)).expect("valid health JSONL");
+    assert_eq!(summary.zone_lines, racks + rows + 1);
+    let text = prometheus_health(hp);
+    for metric in ["ppc_rack_power_watts{", "ppc_rack_power_dist_watts_count{"] {
+        let lines: Vec<&str> = text.lines().filter(|l| l.starts_with(metric)).collect();
+        assert_eq!(lines.len(), racks, "{metric}: {lines:?}");
+        for (r, line) in lines.iter().enumerate() {
+            let row = hp.rollup().map().row_of(r);
+            assert!(
+                line.contains(&format!("{{rack=\"{r}\",row=\"{row}\"}}")),
+                "{line}"
+            );
+        }
+    }
 }
 
-/// The scenarios exercise what they claim: capping, a busy fleet with
-/// critical jobs, faults, alert edges, an active budget baseline, and a
-/// think-time gate that closes.
 #[test]
-fn fingerprint_scenarios_are_not_vacuous() {
-    let mut busy = hier4_busy();
-    let mut peak_running = 0;
-    for _ in 0..RUN_SECS {
-        busy.step();
-        peak_running = peak_running.max(busy.running_jobs());
+fn exports_validate_and_cover_every_cycle_stage() {
+    let (sim, _) = run(gate8(), GATE_SECS);
+    let obs = sim.obs();
+
+    // Every control cycle produced one root span and one span per stage.
+    let mut by_name: BTreeMap<&str, usize> = BTreeMap::new();
+    for s in obs.spans.iter() {
+        *by_name.entry(s.name).or_insert(0) += 1;
     }
-    assert!(busy.finished().len() > 100, "{}", busy.finished().len());
-    assert!(peak_running >= 8, "{peak_running}");
-    assert!(
-        busy.finished()
-            .iter()
-            .any(|r| r.priority == JobPriority::Critical),
-        "the busy trace must run critical jobs"
+    let cycles = by_name.get("cycle").copied().unwrap_or(0);
+    assert!(cycles > 100, "expected hundreds of control cycles");
+    for stage in [
+        "sample", "ingest", "observe", "classify", "capping", "actuate",
+    ] {
+        let n = by_name.get(stage).copied().unwrap_or(0);
+        assert_eq!(n, cycles, "stage `{stage}`: {n} spans for {cycles} cycles");
+    }
+
+    // JSONL round-trips through the CI schema validator.
+    let stream = ppc::obs::jsonl(&obs.spans, &obs.metrics);
+    let summary = ppc::obs::validate_jsonl(&stream).expect("generated JSONL must validate");
+    assert_eq!(summary.meta_lines, 1);
+    assert_eq!(summary.span_lines, obs.spans.len());
+    assert_eq!(summary.metric_lines, obs.metrics.len());
+
+    // The Chrome trace is one JSON document with a complete ("ph":"X")
+    // event per closed span, microsecond-ordered for Perfetto.
+    let chrome = ppc::obs::chrome_trace(&obs.spans);
+    let parsed: serde_json::Value =
+        serde_json::from_str(&chrome).expect("chrome trace must be valid JSON");
+    let events = parsed
+        .get("traceEvents")
+        .and_then(|v| v.as_array())
+        .expect("traceEvents array");
+    // One process_name metadata event plus one complete event per span.
+    assert_eq!(events.len(), obs.spans.len() + 1);
+
+    // Prometheus text: every instrument surfaced with HELP/TYPE headers.
+    let prom = ppc::obs::prometheus(&obs.metrics);
+    for m in &obs.metrics.dump() {
+        assert!(prom.contains(m.name.as_str()), "missing {}", m.name);
+    }
+    assert_eq!(
+        prom.matches("# TYPE").count(),
+        obs.metrics.len(),
+        "one TYPE header per instrument"
     );
-    assert!(busy.commands_applied() > 0);
-
-    let mut faulted = hier4_faulted();
-    faulted.run_for(SimDuration::from_secs(RUN_SECS));
-    assert!(faulted.jobs_requeued() > 0);
-    assert!(faulted.commands_failed() > 0);
-
-    let mut health = health_alerts();
-    health.run_for(SimDuration::from_secs(RUN_SECS));
-    assert!(!health.health().alerts().is_empty());
-
-    let mut budget = budget128();
-    budget.run_for(SimDuration::from_secs(RUN_SECS));
-    let stats = budget.budget_controller().expect("attached").stats();
-    assert!(stats.active_cycles > 0, "the budget must bind");
-    assert!(budget.commands_applied() > 0);
-
-    // The same spec with zero think time never closes the gate.
-    let mut open_spec = think_spec();
-    open_spec.think_time_mean = SimDuration::ZERO;
-    let mut open = flat_mpc(open_spec);
-    open.run_for(SimDuration::from_secs(RUN_SECS));
-    let mut gated = think128();
-    gated.run_for(SimDuration::from_secs(RUN_SECS));
-    assert!(
-        submitted(&gated) < submitted(&open),
-        "the think-time gate must hold submissions back: {} vs {}",
-        submitted(&gated),
-        submitted(&open)
-    );
-    assert!(gated.commands_applied() > 0);
 }
