@@ -576,12 +576,9 @@ impl ClusterSim {
         &self.true_power
     }
 
-    /// The facility meter (noisy readings, history).
-    pub fn meter(&self) -> &SystemPowerMeter {
-        &self.meter
-    }
-
-    /// Finished-job records, in completion order.
+    /// Finished-job records, in completion order. Each is plain `Copy`
+    /// data (no member list: a job's members are released in its finish
+    /// tick), so a what-if branch copies the history as one flat buffer.
     pub fn finished(&self) -> &[JobRecord] {
         &self.finished
     }

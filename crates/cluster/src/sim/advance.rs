@@ -130,7 +130,7 @@ impl ClusterSim {
         // dirty. (Phase boundaries are not predicted — their timing
         // depends on member speeds, which throttling changes mid-flight.)
         let now = SimTime::ZERO + self.spec.tick * t.tick;
-        let mut records = self.scheduler.advance(
+        let finished = self.scheduler.advance(
             dt,
             now,
             self.columns.speed(),
@@ -141,29 +141,22 @@ impl ClusterSim {
         for n in self.scratch_edges.drain(..) {
             self.columns.dirty.mark_next(n);
         }
-        for r in &records {
-            // Release SLA protection when a critical job completes. A
-            // released node rejoins the candidate set mid-tick: the dense
+        for job in finished {
+            // Finished jobs free their members starting next tick (this
+            // tick's load was computed before the advance). A released
+            // critical member rejoins the candidate set mid-tick: the dense
             // path samples it this very cycle, so the lazy path must take a
             // real sample too (its delta spans the whole protection window).
-            if r.priority == JobPriority::Critical {
-                self.release_sla(&r.nodes, |_| t.lazy);
-            }
-            // Finished jobs free their members starting next tick (this
-            // tick's load was computed before the advance), and the
-            // observation store must drop the job now.
-            for &n in &r.nodes {
-                self.columns.dirty.mark_next(n);
-            }
-            self.rack_obs.note_departure(&r.nodes);
+            self.depart(&job, true, t.lazy);
+            let r = JobRecord::from_job(&job);
             self.journal.record_with(now, Severity::Info, "job", || {
                 format!(
                     "{} finished: T={:.1}s (baseline {:.1}s, throttled {:.0}s)",
                     r.id, r.actual_secs, r.baseline_secs, r.throttled_secs
                 )
             });
+            self.finished.push(r);
         }
-        self.finished.append(&mut records);
 
         if !t.incremental {
             // Thermal accounting (extension; the incremental path is only
@@ -204,7 +197,7 @@ impl ClusterSim {
         // column (downed nodes hold 0.0 — no per-node branch).
         let true_power_w = self.columns.fleet_power_w();
         self.true_power.push(now, true_power_w);
-        let reading = self.meter.read(true_power_w, now);
+        let reading = self.meter.read(true_power_w);
         match reading {
             MeterReading::Held(w) => {
                 self.journal.record_with(now, Severity::Info, "meter", || {

@@ -261,18 +261,12 @@ impl ClusterSim {
     }
 
     /// Evicts the job hosted on `n`, which is leaving service, and hands
-    /// it back for the caller to requeue or fail. Dynamic SLA protection is
-    /// released as on completion (the job is no longer running), and the
-    /// co-members lose their load this tick, or next tick when `staged`.
+    /// it back for the caller to requeue or fail. It departs as on
+    /// completion, its co-members losing their load this tick, or next
+    /// tick when `staged`.
     pub(super) fn evict_from(&mut self, n: NodeId, staged: bool, lazy: bool) -> Option<Job> {
         let job = self.scheduler.evict_job_on(n)?;
-        if job.priority() == JobPriority::Critical {
-            self.release_sla(job.nodes(), |m| lazy && m != n);
-        }
-        for &m in job.nodes() {
-            self.mark_dirty(m, staged);
-        }
-        self.rack_obs.note_departure(job.nodes());
+        self.depart(&job, staged, lazy);
         Some(job)
     }
 
@@ -294,7 +288,7 @@ impl ClusterSim {
     }
 
     /// Marks `n` dirty this tick, or next tick when `staged`.
-    fn mark_dirty(&mut self, n: NodeId, staged: bool) {
+    pub(super) fn mark_dirty(&mut self, n: NodeId, staged: bool) {
         if staged {
             self.columns.dirty.mark_next(n);
         } else {

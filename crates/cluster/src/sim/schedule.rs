@@ -105,24 +105,35 @@ impl ClusterSim {
         self.obs.profile.lap("schedule", stage)
     }
 
-    /// Ends a critical job's dynamic SLA protection: every member that is
-    /// not statically privileged in the cluster spec is un-privileged and
-    /// handed back to the control plane; `resample(m)` says whether the
-    /// lazy regime must take a real sample of released node `m`.
-    pub(super) fn release_sla(&mut self, members: &[NodeId], resample: impl Fn(NodeId) -> bool) {
-        for &m in members {
-            if self.spec.privileged.contains(&m) {
-                continue;
-            }
-            self.nodes[m.0 as usize].set_privileged(false);
-            if let Some(h) = self.hierarchy.as_mut() {
-                h.set_privileged(m, false);
-            }
-            self.fresh_suspects.push(m);
-            if resample(m) {
-                self.resample_now.push(m.0);
+    /// A job leaves the run queue, finished or evicted. A critical job's
+    /// dynamic SLA protection ends: every member that is not statically
+    /// privileged in the cluster spec is un-privileged and handed back to
+    /// the control plane, and under the `lazy` regime it takes a real
+    /// sample at the next control cycle (the dense path samples every
+    /// candidate then; a member that is down by then is no candidate and
+    /// is skipped). The members lose their load this tick, or next tick
+    /// when `staged`, and the observation store drops the job.
+    pub(super) fn depart(&mut self, job: &Job, staged: bool, lazy: bool) {
+        let members = job.nodes();
+        if job.priority() == JobPriority::Critical {
+            for &m in members {
+                if self.spec.privileged.contains(&m) {
+                    continue;
+                }
+                self.nodes[m.0 as usize].set_privileged(false);
+                if let Some(h) = self.hierarchy.as_mut() {
+                    h.set_privileged(m, false);
+                }
+                self.fresh_suspects.push(m);
+                if lazy {
+                    self.resample_now.push(m.0);
+                }
             }
         }
+        for &m in members {
+            self.mark_dirty(m, staged);
+        }
+        self.rack_obs.note_departure(members);
     }
 }
 

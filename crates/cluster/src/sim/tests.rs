@@ -369,6 +369,15 @@ fn released_dirty_nodes_are_sampled_at_control_time() {
     let mut released_dirty = 0;
     for tick in 1..=600 {
         let done = inc.finished().len();
+        // Records keep no members: note every critical job's before the
+        // step (no job starts and finishes in one tick).
+        let critical: Vec<(JobId, Vec<NodeId>)> = inc
+            .scheduler
+            .running_jobs()
+            .iter()
+            .filter(|j| j.priority() == JobPriority::Critical)
+            .map(|j| (j.id(), j.nodes().to_vec()))
+            .collect();
         full.step();
         inc.step();
         assert_eq!(digest(&full), digest(&inc), "diverged at tick {tick}");
@@ -377,7 +386,8 @@ fn released_dirty_nodes_are_sampled_at_control_time() {
             if r.priority != JobPriority::Critical {
                 continue;
             }
-            for &n in &r.nodes {
+            let (_, members) = critical.iter().find(|(id, _)| *id == r.id).unwrap();
+            for &n in members {
                 if inc.columns.dirty.contains(n) && sets.is_candidate(n) {
                     released_dirty += 1;
                     assert_eq!(

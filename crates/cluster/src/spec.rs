@@ -49,14 +49,17 @@ pub struct ClusterSpec {
     /// literal "append whenever the queue is empty"; a positive value
     /// models the submission gaps behind the paper's low-average-
     /// utilization premise ("the probability of synchronized power spikes
-    /// … is zero because of its low resource utilization").
+    /// … is zero because of its low resource utilization"). Gates only
+    /// the generator: a [`job_trace`](Self::job_trace) ignores it.
     pub think_time_mean: SimDuration,
     /// Fraction of generated jobs that are SLA-critical: their nodes are
     /// privileged (uncontrollable) for the job's lifetime, shrinking the
     /// candidate set dynamically (paper §II.A).
     pub critical_job_fraction: f64,
     /// Replay this fixed submission trace instead of the random generator
-    /// (`None` = the paper's random workload).
+    /// (`None` = the paper's random workload). The trace's own submission
+    /// times replace the generator together with its think-time gate, so
+    /// [`think_time_mean`](Self::think_time_mean) has no effect beside it.
     pub job_trace: Option<Vec<TraceEntry>>,
     /// Admit queued jobs by aggressive backfill instead of the paper's
     /// strict FIFO (scheduling-substrate ablation).

@@ -106,8 +106,6 @@ pub mod testutil {
             app: NpbApp::Ep,
             class: Class::D,
             nprocs: 8,
-            node_count: 1,
-            nodes: Vec::new(),
             priority: JobPriority::Normal,
             submitted_at: SimTime::ZERO,
             started_at: SimTime::ZERO,

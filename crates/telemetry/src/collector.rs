@@ -175,26 +175,6 @@ impl Collector {
     pub fn is_fresh(&self, node: NodeId, now: SimTime, max_age: SimDuration) -> bool {
         self.sample_age(node, now).is_some_and(|age| age <= max_age)
     }
-
-    /// Fraction of `nodes` with a fresh sample (age ≤ `max_age` at `now`).
-    /// An empty node set has full coverage by convention.
-    pub fn coverage<'a>(
-        &self,
-        nodes: impl IntoIterator<Item = &'a NodeId>,
-        now: SimTime,
-        max_age: SimDuration,
-    ) -> f64 {
-        let (mut fresh, mut total) = (0usize, 0usize);
-        for &n in nodes {
-            total += 1;
-            fresh += usize::from(self.is_fresh(n, now, max_age));
-        }
-        if total == 0 {
-            1.0
-        } else {
-            fresh as f64 / total as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -354,7 +334,7 @@ mod tests {
     }
 
     #[test]
-    fn staleness_and_coverage_track_sample_age() {
+    fn staleness_tracks_sample_age() {
         let mut c = Collector::new();
         c.ingest(sample(0, 10, 100.0));
         c.ingest(sample(1, 14, 100.0));
@@ -375,14 +355,6 @@ mod tests {
         );
         assert!(!c.is_fresh(NodeId(0), SimTime::from_secs(16), max_age));
         assert!(!c.is_fresh(NodeId(9), now, max_age));
-        // Coverage over {0, 1, 9}: node 9 never reported.
-        let nodes = [NodeId(0), NodeId(1), NodeId(9)];
-        assert!((c.coverage(&nodes, now, max_age) - 2.0 / 3.0).abs() < 1e-12);
-        // Later, node 0 goes stale too.
-        let later = SimTime::from_secs(18);
-        assert!((c.coverage(&nodes, later, max_age) - 1.0 / 3.0).abs() < 1e-12);
-        // Empty set: full coverage by convention.
-        assert_eq!(c.coverage(&[], now, max_age), 1.0);
     }
 
     #[test]

@@ -4,10 +4,13 @@
 //! consumption can be measured directly" — a single meter on the machine's
 //! feed. The meter reads the *true* aggregate node power (computed by the
 //! simulation) through an error model; the capping algorithm only ever
-//! sees the metered value.
+//! sees the metered value. A read returns its value and keeps none: the
+//! meter's only state is its noise stream and the last good value a
+//! dropout holds. The simulator journals every held reading and every
+//! gap, and the metrics integrate its true-power trace.
 
 use crate::noise::NoiseModel;
-use ppc_simkit::{DetRng, SimTime, TimeSeries};
+use ppc_simkit::DetRng;
 
 /// Outcome of one meter read.
 ///
@@ -37,16 +40,13 @@ impl MeterReading {
     }
 }
 
-/// Whole-system power meter with reading history.
+/// Whole-system power meter.
 #[derive(Debug, Clone)]
 pub struct SystemPowerMeter {
     noise: NoiseModel,
     rng: DetRng,
-    readings: TimeSeries,
     /// Last good (non-dropout) value; `None` until the first one.
     last_good_w: Option<f64>,
-    /// Dropouts seen (held + gap).
-    dropouts: u64,
 }
 
 impl SystemPowerMeter {
@@ -56,48 +56,29 @@ impl SystemPowerMeter {
         SystemPowerMeter {
             noise,
             rng,
-            readings: TimeSeries::new(),
             last_good_w: None,
-            dropouts: 0,
         }
     }
 
-    /// Takes a reading of `true_power_w` at time `now` and records it.
+    /// Takes a reading of `true_power_w`.
     ///
     /// On a dropout the meter holds its last good value (a real meter's
     /// display does not blank; the manager keeps acting on the stale
     /// reading) and says so via [`MeterReading::Held`]. A dropout before
-    /// any good value yields [`MeterReading::Gap`]: nothing is recorded
-    /// and the caller must not treat it as a measurement.
-    pub fn read(&mut self, true_power_w: f64, now: SimTime) -> MeterReading {
+    /// any good value yields [`MeterReading::Gap`], which the caller must
+    /// not treat as a measurement.
+    pub fn read(&mut self, true_power_w: f64) -> MeterReading {
         assert!(true_power_w >= 0.0, "power cannot be negative");
         match self.noise.apply(true_power_w, &mut self.rng) {
             Some(value) => {
                 self.last_good_w = Some(value);
-                self.readings.push(now, value);
                 MeterReading::Fresh(value)
             }
-            None => {
-                self.dropouts += 1;
-                match self.last_good_w {
-                    Some(held) => {
-                        self.readings.push(now, held);
-                        MeterReading::Held(held)
-                    }
-                    None => MeterReading::Gap,
-                }
-            }
+            None => match self.last_good_w {
+                Some(held) => MeterReading::Held(held),
+                None => MeterReading::Gap,
+            },
         }
-    }
-
-    /// Dropouts seen so far (held readings and gaps).
-    pub fn dropouts(&self) -> u64 {
-        self.dropouts
-    }
-
-    /// Full reading history (the `P(t)` trace metrics integrate).
-    pub fn history(&self) -> &TimeSeries {
-        &self.readings
     }
 }
 
@@ -113,14 +94,9 @@ mod tests {
     #[test]
     fn noiseless_meter_reads_truth() {
         let mut m = meter(NoiseModel::NONE);
-        assert_eq!(m.read(1000.0, SimTime::ZERO), MeterReading::Fresh(1000.0));
-        assert_eq!(
-            m.read(1500.0, SimTime::from_secs(1)),
-            MeterReading::Fresh(1500.0)
-        );
-        assert_eq!(m.history().max(), Some(1500.0));
-        assert_eq!(m.history().len(), 2);
-        assert_eq!(m.dropouts(), 0);
+        assert_eq!(m.read(1000.0), MeterReading::Fresh(1000.0));
+        assert_eq!(m.read(1500.0), MeterReading::Fresh(1500.0));
+        assert_eq!(m.last_good_w, Some(1500.0));
     }
 
     #[test]
@@ -131,11 +107,13 @@ mod tests {
         });
         // The old degenerate path reported the initial 0.0 here, telling
         // the manager the machine drew no power. Now it is an explicit gap
-        // with no recorded value.
-        assert_eq!(m.read(500.0, SimTime::ZERO), MeterReading::Gap);
-        assert_eq!(m.read(500.0, SimTime::from_secs(1)), MeterReading::Gap);
-        assert_eq!(m.history().len(), 0, "gaps record nothing");
-        assert_eq!(m.dropouts(), 2);
+        // that carries no value.
+        for _ in 0..2 {
+            let r = m.read(500.0);
+            assert_eq!(r, MeterReading::Gap);
+            assert_eq!(r.value(), None, "a gap carries no value");
+        }
+        assert_eq!(m.last_good_w, None);
     }
 
     #[test]
@@ -143,36 +121,37 @@ mod tests {
         // Alternate good reads and dropouts deterministically by toggling
         // the dropout probability.
         let mut m = meter(NoiseModel::NONE);
-        assert_eq!(m.read(800.0, SimTime::ZERO), MeterReading::Fresh(800.0));
+        assert_eq!(m.read(800.0), MeterReading::Fresh(800.0));
         m.noise.dropout_prob = 1.0;
-        let r = m.read(900.0, SimTime::from_secs(1));
-        assert_eq!(r, MeterReading::Held(800.0));
-        assert_eq!(r.value(), Some(800.0));
-        assert_eq!(m.history().len(), 2, "held values are recorded");
+        for _ in 0..2 {
+            let r = m.read(900.0);
+            assert_eq!(r, MeterReading::Held(800.0), "held, not the new truth");
+            assert_eq!(r.value(), Some(800.0));
+        }
         m.noise.dropout_prob = 0.0;
-        assert_eq!(
-            m.read(900.0, SimTime::from_secs(2)),
-            MeterReading::Fresh(900.0)
-        );
-        assert_eq!(m.dropouts(), 1);
+        assert_eq!(m.read(900.0), MeterReading::Fresh(900.0));
     }
 
     #[test]
     fn noisy_meter_tracks_truth_on_average() {
         let mut m = meter(NoiseModel::METER_1PCT);
-        let mut sum = 0.0;
-        for i in 0..1000u64 {
-            sum += m.read(2000.0, SimTime::from_secs(i)).value().unwrap_or(0.0);
+        let (mut sum, mut max) = (0.0, 0.0_f64);
+        for _ in 0..1000 {
+            let MeterReading::Fresh(v) = m.read(2000.0) else {
+                panic!("this noise model never drops a reading");
+            };
+            sum += v;
+            max = max.max(v);
         }
         let mean = sum / 1000.0;
         assert!((mean - 2000.0).abs() < 5.0, "mean={mean}");
         // Peak should be within a few sigma of truth, not wildly off.
-        assert!(m.history().max().unwrap() < 2000.0 * 1.06);
+        assert!(max < 2000.0 * 1.06, "max={max}");
     }
 
     #[test]
     #[should_panic(expected = "negative")]
     fn negative_power_rejected() {
-        meter(NoiseModel::NONE).read(-1.0, SimTime::ZERO);
+        meter(NoiseModel::NONE).read(-1.0);
     }
 }

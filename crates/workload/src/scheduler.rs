@@ -11,7 +11,6 @@ use crate::job::{is_throttled, Job, JobId, JobStatus, NodeLoad};
 use crate::phase::rate_at;
 use crate::queue::JobQueue;
 use crate::scaling::nodes_needed;
-use crate::trace::JobRecord;
 use ppc_node::{NodeId, NodeMask};
 use ppc_simkit::{SimDuration, SimTime};
 
@@ -335,7 +334,7 @@ impl Scheduler {
     /// since, refold their minimum; every other job reuses its cached one.
     /// Jobs that complete are finished at their exact sub-step completion
     /// instant (`now` minus the unused step time), their nodes freed, and
-    /// records returned.
+    /// returned in finish order with their member lists intact.
     ///
     /// Phase edges are reported in the same pass: the members of every
     /// still-running job whose phase index moved during this advance are
@@ -349,13 +348,13 @@ impl Scheduler {
         speed: &[f64],
         speed_edges: &[u32],
         edges: &mut Vec<NodeId>,
-    ) -> Vec<JobRecord> {
+    ) -> Vec<Job> {
         for &n in speed_edges {
             if let Some(&Some(slot)) = self.node_owner.get(n as usize) {
                 self.slots[slot].stale = true;
             }
         }
-        let mut records = Vec::new();
+        let mut finished = Vec::new();
         let mut i = 0;
         while i < self.running.len() {
             let job = &mut self.running[i];
@@ -379,7 +378,7 @@ impl Scheduler {
                 let mut job = self.remove_slot(i);
                 let finish_at = now - SimDuration::from_secs_f64(unused_secs.min(dt_secs));
                 job.finish(finish_at);
-                records.push(JobRecord::from_job(&job));
+                finished.push(job);
             } else {
                 if job.phase_index() != phase_before {
                     slot.enter_phase(job);
@@ -389,7 +388,7 @@ impl Scheduler {
                 i += 1;
             }
         }
-        records
+        finished
     }
 
     /// Evicts the job occupying `node`, if any, returning it still in the
@@ -527,6 +526,7 @@ mod tests {
     use super::*;
     use crate::app::{Class, NpbApp};
     use crate::phase::{Phase, PhaseKind};
+    use crate::trace::JobRecord;
     use proptest::prelude::*;
     use std::collections::BTreeSet;
 
@@ -589,7 +589,7 @@ mod tests {
     /// finished ids and the reported phase-edge nodes.
     fn advance_by(s: &mut Scheduler, secs: u64) -> (Vec<JobId>, Vec<NodeId>) {
         let mut edges = Vec::new();
-        let records = s.advance(
+        let finished = s.advance(
             secs as f64,
             SimTime::from_secs(secs),
             &[1.0; 8],
@@ -597,7 +597,14 @@ mod tests {
             &mut edges,
         );
         s.check_invariants();
-        (records.iter().map(|r| r.id).collect(), edges)
+        (finished.iter().map(Job::id).collect(), edges)
+    }
+
+    /// Each finished job's record and members, Debug-formatted so every
+    /// float's bits count.
+    fn departures(finished: &[Job]) -> Vec<String> {
+        let line = |j: &Job| format!("{:?} on {:?}", JobRecord::from_job(j), j.nodes());
+        finished.iter().map(line).collect()
     }
 
     /// Starts `jobs` and advances them once by `secs` seconds.
@@ -658,9 +665,9 @@ mod tests {
         q.push(job(1, 24, 5.0));
         s.try_start(&mut q, SimTime::ZERO);
         assert_eq!(s.utilization(), 0.5);
-        let records = s.advance(5.0, SimTime::from_secs(5), &[1.0; 8], &[], &mut Vec::new());
-        assert_eq!(records.len(), 1);
-        assert_eq!(records[0].actual_secs, 5.0);
+        let finished = s.advance(5.0, SimTime::from_secs(5), &[1.0; 8], &[], &mut Vec::new());
+        assert_eq!(finished.len(), 1);
+        assert_eq!(finished[0].finished_at(), Some(SimTime::from_secs(5)));
         assert_eq!(s.free_count(), 4);
         assert!(s.running_jobs().is_empty());
         s.check_invariants();
@@ -740,24 +747,25 @@ mod tests {
         q.push(job(1, 12, 10.0));
         s.try_start(&mut q, SimTime::ZERO);
         // Half speed: after 10 s the job is only half done.
-        let records = s.advance(
+        let finished = s.advance(
             10.0,
             SimTime::from_secs(10),
             &[0.5; 2],
             &[],
             &mut Vec::new(),
         );
-        assert!(records.is_empty());
-        let records = s.advance(
+        assert!(finished.is_empty());
+        let finished = s.advance(
             10.0,
             SimTime::from_secs(20),
             &[0.5; 2],
             &[],
             &mut Vec::new(),
         );
-        assert_eq!(records.len(), 1);
-        assert_eq!(records[0].actual_secs, 20.0);
-        assert!(records[0].performance_ratio() < 0.51);
+        assert_eq!(finished.len(), 1);
+        let record = JobRecord::from_job(&finished[0]);
+        assert_eq!(record.actual_secs, 20.0);
+        assert!(record.performance_ratio() < 0.51);
     }
 
     #[test]
@@ -767,8 +775,8 @@ mod tests {
         q.push(job(1, 12, 3.0));
         q.push(job(2, 12, 4.0));
         s.try_start(&mut q, SimTime::ZERO);
-        let records = s.advance(5.0, SimTime::from_secs(5), &[1.0; 8], &[], &mut Vec::new());
-        assert_eq!(records.len(), 2);
+        let finished = s.advance(5.0, SimTime::from_secs(5), &[1.0; 8], &[], &mut Vec::new());
+        assert_eq!(finished.len(), 2);
         s.check_invariants();
     }
 
@@ -784,9 +792,9 @@ mod tests {
         q.push(job(3, 24, 50.0)); // nodes 3-4
         s.try_start(&mut q, SimTime::ZERO);
         s.check_invariants();
-        let records = s.advance(5.0, SimTime::from_secs(5), &[1.0; 8], &[], &mut Vec::new());
-        assert_eq!(records.len(), 1);
-        assert_eq!(records[0].id, JobId(1));
+        let finished = s.advance(5.0, SimTime::from_secs(5), &[1.0; 8], &[], &mut Vec::new());
+        assert_eq!(finished.len(), 1);
+        assert_eq!(finished[0].id(), JobId(1));
         s.check_invariants();
         // The tail job (3) was swapped into slot 0; lookups must follow.
         assert_eq!(s.job_of_node(NodeId(3)), Some(JobId(3)));
@@ -944,9 +952,9 @@ mod tests {
                 now += SimDuration::from_secs(secs);
                 let (mut edges, mut twin_edges) = (Vec::new(), Vec::new());
                 let dt = secs as f64;
-                let records = s.advance(dt, now, &speed, &changed, &mut edges);
+                let finished = s.advance(dt, now, &speed, &changed, &mut edges);
                 let want = twin.advance(dt, now, &speed, &all, &mut twin_edges);
-                prop_assert_eq!(records, want);
+                prop_assert_eq!(departures(&finished), departures(&want));
                 prop_assert_eq!(edges, twin_edges);
                 s.check_invariants();
                 for (job, slot) in s.running_jobs().iter().zip(&s.slots) {
@@ -971,8 +979,9 @@ mod tests {
         /// edges, evictions and τ, every running job's progress, phase
         /// index and throttled time are bitwise those of a reference copy
         /// advanced by [`Job::advance`] on every tick, and the phase-edge
-        /// lists and finish records (Debug-formatted, so every float's
-        /// bits count) are the reference's. The reference mirrors the run
+        /// lists and the finished jobs' records and members
+        /// (Debug-formatted, so every float's bits count) are the
+        /// reference's. The reference mirrors the run
         /// queue's slots: placements append, finishes and evictions
         /// `swap_remove`.
         #[test]
@@ -1034,15 +1043,15 @@ mod tests {
                 now += SimDuration::from_secs_f64(dt);
 
                 let mut edges = Vec::new();
-                let records = s.advance(dt, now, &speed, &changed, &mut edges);
-                let (mut want_edges, mut want_records) = (Vec::new(), Vec::new());
+                let finished = s.advance(dt, now, &speed, &changed, &mut edges);
+                let (mut want_edges, mut want_finished) = (Vec::new(), Vec::new());
                 let mut i = 0;
                 while i < reference.len() {
                     let before = reference[i].phase_index();
                     if let Some(unused) = reference[i].advance(dt, &speed) {
                         let mut job = reference.swap_remove(i);
                         job.finish(now - SimDuration::from_secs_f64(unused.min(dt)));
-                        want_records.push(JobRecord::from_job(&job));
+                        want_finished.push(job);
                     } else {
                         if reference[i].phase_index() != before {
                             want_edges.extend_from_slice(reference[i].nodes());
@@ -1050,7 +1059,7 @@ mod tests {
                         i += 1;
                     }
                 }
-                prop_assert_eq!(format!("{records:?}"), format!("{want_records:?}"));
+                prop_assert_eq!(departures(&finished), departures(&want_finished));
                 prop_assert_eq!(edges, want_edges);
                 prop_assert_eq!(s.running_jobs().len(), reference.len());
                 for (job, want) in s.running_jobs().iter().zip(&reference) {
@@ -1113,8 +1122,8 @@ mod tests {
                         let speed: Vec<f64> =
                             levels.iter().map(|&l| f64::from(l) / 10.0).collect();
                         now += SimDuration::from_secs(secs);
-                        for record in s.advance(secs as f64, now, &speed, &all, &mut Vec::new()) {
-                            free.extend(record.nodes);
+                        for job in s.advance(secs as f64, now, &speed, &all, &mut Vec::new()) {
+                            free.extend(job.nodes().iter().copied());
                         }
                     }
                     3 | 4 => {

@@ -6,12 +6,12 @@
 
 use crate::app::{Class, NpbApp};
 use crate::job::{Job, JobId, JobPriority, JobStatus};
-use ppc_node::NodeId;
 use ppc_simkit::SimTime;
 use serde::{Deserialize, Serialize};
 
-/// Immutable record of one finished job.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// Immutable record of one finished job: plain data, no heap buffer (the
+/// job's member list dies with the job in its finish tick).
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct JobRecord {
     /// Job id.
     pub id: JobId,
@@ -21,10 +21,6 @@ pub struct JobRecord {
     pub class: Class,
     /// Rank count.
     pub nprocs: u32,
-    /// Number of nodes the job occupied.
-    pub node_count: usize,
-    /// The nodes the job occupied.
-    pub nodes: Vec<NodeId>,
     /// The job's priority.
     pub priority: JobPriority,
     /// Submission time.
@@ -57,8 +53,6 @@ impl JobRecord {
             app: job.app(),
             class: job.class(),
             nprocs: job.nprocs(),
-            node_count: job.nodes().len(),
-            nodes: job.nodes().to_vec(),
             priority: job.priority(),
             submitted_at: job.submitted_at(),
             started_at,
@@ -123,6 +117,9 @@ mod tests {
             assert!(t < 1000);
         }
         j.finish(SimTime::from_secs(t));
+        // The finished job still holds its members for the departure step;
+        // the record does not copy them.
+        assert_eq!(j.nodes(), &[NodeId(0), NodeId(1)]);
         JobRecord::from_job(&j)
     }
 
@@ -132,8 +129,16 @@ mod tests {
         assert_eq!(r.actual_secs, 10.0);
         assert_eq!(r.performance_ratio(), 1.0);
         assert!(r.is_lossless(0.0));
-        assert_eq!(r.node_count, 2);
         assert_eq!(r.started_at, SimTime::from_secs(5));
+    }
+
+    /// Every run retains one record per finished job and every what-if
+    /// branch copies them, so a record stays small plain data.
+    #[test]
+    fn record_is_small_plain_data() {
+        const fn copy<T: Copy>() {}
+        copy::<JobRecord>();
+        assert!(std::mem::size_of::<JobRecord>() <= 64);
     }
 
     #[test]

@@ -8,6 +8,7 @@ use ppc::metrics::{
     cplj::cplj, overspend::overspend_ratio, peak::peak_power_w, performance::performance,
     RunMetrics,
 };
+use ppc::workload::scaling::nodes_needed;
 
 #[test]
 fn runner_metrics_match_recomputation() {
@@ -38,6 +39,7 @@ fn runner_metrics_match_recomputation() {
 fn job_accounting_identities() {
     let cfg = ExperimentConfig::quick(Some(PolicyKind::Hri), 8);
     let out = run_experiment(&cfg);
+    let cores = cfg.spec.node_spec.cores();
     for r in &out.records {
         assert!(r.actual_secs > 0.0);
         assert!(r.baseline_secs > 0.0);
@@ -48,7 +50,7 @@ fn job_accounting_identities() {
         assert!(r.actual_secs >= r.baseline_secs - 0.002, "{:?}", r.id);
         // Throttled time is bounded by the job's wall time.
         assert!(r.throttled_secs <= r.actual_secs + 1.0);
-        assert!(r.node_count > 0 && r.node_count <= 8);
+        assert!((1..=8).contains(&nodes_needed(r.nprocs, cores)));
     }
 }
 

@@ -65,6 +65,25 @@ fn replay_is_bit_reproducible() {
     assert_eq!(run(), run());
 }
 
+/// A trace replaces the generator together with its think-time gate: the
+/// same traced spec journals the same run with no think time and with
+/// 15 s of it, while the generator's run moves with it.
+#[test]
+fn trace_ignores_think_time() {
+    let journal = |traced: bool, think_secs| {
+        let mut spec = spec_with_trace();
+        if !traced {
+            spec.job_trace = None;
+        }
+        spec.think_time_mean = SimDuration::from_secs(think_secs);
+        let mut sim = ClusterSim::new(spec);
+        sim.run_for(SimDuration::from_mins(30));
+        sim.journal().fingerprint()
+    };
+    assert_eq!(journal(true, 0), journal(true, 15));
+    assert_ne!(journal(false, 0), journal(false, 15));
+}
+
 #[test]
 fn exhausted_trace_leaves_cluster_idle() {
     let mut sim = ClusterSim::new(spec_with_trace());
