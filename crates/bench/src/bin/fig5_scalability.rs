@@ -64,6 +64,8 @@ fn measure_cycle_cost(n: usize, cycles: u64) -> f64 {
 
     let mut meter = CycleCostMeter::new();
     let mut spans = SpanRecorder::disabled();
+    // Each agent predicts its node's saving with its sample, on the node.
+    let mut savings = vec![0.0; n];
     for cycle in 0..cycles {
         let at = SimTime::from_secs(cycle);
         let samples: Vec<NodeSample> = (0..n as u32)
@@ -73,12 +75,14 @@ fn measure_cycle_cost(n: usize, cycles: u64) -> f64 {
                     mem_used_bytes: 8 << 30,
                     nic_bytes: (rng.f64() * 1e8) as u64,
                 };
+                let (power_w, saving_w) = model.power_and_saving_w(Level::new(5), &state);
+                savings[i as usize] = saving_w;
                 NodeSample {
                     node: NodeId(i),
                     at,
                     state,
                     level: Level::new(5),
-                    power_w: model.power_w(Level::new(5), &state),
+                    power_w,
                 }
             })
             .collect();
@@ -92,7 +96,7 @@ fn measure_cycle_cost(n: usize, cycles: u64) -> f64 {
                 &collector,
                 jobs.iter().map(|(id, ns)| (*id, ns.as_slice())),
                 manager.sets().candidate_mask(),
-                &|_| &*model,
+                &savings,
             );
             manager.control_cycle(power_w, &obs, &FlatView, 1.0, at, &mut spans)
         });

@@ -45,7 +45,7 @@ pub use config::ManagerConfig;
 pub use error::CoreError;
 pub use hierarchy::{DelegationOutcome, HierarchicalManager};
 pub use manager::{Classification, CycleOutcome, ManagerStats, PowerManager};
-pub use observe::{JobObservation, NodeObsCache, NodeObservation, SelectionContext};
+pub use observe::{JobObservation, NodeObservation, SelectionContext};
 pub use policy::{PolicyKind, TargetSelectionPolicy};
 pub use sets::{NodeMask, NodeSets};
 pub use state::{PowerState, Thresholds};

@@ -6,8 +6,14 @@
 //! power `P(x)` and predicted one-level-down saving `P(x) − P'(x)`
 //! (Formula (1) at level `l−1`, as Algorithm 2 requires), plus the
 //! previous-interval job power `P^{t−1}(J)` for change-based policies.
+//!
+//! The saving is not computed here. The profiling agent predicts it with
+//! every sample, in the same Formula (1) evaluation that estimates the
+//! sample's power, and the caller passes the predictions as a per-node
+//! column indexed by node id; observing a node is then a collector read
+//! and a column read.
 
-use ppc_node::{Level, NodeId, NodeMask, PowerModel};
+use ppc_node::{Level, NodeId, NodeMask};
 use ppc_telemetry::Collector;
 use ppc_workload::JobId;
 use serde::{Deserialize, Serialize};
@@ -69,21 +75,6 @@ impl JobObservation {
         self.nodes.iter().any(NodeObservation::is_degradable)
     }
 
-    /// Writes into `piece` this job's part on the nodes `keep` admits (a
-    /// rack's share of a job spanning racks): those member observations
-    /// in order, under the job-global previous power `P^{t−1}(J)`.
-    /// Reuses `piece`'s node-vector allocation; returns false, leaving
-    /// `piece` empty, when no member qualifies.
-    pub fn write_piece(&self, keep: impl Fn(NodeId) -> bool, piece: &mut JobObservation) -> bool {
-        piece.id = self.id;
-        piece.prev_power_w = self.prev_power_w;
-        piece.nodes.clear();
-        piece
-            .nodes
-            .extend(self.nodes.iter().filter(|n| keep(n.node)).copied());
-        !piece.nodes.is_empty()
-    }
-
     /// Rate of increase `ΔP^t(J) = (P^t(J) − P^{t−1}(J)) / P^{t−1}(J)`,
     /// or `None` without previous data.
     pub fn power_rate(&self) -> Option<f64> {
@@ -117,90 +108,20 @@ impl SelectionContext<'_> {
     }
 }
 
-/// Value-keyed memo of each node's one-level-down saving prediction.
-///
-/// `saving_one_level_w` evaluates the power model's formula at two levels
-/// per call, and a steady-state cluster re-presents the *same* sample
-/// values cycle after cycle. The cache keys on exactly the sample fields
-/// the prediction reads (level, operating state, estimated power —
-/// compared bit-for-bit, so a hit returns the bit-identical `f64` a
-/// recomputation would) and needs no explicit invalidation: any changed
-/// input misses and recomputes.
-#[derive(Debug, Clone, Default)]
-pub struct NodeObsCache {
-    entries: Vec<Option<(Level, ppc_node::OperatingState, f64, f64)>>,
-}
-
-impl NodeObsCache {
-    /// An empty cache; entries appear as nodes are first observed.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The saving prediction for `node`'s current sample, memoized.
-    fn saving_w<'m>(
-        &mut self,
-        node: NodeId,
-        level: Level,
-        state: &ppc_node::OperatingState,
-        power_w: f64,
-        model_of: &dyn Fn(NodeId) -> &'m PowerModel,
-    ) -> f64 {
-        let i = node.0 as usize;
-        if i >= self.entries.len() {
-            self.entries.resize(i + 1, None);
-        }
-        if let Some((l, s, p, saving)) = &self.entries[i] {
-            if *l == level
-                && s.cpu_util.to_bits() == state.cpu_util.to_bits()
-                && s.mem_used_bytes == state.mem_used_bytes
-                && s.nic_bytes == state.nic_bytes
-                && p.to_bits() == power_w.to_bits()
-            {
-                return *saving;
-            }
-        }
-        let saving = model_of(node).saving_one_level_w(level, state);
-        self.entries[i] = Some((level, *state, power_w, saving));
-        saving
-    }
-}
-
 /// Builds job observations from the collector's current view.
-///
-/// Convenience wrapper over [`observe_jobs_cached`] with a throwaway cache
-/// (every saving is computed fresh) — fine for tests and one-shot callers;
-/// the simulation hot path keeps a long-lived [`NodeObsCache`] instead.
-pub fn observe_jobs<'a, 'm>(
-    collector: &Collector,
-    jobs: impl IntoIterator<Item = (JobId, &'a [NodeId])>,
-    candidates: &NodeMask,
-    model_of: &dyn Fn(NodeId) -> &'m PowerModel,
-) -> Vec<JobObservation> {
-    observe_jobs_cached(
-        collector,
-        jobs,
-        candidates,
-        model_of,
-        &mut NodeObsCache::new(),
-    )
-}
-
-/// Builds job observations from the collector's current view, memoizing
-/// per-node saving predictions in `cache`.
 ///
 /// `jobs` yields each running job with its full member-node slice —
 /// borrowed, so callers iterate their scheduler state directly instead of
-/// cloning node lists per cycle; `model_of` resolves a node's power model
-/// (heterogeneous clusters return per-group models). Idle nodes and nodes
-/// outside `candidates` are excluded per the paper's definition of
-/// `Nodes(J)`; jobs left with no observable nodes are dropped entirely.
-pub fn observe_jobs_cached<'a, 'm>(
+/// cloning node lists per cycle. `saving_w` is indexed by node id: each
+/// node's predicted one-level-down saving, made with its latest sample
+/// (see [`observe_job_into`]). Idle nodes and nodes outside `candidates`
+/// are excluded per the paper's definition of `Nodes(J)`; jobs left with
+/// no observable nodes are dropped entirely.
+pub fn observe_jobs<'a>(
     collector: &Collector,
     jobs: impl IntoIterator<Item = (JobId, &'a [NodeId])>,
     candidates: &NodeMask,
-    model_of: &dyn Fn(NodeId) -> &'m PowerModel,
-    cache: &mut NodeObsCache,
+    saving_w: &[f64],
 ) -> Vec<JobObservation> {
     let mut out = Vec::new();
     for (id, members) in jobs {
@@ -209,9 +130,7 @@ pub fn observe_jobs_cached<'a, 'm>(
             nodes: Vec::new(),
             prev_power_w: None,
         };
-        if observe_job_into(
-            collector, id, members, candidates, model_of, cache, &mut job,
-        ) {
+        if observe_job_into(collector, id, members, candidates, saving_w, &mut job) {
             out.push(job);
         }
     }
@@ -221,17 +140,21 @@ pub fn observe_jobs_cached<'a, 'm>(
 /// Rebuilds the observation of a single job in place, reusing `out`'s
 /// node-vector allocation. Returns false (and leaves `out` with no
 /// observable nodes) if the job would be dropped from the observation
-/// list — the exact per-job logic of [`observe_jobs_cached`], exposed so
-/// the incremental evaluator can refresh only the jobs whose members
-/// changed this cycle.
-#[allow(clippy::too_many_arguments)]
-pub fn observe_job_into<'m>(
+/// list — the exact per-job logic of [`observe_jobs`], exposed so the
+/// incremental evaluator can refresh only the jobs whose members changed
+/// this cycle.
+///
+/// Each node's saving is read from `saving_w[node]`: the profiling agent
+/// predicts it with every sample, in the same Formula (1) evaluation that
+/// estimates the sample's power (`PowerModel::power_and_saving_w`), so it
+/// must hold the prediction made with the collector's latest sample of
+/// that node.
+pub fn observe_job_into(
     collector: &Collector,
     id: JobId,
     members: &[NodeId],
     candidates: &NodeMask,
-    model_of: &dyn Fn(NodeId) -> &'m PowerModel,
-    cache: &mut NodeObsCache,
+    saving_w: &[f64],
     out: &mut JobObservation,
 ) -> bool {
     out.id = id;
@@ -241,12 +164,11 @@ pub fn observe_job_into<'m>(
         let Some(sample) = observable(collector, candidates, n) else {
             continue;
         };
-        let saving_w = cache.saving_w(n, sample.level, &sample.state, sample.power_w, model_of);
         out.nodes.push(NodeObservation {
             node: n,
             level: sample.level,
             power_w: sample.power_w,
-            saving_w,
+            saving_w: saving_w[n.0 as usize],
         });
         prev.add(collector, n);
     }
@@ -363,9 +285,21 @@ mod tests {
     use super::testutil::*;
     use super::*;
     use ppc_node::spec::NodeSpec;
-    use ppc_node::OperatingState;
+    use ppc_node::{OperatingState, PowerModel};
     use ppc_simkit::SimTime;
     use ppc_telemetry::NodeSample;
+
+    /// The saving column of nodes `0..n`: each node's prediction made
+    /// with its latest sample, as its agent would have made it.
+    fn saving_column(collector: &Collector, model: &PowerModel, n: u32) -> Vec<f64> {
+        (0..n)
+            .map(|raw| {
+                collector
+                    .latest(NodeId(raw))
+                    .map_or(0.0, |s| model.saving_one_level_w(s.level, &s.state))
+            })
+            .collect()
+    }
 
     #[test]
     fn job_aggregates_power_and_savings() {
@@ -443,9 +377,13 @@ mod tests {
         collector.ingest(mk(1, 1)); // node 1: first sample only
         let candidates: NodeMask = [NodeId(0), NodeId(1)].into_iter().collect();
         let members = [NodeId(0), NodeId(1)];
-        let obs = observe_jobs(&collector, [(JobId(3), &members[..])], &candidates, &|_| {
-            &*model
-        });
+        let savings = saving_column(&collector, &model, 2);
+        let obs = observe_jobs(
+            &collector,
+            [(JobId(3), &members[..])],
+            &candidates,
+            &savings,
+        );
         assert_eq!(obs.len(), 1);
         assert_eq!(obs[0].nodes.len(), 2);
         assert_eq!(obs[0].prev_power_w, None);
@@ -483,7 +421,7 @@ mod tests {
             &collector,
             jobs.iter().map(|(id, ns)| (*id, ns.as_slice())),
             &candidates,
-            &|_| &*model,
+            &saving_column(&collector, &model, 3),
         );
         assert_eq!(obs.len(), 1);
         assert_eq!(obs[0].id, JobId(1));
@@ -519,6 +457,7 @@ mod tests {
         collector.ingest(mk(2, 1, OperatingState::IDLE, 150.0));
         collector.ingest(mk(3, 1, busy, 220.0));
         let candidates: NodeMask = (0..4).map(NodeId).collect();
+        let savings = saving_column(&collector, &model, 5);
         let member_sets: [&[u32]; 6] = [&[0, 1], &[1, 0, 2], &[0, 3], &[2], &[4], &[1, 4, 0]];
         for members in member_sets {
             let members: Vec<NodeId> = members.iter().map(|&n| NodeId(n)).collect();
@@ -532,8 +471,7 @@ mod tests {
                 JobId(1),
                 &members,
                 &candidates,
-                &|_| &*model,
-                &mut NodeObsCache::new(),
+                &savings,
                 &mut full,
             );
             let want = if observed { full.prev_power_w } else { None };
@@ -561,9 +499,13 @@ mod tests {
         });
         let candidates: NodeMask = [NodeId(0)].into_iter().collect();
         let members = [NodeId(0)];
-        let obs = observe_jobs(&collector, [(JobId(7), &members[..])], &candidates, &|_| {
-            &*model
-        });
+        let savings = saving_column(&collector, &model, 1);
+        let obs = observe_jobs(
+            &collector,
+            [(JobId(7), &members[..])],
+            &candidates,
+            &savings,
+        );
         assert_eq!(obs.len(), 1);
         assert_eq!(obs[0].prev_power_w, None);
     }

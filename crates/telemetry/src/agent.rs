@@ -2,7 +2,8 @@
 //!
 //! An agent snapshots its node's `/proc` counters every interval τ,
 //! differentiates them against the previous snapshot to recover the
-//! operating state, and evaluates Formula (1) to estimate power. It keeps
+//! operating state, and evaluates Formula (1) to estimate power and the
+//! saving one level down would bring (Algorithm 2's `P(x) − P'(x)`). It keeps
 //! the last good estimate so a dropped or too-short interval degrades the
 //! view gracefully instead of reporting garbage.
 
@@ -53,18 +54,45 @@ impl ProfilingAgent {
         }
     }
 
-    /// Samples the node at time `now`.
+    /// Samples the node at time `now`: the sample, and the predicted
+    /// one-level-down saving `P(x) − P'(x)` in watts, from the same
+    /// Formula (1) evaluation of the sampled state (noise-free: sensing
+    /// noise perturbs the power estimate only).
     ///
     /// Returns `None` when the sample is lost (failure injection). The
     /// first call only primes the snapshot and reports the node as idle —
     /// exactly what a counter-differencing agent can know after one read.
-    pub fn sample(&mut self, node: &Node, now: SimTime) -> Option<NodeSample> {
+    pub fn sample(&mut self, node: &Node, now: SimTime) -> Option<(NodeSample, f64)> {
         let snap = ProcSnapshot::capture(node.proc_counters());
         let state = match self.prev_snapshot.replace(snap) {
             Some(prev) => snap.delta_since(&prev).unwrap_or(self.last_state),
             None => OperatingState::IDLE,
         };
-        self.emit(node, now, state)
+        self.last_state = state;
+        self.samples_taken += 1;
+
+        // Power estimation from the *sampled* state (not the node's true
+        // instantaneous state) — the estimate lags reality by one interval,
+        // as on the real system.
+        let (est, saving_w) = node.model().power_and_saving_w(node.level(), &state);
+        let power_w = match self.noisy.as_deref_mut() {
+            None => est,
+            Some(sensor) => match sensor.noise.apply(est, &mut sensor.rng) {
+                Some(power_w) => power_w,
+                None => {
+                    sensor.samples_dropped += 1;
+                    return None;
+                }
+            },
+        };
+        let sample = NodeSample {
+            node: node.id(),
+            at: now,
+            state,
+            level: node.level(),
+            power_w,
+        };
+        Some((sample, saving_w))
     }
 
     /// True once the agent holds a baseline snapshot to differentiate
@@ -112,33 +140,6 @@ impl ProfilingAgent {
         self.samples_taken += ticks;
     }
 
-    fn emit(&mut self, node: &Node, now: SimTime, state: OperatingState) -> Option<NodeSample> {
-        self.last_state = state;
-        self.samples_taken += 1;
-
-        // Power estimation from the *sampled* state (not the node's true
-        // instantaneous state) — the estimate lags reality by one interval,
-        // as on the real system.
-        let est = node.model().power_w(node.level(), &state);
-        let power_w = match self.noisy.as_deref_mut() {
-            None => est,
-            Some(sensor) => match sensor.noise.apply(est, &mut sensor.rng) {
-                Some(power_w) => power_w,
-                None => {
-                    sensor.samples_dropped += 1;
-                    return None;
-                }
-            },
-        };
-        Some(NodeSample {
-            node: node.id(),
-            at: now,
-            state,
-            level: node.level(),
-            power_w,
-        })
-    }
-
     /// `(taken, dropped)` counters for diagnostics.
     pub fn stats(&self) -> (u64, u64) {
         let dropped = self.noisy.as_ref().map_or(0, |s| s.samples_dropped);
@@ -168,7 +169,7 @@ mod tests {
     fn first_sample_primes_and_reports_idle() {
         let mut a = agent(NoiseModel::NONE);
         let n = node();
-        let s = a.sample(&n, SimTime::ZERO).unwrap();
+        let (s, _) = a.sample(&n, SimTime::ZERO).unwrap();
         assert!(s.is_idle());
         assert_eq!(s.node, NodeId(3));
     }
@@ -184,13 +185,16 @@ mod tests {
             nic_bytes: 1_000_000,
         };
         n.run_interval(busy, 1.0);
-        let s = a.sample(&n, SimTime::from_secs(1)).unwrap();
+        let (s, saving_w) = a.sample(&n, SimTime::from_secs(1)).unwrap();
         assert!((s.state.cpu_util - 0.8).abs() < 0.011);
         assert_eq!(s.state.mem_used_bytes, 4 << 30);
         assert_eq!(s.state.nic_bytes, 1_000_000);
-        // The estimate equals the model evaluated on the sampled state.
+        // The estimate and the saving equal the model evaluated on the
+        // sampled state.
         let expect = n.model().power_w(n.level(), &s.state);
         assert_eq!(s.power_w, expect);
+        let expect = n.model().saving_one_level_w(n.level(), &s.state);
+        assert_eq!(saving_w.to_bits(), expect.to_bits());
     }
 
     #[test]
@@ -220,7 +224,7 @@ mod tests {
             real_node.run_interval(busy, 1.0);
             real_last = real_agent.sample(&real_node, SimTime::from_secs(t));
         }
-        let r = real_last.unwrap();
+        let (r, _) = real_last.unwrap();
         // Quiescent path: node materialized once at t=1 then left alone;
         // the agent fast-forwards its baseline to t=4, the node's counters
         // are caught up to t=5 in closed form, and a real read at t=5
@@ -232,7 +236,7 @@ mod tests {
         lazy_agent.advance_baseline(lazy_node.state(), 1.0, 4);
         lazy_node.catch_up(1.0, 4);
         assert_eq!(lazy_node.proc_counters(), real_node.proc_counters());
-        let s = lazy_agent
+        let (s, _) = lazy_agent
             .sample(&lazy_node, SimTime::from_secs(5))
             .unwrap();
         assert_eq!(s.state, r.state);
@@ -264,7 +268,7 @@ mod tests {
         a.sample(&n, SimTime::from_secs(1));
         // No counter movement since the last snapshot: agent re-reports the
         // previous state instead of dividing by zero.
-        let s = a.sample(&n, SimTime::from_secs(1)).unwrap();
+        let (s, _) = a.sample(&n, SimTime::from_secs(1)).unwrap();
         assert!((s.state.cpu_util - 0.5).abs() < 0.011);
     }
 }

@@ -1072,6 +1072,62 @@ mod tests {
             }
         }
 
+        /// Every running job's members stay strictly ascending by id —
+        /// what the observation store's one-pass split of a job into
+        /// per-rack runs relies on — through placements under either
+        /// admission policy, finishes, evictions with requeue, and
+        /// decommissions (evict, requeue, take the node down), with
+        /// rejoining nodes refilling the free pool out of order.
+        #[test]
+        fn prop_running_members_ascend(
+            backfill in any::<bool>(),
+            ops in proptest::collection::vec((0u8..5, 0u32..N, 1u32..400), 20..80),
+        ) {
+            let admission = if backfill {
+                AdmissionPolicy::Backfill
+            } else {
+                AdmissionPolicy::FifoFirstFit
+            };
+            let mut s = sched(N).with_admission(admission);
+            let mut q = JobQueue::new();
+            let all: Vec<u32> = (0..N).collect();
+            let speed = vec![1.0; N as usize];
+            let mut next_id = 0;
+            let mut now = SimTime::ZERO;
+            for (op, n, nprocs) in ops {
+                let node = NodeId(n);
+                match op {
+                    0 | 1 => {
+                        next_id += 1;
+                        q.push(varied_job(next_id, nprocs, &[f64::from(n % 7 + 1), 3.0]));
+                    }
+                    2 => {
+                        now += SimDuration::from_secs(u64::from(n % 4 + 1));
+                        let dt = f64::from(n % 4 + 1);
+                        s.advance(dt, now, &speed, &all, &mut Vec::new());
+                    }
+                    3 => {
+                        if let Some(mut job) = s.evict_job_on(node) {
+                            job.requeue();
+                            q.push_front(job);
+                        }
+                        if nprocs % 2 == 0 && !s.is_node_down(node) {
+                            s.set_node_down(node);
+                        }
+                    }
+                    _ => s.set_node_up(node),
+                }
+                s.try_start(&mut q, now);
+                for job in s.running_jobs() {
+                    prop_assert!(
+                        job.nodes().windows(2).all(|w| w[0] < w[1]),
+                        "{} members {:?}", job.id(), job.nodes()
+                    );
+                }
+                s.check_invariants();
+            }
+        }
+
         /// Over random starts, advances at random per-node speeds (so jobs
         /// cross phases and finish), evictions and node down/up edges on
         /// `N` nodes, a

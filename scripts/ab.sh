@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Paired comparison of the repository benchmark between two trees.
 #
-#   scripts/ab.sh BASE [HEAD] WORKLOAD PAIRS [SEED]
+#   scripts/ab.sh [--layers] BASE [HEAD] WORKLOAD PAIRS [SEED]
 #
 # BASE and HEAD are git revisions; without HEAD the working tree is the
 # change. WORKLOAD is one of BENCHMARK.json's workloads, PAIRS the number
@@ -16,17 +16,26 @@
 # interquartile distance, the median of the per-pair differences and the
 # number of pairs the change won (ties counting for neither side), then
 # the report's wall-clock figures the same way (perfbench's metrics are
-# in reference time, scaled by its host-speed kernel). Raw result lines
-# go to target/ab/runs-*.jsonl.
+# in reference time, scaled by its host-speed kernel). With --layers every
+# run is traced (perfbench --trace 1) and the summary covers BENCHMARK.json's
+# per-layer metrics instead, skipping those the workload does not exercise,
+# with the mean wall time of each `*_us` metric's trace span beside them.
+# Raw result lines go to target/ab/runs-*.jsonl.
 # Needs bash, git, cargo and python3; changes nothing under perfbench/.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 root=$(pwd)
 
 usage() {
-    echo "usage: scripts/ab.sh BASE [HEAD] WORKLOAD PAIRS [SEED]" >&2
+    echo "usage: scripts/ab.sh [--layers] BASE [HEAD] WORKLOAD PAIRS [SEED]" >&2
     exit 2
 }
+
+trace=0
+if [[ ${1:-} == --layers ]]; then
+    trace=1
+    shift
+fi
 
 workloads=$(python3 -c 'import json; print(" ".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))')
 is_workload() { [[ " $workloads " == *" $1 "* ]]; }
@@ -87,14 +96,15 @@ else
     head_bin="$ab/worktree/release/perfbench"
 fi
 
-runs="$ab/runs-$workload-$seed-$(date +%Y%m%dT%H%M%S).jsonl"
+kind=$([[ $trace == 1 ]] && echo layers || echo e2e)
+runs="$ab/runs-$workload-$seed-$kind-$(date +%Y%m%dT%H%M%S).jsonl"
 : > "$runs"
 
 # One run of side $1 (base|head); appends {side, pair, report, result}.
 run() {
     local side=$1 pair=$2 bin src out
     if [[ $side == base ]]; then bin=$base_bin src=$base_src; else bin=$head_bin src=$head_src; fi
-    out=$(cd "$src" && "$bin" --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0 | tail -n 2)
+    out=$(cd "$src" && "$bin" --workload "$workload" --seed "$seed" --seconds "$seconds" --trace "$trace" | tail -n 2)
     python3 - "$side" "$pair" "$out" >> "$runs" <<'EOF'
 import json, sys
 side, pair, out = sys.argv[1], int(sys.argv[2]), sys.argv[3].splitlines()
@@ -113,10 +123,11 @@ for ((p = 0; p < pairs; p++)); do
     echo "pair $((p + 1))/$pairs done ($order, $((SECONDS - start)) s)" >&2
 done
 
-python3 - "$runs" "$root/BENCHMARK.json" "${base_sha:0:10}" "$head_label" <<'EOF'
+python3 - "$runs" "$root/BENCHMARK.json" "${base_sha:0:10}" "$head_label" "$trace" <<'EOF'
 import json, statistics, sys
 
-runs_path, bench_path, base_label, head_label = sys.argv[1:]
+runs_path, bench_path, base_label, head_label, trace = sys.argv[1:]
+layers = trace == "1"
 runs = [json.loads(l) for l in open(runs_path)]
 bench = json.load(open(bench_path))
 pairs = sorted({r["pair"] for r in runs})
@@ -142,13 +153,27 @@ def row(name, better, get):
     ties = sum(h == b for b, h in zip(base, head))
     pct = f"{100 * diff / bm:+.1f}%" if bm else "n/a"
     tied = f", {ties} tied" if ties else ""
-    print(f"{name:<22} {bm:>14.6g} {hm:>14.6g} {q3 - q1:>12.4g} {diff:>+13.4g} {pct:>8} {won:>3}/{len(pairs)}  ({better} is better{tied})")
+    print(f"{name:<30} {bm:>14.6g} {hm:>14.6g} {q3 - q1:>12.4g} {diff:>+13.4g} {pct:>8} {won:>3}/{len(pairs)}  ({better} is better{tied})")
 
 print(f"\n{len(pairs)} pairs, base = {base_label}, change = {head_label}; raw runs in {runs_path}")
-print(f"{'metric':<22} {'base median':>14} {'change median':>14} {'base IQR':>12} {'median diff':>13} {'':>8} won")
-for m in bench["end_to_end"]:
+print(f"{'metric':<30} {'base median':>14} {'change median':>14} {'base IQR':>12} {'median diff':>13} {'':>8} won")
+# A traced run's report lists the per-layer metrics its workload does
+# not exercise (they read 0); they are left out.
+skipped = {n for r in runs for n in r["report"].get("not_exercised", [])}
+for m in bench["per_layer" if layers else "end_to_end"]:
+    if m["name"] in skipped:
+        continue
     row(m["name"], m["better"], lambda r, n=m["name"]: r["result"]["metrics"][n]["value"])
 print("wall clock (unscaled):")
+if layers:
+    # A per-layer `X_us` whose span `X` the trace holds: its mean wall time.
+    for m in bench["per_layer"]:
+        span = m["name"].removesuffix("_us")
+        if m["name"] in skipped or span == m["name"]:
+            continue
+        if all(span in r["report"].get("spans", {}) for r in runs):
+            row("wall." + m["name"], m["better"],
+                lambda r, s=span: 1e6 * r["report"]["spans"][s]["total_s"] / r["report"]["spans"][s]["count"])
 row("wall.setup_s", "lower", lambda r: r["report"]["wall"]["setup_s"])
 row("wall.pass_p50_us", "lower", lambda r: statistics.median(r["report"]["wall"]["pass_p50_us"]))
 row("host_speed.slowdown", "lower", lambda r: r["report"]["host_speed"]["slowdown"])
@@ -157,7 +182,8 @@ for s in ("base", "head"):
     ok = sum(r["correct"] for r in rs)
     failed = sum(r["failed"] for r in rs)
     print(f"{s}: {ok}/{len(rs)} runs correct, {failed} failed operations")
-same = all(side[("base", p)]["result"]["metrics"][k]["value"] == side[("head", p)]["result"]["metrics"][k]["value"]
-           for p in pairs for k in ("job_perf", "peak_power_frac"))
-print("job_perf and peak_power_frac identical in every pair:", "yes" if same else "NO")
+if not layers:
+    same = all(side[("base", p)]["result"]["metrics"][k]["value"] == side[("head", p)]["result"]["metrics"][k]["value"]
+               for p in pairs for k in ("job_perf", "peak_power_frac"))
+    print("job_perf and peak_power_frac identical in every pair:", "yes" if same else "NO")
 EOF
