@@ -23,11 +23,10 @@ pub(super) struct PendingRetry {
 impl ClusterSim {
     /// Logs the decision (state log, state-edge and threshold journal
     /// entries) and, unless the power manager is still training, applies
-    /// its commands. Returns the profiler mark the `health` stage starts
-    /// from — the bookkeeping is charged to `actuate` only when something
-    /// is actuated — and whether this cycle entered Red.
-    pub(super) fn actuate(&mut self, now: SimTime, decision: &Decision) -> (StageTimer, bool) {
-        let stage = self.obs.profile.start();
+    /// its commands. The bookkeeping is charged to `actuate` only when
+    /// something is actuated (else `health` takes it). Returns whether
+    /// this cycle entered Red.
+    pub(super) fn actuate(&mut self, now: SimTime, decision: &Decision) -> bool {
         let outcome = &decision.outcome;
         let state = outcome.state;
         self.state_log.push((now, state));
@@ -58,7 +57,7 @@ impl ClusterSim {
                 });
         }
         if !decision.actuate {
-            return (stage, red_entered);
+            return red_entered;
         }
         let commands = outcome.commands.len() as u64;
         self.obs.spans.open("actuate", now);
@@ -75,7 +74,8 @@ impl ClusterSim {
                 .attr("retries_pending", AttrValue::U64(pending));
         }
         self.obs.spans.close(now);
-        (self.obs.profile.lap("actuate", stage), red_entered)
+        self.obs.profile.lap("actuate");
+        red_entered
     }
 
     /// Sends one throttling command to a node, routing around faults.

@@ -9,7 +9,7 @@ impl ClusterSim {
     /// node's job is in: the dirty nodes under incremental evaluation (the
     /// lazy regime samples the dirty lit candidates in the same pass, for
     /// this tick's control cycle), every node on the dense path.
-    pub(super) fn materialize(&mut self, t: &Tick, stage: StageTimer) -> StageTimer {
+    pub(super) fn materialize(&mut self, t: &Tick) {
         self.scratch_samples.clear();
         self.scratch_sampled.clear();
         if t.incremental {
@@ -31,7 +31,7 @@ impl ClusterSim {
                 }
             }
         }
-        self.obs.profile.lap("materialize", stage)
+        self.obs.profile.lap("materialize");
     }
 
     /// Evaluates exactly the dirty nodes for the tick: catch the device
@@ -120,7 +120,7 @@ impl ClusterSim {
     /// jobs are recorded, thermal models are integrated, and the fleet's
     /// power is summed and metered. Returns the tick's end instant and the
     /// meter reading the control cycle acts on.
-    pub(super) fn advance(&mut self, t: &Tick, stage: StageTimer) -> (SimTime, MeterReading) {
+    pub(super) fn advance(&mut self, t: &Tick) -> (SimTime, MeterReading) {
         let dt = t.dt;
         // The speed column is maintained at every level mutation, so no
         // per-tick rebuild is needed, and it reports the nodes whose speed
@@ -211,7 +211,7 @@ impl ClusterSim {
             }
             MeterReading::Fresh(_) => {}
         }
-        self.obs.profile.stop("advance", stage);
+        self.obs.profile.lap("advance");
         (now, reading)
     }
 

@@ -89,7 +89,7 @@ impl ClusterSim {
     /// nodes whose staleness deadline is due by this tick freshness
     /// suspects (due tick, then insertion order), and replays the fault
     /// schedule.
-    pub(super) fn fault_phase(&mut self, t: &Tick, stage: StageTimer) -> StageTimer {
+    pub(super) fn fault_phase(&mut self, t: &Tick) {
         self.columns.dirty.begin_tick();
         if t.incremental && t.tick == 1 {
             // Nothing has ever been evaluated: everything is dirty.
@@ -105,7 +105,7 @@ impl ClusterSim {
             self.fresh_suspects.push(n);
         }
         self.fault_tick(t);
-        self.obs.profile.lap("faults", stage)
+        self.obs.profile.lap("faults");
     }
 
     /// Replays the fault schedule up to the tick's start and reacts to

@@ -109,14 +109,13 @@ impl ClusterSim {
     /// Closes the control cycle: per-cycle instruments, then the root span,
     /// then (possibly) the flight recorder — in that order so a red-entry
     /// snapshot captures this very cycle's spans and up-to-date registry —
-    /// then the health fold, charged to `health` from `stage` on.
+    /// then the health fold, charged to `health` from the last stage's end.
     pub(super) fn fold_health(
         &mut self,
         now: SimTime,
         tick: u64,
         decision: &Decision,
         red_entered: bool,
-        stage: StageTimer,
     ) {
         let (outcome, metered_w) = (&decision.outcome, decision.metered_w);
         let state = outcome.state;
@@ -174,7 +173,7 @@ impl ClusterSim {
         }
         let base = self.health.observe_cycle(now, &obs);
         self.publish_health_edges(now, base);
-        self.obs.profile.stop("health", stage);
+        self.obs.profile.lap("health");
     }
 
     /// Journals every new SLO alert edge, bumps the alert instruments,

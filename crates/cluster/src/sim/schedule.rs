@@ -11,7 +11,7 @@ impl ClusterSim {
     /// Started jobs' members are dirty this very tick, and a critical
     /// job's nodes join `A_uncontrollable` for its lifetime (the paper's
     /// dynamic candidate set).
-    pub(super) fn schedule_phase(&mut self, t: &Tick, stage: StageTimer) -> StageTimer {
+    pub(super) fn schedule_phase(&mut self, t: &Tick) {
         let now = t.start;
         match self.trace_source.as_mut() {
             Some(src) => {
@@ -102,7 +102,7 @@ impl ClusterSim {
                 }
             }
         }
-        self.obs.profile.lap("schedule", stage)
+        self.obs.profile.lap("schedule");
     }
 
     /// A job leaves the run queue, finished or evicted. A critical job's
