@@ -183,6 +183,20 @@ fn budget128() -> ClusterSim {
     ClusterSim::new(spec).with_budget_controller(ProportionalBudgetController::new(thresholds))
 }
 
+/// `budget128`'s thresholds over a fleet with SLA jobs (a tenth of them
+/// critical, so their nodes turn privileged while they run) under
+/// [`fault_schedule`]: the budget cycle's node filter (privileged, down
+/// and silent nodes are not sampled) decides what it splits `P_L` over.
+fn budget_faulted() -> ClusterSim {
+    let mut spec = ClusterSpec::mini(128);
+    spec.critical_job_fraction = 0.1;
+    let thy = spec.theoretical_max_w();
+    let thresholds = Thresholds::new(0.55 * thy, 0.64 * thy).expect("valid thresholds");
+    faulted(
+        ClusterSim::new(spec).with_budget_controller(ProportionalBudgetController::new(thresholds)),
+    )
+}
+
 /// Health on with alerts firing: a 16-node 2×2×4 tree at a provision
 /// tight enough to breach the dwell and overshoot objectives, under
 /// faults that dent coverage.
@@ -413,6 +427,24 @@ fn fingerprints_match_golden_fixture() {
             check: |sim, _| {
                 let stats = sim.budget_controller().expect("attached").stats();
                 assert!(stats.active_cycles > 0, "the budget must bind");
+            },
+        },
+        Scenario {
+            name: "budget_faulted",
+            build: budget_faulted,
+            secs: RUN_SECS,
+            // Dense is vacuous: the budget controller forces Full.
+            legs: &[Repeat, Branch],
+            check: |sim, _| {
+                let stats = sim.budget_controller().expect("attached").stats();
+                assert!(stats.active_cycles > 0, "the budget must bind");
+                requeues_and_failed_commands(sim);
+                assert!(
+                    sim.finished()
+                        .iter()
+                        .any(|r| r.priority == JobPriority::Critical),
+                    "a critical job must finish"
+                );
             },
         },
         Scenario {
