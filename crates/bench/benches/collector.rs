@@ -36,7 +36,7 @@ fn bench_collector(c: &mut Criterion) {
                 for s in samples(n, at) {
                     collector.ingest(s);
                 }
-                black_box(collector.estimated_total_w())
+                black_box(collector.latest(NodeId(n - 1)))
             })
         });
         group.bench_with_input(BenchmarkId::new("batched", n), &n, |b, &n| {
@@ -45,20 +45,11 @@ fn bench_collector(c: &mut Criterion) {
             b.iter(|| {
                 at += 1;
                 collector.ingest_batch(&samples(n, at));
-                black_box(collector.estimated_total_w())
+                black_box(collector.latest(NodeId(n - 1)))
             })
         });
     }
     group.finish();
-
-    c.bench_function("aggregate_power_22_nodes", |b| {
-        let mut collector = Collector::new();
-        for s in samples(128, 1) {
-            collector.ingest(s);
-        }
-        let nodes: Vec<NodeId> = (0..22).map(NodeId).collect();
-        b.iter(|| black_box(collector.aggregate_power(black_box(&nodes))))
-    });
 }
 
 criterion_group!(benches, bench_collector);

@@ -272,19 +272,13 @@ fn main() {
     unmanaged.run_for(SimDuration::from_mins(10));
     let sim_step_unmanaged_us = median_us(batches, iters, || unmanaged.step());
 
-    // Micro: collector hot paths at the 1024-node scale the roadmap targets.
+    // Micro: collector ingest at the 1024-node scale the roadmap targets.
     let mut collector = Collector::new();
     let mut at = 0u64;
     let collector_ingest_batch_1024_us = median_us(batches, iters, || {
         at += 1;
         collector.ingest_batch(&samples(1024, at));
     });
-    let nodes: Vec<NodeId> = (0..1024).map(NodeId).collect();
-    let mut total = 0.0;
-    let aggregate_power_1024_us = median_us(batches, 10 * iters, || {
-        total += collector.aggregate_power(&nodes);
-    });
-    assert!(total != 0.0, "work must not be elided");
 
     // Micro: per-tick cost of the hierarchical control plane at the
     // 1024-node scale (8 racks of 128) — the smallest rung of the Figure 5
@@ -418,7 +412,6 @@ fn main() {
             "sim_step_128_managed": sim_step_managed_us,
             "sim_step_128_unmanaged": sim_step_unmanaged_us,
             "collector_ingest_batch_1024": collector_ingest_batch_1024_us,
-            "aggregate_power_1024": aggregate_power_1024_us,
             "sim_step_1024_hier": sim_step_1024_hier_us,
         },
         "scaling": scaling,

@@ -58,8 +58,8 @@ use health::{HierInstruments, ObsInstruments};
 use ppc_core::capping::LevelView;
 use ppc_core::observe::JobObservation;
 use ppc_core::{
-    BudgetNodeView, Classification, CycleOutcome, HierarchicalManager, ManagerStats, NodeMask,
-    NodeSets, PowerManager, PowerState, ProportionalBudgetController, Topology,
+    Classification, CycleOutcome, HierarchicalManager, ManagerStats, NodeMask, NodeSets,
+    PowerManager, PowerState, ProportionalBudgetController, Topology,
 };
 use ppc_faults::{FaultEngine, FaultInjection, FaultTransition};
 use ppc_metrics::{AvailabilityInputs, AvailabilityReport};
@@ -137,8 +137,6 @@ struct Tick {
 #[derive(Clone)]
 pub struct ClusterSim {
     spec: ClusterSpec,
-    /// Per-node power model (group-shared Arcs).
-    models: Vec<Arc<PowerModel>>,
     nodes: Vec<Node>,
     scheduler: Scheduler,
     queue: JobQueue,
@@ -240,7 +238,6 @@ pub struct ClusterSim {
     /// Per-tick scratch buffers, reused across ticks so the steady-state
     /// step path performs no per-tick allocation.
     scratch_samples: Vec<NodeSample>,
-    scratch_views: Vec<BudgetNodeView>,
     scratch_transitions: Vec<FaultTransition>,
     scratch_edges: Vec<NodeId>,
     scratch_sampled: Vec<u32>,
@@ -263,7 +260,6 @@ impl ClusterSim {
             groups.push((gs, gm, g.count));
         }
         let mut nodes: Vec<Node> = Vec::with_capacity(spec.total_nodes() as usize);
-        let mut models: Vec<Arc<PowerModel>> = Vec::with_capacity(nodes.capacity());
         let mut next_id = 0u32;
         for (gspec, gmodel, count) in &groups {
             for _ in 0..*count {
@@ -272,7 +268,6 @@ impl ClusterSim {
                     Arc::clone(gspec),
                     Arc::clone(gmodel),
                 ));
-                models.push(Arc::clone(gmodel));
                 next_id += 1;
             }
         }
@@ -301,7 +296,6 @@ impl ClusterSim {
         let obs_i = ObsInstruments::register(&mut obs.metrics);
         let n_total = nodes.len();
         ClusterSim {
-            models,
             nodes,
             scheduler,
             queue: JobQueue::new(),
@@ -342,7 +336,6 @@ impl ClusterSim {
             resample_next: Vec::new(),
             saving_w: vec![0.0; n_total],
             scratch_samples: Vec::new(),
-            scratch_views: Vec::new(),
             scratch_transitions: Vec::new(),
             scratch_edges: Vec::new(),
             scratch_sampled: Vec::new(),

@@ -2,6 +2,17 @@
 //! the hierarchy's delegation pass, and the control plane's decision —
 //! the paper's power manager (flat or per rack) or the proportional
 //! budget baseline.
+//!
+//! Every agent sample is taken by one method,
+//! [`take_sample`](ClusterSim::take_sample), which writes the sample, its
+//! predicted saving and the node's sample tick. Its three callers choose
+//! only which nodes: the lazy regime's
+//! [`lazy_sample`](ClusterSim::lazy_sample) (the materialize pass and the
+//! forced re-samples), the dense candidate loop of
+//! [`sample`](ClusterSim::sample), and
+//! [`budget_cycle`](ClusterSim::budget_cycle), which samples every node
+//! that is not privileged, not down and not silent, and hands the tick's
+//! samples to the budget controller.
 
 use super::*;
 
@@ -68,62 +79,47 @@ impl ClusterSim {
         if self.hierarchy.is_some() {
             self.control_cycle(now, metered_w, t)
         } else {
-            self.budget_cycle(now, metered_w)
+            self.budget_cycle(now, metered_w, t.tick)
         }
     }
 
-    /// Runs the proportional-budget baseline's decision: sample **all**
-    /// controllable nodes (this architecture has no candidate subset) and
-    /// split the budget into absolute levels.
-    fn budget_cycle(&mut self, now: SimTime, metered_w: f64) -> Option<Decision> {
-        let controller = self.budget_controller.as_mut()?;
+    /// Runs the proportional-budget baseline's decision: sample every
+    /// node with an agent to sample (this architecture has no candidate
+    /// subset) and split the budget into absolute levels. The agent-less
+    /// nodes are the privileged ones (SLA-protected among them), the down
+    /// ones (crashed or decommissioned) and the silent ones.
+    fn budget_cycle(&mut self, now: SimTime, metered_w: f64, tick: u64) -> Option<Decision> {
+        // Held out of `self` while the agents sample.
+        let mut controller = self.budget_controller.take()?;
         self.obs.spans.open("cycle", now);
         self.obs.spans.open("sample", now);
-        self.scratch_views.clear();
-        for node in &self.nodes {
-            if node.is_privileged() {
-                continue;
-            }
-            // Dead or decommissioned nodes have no agent to sample.
-            if self.scheduler.is_node_down(node.id()) {
-                continue;
-            }
-            // Silent nodes produce no samples.
-            if self
+        debug_assert!(
+            self.scratch_samples.is_empty(),
+            "the dense regime samples only at control time"
+        );
+        for idx in 0..self.nodes.len() {
+            let id = NodeId(idx as u32);
+            let silent = self
                 .faults
                 .as_ref()
-                .is_some_and(|fs| fs.engine.is_silent(node.id()))
-            {
+                .is_some_and(|fs| fs.engine.is_silent(id));
+            if self.nodes[idx].is_privileged() || self.scheduler.is_node_down(id) || silent {
                 continue;
             }
-            let idx = node.id().0 as usize;
-            let Some((sample, saving_w)) = self.agents[idx].sample(node, now) else {
-                continue; // dropped sample: the node keeps its level this cycle
-            };
-            self.saving_w[idx] = saving_w;
-            self.collector.ingest(sample);
-            self.scratch_views.push(BudgetNodeView {
-                node: node.id(),
-                level: node.level(),
-                highest: node.highest_level(),
-                state: sample.state,
-                power_w: sample.power_w,
-            });
+            self.take_sample(idx, tick, now);
         }
-        let (spans, views) = (&mut self.obs.spans, &self.scratch_views);
-        spans.attr("samples", AttrValue::U64(views.len() as u64));
+        let (spans, samples) = (&mut self.obs.spans, &self.scratch_samples);
+        spans.attr("samples", AttrValue::U64(samples.len() as u64));
         spans.close(now);
         self.obs.profile.lap("sample");
         spans.open("control", now);
-        let models = &self.models;
-        let (state, commands) = controller.cycle(metered_w, views, &|n: NodeId| {
-            Arc::clone(&models[n.0 as usize])
-        });
+        let (state, commands) = controller.cycle(metered_w, samples, &self.nodes);
         spans.attr("state", AttrValue::Str(state.name()));
         spans.attr("commands", AttrValue::U64(commands.len() as u64));
         spans.close(now);
         self.obs.profile.lap("control");
         let thresholds = controller.thresholds();
+        self.budget_controller = Some(controller);
         // The budget architecture has no racks or provision figure: its
         // health zone tracks the metered power against the controller's
         // own high watermark.
@@ -401,13 +397,7 @@ impl ClusterSim {
                 if faults.is_some_and(|fs| fs.engine.is_down(id) || fs.engine.is_silent(id)) {
                     continue;
                 }
-                let idx = id.0 as usize;
-                let sample = self.agents[idx].sample(&self.nodes[idx], now);
-                self.last_sampled_tick[idx] = tick;
-                if let Some((sample, saving_w)) = sample {
-                    self.saving_w[idx] = saving_w;
-                    self.scratch_samples.push(sample);
-                }
+                self.take_sample(id.0 as usize, tick, now);
             }
         }
         // The span tree must be identical across evaluation modes, so the
@@ -444,12 +434,24 @@ impl ClusterSim {
         if !fresh_baseline {
             self.resample_next.push(id.0);
         }
+        self.take_sample(idx, tick, now);
+        self.scratch_sampled.push(id.0);
+    }
+
+    /// Node `idx`'s agent sample at `now`, the control instant of `tick`:
+    /// the one place an agent sample is taken. A delivered sample joins
+    /// the tick's buffer and its predicted saving the saving column; a
+    /// dropped one (agent noise) leaves the node's last view in place.
+    /// Either way the agent has read the node this tick. Forced inline:
+    /// the lazy sample calls it once per sample on the hot path, where an
+    /// out-of-line call read about 2% slower ticks at 102 400 nodes.
+    #[inline(always)]
+    fn take_sample(&mut self, idx: usize, tick: u64, now: SimTime) {
         if let Some((sample, saving_w)) = self.agents[idx].sample(&self.nodes[idx], now) {
             self.saving_w[idx] = saving_w;
             self.scratch_samples.push(sample);
         }
         self.last_sampled_tick[idx] = tick;
-        self.scratch_sampled.push(id.0);
     }
 }
 

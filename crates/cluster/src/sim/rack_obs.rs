@@ -594,7 +594,7 @@ mod tests {
             .map(|i| {
                 let latest = collector.latest(NodeId(i as u32));
                 latest.map_or(0.0, |s| {
-                    twin.models[i].saving_one_level_w(s.level, &s.state)
+                    twin.nodes[i].model().saving_one_level_w(s.level, &s.state)
                 })
             })
             .collect();
@@ -714,7 +714,9 @@ mod tests {
             let Some(latest) = sim.collector.latest(NodeId(i as u32)) else {
                 continue;
             };
-            let want = sim.models[i].saving_one_level_w(latest.level, &latest.state);
+            let want = sim.nodes[i]
+                .model()
+                .saving_one_level_w(latest.level, &latest.state);
             assert_eq!(saving_w.to_bits(), want.to_bits(), "{label}: node {i}");
             checked += 1;
         }

@@ -839,6 +839,75 @@ fn privileged_nodes_keep_top_level_under_red_pressure() {
     );
 }
 
+/// The budget baseline samples exactly the nodes with an agent to sample,
+/// every cycle: not the privileged ones (static or SLA-protected), not
+/// the down ones, not the silent ones — but a hung node, whose agent
+/// still reports.
+#[test]
+fn budget_cycle_samples_every_node_with_an_agent() {
+    use ppc_faults::{FaultEvent, FaultInjection, FaultKind, FaultSchedule};
+    let mut spec = ClusterSpec::mini(8);
+    spec.privileged = vec![NodeId(0)];
+    spec.critical_job_fraction = 0.5;
+    let thy = spec.theoretical_max_w();
+    let thresholds = ppc_core::Thresholds::new(0.55 * thy, 0.64 * thy).unwrap();
+    let at = |secs, node, kind| FaultEvent {
+        at: SimTime::from_secs(secs),
+        node: NodeId(node),
+        kind,
+    };
+    let schedule = FaultSchedule::new(vec![
+        at(
+            40,
+            1,
+            FaultKind::Crash {
+                reboot: SimDuration::from_secs(30),
+            },
+        ),
+        at(
+            60,
+            2,
+            FaultKind::Hang {
+                duration: SimDuration::from_secs(50),
+            },
+        ),
+        at(
+            90,
+            3,
+            FaultKind::AgentSilence {
+                duration: SimDuration::from_secs(40),
+            },
+        ),
+    ]);
+    let mut sim = ClusterSim::new(spec)
+        .with_budget_controller(ProportionalBudgetController::new(thresholds))
+        .with_faults(FaultInjection::new(schedule));
+    let (mut protected, mut down, mut silent, mut hung) = (0, 0, 0, 0);
+    for _ in 0..300 {
+        sim.step();
+        let engine = &sim.faults.as_ref().unwrap().engine;
+        let mut want = Vec::new();
+        for node in &sim.nodes {
+            let id = node.id();
+            if node.is_privileged() {
+                protected += u32::from(id != NodeId(0));
+            } else if sim.scheduler.is_node_down(id) {
+                down += 1;
+            } else if engine.is_silent(id) {
+                silent += 1;
+            } else {
+                hung += u32::from(engine.is_hung(id));
+                want.push(id);
+            }
+        }
+        let got: Vec<NodeId> = sim.scratch_samples.iter().map(|s| s.node).collect();
+        assert_eq!(got, want, "tick {}", sim.tick_index);
+    }
+    assert!(protected > 0 && down > 0 && silent > 0 && hung > 0);
+    let stats = sim.budget_controller().unwrap().stats();
+    assert!(stats.active_cycles > 0, "the budget must bind");
+}
+
 fn managed_hier(nodes: u32, nodes_per_rack: u32) -> ClusterSim {
     let mut spec = ClusterSpec::mini(nodes);
     spec.provision_fraction = 0.6;

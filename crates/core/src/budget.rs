@@ -23,9 +23,9 @@
 
 use crate::capping::NodeCommand;
 use crate::state::{PowerState, Thresholds};
-use ppc_node::budget::level_for_budget;
-use ppc_node::{Level, NodeId, OperatingState, PowerModel};
-use std::sync::Arc;
+use ppc_node::budget::{level_for_budget, proportional_budgets};
+use ppc_node::node::Node;
+use ppc_telemetry::NodeSample;
 
 /// `true` iff `x` compares greater than zero. Spelled as a named guard
 /// because every use site wants the *negation* to catch NaN too: a NaN
@@ -151,21 +151,6 @@ pub fn delegate_with_headroom(
     split_proportional(total, &effective)
 }
 
-/// Per-node inputs to the budget controller (one per monitored node).
-#[derive(Debug, Clone, Copy)]
-pub struct BudgetNodeView {
-    /// The node.
-    pub node: NodeId,
-    /// Its current power level.
-    pub level: Level,
-    /// Its highest level.
-    pub highest: Level,
-    /// Its sampled operating state.
-    pub state: OperatingState,
-    /// Its sampled power draw, watts.
-    pub power_w: f64,
-}
-
 /// Cycle statistics of the budget controller.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BudgetStats {
@@ -204,43 +189,45 @@ impl ProportionalBudgetController {
         self.stats
     }
 
-    /// Runs one control cycle over every monitored node.
+    /// Runs one control cycle over the nodes sampled this cycle.
     ///
-    /// Above `P_L`, the budget `P_L` is split across nodes proportionally
-    /// to their draws and each node is set to the highest level that fits
-    /// its share. At or below `P_L`, all nodes are restored to their tops
-    /// (budget controllers re-derive the full allocation every cycle;
-    /// there is no gradual recovery).
+    /// Above `P_L`, the budget `P_L` is split across the sampled nodes
+    /// proportionally to their sampled draws and each node is set to the
+    /// highest level that fits its share. At or below `P_L`, every sampled
+    /// node is restored to its top (budget controllers re-derive the full
+    /// allocation every cycle; there is no gradual recovery). A sample
+    /// carries the node's level, state and draw; `nodes`, indexed by id,
+    /// gives its highest level and power model.
     pub fn cycle(
         &mut self,
         metered_w: f64,
-        nodes: &[BudgetNodeView],
-        model_of: &dyn Fn(NodeId) -> Arc<PowerModel>,
+        samples: &[NodeSample],
+        nodes: &[Node],
     ) -> (PowerState, Vec<NodeCommand>) {
         self.stats.cycles += 1;
         let state = self.thresholds.classify(metered_w);
         let mut commands = Vec::new();
         if state == PowerState::Green {
             // Full restoration: budget is not under pressure.
-            for v in nodes {
-                if v.level < v.highest {
+            for s in samples {
+                let highest = nodes[s.node.0 as usize].highest_level();
+                if s.level < highest {
                     commands.push(NodeCommand {
-                        node: v.node,
-                        level: v.highest,
+                        node: s.node,
+                        level: highest,
                     });
                 }
             }
         } else {
             self.stats.active_cycles += 1;
-            let budget_total = self.thresholds.p_low_w();
-            let draws: Vec<f64> = nodes.iter().map(|v| v.power_w).collect();
-            let budgets = ppc_node::budget::proportional_budgets(&draws, budget_total);
-            for (v, &budget) in nodes.iter().zip(&budgets) {
-                let model = model_of(v.node);
-                let (level, _fit) = level_for_budget(&model, &v.state, budget);
-                if level != v.level {
+            let draws: Vec<f64> = samples.iter().map(|s| s.power_w).collect();
+            let budgets = proportional_budgets(&draws, self.thresholds.p_low_w());
+            for (s, &budget) in samples.iter().zip(&budgets) {
+                let model = nodes[s.node.0 as usize].model();
+                let level = level_for_budget(model, &s.state, budget);
+                if level != s.level {
                     commands.push(NodeCommand {
-                        node: v.node,
+                        node: s.node,
                         level,
                     });
                 }
@@ -255,36 +242,43 @@ impl ProportionalBudgetController {
 mod tests {
     use super::*;
     use ppc_node::spec::NodeSpec;
+    use ppc_node::{Level, NodeId, OperatingState};
+    use ppc_simkit::SimTime;
+    use std::sync::Arc;
 
-    fn setup() -> (Arc<PowerModel>, Vec<BudgetNodeView>, Thresholds) {
-        let spec = NodeSpec::tianhe_1a();
+    /// Four busy Tianhe-1A nodes at their top level, one sample each.
+    fn setup() -> (Vec<Node>, Vec<NodeSample>, Thresholds) {
+        let spec = Arc::new(NodeSpec::tianhe_1a());
         let model = spec.power_model(1.0);
         let busy = OperatingState {
             cpu_util: 0.9,
             mem_used_bytes: 12 << 30,
             nic_bytes: 100_000_000,
         };
-        let nodes: Vec<BudgetNodeView> = (0..4)
-            .map(|i| BudgetNodeView {
-                node: NodeId(i),
-                level: Level::new(9),
-                highest: Level::new(9),
+        let nodes: Vec<Node> = (0..4)
+            .map(|i| Node::new(NodeId(i), Arc::clone(&spec), Arc::clone(&model)))
+            .collect();
+        let samples = nodes
+            .iter()
+            .map(|n| NodeSample {
+                node: n.id(),
+                at: SimTime::from_secs(1),
                 state: busy,
+                level: Level::new(9),
                 power_w: model.power_w(Level::new(9), &busy),
             })
             .collect();
         // P_L = 4 × ~200 W: forces real throttling on ~300 W draws.
         let thresholds = Thresholds::new(800.0, 1_000.0).unwrap();
-        (model, nodes, thresholds)
+        (nodes, samples, thresholds)
     }
 
     #[test]
     fn over_budget_throttles_everyone_proportionally() {
-        let (model, nodes, thresholds) = setup();
+        let (nodes, samples, thresholds) = setup();
         let mut c = ProportionalBudgetController::new(thresholds);
-        let total: f64 = nodes.iter().map(|v| v.power_w).sum();
-        let m = model.clone();
-        let (state, commands) = c.cycle(total, &nodes, &|_| m.clone());
+        let total: f64 = samples.iter().map(|s| s.power_w).sum();
+        let (state, commands) = c.cycle(total, &samples, &nodes);
         assert_eq!(state, PowerState::Red);
         // Identical nodes, identical shares: every node commanded down.
         assert_eq!(commands.len(), 4);
@@ -292,20 +286,21 @@ mod tests {
         assert!(commands.iter().all(|cmd| cmd.level == level));
         assert!(level < Level::new(9));
         // The commanded level fits the per-node share (200 W).
-        let p = model.power_w(level, &nodes[0].state);
+        let p = nodes[0].model().power_w(level, &samples[0].state);
         assert!(p <= 200.0 + 1e-9, "p={p}");
         assert_eq!(c.stats().active_cycles, 1);
     }
 
     #[test]
     fn under_budget_restores_everything_at_once() {
-        let (model, mut nodes, thresholds) = setup();
-        for v in &mut nodes {
-            v.level = Level::new(2); // previously throttled
+        let (mut nodes, mut samples, thresholds) = setup();
+        // Previously throttled.
+        for (n, s) in nodes.iter_mut().zip(&mut samples) {
+            n.set_level(Level::new(2)).unwrap();
+            s.level = Level::new(2);
         }
         let mut c = ProportionalBudgetController::new(thresholds);
-        let m = model.clone();
-        let (state, commands) = c.cycle(500.0, &nodes, &|_| m.clone());
+        let (state, commands) = c.cycle(500.0, &samples, &nodes);
         assert_eq!(state, PowerState::Green);
         assert_eq!(commands.len(), 4, "all nodes restored");
         assert!(commands.iter().all(|cmd| cmd.level == Level::new(9)));
@@ -313,11 +308,64 @@ mod tests {
 
     #[test]
     fn no_redundant_commands_at_steady_state() {
-        let (model, nodes, thresholds) = setup();
+        let (nodes, samples, thresholds) = setup();
         let mut c = ProportionalBudgetController::new(thresholds);
-        let m = model.clone();
-        let (_, commands) = c.cycle(500.0, &nodes, &|_| m.clone());
+        let (_, commands) = c.cycle(500.0, &samples, &nodes);
         assert!(commands.is_empty(), "already at top under budget");
+    }
+
+    /// Each node is restored to its own top and throttled under its own
+    /// power model: two X5670 nodes (10 levels) beside two X5650 nodes
+    /// (7 levels, a smaller envelope).
+    #[test]
+    fn mixed_ladders_use_each_nodes_own_model() {
+        let busy = OperatingState {
+            cpu_util: 0.9,
+            mem_used_bytes: 12 << 30,
+            nic_bytes: 100_000_000,
+        };
+        let nodes: Vec<Node> = [NodeSpec::tianhe_1a(), NodeSpec::tianhe_1a_x5650()]
+            .into_iter()
+            .flat_map(|spec| {
+                let spec = Arc::new(spec);
+                let model = spec.power_model(1.0);
+                [0, 1].map(|_| (Arc::clone(&spec), Arc::clone(&model)))
+            })
+            .enumerate()
+            .map(|(i, (spec, model))| Node::new(NodeId(i as u32), spec, model))
+            .collect();
+        let sample = |n: &Node, level: Level| NodeSample {
+            node: n.id(),
+            at: SimTime::from_secs(1),
+            state: busy,
+            level,
+            power_w: n.model().power_w(level, &busy),
+        };
+        let top: Vec<NodeSample> = nodes.iter().map(|n| sample(n, n.highest_level())).collect();
+        let total: f64 = top.iter().map(|s| s.power_w).sum();
+        // P_L at 90 % of the top draw: each node's share fits a level
+        // above its floor and below its top, and a different one on the
+        // other model.
+        let thresholds = Thresholds::new(0.9 * total, 0.95 * total).unwrap();
+        let mut c = ProportionalBudgetController::new(thresholds);
+
+        let low: Vec<NodeSample> = nodes.iter().map(|n| sample(n, Level::new(2))).collect();
+        let (_, restore) = c.cycle(0.5 * total, &low, &nodes);
+        let tops: Vec<Level> = restore.iter().map(|cmd| cmd.level).collect();
+        assert_eq!(tops, [9, 9, 6, 6].map(Level::new));
+
+        let (state, commands) = c.cycle(total, &top, &nodes);
+        assert_eq!(state, PowerState::Red);
+        assert_eq!(commands.len(), 4);
+        assert!(commands.iter().all(|cmd| cmd.level > Level::LOWEST));
+        let draws: Vec<f64> = top.iter().map(|s| s.power_w).collect();
+        let shares = proportional_budgets(&draws, thresholds.p_low_w());
+        for (cmd, share) in commands.iter().zip(shares) {
+            let node = &nodes[cmd.node.0 as usize];
+            let model = node.model();
+            assert!(model.power_w(cmd.level, &busy) <= share, "{cmd:?}");
+            assert!(model.power_w(cmd.level.up(), &busy) > share, "{cmd:?}");
+        }
     }
 
     #[test]
@@ -437,16 +485,15 @@ mod tests {
 
     #[test]
     fn idle_nodes_share_budget_equally() {
-        let (model, mut nodes, thresholds) = setup();
-        for v in &mut nodes {
-            v.state = OperatingState::IDLE;
-            v.power_w = 0.0;
+        let (nodes, mut samples, thresholds) = setup();
+        for s in &mut samples {
+            s.state = OperatingState::IDLE;
+            s.power_w = 0.0;
         }
         let mut c = ProportionalBudgetController::new(thresholds);
-        let m = model.clone();
         // Metered above P_L but the per-node equal share (200 W) fits idle
         // draw (~160 W) at the top level: no commands needed.
-        let (_, commands) = c.cycle(900.0, &nodes, &|_| m.clone());
+        let (_, commands) = c.cycle(900.0, &samples, &nodes);
         assert!(commands.is_empty());
     }
 }

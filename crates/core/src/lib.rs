@@ -37,8 +37,7 @@ pub mod thresholds;
 pub mod topology;
 
 pub use budget::{
-    conserves_budget, delegate_with_headroom, split_proportional, BudgetNodeView,
-    ProportionalBudgetController,
+    conserves_budget, delegate_with_headroom, split_proportional, ProportionalBudgetController,
 };
 pub use capping::{CappingAlgorithm, NodeCommand};
 pub use config::ManagerConfig;

@@ -10,70 +10,26 @@
 //!
 //! On DVFS-only hardware (the testbed), the allocation degenerates to
 //! picking the highest frequency level whose Formula-(1) prediction stays
-//! within budget — [`level_for_budget`]. [`BudgetFit`] reports how the
-//! budget was met so callers can distinguish "fits at the top" from
-//! "cannot fit even at the floor".
+//! within budget — [`level_for_budget`].
 
 use crate::freq::Level;
 use crate::profile::{OperatingState, PowerModel};
-use serde::{Deserialize, Serialize};
-
-/// How a budget request was satisfied.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum BudgetFit {
-    /// The node fits the budget even at its highest level: no throttling
-    /// needed.
-    Unconstrained,
-    /// The returned (sub-maximal) level is the highest that fits.
-    Constrained {
-        /// Headroom left under the budget at the chosen level, watts.
-        headroom_w: f64,
-    },
-    /// Even the lowest level exceeds the budget; the node is pinned to
-    /// the floor and overshoots by this much.
-    Infeasible {
-        /// Watts above budget at the lowest level.
-        excess_w: f64,
-    },
-}
 
 /// Picks the highest level whose predicted power fits `budget_w` for the
-/// given operating state, with a report of how the fit went.
+/// given operating state; the lowest level when none fits.
 ///
 /// # Panics
 /// Panics if `budget_w` is not finite.
-pub fn level_for_budget(
-    model: &PowerModel,
-    state: &OperatingState,
-    budget_w: f64,
-) -> (Level, BudgetFit) {
+pub fn level_for_budget(model: &PowerModel, state: &OperatingState, budget_w: f64) -> Level {
     assert!(budget_w.is_finite(), "budget must be finite");
     let levels = model.table().len();
     debug_assert!(levels >= 1);
-    let top = Level::new((levels - 1) as u8);
-    if model.power_w(top, state) <= budget_w {
-        return (top, BudgetFit::Unconstrained);
-    }
     // Power is monotone in level, so scan downward for the first fit.
-    for idx in (0..levels - 1).rev() {
-        let level = Level::new(idx as u8);
-        let p = model.power_w(level, state);
-        if p <= budget_w {
-            return (
-                level,
-                BudgetFit::Constrained {
-                    headroom_w: budget_w - p,
-                },
-            );
-        }
-    }
-    let floor_p = model.power_w(Level::LOWEST, state);
-    (
-        Level::LOWEST,
-        BudgetFit::Infeasible {
-            excess_w: floor_p - budget_w,
-        },
-    )
+    (0..levels)
+        .rev()
+        .map(|idx| Level::new(idx as u8))
+        .find(|&level| model.power_w(level, state) <= budget_w)
+        .unwrap_or(Level::LOWEST)
 }
 
 /// Splits a cluster budget across nodes proportionally to their current
@@ -122,9 +78,7 @@ mod tests {
     #[test]
     fn generous_budget_is_unconstrained() {
         let (model, busy) = fixture();
-        let (level, fit) = level_for_budget(&model, &busy, 10_000.0);
-        assert_eq!(level, Level::new(9));
-        assert_eq!(fit, BudgetFit::Unconstrained);
+        assert_eq!(level_for_budget(&model, &busy, 10_000.0), Level::new(9));
     }
 
     #[test]
@@ -132,33 +86,19 @@ mod tests {
         let (model, busy) = fixture();
         let top_power = model.power_w(Level::new(9), &busy);
         let budget = top_power - 30.0; // force at least one step down
-        let (level, fit) = level_for_budget(&model, &busy, budget);
+        let level = level_for_budget(&model, &busy, budget);
         assert!(level < Level::new(9));
-        let p = model.power_w(level, &busy);
-        assert!(p <= budget);
+        assert!(model.power_w(level, &busy) <= budget);
         // The next level up must NOT fit (highest-fitting property).
-        let up = level.up();
-        assert!(model.power_w(up, &busy) > budget);
-        match fit {
-            BudgetFit::Constrained { headroom_w } => {
-                assert!((headroom_w - (budget - p)).abs() < 1e-9);
-            }
-            other => panic!("expected Constrained, got {other:?}"),
-        }
+        assert!(model.power_w(level.up(), &busy) > budget);
     }
 
     #[test]
     fn impossible_budget_reports_excess() {
         let (model, busy) = fixture();
-        let (level, fit) = level_for_budget(&model, &busy, 50.0);
-        assert_eq!(level, Level::LOWEST);
-        match fit {
-            BudgetFit::Infeasible { excess_w } => {
-                let floor = model.power_w(Level::LOWEST, &busy);
-                assert!((excess_w - (floor - 50.0)).abs() < 1e-9);
-            }
-            other => panic!("expected Infeasible, got {other:?}"),
-        }
+        // Nothing fits: the node is pinned to the floor, which overshoots.
+        assert_eq!(level_for_budget(&model, &busy, 50.0), Level::LOWEST);
+        assert!(model.power_w(Level::LOWEST, &busy) > 50.0);
     }
 
     #[test]
@@ -178,8 +118,8 @@ mod tests {
     }
 
     proptest! {
-        /// The chosen level always fits when any level fits, and the fit
-        /// classification is consistent with the returned level.
+        /// The chosen level always fits when any level fits, is the
+        /// highest that does, and is the floor when none does.
         #[test]
         fn prop_budget_fit_consistency(
             util in 0.0f64..1.0,
@@ -188,22 +128,12 @@ mod tests {
             let spec = NodeSpec::tianhe_1a();
             let model = spec.power_model(1.0);
             let state = OperatingState { cpu_util: util, mem_used_bytes: 0, nic_bytes: 0 };
-            let (level, fit) = level_for_budget(&model, &state, budget);
+            let level = level_for_budget(&model, &state, budget);
             let p = model.power_w(level, &state);
-            match fit {
-                BudgetFit::Unconstrained => {
-                    prop_assert_eq!(level, Level::new(9));
-                    prop_assert!(p <= budget);
-                }
-                BudgetFit::Constrained { headroom_w } => {
-                    prop_assert!(p <= budget + 1e-9);
-                    prop_assert!(headroom_w >= 0.0);
-                    prop_assert!(model.power_w(level.up(), &state) > budget);
-                }
-                BudgetFit::Infeasible { excess_w } => {
-                    prop_assert_eq!(level, Level::LOWEST);
-                    prop_assert!(excess_w > 0.0);
-                }
+            if p <= budget {
+                prop_assert!(level == Level::new(9) || model.power_w(level.up(), &state) > budget);
+            } else {
+                prop_assert_eq!(level, Level::LOWEST);
             }
         }
 

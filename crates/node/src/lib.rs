@@ -40,7 +40,7 @@ pub mod sets;
 pub mod spec;
 pub mod thermal;
 
-pub use budget::{level_for_budget, proportional_budgets, BudgetFit};
+pub use budget::{level_for_budget, proportional_budgets};
 pub use error::NodeError;
 pub use freq::{FrequencyLadder, Level};
 pub use node::{Node, NodeId};

@@ -1,20 +1,25 @@
 //! The central collector on the management node.
 //!
-//! Ingests agent samples and maintains the views the capping algorithm
-//! and its selection policies read:
+//! Ingests agent samples and keeps, per node, the two views the control
+//! cycle reads:
 //!
-//! * latest per-node sample (state, level, power estimate);
-//! * the previous power estimate per node, so change-based policies can
-//!   compute the rate of increase `ΔP^t(x) = (P^t − P^{t−1}) / P^{t−1}`;
-//! * per-job aggregation `Power(J) = Σ_{i ∈ Nodes(J)} P(i)`.
+//! * the latest sample (state, level, power estimate, timestamp), which
+//!   the observe stage sums into the paper's `Power(J)` and the staleness
+//!   filter ages;
+//! * the previous power estimate, from which the observe stage computes
+//!   a job's rate of increase `ΔP^t(J) = (P^t − P^{t−1}) / P^{t−1}`.
 //!
 //! Storage is dense: `NodeId`s are small dense integers, so per-node
-//! slots live in a `Vec` indexed by id and every policy-facing query
-//! (`power_of`, `aggregate_power`, `power_rate_of`) is a plain array
-//! read — no lock, no hash. Ingestion takes `&mut self` (the manager's
-//! control cycle is the single writer); the end state is independent of
-//! arrival order within a batch because each node's slot only advances
-//! on strictly newer timestamps.
+//! slots live in a `Vec` indexed by id and every query ([`latest`],
+//! [`prev_power_of`], [`is_fresh`]) is a plain array read — no lock, no
+//! hash. Ingestion takes `&mut self` (the manager's control cycle is the
+//! single writer); the end state is independent of arrival order within
+//! a batch because each node's slot only advances on strictly newer
+//! timestamps.
+//!
+//! [`latest`]: Collector::latest
+//! [`prev_power_of`]: Collector::prev_power_of
+//! [`is_fresh`]: Collector::is_fresh
 
 use crate::sample::NodeSample;
 use ppc_node::NodeId;
@@ -32,8 +37,6 @@ struct Slot {
 pub struct Collector {
     /// Dense per-node slots, indexed by `NodeId.0`; `None` = no sample.
     slots: Vec<Option<Slot>>,
-    /// Number of `Some` slots (nodes with at least one sample).
-    populated: usize,
 }
 
 impl Collector {
@@ -66,7 +69,6 @@ impl Collector {
                     latest: sample,
                     prev_power_w: None,
                 });
-                self.populated += 1;
             }
         }
     }
@@ -107,21 +109,8 @@ impl Collector {
     /// Drops a node from the store (it left the candidate set).
     pub fn forget(&mut self, node: NodeId) {
         if let Some(slot) = self.slots.get_mut(node.0 as usize) {
-            if slot.take().is_some() {
-                self.populated -= 1;
-            }
+            *slot = None;
         }
-    }
-
-    /// Drops every stored sample (capacity is kept for reuse).
-    pub fn clear(&mut self) {
-        self.slots.iter_mut().for_each(|s| *s = None);
-        self.populated = 0;
-    }
-
-    /// Number of nodes with at least one sample.
-    pub fn node_count(&self) -> usize {
-        self.populated
     }
 
     /// Latest sample for `node`.
@@ -129,40 +118,9 @@ impl Collector {
         self.slot(node).map(|s| s.latest)
     }
 
-    /// Latest power estimate for `node`, watts.
-    pub fn power_of(&self, node: NodeId) -> Option<f64> {
-        self.slot(node).map(|s| s.latest.power_w)
-    }
-
     /// Previous-interval power estimate for `node`, watts.
     pub fn prev_power_of(&self, node: NodeId) -> Option<f64> {
         self.slot(node).and_then(|s| s.prev_power_w)
-    }
-
-    /// Rate of increase `ΔP^t(x)` for `node`: `(P^t − P^{t−1}) / P^{t−1}`.
-    /// `None` until two samples exist.
-    pub fn power_rate_of(&self, node: NodeId) -> Option<f64> {
-        let slot = self.slot(node)?;
-        let prev = slot.prev_power_w?;
-        if prev <= 0.0 {
-            return None;
-        }
-        Some((slot.latest.power_w - prev) / prev)
-    }
-
-    /// Sum of the latest power estimates over `nodes` (the paper's
-    /// `Power(J)` when given `Nodes(J)`), watts. Nodes without samples
-    /// contribute zero.
-    pub fn aggregate_power(&self, nodes: &[NodeId]) -> f64 {
-        nodes
-            .iter()
-            .filter_map(|&n| self.slot(n).map(|s| s.latest.power_w))
-            .sum()
-    }
-
-    /// Estimated total power of all monitored nodes, watts.
-    pub fn estimated_total_w(&self) -> f64 {
-        self.slots.iter().flatten().map(|s| s.latest.power_w).sum()
     }
 
     /// Age of `node`'s latest sample relative to `now` (`None` if the node
@@ -196,15 +154,19 @@ mod tests {
         }
     }
 
+    /// The latest power estimate for `node`, watts.
+    fn power(c: &Collector, node: u32) -> Option<f64> {
+        c.latest(NodeId(node)).map(|s| s.power_w)
+    }
+
     #[test]
     fn ingest_and_query() {
         let mut c = Collector::new();
         c.ingest(sample(1, 0, 200.0));
         c.ingest(sample(2, 0, 300.0));
-        assert_eq!(c.node_count(), 2);
-        assert_eq!(c.power_of(NodeId(1)), Some(200.0));
-        assert_eq!(c.estimated_total_w(), 500.0);
-        assert_eq!(c.power_of(NodeId(9)), None);
+        assert_eq!(c.latest(NodeId(1)), Some(sample(1, 0, 200.0)));
+        assert_eq!(power(&c, 2), Some(300.0));
+        assert_eq!(power(&c, 9), None);
     }
 
     #[test]
@@ -212,11 +174,9 @@ mod tests {
         let mut c = Collector::new();
         c.ingest(sample(1, 0, 200.0));
         assert_eq!(c.prev_power_of(NodeId(1)), None);
-        assert_eq!(c.power_rate_of(NodeId(1)), None);
         c.ingest(sample(1, 1, 250.0));
-        assert_eq!(c.power_of(NodeId(1)), Some(250.0));
+        assert_eq!(power(&c, 1), Some(250.0));
         assert_eq!(c.prev_power_of(NodeId(1)), Some(200.0));
-        assert!((c.power_rate_of(NodeId(1)).unwrap() - 0.25).abs() < 1e-12);
     }
 
     #[test]
@@ -224,7 +184,7 @@ mod tests {
         let mut c = Collector::new();
         c.ingest(sample(1, 5, 500.0));
         c.ingest(sample(1, 3, 100.0));
-        assert_eq!(c.power_of(NodeId(1)), Some(500.0));
+        assert_eq!(power(&c, 1), Some(500.0));
         assert_eq!(c.prev_power_of(NodeId(1)), None);
     }
 
@@ -242,30 +202,14 @@ mod tests {
         }
         // Lazy path: one refresh covers all five skipped intervals.
         assert!(lazy.refresh(NodeId(1), SimTime::from_secs(6)));
-        assert_eq!(real.power_of(NodeId(1)), lazy.power_of(NodeId(1)));
+        assert_eq!(real.latest(NodeId(1)), lazy.latest(NodeId(1)));
         assert_eq!(real.prev_power_of(NodeId(1)), lazy.prev_power_of(NodeId(1)));
-        assert_eq!(
-            real.latest(NodeId(1)).unwrap().at,
-            lazy.latest(NodeId(1)).unwrap().at
-        );
-        assert_eq!(real.power_rate_of(NodeId(1)), Some(0.0));
-        assert_eq!(lazy.power_rate_of(NodeId(1)), Some(0.0));
+        // ΔP = 0 on both: the previous estimate equals the latest.
+        assert_eq!(lazy.prev_power_of(NodeId(1)), Some(250.0));
         // Refresh at-or-before the stored timestamp is a no-op.
         assert!(!lazy.refresh(NodeId(1), SimTime::from_secs(6)));
         // Unknown nodes are a no-op.
         assert!(!lazy.refresh(NodeId(42), SimTime::from_secs(9)));
-    }
-
-    #[test]
-    fn aggregation_over_job_nodes() {
-        let mut c = Collector::new();
-        for i in 0..4 {
-            c.ingest(sample(i, 0, 100.0 * (i + 1) as f64));
-        }
-        let nodes = [NodeId(0), NodeId(2)];
-        assert_eq!(c.aggregate_power(&nodes), 100.0 + 300.0);
-        // Unknown nodes contribute zero.
-        assert_eq!(c.aggregate_power(&[NodeId(0), NodeId(99)]), 100.0);
     }
 
     #[test]
@@ -282,9 +226,8 @@ mod tests {
             seq.ingest(s);
         }
         con.ingest_batch(&batch);
-        assert_eq!(seq.node_count(), con.node_count());
         for i in 0..100 {
-            assert_eq!(seq.power_of(NodeId(i)), con.power_of(NodeId(i)), "node {i}");
+            assert_eq!(seq.latest(NodeId(i)), con.latest(NodeId(i)), "node {i}");
             assert_eq!(
                 seq.prev_power_of(NodeId(i)),
                 con.prev_power_of(NodeId(i)),
@@ -299,38 +242,33 @@ mod tests {
         let mut c = Collector::new();
         c.ingest(sample(10_000, 0, 123.0));
         c.ingest(sample(3, 0, 7.0));
-        assert_eq!(c.node_count(), 2);
-        assert_eq!(c.power_of(NodeId(10_000)), Some(123.0));
-        assert_eq!(c.power_of(NodeId(9_999)), None, "gap below a high id");
-        assert_eq!(c.power_of(NodeId(20_000)), None, "beyond the store");
-        assert_eq!(c.estimated_total_w(), 130.0);
-        assert_eq!(
-            c.aggregate_power(&[NodeId(3), NodeId(5_000), NodeId(10_000)]),
-            130.0
-        );
+        assert_eq!(power(&c, 10_000), Some(123.0));
+        assert_eq!(power(&c, 3), Some(7.0));
+        assert_eq!(power(&c, 9_999), None, "gap below a high id");
+        assert_eq!(power(&c, 20_000), None, "beyond the store");
         c.forget(NodeId(10_000));
-        assert_eq!(c.node_count(), 1);
-        assert_eq!(c.power_of(NodeId(10_000)), None);
+        assert_eq!(power(&c, 10_000), None);
+        assert_eq!(power(&c, 3), Some(7.0));
         // Forgetting an id that never had a sample is a no-op.
         c.forget(NodeId(77));
         c.forget(NodeId(40_000));
-        assert_eq!(c.node_count(), 1);
+        assert_eq!(power(&c, 3), Some(7.0));
     }
 
     #[test]
-    fn forget_and_clear() {
+    fn forget_drops_the_node_and_its_history() {
         let mut c = Collector::new();
         c.ingest(sample(1, 0, 1.0));
-        c.ingest(sample(2, 0, 2.0));
+        c.ingest(sample(1, 1, 2.0));
+        c.ingest(sample(2, 0, 3.0));
         c.forget(NodeId(1));
-        assert_eq!(c.node_count(), 1);
-        c.clear();
-        assert_eq!(c.node_count(), 0);
-        // A cleared collector accepts fresh samples (capacity reused).
-        c.ingest(sample(2, 9, 4.0));
-        assert_eq!(c.node_count(), 1);
-        assert_eq!(c.power_of(NodeId(2)), Some(4.0));
-        assert_eq!(c.prev_power_of(NodeId(2)), None, "clear resets history");
+        assert_eq!(c.latest(NodeId(1)), None);
+        assert_eq!(c.prev_power_of(NodeId(1)), None);
+        assert_eq!(power(&c, 2), Some(3.0), "other nodes are kept");
+        // A forgotten node's next sample starts a fresh history.
+        c.ingest(sample(1, 9, 4.0));
+        assert_eq!(power(&c, 1), Some(4.0));
+        assert_eq!(c.prev_power_of(NodeId(1)), None, "forget resets history");
     }
 
     #[test]
@@ -355,13 +293,5 @@ mod tests {
         );
         assert!(!c.is_fresh(NodeId(0), SimTime::from_secs(16), max_age));
         assert!(!c.is_fresh(NodeId(9), now, max_age));
-    }
-
-    #[test]
-    fn rate_undefined_for_zero_previous_power() {
-        let mut c = Collector::new();
-        c.ingest(sample(1, 0, 0.0));
-        c.ingest(sample(1, 1, 50.0));
-        assert_eq!(c.power_rate_of(NodeId(1)), None);
     }
 }

@@ -35,18 +35,25 @@ cargo run --release -p ppc-bench --bin whatif_serve -- --smoke >/dev/null
 cargo run --release -p ppc-bench --bin ext_faults -- --smoke
 
 # Observability smoke: a faulted managed run must emit a schema-valid
-# JSONL trace stream through --trace-out (see DESIGN §12) and a
-# schema-valid health stream through --health-out (see DESIGN §17).
+# JSONL trace stream through --trace-out (see DESIGN §12), a
+# schema-valid health stream through --health-out (see DESIGN §17), and
+# a Prometheus dump through --metrics-out that carries the labeled rack
+# series and the control stage's self-profile comments.
 # Ten measured minutes close more spans than the recorder retains, so
 # the exported stream comes from a wrapped span ring.
 trace_tmp="$(mktemp -t ppc-trace.XXXXXX.jsonl)"
 health_tmp="$(mktemp -t ppc-health.XXXXXX.jsonl)"
-trap 'rm -f "$trace_tmp" "$health_tmp"' EXIT
+metrics_tmp="$(mktemp -t ppc-metrics.XXXXXX.prom)"
+trap 'rm -f "$trace_tmp" "$health_tmp" "$metrics_tmp"' EXIT
 ./target/release/ppc run --nodes 8 --provision 0.6 --faults 6 \
     --training-mins 1 --measure-mins 10 --trace-out "$trace_tmp" \
-    --health-out "$health_tmp" >/dev/null
+    --health-out "$health_tmp" --metrics-out "$metrics_tmp" >/dev/null
 cargo run --release -p ppc-obs --bin validate_trace -- "$trace_tmp"
 cargo run --release -p ppc-obs --bin validate_health -- "$health_tmp"
+grep -qF 'ppc_rack_power_watts{rack="0",row="0"} ' "$metrics_tmp" \
+    || { echo "--metrics-out has no labeled rack series" >&2; exit 1; }
+grep -qF '# self-profile control.select ' "$metrics_tmp" \
+    || { echo "--metrics-out has no control.select self-profile line" >&2; exit 1; }
 
 # Bench smoke + perf guard, last, so a timing failure on a noisy host
 # cannot hide a schema or correctness failure above: quick per-tick

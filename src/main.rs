@@ -170,6 +170,8 @@ fn cmd_run(args: &Args) {
     if let Some(path) = args.get("--metrics-out") {
         let obs = sim.obs();
         let mut text = ppc::obs::prometheus(&obs.metrics);
+        // The health plane's labeled per-rack and per-row series.
+        text.push_str(&ppc::obs::prometheus_health(sim.health()));
         // Wall-clock self-profile rides along as comments: scrapers skip
         // them, and the deterministic instrument block above stays a pure
         // function of the seed.

@@ -118,10 +118,11 @@ fn power_rate_follows_the_last_interval_swing() {
             power_w: p,
         });
     }
-    // The rate ΔP/P spans one interval only: it reads the last sawtooth
-    // swing, not the rising trend underneath.
-    let rate = c.power_rate_of(NodeId(1)).unwrap();
-    assert!((rate - (320.0 - 260.0) / 260.0).abs() < 1e-9, "rate={rate}");
+    // The rate ΔP/P spans one interval only: the collector keeps the
+    // last sawtooth swing, not the rising trend underneath.
+    let latest = c.latest(NodeId(1)).unwrap().power_w;
+    let prev = c.prev_power_of(NodeId(1)).unwrap();
+    assert_eq!((prev, latest), (260.0, 320.0));
 }
 
 #[test]
